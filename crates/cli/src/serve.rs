@@ -10,8 +10,9 @@
 //! # Crash safety (`--data-dir`)
 //!
 //! With `--data-dir DIR` the session is crash-only. Every accepted job is
-//! appended (and fsynced, unless `--no-fsync`) to a CRC32-framed
-//! write-ahead journal *before* it is acknowledged; quiescent moments
+//! appended to a CRC32-framed write-ahead journal, and every
+//! acknowledgment is sent only after the write and fsync (unless
+//! `--no-fsync`) that cover its record; quiescent moments
 //! trigger automatic snapshots (`--snapshot-every-jobs` /
 //! `--snapshot-every-secs`) that truncate the journal past their
 //! watermark. On startup the newest valid snapshot is loaded (torn tails
@@ -19,6 +20,24 @@
 //! journal suffix is replayed through the same deterministic ingest
 //! pipeline, so a `kill -9`'d process recovers to a state digest-identical
 //! to a never-crashed run — the CI `crash-smoke` check.
+//!
+//! # The input loop: one commit per `read()`
+//!
+//! [`Stream::run`] owns the read buffer. Every complete line one `read()`
+//! returned goes through the per-line order parse → admit → `pump_until`
+//! → [snapshot if due] → journal append → `submit` → *queue* the response,
+//! and then [`Stream::commit`] writes the batch: one `write_all` of the
+//! queued journal frames, one `sync_data`, then one `write_all` of the
+//! queued responses on a `TCP_NODELAY` socket. The batch is whatever the
+//! `read()` returned, so a client that waits for each ack still gets one
+//! fsync per line and a pipelined client amortises it; responses stay in
+//! line order. A due auto-snapshot, EOF and a disconnect commit first; a
+//! fatal error returns without writing the queued responses. A crash can
+//! therefore leave records that are durable but unacknowledged, never an
+//! acknowledgment whose record is not durable. Batching cannot change a
+//! scheduling decision: simulated time comes from each job's
+//! `submit_time`, never from the wall clock or from where a `read()`
+//! happened to end.
 //!
 //! # Admission control and poison lines
 //!
@@ -30,7 +49,10 @@
 //! file, and rejected with reason `malformed` — they do not kill the
 //! connection. Abrupt client disconnects and mid-line EOF on `--listen`
 //! are handled gracefully: complete lines are processed (and journaled),
-//! the partial tail is discarded with a typed warning.
+//! the partial tail is discarded with a typed warning. A line longer than
+//! [`MAX_LINE_BYTES`] is rejected as `malformed` (`line too long`) as soon
+//! as the excess is seen, so no more than that is ever buffered; the
+//! stream resynchronises at the next newline.
 //!
 //! `--snapshot-out` writes a quiescent [`FullSnapshot`] (engine session +
 //! scheduler/predictor state); `--restore` resumes from one. A restored
@@ -39,7 +61,7 @@
 //! byte — that equivalence is this mode's correctness contract (and the
 //! CI `serve-smoke` check).
 
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Map, Serialize, Value};
@@ -59,6 +81,17 @@ use crate::args::{Args, CliError};
 /// without the field read as version 1; newer versions are refused with
 /// [`CliError::SnapshotVersion`].
 pub const FULL_SNAPSHOT_VERSION: u32 = 2;
+
+/// Longest input line accepted, newline excluded. Anything longer is
+/// rejected as `malformed` and discarded up to the next newline, so a
+/// newline-free stream cannot grow the read buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Bytes of an over-long line kept as its quarantine sample.
+const LONG_LINE_SAMPLE_BYTES: usize = 256;
+
+/// Size of one `read()`, and so the most input one commit covers.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Wire-layer stream statistics. Persisted inside [`FullSnapshot`] so the
 /// byte-stable rejection counters survive restarts and crashes.
@@ -260,9 +293,16 @@ fn restore_err(origin: &str) -> impl Fn(SimError) -> CliError + '_ {
     }
 }
 
-/// The line source: stdin, a file, or one accepted TCP connection (whose
-/// write half, when available, carries the per-line JSON responses).
-fn open_input(args: &Args) -> Result<(Box<dyn BufRead>, Option<std::net::TcpStream>), CliError> {
+/// The line source — stdin, a file, or one accepted TCP connection — and,
+/// for a connection, the write half that carries the per-line responses.
+/// A source with `responses` follows the connection rules: a torn final
+/// line is discarded and a read error ends the stream with a warning.
+struct Input {
+    reader: Box<dyn Read>,
+    responses: Option<Box<dyn Write>>,
+}
+
+fn open_input(args: &Args) -> Result<Input, CliError> {
     if let Some(addr) = args.get("listen") {
         let listener = std::net::TcpListener::bind(addr).map_err(io_err)?;
         // One connection per process: the client streams JSONL and closes;
@@ -270,16 +310,24 @@ fn open_input(args: &Args) -> Result<(Box<dyn BufRead>, Option<std::net::TcpStre
         // supervisor restarting the binary with `--data-dir` gives the
         // continuous-service loop.
         let (conn, _peer) = listener.accept().map_err(io_err)?;
-        let responses = conn.try_clone().ok();
-        return Ok((Box::new(std::io::BufReader::new(conn)), responses));
+        // Responses are small and the client answers them with more lines:
+        // under Nagle each one would wait out the client's delayed ACK
+        // (~40 ms). This only affects latency, so a failure is not fatal.
+        let _ = conn.set_nodelay(true);
+        let responses = conn.try_clone().ok().map(|c| Box::new(c) as Box<dyn Write>);
+        return Ok(Input {
+            reader: Box::new(conn),
+            responses,
+        });
     }
-    match args.get_or("input", "-") {
-        "-" => Ok((Box::new(std::io::BufReader::new(std::io::stdin())), None)),
-        path => {
-            let file = std::fs::File::open(path).map_err(io_err)?;
-            Ok((Box::new(std::io::BufReader::new(file)), None))
-        }
-    }
+    let reader: Box<dyn Read> = match args.get_or("input", "-") {
+        "-" => Box::new(std::io::stdin()),
+        path => Box::new(std::fs::File::open(path).map_err(io_err)?),
+    };
+    Ok(Input {
+        reader,
+        responses: None,
+    })
 }
 
 /// Typed rejection reasons echoed on the wire and counted per-reason.
@@ -317,23 +365,25 @@ fn reject_reason(e: &SimError) -> Option<RejectReason> {
     }
 }
 
-/// Per-line JSON responses on the TCP write half (no-op for file/stdin
-/// input). Write failures are ignored: a vanished client must not take
-/// the session down.
+/// Per-line JSON responses for the TCP write half (no-op for file/stdin
+/// input). Responses are queued in line order and written by
+/// [`Responder::flush`], once per commit. Write failures are ignored: a
+/// vanished client must not take the session down.
 struct Responder {
-    conn: Option<std::net::TcpStream>,
+    out: Option<Box<dyn Write>>,
+    queued: Vec<u8>,
 }
 
 impl Responder {
-    fn send(&mut self, m: Map) {
-        let Some(conn) = &mut self.conn else { return };
+    fn queue(&mut self, m: Map) {
         if let Ok(text) = serde_json::to_string(&Value::Object(m)) {
-            let _ = writeln!(conn, "{text}");
+            self.queued.extend_from_slice(text.as_bytes());
+            self.queued.push(b'\n');
         }
     }
 
     fn accepted(&mut self, line_no: u64, id: u64, seq: Option<u64>) {
-        if self.conn.is_none() {
+        if self.out.is_none() {
             return;
         }
         let mut m = Map::new();
@@ -343,11 +393,11 @@ impl Responder {
         if let Some(seq) = seq {
             m.insert("seq", Value::UInt(seq));
         }
-        self.send(m);
+        self.queue(m);
     }
 
     fn rejected(&mut self, line_no: u64, id: Option<u64>, reason: RejectReason, detail: &str) {
-        if self.conn.is_none() {
+        if self.out.is_none() {
             return;
         }
         let mut m = Map::new();
@@ -358,7 +408,19 @@ impl Responder {
         }
         m.insert("reason", Value::String(reason.as_str().into()));
         m.insert("detail", Value::String(detail.into()));
-        self.send(m);
+        self.queue(m);
+    }
+
+    /// Writes every queued response with one `write_all`. Only
+    /// [`Stream::commit`] calls this, after the journal barrier.
+    fn flush(&mut self) {
+        if self.queued.is_empty() {
+            return;
+        }
+        if let Some(out) = &mut self.out {
+            let _ = out.write_all(&self.queued);
+        }
+        self.queued.clear();
     }
 }
 
@@ -483,11 +545,20 @@ struct Durable {
 }
 
 impl Durable {
+    /// Queues `record` for the journal. It is durable, and may be
+    /// acknowledged, only after the next [`Durable::sync`].
     fn append(&mut self, record: WalRecord) -> Result<u64, CliError> {
-        let seq = self.wal.append(record).map_err(wal_err)?;
+        let seq = self.wal.append_unsynced(record).map_err(wal_err)?;
         self.records_since_snap += 1;
-        self.metrics.publish(&self.wal, self.truncated_total);
         Ok(seq)
+    }
+
+    /// The journal barrier: one write and one fsync for every record
+    /// appended since the last one.
+    fn sync(&mut self) -> Result<(), CliError> {
+        self.wal.sync().map_err(wal_err)?;
+        self.metrics.publish(&self.wal, self.truncated_total);
+        Ok(())
     }
 
     /// Whether the auto-snapshot policy wants a snapshot *now* (the caller
@@ -506,7 +577,8 @@ impl Durable {
     /// Writes a watermarked snapshot (temp file + rename, newest two
     /// generations kept), *then* truncates the journal through the
     /// watermark. A crash between the two steps only leaves covered
-    /// records behind; recovery filters them by sequence number.
+    /// records behind; recovery filters them by sequence number. The
+    /// caller commits first, so the journal on disk is complete.
     fn take_snapshot(
         &mut self,
         session: &ServeSession,
@@ -543,144 +615,234 @@ impl Durable {
     }
 }
 
-/// Counts a rejection, samples it into quarantine (malformed lines only),
-/// republishes the counters, and echoes the typed wire response.
-#[allow(clippy::too_many_arguments)]
-fn reject(
-    line_no: u64,
-    id: Option<u64>,
-    reason: RejectReason,
-    detail: &str,
-    quarantine_raw: Option<&str>,
-    wire: &mut WireStats,
-    wire_metrics: &WireMetrics,
-    responder: &mut Responder,
-    quarantine: &mut Quarantine,
-) {
-    match reason {
-        RejectReason::Malformed => wire.rejected_malformed += 1,
-        RejectReason::QueueFull => wire.rejected_queue_full += 1,
-        RejectReason::TenantQuota => wire.rejected_tenant_quota += 1,
-        RejectReason::Duplicate => wire.rejected_duplicate += 1,
-        RejectReason::OutOfOrder => wire.rejected_out_of_order += 1,
-    }
-    if let Some(raw) = quarantine_raw {
-        if quarantine.record(line_no, raw, detail) {
-            wire.quarantined += 1;
-        }
-    }
-    wire_metrics.publish(wire);
-    // Typed rejections admit nothing, so there is no record to replay;
-    // only accepted jobs are journaled before their ack.
-    // lint: no-journal
-    responder.rejected(line_no, id, reason, detail);
+/// One serve stream: the session, its scheduler, the durability half and
+/// the wire-layer state, driven line by line and committed batch by batch.
+struct Stream {
+    session: ServeSession,
+    sched: ThreeSigmaScheduler,
+    durable: Option<Durable>,
+    wire: WireStats,
+    wire_metrics: WireMetrics,
+    responder: Responder,
+    quarantine: Quarantine,
 }
 
-/// Processes one complete input line: parse, admit, journal, submit, ack.
-/// Malformed lines and admission rejections are absorbed (counted,
-/// quarantined, echoed); only internal failures are fatal.
-#[allow(clippy::too_many_arguments)]
-fn handle_line(
-    raw: &[u8],
-    line_no: u64,
-    session: &mut ServeSession,
-    sched: &mut ThreeSigmaScheduler,
-    durable: &mut Option<Durable>,
-    wire: &mut WireStats,
-    wire_metrics: &WireMetrics,
-    responder: &mut Responder,
-    quarantine: &mut Quarantine,
-) -> Result<(), CliError> {
-    let text = match std::str::from_utf8(raw) {
-        Ok(t) => t,
-        Err(_) => {
+impl Stream {
+    /// Counts a rejection, samples it into quarantine (malformed lines
+    /// only), and queues the typed wire response.
+    fn reject(
+        &mut self,
+        line_no: u64,
+        id: Option<u64>,
+        reason: RejectReason,
+        detail: &str,
+        quarantine_raw: Option<&str>,
+    ) {
+        match reason {
+            RejectReason::Malformed => self.wire.rejected_malformed += 1,
+            RejectReason::QueueFull => self.wire.rejected_queue_full += 1,
+            RejectReason::TenantQuota => self.wire.rejected_tenant_quota += 1,
+            RejectReason::Duplicate => self.wire.rejected_duplicate += 1,
+            RejectReason::OutOfOrder => self.wire.rejected_out_of_order += 1,
+        }
+        if let Some(raw) = quarantine_raw {
+            if self.quarantine.record(line_no, raw, detail) {
+                self.wire.quarantined += 1;
+            }
+        }
+        // Typed rejections admit nothing, so there is no record to replay;
+        // only accepted jobs are journaled before their ack.
+        // lint: no-journal
+        self.responder.rejected(line_no, id, reason, detail);
+    }
+
+    /// Processes one input line (with or without its newline): parse,
+    /// admit, journal, submit, queue the ack. Malformed lines and admission
+    /// rejections are absorbed (counted, quarantined, echoed); only
+    /// internal failures are fatal. Nothing here reaches the disk or the
+    /// socket — that is [`Stream::commit`].
+    fn line(&mut self, raw: &[u8], line_no: u64) -> Result<(), CliError> {
+        if raw.strip_suffix(b"\n").unwrap_or(raw).len() > MAX_LINE_BYTES {
+            let sample = raw.get(..LONG_LINE_SAMPLE_BYTES).unwrap_or(raw);
+            let sample = String::from_utf8_lossy(sample).into_owned();
+            self.reject(
+                line_no,
+                None,
+                RejectReason::Malformed,
+                "line too long",
+                Some(&sample),
+            );
+            return Ok(());
+        }
+        let Ok(text) = std::str::from_utf8(raw) else {
             let lossy = String::from_utf8_lossy(raw).into_owned();
-            reject(
+            self.reject(
                 line_no,
                 None,
                 RejectReason::Malformed,
                 "line is not valid UTF-8",
                 Some(&lossy),
-                wire,
-                wire_metrics,
-                responder,
-                quarantine,
             );
             return Ok(());
-        }
-    };
-    let line = text.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(());
-    }
-    let spec = match parse_wire_job(line, line_no) {
-        Ok(s) => s,
-        Err(e) => {
-            reject(
-                line_no,
-                None,
-                RejectReason::Malformed,
-                &e.to_string(),
-                Some(line),
-                wire,
-                wire_metrics,
-                responder,
-                quarantine,
-            );
-            return Ok(());
-        }
-    };
-    // Admission runs against the *current* state, before any pump, so a
-    // rejected line leaves the session untouched: replaying the journal
-    // (accepted records only) reconstructs the identical state machine.
-    if let Err(e) = session.admit(&spec) {
-        let Some(reason) = reject_reason(&e) else {
-            return Err(sim_err(e));
         };
-        let raw = (reason == RejectReason::Malformed).then_some(line);
-        reject(
-            line_no,
-            Some(spec.id.0),
-            reason,
-            &e.to_string(),
-            raw,
-            wire,
-            wire_metrics,
-            responder,
-            quarantine,
-        );
-        return Ok(());
-    }
-    let id = spec.id.0;
-    session
-        .pump_until(spec.submit_time, sched)
-        .map_err(sim_err)?;
-    let seq = match durable {
-        Some(d) => {
-            // Quiescent idle gaps are the only legal snapshot points; take
-            // one here if the policy says it is due, *before* journaling
-            // the new job (so the snapshot watermark excludes it).
-            if d.snapshot_due(session.now()) && session.is_quiescent() {
-                d.take_snapshot(session, sched, wire)?;
-            }
-            // Journal (and fsync) before submitting: the ack below is only
-            // sent once the job is durable.
-            Some(d.append(WalRecord::Job(spec.clone()))?)
+        let line = text.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(());
         }
-        None => None,
-    };
-    // Admission passed pre-pump and pumping only completes or cancels
-    // work, so this submit cannot be rejected; any error here is internal.
-    session.submit(spec).map_err(sim_err)?;
-    wire.accepted += 1;
-    wire_metrics.publish(wire);
-    responder.accepted(line_no, id, seq);
-    Ok(())
+        let spec = match parse_wire_job(line, line_no) {
+            Ok(s) => s,
+            Err(e) => {
+                let detail = e.to_string();
+                self.reject(line_no, None, RejectReason::Malformed, &detail, Some(line));
+                return Ok(());
+            }
+        };
+        // Admission runs against the *current* state, before any pump, so a
+        // rejected line leaves the session untouched: replaying the journal
+        // (accepted records only) reconstructs the identical state machine.
+        if let Err(e) = self.session.admit(&spec) {
+            let Some(reason) = reject_reason(&e) else {
+                return Err(sim_err(e));
+            };
+            let raw = (reason == RejectReason::Malformed).then_some(line);
+            self.reject(line_no, Some(spec.id.0), reason, &e.to_string(), raw);
+            return Ok(());
+        }
+        let id = spec.id.0;
+        self.session
+            .pump_until(spec.submit_time, &mut self.sched)
+            .map_err(sim_err)?;
+        // Quiescent idle gaps are the only legal snapshot points; take one
+        // here if the policy says it is due, *before* journaling the new
+        // job (so the snapshot watermark excludes it). The batch so far is
+        // committed first: the snapshot truncates the journal on disk.
+        let now = self.session.now();
+        if self.durable.as_ref().is_some_and(|d| d.snapshot_due(now)) && self.session.is_quiescent()
+        {
+            self.commit()?;
+            self.snapshot()?;
+        }
+        // Journal before submitting; the ack queued below is only written
+        // by the commit that makes this record durable.
+        let seq = match &mut self.durable {
+            Some(d) => Some(d.append(WalRecord::Job(spec.clone()))?),
+            None => None,
+        };
+        // Admission passed pre-pump and pumping only completes or cancels
+        // work, so this submit cannot be rejected; any error here is internal.
+        self.session.submit(spec).map_err(sim_err)?;
+        self.wire.accepted += 1;
+        self.responder.accepted(line_no, id, seq);
+        Ok(())
+    }
+
+    /// The one commit point. Makes every record journaled since the last
+    /// commit durable (one write, one fsync), publishes the counters, and
+    /// only then writes the queued responses (one write). An error leaves
+    /// the responses unwritten: nothing is acked that is not durable.
+    fn commit(&mut self) -> Result<(), CliError> {
+        if let Some(d) = &mut self.durable {
+            d.sync()?;
+        }
+        self.wire_metrics.publish(&self.wire);
+        self.responder.flush();
+        Ok(())
+    }
+
+    fn snapshot(&mut self) -> Result<(), CliError> {
+        match &mut self.durable {
+            Some(d) => d.take_snapshot(&self.session, &self.sched, &self.wire),
+            None => Ok(()),
+        }
+    }
+
+    /// Reads `reader` to its end: every complete line of one `read()` goes
+    /// through [`Stream::line`], then one [`Stream::commit`]. Returns the
+    /// warning a torn tail or an abrupt disconnect ended the stream with;
+    /// everything processed before it is committed either way.
+    fn run(&mut self, reader: &mut dyn Read) -> Result<Option<String>, CliError> {
+        let is_tcp = self.responder.out.is_some();
+        let mut chunk = vec![0u8; READ_CHUNK_BYTES];
+        // Unprocessed input: after each read, at most one newline-free
+        // partial line of at most `MAX_LINE_BYTES`.
+        let mut buf: Vec<u8> = Vec::new();
+        // Inside an over-long line that was already rejected: discard up
+        // to the next newline.
+        let mut skipping = false;
+        let mut line_no = 0u64;
+        let warning = loop {
+            let mut fresh = match reader.read(&mut chunk) {
+                Ok(0) if buf.is_empty() => break None,
+                Ok(0) if is_tcp => {
+                    // Mid-line EOF: the client died mid-send. Every
+                    // complete line is already processed (and journaled);
+                    // discard the torn tail with a typed warning.
+                    self.wire.partial_tails += 1;
+                    break Some(format!(
+                        "partial input tail discarded ({} bytes, mid-line EOF)",
+                        buf.len()
+                    ));
+                }
+                Ok(0) => {
+                    line_no += 1;
+                    self.line(&buf, line_no)?;
+                    break None;
+                }
+                Ok(n) => chunk.get(..n).unwrap_or_default(),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if is_tcp => {
+                    self.wire.disconnects += 1;
+                    break Some(format!("client disconnected abruptly: {e}"));
+                }
+                Err(e) => return Err(io_err(e)),
+            };
+            if skipping {
+                let Some(end) = fresh.iter().position(|&b| b == b'\n') else {
+                    continue;
+                };
+                fresh = fresh.get(end + 1..).unwrap_or_default();
+                skipping = false;
+            }
+            // `buf` holds no newline, so only the fresh bytes are searched.
+            let mut search_from = buf.len();
+            buf.extend_from_slice(fresh);
+            let mut start = 0;
+            while let Some(pos) = buf
+                .get(search_from..)
+                .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+            {
+                let end = search_from + pos + 1;
+                line_no += 1;
+                self.line(buf.get(start..end).unwrap_or_default(), line_no)?;
+                start = end;
+                search_from = end;
+            }
+            buf.drain(..start);
+            if buf.len() > MAX_LINE_BYTES {
+                line_no += 1;
+                self.line(&buf, line_no)?;
+                buf.clear();
+                skipping = true;
+            }
+            self.commit()?;
+        };
+        self.commit()?;
+        Ok(warning)
+    }
 }
 
 /// `serve` — stream JSONL jobs through a bounded-memory scheduling session.
-#[allow(clippy::too_many_lines)]
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
+    serve_on(args, open_input)
+}
+
+/// [`cmd_serve`] with the input opened by `open` — called only after
+/// recovery, so a `--listen` socket is bound once the session is ready.
+#[allow(clippy::too_many_lines)]
+fn serve_on(
+    args: &Args,
+    open: impl FnOnce(&Args) -> Result<Input, CliError>,
+) -> Result<String, CliError> {
     let racks = positive_dim(args, "racks", 8)?;
     let nodes_per_rack = positive_dim(args, "nodes-per-rack", 32)?;
     let cluster = ClusterSpec::uniform(racks, nodes_per_rack as u32);
@@ -717,7 +879,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     // journal suffix) and replay the suffix through the same deterministic
     // ingest pipeline the live loop uses.
     let mut durable: Option<Durable> = None;
-    let mut session = if let Some(dir) = args.get("data-dir") {
+    let session = if let Some(dir) = args.get("data-dir") {
         if args.get("restore").is_some() {
             return Err(CliError::Failed(
                 "--data-dir and --restore are mutually exclusive; the data directory \
@@ -791,64 +953,31 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     };
     wire_metrics.publish(&wire);
 
-    let (mut reader, conn) = open_input(args)?;
-    let is_tcp = conn.is_some();
-    let mut responder = Responder { conn };
+    let Input {
+        mut reader,
+        responses,
+    } = open(args)?;
     let quarantine_path = match args.get("quarantine") {
         Some(p) => Some(PathBuf::from(p)),
         None => durable.as_ref().map(|d| d.data.quarantine_path()),
     };
-    let mut quarantine = Quarantine {
-        path: quarantine_path,
-        cap: args.parse_or("quarantine-sample", 100u64)?,
-        written: 0,
+    let mut stream = Stream {
+        session,
+        sched,
+        durable,
+        wire,
+        wire_metrics,
+        responder: Responder {
+            out: responses,
+            queued: Vec::new(),
+        },
+        quarantine: Quarantine {
+            path: quarantine_path,
+            cap: args.parse_or("quarantine-sample", 100u64)?,
+            written: 0,
+        },
     };
-
-    // Byte-level read loop: `read_until` instead of `lines()` so a torn
-    // final line (mid-line EOF on a dropped connection) is detectable and
-    // a read error on TCP degrades to a warning instead of an exit.
-    let mut line_no = 0u64;
-    let mut buf: Vec<u8> = Vec::new();
-    let warning = loop {
-        buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break None,
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') && is_tcp {
-                    // Mid-line EOF: the client died mid-send. Every
-                    // complete line is already processed (and journaled);
-                    // discard the torn tail with a typed warning.
-                    wire.partial_tails += 1;
-                    wire_metrics.publish(&wire);
-                    break Some(format!(
-                        "partial input tail discarded ({} bytes, mid-line EOF)",
-                        buf.len()
-                    ));
-                }
-                line_no += 1;
-                handle_line(
-                    &buf,
-                    line_no,
-                    &mut session,
-                    &mut sched,
-                    &mut durable,
-                    &mut wire,
-                    &wire_metrics,
-                    &mut responder,
-                    &mut quarantine,
-                )?;
-            }
-            Err(e) => {
-                if is_tcp {
-                    wire.disconnects += 1;
-                    wire_metrics.publish(&wire);
-                    break Some(format!("client disconnected abruptly: {e}"));
-                }
-                return Err(io_err(e));
-            }
-        }
-    };
-    if let Some(w) = &warning {
+    if let Some(w) = stream.run(reader.as_mut())? {
         eprintln!("serve: warning: {w}");
     }
 
@@ -857,11 +986,23 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     // durable mode the drain is journaled as a clock advance first (so a
     // crash before the closing snapshot still recovers it), then the
     // closing snapshot truncates the journal.
-    session.drain(f64::INFINITY, &mut sched).map_err(sim_err)?;
-    if let Some(d) = &mut durable {
-        d.append(WalRecord::Clock { now: session.now() })?;
-        d.take_snapshot(&session, &sched, &wire)?;
+    stream
+        .session
+        .drain(f64::INFINITY, &mut stream.sched)
+        .map_err(sim_err)?;
+    if let Some(d) = &mut stream.durable {
+        d.append(WalRecord::Clock {
+            now: stream.session.now(),
+        })?;
+        stream.commit()?;
+        stream.snapshot()?;
     }
+    let Stream {
+        session,
+        sched,
+        wire,
+        ..
+    } = stream;
 
     if let Some(path) = args.get("snapshot-out") {
         let snap = FullSnapshot {
@@ -1410,6 +1551,405 @@ mod tests {
             "{responses}"
         );
         assert!(responses.contains("\"status\":\"accepted\""), "{responses}");
+    }
+}
+
+/// The batch input loop, driven through an in-memory `Read` that yields
+/// chosen chunk boundaries and a recording `Write` in place of the socket.
+#[cfg(test)]
+mod batch_loop {
+    use super::*;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::path::Path;
+    use std::rc::Rc;
+    use threesigma_cluster::wal::decode_journal;
+
+    /// Hands the stream out in reads of the given lengths (cycled), each
+    /// capped by the caller's buffer.
+    struct Chunked {
+        data: Vec<u8>,
+        pos: usize,
+        lens: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let len = self.lens[self.reads % self.lens.len()];
+            let n = len.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    /// What the "socket" saw: each `write` call's bytes, and the state of
+    /// the data directory on disk at that moment.
+    #[derive(Debug, Default, Clone)]
+    struct Wire {
+        writes: Vec<Vec<u8>>,
+        journal_at_write: Vec<Vec<u8>>,
+        snapshots_at_write: Vec<BTreeSet<String>>,
+    }
+
+    struct Recording {
+        wire: Rc<RefCell<Wire>>,
+        data_dir: PathBuf,
+    }
+
+    fn snapshot_names(dir: &Path) -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("snapshot-") && n.ends_with(".json"))
+            .collect()
+    }
+
+    impl Write for Recording {
+        /// Journal-before-ack, checked at the moment of the ack: every
+        /// `seq` in the bytes being written already decodes from the
+        /// journal file on disk.
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let journal = std::fs::read(self.data_dir.join("journal.wal")).unwrap();
+            let durable: BTreeSet<u64> = decode_journal(&journal)
+                .entries
+                .iter()
+                .map(|e| e.seq)
+                .collect();
+            for line in std::str::from_utf8(buf).unwrap().lines() {
+                let v: Value = serde_json::from_str(line).unwrap();
+                if let Some(seq) = v.get("seq").and_then(Value::as_u64) {
+                    assert!(
+                        durable.contains(&seq),
+                        "ack for seq {seq} written before its record is in the journal \
+                         (on disk: {durable:?})"
+                    );
+                }
+            }
+            let mut wire = self.wire.borrow_mut();
+            wire.writes.push(buf.to_vec());
+            wire.journal_at_write.push(journal);
+            wire.snapshots_at_write.push(snapshot_names(&self.data_dir));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Everything a run leaves behind that must not depend on where the
+    /// reads happened to end.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        line: String,
+        summary: String,
+        metrics: String,
+        quarantine: String,
+        snapshots: Vec<(String, Vec<u8>)>,
+        responses: Vec<u8>,
+        last_journal: Vec<u8>,
+    }
+
+    /// Streams `data` through `serve --data-dir` in reads of `lens` bytes,
+    /// under the connection rules (`tcp`) or the file rules.
+    fn run(tag: &str, data: &[u8], lens: &[usize], tcp: bool, extra: &[&str]) -> (Outcome, Wire) {
+        let dir = std::env::temp_dir().join(format!(
+            "threesigma_batch_{tag}_{}_{tcp}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let data_dir = dir.join("data");
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let mut argv: Vec<String> = [
+            "serve",
+            "--retention",
+            "50",
+            "--no-fsync",
+            "--data-dir",
+            &path("data"),
+            "--summary-json",
+            &path("summary.json"),
+            "--metrics-json",
+            &path("metrics.json"),
+        ]
+        .map(String::from)
+        .to_vec();
+        argv.extend(extra.iter().map(|s| (*s).to_owned()));
+        let wire = Rc::new(RefCell::new(Wire::default()));
+        let line = serve_on(&Args::parse(argv).unwrap(), |_| {
+            let responses = tcp.then(|| {
+                Box::new(Recording {
+                    wire: Rc::clone(&wire),
+                    data_dir: data_dir.clone(),
+                }) as Box<dyn Write>
+            });
+            Ok(Input {
+                reader: Box::new(Chunked {
+                    data: data.to_vec(),
+                    pos: 0,
+                    lens: lens.to_vec(),
+                    reads: 0,
+                }),
+                responses,
+            })
+        })
+        .unwrap();
+        let wire = wire.borrow().clone();
+        let outcome = Outcome {
+            line,
+            summary: std::fs::read_to_string(path("summary.json")).unwrap(),
+            metrics: std::fs::read_to_string(path("metrics.json")).unwrap(),
+            quarantine: std::fs::read_to_string(data_dir.join("quarantine.jsonl"))
+                .unwrap_or_default(),
+            snapshots: snapshot_names(&data_dir)
+                .into_iter()
+                .map(|n| {
+                    let bytes = std::fs::read(data_dir.join(&n)).unwrap();
+                    (n, bytes)
+                })
+                .collect(),
+            responses: wire.writes.concat(),
+            last_journal: wire.journal_at_write.last().cloned().unwrap_or_default(),
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        (outcome, wire)
+    }
+
+    /// Read lengths that deliver `data` one line per read (an
+    /// unterminated tail is its own read).
+    fn line_lens(data: &[u8]) -> Vec<usize> {
+        data.split_inclusive(|&b| b == b'\n')
+            .map(<[u8]>::len)
+            .collect()
+    }
+
+    fn job(id: u64, submit: u64, duration: u64) -> String {
+        format!(
+            "{{\"id\":{id},\"tenant\":\"t{}\",\"submit_time\":{submit},\"tasks\":2,\
+             \"duration\":{duration}}}",
+            id % 3
+        )
+    }
+
+    fn responses(bytes: &[u8]) -> Vec<Value> {
+        std::str::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect()
+    }
+
+    proptest! {
+        /// (a) The same byte stream split at arbitrary read boundaries —
+        /// mid-line, inside a CRLF, around blank and comment lines, with
+        /// or without an unterminated tail, under the file and the TCP
+        /// tail rule — leaves the same responses, journal, snapshots,
+        /// summary digest and metrics as one line per read. (b) rides
+        /// along: `Recording::write` checks every ack against the disk.
+        #[test]
+        fn read_boundaries_do_not_change_any_output(
+            kinds in prop::collection::vec(0u8..10, 1..24),
+            gaps in prop::collection::vec(0u64..400, 24),
+            lens in prop::collection::vec(1usize..180, 1..12),
+            tail in 0u8..3,
+        ) {
+            let mut data = Vec::new();
+            let (mut id, mut now) = (0u64, 0u64);
+            for (kind, gap) in kinds.iter().zip(&gaps) {
+                now += gap;
+                id += 1;
+                match kind {
+                    0 => data.extend_from_slice(b"\n"),
+                    1 => data.extend_from_slice(b"# a comment\n"),
+                    2 => data.extend_from_slice(b"{\"id\":oops\n"),
+                    3 => data.extend_from_slice(b"\xff\xfe not utf-8\n"),
+                    // A live id again, or an earlier submit_time: rejected
+                    // by admission, not by the parser.
+                    4 => data.extend_from_slice(format!("{}\n", job(id - 1, now, 500)).as_bytes()),
+                    5 => data.extend_from_slice(
+                        format!("{}\n", job(id, now.saturating_sub(1000), 20)).as_bytes(),
+                    ),
+                    6 => data.extend_from_slice(format!("{}\r\n", job(id, now, 20)).as_bytes()),
+                    _ => data.extend_from_slice(format!("{}\n", job(id, now, 20)).as_bytes()),
+                }
+            }
+            match tail {
+                0 => {}
+                1 => data.extend_from_slice(job(id + 1, now + 1, 20).as_bytes()),
+                _ => data.extend_from_slice(b"{\"id\":77,\"tenant\":\"torn"),
+            }
+            let extra = ["--snapshot-every-jobs", "4"];
+            for tcp in [false, true] {
+                let (by_line, _) = run("prop_ref", &data, &line_lens(&data), tcp, &extra);
+                let (chunked, _) = run("prop_cut", &data, &lens, tcp, &extra);
+                prop_assert_eq!(&by_line, &chunked);
+                let (one_read, _) = run("prop_one", &data, &[usize::MAX], tcp, &extra);
+                prop_assert_eq!(&by_line, &one_read);
+            }
+        }
+    }
+
+    /// (c) One response write per commit, and rejections stay in line
+    /// order between the acceptances around them.
+    #[test]
+    fn each_commit_writes_its_responses_once_in_line_order() {
+        let lines = [
+            job(1, 0, 500),
+            "not json".to_owned(),
+            job(2, 1, 500),
+            job(1, 2, 500), // duplicate of a live id
+            "# comment".to_owned(),
+            job(3, 3, 500),
+            job(4, 4, 500),
+        ];
+        let lens: Vec<usize> = lines.iter().map(|l| l.len() + 1).collect();
+        let data = (lines.join("\n") + "\n").into_bytes();
+        // Three reads: lines 1-3, lines 4-6, line 7.
+        let reads = [
+            lens[..3].iter().sum::<usize>(),
+            lens[3..6].iter().sum(),
+            lens[6],
+        ];
+        let (_, wire) = run("once", &data, &reads, true, &["--snapshot-every-jobs", "0"]);
+        assert_eq!(wire.writes.len(), 3, "{wire:?}");
+        let seen: Vec<Vec<(u64, String)>> = wire
+            .writes
+            .iter()
+            .map(|w| {
+                responses(w)
+                    .iter()
+                    .map(|v| {
+                        let status = v.get("status").and_then(Value::as_str).unwrap();
+                        let reason = v.get("reason").and_then(Value::as_str).unwrap_or(status);
+                        (
+                            v.get("line").and_then(Value::as_u64).unwrap(),
+                            reason.to_owned(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let want = |items: &[(u64, &str)]| -> Vec<(u64, String)> {
+            items.iter().map(|(n, s)| (*n, (*s).to_owned())).collect()
+        };
+        assert_eq!(
+            seen[0],
+            want(&[(1, "accepted"), (2, "malformed"), (3, "accepted")])
+        );
+        assert_eq!(seen[1], want(&[(4, "duplicate"), (6, "accepted")]));
+        assert_eq!(seen[2], want(&[(7, "accepted")]));
+        // One journal write per commit too: each batch's records appear
+        // on disk together, exactly at its response write.
+        let records: Vec<usize> = wire
+            .journal_at_write
+            .iter()
+            .map(|j| decode_journal(j).entries.len())
+            .collect();
+        assert_eq!(records, [2, 3, 4]);
+    }
+
+    /// (d) An auto-snapshot that falls due in the middle of a batch
+    /// commits the batch so far, then snapshots, at the same stream
+    /// positions as ten single-line reads.
+    #[test]
+    fn mid_batch_snapshot_commits_first_and_lands_where_single_reads_put_it() {
+        let data: Vec<u8> = (1..=10u64)
+            .map(|i| format!("{}\n", job(i, i * 1000, 20)))
+            .collect::<String>()
+            .into_bytes();
+        let extra = ["--snapshot-every-jobs", "3"];
+        let (one, wire_one) = run("snap_one", &data, &[usize::MAX], true, &extra);
+        let (ten, wire_ten) = run("snap_ten", &data, &line_lens(&data), true, &extra);
+        assert_eq!(one, ten);
+        // The one read is split into four commits by the three snapshots
+        // that fall due before lines 4, 7 and 10.
+        let lines_per_write: Vec<usize> =
+            wire_one.writes.iter().map(|w| responses(w).len()).collect();
+        assert_eq!(lines_per_write, [3, 3, 3, 1]);
+        assert_eq!(wire_ten.writes.len(), 10);
+        // Commit first: when the acks for lines 1-3 are written their
+        // records are in the journal and no snapshot covers them yet.
+        assert_eq!(
+            decode_journal(&wire_one.journal_at_write[0]).entries.len(),
+            3
+        );
+        assert!(wire_one.snapshots_at_write[0].is_empty());
+        // Same positions: every snapshot either run ever had on disk.
+        let ever = |wire: &Wire, out: &Outcome| -> BTreeSet<String> {
+            let mut all: BTreeSet<String> =
+                wire.snapshots_at_write.iter().flatten().cloned().collect();
+            all.extend(out.snapshots.iter().map(|(n, _)| n.clone()));
+            all
+        };
+        let positions = ever(&wire_one, &one);
+        assert_eq!(positions, ever(&wire_ten, &ten));
+        let watermarks: Vec<u64> = positions
+            .iter()
+            .map(|n| {
+                n["snapshot-".len()..n.len() - ".json".len()]
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(watermarks, [3, 6, 9, 11]);
+    }
+
+    /// A newline-free flood is rejected once, without being buffered, and
+    /// the stream resynchronises: the job after it is accepted under its
+    /// own line number.
+    #[test]
+    fn overlong_line_is_rejected_and_the_stream_resyncs() {
+        let mut data = vec![b'x'; 4 * MAX_LINE_BYTES];
+        data.push(b'\n');
+        data.extend_from_slice(format!("{}\n", job(9, 0, 20)).as_bytes());
+        // A complete line just over the cap takes the other detection path
+        // (seen whole in the buffer) and must be rejected the same way.
+        data.extend_from_slice(&vec![b'y'; MAX_LINE_BYTES + 1]);
+        data.push(b'\n');
+        data.extend_from_slice(format!("{}\n", job(10, 1, 20)).as_bytes());
+        let fitting = MAX_LINE_BYTES + 2;
+        for lens in [vec![usize::MAX], vec![1000], vec![fitting]] {
+            let (out, wire) = run("long", &data, &lens, true, &[]);
+            assert!(out.line.contains("submitted=2"), "{}", out.line);
+            assert!(out.line.contains("rejected=2"), "{}", out.line);
+            let got = responses(&wire.writes.concat());
+            let field = |i: usize, key: &str| got[i].get(key).cloned().unwrap();
+            assert_eq!(got.len(), 4, "{got:?}");
+            assert_eq!(field(0, "line"), Value::UInt(1));
+            assert_eq!(field(0, "reason"), Value::String("malformed".into()));
+            assert_eq!(field(0, "detail"), Value::String("line too long".into()));
+            assert_eq!(field(1, "line"), Value::UInt(2));
+            assert_eq!(field(1, "status"), Value::String("accepted".into()));
+            assert_eq!(field(1, "id"), Value::UInt(9));
+            assert_eq!(field(2, "line"), Value::UInt(3));
+            assert_eq!(field(2, "detail"), Value::String("line too long".into()));
+            assert_eq!(field(3, "line"), Value::UInt(4));
+            assert_eq!(field(3, "id"), Value::UInt(10));
+            // The quarantine sample is truncated, not the whole flood.
+            let samples: Vec<Value> = out
+                .quarantine
+                .lines()
+                .map(|l| serde_json::from_str(l).unwrap())
+                .collect();
+            assert_eq!(samples.len(), 2);
+            for (sample, byte) in samples.iter().zip(["x", "y"]) {
+                let raw = sample.get("raw").and_then(Value::as_str).unwrap();
+                assert_eq!(raw, byte.repeat(LONG_LINE_SAMPLE_BYTES));
+            }
+        }
+        // A line of exactly the cap is still parsed (and found malformed
+        // for what it is, not for its length).
+        let mut data = vec![b'z'; MAX_LINE_BYTES];
+        data.push(b'\n');
+        let (_, wire) = run("cap", &data, &[usize::MAX], true, &[]);
+        let got = responses(&wire.writes.concat());
+        let detail = got[0].get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains("not JSON"), "{detail}");
     }
 }
 

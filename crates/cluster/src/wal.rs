@@ -16,6 +16,16 @@
 //! [`MAX_FRAME_LEN`] so a corrupt length field cannot trigger a huge
 //! allocation.
 //!
+//! # Group commit
+//!
+//! Appending and making durable are separate steps.
+//! [`Wal::append_unsynced`] assigns the sequence number and queues the
+//! frame in memory; [`Wal::sync`] is the barrier — one `write_all` of every
+//! queued frame and one `sync_data` — after which all of them may be
+//! acknowledged. [`Wal::append`] is exactly the two in sequence, one
+//! barrier per record. A crash between the two steps loses only records
+//! nobody was told about.
+//!
 //! # Torn-tail tolerance
 //!
 //! [`decode_journal`] never panics on arbitrary bytes. It walks frames
@@ -338,15 +348,18 @@ pub struct Wal {
     path: PathBuf,
     file: fs::File,
     next_seq: u64,
-    sync: bool,
+    fsync: bool,
+    /// Logical journal length: bytes on disk plus `pending`.
     len: u64,
+    /// Frames appended since the last [`Wal::sync`], not yet written.
+    pending: Vec<u8>,
 }
 
 impl Wal {
     /// Opens (creating if absent) the journal at `path`, repairing any
     /// torn tail by truncating to the last good frame. With `sync`,
-    /// every append is fsynced before returning — the ack-after-journal
-    /// barrier.
+    /// [`Wal::sync`] (and so every [`Wal::append`]) fsyncs before
+    /// returning — the ack-after-journal barrier.
     ///
     /// # Errors
     ///
@@ -394,8 +407,9 @@ impl Wal {
                 path: path.to_path_buf(),
                 file,
                 next_seq,
-                sync,
+                fsync: sync,
                 len,
+                pending: Vec::new(),
             },
             WalRecovery {
                 entries: decode.entries,
@@ -423,32 +437,64 @@ impl Wal {
         self.next_seq - 1
     }
 
-    /// Current journal file length in bytes (header + live frames).
+    /// Current journal length in bytes (header + live frames, including
+    /// frames appended but not yet [`Wal::sync`]ed).
     pub fn len_bytes(&self) -> u64 {
         self.len
     }
 
-    /// Appends one record, returning its sequence number. With `sync`
+    /// Assigns `record` the next sequence number and queues its frame in
+    /// memory. Nothing reaches the file until [`Wal::sync`]: the caller
+    /// must not acknowledge the record before that returns.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Codec`]; the journal is unchanged.
+    pub fn append_unsynced(&mut self, record: WalRecord) -> Result<u64, WalError> {
+        let seq = self.next_seq;
+        let frame = encode_frame(&WalEntry { seq, record })?;
+        self.pending.extend_from_slice(&frame);
+        self.next_seq += 1;
+        self.len += frame.len() as u64;
+        Ok(seq)
+    }
+
+    /// The group-commit barrier: writes every queued frame with one
+    /// `write_all` and (with `sync` enabled) one `sync_data`. When this
+    /// returns, every record appended so far is durable. A no-op when
+    /// nothing is queued.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Io`]. The queued frames are dropped and none of them
+    /// may be acknowledged; the handle must not be used further (a torn
+    /// partial write is repaired on next open).
+    pub fn sync(&mut self) -> Result<(), WalError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.pending);
+        self.pending.clear();
+        written.map_err(|e| io_err(&self.path, "append", &e))?;
+        if self.fsync {
+            self.file
+                .sync_data()
+                .map_err(|e| io_err(&self.path, "sync", &e))?;
+        }
+        Ok(())
+    }
+
+    /// Appends one record and makes it durable: exactly
+    /// [`Wal::append_unsynced`] followed by [`Wal::sync`]. With `sync`
     /// enabled the record is durable when this returns — only then may
     /// the caller acknowledge it.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] / [`WalError::Codec`]; the journal is unchanged
-    /// logically (a torn partial write is repaired on next open).
+    /// [`WalError::Io`] / [`WalError::Codec`], as the two halves.
     pub fn append(&mut self, record: WalRecord) -> Result<u64, WalError> {
-        let seq = self.next_seq;
-        let frame = encode_frame(&WalEntry { seq, record })?;
-        self.file
-            .write_all(&frame)
-            .map_err(|e| io_err(&self.path, "append", &e))?;
-        if self.sync {
-            self.file
-                .sync_data()
-                .map_err(|e| io_err(&self.path, "sync", &e))?;
-        }
-        self.next_seq += 1;
-        self.len += frame.len() as u64;
+        let seq = self.append_unsynced(record)?;
+        self.sync()?;
         Ok(seq)
     }
 
@@ -461,6 +507,9 @@ impl Wal {
     /// [`WalError::Io`] / [`WalError::Codec`]; on error the original
     /// journal is untouched (the rewrite is atomic).
     pub fn truncate_through(&mut self, watermark: u64) -> Result<u64, WalError> {
+        // The rewrite below starts from the file, so queued frames must be
+        // in it first or they would be lost.
+        self.sync()?;
         let bytes = fs::read(&self.path).map_err(|e| io_err(&self.path, "read", &e))?;
         let decode = decode_journal(&bytes);
         let mut fresh: Vec<u8> = WAL_MAGIC.to_vec();
@@ -477,7 +526,7 @@ impl Wal {
         {
             let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
             f.write_all(&fresh).map_err(|e| io_err(&tmp, "write", &e))?;
-            if self.sync {
+            if self.fsync {
                 f.sync_data().map_err(|e| io_err(&tmp, "sync", &e))?;
             }
         }
@@ -800,6 +849,35 @@ mod tests {
         assert_eq!(rec.entries[0].seq, 1);
         assert_eq!(rec.entries[2].record, WalRecord::Clock { now: 42.0 });
         assert_eq!(wal.next_seq(), 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsynced_appends_reach_the_file_only_at_the_barrier() {
+        let dir = tmpdir("group");
+        let (mut batched, _) = Wal::open(&dir.join("batched.wal"), true).unwrap();
+        let (mut single, _) = Wal::open(&dir.join("single.wal"), true).unwrap();
+        for i in 1..=3u64 {
+            assert_eq!(batched.append_unsynced(job(i, i as f64)).unwrap(), i);
+            assert_eq!(single.append(job(i, i as f64)).unwrap(), i);
+        }
+        // Sequence numbers and the logical length run ahead of the file,
+        // which still holds only the header.
+        assert_eq!(batched.next_seq(), 4);
+        assert_eq!(batched.len_bytes(), single.len_bytes());
+        assert_eq!(fs::read(dir.join("batched.wal")).unwrap(), WAL_MAGIC);
+        batched.sync().unwrap();
+        // One barrier for three records leaves the same bytes as three
+        // appends with a barrier each.
+        let bytes = fs::read(dir.join("batched.wal")).unwrap();
+        assert_eq!(bytes, fs::read(dir.join("single.wal")).unwrap());
+        assert_eq!(bytes.len() as u64, batched.len_bytes());
+        // Truncation flushes whatever is still queued before it rewrites.
+        batched.append_unsynced(job(4, 4.0)).unwrap();
+        batched.truncate_through(3).unwrap();
+        drop(batched);
+        let (_, rec) = Wal::open(&dir.join("batched.wal"), true).unwrap();
+        assert_eq!(rec.entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [4]);
         let _ = fs::remove_dir_all(&dir);
     }
 

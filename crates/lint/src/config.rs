@@ -174,6 +174,12 @@ pub const ACK_METHODS: &[&str] = &["accepted", "rejected"];
 /// The journal-append method that must dominate every acknowledgment.
 pub const JOURNAL_METHOD: &str = "append";
 
+/// The method that writes the queued acknowledgments to the socket.
+pub const FLUSH_METHOD: &str = "flush";
+
+/// The journal barrier (write + fsync) that must dominate every flush.
+pub const SYNC_METHOD: &str = "sync";
+
 /// Docs scanned by the metrics-consistency citation check (workspace-root
 /// relative). Missing files are skipped (synthetic fixture trees).
 pub const METRIC_DOC_FILES: &[&str] = &["DESIGN.md", "README.md"];

@@ -8,7 +8,9 @@
 //! * **wal-ack-ordering** — in the serve front-end, any wire acknowledgment
 //!   must be dominated in-function by a journal `.append(..)` call
 //!   (journal-before-ack, DESIGN §11), with a `// lint: no-journal` escape
-//!   hatch for typed-rejection paths that admit nothing.
+//!   hatch for typed-rejection paths that admit nothing; and the socket
+//!   write of the queued acknowledgments (`.flush(..)`) must be dominated
+//!   in-function by the journal barrier (`.sync(..)`).
 //! * **metrics-consistency** — every metric name is registered exactly
 //!   once, is `snake_case`, and every `sched_`/`serve_`/`wal_`/`predict_`
 //!   name cited in the docs exists in code.
@@ -159,7 +161,11 @@ pub fn snapshot_exhaustiveness(files: &[ParsedFile], pairs: &[SnapshotPair]) -> 
 
 /// Runs the wal-ack-ordering rule: in the ack file, every `.accepted(..)` /
 /// `.rejected(..)` call must be preceded (in the same fn body) by a journal
-/// `.append(..)` call, or carry a `// lint: no-journal` escape hatch.
+/// `.append(..)` call, or carry a `// lint: no-journal` escape hatch; and
+/// every `.flush(..)` — the one write that puts queued acks on the socket —
+/// must be preceded by the journal barrier `.sync(..)`. The append only
+/// queues a frame, so without the second half an ack could reach the
+/// client before its record reaches the disk.
 pub fn wal_ack_ordering(files: &[ParsedFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     let Some(file) = files
@@ -173,6 +179,7 @@ pub fn wal_ack_ordering(files: &[ParsedFile]) -> Vec<Violation> {
         // special-casing needed.
         let toks = &f.body;
         let mut journal_seen = false;
+        let mut sync_seen = false;
         for i in 0..toks.len() {
             let (Some(Tok::Punct('.', _)), Some(Tok::Ident(m, span)), Some(open)) =
                 (toks.get(i), toks.get(i + 1), toks.get(i + 2))
@@ -184,6 +191,22 @@ pub fn wal_ack_ordering(files: &[ParsedFile]) -> Vec<Violation> {
             }
             if m == config::JOURNAL_METHOD {
                 journal_seen = true;
+            } else if m == config::SYNC_METHOD {
+                sync_seen = true;
+            } else if m == config::FLUSH_METHOD && !sync_seen {
+                out.push(Violation {
+                    rule: "wal-ack-ordering",
+                    file: file.rel.clone(),
+                    line: span.line,
+                    func: f.func.clone(),
+                    pattern: format!("{m}("),
+                    message: format!(
+                        "socket write `.{m}(..)` is not dominated by the journal barrier \
+                         `.{}(..)` in this fn; queued acknowledgments may only be written \
+                         after the fsync that covers their records (DESIGN §11)",
+                        config::SYNC_METHOD
+                    ),
+                });
             } else if config::ACK_METHODS.contains(&m.as_str())
                 && !journal_seen
                 && !file.is_no_journal(span.line)

@@ -22,7 +22,8 @@
 //! * **snapshot-exhaustiveness** — paired state structs serialize and
 //!   restore every field, modulo `snapshot_exclusions.txt`.
 //! * **wal-ack-ordering** — journal-append dominates every wire ack in the
-//!   serve front-end, modulo `// lint: no-journal`.
+//!   serve front-end, modulo `// lint: no-journal`, and the journal sync
+//!   dominates the flush that writes the queued acks.
 //! * **metrics-consistency** — metric names register exactly once, are
 //!   snake_case, and doc-cited names exist.
 //!

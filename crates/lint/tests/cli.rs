@@ -167,6 +167,27 @@ fn good_protocol_fixtures_exit_zero() {
 }
 
 #[test]
+fn flush_ordering_fixture_pair_sets_the_exit_code() {
+    let bad = TempRoot::new("flush-bad");
+    bad.write(
+        "crates/cli/src/serve.rs",
+        include_str!("fixtures/wal_flush_bad.rs"),
+    );
+    let (code, stdout) = bad.check();
+    assert_eq!(code, 1, "stdout:\n{stdout}");
+    assert!(stdout.contains("[wal-ack-ordering]"), "{stdout}");
+    assert!(stdout.contains("`.flush(..)`"), "{stdout}");
+
+    let good = TempRoot::new("flush-good");
+    good.write(
+        "crates/cli/src/serve.rs",
+        include_str!("fixtures/wal_flush_good.rs"),
+    );
+    let (code, stdout) = good.check();
+    assert_eq!(code, 0, "stdout:\n{stdout}");
+}
+
+#[test]
 fn json_format_renders_findings_and_keeps_exit_codes() {
     let root = TempRoot::new("json");
     root.write(

@@ -286,6 +286,21 @@ fn wal_ack_ordering_trips_on_bad_fixture_only() {
 }
 
 #[test]
+fn flush_before_sync_trips_on_bad_fixture_only() {
+    let rel = "crates/cli/src/serve.rs";
+    let bad = vec![parse(rel, include_str!("fixtures/wal_flush_bad.rs"))];
+    let found = facts::wal_ack_ordering(&bad);
+    assert_eq!(patterns(&found), ["flush("], "{found:?}");
+    assert!(found.iter().all(|v| v.rule == "wal-ack-ordering"));
+    assert!(
+        found.iter().all(|v| v.func.ends_with("commit")),
+        "{found:?}"
+    );
+    let good = vec![parse(rel, include_str!("fixtures/wal_flush_good.rs"))];
+    assert!(facts::wal_ack_ordering(&good).is_empty());
+}
+
+#[test]
 fn metrics_consistency_trips_on_bad_fixture_only() {
     let bad = vec![parse(
         "crates/obs/src/fx.rs",
@@ -353,6 +368,23 @@ fn reordering_journal_append_after_ack_turns_the_real_tree_red() {
     assert_ne!(src, mutated, "mutation target must exist");
     let found = facts::wal_ack_ordering(&[parse(rel, &mutated)]);
     assert!(found.iter().any(|v| v.pattern == "accepted("), "{found:?}");
+}
+
+#[test]
+fn moving_the_flush_ahead_of_the_sync_turns_the_real_tree_red() {
+    let rel = "crates/cli/src/serve.rs";
+    let src = read_workspace_file(rel);
+    assert!(facts::wal_ack_ordering(&[parse(rel, &src)]).is_empty());
+    // The group-commit regression shape: the queued acks go out on the
+    // socket before the journal barrier that makes their records durable.
+    let (sync, flush) = ("d.sync()?;", "self.responder.flush();");
+    assert_eq!(src.matches(flush).count(), 1, "one socket write, one site");
+    let mutated = src
+        .replacen(flush, "", 1)
+        .replacen(sync, &format!("{flush} {sync}"), 1);
+    assert_ne!(src, mutated, "mutation target must exist");
+    let found = facts::wal_ack_ordering(&[parse(rel, &mutated)]);
+    assert_eq!(patterns(&found), ["flush("], "{found:?}");
 }
 
 #[test]
