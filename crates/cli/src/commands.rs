@@ -42,7 +42,7 @@ USAGE:
                       [--json FILE] [--trace-out FILE]
   threesigma serve    [--input FILE|- | --listen ADDR]
                       [--racks N] [--nodes-per-rack N] [--cycle SECS]
-                      [--seed N] [--retention SECS] [--max-retries N]
+                      [--retention SECS] [--max-retries N]
                       [--predictor-cap N] [--predictor-ttl N] [--cache-cap N]
                       [--max-timings N] [--snapshot-out FILE] [--restore FILE]
                       [--data-dir DIR] [--snapshot-every-jobs N]

@@ -849,7 +849,6 @@ fn serve_on(
 
     let mut serve_cfg = ServeConfig::default();
     serve_cfg.cycle_interval = args.parse_or("cycle", serve_cfg.cycle_interval)?;
-    serve_cfg.seed = args.parse_or("seed", serve_cfg.seed)?;
     serve_cfg.retention = args.parse_or("retention", 3600.0)?;
     if args.get("max-retries").is_some() {
         serve_cfg.retry.max_retries = args.parse_or("max-retries", 0u32)?;
@@ -981,11 +980,16 @@ fn serve_on(
         eprintln!("serve: warning: {w}");
     }
 
-    // EOF: run the backlog to quiescence. `drain(∞)` always empties the
-    // queue, so the snapshot below cannot fail the quiescence check. In
-    // durable mode the drain is journaled as a clock advance first (so a
-    // crash before the closing snapshot still recovers it), then the
-    // closing snapshot truncates the journal.
+    // EOF: run the backlog to quiescence. `drain(∞)` returns — and leaves
+    // the queue empty, so the snapshot below passes the quiescence check —
+    // provided every job the session holds is eventually placed or
+    // cancelled: the cycle chain re-arms for as long as anything is
+    // pending. `admit` refuses the gangs no cycle could place (more tasks
+    // than the cluster has nodes), and the wire injects no faults that
+    // could take capacity away for good. In durable mode the drain is
+    // journaled as a clock advance first (so a crash before the closing
+    // snapshot still recovers it), then the closing snapshot truncates the
+    // journal.
     stream
         .session
         .drain(f64::INFINITY, &mut stream.sched)
@@ -1950,6 +1954,42 @@ mod batch_loop {
         let got = responses(&wire.writes.concat());
         let detail = got[0].get("detail").and_then(Value::as_str).unwrap();
         assert!(detail.contains("not JSON"), "{detail}");
+    }
+
+    /// A gang larger than the whole cluster can never be placed; taken in,
+    /// it would keep the cycle chain alive forever and the EOF drain (or
+    /// the pump ahead of a later line) would never return. It is rejected
+    /// under its own line number, the stream goes on, and EOF is reached.
+    #[test]
+    fn oversized_gang_is_rejected_and_the_stream_reaches_eof() {
+        let oversized =
+            "{\"id\":1,\"tenant\":\"t\",\"submit_time\":0.0,\"tasks\":100000,\"duration\":120.0}";
+        let data = format!("{oversized}\n{}\n{}\n", job(2, 1, 20), job(3, 100_000, 20));
+        let (out, wire) = run("oversized", data.as_bytes(), &[usize::MAX], true, &[]);
+        assert!(out.line.contains("submitted=2"), "{}", out.line);
+        assert!(out.line.contains("completed=2"), "{}", out.line);
+        assert!(out.line.contains("rejected=1"), "{}", out.line);
+        assert!(
+            out.metrics
+                .contains("\"serve_rejected_malformed_total\": 1"),
+            "{}",
+            out.metrics
+        );
+        let got = responses(&wire.writes.concat());
+        let field = |i: usize, key: &str| got[i].get(key).cloned().unwrap();
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert_eq!(field(0, "line"), Value::UInt(1));
+        assert_eq!(field(0, "id"), Value::UInt(1));
+        assert_eq!(field(0, "status"), Value::String("rejected".into()));
+        assert_eq!(field(0, "reason"), Value::String("malformed".into()));
+        let detail = field(0, "detail");
+        let detail = detail.as_str().unwrap();
+        assert!(detail.contains("exceeds cluster capacity"), "{detail}");
+        for (i, (line, id)) in [(2, 2), (3, 3)].into_iter().enumerate() {
+            assert_eq!(field(i + 1, "status"), Value::String("accepted".into()));
+            assert_eq!(field(i + 1, "line"), Value::UInt(line));
+            assert_eq!(field(i + 1, "id"), Value::UInt(id));
+        }
     }
 }
 

@@ -1,22 +1,23 @@
-//! The discrete-event simulation engine.
+//! The batch driver of the simulation core, and the scheduler-facing types.
 //!
 //! Drives a trace of [`JobSpec`]s against a pluggable [`Scheduler`]:
 //! arrivals and completions are events; every `cycle_interval` seconds the
 //! scheduler is shown the cluster state and returns placements, preemptions,
-//! and cancellations, which the engine validates and applies. Completion
+//! and cancellations, which are validated and applied. The state machine
+//! itself — the event kinds, `decide`, `commit`, fault handling — lives in
+//! `crate::sim`; [`Engine::run_observed`] queues a whole trace into it,
+//! steps it to a horizon, and folds the result into [`Metrics`]. Completion
 //! events carry an epoch so that preempting a job invalidates its stale
 //! finish event.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::VecDeque;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use threesigma_obs::{Counter, Gauge, Recorder};
 
 use crate::job::{JobId, JobSpec, RetryPolicy};
-use crate::metrics::{JobOutcome, JobState, Metrics};
+use crate::metrics::{JobOutcome, Metrics};
+use crate::sim::{config_problem, JobRecord, Sim};
 use crate::spec::{ClusterSpec, PartitionId};
 
 /// Engine configuration.
@@ -447,10 +448,9 @@ pub struct EngineSnapshot<'a> {
     /// Nodes owed to faults (loss deferred until running jobs release
     /// capacity), per partition.
     pub owed: &'a [u32],
-    /// Live per-job records in trace order; `state` is current engine truth
-    /// (jobs that have not arrived yet are still `Pending` — compare
-    /// `submit_time` with `now`).
-    pub outcomes: &'a [JobOutcome],
+    /// The per-job table in trace order (read through
+    /// [`outcomes`](Self::outcomes)).
+    pub(crate) jobs: &'a VecDeque<JobRecord>,
     /// Trace indices of jobs currently queued for placement.
     pub pending: &'a [usize],
     /// Currently running attempts, sorted by trace index.
@@ -490,6 +490,13 @@ pub struct CycleStats {
 }
 
 impl EngineSnapshot<'_> {
+    /// Live per-job records in trace order; `state` is current engine truth
+    /// (jobs that have not arrived yet are still `Pending` — compare
+    /// `submit_time` with `now`).
+    pub fn outcomes(&self) -> impl ExactSizeIterator<Item = &JobOutcome> {
+        self.jobs.iter().map(|rec| &rec.outcome)
+    }
+
     /// Summarises the snapshot into per-cycle observability numbers.
     pub fn cycle_stats(&self) -> CycleStats {
         let capacity_nodes: u32 = self.capacity.iter().sum();
@@ -528,51 +535,6 @@ struct NoopObserver;
 
 impl CycleObserver for NoopObserver {
     fn on_cycle(&mut self, _snapshot: &EngineSnapshot<'_>) {}
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EventKind {
-    Finish { job: usize, epoch: u32 },
-    Fault { fault: usize },
-    Arrival { job: usize },
-    Cycle,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Event {
-    pub(crate) time: f64,
-    /// Tie-break: finishes before arrivals before cycles at equal times, so
-    /// a cycle sees freed capacity and fresh arrivals.
-    pub(crate) class: u8,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
-}
-
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.class.cmp(&self.class))
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Debug)]
-pub(crate) struct Running {
-    pub(crate) idx: usize,
-    pub(crate) epoch: u32,
-    pub(crate) start: f64,
-    pub(crate) allocation: Vec<(PartitionId, u32)>,
-    pub(crate) measured_runtime: f64,
-    pub(crate) on_preferred: bool,
 }
 
 /// The discrete-event engine.
@@ -642,22 +604,8 @@ impl Engine {
     /// Panics if the cycle interval is not positive or a configured fault
     /// references an unknown partition or a non-finite/negative time.
     pub fn new(cluster: ClusterSpec, config: EngineConfig) -> Self {
-        assert!(
-            config.cycle_interval > 0.0,
-            "cycle interval must be positive"
-        );
-        for f in &config.faults {
-            if let Some(p) = f.partition() {
-                assert!(
-                    p.index() < cluster.num_partitions(),
-                    "fault references unknown partition {p:?}"
-                );
-            }
-            assert!(
-                f.at().is_finite() && f.at() >= 0.0,
-                "fault time {} must be finite and non-negative",
-                f.at()
-            );
+        if let Some(reason) = config_problem(&cluster, config.cycle_interval, &config.faults) {
+            panic!("{reason}");
         }
         Self {
             cluster,
@@ -687,29 +635,22 @@ impl Engine {
 
     /// Like [`Engine::run`], but hands `observer` an [`EngineSnapshot`] of
     /// engine ground truth after every scheduling cycle.
+    ///
+    /// This is the batch driver of the simulation core: it queues the whole
+    /// trace and the first cycle at t = 0 (cycles then tick every
+    /// `cycle_interval` for as long as anything is pending, running or yet
+    /// to arrive), steps the core until the horizon, and folds the per-job
+    /// table into [`Metrics`].
     pub fn run_observed(
         &self,
         jobs: &[JobSpec],
         scheduler: &mut dyn Scheduler,
         observer: &mut dyn CycleObserver,
     ) -> Result<Metrics, SimError> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
         let metrics = EngineMetrics::register(&self.recorder);
-        let parts = self.cluster.num_partitions();
-        let capacity: Vec<u32> = self
-            .cluster
-            .partition_ids()
-            .map(|p| self.cluster.partition_size(p))
-            .collect();
-        let mut free = capacity.clone();
-        // Fault accounting: `offline[p]` nodes are down; `owed[p]` nodes are
-        // scheduled to go down as soon as running jobs release them. The
-        // invariant `free + allocated + offline == capacity` holds per
-        // partition throughout the run.
-        let mut offline: Vec<u32> = vec![0; parts];
-        let mut owed: Vec<u32> = vec![0; parts];
-
-        let (mut outcomes, index_of) = ingest(jobs, parts, scheduler)?;
+        let mut sim = self.ingest(jobs, scheduler)?;
+        // Nothing is placed or offline yet: every node is free.
+        let capacity = sim.free.clone();
 
         let last_arrival = jobs.iter().map(|j| j.submit_time).fold(0.0, f64::max);
         let longest = jobs.iter().map(|j| j.duration).fold(0.0, f64::max);
@@ -719,329 +660,88 @@ impl Engine {
             .unwrap_or_else(|| (4.0 * longest).max(3600.0));
         let horizon = last_arrival + drain;
 
-        let mut queue: BinaryHeap<Event> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (i, j) in jobs.iter().enumerate() {
-            push_event(
-                &mut queue,
-                &mut seq,
-                j.submit_time,
-                EventKind::Arrival { job: i },
-            );
-        }
-        for (i, f) in self.config.faults.iter().enumerate() {
-            push_event(&mut queue, &mut seq, f.at(), EventKind::Fault { fault: i });
-        }
-        push_event(&mut queue, &mut seq, 0.0, EventKind::Cycle);
-
-        let mut pending: Vec<usize> = Vec::new();
-        // Ordered map: fault handling and view/snapshot building iterate
-        // this, and iteration order must be stable (JobId-sorted).
-        let mut running: BTreeMap<JobId, Running> = BTreeMap::new();
-        let mut epochs: Vec<u32> = vec![0; jobs.len()];
-        // Killed jobs awaiting retry: trace index → earliest time the job
-        // may be offered for placement again. The job stays in `pending`
-        // (conservation: arrived == pending + running + terminal) but is
-        // withheld from the scheduler's view until the backoff elapses.
-        // Ordered map by the engine's no-hash-container rule: the serve
-        // loop shares this state and must never see hash order.
-        let mut retry_at: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut cycles = 0usize;
-        let mut preemption_count = 0usize;
-        let mut kill_count = 0usize;
-        let mut retry_cancellations = 0usize;
-        let mut wasted = 0.0f64;
-        let mut now = 0.0f64;
-
-        while let Some(ev) = queue.pop() {
-            now = ev.time;
-            if now > horizon {
-                break;
+        // The run ends when the queue empties, or at the first event past
+        // the horizon — which is not applied, but whose time is the run's
+        // reported end.
+        let end_time = loop {
+            match sim.next_time() {
+                None => break sim.now,
+                Some(t) if t > horizon => break t,
+                Some(_) => {}
             }
-            match ev.kind {
-                EventKind::Arrival { job } => {
-                    pending.push(job);
-                    scheduler.on_job_submitted(&jobs[job], now);
-                }
-                EventKind::Finish { job, epoch } => {
-                    let id = jobs[job].id;
-                    let valid = running.get(&id).is_some_and(|r| r.epoch == epoch);
-                    if !valid {
-                        continue; // stale completion of a preempted/killed attempt
-                    }
-                    let Some(r) = running.remove(&id) else {
-                        continue;
-                    };
-                    release(&mut free, &mut offline, &mut owed, &r.allocation);
-                    let o = &mut outcomes[job];
-                    o.state = JobState::Completed;
-                    o.start_time = Some(r.start);
-                    o.finish_time = Some(now);
-                    o.measured_runtime = Some(r.measured_runtime);
-                    o.on_preferred = Some(r.on_preferred);
-                    scheduler.on_job_completed(&jobs[job], &outcomes[job], now);
-                }
-                EventKind::Fault { fault } => match self.config.faults[fault] {
-                    FaultEvent::PartitionDown {
-                        partition, nodes, ..
-                    } => {
-                        let pi = partition.index();
-                        let taken = nodes.min(free[pi]);
-                        free[pi] -= taken;
-                        offline[pi] += taken;
-                        owed[pi] += nodes - taken;
-                    }
-                    FaultEvent::PartitionUp {
-                        partition, nodes, ..
-                    } => {
-                        let pi = partition.index();
-                        // Cancel still-owed losses first, then bring offline
-                        // nodes back; restores beyond that are clamped.
-                        let cancelled = nodes.min(owed[pi]);
-                        owed[pi] -= cancelled;
-                        let restored = (nodes - cancelled).min(offline[pi]);
-                        offline[pi] -= restored;
-                        free[pi] += restored;
-                    }
-                    FaultEvent::NodeCrash {
-                        partition, nodes, ..
-                    } => {
-                        let pi = partition.index();
-                        // Free nodes absorb the crash first.
-                        let taken = nodes.min(free[pi]);
-                        free[pi] -= taken;
-                        offline[pi] += taken;
-                        let mut remaining = nodes - taken;
-                        // Then running gangs holding nodes on the crashed
-                        // partition die, smallest job id first
-                        // (deterministic), until the crash is covered.
-                        let mut victims: Vec<JobId> = running
-                            .iter()
-                            .filter(|(_, r)| {
-                                r.allocation.iter().any(|(p, n)| p.index() == pi && *n > 0)
-                            })
-                            .map(|(id, _)| *id)
-                            .collect();
-                        victims.sort_unstable();
-                        for id in victims {
-                            if remaining == 0 {
-                                break;
-                            }
-                            let Some(r) = running.remove(&id) else {
-                                continue;
-                            };
-                            kill_attempt(
-                                r,
-                                now,
-                                0,
-                                jobs,
-                                &self.config.retry,
-                                &mut free,
-                                &mut offline,
-                                &mut owed,
-                                &mut epochs,
-                                &mut outcomes,
-                                &mut pending,
-                                &mut retry_at,
-                                &mut wasted,
-                                &mut kill_count,
-                                &mut retry_cancellations,
-                                scheduler,
-                            );
-                            let seized = remaining.min(free[pi]);
-                            free[pi] -= seized;
-                            offline[pi] += seized;
-                            remaining -= seized;
-                        }
-                        // Anything still uncovered (capacity already owed
-                        // or offline) becomes debt, as with PartitionDown.
-                        owed[pi] += remaining;
-                    }
-                    FaultEvent::TaskKill { job, .. } => {
-                        // Task-level failure: the gang dies but its nodes
-                        // stay healthy. A no-op unless the job is running.
-                        if let Some(r) = running.remove(&job) {
-                            kill_attempt(
-                                r,
-                                now,
-                                0,
-                                jobs,
-                                &self.config.retry,
-                                &mut free,
-                                &mut offline,
-                                &mut owed,
-                                &mut epochs,
-                                &mut outcomes,
-                                &mut pending,
-                                &mut retry_at,
-                                &mut wasted,
-                                &mut kill_count,
-                                &mut retry_cancellations,
-                                scheduler,
-                            );
-                        }
-                    }
-                },
-                EventKind::Cycle => {
-                    cycles += 1;
-                    let decision = decide(
-                        &self.cluster,
-                        self.config.cycle_interval,
-                        0,
-                        jobs,
-                        &pending,
-                        &retry_at,
-                        &running,
-                        &free,
-                        now,
-                        scheduler,
-                    );
-                    commit(
-                        &decision,
-                        now,
-                        0,
-                        jobs,
-                        &self.cluster,
-                        &index_of,
-                        &mut rng,
-                        &mut free,
-                        &mut offline,
-                        &mut owed,
-                        &mut epochs,
-                        &mut outcomes,
-                        &mut pending,
-                        &mut retry_at,
-                        &mut running,
-                        &mut queue,
-                        &mut seq,
-                        &mut wasted,
-                        &mut preemption_count,
-                    )?;
-
-                    {
-                        let mut snapshot_running: Vec<SnapshotRunning<'_>> = running
-                            .values()
-                            .map(|r| SnapshotRunning {
-                                idx: r.idx,
-                                start: r.start,
-                                allocation: &r.allocation,
-                            })
-                            .collect();
-                        snapshot_running.sort_by_key(|r| r.idx);
-                        let snapshot = EngineSnapshot {
-                            now,
-                            cycles,
-                            capacity: &capacity,
-                            free: &free,
-                            offline: &offline,
-                            owed: &owed,
-                            outcomes: &outcomes,
-                            pending: &pending,
-                            running: snapshot_running,
-                            decision: &decision,
-                        };
-                        metrics.record(&snapshot.cycle_stats());
-                        observer.on_cycle(&snapshot);
-                    }
-
-                    // Schedule the next cycle while there is anything left.
-                    let arrivals_remain = queue
-                        .iter()
-                        .any(|e| matches!(e.kind, EventKind::Arrival { .. }));
-                    if !pending.is_empty() || !running.is_empty() || arrivals_remain {
-                        push_event(
-                            &mut queue,
-                            &mut seq,
-                            now + self.config.cycle_interval,
-                            EventKind::Cycle,
-                        );
-                    }
-                }
-            }
-        }
+            let Some(decision) = sim.step(scheduler)?.decision else {
+                continue;
+            };
+            let mut running: Vec<SnapshotRunning<'_>> = sim
+                .running
+                .values()
+                .map(|r| SnapshotRunning {
+                    idx: r.idx,
+                    start: r.start,
+                    allocation: &r.allocation,
+                })
+                .collect();
+            running.sort_by_key(|r| r.idx);
+            let snapshot = EngineSnapshot {
+                now: sim.now,
+                cycles: sim.cycles,
+                capacity: &capacity,
+                free: &sim.free,
+                offline: &sim.offline,
+                owed: &sim.owed,
+                jobs: &sim.jobs,
+                pending: &sim.pending,
+                running,
+                decision: &decision,
+            };
+            metrics.record(&snapshot.cycle_stats());
+            observer.on_cycle(&snapshot);
+        };
 
         Ok(Metrics {
-            outcomes,
-            end_time: now,
-            cycles,
-            preemptions: preemption_count,
-            kills: kill_count,
-            retry_cancellations,
-            wasted_machine_seconds: wasted,
+            outcomes: sim.jobs.into_iter().map(|rec| rec.outcome).collect(),
+            end_time,
+            cycles: sim.cycles,
+            preemptions: sim.preemptions,
+            kills: sim.kills,
+            retry_cancellations: sim.retry_cancellations,
+            wasted_machine_seconds: sim.wasted,
         })
     }
-}
 
-// ---------------------------------------------------------------------------
-// Shared engine stages.
-//
-// These are the building blocks of one scheduling step, shared by the batch
-// run ([`Engine::run_observed`]) and the long-running serve session
-// ([`crate::serve::ServeSession`]). Per-job state lives in parallel arrays
-// indexed by *ingest index*; `base` is the ingest index of slot 0, so a
-// serve session can retire a prefix of completed jobs and keep indexing
-// stable (`base` is always 0 for batch runs, where nothing retires).
-// ---------------------------------------------------------------------------
-
-/// Moves released nodes back to `free`, paying down owed fault
-/// capacity first.
-pub(crate) fn release(
-    free: &mut [u32],
-    offline: &mut [u32],
-    owed: &mut [u32],
-    allocation: &[(PartitionId, u32)],
-) {
-    for (p, n) in allocation {
-        let pi = p.index();
-        let seized = (*n).min(owed[pi]);
-        owed[pi] -= seized;
-        offline[pi] += seized;
-        free[pi] += n - seized;
+    /// Ingest stage: validates the trace and the cluster against the
+    /// scheduler's representable size, then queues every arrival (a trace
+    /// need not be sorted), the fault script and the first cycle. Every
+    /// typed rejection that does not depend on a decision happens here,
+    /// before any event is processed.
+    fn ingest(&self, jobs: &[JobSpec], scheduler: &dyn Scheduler) -> Result<Sim, SimError> {
+        let parts = self.cluster.num_partitions();
+        if let Some(max) = scheduler.max_partitions() {
+            if parts > max {
+                return Err(SimError::ClusterTooLarge {
+                    partitions: parts,
+                    max,
+                });
+            }
+        }
+        let mut sim = Sim::new(
+            self.cluster.clone(),
+            self.config.cycle_interval,
+            self.config.retry,
+            self.config.seed,
+        );
+        for j in jobs {
+            sim.push_job(j.clone())?;
+            if let Some(reason) = spec_problem(j) {
+                return Err(SimError::MalformedJobSpec { job: j.id, reason });
+            }
+        }
+        for fault in &self.config.faults {
+            sim.queue_fault(*fault);
+        }
+        sim.ensure_cycle(0.0);
+        Ok(sim)
     }
-}
-
-/// Bookkeeping shared by the fault-kill paths: releases the dead
-/// gang, invalidates its finish event, charges the lost work, and
-/// either requeues the job under retry backoff or cancels it once
-/// the retry budget is exhausted. The scheduler hears about the
-/// kill through its censored-observation callback.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn kill_attempt(
-    r: Running,
-    now: f64,
-    base: usize,
-    jobs: &[JobSpec],
-    retry: &RetryPolicy,
-    free: &mut [u32],
-    offline: &mut [u32],
-    owed: &mut [u32],
-    epochs: &mut [u32],
-    outcomes: &mut [JobOutcome],
-    pending: &mut Vec<usize>,
-    retry_at: &mut BTreeMap<usize, f64>,
-    wasted: &mut f64,
-    kill_count: &mut usize,
-    retry_cancellations: &mut usize,
-    scheduler: &mut dyn Scheduler,
-) {
-    release(free, offline, owed, &r.allocation);
-    epochs[r.idx - base] += 1;
-    let tasks: u32 = r.allocation.iter().map(|(_, n)| n).sum();
-    let elapsed = (now - r.start).max(0.0);
-    *wasted += elapsed * f64::from(tasks);
-    *kill_count += 1;
-    let o = &mut outcomes[r.idx - base];
-    o.kills += 1;
-    let will_retry = o.kills <= retry.max_retries;
-    if will_retry {
-        o.state = JobState::Pending;
-        retry_at.insert(r.idx, now + retry.delay_for(o.kills));
-        pending.push(r.idx);
-    } else {
-        o.state = JobState::Canceled;
-        *retry_cancellations += 1;
-    }
-    scheduler.on_job_killed(&jobs[r.idx - base], elapsed, will_retry, now);
 }
 
 /// Why a job spec is unusable, if it is: non-finite/negative submit time or
@@ -1059,298 +759,12 @@ pub(crate) fn spec_problem(j: &JobSpec) -> Option<&'static str> {
     }
 }
 
-/// A fresh (pre-arrival) outcome record for a job.
-pub(crate) fn blank_outcome(j: &JobSpec) -> JobOutcome {
-    JobOutcome {
-        id: j.id,
-        kind: j.kind,
-        submit_time: j.submit_time,
-        tasks: j.tasks,
-        state: JobState::Pending,
-        start_time: None,
-        finish_time: None,
-        measured_runtime: None,
-        preemptions: 0,
-        kills: 0,
-        on_preferred: None,
-    }
-}
-
-/// Ingest stage: validates the trace and the cluster against the
-/// scheduler's representable size and builds the outcome table plus
-/// the id → trace-index map. Every typed rejection that does not
-/// depend on a decision happens here, before any event is processed.
-fn ingest(
-    jobs: &[JobSpec],
-    parts: usize,
-    scheduler: &dyn Scheduler,
-) -> Result<(Vec<JobOutcome>, BTreeMap<JobId, usize>), SimError> {
-    if let Some(max) = scheduler.max_partitions() {
-        if parts > max {
-            return Err(SimError::ClusterTooLarge {
-                partitions: parts,
-                max,
-            });
-        }
-    }
-    let outcomes: Vec<JobOutcome> = jobs.iter().map(blank_outcome).collect();
-    let mut index_of: BTreeMap<JobId, usize> = BTreeMap::new();
-    for (i, j) in jobs.iter().enumerate() {
-        if index_of.insert(j.id, i).is_some() {
-            return Err(SimError::DuplicateJobId { job: j.id });
-        }
-        if let Some(reason) = spec_problem(j) {
-            return Err(SimError::MalformedJobSpec { job: j.id, reason });
-        }
-    }
-    Ok((outcomes, index_of))
-}
-
-/// Decide stage: builds the deterministic scheduler-facing view
-/// (running jobs sorted by id, backoff-gated pending set) and asks
-/// the scheduler for a decision. Reads engine state, mutates none.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide(
-    cluster: &ClusterSpec,
-    cycle_interval: f64,
-    base: usize,
-    jobs: &[JobSpec],
-    pending: &[usize],
-    retry_at: &BTreeMap<usize, f64>,
-    running: &BTreeMap<JobId, Running>,
-    free: &[u32],
-    now: f64,
-    scheduler: &mut dyn Scheduler,
-) -> SchedulingDecision {
-    // Deterministic view: running jobs sorted by id so scheduler
-    // decisions (and float summation order) never depend on
-    // hash-map iteration order.
-    let mut running_view: Vec<RunningJob<'_>> = running
-        .values()
-        .map(|r| RunningJob {
-            spec: &jobs[r.idx - base],
-            start_time: r.start,
-            allocation: &r.allocation,
-        })
-        .collect();
-    running_view.sort_by_key(|r| r.spec.id);
-    let eps = retry_tick_eps(now, cycle_interval);
-    let view = SimulationView {
-        cluster,
-        // Jobs backing off after a kill are withheld from the
-        // scheduler until their retry time.
-        pending: pending
-            .iter()
-            .filter(|&&i| retry_at.get(&i).is_none_or(|&t| t <= now + eps))
-            .map(|&i| &jobs[i - base])
-            .collect(),
-        running: running_view,
-        free,
-        now,
-    };
-    scheduler.schedule(&view, now)
-}
-
-/// Commit stage: validates and applies a decision — cancellations,
-/// then preemptions, then placements — and settles outstanding
-/// fault debt from post-decision free capacity.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit(
-    decision: &SchedulingDecision,
-    now: f64,
-    base: usize,
-    jobs: &[JobSpec],
-    cluster: &ClusterSpec,
-    index_of: &BTreeMap<JobId, usize>,
-    rng: &mut StdRng,
-    free: &mut [u32],
-    offline: &mut [u32],
-    owed: &mut [u32],
-    epochs: &mut [u32],
-    outcomes: &mut [JobOutcome],
-    pending: &mut Vec<usize>,
-    retry_at: &mut BTreeMap<usize, f64>,
-    running: &mut BTreeMap<JobId, Running>,
-    queue: &mut BinaryHeap<Event>,
-    seq: &mut u64,
-    wasted: &mut f64,
-    preemption_count: &mut usize,
-) -> Result<(), SimError> {
-    let parts = free.len();
-    // 1. Cancellations.
-    for id in &decision.cancellations {
-        let idx = *index_of.get(id).ok_or(SimError::BadJobReference {
-            job: *id,
-            action: "cancel",
-        })?;
-        let pos = pending
-            .iter()
-            .position(|&i| i == idx)
-            .ok_or(SimError::BadJobReference {
-                job: *id,
-                action: "cancel",
-            })?;
-        pending.remove(pos);
-        retry_at.remove(&idx);
-        outcomes[idx - base].state = JobState::Canceled;
-    }
-
-    // 2. Preemptions: free capacity, requeue the job.
-    //
-    // Reclaimed capacity is fully spendable by this same decision's
-    // placements: `SimulationView` cannot expose `owed`, so
-    // schedulers (and the feasibility oracle) necessarily assume
-    // preempted nodes are reusable. Outstanding fault debt is
-    // settled from whatever is still free *after* the decision is
-    // applied.
-    for id in &decision.preemptions {
-        let r = running.remove(id).ok_or(SimError::BadJobReference {
-            job: *id,
-            action: "preempt",
-        })?;
-        for (p, n) in &r.allocation {
-            free[p.index()] += n;
-        }
-        epochs[r.idx - base] += 1;
-        outcomes[r.idx - base].preemptions += 1;
-        outcomes[r.idx - base].state = JobState::Pending;
-        let tasks: u32 = r.allocation.iter().map(|(_, n)| n).sum();
-        *wasted += (now - r.start).max(0.0) * tasks as f64;
-        pending.push(r.idx);
-        *preemption_count += 1;
-    }
-
-    // 3. Placements.
-    for pl in &decision.placements {
-        let idx = *index_of.get(&pl.job).ok_or(SimError::BadJobReference {
-            job: pl.job,
-            action: "place",
-        })?;
-        let pos = pending
-            .iter()
-            .position(|&i| i == idx)
-            .ok_or(SimError::BadJobReference {
-                job: pl.job,
-                action: "place",
-            })?;
-        let spec = &jobs[idx - base];
-        let total: u32 = pl.allocation.iter().map(|(_, n)| n).sum();
-        if total != spec.tasks || pl.allocation.iter().any(|(p, _)| p.index() >= parts) {
-            return Err(SimError::BadAllocation { job: pl.job });
-        }
-        for (p, n) in &pl.allocation {
-            if *n > free[p.index()] {
-                return Err(SimError::OverCapacity { partition: *p });
-            }
-        }
-        pending.remove(pos);
-        retry_at.remove(&idx);
-        for (p, n) in &pl.allocation {
-            free[p.index()] -= n;
-        }
-        let nominal = spec.runtime_on(&pl.allocation);
-        let (start, runtime) = match cluster.rc_fidelity {
-            None => (now, nominal),
-            Some(fid) => {
-                let z = standard_normal(rng);
-                let jitter = (1.0 + fid.runtime_jitter_cov * z).max(0.3);
-                (now + fid.placement_latency, nominal * jitter)
-            }
-        };
-        let on_preferred = spec.preferred.as_ref().is_none_or(|pref| {
-            pl.allocation
-                .iter()
-                .all(|(p, n)| *n == 0 || pref.contains(p))
-        });
-        epochs[idx - base] += 1;
-        let epoch = epochs[idx - base];
-        running.insert(
-            pl.job,
-            Running {
-                idx,
-                epoch,
-                start,
-                allocation: pl.allocation.clone(),
-                measured_runtime: runtime,
-                on_preferred,
-            },
-        );
-        outcomes[idx - base].state = JobState::Running;
-        outcomes[idx - base].start_time = Some(start);
-        push_event(
-            queue,
-            seq,
-            start + runtime,
-            EventKind::Finish { job: idx, epoch },
-        );
-    }
-
-    // Settle outstanding fault debt from post-decision free capacity
-    // (preemptions above released nodes without paying it down).
-    for pi in 0..parts {
-        let seized = owed[pi].min(free[pi]);
-        owed[pi] -= seized;
-        offline[pi] += seized;
-        free[pi] -= seized;
-    }
-    Ok(())
-}
-
-/// Retry-backoff eligibility tolerance at a cycle boundary.
-///
-/// Cycle ticks are produced by repeated `now + cycle_interval` additions, so
-/// a tick nominally at `t` can sit a few ulps below the `kill_time + delay`
-/// retry timestamp computed for the same instant, and the eligibility gate
-/// must tolerate that drift: a backoff expiring exactly on a cycle boundary
-/// re-pends on that cycle, not one cycle late.
-///
-/// The tolerance is relative and ulp-aware. The base term
-/// `RETRY_TICK_TOLERANCE * max(|now|, 1)` (~1 ns at t = 1 s) covers the
-/// short-horizon regime. At long service horizons (`now ≳ 2^46` s) that term
-/// alone would grow to tens of thousands of seconds — collapsing every
-/// backoff — so it is capped at a quarter cycle. The cap in turn is floored
-/// at 64 ulps of `now`, because once a single ulp exceeds the nominal
-/// tolerance (one ulp of 2^46 is ~0.016 s), drift must still be forgiven or
-/// an on-tick expiry is skipped for a full cycle.
-fn retry_tick_eps(now: f64, cycle_interval: f64) -> f64 {
-    (RETRY_TICK_TOLERANCE * now.abs().max(1.0))
-        .min(0.25 * cycle_interval)
-        .max(64.0 * f64::EPSILON * now.abs())
-}
-
-/// Relative tolerance for retry-backoff eligibility at a cycle boundary
-/// (see [`retry_tick_eps`]).
-const RETRY_TICK_TOLERANCE: f64 = 1e-9;
-
-/// Pushes an event with the deterministic same-time ordering class
-/// (Finish < Fault < Arrival < Cycle) and a FIFO tie-break sequence.
-pub(crate) fn push_event(q: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventKind) {
-    let class = match kind {
-        EventKind::Finish { .. } => 0,
-        EventKind::Fault { .. } => 1,
-        EventKind::Arrival { .. } => 2,
-        EventKind::Cycle => 3,
-    };
-    *seq += 1;
-    q.push(Event {
-        time,
-        class,
-        seq: *seq,
-        kind,
-    });
-}
-
-/// Standard normal via Box–Muller (keeps the dependency surface to `rand`).
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.random::<f64>();
-    (-2.0f64 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::JobKind;
+    use crate::metrics::JobState;
+    use crate::sim::retry_tick_eps;
     use crate::spec::RcFidelity;
 
     /// Greedy FIFO scheduler used to exercise the engine.

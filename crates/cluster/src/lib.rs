@@ -24,6 +24,7 @@ pub mod engine;
 pub mod job;
 pub mod metrics;
 pub mod serve;
+mod sim;
 pub mod spec;
 pub mod wal;
 

@@ -1,15 +1,22 @@
-//! Long-running serve session: the streaming counterpart of [`Engine`].
+//! Long-running serve session: the streaming driver of the simulation core.
 //!
 //! [`Engine::run`](crate::Engine::run) is batch-run-to-completion: it holds
-//! every job record for the whole run and returns one [`Metrics`] at the
-//! end. A [`ServeSession`] instead accepts jobs one at a time over an open
-//! boundary ([`ServeSession::submit`]), pumps the same discrete-event loop
-//! on the same shared ingest → decide → commit stages, and keeps memory
-//! bounded by **retiring** completed-job state once a configurable
-//! retention window has passed. Retired outcomes are folded into running
-//! aggregates plus an order-sensitive FNV-1a digest, so two sessions that
-//! processed the same stream agree on a single `u64` even after all per-job
-//! state is gone.
+//! every job record for the whole run and returns one
+//! [`Metrics`](crate::Metrics) at the end. A [`ServeSession`] instead
+//! accepts jobs one at a time over an open boundary
+//! ([`ServeSession::submit`]), steps the same state machine (`crate::sim`),
+//! and keeps memory bounded by **retiring** completed-job state once a
+//! configurable retention window has passed. Retired outcomes are folded
+//! into running aggregates plus an order-sensitive FNV-1a digest, so two
+//! sessions that processed the same stream agree on a single `u64` even
+//! after all per-job state is gone.
+//!
+//! What the session adds to the core is admission (submit order, duplicate
+//! ids, gang size, queue and tenant bounds), the pump (`pump_until` /
+//! `drain`), retirement, the `serve_*` metrics, and snapshot/restore. A
+//! submission that finds the cycle chain dead restarts it at its own
+//! submit time, so an idle daemon costs nothing and a new job is offered to
+//! the scheduler the moment it arrives.
 //!
 //! # Determinism and restart equivalence
 //!
@@ -27,7 +34,7 @@
 //!
 //! * per-job records (spec, outcome, epoch) — retired after `retention`
 //!   seconds past the terminal event (prefix order, so indices stay dense);
-//! * `index_of` — entries removed at retirement (duplicate-id detection
+//! * the id index — entries removed at retirement (duplicate-id detection
 //!   therefore covers live jobs only);
 //! * the event queue — holds only in-flight finishes, scripted faults, the
 //!   cycle tick, and not-yet-arrived submissions.
@@ -36,19 +43,15 @@
 //! `serve_retired_jobs_total`, `serve_retention_seconds`, …) so saturation
 //! is visible in the Prometheus exposition.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use threesigma_obs::{sanitize, Counter, Gauge, Recorder};
 
-use crate::engine::{
-    blank_outcome, commit, decide, kill_attempt, push_event, release, spec_problem, Event,
-    EventKind, FaultEvent, Running, Scheduler, SimError,
-};
-use crate::job::{JobId, JobSpec, RetryPolicy};
+use crate::engine::{spec_problem, FaultEvent, Scheduler, SimError};
+use crate::job::{JobSpec, RetryPolicy};
 use crate::metrics::{JobOutcome, JobState};
+use crate::sim::{config_problem, fault_problem, JobRecord, Sim};
 use crate::spec::ClusterSpec;
 
 /// Serve-session configuration.
@@ -56,9 +59,6 @@ use crate::spec::ClusterSpec;
 pub struct ServeConfig {
     /// Seconds between scheduling cycles.
     pub cycle_interval: f64,
-    /// RNG seed (reserved; the serve loop rejects RC-fidelity clusters, so
-    /// no draws are taken and restarts need no RNG replay).
-    pub seed: u64,
     /// Retry policy for fault-killed jobs.
     pub retry: RetryPolicy,
     /// Seconds a terminal job record is kept before it is retired into the
@@ -82,7 +82,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             cycle_interval: 2.0,
-            seed: 0x3516,
             retry: RetryPolicy::default(),
             retention: 3600.0,
             faults: Vec::new(),
@@ -300,38 +299,15 @@ impl ServeMetrics {
 
 /// A long-running scheduling session over a streaming job boundary.
 pub struct ServeSession {
-    cluster: ClusterSpec,
     config: ServeConfig,
     metrics: ServeMetrics,
     // Kept for lazily registering per-tenant in-flight gauges; cheap
     // (Arc-backed) clone of the recorder passed to `new`/`restore`.
     recorder: Recorder,
 
-    // Cluster capacity state (see engine.rs invariants).
-    free: Vec<u32>,
-    offline: Vec<u32>,
-    owed: Vec<u32>,
-
-    // Event loop state.
-    queue: BinaryHeap<Event>,
-    seq: u64,
-    arrivals_queued: usize,
-    cycle_scheduled: bool,
-    now: f64,
+    /// The cluster state machine this session drives.
+    sim: Sim,
     last_submit: f64,
-
-    // Per-job state, indexed by `ingest index − base`. The three deques
-    // move in lockstep; `base` advances as the terminal prefix retires.
-    base: usize,
-    jobs: VecDeque<JobSpec>,
-    outcomes: VecDeque<JobOutcome>,
-    epochs: VecDeque<u32>,
-    index_of: BTreeMap<JobId, usize>,
-
-    pending: Vec<usize>,
-    running: BTreeMap<JobId, Running>,
-    retry_at: BTreeMap<usize, f64>,
-    rng: StdRng,
 
     // Admission state: non-terminal jobs per tenant. Entries persist at
     // zero once seen, so the per-tenant gauge set (and the byte-stable
@@ -339,16 +315,11 @@ pub struct ServeSession {
     in_flight: BTreeMap<String, u64>,
     tenant_gauges: BTreeMap<String, Gauge>,
 
-    // Counters.
-    cycles: usize,
+    // Counters the core does not keep.
     submitted: u64,
     completed: u64,
     placements_total: u64,
     cancellations_total: u64,
-    preemptions: usize,
-    kills: usize,
-    retry_cancellations: usize,
-    wasted: f64,
 
     // Retired state.
     retired: RetiredAggregate,
@@ -370,10 +341,22 @@ impl ServeSession {
         config: ServeConfig,
         recorder: &Recorder,
     ) -> Result<Self, SimError> {
-        if config.cycle_interval.is_nan() || config.cycle_interval <= 0.0 {
-            return Err(SimError::BadServeConfig {
-                reason: "cycle interval must be positive",
-            });
+        let mut session = Self::idle(cluster, config, recorder)?;
+        for fault in &session.config.faults {
+            session.sim.queue_fault(*fault);
+        }
+        Ok(session)
+    }
+
+    /// Validates the configuration and builds a session with nothing
+    /// queued, not even the fault script.
+    fn idle(
+        cluster: ClusterSpec,
+        config: ServeConfig,
+        recorder: &Recorder,
+    ) -> Result<Self, SimError> {
+        if let Some(reason) = config_problem(&cluster, config.cycle_interval, &config.faults) {
+            return Err(SimError::BadServeConfig { reason });
         }
         if config.retention.is_nan() || config.retention < 0.0 {
             return Err(SimError::BadServeConfig {
@@ -385,73 +368,23 @@ impl ServeSession {
                 reason: "serve sessions do not support RC-fidelity clusters",
             });
         }
-        for f in &config.faults {
-            if let Some(p) = f.partition() {
-                if p.index() >= cluster.num_partitions() {
-                    return Err(SimError::BadServeConfig {
-                        reason: "fault references unknown partition",
-                    });
-                }
-            }
-            if !f.at().is_finite() || f.at() < 0.0 {
-                return Err(SimError::BadServeConfig {
-                    reason: "fault time must be finite and non-negative",
-                });
-            }
-        }
-        let parts = cluster.num_partitions();
-        let capacity: Vec<u32> = cluster
-            .partition_ids()
-            .map(|p| cluster.partition_size(p))
-            .collect();
-        let metrics = ServeMetrics::register(recorder);
-        let mut session = Self {
-            free: capacity,
-            offline: vec![0; parts],
-            owed: vec![0; parts],
-            queue: BinaryHeap::new(),
-            seq: 0,
-            arrivals_queued: 0,
-            cycle_scheduled: false,
-            now: 0.0,
+        // The seed is never drawn from: jitter is RC-fidelity only.
+        let sim = Sim::new(cluster, config.cycle_interval, config.retry, 0);
+        Ok(Self {
+            metrics: ServeMetrics::register(recorder),
+            recorder: recorder.clone(),
+            sim,
             last_submit: 0.0,
-            base: 0,
-            jobs: VecDeque::new(),
-            outcomes: VecDeque::new(),
-            epochs: VecDeque::new(),
-            index_of: BTreeMap::new(),
-            pending: Vec::new(),
-            running: BTreeMap::new(),
-            retry_at: BTreeMap::new(),
-            rng: StdRng::seed_from_u64(config.seed),
             in_flight: BTreeMap::new(),
             tenant_gauges: BTreeMap::new(),
-            recorder: recorder.clone(),
-            cycles: 0,
             submitted: 0,
             completed: 0,
             placements_total: 0,
             cancellations_total: 0,
-            preemptions: 0,
-            kills: 0,
-            retry_cancellations: 0,
-            wasted: 0.0,
             retired: RetiredAggregate::default(),
             retired_digest: FNV_OFFSET,
-            metrics,
-            cluster,
             config,
-        };
-        for i in 0..session.config.faults.len() {
-            let at = session.config.faults[i].at();
-            push_event(
-                &mut session.queue,
-                &mut session.seq,
-                at,
-                EventKind::Fault { fault: i },
-            );
-        }
-        Ok(session)
+        })
     }
 
     /// Rebuilds a session from a [`ServeSnapshot`] taken by
@@ -475,55 +408,47 @@ impl ServeSession {
                 reason: "snapshot version mismatch",
             });
         }
-        let mut session = Self::new(cluster, config, recorder)?;
-        let parts = session.cluster.num_partitions();
+        let mut session = Self::idle(cluster, config, recorder)?;
+        let parts = session.sim.cluster.num_partitions();
         if snap.free.len() != parts || snap.offline.len() != parts || snap.owed.len() != parts {
             return Err(SimError::BadServeConfig {
                 reason: "snapshot partition count does not match the cluster",
             });
         }
-        // Drop the fault events new() queued; only future-dated ones return.
-        session.queue.clear();
-        session.seq = snap.seq;
-        for i in 0..session.config.faults.len() {
-            let at = session.config.faults[i].at();
-            if at > snap.now {
-                push_event(
-                    &mut session.queue,
-                    &mut session.seq,
-                    at,
-                    EventKind::Fault { fault: i },
-                );
-            }
+        let sim = &mut session.sim;
+        sim.seq = snap.seq;
+        for fault in session.config.faults.iter().filter(|f| f.at() > snap.now) {
+            sim.queue_fault(*fault);
         }
-        session.now = snap.now;
-        session.last_submit = snap.last_submit;
-        session.cycles = snap.cycles;
-        session.base = snap.base;
-        session.free.copy_from_slice(&snap.free);
-        session.offline.copy_from_slice(&snap.offline);
-        session.owed.copy_from_slice(&snap.owed);
-        session.submitted = snap.submitted;
-        session.completed = snap.completed;
-        session.placements_total = snap.placements;
-        session.cancellations_total = snap.cancellations;
-        session.preemptions = snap.preemptions;
-        session.kills = snap.kills;
-        session.retry_cancellations = snap.retry_cancellations;
-        session.wasted = snap.wasted_machine_seconds;
-        session.retired = snap.retired;
-        session.retired_digest = snap.retired_digest;
+        sim.now = snap.now;
+        sim.cycles = snap.cycles;
+        sim.base = snap.base;
+        sim.free.copy_from_slice(&snap.free);
+        sim.offline.copy_from_slice(&snap.offline);
+        sim.owed.copy_from_slice(&snap.owed);
+        sim.preemptions = snap.preemptions;
+        sim.kills = snap.kills;
+        sim.retry_cancellations = snap.retry_cancellations;
+        sim.wasted = snap.wasted_machine_seconds;
         for (i, (spec, outcome, epoch)) in snap.live.iter().enumerate() {
-            let idx = snap.base + i;
-            if session.index_of.insert(spec.id, idx).is_some() {
+            if sim.index_of.insert(spec.id, snap.base + i).is_some() {
                 return Err(SimError::BadServeConfig {
                     reason: "snapshot contains duplicate live job ids",
                 });
             }
-            session.jobs.push_back(spec.clone());
-            session.outcomes.push_back(outcome.clone());
-            session.epochs.push_back(*epoch);
+            sim.jobs.push_back(JobRecord {
+                spec: spec.clone(),
+                outcome: outcome.clone(),
+                epoch: *epoch,
+            });
         }
+        session.last_submit = snap.last_submit;
+        session.submitted = snap.submitted;
+        session.completed = snap.completed;
+        session.placements_total = snap.placements;
+        session.cancellations_total = snap.cancellations;
+        session.retired = snap.retired;
+        session.retired_digest = snap.retired_digest;
         // Re-register every tenant the stream has seen (all at zero: the
         // snapshot was quiescent), so restored gauge sets match a
         // never-restarted run byte for byte.
@@ -539,23 +464,28 @@ impl ServeSession {
     /// right now, without mutating the session. The check is deterministic
     /// (a pure function of session state), so a caller that journals
     /// accepted jobs between `admit` and `submit` replays to the identical
-    /// accept/reject sequence. Validation order: spec, submit-time order,
-    /// duplicate id, queue bound, tenant quota.
+    /// accept/reject sequence. Validation order: spec (including a gang
+    /// larger than the whole cluster, which no cycle could ever place and
+    /// which would therefore keep the cycle chain — and a `drain` — alive
+    /// forever), submit-time order, duplicate id, queue bound, tenant quota.
     ///
     /// # Errors
     ///
     /// The typed rejection `submit` would return.
     pub fn admit(&self, spec: &JobSpec) -> Result<(), SimError> {
-        if let Some(reason) = spec_problem(spec) {
+        let oversized = spec.tasks > self.sim.cluster.total_nodes();
+        let problem =
+            spec_problem(spec).or(oversized.then_some("task count exceeds cluster capacity"));
+        if let Some(reason) = problem {
             return Err(SimError::MalformedJobSpec {
                 job: spec.id,
                 reason,
             });
         }
-        if spec.submit_time < self.last_submit || spec.submit_time < self.now {
+        if spec.submit_time < self.last_submit || spec.submit_time < self.sim.now {
             return Err(SimError::OutOfOrderSubmit { job: spec.id });
         }
-        if self.index_of.contains_key(&spec.id) {
+        if self.sim.index_of.contains_key(&spec.id) {
             return Err(SimError::DuplicateJobId { job: spec.id });
         }
         if let Some(limit) = self.config.max_queue {
@@ -588,7 +518,8 @@ impl ServeSession {
     /// running + retained records still mid-retry) — the depth the
     /// [`ServeConfig::max_queue`] admission bound applies to.
     pub fn non_terminal(&self) -> usize {
-        let terminal = self.completed + self.cancellations_total + self.retry_cancellations as u64;
+        let terminal =
+            self.completed + self.cancellations_total + self.sim.retry_cancellations as u64;
         usize::try_from(self.submitted - terminal).unwrap_or(usize::MAX)
     }
 
@@ -614,31 +545,12 @@ impl ServeSession {
                 g.set(v as f64);
             }
         }
-        let idx = self.base + self.jobs.len();
         // Revive the cycle chain if it went idle: the first cycle that can
         // see this job runs at its arrival time (arrivals order before
         // cycles at equal timestamps).
-        if !self.cycle_scheduled {
-            push_event(
-                &mut self.queue,
-                &mut self.seq,
-                spec.submit_time,
-                EventKind::Cycle,
-            );
-            self.cycle_scheduled = true;
-        }
-        push_event(
-            &mut self.queue,
-            &mut self.seq,
-            spec.submit_time,
-            EventKind::Arrival { job: idx },
-        );
-        self.arrivals_queued += 1;
+        self.sim.ensure_cycle(spec.submit_time);
         self.last_submit = spec.submit_time;
-        self.index_of.insert(spec.id, idx);
-        self.outcomes.push_back(blank_outcome(&spec));
-        self.epochs.push_back(0);
-        self.jobs.push_back(spec);
+        self.sim.push_job(spec)?;
         self.submitted += 1;
         Ok(())
     }
@@ -651,9 +563,8 @@ impl ServeSession {
         limit: f64,
         scheduler: &mut dyn Scheduler,
     ) -> Result<(), SimError> {
-        while self.queue.peek().is_some_and(|ev| ev.time < limit) {
-            let Some(ev) = self.queue.pop() else { break };
-            self.step(ev, scheduler)?;
+        while self.sim.next_time().is_some_and(|t| t < limit) {
+            self.advance(scheduler)?;
         }
         Ok(())
     }
@@ -663,18 +574,10 @@ impl ServeSession {
     /// quiescence (queue empty — which implies nothing pending and nothing
     /// running, since the cycle chain stays alive while work remains).
     pub fn drain(&mut self, horizon: f64, scheduler: &mut dyn Scheduler) -> Result<bool, SimError> {
-        loop {
-            match self.queue.peek() {
-                None => return Ok(self.is_quiescent()),
-                Some(ev) if ev.time > horizon => return Ok(false),
-                Some(_) => {
-                    let Some(ev) = self.queue.pop() else {
-                        return Ok(self.is_quiescent());
-                    };
-                    self.step(ev, scheduler)?;
-                }
-            }
+        while self.sim.next_time().is_some_and(|t| t <= horizon) {
+            self.advance(scheduler)?;
         }
+        Ok(self.is_quiescent())
     }
 
     /// Injects a runtime fault into the live session — the serve-boundary
@@ -689,33 +592,19 @@ impl ServeSession {
     ///
     /// [`SimError::BadServeConfig`] for unknown partitions or invalid times.
     pub fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        if let Some(p) = fault.partition() {
-            if p.index() >= self.cluster.num_partitions() {
-                return Err(SimError::BadServeConfig {
-                    reason: "fault references unknown partition",
-                });
-            }
+        let stale = (fault.at() < self.sim.now)
+            .then_some("injected fault must be dated at or after the current time");
+        if let Some(reason) = fault_problem(&self.sim.cluster, &fault).or(stale) {
+            return Err(SimError::BadServeConfig { reason });
         }
-        if !fault.at().is_finite() || fault.at() < self.now || fault.at() < 0.0 {
-            return Err(SimError::BadServeConfig {
-                reason: "injected fault must be finite and dated at or after the current time",
-            });
-        }
-        let i = self.config.faults.len();
-        self.config.faults.push(fault);
-        push_event(
-            &mut self.queue,
-            &mut self.seq,
-            fault.at(),
-            EventKind::Fault { fault: i },
-        );
+        self.sim.queue_fault(fault);
         Ok(())
     }
 
     /// True when no event is queued, nothing is pending, and nothing runs —
     /// the only state a snapshot may be taken in.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty() && self.pending.is_empty() && self.running.is_empty()
+        self.sim.is_idle()
     }
 
     /// Serializes the session. Fails unless the session
@@ -725,32 +614,31 @@ impl ServeSession {
             return Err(SimError::SnapshotNotQuiescent);
         }
         let live: Vec<(JobSpec, JobOutcome, u32)> = self
+            .sim
             .jobs
             .iter()
-            .zip(self.outcomes.iter())
-            .zip(self.epochs.iter())
-            .map(|((j, o), e)| (j.clone(), o.clone(), *e))
+            .map(|rec| (rec.spec.clone(), rec.outcome.clone(), rec.epoch))
             .collect();
         Ok(ServeSnapshot {
             version: SNAPSHOT_VERSION,
-            now: self.now,
+            now: self.sim.now,
             last_submit: self.last_submit,
-            cycles: self.cycles,
-            seq: self.seq,
-            base: self.base,
+            cycles: self.sim.cycles,
+            seq: self.sim.seq,
+            base: self.sim.base,
             submitted: self.submitted,
             completed: self.completed,
             placements: self.placements_total,
             cancellations: self.cancellations_total,
-            preemptions: self.preemptions,
-            kills: self.kills,
-            retry_cancellations: self.retry_cancellations,
-            wasted_machine_seconds: self.wasted,
+            preemptions: self.sim.preemptions,
+            kills: self.sim.kills,
+            retry_cancellations: self.sim.retry_cancellations,
+            wasted_machine_seconds: self.sim.wasted,
             retired: self.retired,
             retired_digest: self.retired_digest,
-            free: self.free.clone(),
-            offline: self.offline.clone(),
-            owed: self.owed.clone(),
+            free: self.sim.free.clone(),
+            offline: self.sim.offline.clone(),
+            owed: self.sim.owed.clone(),
             live,
             tenants: Some(self.in_flight.keys().cloned().collect()),
         })
@@ -760,7 +648,7 @@ impl ServeSession {
     pub fn summary(&self) -> ServeSummary {
         let mut agg = self.retired;
         let mut digest = self.retired_digest;
-        for o in &self.outcomes {
+        for o in self.live_outcomes() {
             agg.fold(o);
             digest = fold_outcome(digest, o);
         }
@@ -773,17 +661,17 @@ impl ServeSession {
         let goodput_hours =
             (agg.slo_goodput_machine_seconds + agg.be_goodput_machine_seconds) / 3600.0;
         ServeSummary {
-            now: self.now,
-            cycles: self.cycles,
+            now: self.sim.now,
+            cycles: self.sim.cycles,
             submitted: self.submitted,
             completed: self.completed,
             canceled,
             retired: self.retired.jobs,
-            live: self.outcomes.len(),
-            kills: self.kills,
-            preemptions: self.preemptions,
-            retry_cancellations: self.retry_cancellations,
-            wasted_machine_seconds: self.wasted,
+            live: self.sim.jobs.len(),
+            kills: self.sim.kills,
+            preemptions: self.sim.preemptions,
+            retry_cancellations: self.sim.retry_cancellations,
+            wasted_machine_seconds: self.sim.wasted,
             slo_miss_pct,
             goodput_hours,
             digest,
@@ -792,17 +680,17 @@ impl ServeSession {
 
     /// Simulated time of the last processed event.
     pub fn now(&self) -> f64 {
-        self.now
+        self.sim.now
     }
 
     /// Scheduling cycles executed so far.
     pub fn cycles(&self) -> usize {
-        self.cycles
+        self.sim.cycles
     }
 
     /// Per-job records currently held.
     pub fn live_jobs(&self) -> usize {
-        self.outcomes.len()
+        self.sim.jobs.len()
     }
 
     /// Jobs retired into the aggregates.
@@ -813,209 +701,38 @@ impl ServeSession {
     /// Live job outcomes in ingest order (terminal records awaiting
     /// retirement, plus pending/running jobs mid-stream).
     pub fn live_outcomes(&self) -> impl Iterator<Item = &JobOutcome> {
-        self.outcomes.iter()
+        self.sim.jobs.iter().map(|rec| &rec.outcome)
     }
 
-    fn step(&mut self, ev: Event, scheduler: &mut dyn Scheduler) -> Result<(), SimError> {
-        self.now = ev.time;
-        // Keep the deques contiguous so the shared stages can view them as
-        // plain slices (amortized O(1): only pop_front/push_back occur).
-        self.jobs.make_contiguous();
-        self.outcomes.make_contiguous();
-        self.epochs.make_contiguous();
-        let base = self.base;
-        match ev.kind {
-            EventKind::Arrival { job } => {
-                self.arrivals_queued -= 1;
-                self.pending.push(job);
-                scheduler.on_job_submitted(&self.jobs.as_slices().0[job - base], self.now);
-            }
-            EventKind::Finish { job, epoch } => {
-                let id = self.jobs.as_slices().0[job - base].id;
-                let valid = self.running.get(&id).is_some_and(|r| r.epoch == epoch);
-                if !valid {
-                    return Ok(()); // stale completion of a preempted/killed attempt
-                }
-                let Some(r) = self.running.remove(&id) else {
-                    return Ok(());
-                };
-                release(
-                    &mut self.free,
-                    &mut self.offline,
-                    &mut self.owed,
-                    &r.allocation,
-                );
-                let o = &mut self.outcomes.as_mut_slices().0[job - base];
-                o.state = JobState::Completed;
-                o.start_time = Some(r.start);
-                o.finish_time = Some(self.now);
-                o.measured_runtime = Some(r.measured_runtime);
-                o.on_preferred = Some(r.on_preferred);
+    /// Applies the next queued event, then does the session's own
+    /// bookkeeping for it: admission counts for every job it made terminal
+    /// and, after a cycle, decision totals, retirement and the gauges.
+    fn advance(&mut self, scheduler: &mut dyn Scheduler) -> Result<(), SimError> {
+        let step = self.sim.step(scheduler)?;
+        for idx in step.ended {
+            let Some(rec) = self.sim.record(idx) else {
+                continue;
+            };
+            if rec.outcome.state == JobState::Completed {
                 self.completed += 1;
-                scheduler.on_job_completed(
-                    &self.jobs.as_slices().0[job - base],
-                    &self.outcomes.as_slices().0[job - base],
-                    self.now,
-                );
-                self.note_terminal(job);
             }
-            EventKind::Fault { fault } => self.apply_fault(fault, scheduler),
-            EventKind::Cycle => {
-                self.cycle_scheduled = false;
-                self.cycles += 1;
-                let decision = decide(
-                    &self.cluster,
-                    self.config.cycle_interval,
-                    base,
-                    self.jobs.as_slices().0,
-                    &self.pending,
-                    &self.retry_at,
-                    &self.running,
-                    &self.free,
-                    self.now,
-                    scheduler,
-                );
-                commit(
-                    &decision,
-                    self.now,
-                    base,
-                    self.jobs.as_slices().0,
-                    &self.cluster,
-                    &self.index_of,
-                    &mut self.rng,
-                    &mut self.free,
-                    &mut self.offline,
-                    &mut self.owed,
-                    self.epochs.as_mut_slices().0,
-                    self.outcomes.as_mut_slices().0,
-                    &mut self.pending,
-                    &mut self.retry_at,
-                    &mut self.running,
-                    &mut self.queue,
-                    &mut self.seq,
-                    &mut self.wasted,
-                    &mut self.preemptions,
-                )?;
-                self.placements_total += decision.placements.len() as u64;
-                self.cancellations_total += decision.cancellations.len() as u64;
-                for id in &decision.cancellations {
-                    if let Some(&idx) = self.index_of.get(id) {
-                        self.note_terminal(idx);
-                    }
-                }
-                self.retire_eligible();
-                self.publish_gauges();
-                if !self.pending.is_empty() || !self.running.is_empty() || self.arrivals_queued > 0
-                {
-                    push_event(
-                        &mut self.queue,
-                        &mut self.seq,
-                        self.now + self.config.cycle_interval,
-                        EventKind::Cycle,
-                    );
-                    self.cycle_scheduled = true;
+            let Some(tenant) = rec.spec.attributes.get("tenant") else {
+                continue;
+            };
+            if let Some(n) = self.in_flight.get_mut(tenant) {
+                *n = n.saturating_sub(1);
+                if let Some(g) = self.tenant_gauges.get(tenant) {
+                    g.set(*n as f64);
                 }
             }
+        }
+        if let Some(decision) = step.decision {
+            self.placements_total += decision.placements.len() as u64;
+            self.cancellations_total += decision.cancellations.len() as u64;
+            self.retire_eligible();
+            self.publish_gauges();
         }
         Ok(())
-    }
-
-    fn apply_fault(&mut self, fault: usize, scheduler: &mut dyn Scheduler) {
-        let base = self.base;
-        match self.config.faults[fault] {
-            FaultEvent::PartitionDown {
-                partition, nodes, ..
-            } => {
-                let pi = partition.index();
-                let taken = nodes.min(self.free[pi]);
-                self.free[pi] -= taken;
-                self.offline[pi] += taken;
-                self.owed[pi] += nodes - taken;
-            }
-            FaultEvent::PartitionUp {
-                partition, nodes, ..
-            } => {
-                let pi = partition.index();
-                let cancelled = nodes.min(self.owed[pi]);
-                self.owed[pi] -= cancelled;
-                let restored = (nodes - cancelled).min(self.offline[pi]);
-                self.offline[pi] -= restored;
-                self.free[pi] += restored;
-            }
-            FaultEvent::NodeCrash {
-                partition, nodes, ..
-            } => {
-                let pi = partition.index();
-                let taken = nodes.min(self.free[pi]);
-                self.free[pi] -= taken;
-                self.offline[pi] += taken;
-                let mut remaining = nodes - taken;
-                let mut victims: Vec<JobId> = self
-                    .running
-                    .iter()
-                    .filter(|(_, r)| r.allocation.iter().any(|(p, n)| p.index() == pi && *n > 0))
-                    .map(|(id, _)| *id)
-                    .collect();
-                victims.sort_unstable();
-                for id in victims {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let Some(r) = self.running.remove(&id) else {
-                        continue;
-                    };
-                    let idx = r.idx;
-                    kill_attempt(
-                        r,
-                        self.now,
-                        base,
-                        self.jobs.as_slices().0,
-                        &self.config.retry,
-                        &mut self.free,
-                        &mut self.offline,
-                        &mut self.owed,
-                        self.epochs.as_mut_slices().0,
-                        self.outcomes.as_mut_slices().0,
-                        &mut self.pending,
-                        &mut self.retry_at,
-                        &mut self.wasted,
-                        &mut self.kills,
-                        &mut self.retry_cancellations,
-                        scheduler,
-                    );
-                    self.note_terminal_if_canceled(idx);
-                    let seized = remaining.min(self.free[pi]);
-                    self.free[pi] -= seized;
-                    self.offline[pi] += seized;
-                    remaining -= seized;
-                }
-                self.owed[pi] += remaining;
-            }
-            FaultEvent::TaskKill { job, .. } => {
-                if let Some(r) = self.running.remove(&job) {
-                    let idx = r.idx;
-                    kill_attempt(
-                        r,
-                        self.now,
-                        base,
-                        self.jobs.as_slices().0,
-                        &self.config.retry,
-                        &mut self.free,
-                        &mut self.offline,
-                        &mut self.owed,
-                        self.epochs.as_mut_slices().0,
-                        self.outcomes.as_mut_slices().0,
-                        &mut self.pending,
-                        &mut self.retry_at,
-                        &mut self.wasted,
-                        &mut self.kills,
-                        &mut self.retry_cancellations,
-                        scheduler,
-                    );
-                    self.note_terminal_if_canceled(idx);
-                }
-            }
-        }
     }
 
     /// Registers (idempotently) the in-flight gauge for `tenant`.
@@ -1029,44 +746,6 @@ impl ServeSession {
         }
     }
 
-    /// Admission bookkeeping for a job that just reached a terminal state
-    /// (completed or cancelled): decrements its tenant's in-flight count.
-    fn note_terminal(&mut self, idx: usize) {
-        let Some(i) = idx.checked_sub(self.base) else {
-            return;
-        };
-        let Some(tenant) = self
-            .jobs
-            .as_slices()
-            .0
-            .get(i)
-            .and_then(|spec| spec.attributes.get("tenant"))
-        else {
-            return;
-        };
-        let tenant = tenant.to_owned();
-        if let Some(n) = self.in_flight.get_mut(&tenant) {
-            *n = n.saturating_sub(1);
-            let v = *n;
-            if let Some(g) = self.tenant_gauges.get(&tenant) {
-                g.set(v as f64);
-            }
-        }
-    }
-
-    /// [`note_terminal`](Self::note_terminal), but only when a kill
-    /// exhausted the retry budget and cancelled the job (a retried kill
-    /// leaves the job non-terminal).
-    fn note_terminal_if_canceled(&mut self, idx: usize) {
-        let canceled = idx
-            .checked_sub(self.base)
-            .and_then(|i| self.outcomes.as_slices().0.get(i))
-            .is_some_and(|o| o.state == JobState::Canceled);
-        if canceled {
-            self.note_terminal(idx);
-        }
-    }
-
     /// Retires the terminal prefix of per-job state once its retention
     /// window has passed, folding each record into the aggregates and the
     /// digest chain. Prefix-only retirement keeps ingest indices dense and
@@ -1075,8 +754,8 @@ impl ServeSession {
         if self.config.retention.is_infinite() {
             return;
         }
-        let cutoff = self.now - self.config.retention;
-        while let Some(front) = self.outcomes.front() {
+        let cutoff = self.sim.now - self.config.retention;
+        while let Some(front) = self.sim.jobs.front().map(|rec| &rec.outcome) {
             let terminal = matches!(front.state, JobState::Completed | JobState::Canceled);
             // Cancelled records have no finish time; their submit time is a
             // conservative (earlier) stand-in, so they retire no later than
@@ -1085,36 +764,31 @@ impl ServeSession {
             if !terminal || done_at > cutoff {
                 break;
             }
-            let Some(o) = self.outcomes.pop_front() else {
+            let Some(rec) = self.sim.pop_front() else {
                 break;
             };
-            let Some(spec) = self.jobs.pop_front() else {
-                break;
-            };
-            self.epochs.pop_front();
-            self.index_of.remove(&spec.id);
-            self.retired.fold(&o);
-            self.retired_digest = fold_outcome(self.retired_digest, &o);
-            self.base += 1;
+            self.retired.fold(&rec.outcome);
+            self.retired_digest = fold_outcome(self.retired_digest, &rec.outcome);
         }
     }
 
     fn publish_gauges(&self) {
         let m = &self.metrics;
-        m.cycles.set_total(self.cycles as u64);
+        m.cycles.set_total(self.sim.cycles as u64);
         m.placements.set_total(self.placements_total);
-        m.preemptions.set_total(self.preemptions as u64);
+        m.preemptions.set_total(self.sim.preemptions as u64);
         m.cancellations.set_total(self.cancellations_total);
-        m.kills.set_total(self.kills as u64);
+        m.kills.set_total(self.sim.kills as u64);
         m.retry_cancellations
-            .set_total(self.retry_cancellations as u64);
+            .set_total(self.sim.retry_cancellations as u64);
         m.submitted.set_total(self.submitted);
         m.completed.set_total(self.completed);
         m.retired.set_total(self.retired.jobs);
-        m.live_jobs.set(self.outcomes.len() as f64);
-        m.queue_depth.set(self.pending.len() as f64);
-        m.running_jobs.set(self.running.len() as f64);
-        m.free_nodes.set(f64::from(self.free.iter().sum::<u32>()));
+        m.live_jobs.set(self.sim.jobs.len() as f64);
+        m.queue_depth.set(self.sim.pending.len() as f64);
+        m.running_jobs.set(self.sim.running.len() as f64);
+        m.free_nodes
+            .set(f64::from(self.sim.free.iter().sum::<u32>()));
         m.retention.set(self.config.retention);
         for (tenant, n) in &self.in_flight {
             if let Some(g) = self.tenant_gauges.get(tenant) {
@@ -1186,45 +860,65 @@ fn fold_outcome(mut h: u64, o: &JobOutcome) -> u64 {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig, Placement, SchedulingDecision, SimulationView};
-    use crate::job::JobKind;
+    use crate::job::{JobId, JobKind};
     use crate::spec::{PartitionId, RcFidelity};
+    use proptest::prelude::*;
 
-    /// Greedy FIFO scheduler (mirrors the engine test double).
+    /// Greedy FIFO placement in pending order (mirrors the engine test
+    /// double). With `preempt`, an SLO job that does not fit also evicts the
+    /// highest-id running best-effort job, to be placed on a later cycle.
+    fn fifo_decision(view: &SimulationView<'_>, preempt: bool) -> SchedulingDecision {
+        let mut free = view.free.to_vec();
+        let mut decision = SchedulingDecision::noop();
+        for job in &view.pending {
+            let mut remaining = job.tasks;
+            let mut alloc = Vec::new();
+            for (p, f) in free.iter_mut().enumerate() {
+                if remaining == 0 {
+                    break;
+                }
+                let take = remaining.min(*f);
+                if take > 0 {
+                    alloc.push((PartitionId(p), take));
+                    remaining -= take;
+                    *f -= take;
+                }
+            }
+            if remaining == 0 {
+                decision.placements.push(Placement {
+                    job: job.id,
+                    allocation: alloc,
+                });
+                continue;
+            }
+            for (p, n) in alloc {
+                free[p.index()] += n;
+            }
+            if preempt && job.kind.deadline().is_some() {
+                let victim =
+                    view.running.iter().rev().map(|r| r.spec).find(|s| {
+                        s.kind.deadline().is_none() && !decision.preemptions.contains(&s.id)
+                    });
+                decision.preemptions.extend(victim.map(|s| s.id));
+            }
+        }
+        decision
+    }
+
     struct Fifo;
 
     impl Scheduler for Fifo {
         fn schedule(&mut self, view: &SimulationView<'_>, _now: f64) -> SchedulingDecision {
-            let mut free = view.free.to_vec();
-            let mut placements = Vec::new();
-            for job in &view.pending {
-                let mut remaining = job.tasks;
-                let mut alloc = Vec::new();
-                for (p, f) in free.iter_mut().enumerate() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let take = remaining.min(*f);
-                    if take > 0 {
-                        alloc.push((PartitionId(p), take));
-                        remaining -= take;
-                        *f -= take;
-                    }
-                }
-                if remaining == 0 {
-                    placements.push(Placement {
-                        job: job.id,
-                        allocation: alloc,
-                    });
-                } else {
-                    for (p, n) in alloc {
-                        free[p.index()] += n;
-                    }
-                }
-            }
-            SchedulingDecision {
-                placements,
-                ..SchedulingDecision::noop()
-            }
+            fifo_decision(view, false)
+        }
+    }
+
+    /// [`Fifo`] that preempts best-effort work for SLO jobs.
+    struct SloFirst;
+
+    impl Scheduler for SloFirst {
+        fn schedule(&mut self, view: &SimulationView<'_>, _now: f64) -> SchedulingDecision {
+            fifo_decision(view, true)
         }
     }
 
@@ -1257,9 +951,55 @@ mod tests {
         jobs
     }
 
-    /// With the whole trace submitted up front, the serve loop is
-    /// event-for-event identical to the batch engine: same arrival queue,
-    /// same cycle chain, same fault ordering.
+    /// The equivalence oracle. With the whole (sorted, first arrival at
+    /// t = 0) trace submitted up front and drained to the batch horizon, a
+    /// session is event-for-event the batch engine: same arrival queue,
+    /// same cycle chain, same fault ordering. Returns the drained session.
+    fn assert_session_matches_batch<S: Scheduler>(
+        jobs: &[JobSpec],
+        faults: Vec<FaultEvent>,
+        scheduler: impl Fn() -> S,
+    ) -> ServeSession {
+        const DRAIN: f64 = 3600.0;
+        let engine = Engine::new(
+            ClusterSpec::uniform(2, 4),
+            EngineConfig {
+                faults: faults.clone(),
+                drain: Some(DRAIN),
+                ..EngineConfig::default()
+            },
+        );
+        let batch = engine.run(jobs, &mut scheduler()).unwrap();
+
+        let rec = Recorder::enabled();
+        let mut session = ServeSession::new(
+            ClusterSpec::uniform(2, 4),
+            config(f64::INFINITY, faults),
+            &rec,
+        )
+        .unwrap();
+        for j in jobs {
+            session.submit(j.clone()).unwrap();
+        }
+        let last_arrival = jobs.iter().map(|j| j.submit_time).fold(0.0, f64::max);
+        session
+            .drain(last_arrival + DRAIN, &mut scheduler())
+            .unwrap();
+
+        let live: Vec<JobOutcome> = session.live_outcomes().cloned().collect();
+        assert_eq!(live.len(), batch.outcomes.len());
+        for (s, b) in live.iter().zip(batch.outcomes.iter()) {
+            assert_eq!(s, b, "serve and batch outcomes diverged for {:?}", s.id);
+        }
+        assert_eq!(session.cycles(), batch.cycles);
+        let summary = session.summary();
+        assert_eq!(summary.kills, batch.kills);
+        assert_eq!(summary.preemptions, batch.preemptions);
+        assert_eq!(summary.retry_cancellations, batch.retry_cancellations);
+        assert_eq!(summary.wasted_machine_seconds, batch.wasted_machine_seconds);
+        session
+    }
+
     #[test]
     fn streaming_session_matches_batch_engine() {
         let faults = vec![
@@ -1278,40 +1018,133 @@ mod tests {
                 job: JobId(7),
             },
         ];
-        let jobs = mixed_trace();
+        let session = assert_session_matches_batch(&mixed_trace(), faults, || Fifo);
+        assert!(session.is_quiescent());
+        assert!(session.summary().kills > 0);
+    }
 
-        let engine = Engine::new(
-            ClusterSpec::uniform(2, 4),
-            EngineConfig {
-                faults: faults.clone(),
-                ..EngineConfig::default()
-            },
-        );
-        let batch = engine.run(&jobs, &mut Fifo).unwrap();
+    proptest! {
+        /// The oracle over random traces: mixed BE/SLO gangs that fit the
+        /// 8-node cluster, and random crash / task-kill / drain-and-restore
+        /// scripts, under a scheduler that also preempts.
+        #[test]
+        fn random_streams_match_the_batch_engine(
+            n in 1usize..40,
+            gaps in prop::collection::vec(0.0f64..15.0, 40),
+            tasks in prop::collection::vec(1u32..9, 40),
+            durations in prop::collection::vec(1.0f64..60.0, 40),
+            slack in prop::collection::vec(0.0f64..4.0, 40),
+            fault_kinds in prop::collection::vec(0u8..3, 0..6),
+            fault_times in prop::collection::vec(0.0f64..300.0, 6),
+            fault_nodes in prop::collection::vec(1u32..5, 6),
+            fault_targets in prop::collection::vec(0u64..40, 6),
+        ) {
+            let mut t = 0.0;
+            let jobs: Vec<JobSpec> = (0..n)
+                .map(|i| {
+                    if i > 0 {
+                        t += gaps[i];
+                    }
+                    // Slack below 1 makes a best-effort job; the rest are
+                    // SLO jobs with that multiple of their runtime to spare.
+                    if slack[i] < 1.0 {
+                        be(i as u64 + 1, t, tasks[i], durations[i])
+                    } else {
+                        let deadline = t + slack[i] * durations[i];
+                        slo(i as u64 + 1, t, tasks[i], durations[i], deadline)
+                    }
+                })
+                .collect();
+            let mut faults = Vec::new();
+            for (i, kind) in fault_kinds.iter().enumerate() {
+                let (at, nodes) = (fault_times[i], fault_nodes[i]);
+                let partition = PartitionId(fault_targets[i] as usize % 2);
+                match kind {
+                    0 => faults.push(FaultEvent::NodeCrash { at, partition, nodes }),
+                    1 => faults.push(FaultEvent::TaskKill {
+                        at,
+                        job: JobId(fault_targets[i] % n as u64 + 1),
+                    }),
+                    _ => {
+                        faults.push(FaultEvent::PartitionDown { at, partition, nodes });
+                        faults.push(FaultEvent::PartitionUp {
+                            at: at + 40.0,
+                            partition,
+                            nodes,
+                        });
+                    }
+                }
+            }
+            assert_session_matches_batch(&jobs, faults, || SloFirst);
+        }
+    }
+
+    /// The one deliberate phase difference between the drivers: a batch run
+    /// ticks from t = 0, so a lone job arriving between ticks waits for the
+    /// next one; a session restarts its dead cycle chain at the submit time.
+    #[test]
+    fn batch_ticks_from_zero_but_a_session_revives_at_the_submit_time() {
+        let job = be(1, 3.5, 1, 10.0);
+        let engine = Engine::new(ClusterSpec::uniform(1, 4), EngineConfig::default());
+        let batch = engine.run(std::slice::from_ref(&job), &mut Fifo).unwrap();
+        assert_eq!(batch.outcomes[0].start_time, Some(4.0));
 
         let rec = Recorder::enabled();
-        let mut session = ServeSession::new(
-            ClusterSpec::uniform(2, 4),
-            config(f64::INFINITY, faults),
-            &rec,
-        )
-        .unwrap();
-        for j in &jobs {
-            session.submit(j.clone()).unwrap();
-        }
+        let mut session =
+            ServeSession::new(ClusterSpec::uniform(1, 4), ServeConfig::default(), &rec).unwrap();
+        session.submit(job).unwrap();
         assert!(session.drain(f64::INFINITY, &mut Fifo).unwrap());
+        let o = session.live_outcomes().next().unwrap();
+        assert_eq!(o.start_time, Some(3.5));
+    }
 
-        let live: Vec<JobOutcome> = session.live_outcomes().cloned().collect();
-        assert_eq!(live.len(), batch.outcomes.len());
-        for (s, b) in live.iter().zip(batch.outcomes.iter()) {
-            assert_eq!(s, b, "serve and batch outcomes diverged for {:?}", s.id);
-        }
-        assert_eq!(session.cycles(), batch.cycles);
+    /// A gang larger than the whole cluster can never be placed, so a
+    /// session that took it in would keep its cycle chain alive forever and
+    /// `drain(∞)` would never return; admission refuses it instead.
+    #[test]
+    fn oversized_gang_is_rejected_at_admission() {
+        let rec = Recorder::enabled();
+        let mut session =
+            ServeSession::new(ClusterSpec::uniform(2, 4), ServeConfig::default(), &rec).unwrap();
+        assert_eq!(
+            session.submit(be(1, 0.0, 9, 5.0)),
+            Err(SimError::MalformedJobSpec {
+                job: JobId(1),
+                reason: "task count exceeds cluster capacity",
+            })
+        );
+        session.submit(be(2, 0.0, 8, 5.0)).unwrap();
+        assert!(session.drain(f64::INFINITY, &mut Fifo).unwrap());
+        assert_eq!(session.summary().completed, 1);
+    }
+
+    /// The finish event of a killed attempt can outlive its record: the job
+    /// is cancelled on an exhausted retry budget and retired while the event
+    /// is still queued. It must be dropped as stale, not looked up.
+    #[test]
+    fn stale_finish_of_a_retired_job_is_ignored() {
+        let cfg = ServeConfig {
+            retention: 5.0,
+            retry: RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+            faults: vec![FaultEvent::TaskKill {
+                at: 10.0,
+                job: JobId(1),
+            }],
+            ..ServeConfig::default()
+        };
+        let rec = Recorder::enabled();
+        let mut session = ServeSession::new(ClusterSpec::uniform(1, 4), cfg, &rec).unwrap();
+        session.submit(be(1, 0.0, 2, 1000.0)).unwrap();
+        // Keeps the cycle chain (and with it retirement) going past the kill.
+        session.submit(be(2, 0.0, 1, 30.0)).unwrap();
+        assert!(session.drain(f64::INFINITY, &mut Fifo).unwrap());
+        assert_eq!(session.now(), 1000.0, "the stale finish was reached");
         let summary = session.summary();
-        assert_eq!(summary.kills, batch.kills);
-        assert_eq!(summary.preemptions, batch.preemptions);
-        assert_eq!(summary.retry_cancellations, batch.retry_cancellations);
-        assert!((summary.wasted_machine_seconds - batch.wasted_machine_seconds).abs() < 1e-9);
+        assert_eq!((summary.completed, summary.canceled), (1, 1));
+        assert!(session.retired_jobs() >= 1);
     }
 
     /// Retirement bounds live per-job state without changing the stream

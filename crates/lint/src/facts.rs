@@ -77,9 +77,9 @@ fn pair_fns<'a>(file: &'a ParsedFile, specs: &[(&str, &str)]) -> (Vec<&'a FnSite
 }
 
 /// Runs the snapshot-exhaustiveness rule over `files` for the given pairs.
-/// A pair whose file is absent from `files` is skipped (synthetic trees);
-/// a present file whose struct or fns cannot be resolved is a violation, so
-/// renames cannot silently disable the rule.
+/// A pair whose struct file or fns file is absent from `files` is skipped
+/// (synthetic trees); present files whose struct or fns cannot be resolved
+/// are a violation, so renames cannot silently disable the rule.
 pub fn snapshot_exhaustiveness(files: &[ParsedFile], pairs: &[SnapshotPair]) -> Vec<Violation> {
     let mut out = Vec::new();
     for pair in pairs {
@@ -101,8 +101,11 @@ pub fn snapshot_exhaustiveness(files: &[ParsedFile], pairs: &[SnapshotPair]) -> 
             });
             continue;
         };
-        let (reads, reads_missing) = pair_fns(file, pair.reads);
-        let (writes, writes_missing) = pair_fns(file, pair.writes);
+        let Some(fns_file) = files.iter().find(|p| p.rel.ends_with(pair.fns_file_suffix)) else {
+            continue;
+        };
+        let (reads, reads_missing) = pair_fns(fns_file, pair.reads);
+        let (writes, writes_missing) = pair_fns(fns_file, pair.writes);
         if reads_missing > 0 || writes_missing > 0 {
             out.push(Violation {
                 rule: "snapshot-exhaustiveness",

@@ -358,6 +358,33 @@ fn deleting_a_snapshot_field_read_turns_the_real_tree_red() {
 }
 
 #[test]
+fn deleting_a_core_field_read_from_the_session_snapshot_turns_the_real_tree_red() {
+    // The simulation core's state is serialized by another type in another
+    // file; the pair must still see every field cross.
+    let (core, serve) = ("crates/cluster/src/sim.rs", "crates/cluster/src/serve.rs");
+    let core_src = read_workspace_file(core);
+    let serve_src = read_workspace_file(serve);
+    let check = |serve_src: &str| {
+        let files = [parse(core, &core_src), parse(serve, serve_src)];
+        facts::snapshot_exhaustiveness(&files, config::SNAPSHOT_PAIRS)
+    };
+    let dropped = |found: &[threesigma_lint::Violation]| {
+        found
+            .iter()
+            .any(|v| v.func == "Sim" && v.pattern == "wasted")
+    };
+    let clean = check(&serve_src);
+    assert!(!dropped(&clean), "{clean:?}");
+    let mutated = serve_src.replace(
+        "wasted_machine_seconds: self.sim.wasted,",
+        "wasted_machine_seconds: 0.0,",
+    );
+    assert_ne!(serve_src, mutated, "mutation target must exist");
+    let found = check(&mutated);
+    assert!(dropped(&found), "{found:?}");
+}
+
+#[test]
 fn reordering_journal_append_after_ack_turns_the_real_tree_red() {
     let rel = "crates/cli/src/serve.rs";
     let src = read_workspace_file(rel);

@@ -247,6 +247,7 @@ impl CycleObserver for InvariantChecker {
     fn on_cycle(&mut self, s: &EngineSnapshot<'_>) {
         let now = s.now;
         let parts = s.capacity.len();
+        let outcomes: Vec<&JobOutcome> = s.outcomes().collect();
 
         // clock-monotonic: time never runs backwards, cycles count up by 1.
         let (last_now, last_cycles) = (self.last_now, self.last_cycles);
@@ -311,7 +312,7 @@ impl CycleObserver for InvariantChecker {
         }
         let mut terminal = 0usize;
         for &i in &arrived {
-            let state = s.outcomes[i].state;
+            let state = outcomes[i].state;
             match state {
                 JobState::Pending => conservation_ok &= where_is[i] == 1,
                 JobState::Running => conservation_ok &= where_is[i] == 2,
@@ -338,7 +339,7 @@ impl CycleObserver for InvariantChecker {
             elapsed_ok &= r.start >= self.submit_times[r.idx] - EPS && r.start <= now + EPS;
         }
         for &i in &arrived {
-            let o: &JobOutcome = &s.outcomes[i];
+            let o = outcomes[i];
             if o.state == JobState::Completed {
                 let (start, finish) = (o.start_time.unwrap_or(-1.0), o.finish_time.unwrap_or(-1.0));
                 elapsed_ok &= start >= self.submit_times[i] - EPS
@@ -353,7 +354,7 @@ impl CycleObserver for InvariantChecker {
         // terminal-immutability: terminal states and their timestamps are
         // frozen once reached.
         let mut immutable_ok = true;
-        for (i, o) in s.outcomes.iter().enumerate() {
+        for (i, o) in outcomes.iter().enumerate() {
             let (pstate, pstart, pfinish) = self.prev[i];
             if matches!(pstate, JobState::Completed | JobState::Canceled) {
                 immutable_ok &=
@@ -373,7 +374,7 @@ impl CycleObserver for InvariantChecker {
         // cancelled (terminal), never vanishes.
         let kill_cap = self.retry.map(|r| r.max_retries + 1);
         let mut retry_ok = true;
-        for (i, o) in s.outcomes.iter().enumerate() {
+        for (i, o) in outcomes.iter().enumerate() {
             retry_ok &= o.kills >= self.prev_kills[i];
             if let Some(cap) = kill_cap {
                 retry_ok &= o.kills <= cap;
@@ -447,7 +448,7 @@ impl CycleObserver for InvariantChecker {
 
         // metrics-sanity: aggregate metrics stay in-unit mid-run too.
         let live = Metrics {
-            outcomes: s.outcomes.to_vec(),
+            outcomes: s.outcomes().cloned().collect(),
             end_time: now,
             cycles: s.cycles,
             preemptions: 0,
