@@ -59,9 +59,6 @@ fn bench_distribution_math(c: &mut Criterion) {
     c.bench_function("survival_indexed_40pts", |b| {
         b.iter(|| black_box(dist.survival(black_box(400.0))))
     });
-    c.bench_function("survival_linear_40pts", |b| {
-        b.iter(|| black_box(dist.survival_linear(black_box(400.0))))
-    });
     c.bench_function("condition_elapsed", |b| {
         b.iter(|| black_box(dist.condition(black_box(400.0))))
     });
@@ -115,45 +112,6 @@ fn cycle_model() -> Model {
     m
 }
 
-/// Not a timing benchmark: counts mass-point entries examined by the
-/// capacity-row survival queries of a representative cycle (64 jobs × 12
-/// options probed at 8 set × 8 slot rows), for the binary-search table vs
-/// the linear scan it replaced. Printed so the report can show the ≥2×
-/// per-cycle scan-op reduction.
-fn report_scan_op_reduction() {
-    use threesigma::dist::scan_ops;
-    let samples: Vec<f64> = (0..500).map(|i| 50.0 + (i % 97) as f64 * 13.0).collect();
-    let rd = RuntimeDistribution::from_samples(&samples, 80).unwrap();
-    let dists: Vec<DiscreteDist> = (1..=64)
-        .map(|j| DiscreteDist::from_distribution(&rd, 40).scale(1.0 + j as f64 * 0.01))
-        .collect();
-    let queries: Vec<f64> = (0..8 * 8).map(|k| 30.0 * k as f64).collect();
-    let run = |f: &dyn Fn(&DiscreteDist, f64) -> f64| {
-        scan_ops::reset();
-        let mut acc = 0.0;
-        for d in &dists {
-            for opt in 0..12 {
-                for &t in &queries {
-                    acc += f(d, t - opt as f64 * 60.0);
-                }
-            }
-        }
-        black_box(acc);
-        scan_ops::get()
-    };
-    let linear = run(&|d, t| d.survival_linear(t));
-    let indexed = run(&|d, t| d.survival(t));
-    println!(
-        "scan_ops/cycle_capacity_rows              linear: {linear}  indexed: {indexed}  \
-         reduction: {:.1}x",
-        linear as f64 / indexed as f64
-    );
-    assert!(
-        indexed * 2 <= linear,
-        "expected ≥2× fewer scan ops (indexed={indexed}, linear={linear})"
-    );
-}
-
 fn bench_milp(c: &mut Criterion) {
     let model = cycle_model();
     let solver = BranchAndBound::with_config(SolverConfig {
@@ -170,10 +128,6 @@ fn bench_milp(c: &mut Criterion) {
         b.iter(|| black_box(solver.solve_with_warm_start(&model, Some(&warm))))
     });
     group.finish();
-}
-
-fn bench_scan_ops(_c: &mut Criterion) {
-    report_scan_op_reduction();
 }
 
 /// Observability overhead: the same end-to-end 3σSched run with the
@@ -214,7 +168,6 @@ criterion_group!(
     benches,
     bench_predictor,
     bench_distribution_math,
-    bench_scan_ops,
     bench_milp,
     bench_recorder_overhead
 );

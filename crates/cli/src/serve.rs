@@ -1991,6 +1991,34 @@ mod batch_loop {
             assert_eq!(field(i + 1, "id"), Value::UInt(id));
         }
     }
+
+    /// 200,000 `[` on one line fit the line cap but used to recurse the
+    /// JSON parser off the end of the stack, aborting the process past
+    /// every typed rejection. The parser now refuses the nesting, so the
+    /// line is one more malformed line: rejected, sampled, and the job
+    /// after it is accepted under its own line number.
+    #[test]
+    fn deeply_nested_line_is_rejected_and_the_stream_goes_on() {
+        let data = format!("{}\n{}\n", "[".repeat(200_000), job(2, 1, 20));
+        let (out, wire) = run("nested", data.as_bytes(), &[usize::MAX], true, &[]);
+        assert!(out.line.contains("submitted=1"), "{}", out.line);
+        assert!(out.line.contains("completed=1"), "{}", out.line);
+        assert!(out.line.contains("rejected=1"), "{}", out.line);
+        assert!(out.line.contains("quarantined=1"), "{}", out.line);
+        assert_eq!(out.quarantine.lines().count(), 1);
+        let got = responses(&wire.writes.concat());
+        let field = |i: usize, key: &str| got[i].get(key).cloned().unwrap();
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert_eq!(field(0, "line"), Value::UInt(1));
+        assert_eq!(field(0, "status"), Value::String("rejected".into()));
+        assert_eq!(field(0, "reason"), Value::String("malformed".into()));
+        let detail = field(0, "detail");
+        let detail = detail.as_str().unwrap();
+        assert!(detail.contains("recursion limit"), "{detail}");
+        assert_eq!(field(1, "line"), Value::UInt(2));
+        assert_eq!(field(1, "status"), Value::String("accepted".into()));
+        assert_eq!(field(1, "id"), Value::UInt(2));
+    }
 }
 
 /// Property tests: the wire job parser is total. Every byte string a

@@ -19,33 +19,6 @@
 
 use threesigma_histogram::{Dist, RuntimeDistribution};
 
-/// Instrumentation: counts mass-point entries examined by survival queries.
-///
-/// [`DiscreteDist::survival_linear`] charges one op per point;
-/// [`DiscreteDist::survival`] charges one op per binary-search probe plus
-/// one for the table lookup. The `micro_latency` bench uses the counter to
-/// demonstrate the scan-op reduction of the precomputed table; the counter
-/// has no effect on results.
-pub mod scan_ops {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static OPS: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn add(n: u64) {
-        OPS.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Resets the global counter to zero.
-    pub fn reset() {
-        OPS.store(0, Ordering::Relaxed);
-    }
-
-    /// Current counter value (entries examined since the last reset).
-    pub fn get() -> u64 {
-        OPS.load(Ordering::Relaxed)
-    }
-}
-
 /// A discrete runtime distribution: sorted `(runtime, probability)` points
 /// with probabilities summing to 1, plus a precomputed survival table.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +36,12 @@ impl DiscreteDist {
     /// Each `suffix[k]` is accumulated left-to-right over `points[k..]`, in
     /// the same order as the linear scan it replaces, so lookups agree
     /// exactly (not just approximately) with [`Self::survival_linear`].
-    /// The O(n²) construction is amortised across cycles by the scheduler's
-    /// estimate cache (n ≤ the configured `mass_points`, typically 40).
+    /// The construction is O(n²) (n ≤ the configured `mass_points`,
+    /// typically 40) and nothing amortises it: every caller pays it once
+    /// per distribution built. In the scheduler those are estimate-cache
+    /// misses (a new or re-estimated job) and, for a running attempt, each
+    /// time its elapsed time crosses a mass point — the compile stage keeps
+    /// the conditional in between (`sched::compile`).
     fn with_points(points: Vec<(f64, f64)>) -> Self {
         let n = points.len();
         // Every entry — including the empty tail at k = n — uses the same
@@ -152,19 +129,13 @@ impl DiscreteDist {
     /// O(log n): binary search for the first point past `t`, then a suffix
     /// table lookup. Agrees exactly with [`Self::survival_linear`].
     pub fn survival(&self, t: f64) -> f64 {
-        let mut probes = 0u64;
-        let k = self.points.partition_point(|&(ti, _)| {
-            probes += 1;
-            ti <= t
-        });
-        scan_ops::add(probes + 1);
+        let k = self.points.partition_point(|&(ti, _)| ti <= t);
         self.suffix[k]
     }
 
     /// Reference O(n) survival: the filter-and-sum scan the suffix table
     /// replaced. Kept public so property tests can assert exact agreement.
     pub fn survival_linear(&self, t: f64) -> f64 {
-        scan_ops::add(self.points.len() as u64);
         self.points
             .iter()
             .filter(|(ti, _)| *ti > t)
@@ -266,26 +237,6 @@ mod tests {
                 assert_eq!(dd.survival(t).to_bits(), dd.survival_linear(t).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn binary_search_survival_uses_fewer_scan_ops() {
-        let d = uniform_0_10();
-        assert!(d.points().len() >= 16, "need a non-trivial point count");
-        scan_ops::reset();
-        for t in [1.0, 3.0, 5.0, 7.0, 9.0] {
-            let _ = d.survival_linear(t);
-        }
-        let linear = scan_ops::get();
-        scan_ops::reset();
-        for t in [1.0, 3.0, 5.0, 7.0, 9.0] {
-            let _ = d.survival(t);
-        }
-        let indexed = scan_ops::get();
-        assert!(
-            indexed * 2 <= linear,
-            "expected ≥2× fewer ops: indexed={indexed} linear={linear}"
-        );
     }
 
     #[test]

@@ -1,0 +1,666 @@
+//! Stage 2 of the 3σSched cycle: compile the generated options and the
+//! running set into the cycle's MILP.
+//!
+//! The pending side is cheap (one binary per option, one demand row per
+//! job). The running side is what a large cluster pays for: every running
+//! attempt's prior is conditioned on its elapsed time (Eq. 2) and charged
+//! to every capacity row (Eq. 3). [`RunningTable`] keeps that per-attempt
+//! state across cycles and rebuilds it only when it can change:
+//!
+//! * **The conditional** `P(T | T > elapsed)` keeps exactly the mass points
+//!   `t > elapsed`. Built at `from`, it is reused while the prior is the
+//!   same `Arc` and `from ≤ elapsed < lower()` — no point lies in
+//!   `(from, elapsed]`, so [`DiscreteDist::condition`] would keep the same
+//!   points and renormalise by the same sum. The exhausted (exp-inc) case is
+//!   never cached, and a tiny-mass `point(elapsed)` conditional has
+//!   `lower() == from`, which the strict bound rejects.
+//! * **Grid survivals.** Slot 0 is `now`, but later slots sit on the
+//!   absolute `slot_width` grid, so `survival(slot − start)` at those slots
+//!   is a function of the conditional and the grid alone; it is recomputed
+//!   only when either changes.
+//!
+//! Both are value-exact, so the compiled model is bit-identical to a
+//! from-scratch compile; the differential tests clear the table before
+//! every cycle and compare MILP text.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use threesigma_cluster::{JobId, JobSpec, SimulationView};
+use threesigma_milp::{Cmp, Model, VarId};
+
+use crate::dist::DiscreteDist;
+use crate::sched::feasibility::mask_capacity;
+use crate::sched::options::{CompiledOption, EstimateCache, JobOptions, OptionBuckets, RackMask};
+use crate::sched::shard::ShardPlan;
+use crate::sched::threesigma::SchedConfig;
+
+/// Stage 1's output, as stage 2 reads it. The three per-job slices are
+/// parallel (one entry per considered job, urgency order).
+pub(crate) struct Generated<'a> {
+    /// Jobs considered this cycle.
+    pub considered: &'a [&'a JobSpec],
+    /// Home mask group of each considered job.
+    pub job_groups: &'a [usize],
+    /// Valued options of each considered job.
+    pub job_options: &'a [JobOptions],
+    /// Distinct (group, equivalence-set mask) pairs that get capacity rows.
+    pub space_masks: &'a [(usize, RackMask)],
+    /// Partition → mask-group layout.
+    pub plan: &'a ShardPlan,
+    /// Start-slot times; slot 0 is `now`, later slots are grid-aligned.
+    pub slots: &'a [f64],
+}
+
+/// A running attempt's column in the compiled model.
+pub(crate) struct RunningJob {
+    /// The running job.
+    pub id: JobId,
+    /// Preemption indicator (best-effort jobs, preemption enabled).
+    pub preempt_var: Option<VarId>,
+}
+
+/// The running set as compiled: one [`RunningJob`] per attempt in view
+/// order, with the per-partition node counts in one flat buffer.
+pub(crate) struct RunningSide {
+    jobs: Vec<RunningJob>,
+    /// `jobs.len()` rows of `stride` node counts.
+    nodes: Vec<u32>,
+    stride: usize,
+}
+
+impl RunningSide {
+    /// Each running attempt with the nodes it holds per partition.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&RunningJob, &[u32])> {
+        self.jobs.iter().zip(self.nodes.chunks_exact(self.stride))
+    }
+}
+
+/// Stage 2's output: the MILP plus what extraction needs to read a
+/// solution back.
+pub(crate) struct CompiledModel {
+    /// The cycle's MILP.
+    pub model: Model,
+    /// Options that got a binary, in variable order.
+    pub compiled: Vec<CompiledOption>,
+    /// The running set and its preemption indicators.
+    pub running: RunningSide,
+    /// SLO jobs whose every option is worthless (cancelled if configured).
+    pub hopeless: Vec<JobId>,
+    /// Options dropped because their gang cannot fit under the mask (scale
+    /// mode only).
+    pub pruned: u64,
+}
+
+/// Exp-inc under-estimate state for one running attempt (§4.2.1).
+#[derive(Debug, Clone, Copy)]
+struct UnderEst {
+    increments: u32,
+    est_total_runtime: f64,
+}
+
+/// §4.2.1 exponential-increment step with saturating arithmetic.
+///
+/// Advances the attempt's estimated total runtime to `elapsed + 2^t · hint`
+/// until it exceeds `elapsed`. The `2^t` factor is computed in `u64` with
+/// `checked_shl` and capped once `t` reaches 64, so a long-outlived
+/// under-estimate can never push the factor to `inf` (which previously
+/// produced a `point(inf)` distribution and NaN survival terms in the
+/// MILP). If `hint` is so small it is absorbed by `elapsed` in floating
+/// point, the estimate still makes forward progress instead of looping.
+fn exp_inc(ue: &mut UnderEst, elapsed: f64, hint: f64) -> f64 {
+    while ue.est_total_runtime <= elapsed {
+        ue.increments = ue.increments.saturating_add(1);
+        let factor = 1u64
+            .checked_shl(ue.increments)
+            .map_or(u64::MAX as f64, |f| f as f64);
+        ue.est_total_runtime = (elapsed + factor * hint).min(f64::MAX);
+        if ue.increments >= 64 {
+            // The doubling factor has saturated; guarantee progress even
+            // when `factor * hint` underflows against `elapsed`.
+            if ue.est_total_runtime <= elapsed {
+                ue.est_total_runtime = (elapsed * 2.0).min(f64::MAX).max(elapsed + 1.0);
+            }
+            break;
+        }
+    }
+    ue.est_total_runtime
+}
+
+/// An attempt's Eq. 2 conditional and the survivals derived from it.
+struct Conditional {
+    /// The pinned (placement-scaled) estimate this was conditioned from.
+    prior: Arc<DiscreteDist>,
+    /// `prior.condition(from)`.
+    dist: DiscreteDist,
+    /// Elapsed time `dist` was built at.
+    from: f64,
+    /// `dist.survival(slot − start)` at the grid slots of `grid_epoch`.
+    grid: Vec<f64>,
+    /// [`RunningTable::grid_epoch`] `grid` was computed under; 0 = never.
+    grid_epoch: u64,
+}
+
+impl Conditional {
+    /// True when conditioning `prior` on `elapsed` would rebuild `dist`
+    /// bit for bit (see the module docs).
+    fn holds(&self, prior: &Arc<DiscreteDist>, elapsed: f64) -> bool {
+        Arc::ptr_eq(&self.prior, prior) && self.from <= elapsed && elapsed < self.dist.lower()
+    }
+
+    /// The conditional of `prior` at `elapsed`, reusing `cached` when exact.
+    fn refresh(cached: Option<Self>, prior: &Arc<DiscreteDist>, elapsed: f64) -> Self {
+        match cached {
+            Some(c) if c.holds(prior, elapsed) => c,
+            _ => Self {
+                prior: prior.clone(),
+                dist: prior.condition(elapsed),
+                from: elapsed,
+                grid: Vec::new(),
+                grid_epoch: 0,
+            },
+        }
+    }
+
+    /// Survivals at the grid slots `later` (absolute times) for an attempt
+    /// started at `start`, recomputed only under a new grid epoch.
+    fn grid_survivals(&mut self, later: &[f64], epoch: u64, start: f64) -> &[f64] {
+        if self.grid_epoch != epoch {
+            self.grid.clear();
+            self.grid
+                .extend(later.iter().map(|t| self.dist.survival(t - start)));
+            self.grid_epoch = epoch;
+        }
+        &self.grid
+    }
+}
+
+/// Per-attempt state, alive exactly as long as the attempt is running.
+#[derive(Default)]
+struct Attempt {
+    /// Compile cycle that last saw the attempt running.
+    seen: u64,
+    /// Exp-inc state once the attempt has outlived its prior. Decisions
+    /// depend on it, unlike `cond`.
+    underest: Option<UnderEst>,
+    /// Derived state: dropping it only costs a rebuild.
+    cond: Option<Conditional>,
+}
+
+/// Cross-cycle table of running attempts keyed by (job, attempt-start
+/// bits); owns the running side of MILP compilation. Ordered map: the
+/// liveness sweep iterates it.
+#[derive(Default)]
+pub(crate) struct RunningTable {
+    attempts: BTreeMap<(JobId, u64), Attempt>,
+    /// Compile cycles so far; the liveness stamp.
+    cycle: u64,
+    /// The grid slots (`slots[1..]`) the current `grid_epoch` stands for.
+    grid: Vec<f64>,
+    grid_epoch: u64,
+}
+
+impl RunningTable {
+    /// Drops every cached conditional, keeping exp-inc state, so the next
+    /// compile rebuilds the running side from scratch.
+    #[cfg(test)]
+    pub(crate) fn forget_conditionals(&mut self) {
+        for a in self.attempts.values_mut() {
+            a.cond = None;
+        }
+    }
+
+    /// Compiles the cycle's MILP: a binary and demand row per generated
+    /// option, a preemption indicator per running best-effort job, and one
+    /// capacity row per (equivalence set, slot) charging options (Eq. 3)
+    /// and running attempts (Eq. 2) their expected consumption.
+    pub(crate) fn compile(
+        &mut self,
+        cfg: &SchedConfig,
+        view: &SimulationView<'_>,
+        now: f64,
+        gen: &Generated<'_>,
+        cache: &mut EstimateCache,
+        estimate: impl Fn(&JobSpec) -> DiscreteDist,
+    ) -> CompiledModel {
+        let Generated {
+            plan,
+            slots,
+            space_masks,
+            ..
+        } = *gen;
+        let multi_group = plan.num_groups() > 1;
+        let mut model = Model::new();
+        let mut compiled: Vec<CompiledOption> = Vec::new();
+        let mut hopeless: Vec<JobId> = Vec::new();
+        let mut pruned = 0u64;
+        let jobs = gen
+            .job_options
+            .iter()
+            .zip(gen.considered)
+            .zip(gen.job_groups);
+        for (job_idx, ((jo, spec), &group)) in jobs.enumerate() {
+            let (group_start, group_len) = plan.group_range(group);
+            let mut vars = Vec::with_capacity(jo.options.len());
+            for o in &jo.options {
+                // Scale mode only: drop options whose gang cannot fit the
+                // static capacity under the mask, so a group never carries
+                // dead MILP variables. Gated on `multi_group` so the
+                // single-group path stays bit-identical to the sequential
+                // scheduler.
+                if multi_group
+                    && spec.tasks > mask_capacity(view.cluster, group_start, group_len, o.mask)
+                {
+                    pruned += 1;
+                    continue;
+                }
+                let var = model.add_binary(o.utility);
+                compiled.push(CompiledOption {
+                    job_idx,
+                    var,
+                    slot: o.slot,
+                    mask: o.mask,
+                    dist: o.dist.clone(),
+                    tasks: spec.tasks as f64,
+                    group,
+                });
+                vars.push(var);
+            }
+            if vars.is_empty() {
+                if cfg.cancel_hopeless && spec.kind.is_slo() && jo.best_utility <= 1e-9 {
+                    hopeless.push(spec.id);
+                }
+                continue;
+            }
+            // Demand: at most one option per job.
+            let terms: Vec<(VarId, f64)> = vars.iter().map(|v| (*v, 1.0)).collect();
+            model.add_constraint(&terms, Cmp::Le, 1.0);
+            model.add_sos1(&vars);
+        }
+
+        // Running jobs: conditional consumption + preemption. One row of
+        // `nodes` and one of `survivals` per running attempt, in view order.
+        self.cycle += 1;
+        let later = slots.get(1..).unwrap_or_default();
+        if self.grid != later {
+            self.grid = later.to_vec();
+            self.grid_epoch += 1;
+        }
+        let Self {
+            attempts,
+            cycle,
+            grid_epoch,
+            ..
+        } = self;
+        let stride = view.cluster.num_partitions().max(1);
+        let mut running: Vec<RunningJob> = Vec::with_capacity(view.running.len());
+        let mut nodes = vec![0u32; view.running.len() * stride];
+        let mut survivals: Vec<f64> = Vec::with_capacity(view.running.len() * slots.len());
+        for (r, nodes_by_part) in view.running.iter().zip(nodes.chunks_exact_mut(stride)) {
+            let elapsed = r.elapsed(now);
+            let base = cache.base(r.spec.id, || estimate(r.spec));
+            // A running attempt's estimate stays pinned: Eq. 2 must keep
+            // renormalising the prior the plan was built on.
+            cache.pin(r.spec.id);
+            // Scale by the placement actually chosen for this attempt.
+            let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
+                r.allocation
+                    .iter()
+                    .any(|(p, n)| *n > 0 && !pref.contains(p))
+            });
+            let prior = if off_pref {
+                cache
+                    .scaled(r.spec.id, r.spec.nonpreferred_slowdown)
+                    .unwrap_or_else(|| base.clone())
+            } else {
+                base
+            };
+            let attempt = attempts
+                .entry((r.spec.id, r.start_time.to_bits()))
+                .or_default();
+            attempt.seen = *cycle;
+            let start = r.start_time;
+            if prior.is_exhausted_at(elapsed) {
+                // §4.2.1: exponential-increment under-estimate handling.
+                attempt.cond = None;
+                let ue = attempt.underest.get_or_insert(UnderEst {
+                    increments: 0,
+                    est_total_runtime: elapsed + cfg.cycle_hint,
+                });
+                let point = DiscreteDist::point(exp_inc(ue, elapsed, cfg.cycle_hint));
+                survivals.extend(slots.iter().map(|t| point.survival(t - start)));
+            } else {
+                let cached = attempt.cond.take();
+                let cond = attempt
+                    .cond
+                    .insert(Conditional::refresh(cached, &prior, elapsed));
+                survivals.extend(slots.first().map(|t| cond.dist.survival(t - start)));
+                survivals.extend_from_slice(cond.grid_survivals(later, *grid_epoch, start));
+            }
+            for (p, n) in r.allocation {
+                if let Some(held) = nodes_by_part.get_mut(p.index()) {
+                    *held += n;
+                }
+            }
+            let preempt_var = if cfg.preemption_enabled && !r.spec.kind.is_slo() {
+                Some(model.add_binary(-cfg.preemption_cost * r.spec.utility_weight.max(1.0)))
+            } else {
+                None
+            };
+            running.push(RunningJob {
+                id: r.spec.id,
+                preempt_var,
+            });
+        }
+        // Attempts that are no longer running take their state with them.
+        attempts.retain(|_, a| a.seen == *cycle);
+
+        // Capacity rows per (equivalence set, slot). The (mask, slot)
+        // buckets hand each row exactly the options contained in its set
+        // that have started by its slot — no full-option scan per row.
+        let buckets = OptionBuckets::build(&compiled, slots.len());
+        let mut footprints: Vec<u32> = Vec::with_capacity(running.len());
+        for &(g, mask) in space_masks {
+            let (group_start, group_len) = plan.group_range(g);
+            let cap = mask_capacity(view.cluster, group_start, group_len, mask) as f64;
+            // `mask` bits are group-local: bit i ↔ global partition
+            // group_start + i (identity on single-group clusters).
+            footprints.clear();
+            footprints.extend(nodes.chunks_exact(stride).map(|row| {
+                row.iter()
+                    .skip(group_start)
+                    .take(group_len)
+                    .enumerate()
+                    .filter(|(i, _)| mask.contains(*i))
+                    .map(|(_, n)| *n)
+                    .sum::<u32>()
+            }));
+            for (si, &t) in slots.iter().enumerate() {
+                let mut terms: Vec<(VarId, f64)> = Vec::new();
+                buckets.for_each_contained(g, mask, si, |oi| {
+                    let opt = &compiled[oi];
+                    let rc = opt.dist.survival(t - slots[opt.slot]);
+                    let coeff = opt.tasks * rc;
+                    if coeff > 1e-6 {
+                        terms.push((opt.var, coeff));
+                    }
+                });
+                // Running usage inside this set, creditable by preemption.
+                let mut used = 0.0;
+                let at_slot = survivals.iter().skip(si).step_by(slots.len().max(1));
+                for ((ri, &nodes_in), &surv) in running.iter().zip(&footprints).zip(at_slot) {
+                    if nodes_in == 0 {
+                        continue;
+                    }
+                    let usage = nodes_in as f64 * surv;
+                    if usage <= 1e-6 {
+                        continue;
+                    }
+                    used += usage;
+                    if let Some(pv) = ri.preempt_var {
+                        terms.push((pv, -usage));
+                    }
+                }
+                if !terms.is_empty() {
+                    model.add_constraint(&terms, Cmp::Le, cap - used);
+                }
+            }
+        }
+        CompiledModel {
+            model,
+            compiled,
+            running: RunningSide {
+                jobs: running,
+                nodes,
+                stride,
+            },
+            hopeless,
+            pruned,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use threesigma_cluster::{ClusterSpec, JobKind, PartitionId, RunningJob as ViewJob};
+
+    #[test]
+    fn exp_inc_saturates_past_sixty_three_doublings() {
+        // Drive the doubling count far past 63: the 2^t factor must
+        // saturate instead of overflowing to inf (which produced a
+        // `point(inf)` distribution and NaN survival terms downstream).
+        let mut ue = UnderEst {
+            increments: 0,
+            est_total_runtime: 0.0,
+        };
+        // hint so small relative to elapsed's float granularity that even
+        // 2^63 · hint is absorbed — the doubling count must run all the
+        // way to the cap and still make finite forward progress.
+        let est = exp_inc(&mut ue, 1e30, 1e-6);
+        assert!(ue.increments >= 64, "t = {}", ue.increments);
+        assert!(est.is_finite(), "estimate must stay finite, got {est}");
+        assert!(est > 1e30, "estimate must exceed elapsed, got {est}");
+
+        // Repeated invocations with growing elapsed keep making finite
+        // forward progress; the increment counter saturates, never wraps.
+        let mut elapsed = est;
+        for _ in 0..10 {
+            let next = exp_inc(&mut ue, elapsed, 1e-6);
+            assert!(next.is_finite() && next > elapsed);
+            elapsed = next;
+        }
+
+        // The pre-saturation regime still doubles exactly as §4.2.1 asks.
+        let mut small = UnderEst {
+            increments: 0,
+            est_total_runtime: 0.0,
+        };
+        let est = exp_inc(&mut small, 100.0, 10.0);
+        assert_eq!(small.increments, 1);
+        assert_eq!(est, 100.0 + 2.0 * 10.0);
+        let est = exp_inc(&mut small, 130.0, 10.0);
+        assert_eq!(small.increments, 2);
+        assert_eq!(est, 130.0 + 4.0 * 10.0);
+    }
+
+    fn bits(d: &DiscreteDist) -> Vec<(u64, u64)> {
+        d.points()
+            .iter()
+            .map(|(t, p)| (t.to_bits(), p.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        /// The exactness oracle for the two reuse rules: along any
+        /// non-decreasing `elapsed` walk — onto, just short of and just
+        /// past support points, and beyond `upper()` — the carried
+        /// conditional and every survival it serves equal a fresh
+        /// `condition(elapsed)` bit for bit.
+        #[test]
+        fn carried_conditional_matches_a_fresh_one_bit_for_bit(
+            mut times in prop::collection::vec(1.0f64..500.0, 1..12),
+            weights in prop::collection::vec(0.0f64..1.0, 12),
+            tiny in prop::collection::vec(0u8..4, 12),
+            dups in prop::collection::vec(0u8..3, 12),
+            steps in prop::collection::vec(0.0f64..1.0, 60),
+            nudges in prop::collection::vec(0u8..4, 60),
+            regrids in prop::collection::vec(0u8..5, 60),
+        ) {
+            times.sort_by(f64::total_cmp);
+            // Duplicate abscissae and masses far below the 1e-12
+            // renormalisation floor.
+            for i in 1..times.len() {
+                if dups[i] == 0 {
+                    times[i] = times[i - 1];
+                }
+            }
+            let raw: Vec<f64> = (0..times.len())
+                .map(|i| if tiny[i] == 0 { 1e-15 } else { 0.05 + weights[i] })
+                .collect();
+            let total: f64 = raw.iter().sum();
+            let points: Vec<(f64, f64)> =
+                times.iter().zip(&raw).map(|(t, w)| (*t, w / total)).collect();
+            let prior = Arc::new(DiscreteDist::from_points(points));
+
+            let start = 17.0;
+            let mut elapsed = 0.0f64;
+            let mut epoch = 1u64;
+            let mut later = vec![60.0, 120.0, 180.0, 240.0];
+            let mut carried: Option<Conditional> = None;
+            for ((step, nudge), regrid) in steps.iter().zip(&nudges).zip(&regrids) {
+                // Walk to a random support point (or past the last one),
+                // landing exactly on it, one ulp short, or one ulp past.
+                let k = (step * (times.len() + 1) as f64) as usize;
+                let target = times.get(k).copied().unwrap_or(prior.upper() + 100.0 * step);
+                let target = match nudge {
+                    0 => target,
+                    1 => f64::from_bits(target.to_bits() - 1),
+                    2 => f64::from_bits(target.to_bits() + 1),
+                    _ => elapsed + step,
+                };
+                elapsed = elapsed.max(target);
+                if *regrid == 0 {
+                    later = later.iter().map(|t| t + 60.0).collect();
+                    epoch += 1;
+                } else if *regrid == 1 {
+                    later.pop();
+                    epoch += 1;
+                }
+                if prior.is_exhausted_at(elapsed) {
+                    carried = None;
+                    continue;
+                }
+                let mut c = Conditional::refresh(carried.take(), &prior, elapsed);
+                let fresh = prior.condition(elapsed);
+                prop_assert_eq!(bits(&c.dist), bits(&fresh), "conditional at {elapsed}");
+                let served = c.grid_survivals(&later, epoch, start).to_vec();
+                let expect: Vec<f64> = later.iter().map(|t| fresh.survival(t - start)).collect();
+                prop_assert_eq!(
+                    served.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    expect.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "grid survivals at {elapsed}"
+                );
+                for t in [elapsed, elapsed + 1.0, prior.upper(), 1e9] {
+                    prop_assert_eq!(c.dist.survival(t).to_bits(), fresh.survival(t).to_bits());
+                }
+                carried = Some(c);
+            }
+        }
+    }
+
+    #[test]
+    fn conditional_is_carried_between_mass_points_only() {
+        let prior = Arc::new(DiscreteDist::from_points(vec![
+            (100.0, 0.25),
+            (200.0, 0.25),
+            (300.0, 0.5),
+        ]));
+        let c = Conditional::refresh(None, &prior, 10.0);
+        assert_eq!(c.from, 10.0);
+        // Still short of the first point: carried, `from` untouched.
+        let c = Conditional::refresh(Some(c), &prior, 99.0);
+        assert_eq!(c.from, 10.0);
+        // Landing on a point drops it (`t > elapsed` is strict): rebuilt.
+        let c = Conditional::refresh(Some(c), &prior, 100.0);
+        assert_eq!(c.from, 100.0);
+        assert_eq!(c.dist.lower(), 200.0);
+        // An equal prior behind a different `Arc` is a different prior.
+        let twin = Arc::new((*prior).clone());
+        let c = Conditional::refresh(Some(c), &twin, 150.0);
+        assert_eq!(c.from, 150.0);
+        assert!(Arc::ptr_eq(&c.prior, &twin));
+        // Time running backwards is not covered by the carried state.
+        let c = Conditional::refresh(Some(c), &twin, 120.0);
+        assert_eq!(c.from, 120.0);
+    }
+
+    /// Compiles a cycle with nothing pending and job 7 running (or, with
+    /// `running` false, finished) and returns the MILP text.
+    fn compile_cycle(
+        table: &mut RunningTable,
+        cache: &mut EstimateCache,
+        now: f64,
+        estimate: &DiscreteDist,
+        running: bool,
+    ) -> String {
+        let cluster = ClusterSpec::uniform(2, 4);
+        let spec = JobSpec::new(7, 0.0, 3, 500.0, JobKind::BestEffort);
+        let allocation = [(PartitionId(0), 2), (PartitionId(1), 1)];
+        let attempt = ViewJob {
+            spec: &spec,
+            start_time: 4.0,
+            allocation: &allocation,
+        };
+        let view = SimulationView {
+            cluster: &cluster,
+            pending: Vec::new(),
+            running: if running { vec![attempt] } else { Vec::new() },
+            free: &[2, 3],
+            now,
+        };
+        let plan = ShardPlan::new(2, 1);
+        let generated = Generated {
+            considered: &[],
+            job_groups: &[],
+            job_options: &[],
+            space_masks: &[(0, plan.group_mask(0)), (0, RackMask::single(1))],
+            plan: &plan,
+            slots: &[now, 60.0, 120.0, 180.0],
+        };
+        let cfg = SchedConfig::default();
+        let compiled = table.compile(&cfg, &view, now, &generated, cache, |_| estimate.clone());
+        assert_eq!(compiled.running.iter().count(), usize::from(running));
+        compiled.model.to_text()
+    }
+
+    fn compile_running(
+        table: &mut RunningTable,
+        cache: &mut EstimateCache,
+        now: f64,
+        estimate: &DiscreteDist,
+    ) -> String {
+        compile_cycle(table, cache, now, estimate, true)
+    }
+
+    #[test]
+    fn swapped_prior_is_detected_and_reconditioned() {
+        let first = DiscreteDist::from_points(vec![(100.0, 0.5), (200.0, 0.5)]);
+        let second = DiscreteDist::from_points(vec![(50.0, 0.5), (300.0, 0.5)]);
+        let mut table = RunningTable::default();
+        let mut cache = EstimateCache::new();
+        let before = compile_running(&mut table, &mut cache, 10.0, &first);
+        // The entry is dropped and re-estimated between cycles; elapsed is
+        // still short of the carried conditional's first point, so only
+        // the `Arc` identity tells the two priors apart.
+        cache.invalidate(JobId(7));
+        let swapped = compile_running(&mut table, &mut cache, 12.0, &second);
+        let scratch = compile_running(
+            &mut RunningTable::default(),
+            &mut EstimateCache::new(),
+            12.0,
+            &second,
+        );
+        assert_eq!(swapped, scratch);
+        assert_ne!(swapped, before);
+        // Same prior, next cycle: carried state and a cleared table agree.
+        let carried = compile_running(&mut table, &mut cache, 14.0, &second);
+        table.forget_conditionals();
+        let rebuilt = compile_running(&mut table, &mut cache, 14.0, &second);
+        assert_eq!(carried, rebuilt);
+    }
+
+    #[test]
+    fn finished_attempts_leave_the_table() {
+        let d = DiscreteDist::from_points(vec![(100.0, 1.0)]);
+        let mut table = RunningTable::default();
+        let mut cache = EstimateCache::new();
+        let busy = compile_running(&mut table, &mut cache, 10.0, &d);
+        assert_eq!(table.attempts.len(), 1);
+        let idle = compile_cycle(&mut table, &mut cache, 12.0, &d, false);
+        assert!(table.attempts.is_empty());
+        assert_ne!(busy, idle);
+        assert_eq!(idle, Model::new().to_text(), "nothing left to constrain");
+    }
+}

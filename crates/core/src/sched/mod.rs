@@ -8,6 +8,7 @@
 
 pub mod backfill;
 pub mod clock;
+pub(crate) mod compile;
 pub mod feasibility;
 pub mod options;
 pub mod prio;

@@ -21,13 +21,16 @@
 //!    always feasible) under a node/time budget,
 //! 5. turns slot-zero selections into concrete per-rack gang allocations.
 //!
+//! Steps 3 and 4 are [`super::compile`], which also owns the per-attempt
+//! state they keep across cycles.
+//!
 //! Capacity rows are kept per *equivalence set* (each distinct preferred
 //! rack set, plus the whole cluster) rather than per rack; the extraction
 //! step re-validates against true per-rack free capacity and leaves a job
 //! pending if its gang cannot actually be packed (a rare Hall-condition
 //! corner; see DESIGN.md).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,17 +42,13 @@ use threesigma_cluster::{
     JobId, JobSpec, PartitionId, Placement, Scheduler, SchedulingDecision, SimulationView,
 };
 use threesigma_histogram::RuntimeDistribution;
-use threesigma_milp::{
-    solver_for_tier, Cmp, IncrementalSolver, Model, Solver, SolverConfig, VarId,
-};
+use threesigma_milp::{solver_for_tier, IncrementalSolver, Solver, SolverConfig};
 use threesigma_obs::{Counter, Gauge, Histogram, Recorder};
 use threesigma_predict::{AttributeSource, EstimatorKind, Predictor, PredictorConfig};
 
 use crate::dist::DiscreteDist;
-use crate::sched::feasibility::mask_capacity;
-use crate::sched::options::{
-    self, CacheStats, CompiledOption, EstimateCache, GenInput, OptionBuckets, RackMask,
-};
+use crate::sched::compile::{CompiledModel, Generated, RunningTable};
+use crate::sched::options::{self, CacheStats, CompiledOption, EstimateCache, GenInput, RackMask};
 use crate::sched::shard::ShardPlan;
 use crate::utility::UtilityCurve;
 
@@ -319,41 +318,6 @@ pub struct CycleTiming {
     pub cost_units: u64,
     /// Configured worker shards the decide stage fanned out over.
     pub shards: usize,
-}
-
-/// Exp-inc under-estimate state for one running attempt (§4.2.1).
-#[derive(Debug, Clone, Copy)]
-struct UnderEst {
-    increments: u32,
-    est_total_runtime: f64,
-}
-
-/// §4.2.1 exponential-increment step with saturating arithmetic.
-///
-/// Advances the attempt's estimated total runtime to `elapsed + 2^t · hint`
-/// until it exceeds `elapsed`. The `2^t` factor is computed in `u64` with
-/// `checked_shl` and capped once `t` reaches 64, so a long-outlived
-/// under-estimate can never push the factor to `inf` (which previously
-/// produced a `point(inf)` distribution and NaN survival terms in the
-/// MILP). If `hint` is so small it is absorbed by `elapsed` in floating
-/// point, the estimate still makes forward progress instead of looping.
-fn exp_inc(ue: &mut UnderEst, elapsed: f64, hint: f64) -> f64 {
-    while ue.est_total_runtime <= elapsed {
-        ue.increments = ue.increments.saturating_add(1);
-        let factor = 1u64
-            .checked_shl(ue.increments)
-            .map_or(u64::MAX as f64, |f| f as f64);
-        ue.est_total_runtime = (elapsed + factor * hint).min(f64::MAX);
-        if ue.increments >= 64 {
-            // The doubling factor has saturated; guarantee progress even
-            // when `factor * hint` underflows against `elapsed`.
-            if ue.est_total_runtime <= elapsed {
-                ue.est_total_runtime = (elapsed * 2.0).min(f64::MAX).max(elapsed + 1.0);
-            }
-            break;
-        }
-    }
-    ue.est_total_runtime
 }
 
 /// Adapter exposing cluster attributes to the predictor.
@@ -833,9 +797,9 @@ pub struct ThreeSigmaScheduler {
     /// Cross-cycle cache of per-job discretised distributions (base and
     /// slowdown-scaled), epoch-invalidated as the predictor learns.
     cache: EstimateCache,
-    /// Exp-inc state keyed by (job, attempt-start bits). Ordered map: the
-    /// retain sweep below iterates it, and iteration order must be stable.
-    underest: BTreeMap<(JobId, u64), UnderEst>,
+    /// Per-attempt state of the running set (exp-inc, Eq. 2 conditionals),
+    /// owned by the compile stage.
+    running: RunningTable,
     timings: Vec<CycleTiming>,
     plans: Vec<PlanRecord>,
     /// Per-cycle MILP dumps in fixture text (empty unless `record_models`).
@@ -871,7 +835,7 @@ impl ThreeSigmaScheduler {
             source,
             predictor: Predictor::new(predictor_config),
             cache,
-            underest: BTreeMap::new(),
+            running: RunningTable::default(),
             timings: Vec::new(),
             plans: Vec::new(),
             models: Vec::new(),
@@ -1172,7 +1136,7 @@ impl Scheduler for ThreeSigmaScheduler {
             cache,
             source,
             predictor,
-            underest,
+            running,
             timings,
             plans,
             models,
@@ -1296,164 +1260,25 @@ impl Scheduler for ThreeSigmaScheduler {
 
         // ---- Stage 2: compile the MILP. ----
         let compile_start = Stopwatch::start();
-        let mut model = Model::new();
-        let mut compiled: Vec<CompiledOption> = Vec::new();
-        let mut hopeless: Vec<JobId> = Vec::new();
-        for (job_idx, jo) in job_options.iter().enumerate() {
-            let spec = considered[job_idx];
-            let group = job_groups[job_idx];
-            let (group_start, group_len) = plan.group_range(group);
-            let mut vars = Vec::with_capacity(jo.options.len());
-            for o in &jo.options {
-                // Scale mode only: drop options whose gang cannot fit the
-                // static capacity under the mask, so a group never carries
-                // dead MILP variables. Gated on `multi_group` so the
-                // single-group path stays bit-identical to the sequential
-                // scheduler.
-                if multi_group
-                    && spec.tasks > mask_capacity(view.cluster, group_start, group_len, o.mask)
-                {
-                    totals.options_pruned += 1;
-                    continue;
-                }
-                let var = model.add_binary(o.utility);
-                compiled.push(CompiledOption {
-                    job_idx,
-                    var,
-                    slot: o.slot,
-                    mask: o.mask,
-                    dist: o.dist.clone(),
-                    tasks: spec.tasks as f64,
-                    group,
-                });
-                vars.push(var);
-            }
-            if vars.is_empty() {
-                if cfg.cancel_hopeless && spec.kind.is_slo() && jo.best_utility <= 1e-9 {
-                    hopeless.push(spec.id);
-                }
-                continue;
-            }
-            // Demand: at most one option per job.
-            let terms: Vec<(VarId, f64)> = vars.iter().map(|v| (*v, 1.0)).collect();
-            model.add_constraint(&terms, Cmp::Le, 1.0);
-            model.add_sos1(&vars);
-        }
+        let generated = Generated {
+            considered: &considered,
+            job_groups: &job_groups,
+            job_options: &job_options,
+            space_masks: &space_masks,
+            plan: &plan,
+            slots: &slots,
+        };
+        let CompiledModel {
+            model,
+            compiled,
+            hopeless,
+            pruned,
+            running: running_jobs,
+        } = running.compile(&cfg, view, now, &generated, cache, |spec| {
+            estimate_dist(source, predictor, cfg.mass_points, spec)
+        });
+        totals.options_pruned += pruned;
         decision.cancellations = hopeless;
-
-        // Running jobs: conditional consumption + preemption.
-        struct RunningInfo {
-            id: JobId,
-            nodes_by_part: Vec<u32>,
-            cond: DiscreteDist,
-            start: f64,
-            preempt_var: Option<VarId>,
-        }
-        let mut running_infos: Vec<RunningInfo> = Vec::new();
-        // Drop exp-inc state for attempts that are no longer running.
-        let live: std::collections::HashSet<(JobId, u64)> = view
-            .running
-            .iter()
-            .map(|r| (r.spec.id, r.start_time.to_bits()))
-            .collect();
-        underest.retain(|k, _| live.contains(k));
-
-        for r in &view.running {
-            let elapsed = r.elapsed(now);
-            let base = cache.base(r.spec.id, || {
-                estimate_dist(source, predictor, cfg.mass_points, r.spec)
-            });
-            // A running attempt's estimate stays pinned: Eq. 2 must keep
-            // renormalising the prior the plan was built on.
-            cache.pin(r.spec.id);
-            // Scale by the placement actually chosen for this attempt.
-            let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
-                r.allocation
-                    .iter()
-                    .any(|(p, n)| *n > 0 && !pref.contains(p))
-            });
-            let scaled = if off_pref {
-                cache
-                    .scaled(r.spec.id, r.spec.nonpreferred_slowdown)
-                    .unwrap_or_else(|| base.clone())
-            } else {
-                base
-            };
-            let cond = if scaled.is_exhausted_at(elapsed) {
-                // §4.2.1: exponential-increment under-estimate handling.
-                let key = (r.spec.id, r.start_time.to_bits());
-                let ue = underest.entry(key).or_insert(UnderEst {
-                    increments: 0,
-                    est_total_runtime: elapsed + cfg.cycle_hint,
-                });
-                DiscreteDist::point(exp_inc(ue, elapsed, cfg.cycle_hint))
-            } else {
-                scaled.condition(elapsed)
-            };
-            let mut nodes_by_part = vec![0u32; view.cluster.num_partitions()];
-            for (p, n) in r.allocation {
-                nodes_by_part[p.index()] += n;
-            }
-            let preempt_var = if cfg.preemption_enabled && !r.spec.kind.is_slo() {
-                Some(model.add_binary(-cfg.preemption_cost * r.spec.utility_weight.max(1.0)))
-            } else {
-                None
-            };
-            running_infos.push(RunningInfo {
-                id: r.spec.id,
-                nodes_by_part,
-                cond,
-                start: r.start_time,
-                preempt_var,
-            });
-        }
-
-        // Capacity rows per (equivalence set, slot). The (mask, slot)
-        // buckets hand each row exactly the options contained in its set
-        // that have started by its slot — no full-option scan per row.
-        let buckets = OptionBuckets::build(&compiled, slots.len());
-        for &(g, mask) in &space_masks {
-            let (group_start, group_len) = plan.group_range(g);
-            let cap = mask_capacity(view.cluster, group_start, group_len, mask) as f64;
-            for (si, &t) in slots.iter().enumerate() {
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                buckets.for_each_contained(g, mask, si, |oi| {
-                    let opt = &compiled[oi];
-                    let rc = opt.dist.survival(t - slots[opt.slot]);
-                    let coeff = opt.tasks * rc;
-                    if coeff > 1e-6 {
-                        terms.push((opt.var, coeff));
-                    }
-                });
-                // Running usage inside this set, creditable by preemption.
-                let mut used = 0.0;
-                for ri in &running_infos {
-                    // `mask` bits are group-local: bit i ↔ global partition
-                    // group_start + i (identity on single-group clusters).
-                    let nodes_in: u32 = ri.nodes_by_part[group_start..group_start + group_len]
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask.contains(*i))
-                        .map(|(_, n)| *n)
-                        .sum();
-                    if nodes_in == 0 {
-                        continue;
-                    }
-                    let surv = ri.cond.survival(t - ri.start);
-                    let usage = nodes_in as f64 * surv;
-                    if usage <= 1e-6 {
-                        continue;
-                    }
-                    used += usage;
-                    if let Some(pv) = ri.preempt_var {
-                        terms.push((pv, -usage));
-                    }
-                }
-                if !terms.is_empty() {
-                    model.add_constraint(&terms, Cmp::Le, cap - used);
-                }
-            }
-        }
         let compile_elapsed = compile_start.elapsed();
         if cfg.record_models {
             models.push(model.to_text());
@@ -1522,11 +1347,11 @@ impl Scheduler for ThreeSigmaScheduler {
             let x = &solution.values;
             // Preemptions first (their capacity becomes available now).
             let mut freed: Vec<u32> = vec![0; view.cluster.num_partitions()];
-            for ri in &running_infos {
+            for (ri, nodes_by_part) in running_jobs.iter() {
                 if let Some(pv) = ri.preempt_var {
                     if x[pv.index()] > 0.5 {
                         decision.preemptions.push(ri.id);
-                        for (p, n) in ri.nodes_by_part.iter().enumerate() {
+                        for (p, n) in nodes_by_part.iter().enumerate() {
                             freed[p] += n;
                         }
                     }
@@ -2136,45 +1961,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_inc_saturates_past_sixty_three_doublings() {
-        // Drive the doubling count far past 63: the 2^t factor must
-        // saturate instead of overflowing to inf (which produced a
-        // `point(inf)` distribution and NaN survival terms downstream).
-        let mut ue = UnderEst {
-            increments: 0,
-            est_total_runtime: 0.0,
-        };
-        // hint so small relative to elapsed's float granularity that even
-        // 2^63 · hint is absorbed — the doubling count must run all the
-        // way to the cap and still make finite forward progress.
-        let est = exp_inc(&mut ue, 1e30, 1e-6);
-        assert!(ue.increments >= 64, "t = {}", ue.increments);
-        assert!(est.is_finite(), "estimate must stay finite, got {est}");
-        assert!(est > 1e30, "estimate must exceed elapsed, got {est}");
-
-        // Repeated invocations with growing elapsed keep making finite
-        // forward progress; the increment counter saturates, never wraps.
-        let mut elapsed = est;
-        for _ in 0..10 {
-            let next = exp_inc(&mut ue, elapsed, 1e-6);
-            assert!(next.is_finite() && next > elapsed);
-            elapsed = next;
-        }
-
-        // The pre-saturation regime still doubles exactly as §4.2.1 asks.
-        let mut small = UnderEst {
-            increments: 0,
-            est_total_runtime: 0.0,
-        };
-        let est = exp_inc(&mut small, 100.0, 10.0);
-        assert_eq!(small.increments, 1);
-        assert_eq!(est, 100.0 + 2.0 * 10.0);
-        let est = exp_inc(&mut small, 130.0, 10.0);
-        assert_eq!(small.increments, 2);
-        assert_eq!(est, 130.0 + 4.0 * 10.0);
-    }
-
-    #[test]
     fn underestimated_job_survives_saturated_doubling_in_simulation() {
         // End-to-end: a grossly under-estimated job (history ~1 s, actual
         // 5000 s) with a tiny cycle hint accumulates many exp-inc steps;
@@ -2436,6 +2222,144 @@ mod tests {
         let stats = s.stats();
         assert!(stats.incremental_reuses <= stats.cycles);
         assert_eq!(stats.tier2_cycles, stats.cycles);
+    }
+
+    /// Runs the inner scheduler, optionally dropping every carried Eq. 2
+    /// conditional first, and logs what it decided.
+    struct Recording {
+        inner: ThreeSigmaScheduler,
+        forget: bool,
+        decisions: Vec<String>,
+        running_at_level: [usize; 3],
+    }
+
+    impl Scheduler for Recording {
+        fn on_job_submitted(&mut self, spec: &JobSpec, now: f64) {
+            self.inner.on_job_submitted(spec, now);
+        }
+        fn on_job_completed(
+            &mut self,
+            spec: &JobSpec,
+            outcome: &threesigma_cluster::JobOutcome,
+            now: f64,
+        ) {
+            self.inner.on_job_completed(spec, outcome, now);
+        }
+        fn on_job_killed(&mut self, spec: &JobSpec, elapsed: f64, will_retry: bool, now: f64) {
+            self.inner.on_job_killed(spec, elapsed, will_retry, now);
+        }
+        fn schedule(&mut self, view: &SimulationView<'_>, now: f64) -> SchedulingDecision {
+            if self.forget {
+                self.inner.running.forget_conditionals();
+            }
+            let d = self.inner.schedule(view, now);
+            self.running_at_level[self.inner.degradation_level() as usize] += view.running.len();
+            self.decisions.push(format!("{now}: {d:?}"));
+            d
+        }
+    }
+
+    #[test]
+    fn carried_running_state_compiles_the_same_models_as_a_cleared_table() {
+        use threesigma_cluster::FaultEvent;
+        // Runtimes of one job family spread over 30–300 s, so a running
+        // attempt's elapsed time keeps crossing mass points, and the jobs
+        // below that run past 300 s outlive the prior (exp-inc).
+        let attrs = || {
+            threesigma_cluster::Attributes::new()
+                .with("user", "u")
+                .with("job_name", "j")
+        };
+        let history: Vec<JobSpec> = (0..40)
+            .map(|i| {
+                let runtime = 30.0 + (i * 37 % 270) as f64;
+                JobSpec::new(1000 + i, 0.0, 1, runtime, JobKind::BestEffort)
+                    .with_attributes(attrs())
+            })
+            .collect();
+        // BE and SLO gangs on 4 racks × 4 nodes, every third job preferring
+        // rack 1; a burst at t = 40 overruns the work-unit budget, so the
+        // governor shrinks the window while attempts run and grows it back
+        // once the queue drains.
+        let mut jobs: Vec<JobSpec> = Vec::new();
+        for i in 0..20u64 {
+            let submit = if i < 8 {
+                i as f64 * 6.0
+            } else {
+                40.0 + (i - 8) as f64 * 0.5
+            };
+            let duration = 25.0 + (i * 53 % 380) as f64;
+            let kind = if i % 2 == 0 {
+                JobKind::Slo {
+                    deadline: submit + 700.0,
+                }
+            } else {
+                JobKind::BestEffort
+            };
+            let mut spec = JobSpec::new(i + 1, submit, 1 + (i % 4) as u32, duration, kind)
+                .with_weight(if i % 2 == 0 { 10.0 } else { 1.0 })
+                .with_attributes(attrs());
+            if i % 3 == 0 {
+                spec = spec.with_preference(vec![PartitionId(1)], 1.5);
+            }
+            jobs.push(spec);
+        }
+        let run = |forget: bool| {
+            let mut inner = ThreeSigmaScheduler::new(
+                SchedConfig {
+                    record_models: true,
+                    solver_nodes: 12,
+                    cycle_budget: CycleBudget::WorkUnits(100),
+                    ..SchedConfig::default()
+                },
+                EstimateSource::Predicted,
+                PredictorConfig::default(),
+            );
+            inner.pretrain(&history);
+            let mut s = Recording {
+                inner,
+                forget,
+                decisions: Vec::new(),
+                running_at_level: [0; 3],
+            };
+            let eng = Engine::new(
+                ClusterSpec::uniform(4, 4),
+                EngineConfig {
+                    cycle_interval: 2.0,
+                    drain: Some(4.0 * 3600.0),
+                    seed: 1,
+                    faults: vec![FaultEvent::TaskKill {
+                        at: 21.0,
+                        job: JobId(1),
+                    }],
+                    ..EngineConfig::default()
+                },
+            );
+            let m = eng.run(&jobs, &mut s).unwrap();
+            (m, s)
+        };
+        let (m, carried) = run(false);
+        let (m_cleared, cleared) = run(true);
+
+        // The run exercises what the table has to survive.
+        let stats = carried.inner.stats();
+        assert_eq!(m.kills, 1, "an attempt was killed");
+        assert!(m.outcomes[0].finish_time.is_some(), "and retried");
+        assert!(m.preemptions >= 1, "preemption columns were taken");
+        assert!(stats.governor_step_ups >= 1 && stats.governor_step_downs >= 1);
+        assert!(
+            carried.running_at_level[0] > 0 && carried.running_at_level[1] > 0,
+            "attempts ran across a window change: {:?}",
+            carried.running_at_level
+        );
+
+        let (a, b) = (carried.inner.models(), cleared.inner.models());
+        assert_eq!(a.len(), b.len());
+        let diverged = a.iter().zip(b).position(|(x, y)| x != y);
+        assert_eq!(diverged, None, "first cycle whose MILP text differs");
+        assert_eq!(carried.decisions, cleared.decisions);
+        assert_eq!(stats, cleared.inner.stats());
+        assert_eq!(m.outcomes, m_cleared.outcomes);
     }
 
     #[test]
