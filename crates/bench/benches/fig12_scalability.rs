@@ -54,7 +54,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 struct Row {
     jobs_per_hour: f64,
     system: String,
-    shards: usize,
     cycle_mean_ms: f64,
     cycle_p95_ms: f64,
     cycle_max_ms: f64,
@@ -181,7 +180,6 @@ fn main() {
             rows.push(Row {
                 jobs_per_hour: rate,
                 system: label.to_owned(),
-                shards: 1,
                 cycle_mean_ms: mean(&cyc),
                 cycle_p95_ms: percentile(&cyc, 0.95),
                 cycle_max_ms: cyc.last().copied().unwrap_or(0.0),
@@ -194,89 +192,6 @@ fn main() {
                 cycles: cyc.len(),
             });
         }
-    }
-    // Shard sweep: the same ≥1k-job SCALABILITY-3000 workload (0.4 h ×
-    // 3000/h = 1200 jobs at Quick scale) at worker shard counts {1, 2, 8}.
-    // Decisions are byte-identical across shard counts, so only the
-    // per-cycle latency distribution moves.
-    println!("\nshard sweep (Dist @ 3000 jobs/h, identical decisions per shard count):");
-    let rate = 3000.0;
-    let mut config = WorkloadConfig {
-        cluster_nodes: NODES,
-        num_partitions: RACKS,
-        duration,
-        arrival: ArrivalTarget::JobsPerHour(rate),
-        pretrain_jobs: 6000,
-        ..WorkloadConfig::e2e(Environment::Google, 31)
-    };
-    config.seed = 31 + rate as u64;
-    let mut trace = generate(&config);
-    rescale_load(&mut trace, duration, 0.95);
-    println!("  trace: {} jobs", trace.jobs.len());
-    for shards in [1usize, 2, 8] {
-        let mut exp = Experiment {
-            cluster: ClusterSpec::uniform(RACKS, NODES / RACKS as u32),
-            ..Experiment::paper_sc256().with_cycle(cycle)
-        };
-        exp.sched.shards = shards;
-        let r = run_system(SchedulerKind::ThreeSigma, &trace, &exp);
-        let (cyc, sol) = stats(&r.timings);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let gen_ms = {
-            let v: Vec<f64> = r
-                .timings
-                .iter()
-                .map(|t| t.generate.as_secs_f64() * 1e3)
-                .collect();
-            mean(&v)
-        };
-        let com_ms = {
-            let v: Vec<f64> = r
-                .timings
-                .iter()
-                .map(|t| t.compile.as_secs_f64() * 1e3)
-                .collect();
-            mean(&v)
-        };
-        let ext_ms = {
-            let v: Vec<f64> = r
-                .timings
-                .iter()
-                .map(|t| t.extract.as_secs_f64() * 1e3)
-                .collect();
-            mean(&v)
-        };
-        let label = format!("Dist/shards={shards}");
-        println!(
-            "{:<8} {:<14} {:>7.1}/{:>5.1}/{:>6.1} {:>9.1}/{:>5.1}/{:>6.1}   \
-             (gen {:.1} + compile {:.1} + extract {:.1} ms)",
-            rate,
-            label,
-            mean(&cyc),
-            percentile(&cyc, 0.95),
-            cyc.last().copied().unwrap_or(0.0),
-            mean(&sol),
-            percentile(&sol, 0.95),
-            sol.last().copied().unwrap_or(0.0),
-            gen_ms,
-            com_ms,
-            ext_ms,
-        );
-        rows.push(Row {
-            jobs_per_hour: rate,
-            system: label,
-            shards,
-            cycle_mean_ms: mean(&cyc),
-            cycle_p95_ms: percentile(&cyc, 0.95),
-            cycle_max_ms: cyc.last().copied().unwrap_or(0.0),
-            solver_mean_ms: mean(&sol),
-            solver_p95_ms: percentile(&sol, 0.95),
-            solver_max_ms: sol.last().copied().unwrap_or(0.0),
-            generate_mean_ms: gen_ms,
-            compile_mean_ms: com_ms,
-            extract_mean_ms: ext_ms,
-            cycles: cyc.len(),
-        });
     }
     println!(
         "\n(paper Fig. 12: both systems stay within single-digit seconds per\n\

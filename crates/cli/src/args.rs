@@ -1,6 +1,6 @@
 //! Minimal `--flag value` argument parsing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed command line: one subcommand plus `--key value` options
@@ -9,7 +9,7 @@ use std::fmt;
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: String,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
@@ -22,6 +22,14 @@ pub enum CliError {
     UnknownCommand(String),
     /// A required option is absent.
     MissingOption(&'static str),
+    /// An option or switch the subcommand does not read — a typo or a
+    /// removed flag, which must not silently run with defaults.
+    UnknownOption {
+        /// The subcommand.
+        command: String,
+        /// The flag as given, without the leading `--`.
+        option: String,
+    },
     /// An option value failed to parse.
     BadValue {
         /// Option name.
@@ -56,6 +64,10 @@ impl fmt::Display for CliError {
                 write!(f, "unknown subcommand `{c}`; try `threesigma help`")
             }
             CliError::MissingOption(o) => write!(f, "missing required option --{o}"),
+            CliError::UnknownOption { command, option } => write!(
+                f,
+                "unknown option --{option} for `{command}`; try `threesigma help`"
+            ),
             CliError::BadValue {
                 option,
                 value,
@@ -136,6 +148,14 @@ impl Args {
     /// True when a bare `--switch` was given.
     pub fn switch(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
+    }
+
+    /// Every option and switch name given, options first (sorted).
+    pub fn flags(&self) -> impl Iterator<Item = &str> {
+        self.options
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
     }
 }
 

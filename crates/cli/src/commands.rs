@@ -26,19 +26,26 @@ threesigma — distribution-based cluster scheduling (EuroSys'18 reproduction)
 USAGE:
   threesigma generate [--env E] [--hours H] [--load L | --jobs-per-hour R]
                       [--slack S] [--seed N] [--pretrain N] --out FILE
-  threesigma run      (--trace FILE | --env E [--hours H] [--seed N])
+  threesigma run      (--trace FILE | --env E [--hours H] [--seed N]
+                       [--load L | --jobs-per-hour R] [--slack S] [--pretrain N])
                       [--scheduler NAME] [--cycle SECS] [--rc] [--out FILE]
-                      [--cycle-budget-ms MS] [--max-retries N] [--shards N]
+                      [--cycle-budget-ms MS] [--max-retries N]
                       [--solver-tier T] [--no-incremental]
-  threesigma compare  (--trace FILE | --env E [--hours H] [--seed N])
-                      [--cycle SECS] [--ablations]
+  threesigma compare  (--trace FILE | --env E [--hours H] [--seed N]
+                       [--load L | --jobs-per-hour R] [--slack S] [--pretrain N])
+                      [--cycle SECS] [--rc] [--ablations]
+                      [--cycle-budget-ms MS] [--max-retries N]
+                      [--solver-tier T] [--no-incremental]
   threesigma analyze  (--trace FILE | --env E [--jobs N] [--seed N])
   threesigma simtest  [--seed N | --iters K [--start-seed S]]
-                      [--cycle-budget-ms MS] [--max-retries N] [--shards N]
+                      [--cycle-budget-ms MS] [--max-retries N]
                       [--solver-tier T] [--no-incremental]
                       [--crash [--crash-jobs N] [--kill-points K]]
-  threesigma metrics  (--trace FILE | --env E [--hours H] [--seed N])
+  threesigma metrics  (--trace FILE | --env E [--hours H] [--seed N]
+                       [--load L | --jobs-per-hour R] [--slack S] [--pretrain N])
                       [--scheduler NAME] [--cycle SECS] [--rc]
+                      [--cycle-budget-ms MS] [--max-retries N]
+                      [--solver-tier T] [--no-incremental]
                       [--json FILE] [--trace-out FILE]
   threesigma serve    [--input FILE|- | --listen ADDR]
                       [--racks N] [--nodes-per-rack N] [--cycle SECS]
@@ -62,15 +69,13 @@ SIMTEST: deterministic invariant-checked simulation campaigns.
   (no flags)   run the checked-in regression corpus
   Any failure exits non-zero and echoes `FAILING SEED: N` for replay.
 
-ROBUSTNESS: degradation governor and kill/retry knobs (run + simtest).
+ROBUSTNESS: degradation governor and kill/retry knobs (run, compare,
+metrics + simtest).
   --cycle-budget-ms MS  per-cycle wall-clock budget for the 3σSched
                         degradation governor (nondeterministic; simtest
                         scenarios default to deterministic work units)
   --max-retries N       retry budget for fault-killed jobs before they are
                         cancelled and counted
-  --shards N            worker shards for 3σSched's decide stage; also widens
-                        the representable cluster to N x 128 racks. Results
-                        are byte-identical at every shard count.
   --solver-tier T       pin the MILP backend: 0 greedy rounding, 1 LP+repair,
                         2 branch-and-bound. Default: the degradation ladder
                         picks the tier (level 0 → tier 2, …, level 2 → tier 0)
@@ -215,17 +220,6 @@ fn experiment(args: &Args) -> Result<Experiment, CliError> {
     }
     if args.get("max-retries").is_some() {
         exp.engine.retry.max_retries = args.parse_or("max-retries", 0u32)?;
-    }
-    if let Some(raw) = args.get("shards") {
-        exp.sched.shards = raw
-            .parse()
-            .ok()
-            .filter(|n: &usize| *n >= 1)
-            .ok_or_else(|| CliError::BadValue {
-                option: "shards".into(),
-                value: raw.into(),
-                expected: "a worker count >= 1",
-            })?;
     }
     if let Some(raw) = args.get("solver-tier") {
         exp.sched.solver_tier = Some(parse_solver_tier(raw)?);
@@ -406,18 +400,6 @@ pub fn cmd_simtest(args: &Args) -> Result<String, CliError> {
             })?;
         overrides.cycle_budget_ms = Some(ms);
     }
-    if let Some(raw) = args.get("shards") {
-        let shards: usize = raw
-            .parse()
-            .ok()
-            .filter(|n: &usize| *n >= 1)
-            .ok_or_else(|| CliError::BadValue {
-                option: "shards".into(),
-                value: raw.into(),
-                expected: "a worker count >= 1",
-            })?;
-        overrides.shards = Some(shards);
-    }
     if let Some(raw) = args.get("solver-tier") {
         overrides.solver_tier = Some(parse_solver_tier(raw)?);
     }
@@ -499,19 +481,140 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Dispatches a parsed command line; returns the text to print.
+/// Flags read by [`workload_config`].
+const WORKLOAD: &[&str] = &[
+    "env",
+    "hours",
+    "seed",
+    "load",
+    "jobs-per-hour",
+    "slack",
+    "pretrain",
+];
+
+/// Flags read by [`load_or_generate`].
+const TRACE: &[&str] = &["trace"];
+
+/// Flags read by [`experiment`].
+const EXPERIMENT: &[&str] = &[
+    "cycle",
+    "rc",
+    "cycle-budget-ms",
+    "max-retries",
+    "solver-tier",
+    "no-incremental",
+];
+
+/// One subcommand: its name, every `--flag` it reads (options and switches,
+/// grouped by the function that reads them) and its implementation.
+struct Subcommand {
+    name: &'static str,
+    flags: &'static [&'static [&'static str]],
+    run: fn(&Args) -> Result<String, CliError>,
+}
+
+/// Every subcommand. [`dispatch`] refuses a flag that is not listed here,
+/// and a test holds each list equal to the subcommand's [`USAGE`] entry.
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "generate",
+        flags: &[WORKLOAD, &["out"]],
+        run: cmd_generate,
+    },
+    Subcommand {
+        name: "run",
+        flags: &[TRACE, WORKLOAD, EXPERIMENT, &["scheduler", "out"]],
+        run: cmd_run,
+    },
+    Subcommand {
+        name: "compare",
+        flags: &[TRACE, WORKLOAD, EXPERIMENT, &["ablations"]],
+        run: cmd_compare,
+    },
+    Subcommand {
+        name: "analyze",
+        flags: &[&["trace", "env", "jobs", "seed"]],
+        run: cmd_analyze,
+    },
+    Subcommand {
+        name: "simtest",
+        flags: &[&[
+            "seed",
+            "iters",
+            "start-seed",
+            "cycle-budget-ms",
+            "max-retries",
+            "solver-tier",
+            "no-incremental",
+            "crash",
+            "crash-jobs",
+            "kill-points",
+        ]],
+        run: cmd_simtest,
+    },
+    Subcommand {
+        name: "metrics",
+        flags: &[
+            TRACE,
+            WORKLOAD,
+            EXPERIMENT,
+            &["scheduler", "json", "trace-out"],
+        ],
+        run: cmd_metrics,
+    },
+    Subcommand {
+        name: "serve",
+        flags: &[&[
+            "input",
+            "listen",
+            "racks",
+            "nodes-per-rack",
+            "cycle",
+            "retention",
+            "max-retries",
+            "predictor-cap",
+            "predictor-ttl",
+            "cache-cap",
+            "max-timings",
+            "snapshot-out",
+            "restore",
+            "data-dir",
+            "snapshot-every-jobs",
+            "snapshot-every-secs",
+            "no-fsync",
+            "max-queue",
+            "tenant-quota",
+            "quarantine",
+            "quarantine-sample",
+            "metrics-json",
+            "summary-json",
+        ]],
+        run: crate::serve::cmd_serve,
+    },
+    Subcommand {
+        name: "help",
+        flags: &[],
+        run: |_| Ok(USAGE.to_owned()),
+    },
+];
+
+/// Dispatches a parsed command line; returns the text to print. A flag the
+/// subcommand does not read is an error before any work starts.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "generate" => cmd_generate(args),
-        "run" => cmd_run(args),
-        "compare" => cmd_compare(args),
-        "analyze" => cmd_analyze(args),
-        "simtest" => cmd_simtest(args),
-        "metrics" => cmd_metrics(args),
-        "serve" => crate::serve::cmd_serve(args),
-        "help" => Ok(USAGE.to_owned()),
-        other => Err(CliError::UnknownCommand(other.to_owned())),
+    let sub = SUBCOMMANDS
+        .iter()
+        .find(|s| s.name == args.command)
+        .ok_or_else(|| CliError::UnknownCommand(args.command.clone()))?;
+    if let Some(option) = args
+        .flags()
+        .find(|f| !sub.flags.iter().any(|group| group.contains(f)))
+    {
+        return Err(CliError::UnknownOption {
+            command: args.command.clone(),
+            option: option.to_owned(),
+        });
     }
+    (sub.run)(args)
 }
 
 #[cfg(test)]
@@ -595,14 +698,72 @@ mod tests {
     }
 
     #[test]
-    fn shards_must_be_a_positive_count() {
-        for argv in [
-            ["simtest", "--seed", "1", "--shards", "0"],
-            ["run", "--env", "google", "--shards", "woof"],
+    fn unread_flags_are_rejected_before_any_work() {
+        // `--shards` was removed with the decide-stage fan-out; it and any
+        // typo must fail loudly instead of running with defaults.
+        for (argv, option) in [
+            (vec!["simtest", "--seed", "1", "--shards", "2"], "shards"),
+            (vec!["run", "--env", "google", "--shards", "2"], "shards"),
+            (vec!["simtest", "--seed", "1", "--bogus"], "bogus"),
+            (
+                vec!["run", "--env", "google", "--no-incrementl"],
+                "no-incrementl",
+            ),
+            (vec!["analyze", "--hours", "2"], "hours"),
+            (vec!["help", "--verbose"], "verbose"),
         ] {
-            let args = Args::parse(argv).unwrap();
+            let args = Args::parse(argv.clone()).unwrap();
             let err = dispatch(&args).unwrap_err();
-            assert!(matches!(err, CliError::BadValue { .. }), "{argv:?}: {err}");
+            assert_eq!(
+                err,
+                CliError::UnknownOption {
+                    command: argv[0].to_owned(),
+                    option: option.to_owned(),
+                },
+                "{argv:?}"
+            );
+            assert!(err.to_string().contains("unknown option"), "{err}");
+        }
+    }
+
+    /// The `--flag` names in `text`, without the dashes.
+    fn flags_in(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn accepted_flags_equal_the_help_text() {
+        // The synopsis block: one entry per subcommand, continuation lines
+        // indented further.
+        let synopsis = USAGE
+            .split_once("USAGE:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .expect("USAGE has a synopsis block")
+            .0;
+        let entries: Vec<&str> = synopsis.split("  threesigma ").skip(1).collect();
+        assert_eq!(entries.len(), SUBCOMMANDS.len());
+        for (entry, sub) in entries.iter().zip(SUBCOMMANDS) {
+            assert_eq!(entry.split_whitespace().next(), Some(sub.name));
+            let accepted: std::collections::BTreeSet<&str> =
+                sub.flags.iter().flat_map(|g| g.iter().copied()).collect();
+            assert_eq!(flags_in(entry), accepted, "`{}` help vs table", sub.name);
+        }
+        // No section below the synopsis documents a flag nothing accepts.
+        for flag in flags_in(USAGE) {
+            assert!(
+                SUBCOMMANDS
+                    .iter()
+                    .any(|s| s.flags.iter().any(|g| g.contains(&flag))),
+                "--{flag} is documented but no subcommand accepts it"
+            );
         }
     }
 

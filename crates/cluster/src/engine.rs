@@ -241,8 +241,7 @@ pub trait Scheduler {
     /// Largest cluster (in partitions) this scheduler can represent, or
     /// `None` for no limit. The engine rejects over-limit cluster specs at
     /// ingest with [`SimError::ClusterTooLarge`] instead of letting a
-    /// scheduler silently truncate or panic on out-of-range partitions
-    /// (e.g. the 128-rack `RackMask` ceiling).
+    /// scheduler silently truncate or panic on out-of-range partitions.
     fn max_partitions(&self) -> Option<usize> {
         None
     }
@@ -361,7 +360,7 @@ impl std::fmt::Display for SimError {
                 write!(
                     f,
                     "cluster has {partitions} partitions but the scheduler \
-                     represents at most {max} (raise --shards to widen it)"
+                     represents at most {max}"
                 )
             }
             SimError::BadServeConfig { reason } => {

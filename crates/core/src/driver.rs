@@ -175,9 +175,6 @@ pub struct CycleTraceWriter {
     /// attached; the scheduler flushes its metrics inside `schedule()`,
     /// before the engine calls `on_cycle`, so the gauge is current.
     level: Option<threesigma_obs::Gauge>,
-    /// Resolved `sched_shards` gauge; same lifecycle as `level`. Reads 0
-    /// for schedulers that never publish it (non-MILP baselines).
-    shards: Option<threesigma_obs::Gauge>,
     /// Resolved `sched_solver_tier` gauge; same lifecycle as `level`.
     tier: Option<threesigma_obs::Gauge>,
 }
@@ -199,10 +196,6 @@ impl CycleTraceWriter {
             self.level = Some(recorder.gauge(
                 "sched_degradation_level",
                 "Current degradation-ladder level (0 = full MILP, 2 = minimal greedy)",
-            ));
-            self.shards = Some(recorder.gauge(
-                "sched_shards",
-                "Configured worker shards for the decide stage",
             ));
             self.tier = Some(recorder.gauge(
                 "sched_solver_tier",
@@ -233,13 +226,12 @@ impl CycleObserver for CycleTraceWriter {
     fn on_cycle(&mut self, snapshot: &EngineSnapshot<'_>) {
         let s = snapshot.cycle_stats();
         let level = self.level.as_ref().map_or(0.0, |g| g.get()) as u8;
-        let shards = self.shards.as_ref().map_or(0.0, |g| g.get()) as u64;
         let tier = self.tier.as_ref().map_or(0.0, |g| g.get()) as u8;
         self.lines.push(format!(
             "{{\"cycle\":{},\"now\":{},\"queue_depth\":{},\"running\":{},\"free_nodes\":{},\
              \"offline_nodes\":{},\"fault_debt_nodes\":{},\"capacity_nodes\":{},\
              \"utilization\":{},\"placements\":{},\"preemptions\":{},\"cancellations\":{},\
-             \"shards\":{},\"degradation_level\":{},\"solver_tier\":{}}}",
+             \"degradation_level\":{},\"solver_tier\":{}}}",
             s.cycle,
             s.now,
             s.queue_depth,
@@ -252,7 +244,6 @@ impl CycleObserver for CycleTraceWriter {
             s.placements,
             s.preemptions,
             s.cancellations,
-            shards,
             level,
             tier,
         ));
@@ -454,12 +445,11 @@ mod tests {
         assert_eq!(writer.lines().len(), r.metrics.cycles);
         assert!(writer.lines()[0].starts_with("{\"cycle\":1,"));
         // Unbudgeted run: the governor stays at level 0 (solver tier 2) on
-        // every line, and the default single-shard configuration is traced
-        // alongside it.
+        // every line.
         assert!(writer
             .lines()
             .iter()
-            .all(|l| l.ends_with("\"shards\":1,\"degradation_level\":0,\"solver_tier\":2}")));
+            .all(|l| l.ends_with(",\"degradation_level\":0,\"solver_tier\":2}")));
         let rec2 = Recorder::enabled();
         let mut writer2 = CycleTraceWriter::new().with_recorder(&rec2);
         let r2 =

@@ -52,9 +52,9 @@ pub use driver::{
 };
 pub use sched::backfill::{BackfillScheduler, PointSource};
 pub use sched::feasibility::{check_decision, FeasibilityViolation};
+pub use sched::groups::MaskGroups;
 pub use sched::options::{CacheStats, EstimateCache, RackMask};
 pub use sched::prio::PrioScheduler;
-pub use sched::shard::ShardPlan;
 pub use sched::threesigma::{
     CycleBudget, CycleTiming, EstimateSource, OverestimateMode, PlanRecord, PlannedJob,
     SchedConfig, SchedSnapshot, SchedStats, ThreeSigmaScheduler,

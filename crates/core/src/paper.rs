@@ -39,7 +39,7 @@
 //! | Fig. 9 | `benches/fig09_perturb` |
 //! | Fig. 10 | `benches/fig10_load` |
 //! | Fig. 11 | `benches/fig11_samples` |
-//! | Fig. 12 | `benches/fig12_scalability` + `benches/micro_latency` |
+//! | Fig. 12 | `benches/fig12_scalability` |
 //!
 //! # Extensions beyond the paper
 //!

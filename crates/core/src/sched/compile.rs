@@ -31,8 +31,8 @@ use threesigma_milp::{Cmp, Model, VarId};
 
 use crate::dist::DiscreteDist;
 use crate::sched::feasibility::mask_capacity;
+use crate::sched::groups::MaskGroups;
 use crate::sched::options::{CompiledOption, EstimateCache, JobOptions, OptionBuckets, RackMask};
-use crate::sched::shard::ShardPlan;
 use crate::sched::threesigma::SchedConfig;
 
 /// Stage 1's output, as stage 2 reads it. The three per-job slices are
@@ -47,7 +47,7 @@ pub(crate) struct Generated<'a> {
     /// Distinct (group, equivalence-set mask) pairs that get capacity rows.
     pub space_masks: &'a [(usize, RackMask)],
     /// Partition → mask-group layout.
-    pub plan: &'a ShardPlan,
+    pub groups: &'a MaskGroups,
     /// Start-slot times; slot 0 is `now`, later slots are grid-aligned.
     pub slots: &'a [f64],
 }
@@ -85,10 +85,11 @@ pub(crate) struct CompiledModel {
     pub compiled: Vec<CompiledOption>,
     /// The running set and its preemption indicators.
     pub running: RunningSide,
-    /// SLO jobs whose every option is worthless (cancelled if configured).
+    /// Jobs to cancel: SLO jobs whose every option is worthless (if
+    /// configured), and gangs wider than every mask group.
     pub hopeless: Vec<JobId>,
-    /// Options dropped because their gang cannot fit under the mask (scale
-    /// mode only).
+    /// Options dropped because their gang cannot fit under the mask
+    /// (clusters of more than one mask group only).
     pub pruned: u64,
 }
 
@@ -224,12 +225,12 @@ impl RunningTable {
         estimate: impl Fn(&JobSpec) -> DiscreteDist,
     ) -> CompiledModel {
         let Generated {
-            plan,
+            groups,
             slots,
             space_masks,
             ..
         } = *gen;
-        let multi_group = plan.num_groups() > 1;
+        let multi_group = groups.num_groups() > 1;
         let mut model = Model::new();
         let mut compiled: Vec<CompiledOption> = Vec::new();
         let mut hopeless: Vec<JobId> = Vec::new();
@@ -240,14 +241,13 @@ impl RunningTable {
             .zip(gen.considered)
             .zip(gen.job_groups);
         for (job_idx, ((jo, spec), &group)) in jobs.enumerate() {
-            let (group_start, group_len) = plan.group_range(group);
+            let (group_start, group_len) = groups.group_range(group);
             let mut vars = Vec::with_capacity(jo.options.len());
             for o in &jo.options {
-                // Scale mode only: drop options whose gang cannot fit the
-                // static capacity under the mask, so a group never carries
-                // dead MILP variables. Gated on `multi_group` so the
-                // single-group path stays bit-identical to the sequential
-                // scheduler.
+                // Multiple groups only: drop options whose gang cannot fit
+                // the static capacity under the mask, so a group never
+                // carries dead MILP variables. Single-group models are
+                // pinned by the corpus digests and keep every option.
                 if multi_group
                     && spec.tasks > mask_capacity(view.cluster, group_start, group_len, o.mask)
                 {
@@ -267,7 +267,14 @@ impl RunningTable {
                 vars.push(var);
             }
             if vars.is_empty() {
-                if cfg.cancel_hopeless && spec.kind.is_slo() && jo.best_utility <= 1e-9 {
+                // `home_group` probed every group before settling on this
+                // one, so a gang over its capacity fits none and can never
+                // run under group-local masks, whatever its kind.
+                let too_wide =
+                    multi_group && spec.tasks > groups.group_capacity(group, view.cluster);
+                let worthless =
+                    cfg.cancel_hopeless && spec.kind.is_slo() && jo.best_utility <= 1e-9;
+                if too_wide || worthless {
                     hopeless.push(spec.id);
                 }
                 continue;
@@ -361,7 +368,7 @@ impl RunningTable {
         let buckets = OptionBuckets::build(&compiled, slots.len());
         let mut footprints: Vec<u32> = Vec::with_capacity(running.len());
         for &(g, mask) in space_masks {
-            let (group_start, group_len) = plan.group_range(g);
+            let (group_start, group_len) = groups.group_range(g);
             let cap = mask_capacity(view.cluster, group_start, group_len, mask) as f64;
             // `mask` bits are group-local: bit i ↔ global partition
             // group_start + i (identity on single-group clusters).
@@ -600,13 +607,13 @@ mod tests {
             free: &[2, 3],
             now,
         };
-        let plan = ShardPlan::new(2, 1);
+        let groups = MaskGroups::new(2);
         let generated = Generated {
             considered: &[],
             job_groups: &[],
             job_options: &[],
-            space_masks: &[(0, plan.group_mask(0)), (0, RackMask::single(1))],
-            plan: &plan,
+            space_masks: &[(0, groups.group_mask(0)), (0, RackMask::single(1))],
+            groups: &groups,
             slots: &[now, 60.0, 120.0, 180.0],
         };
         let cfg = SchedConfig::default();

@@ -10,7 +10,7 @@ pub mod backfill;
 pub mod clock;
 pub(crate) mod compile;
 pub mod feasibility;
+pub mod groups;
 pub mod options;
 pub mod prio;
-pub mod shard;
 pub mod threesigma;

@@ -1,5 +1,5 @@
 //! Scheduling-cycle hot path: rack masks, the cross-cycle estimate cache,
-//! parallel placement-option generation, and (mask, slot) bucketing.
+//! placement-option generation, and (mask, slot) bucketing.
 //!
 //! Every cycle, 3σSched enumerates placement options — (equivalence set,
 //! start slot) pairs — for each considered job, then charges each option
@@ -13,10 +13,9 @@
 //!   jobs only when the predictor has learned something new (an epoch
 //!   counter bumped per observation) and pinning estimates for running
 //!   attempts so Eq. 2's conditioning always renormalises the same prior.
-//! * [`generate`] fans per-job option valuation (Eq. 1 over every
-//!   (space, slot) pair) out over `std::thread::scope` threads; the output
-//!   is ordered by job index, so results are bit-identical to a sequential
-//!   pass and simulations stay exactly reproducible.
+//! * [`generate`] values every (space, slot) option of every considered
+//!   job by Eq. 1, in job order on the calling thread. The job cap, the
+//!   plan-ahead window and the §4.3.6 prunes bound the work per cycle.
 //! * [`OptionBuckets`] groups compiled options by (mask, slot) once, so
 //!   each capacity row visits only the options that can actually consume
 //!   from its equivalence set and have started by its slot — instead of
@@ -24,7 +23,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +30,6 @@ use threesigma_cluster::{JobId, PartitionId};
 use threesigma_milp::VarId;
 
 use crate::dist::DiscreteDist;
-use crate::sched::clock::Stopwatch;
 use crate::utility::UtilityCurve;
 
 /// A set of rack partitions as a fixed-width (128-bit) bitmask.
@@ -367,8 +364,7 @@ impl EstimateCache {
     }
 }
 
-/// Per-job input to option generation, prepared sequentially (the estimate
-/// cache and predictor are not shared across threads).
+/// Per-job input to option generation.
 pub(crate) struct GenInput {
     /// Candidate equivalence sets with their (already scaled) runtime
     /// distributions: preferred racks at 1×, whole cluster at the job's
@@ -465,113 +461,16 @@ fn generate_one(input: &GenInput, slots: &[f64], max_options: Option<usize>) -> 
     }
 }
 
-/// Values every (space, slot) option for every job, in parallel.
-///
-/// Work is split into contiguous chunks over scoped threads; the result is
-/// reassembled in job order, and per-job valuation is pure floating-point
-/// math, so the output is identical to a sequential pass regardless of
-/// thread count — simulations remain exactly reproducible.
+/// Values every (space, slot) option for every job, in job order.
 pub(crate) fn generate(
     inputs: &[GenInput],
     slots: &[f64],
     max_options: Option<usize>,
 ) -> Vec<JobOptions> {
-    let n = inputs.len();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    // Below this many jobs the spawn overhead outweighs the fan-out.
-    if threads <= 1 || n < 16 {
-        return inputs
-            .iter()
-            .map(|g| generate_one(g, slots, max_options))
-            .collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Vec<JobOptions>> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .map(|ch| {
-                s.spawn(move || {
-                    ch.iter()
-                        .map(|g| generate_one(g, slots, max_options))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("option generation thread panicked")),
-        );
-    });
-    out.into_iter().flatten().collect()
-}
-
-/// Like [`generate`], but fans out over exactly `shards` deterministic
-/// worker shards behind a bounded channel, pipelining the ordered merge.
-///
-/// Each shard owns a contiguous slice of the (job-ordered) inputs and
-/// streams `(shard id, elapsed, results)` into a `sync_channel`; the
-/// consumer appends results in ascending shard id — stashing any shard that
-/// finishes early — so the merge of shard *k* overlaps the enumeration of
-/// shards *> k* instead of waiting on a full barrier. Per-job valuation is
-/// pure, the shard split is a function of `(n, shards)` alone, and the merge
-/// order is total, so the output is byte-identical to a sequential pass at
-/// every shard count.
-///
-/// Returns the merged per-job options plus each shard's enumeration wall
-/// time (budget telemetry only — never fed back into decisions).
-pub(crate) fn generate_sharded(
-    inputs: &[GenInput],
-    slots: &[f64],
-    max_options: Option<usize>,
-    shards: usize,
-) -> (Vec<JobOptions>, Vec<Duration>) {
-    let n = inputs.len();
-    if shards <= 1 || n < 2 {
-        let sw = Stopwatch::start();
-        let out = generate(inputs, slots, max_options);
-        return (out, vec![sw.elapsed()]);
-    }
-    let chunk = n.div_ceil(shards.min(n));
-    let num_shards = n.div_ceil(chunk);
-    let mut merged: Vec<JobOptions> = Vec::with_capacity(n);
-    let mut durations = vec![Duration::ZERO; num_shards];
-    std::thread::scope(|s| {
-        // Bounded: a shard racing far ahead of the merge blocks instead of
-        // buffering the whole cycle's output at once.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Duration, Vec<JobOptions>)>(2);
-        for (shard_id, ch) in inputs.chunks(chunk).enumerate() {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let sw = Stopwatch::start();
-                let out: Vec<JobOptions> = ch
-                    .iter()
-                    .map(|g| generate_one(g, slots, max_options))
-                    .collect();
-                // Send fails only if the merge side panicked; nothing to
-                // salvage from a worker thread in that case.
-                let _ = tx.send((shard_id, sw.elapsed(), out));
-            });
-        }
-        drop(tx);
-        // Deterministic ordered merge: ascending shard id, which is job
-        // order because shard slices are contiguous.
-        let mut next = 0usize;
-        let mut stash: BTreeMap<usize, (Duration, Vec<JobOptions>)> = BTreeMap::new();
-        while let Ok((shard_id, took, out)) = rx.recv() {
-            stash.insert(shard_id, (took, out));
-            while let Some((took, out)) = stash.remove(&next) {
-                durations[next] = took;
-                merged.extend(out);
-                next += 1;
-            }
-        }
-    });
-    (merged, durations)
+    inputs
+        .iter()
+        .map(|g| generate_one(g, slots, max_options))
+        .collect()
 }
 
 /// A generated option compiled into the MILP (has a binary variable).
@@ -895,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_generation_matches_sequential() {
+    fn generate_values_every_space_slot_pair_in_job_order() {
         let slots = [0.0, 60.0, 120.0, 180.0];
         let inputs: Vec<GenInput> = (0..64)
             .map(|i| GenInput {
@@ -915,23 +814,20 @@ mod tests {
                 },
             })
             .collect();
-        let par = generate(&inputs, &slots, None);
-        let seq: Vec<JobOptions> = inputs
-            .iter()
-            .map(|g| generate_one(g, &slots, None))
-            .collect();
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.best_utility.to_bits(), s.best_utility.to_bits());
-            assert_eq!(p.options.len(), s.options.len());
-            assert_eq!(p.enumerated, s.enumerated);
-            assert_eq!(p.pruned, s.pruned);
-            assert_eq!(p.enumerated, 8, "2 spaces × 4 slots");
-            assert_eq!(p.options.len() + p.pruned, p.enumerated);
-            for (po, so) in p.options.iter().zip(&s.options) {
-                assert_eq!(po.slot, so.slot);
-                assert_eq!(po.mask, so.mask);
-                assert_eq!(po.utility.to_bits(), so.utility.to_bits());
+        let all = generate(&inputs, &slots, None);
+        assert_eq!(all.len(), inputs.len());
+        for (i, (got, input)) in all.iter().zip(&inputs).enumerate() {
+            let alone = generate_one(input, &slots, None);
+            assert_eq!(got.best_utility.to_bits(), alone.best_utility.to_bits());
+            assert_eq!(got.enumerated, 8, "2 spaces × 4 slots");
+            assert_eq!(got.options.len() + got.pruned, got.enumerated);
+            assert_eq!(got.options.len(), alone.options.len());
+            // Output position i belongs to input i: its first space is the
+            // job's own preferred rack.
+            assert_eq!(got.options[0].mask, RackMask::single(i % 3));
+            for (a, b) in got.options.iter().zip(&alone.options) {
+                assert_eq!((a.slot, a.mask), (b.slot, b.mask));
+                assert_eq!(a.utility.to_bits(), b.utility.to_bits());
             }
         }
     }
@@ -1048,45 +944,5 @@ mod tests {
         assert_eq!(collect(0), vec![0]);
         assert_eq!(collect(1), vec![1, 2]);
         assert_eq!(collect(2), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn sharded_generation_is_byte_identical_across_shard_counts() {
-        let slots = [0.0, 60.0, 120.0, 180.0];
-        let inputs: Vec<GenInput> = (0..23)
-            .map(|i| GenInput {
-                spaces: vec![
-                    (
-                        RackMask::single(i % 5),
-                        Arc::new(DiscreteDist::point(40.0 + i as f64)),
-                    ),
-                    (
-                        RackMask::all(8),
-                        Arc::new(DiscreteDist::point((40.0 + i as f64) * 1.5)),
-                    ),
-                ],
-                curve: UtilityCurve::SloStep {
-                    weight: 10.0,
-                    deadline: 250.0 + i as f64,
-                },
-            })
-            .collect();
-        let baseline = generate(&inputs, &slots, Some(5));
-        for shards in [1usize, 2, 3, 8, 64] {
-            let (sharded, durations) = generate_sharded(&inputs, &slots, Some(5), shards);
-            assert_eq!(sharded.len(), baseline.len(), "shards={shards}");
-            assert!(!durations.is_empty() && durations.len() <= shards.max(1));
-            for (a, b) in sharded.iter().zip(&baseline) {
-                assert_eq!(a.best_utility.to_bits(), b.best_utility.to_bits());
-                assert_eq!(a.enumerated, b.enumerated);
-                assert_eq!(a.pruned, b.pruned);
-                assert_eq!(a.options.len(), b.options.len());
-                for (x, y) in a.options.iter().zip(&b.options) {
-                    assert_eq!(x.slot, y.slot);
-                    assert_eq!(x.mask, y.mask);
-                    assert_eq!(x.utility.to_bits(), y.utility.to_bits());
-                }
-            }
-        }
     }
 }

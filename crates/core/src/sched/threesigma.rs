@@ -9,7 +9,7 @@
 //!    adjusting the utility curve (§4.2.2–4.2.3); distributions come from
 //!    the cross-cycle [`EstimateCache`] (pending jobs are re-estimated when
 //!    the predictor learns, running attempts stay pinned) and valuation is
-//!    fanned out across threads ([`options::generate`]),
+//!    [`options::generate`],
 //! 3. charges each option its expected resource consumption over time
 //!    (Eq. 3), conditioning running jobs' distributions on their elapsed
 //!    time (Eq. 2) with exponential-increment under-estimate handling
@@ -48,8 +48,8 @@ use threesigma_predict::{AttributeSource, EstimatorKind, Predictor, PredictorCon
 
 use crate::dist::DiscreteDist;
 use crate::sched::compile::{CompiledModel, Generated, RunningTable};
+use crate::sched::groups::MaskGroups;
 use crate::sched::options::{self, CacheStats, CompiledOption, EstimateCache, GenInput, RackMask};
-use crate::sched::shard::ShardPlan;
 use crate::utility::UtilityCurve;
 
 /// Where runtime estimates come from (Table 1).
@@ -179,14 +179,6 @@ pub struct SchedConfig {
     /// ladder back *down* one level (hysteresis, so a load spike straddling
     /// the budget doesn't flap between levels every cycle).
     pub budget_hysteresis: u32,
-    /// Deterministic worker shards for the decide stage. Option enumeration
-    /// fans out over exactly this many shards behind a bounded channel with
-    /// an ordered merge, so results are byte-identical at every count. Also
-    /// widens the representable cluster: each shard contributes one
-    /// ≤128-rack mask group, so the scheduler accepts up to
-    /// `shards × RackMask::MAX_RACKS` partitions (see
-    /// [`crate::ShardPlan`]).
-    pub shards: usize,
     /// Pins the solver tier (0 = greedy rounding, 1 = LP-relax + repair,
     /// 2 = full branch-and-bound) instead of deriving it from the
     /// degradation ladder (`--solver-tier`). The governor still walks the
@@ -234,7 +226,6 @@ impl Default for SchedConfig {
             record_models: false,
             cycle_budget: CycleBudget::Unlimited,
             budget_hysteresis: 3,
-            shards: 1,
             solver_tier: None,
             incremental_solver: true,
             cache_capacity: None,
@@ -292,7 +283,7 @@ pub struct CycleTiming {
     /// Whole-cycle latency (option generation + compile + solve + extract).
     pub total: Duration,
     /// Option-generation latency: job selection, estimate-cache refresh,
-    /// and parallel Eq. 1 valuation of every (space, slot) option.
+    /// and Eq. 1 valuation of every (space, slot) option.
     pub generate: Duration,
     /// MILP compilation latency: demand rows, running-job conditioning
     /// (Eq. 2), and bucketed capacity rows (Eq. 3).
@@ -312,12 +303,8 @@ pub struct CycleTiming {
     pub solver_tier: u8,
     /// Deterministic cycle cost in work units (options valued + solver
     /// nodes expanded) — what [`CycleBudget::WorkUnits`] is charged
-    /// against. Shard-invariant: costs are summed after the ordered merge,
-    /// so the budget is attached to the cycle that spent the work no matter
-    /// how the enumeration was fanned out.
+    /// against.
     pub cost_units: u64,
-    /// Configured worker shards the decide stage fanned out over.
-    pub shards: usize,
 }
 
 /// Adapter exposing cluster attributes to the predictor.
@@ -456,8 +443,6 @@ struct SchedMetrics {
     solve_seconds: Histogram,
     extract_seconds: Histogram,
     cycle_seconds: Histogram,
-    shards: Gauge,
-    shard_generate_seconds: Histogram,
 }
 
 impl SchedMetrics {
@@ -595,14 +580,6 @@ impl SchedMetrics {
                 "Placement extraction stage latency per cycle",
             ),
             cycle_seconds: rec.timer("sched_cycle_seconds", "Whole scheduling cycle latency"),
-            shards: rec.gauge(
-                "sched_shards",
-                "Configured worker shards for the decide stage",
-            ),
-            shard_generate_seconds: rec.timer(
-                "sched_shard_generate_seconds",
-                "Per-shard option-enumeration latency within a cycle",
-            ),
         }
     }
 
@@ -612,7 +589,6 @@ impl SchedMetrics {
         predictor: &Predictor,
         cache: &EstimateCache,
         timing: &CycleTiming,
-        shard_durations: &[Duration],
     ) {
         self.cycles.set_total(stats.cycles);
         self.options_enumerated.set_total(stats.options_enumerated);
@@ -663,10 +639,6 @@ impl SchedMetrics {
         self.solve_seconds.observe_duration(timing.solver);
         self.extract_seconds.observe_duration(timing.extract);
         self.cycle_seconds.observe_duration(timing.total);
-        self.shards.set(timing.shards as f64);
-        for d in shard_durations {
-            self.shard_generate_seconds.observe_duration(*d);
-        }
     }
 }
 
@@ -1068,12 +1040,6 @@ fn slot_times(now: f64, width: f64, slots: usize) -> Vec<f64> {
 }
 
 impl Scheduler for ThreeSigmaScheduler {
-    fn max_partitions(&self) -> Option<usize> {
-        // One RackMask-sized group per configured shard; the engine rejects
-        // larger cluster specs at ingest with a typed error.
-        Some(ShardPlan::max_partitions(self.config.shards))
-    }
-
     fn on_job_submitted(&mut self, spec: &JobSpec, _now: f64) {
         let d = estimate_dist(&self.source, &self.predictor, self.config.mass_points, spec);
         // Seed the cache; the entry is lazily refreshed every time the
@@ -1164,8 +1130,7 @@ impl Scheduler for ThreeSigmaScheduler {
         let max_options = caps.as_ref().map(|c| c.max_options);
 
         // ---- Stage 1: generate. Select the most urgent pending jobs,
-        // refresh cached estimates, and value every (space, slot) option
-        // in parallel. ----
+        // refresh cached estimates, and value every (space, slot) option. ----
         let mut order: Vec<usize> = (0..view.pending.len()).collect();
         let urgency = |spec: &JobSpec| match spec.kind.deadline() {
             Some(d) => d,
@@ -1179,25 +1144,24 @@ impl Scheduler for ThreeSigmaScheduler {
         let considered: Vec<&JobSpec> = order.iter().map(|&i| view.pending[i]).collect();
 
         // Partition → mask-group layout. Clusters that fit one RackMask get
-        // a single group whose local coordinates equal global coordinates —
-        // the sharded path is then bit-identical to the sequential one.
+        // a single group whose local coordinates equal global coordinates.
         // Larger clusters split into contiguous ≤128-rack groups and every
         // job is homed to exactly one group.
-        let plan = ShardPlan::new(view.cluster.num_partitions(), cfg.shards);
-        let multi_group = plan.num_groups() > 1;
+        let groups = MaskGroups::new(view.cluster.num_partitions());
+        let multi_group = groups.num_groups() > 1;
         let slots = slot_times(now, cfg.slot_width, plan_slots);
 
         // Distinct (group, equivalence-set mask) pairs that need capacity
         // rows: each group's full mask first, then per-job preferred masks.
-        let mut space_masks: Vec<(usize, RackMask)> = (0..plan.num_groups())
-            .map(|g| (g, plan.group_mask(g)))
+        let mut space_masks: Vec<(usize, RackMask)> = (0..groups.num_groups())
+            .map(|g| (g, groups.group_mask(g)))
             .collect();
         let mut gen_inputs: Vec<GenInput> = Vec::with_capacity(considered.len());
         // Home mask group per considered job (parallel to `gen_inputs`).
         let mut job_groups: Vec<usize> = Vec::with_capacity(considered.len());
         for spec in &considered {
-            let g = plan.home_group(spec);
-            let gmask = plan.group_mask(g);
+            let g = groups.home_group(spec, view.cluster);
+            let gmask = groups.group_mask(g);
             let base = cache.base(spec.id, || {
                 estimate_dist(source, predictor, cfg.mass_points, spec)
             });
@@ -1214,14 +1178,15 @@ impl Scheduler for ThreeSigmaScheduler {
                 Some(pref) => {
                     // Remap preferred racks into group-local mask bits; at
                     // scale, preferred racks outside the job's home group
-                    // are ignored (documented scale-mode trade-off).
+                    // are ignored (DESIGN.md §8).
                     let pmask = if multi_group {
                         pref.iter()
                             .filter(|p| {
-                                p.index() < view.cluster.num_partitions() && plan.group_of(**p) == g
+                                p.index() < view.cluster.num_partitions()
+                                    && groups.group_of(**p) == g
                             })
                             .fold(RackMask::EMPTY, |m, p| {
-                                m.with(RackMask::single(plan.to_local(g, *p)))
+                                m.with(RackMask::single(groups.to_local(g, *p)))
                             })
                     } else {
                         RackMask::of(pref)
@@ -1250,8 +1215,7 @@ impl Scheduler for ThreeSigmaScheduler {
             gen_inputs.push(GenInput { spaces, curve });
             job_groups.push(g);
         }
-        let (job_options, shard_durations) =
-            options::generate_sharded(&gen_inputs, &slots, max_options, cfg.shards);
+        let job_options = options::generate(&gen_inputs, &slots, max_options);
         for jo in &job_options {
             totals.options_enumerated += jo.enumerated as u64;
             totals.options_pruned += jo.pruned as u64;
@@ -1265,7 +1229,7 @@ impl Scheduler for ThreeSigmaScheduler {
             job_groups: &job_groups,
             job_options: &job_options,
             space_masks: &space_masks,
-            plan: &plan,
+            groups: &groups,
             slots: &slots,
         };
         let CompiledModel {
@@ -1370,7 +1334,7 @@ impl Scheduler for ThreeSigmaScheduler {
             });
             for opt in chosen {
                 let spec = considered[opt.job_idx];
-                let (start, len) = plan.group_range(opt.group);
+                let (start, len) = groups.group_range(opt.group);
                 if let Some(alloc) =
                     pack_gang(spec.tasks, opt.mask, &free[start..start + len], start)
                 {
@@ -1404,7 +1368,7 @@ impl Scheduler for ThreeSigmaScheduler {
                         slot: opt.slot,
                         start: slots[opt.slot],
                         expected_utility: model.objective_coeff(opt.var),
-                        preferred_space: opt.mask != plan.group_mask(opt.group),
+                        preferred_space: opt.mask != groups.group_mask(opt.group),
                     };
                     if opt.slot == 0 && placed.contains(&spec.id) {
                         record.started.push(planned);
@@ -1451,7 +1415,6 @@ impl Scheduler for ThreeSigmaScheduler {
             level,
             solver_tier: tier,
             cost_units,
-            shards: cfg.shards.max(1),
         };
         governor.last_cost = Some((timing.cost_units, timing.total));
         if let Some(obs) = obs {
@@ -1459,7 +1422,7 @@ impl Scheduler for ThreeSigmaScheduler {
                 cache: cache.stats(),
                 ..*totals
             };
-            obs.flush(&stats, predictor, cache, &timing, &shard_durations);
+            obs.flush(&stats, predictor, cache, &timing);
         }
         timings.push(timing);
         if let Some(cap) = cfg.max_timings {
@@ -2445,24 +2408,13 @@ mod tests {
         assert_eq!(m.completion_rate(), 1.0);
     }
 
-    fn sharded_scheduler(shards: usize) -> ThreeSigmaScheduler {
-        ThreeSigmaScheduler::new(
-            SchedConfig {
-                shards,
-                ..SchedConfig::default()
-            },
-            EstimateSource::OraclePoint,
-            PredictorConfig::default(),
-        )
-    }
-
     #[test]
-    fn scale_mode_schedules_beyond_128_racks_on_preferred() {
-        // Satellite (scale ceiling): a 130-rack cluster needs two mask
-        // groups. With two shards the scheduler must accept it, home the
-        // job preferring rack 129 into the second group, remap the mask to
-        // group-local bits, and still place it on its preferred rack.
-        let mut s = sharded_scheduler(2);
+    fn clusters_beyond_128_racks_schedule_on_preferred_at_default_config() {
+        // A 130-rack cluster needs two mask groups. The default scheduler
+        // must accept it, home the job preferring rack 129 into the second
+        // group, remap the mask to group-local bits, and still place it on
+        // its preferred rack.
+        let mut s = scheduler(EstimateSource::OraclePoint);
         let jobs = vec![
             JobSpec::new(1, 0.0, 2, 100.0, JobKind::Slo { deadline: 1000.0 })
                 .with_preference(vec![PartitionId(129)], 1.5)
@@ -2476,47 +2428,69 @@ mod tests {
     }
 
     #[test]
-    fn rack_mask_boundary_127_128_accepted_129_rejected() {
-        // Satellite (scale ceiling): at the default single shard the
-        // scheduler represents at most RackMask::MAX_RACKS racks, and the
-        // engine must reject a larger spec with a typed error at ingest —
-        // not wrap masks silently.
-        for racks in [127, 128] {
-            let mut s = sharded_scheduler(1);
+    fn rack_mask_boundary_127_128_129_all_accepted_at_default_config() {
+        // One mask holds 128 racks; one rack more is a second mask group,
+        // not an error. (The engine's `ClusterTooLarge` rejection is
+        // covered in `engine.rs` with a scheduler that declares a ceiling.)
+        for racks in [127, 128, 129] {
+            let mut s = scheduler(EstimateSource::OraclePoint);
+            assert_eq!(s.max_partitions(), None);
             let jobs = vec![JobSpec::new(1, 0.0, 1, 50.0, JobKind::BestEffort)];
             let m = engine(racks, 1).run(&jobs, &mut s).unwrap();
             assert_eq!(m.completion_rate(), 1.0, "{racks} racks must work");
         }
-        let mut s = sharded_scheduler(1);
-        let jobs = vec![JobSpec::new(1, 0.0, 1, 50.0, JobKind::BestEffort)];
-        match engine(129, 1).run(&jobs, &mut s) {
-            Err(threesigma_cluster::SimError::ClusterTooLarge { partitions, max }) => {
-                assert_eq!((partitions, max), (129, 128));
-            }
-            other => panic!("expected ClusterTooLarge, got {other:?}"),
-        }
-        // Raising the shard count widens the representable cluster.
-        let mut s = sharded_scheduler(2);
-        let jobs = vec![JobSpec::new(1, 0.0, 1, 50.0, JobKind::BestEffort)];
-        let m = engine(129, 1).run(&jobs, &mut s).unwrap();
-        assert_eq!(m.completion_rate(), 1.0);
     }
 
     #[test]
-    fn completion_in_one_shard_group_invalidates_estimates_in_the_other() {
-        // Satellite (cache epochs under sharding): the estimate cache is
-        // one global structure — a completion handled while group 0's jobs
-        // are planned must stale-out estimates consulted for group 1's
-        // jobs in the same cycle. This test fails if epoch bumps or
-        // invalidation ever become shard-local.
-        let mut s = ThreeSigmaScheduler::new(
-            SchedConfig {
-                shards: 2,
-                ..SchedConfig::default()
-            },
-            EstimateSource::Predicted,
-            PredictorConfig::default(),
-        );
+    fn gang_too_wide_for_its_first_group_is_homed_where_it_fits() {
+        // 129 racks × 2 nodes = groups of 130 and 128 nodes. Job 1 is
+        // spread by id to the 128-node group, which can never hold its 130
+        // tasks: it must be planned in group 0 instead (after job 2, which
+        // fills it) — not sit pending with every option pruned.
+        let mut s = scheduler(EstimateSource::OraclePoint);
+        let jobs = vec![
+            JobSpec::new(1, 0.0, 130, 100.0, JobKind::BestEffort),
+            JobSpec::new(2, 0.0, 130, 100.0, JobKind::BestEffort),
+        ];
+        let m = engine(129, 2).run(&jobs, &mut s).unwrap();
+        for o in &m.outcomes {
+            assert_eq!(o.state, threesigma_cluster::JobState::Completed, "{o:?}");
+        }
+    }
+
+    #[test]
+    fn gang_wider_than_every_group_is_cancelled_not_left_pending() {
+        // 130 racks × 2 nodes = two 130-node groups; a 140-task gang fits
+        // the cluster but no group, so it can never run under group-local
+        // masks. It is cancelled in its first cycle whatever its kind (and
+        // with `cancel_hopeless` off), while its neighbours run.
+        for kind in [JobKind::BestEffort, JobKind::Slo { deadline: 5000.0 }] {
+            let mut s = ThreeSigmaScheduler::new(
+                SchedConfig {
+                    cancel_hopeless: false,
+                    ..SchedConfig::default()
+                },
+                EstimateSource::OraclePoint,
+                PredictorConfig::default(),
+            );
+            let jobs = vec![
+                JobSpec::new(1, 0.0, 140, 100.0, kind),
+                JobSpec::new(2, 0.0, 4, 100.0, JobKind::BestEffort),
+            ];
+            let m = engine(130, 2).run(&jobs, &mut s).unwrap();
+            assert_eq!(m.outcomes[0].state, threesigma_cluster::JobState::Canceled);
+            assert_eq!(m.outcomes[0].start_time, None);
+            assert_eq!(m.outcomes[1].state, threesigma_cluster::JobState::Completed);
+        }
+    }
+
+    #[test]
+    fn completion_in_one_mask_group_invalidates_estimates_in_the_other() {
+        // The estimate cache is one global structure — a completion handled
+        // while group 0's jobs are planned must stale-out estimates
+        // consulted for group 1's jobs in the same cycle. This test fails
+        // if epoch bumps or invalidation ever become group-local.
+        let mut s = scheduler(EstimateSource::Predicted);
         let attrs = threesigma_cluster::Attributes::new().with("user", "pat");
         let a = JobSpec::new(1, 0.0, 1, 100.0, JobKind::BestEffort)
             .with_preference(vec![PartitionId(0)], 1.5)
@@ -2524,10 +2498,11 @@ mod tests {
         let b = JobSpec::new(2, 0.0, 1, 100.0, JobKind::BestEffort)
             .with_preference(vec![PartitionId(129)], 1.5)
             .with_attributes(attrs);
-        let plan = ShardPlan::new(130, 2);
+        let groups = MaskGroups::new(130);
+        let cluster = ClusterSpec::uniform(130, 2);
         assert_ne!(
-            plan.home_group(&a),
-            plan.home_group(&b),
+            groups.home_group(&a, &cluster),
+            groups.home_group(&b, &cluster),
             "precondition: the two jobs live in different mask groups"
         );
         s.on_job_submitted(&a, 0.0);
@@ -2540,20 +2515,7 @@ mod tests {
         );
         // a completes — the predictor learned, so every pending estimate
         // is stale, including b's in the other group.
-        let outcome = threesigma_cluster::JobOutcome {
-            id: a.id,
-            kind: a.kind,
-            submit_time: a.submit_time,
-            tasks: a.tasks,
-            state: threesigma_cluster::JobState::Completed,
-            start_time: Some(0.0),
-            finish_time: Some(42.0),
-            measured_runtime: Some(42.0),
-            preemptions: 0,
-            kills: 0,
-            on_preferred: Some(true),
-        };
-        s.on_job_completed(&a, &outcome, 42.0);
+        s.on_job_completed(&a, &completed(&a, 42.0), 42.0);
         let after = s.cache.base(b.id, || DiscreteDist::point(999.0));
         assert!(
             (after.mean() - 999.0).abs() < 1e-9,

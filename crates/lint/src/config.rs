@@ -63,7 +63,7 @@ pub struct RootSpec {
 }
 
 /// The decision-path roots: every `Scheduler::schedule` impl, every milp
-/// `Solver` impl, the option generators, and the engine/serve pumps. The
+/// `Solver` impl, the option generator, and the engine/serve pumps. The
 /// reachability rules apply to everything these can transitively call.
 pub const DECISION_ROOTS: &[RootSpec] = &[
     RootSpec {
@@ -83,11 +83,6 @@ pub const DECISION_ROOTS: &[RootSpec] = &[
     },
     RootSpec {
         func: "generate",
-        file_suffix: Some("core/src/sched/options.rs"),
-        impl_word: None,
-    },
-    RootSpec {
-        func: "generate_sharded",
         file_suffix: Some("core/src/sched/options.rs"),
         impl_word: None,
     },

@@ -6,7 +6,7 @@
 //! Phase 1 builds a symbol table and crate-level call graph ([`graph`]) and
 //! computes the functions reachable from the decision-path roots
 //! (`Scheduler::schedule` impls, milp `Solver::solve` impls, the option
-//! generators, and the engine/serve pumps). Phase 2 runs the rules:
+//! generator, and the engine/serve pumps). Phase 2 runs the rules:
 //!
 //! * **hash-iter** — no `HashMap`/`HashSet` iteration in decision-path
 //!   reachable code unless justified with `// lint: sorted`.
@@ -15,6 +15,8 @@
 //! * **time-source** — no `Instant::now`/`SystemTime` in reachable code
 //!   outside the clock modules.
 //! * **thread-rng** — no OS-seeded RNG anywhere.
+//! * **thread-in-decision-scope** — no thread spawn, channel or core-count
+//!   read in the decision-path directories.
 //! * **panic** — no `unwrap`/`expect`/`panic!`-family/slice-indexing in
 //!   reachable cluster/core code, modulo the checked-in allowlist.
 //! * **float-ord** — no `partial_cmp` in reachable comparisons.
@@ -46,7 +48,8 @@ pub mod scan;
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Rule name (`hash-iter`, `no-hash-container`, `time-source`,
-    /// `thread-rng`, `panic`, `float-ord`, `layering`).
+    /// `thread-rng`, `thread-in-decision-scope`, `panic`, `float-ord`,
+    /// `layering`).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -187,6 +190,7 @@ pub fn check_file(parsed: &scan::ParsedFile) -> Vec<Violation> {
         out.extend(rules::hash_iter(parsed));
         out.extend(rules::time_source(parsed));
         out.extend(rules::float_ordering(parsed));
+        out.extend(rules::thread_in_decision_scope(parsed));
     }
     if config::in_scope(&parsed.rel, config::NO_HASH_CONTAINER_SCOPES) {
         out.extend(rules::no_hash_container(parsed));
@@ -279,13 +283,19 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
                 report.violations.extend(rules::panic_safety(&reach));
             }
             // The structural rules keep their path scoping: banned
-            // containers and OS-seeded RNG are wrong wherever they appear,
-            // not just on paths a scheduler can currently reach.
+            // containers, OS-seeded RNG and thread fan-outs are wrong
+            // wherever they appear, not just on paths a scheduler can
+            // currently reach.
             if config::in_scope(&parsed.rel, config::NO_HASH_CONTAINER_SCOPES) {
                 report.violations.extend(rules::no_hash_container(parsed));
             }
             if config::in_scope(&parsed.rel, &["crates/"]) {
                 report.violations.extend(rules::os_seeded_rng(parsed));
+            }
+            if config::in_scope(&parsed.rel, config::DECISION_SCOPES) {
+                report
+                    .violations
+                    .extend(rules::thread_in_decision_scope(parsed));
             }
         }
     } else {

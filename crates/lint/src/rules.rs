@@ -228,6 +228,48 @@ pub fn os_seeded_rng(file: &ParsedFile) -> Vec<Violation> {
     out
 }
 
+/// Determinism of cost: decision-path code may not spawn threads, merge
+/// over channels, or size work by the host's core count. Decisions were
+/// always merged back in a fixed order, but cycle *cost* — and with a
+/// wall-clock budget, the degradation level — followed the machine.
+pub fn thread_in_decision_scope(file: &ParsedFile) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut flag = |pattern: &str, line: usize, func: &str| {
+        out.push(violation(
+            "thread-in-decision-scope",
+            &file.rel,
+            line,
+            func,
+            pattern.to_string(),
+            format!(
+                "`{pattern}` in decision-path code; a scheduling cycle runs on the calling \
+                 thread so its cost does not depend on the host's cores"
+            ),
+        ));
+    };
+    let mut scan = |toks: &[Tok], func: &str| {
+        for i in 0..toks.len() {
+            let Some(Tok::Ident(id, span)) = toks.get(i) else {
+                continue;
+            };
+            if id == "available_parallelism" || id == "mpsc" {
+                flag(id, span.line, func);
+            } else if let ("thread", Some(Tok::Punct(':', _)), Some(Tok::Ident(f, _))) =
+                (id.as_str(), toks.get(i + 1), toks.get(i + 3))
+            {
+                if f == "spawn" || f == "scope" {
+                    flag(&format!("thread::{f}"), span.line, func);
+                }
+            }
+        }
+    };
+    for f in file.fns.iter().filter(|f| !f.is_test) {
+        scan(&f.body, &f.func);
+    }
+    scan(&file.item_toks, "<file>");
+    out
+}
+
 /// Service-loop strictness: `HashMap`/`HashSet` may not appear at all in
 /// the engine/serve modules — not as an import, field, local, parameter, or
 /// turbofished constructor. The softer [`hash_iter`] rule only flags

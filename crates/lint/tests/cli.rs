@@ -68,6 +68,10 @@ fn clean_workspace_exits_zero() {
         "crates/predict/src/fx.rs",
         include_str!("fixtures/thread_rng_good.rs"),
     );
+    root.write(
+        "crates/milp/src/fx.rs",
+        include_str!("fixtures/thread_scope_good.rs"),
+    );
     let (code, stdout) = root.check();
     assert_eq!(code, 0, "stdout:\n{stdout}");
     assert!(stdout.contains("no violations"), "{stdout}");
@@ -75,7 +79,7 @@ fn clean_workspace_exits_zero() {
 
 #[test]
 fn each_bad_fixture_exits_nonzero() {
-    let cases: [(&str, &str, &str, &str); 9] = [
+    let cases: [(&str, &str, &str, &str); 10] = [
         (
             "hash-iter",
             include_str!("fixtures/hash_iter_bad.rs"),
@@ -93,6 +97,12 @@ fn each_bad_fixture_exits_nonzero() {
             include_str!("fixtures/thread_rng_bad.rs"),
             "crates/predict/src/fx.rs",
             "thread_rng",
+        ),
+        (
+            "thread-in-decision-scope",
+            include_str!("fixtures/thread_scope_bad.rs"),
+            "crates/core/src/sched/fx.rs",
+            "thread_scope",
         ),
         (
             "panic",

@@ -135,6 +135,46 @@ fn thread_rng_trips_on_bad_fixture_only() {
 }
 
 #[test]
+fn thread_rule_trips_on_every_bad_construct_in_decision_scopes_only() {
+    let bad = include_str!("fixtures/thread_scope_bad.rs");
+    let found = rules::thread_in_decision_scope(&parse("crates/core/src/sched/fx.rs", bad));
+    assert!(found.iter().all(|v| v.rule == "thread-in-decision-scope"));
+    let mut pats = patterns(&found);
+    pats.sort_unstable();
+    // The import and the `mpsc::channel()` call both name the module.
+    assert_eq!(
+        pats,
+        [
+            "available_parallelism",
+            "mpsc",
+            "mpsc",
+            "thread::scope",
+            "thread::spawn"
+        ],
+        "{found:?}"
+    );
+    let good = include_str!("fixtures/thread_scope_good.rs");
+    let found = rules::thread_in_decision_scope(&parse("crates/core/src/sched/fx.rs", good));
+    assert!(found.is_empty(), "test code is exempt: {found:?}");
+    // Outside the decision scopes (e.g. the CLI's socket front-end) the
+    // rule does not run.
+    let elsewhere = check_file(&parse("crates/cli/src/fx.rs", bad));
+    assert!(
+        elsewhere
+            .iter()
+            .all(|v| v.rule != "thread-in-decision-scope"),
+        "{elsewhere:?}"
+    );
+    let in_scope = check_file(&parse("crates/milp/src/fx.rs", bad));
+    assert!(
+        in_scope
+            .iter()
+            .any(|v| v.rule == "thread-in-decision-scope"),
+        "{in_scope:?}"
+    );
+}
+
+#[test]
 fn panic_rule_trips_on_every_bad_construct() {
     let p = parse(
         "crates/cluster/src/fx.rs",

@@ -215,10 +215,6 @@ pub struct SeedOverrides {
     /// inherently nondeterministic, so reports under this override are not
     /// byte-stable and the work-unit governor acceptance checks are skipped.
     pub cycle_budget_ms: Option<f64>,
-    /// Worker shards for 3σSched's decide stage (`--shards N`). Sharding is
-    /// a pure parallelism knob — reports stay byte-identical at every shard
-    /// count, which is exactly what the cross-shard replay verifies.
-    pub shards: Option<usize>,
     /// Pins the MILP backend (`--solver-tier 0|1|2`) regardless of the
     /// degradation level. Tiers 0/1 change which plan is chosen, so reports
     /// are tier-specific — but still byte-stable per tier.
@@ -231,10 +227,10 @@ pub struct SeedOverrides {
 
 impl SeedOverrides {
     fn is_default(&self) -> bool {
-        // `shards` and `no_incremental` are deliberately ignored: work-unit
-        // cost is shard- and reuse-invariant, so the governor acceptance
-        // checks still hold. A pinned solver tier, however, changes which
-        // ladder rung does the work, so it disarms acceptance.
+        // `no_incremental` is deliberately ignored: work-unit cost is
+        // reuse-invariant, so the governor acceptance checks still hold. A
+        // pinned solver tier, however, changes which ladder rung does the
+        // work, so it disarms acceptance.
         self.max_retries.is_none() && self.cycle_budget_ms.is_none() && self.solver_tier.is_none()
     }
 }
@@ -258,7 +254,6 @@ fn three_sigma_for_with(scenario: &Scenario, overrides: &SeedOverrides) -> Three
         SchedConfig {
             cycle_hint: scenario.cycle_interval,
             cycle_budget,
-            shards: overrides.shards.unwrap_or(1),
             solver_tier: overrides.solver_tier,
             incremental_solver: !overrides.no_incremental,
             ..SchedConfig::default()
@@ -432,6 +427,56 @@ mod tests {
                     assert!(*n > 0, "seed {seed}: {} never checked {name}", s.scheduler);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn two_mask_groups_pass_the_invariant_battery_at_default_config() {
+        // 256 racks × 2 nodes = two 128-rack mask groups, scheduled by the
+        // default `SchedConfig` (preemption on). Best-effort gangs fill most
+        // of the cluster, then tight SLO gangs arrive; preferences point
+        // into both groups.
+        use threesigma_cluster::{JobKind, JobSpec, PartitionId};
+        let mut jobs = Vec::new();
+        for id in 1..=10u64 {
+            let j = JobSpec::new(id, 0.0, 48, 400.0, JobKind::BestEffort);
+            jobs.push(match id % 3 {
+                0 => j.with_preference(vec![PartitionId(5), PartitionId(6)], 1.5),
+                1 => j.with_preference(vec![PartitionId(130 + id as usize)], 1.5),
+                _ => j,
+            });
+        }
+        for id in 11..=22u64 {
+            let submit = 20.0 + id as f64;
+            let deadline = submit + 200.0;
+            let j = JobSpec::new(id, submit, 30, 60.0, JobKind::Slo { deadline }).with_weight(10.0);
+            jobs.push(match id % 3 {
+                0 => j.with_preference(vec![PartitionId(255)], 1.5),
+                1 => j.with_preference(vec![PartitionId(0), PartitionId(127)], 1.5),
+                _ => j,
+            });
+        }
+        let scenario = Scenario {
+            racks: 256,
+            nodes_per_rack: 2,
+            cycle_interval: 2.0,
+            jobs,
+            ..Scenario::no_contention(0)
+        };
+        let rec = Recorder::enabled();
+        let mut ts = ThreeSigmaScheduler::new(
+            SchedConfig::default(),
+            EstimateSource::OraclePoint,
+            PredictorConfig::default(),
+        )
+        .with_recorder(&rec);
+        let report = run_one(&scenario, "threesigma", &mut ts, &rec);
+        assert!(report.passed(), "{:?}", report.violations);
+        let m = report.metrics.expect("run finished");
+        assert_eq!(m.count(JobState::Completed), scenario.jobs.len());
+        assert!(m.preemptions > 0, "the SLO wave must preempt its way in");
+        for (name, n) in &report.counts {
+            assert!(*n > 0, "never checked {name}");
         }
     }
 

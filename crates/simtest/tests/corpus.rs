@@ -50,61 +50,28 @@ fn every_corpus_seed_is_deterministic_across_runs() {
     debug_assertions,
     ignore = "slow without optimizations; run in release or via the simtest CLI"
 )]
-fn every_corpus_seed_is_deterministic_across_shard_counts() {
-    // Sharding the decide stage is a pure parallelism knob: work is split
-    // deterministically and merged back in shard order before anything
-    // order-sensitive happens, so the rendered report — digest line
-    // included — must be byte-identical at every shard count. A mismatch
-    // here means shard boundaries leaked into scheduling decisions.
-    for seed in corpus_seeds() {
-        let baseline = run_seed(seed).render();
-        for shards in [2usize, 8] {
-            let sharded = run_seed_with(
-                seed,
-                SeedOverrides {
-                    shards: Some(shards),
-                    ..SeedOverrides::default()
-                },
-            )
-            .render();
-            assert_eq!(
-                baseline, sharded,
-                "SEED {seed} DIVERGED at {shards} shards\nbaseline:\n{baseline}\nsharded:\n{sharded}"
-            );
-        }
-    }
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow without optimizations; run in release or via the simtest CLI"
-)]
 fn every_corpus_seed_is_identical_with_incremental_solving_off() {
     // The incremental tier-2 path only short-circuits a solve when the
     // model, warm start, and budgets are bit-identical to the previous
     // cycle's AND that solve ran to proven optimality — in which case the
     // cached solution IS the solution a fresh solve would produce. So
-    // disabling the cache must not move a single byte of the report, at
-    // any shard count. A mismatch means the reuse contract leaked an
-    // unproven or stale solution into a scheduling decision.
+    // disabling the cache must not move a single byte of the report. A
+    // mismatch means the reuse contract leaked an unproven or stale solution
+    // into a scheduling decision.
     for seed in corpus_seeds() {
         let baseline = run_seed(seed).render();
-        for shards in [1usize, 2, 8] {
-            let replay = run_seed_with(
-                seed,
-                SeedOverrides {
-                    shards: Some(shards),
-                    no_incremental: true,
-                    ..SeedOverrides::default()
-                },
-            )
-            .render();
-            assert_eq!(
-                baseline, replay,
-                "SEED {seed} DIVERGED with incremental solving off at {shards} shards\n\
-                 baseline:\n{baseline}\nreplay:\n{replay}"
-            );
-        }
+        let replay = run_seed_with(
+            seed,
+            SeedOverrides {
+                no_incremental: true,
+                ..SeedOverrides::default()
+            },
+        )
+        .render();
+        assert_eq!(
+            baseline, replay,
+            "SEED {seed} DIVERGED with incremental solving off\n\
+             baseline:\n{baseline}\nreplay:\n{replay}"
+        );
     }
 }
