@@ -15,7 +15,7 @@ use crate::clock::Stopwatch;
 
 use crate::model::{Model, VarKind};
 use crate::presolve::{Presolve, PresolveStats};
-use crate::simplex::{solve_lp_warm, solve_lp_with_bounds, Basis, LpOutcome};
+use crate::simplex::{LpOutcome, LpWorkspace, SharedBasis};
 
 /// Terminal status of a MIP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +75,8 @@ pub struct SolverConfig {
     pub gap_tolerance: f64,
     /// Distance from an integer at which a binary is considered integral.
     pub integrality_tol: f64,
-    /// Run the round-and-repair heuristic every this many nodes.
+    /// Run the round-and-repair heuristic every this many nodes (at nodes
+    /// 1, 1 + n, 1 + 2n, …); `0` never runs it periodically.
     pub heuristic_every: usize,
 }
 
@@ -110,8 +111,9 @@ struct Node {
     depth: usize,
     /// Optimal basis of the parent's LP relaxation; the child LP differs
     /// only in a handful of bounds, so dual simplex reoptimises from here
-    /// instead of running phase 1 from scratch.
-    basis: Option<Rc<Basis>>,
+    /// instead of running phase 1 from scratch. Siblings share it, and with
+    /// it the inverse the first of them to be expanded computes.
+    basis: Rc<SharedBasis>,
 }
 
 impl PartialEq for Node {
@@ -209,7 +211,12 @@ impl BranchAndBound {
             .filter(|(_, v)| v.kind == VarKind::Binary)
             .map(|(i, _)| i)
             .collect();
+        let groups = GroupIndex::new(model);
         let tol = self.config.integrality_tol;
+        // Every LP of the search — warm-start repair, root, nodes, the
+        // periodic heuristic — runs on this one workspace.
+        let mut ws = LpWorkspace::new(model);
+        let mut bounds = Vec::with_capacity(base.len());
         let mut lp_iterations = 0usize;
         let mut incumbent_updates = 0usize;
         let mut timed_out = false;
@@ -220,7 +227,7 @@ impl BranchAndBound {
         if let Some(w) = warm {
             if w.len() == model.num_vars() {
                 if let Some((obj, x)) =
-                    self.fix_and_solve(model, &base, &binaries, w, &mut lp_iterations)
+                    self.fix_and_solve(&mut ws, &base, &binaries, w, &mut lp_iterations)
                 {
                     incumbent = Some((obj, x));
                     incumbent_updates += 1;
@@ -229,7 +236,7 @@ impl BranchAndBound {
         }
 
         // Root relaxation.
-        let (root, root_basis) = solve_lp_warm(model, Some(&base), None);
+        let (root, root_basis) = ws.solve(Some(&base), None);
         lp_iterations += root.iterations;
         match root.outcome {
             LpOutcome::Infeasible => {
@@ -266,7 +273,7 @@ impl BranchAndBound {
             bound: root.objective,
             changes: None,
             depth: 0,
-            basis: Some(Rc::new(root_basis)),
+            basis: Rc::new(SharedBasis::new(root_basis)),
         });
 
         let mut nodes = 0usize;
@@ -306,8 +313,10 @@ impl BranchAndBound {
             }
             nodes += 1;
 
-            let bounds = materialise(&base, node.changes.as_deref());
-            let (lp, lp_basis) = solve_lp_warm(model, Some(&bounds), node.basis.as_deref());
+            materialise(&mut bounds, &base, node.changes.as_deref());
+            // A sibling still queued holds the other reference.
+            let shared = Rc::strong_count(&node.basis) > 1;
+            let (lp, lp_basis) = ws.solve_shared(&bounds, &node.basis, shared);
             lp_iterations += lp.iterations;
             match lp.outcome {
                 LpOutcome::Infeasible => continue,
@@ -338,16 +347,16 @@ impl BranchAndBound {
                     // Integral: candidate incumbent.
                     let obj = lp.objective;
                     if incumbent.as_ref().is_none_or(|(o, _)| obj > *o) {
-                        incumbent = Some((obj, lp.values.clone()));
+                        incumbent = Some((obj, lp.values));
                         incumbent_updates += 1;
                     }
                 }
                 Some(branch_var) => {
                     // Periodic round-and-repair heuristic for an early
                     // incumbent (mirrors "query best solution found so far").
-                    if nodes % self.config.heuristic_every == 1 {
+                    if nodes.checked_rem(self.config.heuristic_every) == Some(1) {
                         if let Some((obj, x)) = self.fix_and_solve(
-                            model,
+                            &mut ws,
                             &bounds,
                             &binaries,
                             &lp.values,
@@ -362,14 +371,15 @@ impl BranchAndBound {
                     // SOS1 branching if the variable belongs to a group with
                     // several fractional members; variable dichotomy
                     // otherwise.
-                    let children = self.branch_children(model, &lp.values, branch_var, tol, &node);
-                    let parent_basis = Rc::new(lp_basis);
+                    let children =
+                        self.branch_children(model, &groups, &lp.values, branch_var, tol, &node);
+                    let parent_basis = Rc::new(SharedBasis::new(lp_basis));
                     for changes in children {
                         let child = Node {
                             bound: lp.objective,
                             changes: Some(Rc::new(changes)),
                             depth: node.depth + 1,
-                            basis: Some(Rc::clone(&parent_basis)),
+                            basis: Rc::clone(&parent_basis),
                         };
                         heap.push(child);
                     }
@@ -445,16 +455,18 @@ impl BranchAndBound {
     }
 
     /// Fixes every binary to its rounding in `reference`, solves the LP for
-    /// the continuous variables, and repairs infeasibility by unsetting the
-    /// most weakly selected binaries. Shared with the tier-0 greedy backend.
+    /// the continuous variables on the search's workspace, and repairs
+    /// infeasibility by unsetting the most weakly selected binaries. Shared
+    /// with the tier-0 greedy backend.
     pub(crate) fn fix_and_solve(
         &self,
-        model: &Model,
+        ws: &mut LpWorkspace<'_>,
         bounds: &[(f64, f64)],
         binaries: &[usize],
         reference: &[f64],
         lp_iterations: &mut usize,
     ) -> Option<(f64, Vec<f64>)> {
+        let model = ws.model();
         let mut fixed = bounds.to_vec();
         // (value, index) of binaries rounded up, weakest first for repair.
         let mut ones: Vec<(f64, usize)> = Vec::new();
@@ -470,7 +482,7 @@ impl BranchAndBound {
         }
         ones.sort_by(|a, b| a.0.total_cmp(&b.0));
         for _attempt in 0..=ones.len().min(8) {
-            let lp = solve_lp_with_bounds(model, Some(&fixed));
+            let (lp, _) = ws.solve(Some(&fixed), None);
             *lp_iterations += lp.iterations;
             match lp.outcome {
                 LpOutcome::Optimal | LpOutcome::IterationLimit
@@ -494,6 +506,7 @@ impl BranchAndBound {
     fn branch_children(
         &self,
         model: &Model,
+        groups: &GroupIndex,
         lp_values: &[f64],
         branch_var: usize,
         tol: f64,
@@ -501,11 +514,8 @@ impl BranchAndBound {
     ) -> Vec<NodeChanges> {
         // Prefer SOS1 branching: split the group containing the branch
         // variable into two halves ordered by LP value.
-        for group in &model.sos1 {
-            if !group.contains(&branch_var) {
-                continue;
-            }
-            let fractional: Vec<usize> = group
+        for &g in groups.of(branch_var) {
+            let fractional: Vec<usize> = model.sos1[g]
                 .iter()
                 .copied()
                 .filter(|&j| {
@@ -568,8 +578,43 @@ fn most_fractional(binaries: &[usize], values: &[f64], tol: f64) -> Option<usize
     best.map(|(j, _)| j)
 }
 
-fn materialise(base: &[(f64, f64)], changes: Option<&NodeChanges>) -> Vec<(f64, f64)> {
-    let mut bounds = base.to_vec();
+/// Which SOS1 groups each variable belongs to, in group order, built once
+/// per search (compressed rows: variable `j`'s groups are
+/// `groups[starts[j]..starts[j + 1]]`).
+struct GroupIndex {
+    starts: Vec<usize>,
+    groups: Vec<usize>,
+}
+
+impl GroupIndex {
+    fn new(model: &Model) -> Self {
+        let mut starts = vec![0usize; model.num_vars() + 1];
+        for &j in model.sos1.iter().flatten() {
+            starts[j + 1] += 1;
+        }
+        for j in 0..model.num_vars() {
+            starts[j + 1] += starts[j];
+        }
+        let mut next = starts.clone();
+        let mut groups = vec![0usize; starts[model.num_vars()]];
+        for (g, group) in model.sos1.iter().enumerate() {
+            for &j in group {
+                groups[next[j]] = g;
+                next[j] += 1;
+            }
+        }
+        Self { starts, groups }
+    }
+
+    fn of(&self, var: usize) -> &[usize] {
+        &self.groups[self.starts[var]..self.starts[var + 1]]
+    }
+}
+
+/// Fills `bounds` with `base` overridden by the node's chain of changes.
+fn materialise(bounds: &mut Vec<(f64, f64)>, base: &[(f64, f64)], changes: Option<&NodeChanges>) {
+    bounds.clear();
+    bounds.extend_from_slice(base);
     // Child changes override ancestors; apply root-to-leaf.
     let mut chain = Vec::new();
     let mut cur = changes;
@@ -582,7 +627,6 @@ fn materialise(base: &[(f64, f64)], changes: Option<&NodeChanges>) -> Vec<(f64, 
             bounds[*j] = (*lo, *hi);
         }
     }
-    bounds
 }
 
 #[cfg(test)]
@@ -603,20 +647,40 @@ mod tests {
         assert_near(s.objective, 8.0);
     }
 
-    #[test]
-    fn knapsack_finds_integer_optimum() {
-        // max 10a + 6b + 4c, 5a + 4b + 3c ≤ 10 → a + b = 16 (a+c=14, b+c=10).
+    /// max 10a + 6b + 4c, 5a + 4b + 3c ≤ 10 → a + b = 16 (a+c=14, b+c=10).
+    fn knapsack() -> Model {
         let mut m = Model::new();
         let a = m.add_binary(10.0);
         let b = m.add_binary(6.0);
         let c = m.add_binary(4.0);
         m.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 10.0);
-        let s = BranchAndBound::new().solve(&m);
+        m
+    }
+
+    #[test]
+    fn knapsack_finds_integer_optimum() {
+        let s = BranchAndBound::new().solve(&knapsack());
         assert_eq!(s.status, MipStatus::Optimal);
         assert_near(s.objective, 16.0);
-        assert_near(s.values[a.index()], 1.0);
-        assert_near(s.values[b.index()], 1.0);
-        assert_near(s.values[c.index()], 0.0);
+        assert_near(s.values[0], 1.0);
+        assert_near(s.values[1], 1.0);
+        assert_near(s.values[2], 0.0);
+    }
+
+    #[test]
+    fn heuristic_every_zero_disables_the_periodic_heuristic() {
+        // `0` used to be a remainder by zero inside the search loop; it now
+        // means "never", and branching alone reaches the same optimum.
+        let cfg = SolverConfig {
+            heuristic_every: 0,
+            ..SolverConfig::default()
+        };
+        let s = BranchAndBound::with_config(cfg).solve(&knapsack());
+        let reference = BranchAndBound::new().solve(&knapsack());
+        assert_eq!(s.status, MipStatus::Optimal);
+        assert_eq!(s.objective.to_bits(), reference.objective.to_bits());
+        assert_eq!(s.values, reference.values);
+        assert!(s.nodes > 1, "the model must branch for the guard to be hit");
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!
 //! * [`model`] — a sparse problem builder (continuous and binary variables,
 //!   `≤ / ≥ / =` rows, SOS1 groups for "at most one placement option").
-//! * [`simplex`] — a bounded-variable primal simplex with an explicit basis
-//!   inverse and a composite phase-1, sized for the dense-but-small LPs a
-//!   scheduling cycle produces (thousands of columns, hundreds of rows).
+//! * [`simplex`] — a bounded-variable revised simplex with an explicit basis
+//!   inverse (composite phase-1 primal for cold solves, dual reoptimisation
+//!   from a warm basis) on an [`LpWorkspace`] a search builds once and
+//!   reuses for every LP, sized for the dense-but-small LPs a scheduling
+//!   cycle produces (thousands of columns, hundreds of rows).
 //! * [`branch`] — best-bound branch-and-bound with SOS1-aware branching,
 //!   fix-and-repair rounding incumbents, warm-start seeding from the previous
 //!   cycle's schedule, and node/time budgets that return the best incumbent
@@ -55,5 +57,5 @@ pub use branch::{BranchAndBound, MipSolution, MipStatus, SolverConfig};
 pub use incremental::{diff_models, IncrementalSolver, IncrementalStats, ModelDiff};
 pub use model::{Cmp, Model, VarId, VarKind};
 pub use presolve::{Presolve, PresolveStats};
-pub use simplex::{Basis, LpOutcome, LpSolution};
+pub use simplex::{Basis, LpOutcome, LpSolution, LpWorkspace};
 pub use tiers::{solver_for_tier, GreedyRounding, LpRepair, Solver};

@@ -1,20 +1,41 @@
-//! Bounded-variable primal simplex with an explicit basis inverse.
+//! Bounded-variable revised simplex on a reusable workspace.
 //!
 //! Solves the LP relaxations branch-and-bound needs: maximise `c·x` subject
-//! to sparse rows and finite-or-infinite variable bounds. A composite
-//! phase-1 (minimise total bound infeasibility with dynamically recomputed
-//! costs) finds a feasible basis from the all-slack start; phase 2 then
-//! optimises the true objective. Dantzig pricing with a Bland's-rule
-//! fallback guards against cycling, and the basis inverse is refactorised
-//! periodically to bound drift.
+//! to sparse rows and finite-or-infinite variable bounds, with an explicit
+//! dense basis inverse.
 //!
-//! Scheduling-cycle LPs are small (hundreds of rows) but re-solved at every
-//! branch-and-bound node, so the implementation favours predictable `O(m²)`
-//! pivots and `O(nm)` pricing over sparse-factorisation sophistication.
+//! * **Cold solves** are primal: a composite phase 1 (minimise total bound
+//!   infeasibility with dynamically recomputed costs) finds a feasible basis
+//!   from the all-slack start, phase 2 then optimises the true objective.
+//!   Dantzig pricing with a Bland's-rule fallback guards against cycling,
+//!   and the inverse is refactorised periodically to bound drift.
+//! * **Warm solves** start from a [`Basis`] an earlier solve returned. A
+//!   branch-and-bound child differs from its parent in a handful of bounds,
+//!   so the parent's optimal basis is still dual feasible and a bounded
+//!   dual-simplex loop restores primal feasibility in a few pivots; a capped
+//!   primal cleanup follows. Anything but a clean outcome abandons the warm
+//!   attempt and redoes the solve cold, so a warm start can change which
+//!   optimal vertex is reported, never the solution quality.
+//! * **One [`LpWorkspace`] per search.** The column structure, costs and
+//!   right-hand sides of a model are built once; each LP only resets bounds,
+//!   resting states, the slack basis and the inverse in place, and every
+//!   intermediate vector (duals, the entering column, the eta row, phase-1
+//!   costs, Gauss-Jordan scratch, extracted values) lives in the workspace.
+//!   A reset workspace is in exactly the state a freshly built one is in, so
+//!   reuse cannot move a pivot — `tests/lp_workspace.rs` holds it to that
+//!   and to its allocation budget. [`solve_lp`], [`solve_lp_with_bounds`]
+//!   and [`solve_lp_warm`] are the same path over a throw-away workspace.
+//!
+//! Scheduling-cycle LPs are small (tens to hundreds of rows) but re-solved
+//! at every branch-and-bound node, so the implementation favours predictable
+//! `O(m²)` pivots and `O(nm)` pricing over sparse-factorisation
+//! sophistication (DESIGN.md §9).
 
 // Dense kernel loops index several parallel arrays at once; the indexed
 // form is clearer than zipped iterators here.
 #![allow(clippy::needless_range_loop)]
+use std::cell::RefCell;
+
 use crate::model::{Cmp, Model};
 
 /// Feasibility tolerance on bounds and rows.
@@ -25,6 +46,10 @@ pub const OPT_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-9;
 /// Pivots between basis-inverse refactorisations.
 const REFACTOR_EVERY: usize = 100;
+/// Most `f64`s one workspace lets [`SharedBasis`] inverses hold at a time
+/// (8 MiB). Past it a sibling recomputes the inverse instead of copying it:
+/// slower, never different.
+const SHARED_INVERSE_WORDS: usize = 1 << 20;
 
 /// Terminal status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +78,17 @@ pub struct LpSolution {
     pub iterations: usize,
 }
 
+impl LpSolution {
+    fn infeasible(iterations: usize) -> Self {
+        Self {
+            outcome: LpOutcome::Infeasible,
+            objective: f64::NEG_INFINITY,
+            values: Vec::new(),
+            iterations,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarState {
     Basic(usize),
@@ -63,13 +99,13 @@ enum VarState {
 /// A snapshot of a simplex basis: which variable occupies each basis row and
 /// which bound every nonbasic variable rests on.
 ///
-/// Opaque to callers — obtain one from [`solve_lp_warm`] and feed it back to
-/// a later [`solve_lp_warm`] call on a model with the *same* variable and row
-/// counts to reoptimise from that vertex (dual simplex first, then primal)
-/// instead of restarting from the all-slack basis. An incompatible or
-/// singular snapshot is ignored and the solve falls back to a cold start, so
-/// reuse is always safe.
-#[derive(Debug, Clone)]
+/// Opaque to callers — obtain one from [`LpWorkspace::solve`] (or
+/// [`solve_lp_warm`]) and feed it back to a later solve of a model with the
+/// *same* variable and row counts to reoptimise from that vertex (dual
+/// simplex first, then primal) instead of restarting from the all-slack
+/// basis. An incompatible or singular snapshot is ignored and the solve
+/// falls back to a cold start, so reuse is always safe.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     state: Vec<VarState>,
     basis: Vec<usize>,
@@ -82,6 +118,32 @@ impl Basis {
         self.state.len() == num_vars + num_constraints && self.basis.len() == num_constraints
     }
 }
+
+/// A parent's optimal basis as its branch-and-bound children share it,
+/// together with the inverse the first child to install it computed.
+///
+/// That inverse is a pure function of the basis and the workspace's columns
+/// (Gauss-Jordan from the identity, before any pivot), so the sibling copies
+/// it instead of eliminating again and gets the same bits. Only ever hand one
+/// to the workspace whose solve produced the basis.
+#[derive(Debug)]
+pub(crate) struct SharedBasis {
+    basis: Basis,
+    inverse: RefCell<Option<Vec<f64>>>,
+}
+
+impl SharedBasis {
+    pub(crate) fn new(basis: Basis) -> Self {
+        Self {
+            basis,
+            inverse: RefCell::new(None),
+        }
+    }
+}
+
+/// A [`SharedBasis`]'s inverse slot, and whether a later solve will want the
+/// inverse left in it.
+type SharedInverse<'a> = (&'a RefCell<Option<Vec<f64>>>, bool);
 
 /// Outcome of the dual-simplex reoptimisation loop.
 enum DualResult {
@@ -114,10 +176,30 @@ struct Tableau {
     xn: Vec<f64>,
     pivots_since_refactor: usize,
     iterations: usize,
+    // Scratch, each fully overwritten by its producer before anything reads
+    // it, so nothing carries from one LP to the next.
+    /// Phase-1 cost per column ([`Tableau::phase1_cost`]).
+    phase1: Vec<f64>,
+    /// Dual values ([`Tableau::duals`]).
+    y: Vec<f64>,
+    /// `Binv · A_q` for the entering column ([`Tableau::ftran`]).
+    w: Vec<f64>,
+    /// The scaled pivot row of an eta update.
+    pivot_row: Vec<f64>,
+    /// `b − Σ_nonbasic A_j x_j` ([`Tableau::recompute_xb`]).
+    adjusted: Vec<f64>,
+    /// Gauss-Jordan working copies of the basis matrix and its inverse.
+    gj_a: Vec<f64>,
+    gj_inv: Vec<f64>,
+    /// Structural values ([`Tableau::extract`]).
+    values: Vec<f64>,
 }
 
 impl Tableau {
-    fn new(model: &Model, bounds: Option<&[(f64, f64)]>) -> Self {
+    /// Builds everything about `model` that no LP over it changes: columns,
+    /// costs, right-hand sides, slack bounds, and every buffer at its final
+    /// size. [`Tableau::reset`] makes it solvable.
+    fn new(model: &Model) -> Self {
         let n = model.num_vars();
         let m = model.num_constraints();
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n + m];
@@ -129,13 +211,9 @@ impl Tableau {
         let mut lower = Vec::with_capacity(n + m);
         let mut upper = Vec::with_capacity(n + m);
         let mut cost = Vec::with_capacity(n + m);
-        for (j, v) in model.vars.iter().enumerate() {
-            let (lo, hi) = match bounds {
-                Some(b) => b[j],
-                None => (v.lower, v.upper),
-            };
-            lower.push(lo);
-            upper.push(hi);
+        for v in &model.vars {
+            lower.push(v.lower);
+            upper.push(v.upper);
             cost.push(v.objective);
         }
         let mut rhs = Vec::with_capacity(m);
@@ -152,25 +230,7 @@ impl Tableau {
             cost.push(0.0);
             rhs.push(c.rhs);
         }
-        // Nonbasic structural variables rest on a finite bound; slacks form
-        // the initial (identity) basis.
-        let mut state = Vec::with_capacity(n + m);
-        let mut xn = vec![0.0; n + m];
-        for j in 0..n {
-            if lower[j].is_finite() {
-                state.push(VarState::AtLower);
-                xn[j] = lower[j];
-            } else {
-                state.push(VarState::AtUpper);
-                xn[j] = upper[j];
-            }
-        }
-        let mut basis = Vec::with_capacity(m);
-        for r in 0..m {
-            state.push(VarState::Basic(r));
-            basis.push(n + r);
-        }
-        let mut t = Self {
+        Self {
             cols,
             lower,
             upper,
@@ -178,25 +238,48 @@ impl Tableau {
             rhs,
             n_structural: n,
             m,
-            state,
-            basis,
-            binv: identity(m),
+            state: vec![VarState::AtLower; n + m],
+            basis: vec![0; m],
+            binv: vec![0.0; m * m],
             xb: vec![0.0; m],
-            xn,
+            xn: vec![0.0; n + m],
             pivots_since_refactor: 0,
             iterations: 0,
-        };
-        t.recompute_xb();
-        t
+            phase1: vec![0.0; n + m],
+            y: vec![0.0; m],
+            w: vec![0.0; m],
+            pivot_row: vec![0.0; m],
+            adjusted: vec![0.0; m],
+            gj_a: vec![0.0; m * m],
+            gj_inv: vec![0.0; m * m],
+            values: vec![0.0; n],
+        }
     }
 
-    /// Discards the current basis and returns to the all-slack cold start
-    /// (the escape hatch when a warm basis leads phase 1 into a degenerate
-    /// cycle that even Bland's rule cannot break — the composite phase-1
-    /// cost changes every iteration, so no pivoting rule guarantees
-    /// termination from an arbitrary starting basis).
+    /// Starts a new LP: installs the structural bounds (`bounds[j]`, or the
+    /// model's own) and returns to the all-slack cold start.
+    fn reset(&mut self, model: &Model, bounds: Option<&[(f64, f64)]>) {
+        for (j, v) in model.vars.iter().enumerate() {
+            let (lo, hi) = match bounds {
+                Some(b) => b[j],
+                None => (v.lower, v.upper),
+            };
+            self.lower[j] = lo;
+            self.upper[j] = hi;
+        }
+        self.iterations = 0;
+        self.reset_cold();
+    }
+
+    /// Discards the current basis and returns to the all-slack cold start:
+    /// nonbasic structural variables rest on a finite bound, slacks form the
+    /// (identity) basis. Also the escape hatch when a warm basis leads
+    /// phase 1 into a degenerate cycle that even Bland's rule cannot break —
+    /// the composite phase-1 cost changes every iteration, so no pivoting
+    /// rule guarantees termination from an arbitrary starting basis.
     fn reset_cold(&mut self) {
         let n = self.n_structural;
+        let m = self.m;
         for j in 0..n {
             if self.lower[j].is_finite() {
                 self.state[j] = VarState::AtLower;
@@ -206,12 +289,15 @@ impl Tableau {
                 self.xn[j] = self.upper[j];
             }
         }
-        for r in 0..self.m {
+        for r in 0..m {
             self.state[n + r] = VarState::Basic(r);
             self.basis[r] = n + r;
             self.xn[n + r] = 0.0;
         }
-        self.binv = identity(self.m);
+        self.binv.fill(0.0);
+        for k in 0..m {
+            self.binv[k * m + k] = 1.0;
+        }
         self.pivots_since_refactor = 0;
         self.recompute_xb();
     }
@@ -219,10 +305,12 @@ impl Tableau {
     /// Replaces the all-slack start with a previously captured basis. The
     /// nonbasic resting values are recomputed from the *current* bounds (a
     /// branch-and-bound child tightens bounds between solves), resting each
-    /// variable on a finite bound. Returns `false` — leaving the tableau in
-    /// its valid cold-start state — when the snapshot does not fit or its
-    /// basis matrix is singular under the current column set.
-    fn install(&mut self, b: &Basis) -> bool {
+    /// variable on a finite bound. `inverse`, when given, is this basis's
+    /// inverse as an earlier install computed it and is copied instead of
+    /// eliminating again. Returns `false` — leaving the tableau in its valid
+    /// cold-start state — when the snapshot does not fit or its basis matrix
+    /// is singular under the current column set.
+    fn install(&mut self, b: &Basis, inverse: Option<&[f64]>) -> bool {
         if !b.fits(self.n_structural, self.m) {
             return false;
         }
@@ -240,14 +328,16 @@ impl Tableau {
         if basic_seen != self.m {
             return false;
         }
-        let saved_state = std::mem::replace(&mut self.state, b.state.clone());
-        let saved_basis = std::mem::replace(&mut self.basis, b.basis.clone());
-        let saved_binv = self.binv.clone();
-        if !self.refactorize() {
-            self.state = saved_state;
-            self.basis = saved_basis;
-            self.binv = saved_binv;
-            return false;
+        self.state.copy_from_slice(&b.state);
+        self.basis.copy_from_slice(&b.basis);
+        match inverse {
+            Some(inv) => self.binv.copy_from_slice(inv),
+            None => {
+                if !self.refactorize() {
+                    self.reset_cold();
+                    return false;
+                }
+            }
         }
         for j in 0..self.state.len() {
             match self.state[j] {
@@ -281,10 +371,10 @@ impl Tableau {
         }
     }
 
-    /// True when no nonbasic column prices out as improving for `cost` — the
-    /// precondition for dual-simplex reoptimisation.
-    fn dual_feasible(&self, cost: &[f64]) -> bool {
-        let y = self.duals(cost);
+    /// True when no nonbasic column prices out as improving for the true
+    /// objective — the precondition for dual-simplex reoptimisation.
+    fn dual_feasible(&mut self) -> bool {
+        self.duals(false);
         for j in 0..self.cols.len() {
             let sigma = match self.state[j] {
                 VarState::Basic(_) => continue,
@@ -294,7 +384,7 @@ impl Tableau {
             if self.upper[j] - self.lower[j] <= 0.0 {
                 continue;
             }
-            let d = self.reduced_cost(j, cost, &y);
+            let d = self.reduced_cost(j, false);
             if sigma > 0.0 && d > OPT_TOL {
                 return false;
             }
@@ -305,11 +395,11 @@ impl Tableau {
         true
     }
 
-    /// Dual-simplex reoptimisation: starting from a dual-feasible basis with
-    /// primal violations (the warm-start case after bound/rhs changes),
-    /// drives the most-violated basic variable to its bound per iteration
-    /// while the ratio test preserves dual feasibility.
-    fn dual_loop(&mut self, cost: &[f64], iter_limit: usize) -> DualResult {
+    /// Dual-simplex reoptimisation for the true objective: starting from a
+    /// dual-feasible basis with primal violations (the warm-start case after
+    /// bound/rhs changes), drives the most-violated basic variable to its
+    /// bound per iteration while the ratio test preserves dual feasibility.
+    fn dual_loop(&mut self, iter_limit: usize) -> DualResult {
         loop {
             // Leaving row: largest bound violation among basic variables.
             let mut leaving: Option<(usize, f64, f64)> = None; // (row, violation, target)
@@ -335,7 +425,7 @@ impl Tableau {
             }
 
             let delta_r = target - self.xb[r];
-            let y = self.duals(cost);
+            self.duals(false);
             // Row r of Binv·A for every nonbasic column, priced lazily.
             let m = self.m;
             let mut entering: Option<(usize, f64, f64)> = None; // (col, ratio, sigma)
@@ -358,7 +448,7 @@ impl Tableau {
                 if rate * delta_r.signum() <= PIVOT_TOL {
                     continue;
                 }
-                let d = self.reduced_cost(j, cost, &y);
+                let d = self.reduced_cost(j, false);
                 let ratio = d.abs() / alpha.abs();
                 if entering
                     .is_none_or(|(ej, er, _)| ratio < er - 1e-12 || (ratio < er + 1e-12 && j < ej))
@@ -372,8 +462,8 @@ impl Tableau {
                 return DualResult::Infeasible;
             };
 
-            let w = self.ftran(q);
-            let alpha_r = w[r];
+            self.ftran(q);
+            let alpha_r = self.w[r];
             let rate = -sigma * alpha_r;
             if rate.abs() <= PIVOT_TOL {
                 return DualResult::Stalled;
@@ -386,7 +476,7 @@ impl Tableau {
                 // flip; the violated row stays leaving next iteration.
                 let t = own_range;
                 for i in 0..m {
-                    self.xb[i] += -sigma * w[i] * t;
+                    self.xb[i] += -sigma * self.w[i] * t;
                 }
                 let new_state = match self.state[q] {
                     VarState::AtLower => VarState::AtUpper,
@@ -404,7 +494,7 @@ impl Tableau {
             let t = t_needed;
             let entering_value = self.xn[q] + sigma * t;
             for i in 0..m {
-                self.xb[i] += -sigma * w[i] * t;
+                self.xb[i] += -sigma * self.w[i] * t;
             }
             let leaving_var = self.basis[r];
             self.state[leaving_var] = if target == self.upper[leaving_var] {
@@ -413,39 +503,50 @@ impl Tableau {
                 VarState::AtLower
             };
             self.xn[leaving_var] = target;
-            let piv = w[r];
+            let piv = self.w[r];
             if piv.abs() < PIVOT_TOL {
                 self.refactorize();
                 self.recompute_xb();
                 return DualResult::Stalled;
             }
-            let pivot_row: Vec<f64> = (0..m).map(|k| self.binv[r * m + k] / piv).collect();
-            for i in 0..m {
-                if i == r {
-                    continue;
-                }
-                let f = w[i];
-                if f != 0.0 {
-                    for k in 0..m {
-                        self.binv[i * m + k] -= f * pivot_row[k];
-                    }
+            self.pivot(r, q, piv, entering_value);
+        }
+    }
+
+    /// Makes nonbasic column `q` basic in row `r` on pivot element `piv`
+    /// (= `w[r]` of the current [`Tableau::ftran`]): eta-updates the
+    /// inverse, records the new basis row and its value, and refactorises
+    /// when due. The leaving variable's state is the caller's business.
+    fn pivot(&mut self, r: usize, q: usize, piv: f64, entering_value: f64) {
+        let m = self.m;
+        for k in 0..m {
+            self.pivot_row[k] = self.binv[r * m + k] / piv;
+        }
+        for i in 0..m {
+            if i == r {
+                continue;
+            }
+            let f = self.w[i];
+            if f != 0.0 {
+                for k in 0..m {
+                    self.binv[i * m + k] -= f * self.pivot_row[k];
                 }
             }
-            self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
-            self.basis[r] = q;
-            self.state[q] = VarState::Basic(r);
-            self.xb[r] = entering_value;
-            self.pivots_since_refactor += 1;
-            if self.pivots_since_refactor >= REFACTOR_EVERY {
-                self.refactorize();
-                self.recompute_xb();
-            }
+        }
+        self.binv[r * m..(r + 1) * m].copy_from_slice(&self.pivot_row);
+        self.basis[r] = q;
+        self.state[q] = VarState::Basic(r);
+        self.xb[r] = entering_value;
+        self.pivots_since_refactor += 1;
+        if self.pivots_since_refactor >= REFACTOR_EVERY {
+            self.refactorize();
+            self.recompute_xb();
         }
     }
 
     fn recompute_xb(&mut self) {
         // x_B = Binv · (b − Σ_nonbasic A_j x_j).
-        let mut adjusted = self.rhs.clone();
+        self.adjusted.copy_from_slice(&self.rhs);
         for j in 0..self.cols.len() {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
@@ -453,29 +554,36 @@ impl Tableau {
             let xj = self.xn[j];
             if xj != 0.0 {
                 for (r, coef) in &self.cols[j] {
-                    adjusted[*r] -= coef * xj;
+                    self.adjusted[*r] -= coef * xj;
                 }
             }
         }
         for i in 0..self.m {
             let mut acc = 0.0;
-            for (k, a) in adjusted.iter().enumerate() {
+            for (k, a) in self.adjusted.iter().enumerate() {
                 acc += self.binv[i * self.m + k] * a;
             }
             self.xb[i] = acc;
         }
     }
 
+    /// Rebuilds `binv` by inverting the basis matrix with Gauss-Jordan from
+    /// the identity; on a singular basis returns `false` with `binv` as it
+    /// was. The result depends on `basis` and `cols` alone.
     fn refactorize(&mut self) -> bool {
-        // Rebuild Binv by inverting the basis matrix with Gauss-Jordan.
         let m = self.m;
-        let mut a = vec![0.0; m * m];
+        let a = &mut self.gj_a;
+        let inv = &mut self.gj_inv;
+        a.fill(0.0);
         for (col_pos, &j) in self.basis.iter().enumerate() {
             for (r, coef) in &self.cols[j] {
                 a[*r * m + col_pos] = *coef;
             }
         }
-        let mut inv = identity(m);
+        inv.fill(0.0);
+        for k in 0..m {
+            inv[k * m + k] = 1.0;
+        }
         for col in 0..m {
             // Partial pivoting.
             let mut best = col;
@@ -516,40 +624,40 @@ impl Tableau {
         }
         // inv now maps original row space through the permuted elimination;
         // because we performed identical row ops on both, inv = B^{-1}.
-        self.binv = inv;
+        std::mem::swap(&mut self.binv, &mut self.gj_inv);
         self.pivots_since_refactor = 0;
         true
     }
 
     /// `w = Binv · A_j` for column `j`.
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
+    fn ftran(&mut self, j: usize) {
+        self.w.fill(0.0);
         for (r, coef) in &self.cols[j] {
             for i in 0..self.m {
-                w[i] += self.binv[i * self.m + *r] * coef;
+                self.w[i] += self.binv[i * self.m + *r] * coef;
             }
         }
-        w
     }
 
-    /// Dual values `y = c_B · Binv` for the given per-column costs.
-    fn duals(&self, cost: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
+    /// Dual values `y = c_B · Binv` for the given phase's costs.
+    fn duals(&mut self, phase1: bool) {
+        let cost = if phase1 { &self.phase1 } else { &self.cost };
+        self.y.fill(0.0);
         for (i, &bj) in self.basis.iter().enumerate() {
             let cb = cost[bj];
             if cb != 0.0 {
                 for k in 0..self.m {
-                    y[k] += cb * self.binv[i * self.m + k];
+                    self.y[k] += cb * self.binv[i * self.m + k];
                 }
             }
         }
-        y
     }
 
-    fn reduced_cost(&self, j: usize, cost: &[f64], y: &[f64]) -> f64 {
-        let mut d = cost[j];
+    /// Reduced cost of column `j` against the current [`Tableau::duals`].
+    fn reduced_cost(&self, j: usize, phase1: bool) -> f64 {
+        let mut d = if phase1 { self.phase1[j] } else { self.cost[j] };
         for (r, coef) in &self.cols[j] {
-            d -= y[*r] * coef;
+            d -= self.y[*r] * coef;
         }
         d
     }
@@ -569,25 +677,25 @@ impl Tableau {
     }
 
     /// Phase-1 costs: gradient of −(total infeasibility) w.r.t. basic vars.
-    fn phase1_cost(&self) -> Vec<f64> {
-        let mut c = vec![0.0; self.cols.len()];
+    fn phase1_cost(&mut self) {
+        self.phase1.fill(0.0);
         for (i, &j) in self.basis.iter().enumerate() {
             let x = self.xb[i];
             if x < self.lower[j] - FEAS_TOL {
-                c[j] = 1.0;
+                self.phase1[j] = 1.0;
             } else if x > self.upper[j] + FEAS_TOL {
-                c[j] = -1.0;
+                self.phase1[j] = -1.0;
             }
         }
-        c
     }
 
-    /// One pricing-ratio-pivot step. Returns:
+    /// One pricing-ratio-pivot step against the phase-1 costs (as last
+    /// computed by [`Tableau::phase1_cost`]) or the objective. Returns:
     /// * `Ok(true)` — step taken,
-    /// * `Ok(false)` — no improving column (optimal for `cost`),
+    /// * `Ok(false)` — no improving column (optimal for these costs),
     /// * `Err(())` — unbounded in the improving direction.
-    fn step(&mut self, cost: &[f64], bland: bool, phase1: bool) -> Result<bool, ()> {
-        let y = self.duals(cost);
+    fn step(&mut self, bland: bool, phase1: bool) -> Result<bool, ()> {
+        self.duals(phase1);
         // Pricing.
         let mut entering: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
         for j in 0..self.cols.len() {
@@ -600,7 +708,7 @@ impl Tableau {
             if self.upper[j] - self.lower[j] <= 0.0 {
                 continue;
             }
-            let d = self.reduced_cost(j, cost, &y);
+            let d = self.reduced_cost(j, phase1);
             let improving = if sigma > 0.0 {
                 d > OPT_TOL
             } else {
@@ -622,14 +730,14 @@ impl Tableau {
             return Ok(false);
         };
 
-        let w = self.ftran(q);
+        self.ftran(q);
         // Ratio test: the entering variable moves by t ≥ 0 in direction
         // sigma; basic row i changes at rate delta_i = −sigma·w_i.
         let own_range = self.upper[q] - self.lower[q];
         let mut t_max = own_range; // entering may flip to its other bound
         let mut leaving: Option<usize> = None;
         for i in 0..self.m {
-            let delta = -sigma * w[i];
+            let delta = -sigma * self.w[i];
             if delta.abs() <= PIVOT_TOL {
                 continue;
             }
@@ -682,7 +790,7 @@ impl Tableau {
                 // Bound flip: entering jumps to its opposite bound.
                 let t = t_max;
                 for i in 0..self.m {
-                    self.xb[i] += -sigma * w[i] * t;
+                    self.xb[i] += -sigma * self.w[i] * t;
                 }
                 let new_state = match self.state[q] {
                     VarState::AtLower => VarState::AtUpper,
@@ -702,7 +810,7 @@ impl Tableau {
                 // out after the leaving variable has been marked nonbasic
                 // (while `basis[r]` still holds it) leaves the tableau
                 // inconsistent and pricing chases phantom columns forever.
-                let piv = w[r];
+                let piv = self.w[r];
                 if piv.abs() < PIVOT_TOL {
                     // Numerically hopeless pivot; refactorise and retry later.
                     self.refactorize();
@@ -712,7 +820,7 @@ impl Tableau {
                 let t = t_max;
                 let entering_value = self.xn[q] + sigma * t;
                 for i in 0..self.m {
-                    self.xb[i] += -sigma * w[i] * t;
+                    self.xb[i] += -sigma * self.w[i] * t;
                 }
                 let leaving_var = self.basis[r];
                 // The leaving variable rests at whichever bound it hit.
@@ -729,335 +837,362 @@ impl Tableau {
                 } else {
                     self.lower[leaving_var]
                 };
-                // Pivot: update Binv with the eta transformation.
-                let m = self.m;
-                let pivot_row: Vec<f64> = (0..m).map(|k| self.binv[r * m + k] / piv).collect();
-                for i in 0..m {
-                    if i == r {
-                        continue;
-                    }
-                    let f = w[i];
-                    if f != 0.0 {
-                        for k in 0..m {
-                            self.binv[i * m + k] -= f * pivot_row[k];
-                        }
-                    }
-                }
-                self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
-                self.basis[r] = q;
-                self.state[q] = VarState::Basic(r);
-                self.xb[r] = entering_value;
-                self.pivots_since_refactor += 1;
-                if self.pivots_since_refactor >= REFACTOR_EVERY {
-                    self.refactorize();
-                    self.recompute_xb();
-                }
+                self.pivot(r, q, piv, entering_value);
                 Ok(true)
             }
         }
     }
 
-    fn extract(&self) -> Vec<f64> {
-        let mut x = vec![0.0; self.n_structural];
-        for (j, xj) in x.iter_mut().enumerate() {
+    /// Writes the structural part of the current point into `values`.
+    fn extract(&mut self) {
+        for (j, xj) in self.values.iter_mut().enumerate() {
             *xj = match self.state[j] {
                 VarState::Basic(r) => self.xb[r],
                 _ => self.xn[j],
             };
         }
-        x
     }
 }
 
-fn identity(m: usize) -> Vec<f64> {
-    let mut i = vec![0.0; m * m];
-    for k in 0..m {
-        i[k * m + k] = 1.0;
+/// The LP kernel's state for one model: everything a solve needs that does
+/// not depend on the bounds is built once by [`LpWorkspace::new`], and each
+/// [`LpWorkspace::solve`] resets the rest in place — to exactly the state a
+/// fresh workspace starts from, so a reused workspace and a new one return
+/// bit-identical answers. After the first solve a further one allocates
+/// only what it returns (the values and the basis snapshot).
+///
+/// Branch-and-bound owns one per search and sends the root LP, every node
+/// LP and every round-and-repair LP through it.
+pub struct LpWorkspace<'m> {
+    model: &'m Model,
+    t: Tableau,
+    /// `f64`s currently held by [`SharedBasis`] inverses this workspace
+    /// stored and no sibling has yet consumed.
+    shared_words: usize,
+}
+
+impl<'m> LpWorkspace<'m> {
+    /// Builds the workspace for `model`'s LP relaxation (integrality is
+    /// ignored).
+    pub fn new(model: &'m Model) -> Self {
+        Self {
+            model,
+            t: Tableau::new(model),
+            shared_words: 0,
+        }
     }
-    i
+
+    /// The model this workspace solves.
+    pub fn model(&self) -> &'m Model {
+        self.model
+    }
+
+    /// Solves the LP relaxation under per-variable bound overrides
+    /// (`bounds[j]` replaces variable `j`'s bounds; `None` keeps the
+    /// model's), optionally reoptimising from a previous [`Basis`] instead
+    /// of the all-slack cold start.
+    ///
+    /// When `warm` fits and is dual feasible for the objective, primal
+    /// feasibility is restored by dual simplex (the textbook reoptimisation
+    /// after bound changes — exactly what branch-and-bound children
+    /// produce); otherwise the composite phase 1 runs from the installed
+    /// basis, which still tends to be far closer to optimal than the
+    /// all-slack start. The returned basis snapshot seeds the next solve.
+    /// Warm and cold solves may finish on *different* optimal vertices of a
+    /// degenerate face, so callers that require bit-identical results must
+    /// not mix warm and cold paths (see DESIGN.md §9).
+    pub fn solve(
+        &mut self,
+        bounds: Option<&[(f64, f64)]>,
+        warm: Option<&Basis>,
+    ) -> (LpSolution, Basis) {
+        self.run(bounds, warm, None)
+    }
+
+    /// [`LpWorkspace::solve`] from a basis this workspace's earlier solve
+    /// returned and several node LPs start from. `keep` says another of
+    /// them is still to come: the inverse computed here is then left in
+    /// `warm` for it (within [`SHARED_INVERSE_WORDS`]); the last user
+    /// takes it away.
+    pub(crate) fn solve_shared(
+        &mut self,
+        bounds: &[(f64, f64)],
+        warm: &SharedBasis,
+        keep: bool,
+    ) -> (LpSolution, Basis) {
+        self.run(Some(bounds), Some(&warm.basis), Some((&warm.inverse, keep)))
+    }
+
+    /// Installs `basis`, through the shared inverse slot when there is one.
+    fn install(&mut self, basis: &Basis, shared: Option<SharedInverse<'_>>) -> bool {
+        let Some((slot, keep)) = shared else {
+            return self.t.install(basis, None);
+        };
+        let mut slot = slot.borrow_mut();
+        let installed = self.t.install(basis, slot.as_deref());
+        match slot.as_ref().map(Vec::len) {
+            Some(words) if !keep => {
+                self.shared_words -= words;
+                *slot = None;
+            }
+            None if installed
+                && keep
+                && self.shared_words + self.t.binv.len() <= SHARED_INVERSE_WORDS =>
+            {
+                // Straight after a successful install `binv` is the
+                // refactorised inverse, untouched by any pivot.
+                self.shared_words += self.t.binv.len();
+                *slot = Some(self.t.binv.clone());
+            }
+            _ => {}
+        }
+        installed
+    }
+
+    fn run(
+        &mut self,
+        bounds: Option<&[(f64, f64)]>,
+        warm: Option<&Basis>,
+        shared: Option<SharedInverse<'_>>,
+    ) -> (LpSolution, Basis) {
+        self.t.reset(self.model, bounds);
+        if let Some(b) = bounds {
+            debug_assert_eq!(b.len(), self.model.num_vars());
+            if b.iter().any(|(lo, hi)| lo > hi) {
+                return (LpSolution::infeasible(0), self.t.snapshot());
+            }
+        }
+        let iter_limit = 200 * (self.t.m + self.t.n_structural) + 2000;
+
+        // Warm path: a pure accelerator. Either it finishes with a clean,
+        // trustworthy outcome (optimal / unbounded / dual-proven infeasible),
+        // or it gives up and the solve restarts below from the all-slack
+        // basis with cold-start semantics — a clipped or drifted warm result
+        // never escapes, so warm starts can only change *which* optimal
+        // vertex is reported, never the solution quality (see DESIGN.md §9).
+        if let Some(basis) = warm {
+            if self.install(basis, shared) {
+                match self.warm_attempt(iter_limit) {
+                    Some(sol) => return (sol, self.t.snapshot()),
+                    None => self.t.reset_cold(),
+                }
+            }
+        }
+        let sol = self.cold(iter_limit);
+        (sol, self.t.snapshot())
+    }
+
+    /// Owned copy of the current structural values.
+    fn values(&mut self) -> Vec<f64> {
+        self.t.extract();
+        self.t.values.clone()
+    }
+
+    /// Objective of the current point, summed as [`Model::objective_value`]
+    /// sums it.
+    fn objective(&mut self) -> f64 {
+        self.t.extract();
+        self.model.objective_value(&self.t.values)
+    }
+
+    /// The current point as a solution with the given outcome.
+    fn solution(&mut self, outcome: LpOutcome) -> LpSolution {
+        let values = self.values();
+        LpSolution {
+            outcome,
+            objective: match outcome {
+                LpOutcome::Unbounded => f64::INFINITY,
+                _ => self.model.objective_value(&values),
+            },
+            values,
+            iterations: self.t.iterations,
+        }
+    }
+
+    /// The cold path, from the all-slack basis. The budget is relative to
+    /// the iterations already spent so an abandoned warm attempt cannot
+    /// starve the solve that actually produces the answer.
+    fn cold(&mut self, iter_limit: usize) -> LpSolution {
+        let budget = self.t.iterations + iter_limit;
+
+        // Phase 1: drive infeasibility to zero with dynamically recomputed
+        // costs.
+        let mut stall = 0usize;
+        let mut last_inf = f64::INFINITY;
+        while self.t.infeasibility() > FEAS_TOL {
+            if self.t.iterations >= budget {
+                return LpSolution {
+                    outcome: LpOutcome::IterationLimit,
+                    objective: f64::NEG_INFINITY,
+                    values: self.values(),
+                    iterations: self.t.iterations,
+                };
+            }
+            self.t.phase1_cost();
+            let bland = stall > 2 * (self.t.m + 10);
+            match self.t.step(bland, true) {
+                Ok(true) => {
+                    let inf = self.t.infeasibility();
+                    if inf < last_inf - FEAS_TOL {
+                        stall = 0;
+                        last_inf = inf;
+                    } else {
+                        stall += 1;
+                    }
+                }
+                Ok(false) => return LpSolution::infeasible(self.t.iterations),
+                Err(()) => unreachable!("phase 1 reported unbounded"),
+            }
+        }
+
+        // Phase 2: optimise the true objective from the feasible basis.
+        let mut stall = 0usize;
+        let mut last_obj = f64::NEG_INFINITY;
+        loop {
+            if self.t.iterations >= budget {
+                return self.solution(LpOutcome::IterationLimit);
+            }
+            let bland = stall > 2 * (self.t.m + 10);
+            match self.t.step(bland, false) {
+                Ok(true) => {
+                    let obj = self.objective();
+                    if obj > last_obj + OPT_TOL {
+                        stall = 0;
+                        last_obj = obj;
+                    } else {
+                        stall += 1;
+                    }
+                    // Phase-1 invariant can be perturbed by numerical noise;
+                    // re-enter phase 1 if feasibility degraded materially.
+                    if self.t.infeasibility() > 1e3 * FEAS_TOL {
+                        self.t.refactorize();
+                        self.t.recompute_xb();
+                        if self.t.infeasibility() > 1e3 * FEAS_TOL {
+                            self.t.phase1_cost();
+                            let _ = self.t.step(false, true);
+                        }
+                    }
+                }
+                Ok(false) => return self.solution(LpOutcome::Optimal),
+                Err(()) => return self.solution(LpOutcome::Unbounded),
+            }
+        }
+    }
+
+    /// Runs the warm-start fast path from an installed basis: dual-simplex
+    /// reoptimisation, then tightly-capped primal cleanup. Returns `Some`
+    /// only for clean terminal outcomes (optimal, unbounded, or dual-proven
+    /// infeasible); `None` means the basis led into degenerate cycling or
+    /// numerical drift and the caller must redo the solve from the all-slack
+    /// basis — so a warm start can never degrade solution quality, it can
+    /// only pick a different optimal vertex or waste its bounded effort
+    /// budget.
+    fn warm_attempt(&mut self, iter_limit: usize) -> Option<LpSolution> {
+        if self.t.dual_feasible() {
+            // Dual reoptimisation normally needs a handful of pivots (one
+            // per changed bound), but on degenerate faces it can cycle — the
+            // leaving rule has no anti-cycling guarantee. Cap its effort.
+            let dual_budget = (self.t.iterations + 2 * self.t.m + 100).min(iter_limit);
+            match self.t.dual_loop(dual_budget) {
+                DualResult::Feasible => {}
+                // Dual unboundedness proves primal infeasibility from any
+                // starting basis.
+                DualResult::Infeasible => return Some(LpSolution::infeasible(self.t.iterations)),
+                DualResult::Stalled => return None,
+            }
+        }
+
+        // Primal cleanup. The stall caps are deliberately tight: a warm basis
+        // that needs a long degenerate primal phase is no better than a cold
+        // start, and the cold path has the proven convergence behaviour.
+        let cap = 4 * (self.t.m + 10);
+
+        let mut stall = 0usize;
+        let mut last_inf = f64::INFINITY;
+        while self.t.infeasibility() > FEAS_TOL {
+            if self.t.iterations >= iter_limit || stall > cap {
+                return None;
+            }
+            self.t.phase1_cost();
+            let bland = stall > 2 * (self.t.m + 10);
+            match self.t.step(bland, true) {
+                Ok(true) => {
+                    let inf = self.t.infeasibility();
+                    if inf < last_inf - FEAS_TOL {
+                        stall = 0;
+                        last_inf = inf;
+                    } else {
+                        stall += 1;
+                    }
+                }
+                // Phase-1 optimality with residual infeasibility is an
+                // infeasibility certificate, but let the cold path confirm it
+                // rather than trusting one derived from a reused basis.
+                Ok(false) => return None,
+                Err(()) => unreachable!("phase 1 reported unbounded"),
+            }
+        }
+
+        let mut stall = 0usize;
+        let mut last_obj = f64::NEG_INFINITY;
+        loop {
+            if self.t.iterations >= iter_limit || stall > cap {
+                return None;
+            }
+            let bland = stall > 2 * (self.t.m + 10);
+            match self.t.step(bland, false) {
+                Ok(true) => {
+                    let obj = self.objective();
+                    if obj > last_obj + OPT_TOL {
+                        stall = 0;
+                        last_obj = obj;
+                    } else {
+                        stall += 1;
+                    }
+                    // Reused bases drift more than cold ones; on material
+                    // infeasibility try one refactorisation, then hand the
+                    // solve back to the cold path rather than repairing in
+                    // place.
+                    if self.t.infeasibility() > 1e3 * FEAS_TOL {
+                        self.t.refactorize();
+                        self.t.recompute_xb();
+                        if self.t.infeasibility() > 1e3 * FEAS_TOL {
+                            return None;
+                        }
+                    }
+                }
+                Ok(false) => {
+                    if self.t.infeasibility() > FEAS_TOL {
+                        // "Optimal" on a drifted, slightly infeasible point
+                        // is not a clean outcome — redo cold.
+                        return None;
+                    }
+                    return Some(self.solution(LpOutcome::Optimal));
+                }
+                Err(()) => return Some(self.solution(LpOutcome::Unbounded)),
+            }
+        }
+    }
 }
 
 /// Solves the LP relaxation of `model` (integrality ignored).
 pub fn solve_lp(model: &Model) -> LpSolution {
-    solve_lp_with_bounds(model, None)
+    LpWorkspace::new(model).solve(None, None).0
 }
 
-/// Solves the LP relaxation with per-variable bound overrides (used by
-/// branch-and-bound node fixing; `bounds[j]` replaces variable `j`'s bounds).
+/// Solves the LP relaxation with per-variable bound overrides (`bounds[j]`
+/// replaces variable `j`'s bounds).
 pub fn solve_lp_with_bounds(model: &Model, bounds: Option<&[(f64, f64)]>) -> LpSolution {
-    solve_lp_warm(model, bounds, None).0
+    LpWorkspace::new(model).solve(bounds, None).0
 }
 
-/// Solves the LP relaxation, optionally reoptimising from a previous
-/// [`Basis`] instead of the all-slack cold start.
-///
-/// When `warm` fits and is dual feasible for the current objective, primal
-/// feasibility is restored by dual simplex (the textbook reoptimisation after
-/// bound or rhs changes — exactly what branch-and-bound children and
-/// cycle-over-cycle model diffs produce); otherwise the composite phase-1
-/// runs from the installed basis, which still tends to be far closer to
-/// optimal than the all-slack start. The returned basis snapshot seeds the
-/// next solve. Warm and cold solves may finish on *different* optimal
-/// vertices of a degenerate face, so callers that require bit-identical
-/// results must not mix warm and cold paths (see DESIGN.md §9).
+/// [`LpWorkspace::solve`] on a throw-away workspace.
 pub fn solve_lp_warm(
     model: &Model,
     bounds: Option<&[(f64, f64)]>,
     warm: Option<&Basis>,
 ) -> (LpSolution, Basis) {
-    if let Some(b) = bounds {
-        debug_assert_eq!(b.len(), model.num_vars());
-        if b.iter().any(|(lo, hi)| lo > hi) {
-            let t = Tableau::new(model, bounds);
-            return (
-                LpSolution {
-                    outcome: LpOutcome::Infeasible,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    iterations: 0,
-                },
-                t.snapshot(),
-            );
-        }
-    }
-    let mut t = Tableau::new(model, bounds);
-    let iter_limit = 200 * (t.m + t.n_structural) + 2000;
-
-    // Warm path: a pure accelerator. Either it finishes with a clean,
-    // trustworthy outcome (optimal / unbounded / dual-proven infeasible), or
-    // it gives up and the solve restarts below from the all-slack basis with
-    // cold-start semantics — a clipped or drifted warm result never escapes,
-    // so warm starts can only change *which* optimal vertex is reported,
-    // never the solution quality (see DESIGN.md §9).
-    if let Some(basis) = warm {
-        if t.install(basis) {
-            match warm_attempt(model, &mut t, iter_limit) {
-                Some(sol) => {
-                    let snapshot = t.snapshot();
-                    return (sol, snapshot);
-                }
-                None => t.reset_cold(),
-            }
-        }
-    }
-
-    // Cold path. The budget is relative to the iterations already spent so
-    // an abandoned warm attempt cannot starve the solve that actually
-    // produces the answer.
-    let budget = t.iterations + iter_limit;
-
-    // Phase 1: drive infeasibility to zero with dynamically recomputed costs.
-    let mut stall = 0usize;
-    let mut last_inf = f64::INFINITY;
-    while t.infeasibility() > FEAS_TOL {
-        if t.iterations >= budget {
-            let sol = LpSolution {
-                outcome: LpOutcome::IterationLimit,
-                objective: f64::NEG_INFINITY,
-                values: t.extract(),
-                iterations: t.iterations,
-            };
-            return (sol, t.snapshot());
-        }
-        let c1 = t.phase1_cost();
-        let bland = stall > 2 * (t.m + 10);
-        match t.step(&c1, bland, true) {
-            Ok(true) => {
-                let inf = t.infeasibility();
-                if inf < last_inf - FEAS_TOL {
-                    stall = 0;
-                    last_inf = inf;
-                } else {
-                    stall += 1;
-                }
-            }
-            Ok(false) => {
-                let sol = LpSolution {
-                    outcome: LpOutcome::Infeasible,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    iterations: t.iterations,
-                };
-                return (sol, t.snapshot());
-            }
-            Err(()) => unreachable!("phase 1 reported unbounded"),
-        }
-    }
-
-    // Phase 2: optimise the true objective from the feasible basis.
-    let cost = t.cost.clone();
-    let mut stall = 0usize;
-    let mut last_obj = f64::NEG_INFINITY;
-    loop {
-        if t.iterations >= budget {
-            let values = t.extract();
-            let objective = model.objective_value(&values);
-            let sol = LpSolution {
-                outcome: LpOutcome::IterationLimit,
-                objective,
-                values,
-                iterations: t.iterations,
-            };
-            return (sol, t.snapshot());
-        }
-        let bland = stall > 2 * (t.m + 10);
-        match t.step(&cost, bland, false) {
-            Ok(true) => {
-                let obj = model.objective_value(&t.extract());
-                if obj > last_obj + OPT_TOL {
-                    stall = 0;
-                    last_obj = obj;
-                } else {
-                    stall += 1;
-                }
-                // Phase-1 invariant can be perturbed by numerical noise;
-                // re-enter phase 1 if feasibility degraded materially.
-                if t.infeasibility() > 1e3 * FEAS_TOL {
-                    t.refactorize();
-                    t.recompute_xb();
-                    if t.infeasibility() > 1e3 * FEAS_TOL {
-                        let c1 = t.phase1_cost();
-                        let _ = t.step(&c1, false, true);
-                    }
-                }
-            }
-            Ok(false) => {
-                let values = t.extract();
-                let objective = model.objective_value(&values);
-                let sol = LpSolution {
-                    outcome: LpOutcome::Optimal,
-                    objective,
-                    values,
-                    iterations: t.iterations,
-                };
-                return (sol, t.snapshot());
-            }
-            Err(()) => {
-                let sol = LpSolution {
-                    outcome: LpOutcome::Unbounded,
-                    objective: f64::INFINITY,
-                    values: t.extract(),
-                    iterations: t.iterations,
-                };
-                return (sol, t.snapshot());
-            }
-        }
-    }
-}
-
-/// Runs the warm-start fast path from an installed basis: dual-simplex
-/// reoptimisation, then tightly-capped primal cleanup. Returns `Some` only
-/// for clean terminal outcomes (optimal, unbounded, or dual-proven
-/// infeasible); `None` means the basis led into degenerate cycling or
-/// numerical drift and the caller must redo the solve from the all-slack
-/// basis — so a warm start can never degrade solution quality, it can only
-/// pick a different optimal vertex or waste its bounded effort budget.
-fn warm_attempt(model: &Model, t: &mut Tableau, iter_limit: usize) -> Option<LpSolution> {
-    let cost = t.cost.clone();
-    if t.dual_feasible(&cost) {
-        // Dual reoptimisation normally needs a handful of pivots (one per
-        // changed bound), but on degenerate faces it can cycle — the leaving
-        // rule has no anti-cycling guarantee. Cap its effort.
-        let dual_budget = (t.iterations + 2 * t.m + 100).min(iter_limit);
-        match t.dual_loop(&cost, dual_budget) {
-            DualResult::Feasible => {}
-            DualResult::Infeasible => {
-                // Dual unboundedness proves primal infeasibility from any
-                // starting basis.
-                return Some(LpSolution {
-                    outcome: LpOutcome::Infeasible,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    iterations: t.iterations,
-                });
-            }
-            DualResult::Stalled => return None,
-        }
-    }
-
-    // Primal cleanup. The stall caps are deliberately tight: a warm basis
-    // that needs a long degenerate primal phase is no better than a cold
-    // start, and the cold path has the proven convergence behaviour.
-    let cap = 4 * (t.m + 10);
-
-    let mut stall = 0usize;
-    let mut last_inf = f64::INFINITY;
-    while t.infeasibility() > FEAS_TOL {
-        if t.iterations >= iter_limit || stall > cap {
-            return None;
-        }
-        let c1 = t.phase1_cost();
-        let bland = stall > 2 * (t.m + 10);
-        match t.step(&c1, bland, true) {
-            Ok(true) => {
-                let inf = t.infeasibility();
-                if inf < last_inf - FEAS_TOL {
-                    stall = 0;
-                    last_inf = inf;
-                } else {
-                    stall += 1;
-                }
-            }
-            // Phase-1 optimality with residual infeasibility is an
-            // infeasibility certificate, but let the cold path confirm it
-            // rather than trusting one derived from a reused basis.
-            Ok(false) => return None,
-            Err(()) => unreachable!("phase 1 reported unbounded"),
-        }
-    }
-
-    let mut stall = 0usize;
-    let mut last_obj = f64::NEG_INFINITY;
-    loop {
-        if t.iterations >= iter_limit || stall > cap {
-            return None;
-        }
-        let bland = stall > 2 * (t.m + 10);
-        match t.step(&cost, bland, false) {
-            Ok(true) => {
-                let obj = model.objective_value(&t.extract());
-                if obj > last_obj + OPT_TOL {
-                    stall = 0;
-                    last_obj = obj;
-                } else {
-                    stall += 1;
-                }
-                // Reused bases drift more than cold ones; on material
-                // infeasibility try one refactorisation, then hand the solve
-                // back to the cold path rather than repairing in place.
-                if t.infeasibility() > 1e3 * FEAS_TOL {
-                    t.refactorize();
-                    t.recompute_xb();
-                    if t.infeasibility() > 1e3 * FEAS_TOL {
-                        return None;
-                    }
-                }
-            }
-            Ok(false) => {
-                if t.infeasibility() > FEAS_TOL {
-                    // "Optimal" on a drifted, slightly infeasible point is
-                    // not a clean outcome — redo cold.
-                    return None;
-                }
-                let values = t.extract();
-                let objective = model.objective_value(&values);
-                return Some(LpSolution {
-                    outcome: LpOutcome::Optimal,
-                    objective,
-                    values,
-                    iterations: t.iterations,
-                });
-            }
-            Err(()) => {
-                return Some(LpSolution {
-                    outcome: LpOutcome::Unbounded,
-                    objective: f64::INFINITY,
-                    values: t.extract(),
-                    iterations: t.iterations,
-                });
-            }
-        }
-    }
+    LpWorkspace::new(model).solve(bounds, warm)
 }
 
 #[cfg(test)]

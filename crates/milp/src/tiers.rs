@@ -19,7 +19,7 @@
 use crate::branch::{BranchAndBound, MipSolution, MipStatus, SolverConfig};
 use crate::model::{Model, VarKind};
 use crate::presolve::Presolve;
-use crate::simplex::{solve_lp_warm, LpOutcome};
+use crate::simplex::{LpOutcome, LpWorkspace};
 
 /// Common interface of the solver tiers.
 ///
@@ -154,7 +154,8 @@ impl Solver for GreedyRounding {
             .map(|(i, _)| i)
             .collect();
         let mut lp_iterations = 0usize;
-        let (lp, _basis) = solve_lp_warm(reduced, Some(&base), None);
+        let mut ws = LpWorkspace::new(reduced);
+        let (lp, _basis) = ws.solve(Some(&base), None);
         lp_iterations += lp.iterations;
         match lp.outcome {
             LpOutcome::Infeasible => {
@@ -171,7 +172,7 @@ impl Solver for GreedyRounding {
         let helper = BranchAndBound::with_config(self.config.clone());
         let mut incumbent_updates = 0usize;
         let mut incumbent =
-            helper.fix_and_solve(reduced, &base, &binaries, &lp.values, &mut lp_iterations);
+            helper.fix_and_solve(&mut ws, &base, &binaries, &lp.values, &mut lp_iterations);
         if incumbent.is_some() {
             incumbent_updates += 1;
         }
@@ -180,7 +181,7 @@ impl Solver for GreedyRounding {
                 if w.len() == model.num_vars() {
                     let projected = pre.project_warm(w);
                     incumbent = helper.fix_and_solve(
-                        reduced,
+                        &mut ws,
                         &base,
                         &binaries,
                         &projected,

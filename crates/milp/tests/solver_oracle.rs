@@ -11,10 +11,13 @@
 //! * tiers 0 and 1 are sound: whenever they claim a solution it is
 //!   feasible and its objective never exceeds tier 2's (maximisation).
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::fixtures;
 use threesigma_milp::{
-    solver_for_tier, BranchAndBound, IncrementalSolver, MipStatus, Model, Solver, SolverConfig,
+    solver_for_tier, BranchAndBound, IncrementalSolver, MipStatus, Solver, SolverConfig,
 };
 
 /// The scheduler's stage-3 budgets, minus the wall clock (a wall-clock
@@ -27,34 +30,6 @@ fn oracle_config() -> SolverConfig {
         gap_tolerance: 1e-4,
         ..SolverConfig::default()
     }
-}
-
-fn fixtures() -> Vec<(String, Model)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("fixture dir exists; regenerate with `cargo run --example dump_milp_fixtures`")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "milp"))
-        .collect();
-    names.sort();
-    assert!(
-        names.len() >= 16,
-        "fixture corpus suspiciously small ({} files)",
-        names.len()
-    );
-    names
-        .into_iter()
-        .map(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            let text = std::fs::read_to_string(&p).expect("read fixture");
-            let model = Model::from_text(&text)
-                .unwrap_or_else(|e| panic!("fixture {name} failed to parse: {e}"));
-            // The corpus must round-trip bit-exactly, or the fixture on
-            // disk is not the model we are testing.
-            assert_eq!(model.to_text(), text, "fixture {name} round-trip drift");
-            (name, model)
-        })
-        .collect()
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -166,5 +141,97 @@ fn tier_metadata_is_stable() {
     assert_eq!(names, ["greedy-rounding", "lp-repair", "branch-and-bound"]);
     for t in 0..=2u8 {
         assert_eq!(solver_for_tier(t, SolverConfig::default()).tier(), t);
+    }
+}
+
+// ---- Cross-build golden -------------------------------------------------
+//
+// The tests above compare a build with itself. `fixtures/golden.tsv` pins
+// what tier 2 answered at the commit that recorded it, bit for bit, so a
+// kernel change that shifts arithmetic — a reordered sum, a different pivot
+// on a tie — fails here in debug instead of only in the release corpus job.
+
+/// The two regimes worth pinning: the scheduler's own budgets (`sched`,
+/// which is `oracle_config()` — 150 nodes, gap 1e-4: most searching solves
+/// stop at that cap) and a search that mostly runs to its proof (`deep` —
+/// the solver defaults' 1e-6 gap under a 2,000-node cap that keeps the
+/// debug run short), so deep trees and late incumbents are covered too.
+fn golden_configs() -> [(&'static str, SolverConfig); 2] {
+    let deep = SolverConfig {
+        node_limit: 2_000,
+        ..SolverConfig::default()
+    };
+    [("sched", oracle_config()), ("deep", deep)]
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of every value's bit pattern.
+fn fnv1a(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+const GOLDEN_HEADER: &str = "# fixture\tconfig\twarm\tstatus\tobjective_bits\tbest_bound_bits\t\
+                             nodes\tlp_iterations\tincumbent_updates\tvalues_fnv1a";
+
+fn golden_table() -> Vec<String> {
+    let mut rows = vec![GOLDEN_HEADER.to_string()];
+    for (name, model) in fixtures() {
+        let zeros = vec![0.0; model.num_vars()];
+        for (label, config) in golden_configs() {
+            for (warm_label, warm) in [("none", None), ("zeros", Some(zeros.as_slice()))] {
+                let s =
+                    BranchAndBound::with_config(config.clone()).solve_with_warm_start(&model, warm);
+                rows.push(format!(
+                    "{name}\t{label}\t{warm_label}\t{:?}\t{:016x}\t{:016x}\t{}\t{}\t{}\t{:016x}",
+                    s.status,
+                    s.objective.to_bits(),
+                    s.best_bound.to_bits(),
+                    s.nodes,
+                    s.lp_iterations,
+                    s.incumbent_updates,
+                    fnv1a(&s.values),
+                ));
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn tier2_answers_match_the_recorded_golden_rows() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden.tsv");
+    let recorded = std::fs::read_to_string(&path).expect("read golden.tsv");
+    let recorded: Vec<&str> = recorded.lines().collect();
+    let table = golden_table();
+    assert_eq!(
+        table.len(),
+        recorded.len(),
+        "golden.tsv has {} rows, this build produces {}",
+        recorded.len(),
+        table.len()
+    );
+    for (now, then) in table.iter().zip(&recorded) {
+        assert_eq!(
+            now, then,
+            "solver output moved (columns: {GOLDEN_HEADER}); if the move is \
+             deliberate, re-baseline with `print_golden_table`"
+        );
+    }
+}
+
+/// Re-baseline, deliberately:
+/// `cargo test -p threesigma-milp --test solver_oracle print_golden_table -- \
+///  --ignored --nocapture | grep -P '\t' > crates/milp/tests/fixtures/golden.tsv`
+#[test]
+#[ignore = "prints the golden table; run by hand to re-baseline"]
+fn print_golden_table() {
+    for row in golden_table() {
+        println!("{row}");
     }
 }
