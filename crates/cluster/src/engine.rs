@@ -10,6 +10,7 @@
 //! events carry an epoch so that preempting a job invalidates its stale
 //! finish event.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
@@ -449,7 +450,7 @@ pub struct EngineSnapshot<'a> {
     pub owed: &'a [u32],
     /// The per-job table in trace order (read through
     /// [`outcomes`](Self::outcomes)).
-    pub(crate) jobs: &'a VecDeque<JobRecord>,
+    pub(crate) jobs: &'a VecDeque<JobRecord<'a>>,
     /// Trace indices of jobs currently queued for placement.
     pub pending: &'a [usize],
     /// Currently running attempts, sorted by trace index.
@@ -713,7 +714,11 @@ impl Engine {
     /// need not be sorted), the fault script and the first cycle. Every
     /// typed rejection that does not depend on a decision happens here,
     /// before any event is processed.
-    fn ingest(&self, jobs: &[JobSpec], scheduler: &dyn Scheduler) -> Result<Sim, SimError> {
+    fn ingest<'a>(
+        &self,
+        jobs: &'a [JobSpec],
+        scheduler: &dyn Scheduler,
+    ) -> Result<Sim<'a>, SimError> {
         let parts = self.cluster.num_partitions();
         if let Some(max) = scheduler.max_partitions() {
             if parts > max {
@@ -729,8 +734,10 @@ impl Engine {
             self.config.retry,
             self.config.seed,
         );
+        // The trace outlives the run: records borrow their specs from it.
+        sim.jobs.reserve_exact(jobs.len());
         for j in jobs {
-            sim.push_job(j.clone())?;
+            sim.push_job(Cow::Borrowed(j))?;
             if let Some(reason) = spec_problem(j) {
                 return Err(SimError::MalformedJobSpec { job: j.id, reason });
             }

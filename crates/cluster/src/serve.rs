@@ -43,6 +43,7 @@
 //! `serve_retired_jobs_total`, `serve_retention_seconds`, …) so saturation
 //! is visible in the Prometheus exposition.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -306,7 +307,7 @@ pub struct ServeSession {
     recorder: Recorder,
 
     /// The cluster state machine this session drives.
-    sim: Sim,
+    sim: Sim<'static>,
     last_submit: f64,
 
     // Admission state: non-terminal jobs per tenant. Entries persist at
@@ -437,7 +438,7 @@ impl ServeSession {
                 });
             }
             sim.jobs.push_back(JobRecord {
-                spec: spec.clone(),
+                spec: Cow::Owned(spec.clone()),
                 outcome: outcome.clone(),
                 epoch: *epoch,
             });
@@ -550,7 +551,7 @@ impl ServeSession {
         // cycles at equal timestamps).
         self.sim.ensure_cycle(spec.submit_time);
         self.last_submit = spec.submit_time;
-        self.sim.push_job(spec)?;
+        self.sim.push_job(Cow::Owned(spec))?;
         self.submitted += 1;
         Ok(())
     }
@@ -617,7 +618,7 @@ impl ServeSession {
             .sim
             .jobs
             .iter()
-            .map(|rec| (rec.spec.clone(), rec.outcome.clone(), rec.epoch))
+            .map(|rec| ((*rec.spec).clone(), rec.outcome.clone(), rec.epoch))
             .collect();
         Ok(ServeSnapshot {
             version: SNAPSHOT_VERSION,

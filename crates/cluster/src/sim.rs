@@ -18,6 +18,7 @@
 //! may drop a terminal prefix ([`Sim::pop_front`]) without renumbering
 //! anything the queue, `pending` or `running` refer to.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -84,19 +85,20 @@ pub(crate) struct Running {
     on_preferred: bool,
 }
 
-/// One row of the per-job table.
+/// One row of the per-job table. The spec is borrowed from the caller's
+/// trace in a batch run and owned in a serve session.
 #[derive(Debug)]
-pub(crate) struct JobRecord {
-    pub(crate) spec: JobSpec,
+pub(crate) struct JobRecord<'a> {
+    pub(crate) spec: Cow<'a, JobSpec>,
     pub(crate) outcome: JobOutcome,
     /// Bumped whenever an attempt starts or dies, so the finish event of a
     /// preempted or killed attempt no longer matches.
     pub(crate) epoch: u32,
 }
 
-impl JobRecord {
+impl<'a> JobRecord<'a> {
     /// A fresh (pre-arrival) record.
-    fn new(spec: JobSpec) -> Self {
+    fn new(spec: Cow<'a, JobSpec>) -> Self {
         let outcome = JobOutcome {
             id: spec.id,
             kind: spec.kind,
@@ -156,7 +158,7 @@ pub(crate) fn fault_problem(cluster: &ClusterSpec, fault: &FaultEvent) -> Option
 }
 
 /// The cluster state machine (see the module docs).
-pub(crate) struct Sim {
+pub(crate) struct Sim<'a> {
     pub(crate) cluster: ClusterSpec,
     cycle_interval: f64,
     retry: RetryPolicy,
@@ -175,7 +177,7 @@ pub(crate) struct Sim {
     pub(crate) now: f64,
 
     pub(crate) base: usize,
-    pub(crate) jobs: VecDeque<JobRecord>,
+    pub(crate) jobs: VecDeque<JobRecord<'a>>,
     /// Id → ingest index of every record held.
     pub(crate) index_of: BTreeMap<JobId, usize>,
 
@@ -197,7 +199,7 @@ pub(crate) struct Sim {
     pub(crate) wasted: f64,
 }
 
-impl Sim {
+impl<'a> Sim<'a> {
     /// An idle cluster at t = 0 with nothing queued. The inputs (and any
     /// fault queued later) must have passed [`config_problem`].
     pub(crate) fn new(
@@ -255,7 +257,7 @@ impl Sim {
     /// Takes a job in: a fresh record at the next ingest index plus its
     /// arrival, queued at the spec's submit time. Fails if the id is
     /// already held.
-    pub(crate) fn push_job(&mut self, spec: JobSpec) -> Result<(), SimError> {
+    pub(crate) fn push_job(&mut self, spec: Cow<'a, JobSpec>) -> Result<(), SimError> {
         let idx = self.base + self.jobs.len();
         if self.index_of.insert(spec.id, idx).is_some() {
             return Err(SimError::DuplicateJobId { job: spec.id });
@@ -267,7 +269,7 @@ impl Sim {
     }
 
     /// Drops the oldest record (the driver has established it is terminal).
-    pub(crate) fn pop_front(&mut self) -> Option<JobRecord> {
+    pub(crate) fn pop_front(&mut self) -> Option<JobRecord<'a>> {
         let rec = self.jobs.pop_front()?;
         self.index_of.remove(&rec.spec.id);
         self.base += 1;
@@ -275,7 +277,7 @@ impl Sim {
     }
 
     /// The record at ingest index `idx`, if it is still held.
-    pub(crate) fn record(&self, idx: usize) -> Option<&JobRecord> {
+    pub(crate) fn record(&self, idx: usize) -> Option<&JobRecord<'a>> {
         self.jobs.get(idx.checked_sub(self.base)?)
     }
 
@@ -486,7 +488,7 @@ impl Sim {
     /// the scheduler for a decision. Reads state, mutates none.
     fn decide(&self, scheduler: &mut dyn Scheduler) -> SchedulingDecision {
         let now = self.now;
-        let spec = |idx: usize| &self.jobs[idx - self.base].spec;
+        let spec = |idx: usize| &*self.jobs[idx - self.base].spec;
         let eps = retry_tick_eps(now, self.cycle_interval);
         let view = SimulationView {
             cluster: &self.cluster,

@@ -163,16 +163,16 @@ impl Conditional {
         }
     }
 
-    /// Survivals at the grid slots `later` (absolute times) for an attempt
-    /// started at `start`, recomputed only under a new grid epoch.
-    fn grid_survivals(&mut self, later: &[f64], epoch: u64, start: f64) -> &[f64] {
+    /// Brings `grid` to the survivals at the grid slots `later` (absolute
+    /// times) for an attempt started at `start`; recomputed only under a
+    /// new grid epoch.
+    fn refresh_grid(&mut self, later: &[f64], epoch: u64, start: f64) {
         if self.grid_epoch != epoch {
             self.grid.clear();
             self.grid
                 .extend(later.iter().map(|t| self.dist.survival(t - start)));
             self.grid_epoch = epoch;
         }
-        &self.grid
     }
 }
 
@@ -209,6 +209,32 @@ impl RunningTable {
         for a in self.attempts.values_mut() {
             a.cond = None;
         }
+    }
+
+    /// Everything the table carries, bit for bit, except the prior `Arc`s
+    /// (the idle-path differential compares it after every cycle).
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> String {
+        use std::fmt::Write;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = format!("{} {} {:?}", self.cycle, self.grid_epoch, bits(&self.grid));
+        for ((id, start), a) in &self.attempts {
+            let ue = a
+                .underest
+                .map(|u| (u.increments, u.est_total_runtime.to_bits()));
+            let cond = a.cond.as_ref().map(|c| {
+                let points: Vec<f64> = c.dist.points().iter().flat_map(|(t, p)| [*t, *p]).collect();
+                (c.from.to_bits(), c.grid_epoch, bits(&c.grid), bits(&points))
+            });
+            let _ = write!(out, "\n{id:?} {start} {} {ue:?} {cond:?}", a.seen);
+        }
+        out
+    }
+
+    /// Running attempts currently on exp-inc estimates.
+    #[cfg(test)]
+    pub(crate) fn exhausted(&self) -> usize {
+        self.attempts.values().filter(|a| a.cond.is_none()).count()
     }
 
     /// Compiles the cycle's MILP: a binary and demand row per generated
@@ -285,65 +311,15 @@ impl RunningTable {
             model.add_sos1(&vars);
         }
 
-        // Running jobs: conditional consumption + preemption. One row of
-        // `nodes` and one of `survivals` per running attempt, in view order.
-        self.cycle += 1;
-        let later = slots.get(1..).unwrap_or_default();
-        if self.grid != later {
-            self.grid = later.to_vec();
-            self.grid_epoch += 1;
-        }
-        let Self {
-            attempts,
-            cycle,
-            grid_epoch,
-            ..
-        } = self;
+        // Running jobs: conditional consumption (one row of `survivals` per
+        // attempt, in view order) plus, for best-effort jobs, a preemption
+        // indicator and the nodes it would free.
+        let mut survivals: Vec<f64> = Vec::with_capacity(view.running.len() * slots.len());
+        self.step(cfg, view, now, slots, cache, estimate, Some(&mut survivals));
         let stride = view.cluster.num_partitions().max(1);
         let mut running: Vec<RunningJob> = Vec::with_capacity(view.running.len());
         let mut nodes = vec![0u32; view.running.len() * stride];
-        let mut survivals: Vec<f64> = Vec::with_capacity(view.running.len() * slots.len());
         for (r, nodes_by_part) in view.running.iter().zip(nodes.chunks_exact_mut(stride)) {
-            let elapsed = r.elapsed(now);
-            let base = cache.base(r.spec.id, || estimate(r.spec));
-            // A running attempt's estimate stays pinned: Eq. 2 must keep
-            // renormalising the prior the plan was built on.
-            cache.pin(r.spec.id);
-            // Scale by the placement actually chosen for this attempt.
-            let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
-                r.allocation
-                    .iter()
-                    .any(|(p, n)| *n > 0 && !pref.contains(p))
-            });
-            let prior = if off_pref {
-                cache
-                    .scaled(r.spec.id, r.spec.nonpreferred_slowdown)
-                    .unwrap_or_else(|| base.clone())
-            } else {
-                base
-            };
-            let attempt = attempts
-                .entry((r.spec.id, r.start_time.to_bits()))
-                .or_default();
-            attempt.seen = *cycle;
-            let start = r.start_time;
-            if prior.is_exhausted_at(elapsed) {
-                // §4.2.1: exponential-increment under-estimate handling.
-                attempt.cond = None;
-                let ue = attempt.underest.get_or_insert(UnderEst {
-                    increments: 0,
-                    est_total_runtime: elapsed + cfg.cycle_hint,
-                });
-                let point = DiscreteDist::point(exp_inc(ue, elapsed, cfg.cycle_hint));
-                survivals.extend(slots.iter().map(|t| point.survival(t - start)));
-            } else {
-                let cached = attempt.cond.take();
-                let cond = attempt
-                    .cond
-                    .insert(Conditional::refresh(cached, &prior, elapsed));
-                survivals.extend(slots.first().map(|t| cond.dist.survival(t - start)));
-                survivals.extend_from_slice(cond.grid_survivals(later, *grid_epoch, start));
-            }
             for (p, n) in r.allocation {
                 if let Some(held) = nodes_by_part.get_mut(p.index()) {
                     *held += n;
@@ -359,8 +335,6 @@ impl RunningTable {
                 preempt_var,
             });
         }
-        // Attempts that are no longer running take their state with them.
-        attempts.retain(|_, a| a.seen == *cycle);
 
         // Capacity rows per (equivalence set, slot). The (mask, slot)
         // buckets hand each row exactly the options contained in its set
@@ -425,6 +399,103 @@ impl RunningTable {
             pruned,
         }
     }
+
+    /// Advances the table one cycle without compiling a model: everything
+    /// [`Self::compile`] does to the running side except emit columns and
+    /// rows. An idle cycle (nothing pending) calls this instead of
+    /// compiling: exp-inc state is decision state and must step every
+    /// cycle, and keeping the conditionals and grid survivals warm leaves
+    /// the next busy cycle exactly the work a compiled idle cycle would.
+    pub(crate) fn advance(
+        &mut self,
+        cfg: &SchedConfig,
+        view: &SimulationView<'_>,
+        now: f64,
+        slots: &[f64],
+        cache: &mut EstimateCache,
+        estimate: impl Fn(&JobSpec) -> DiscreteDist,
+    ) {
+        self.step(cfg, view, now, slots, cache, estimate, None);
+    }
+
+    /// The per-cycle walk of the running set: grid epoch, estimate-cache
+    /// lookups and pins, liveness stamps, exp-inc steps, Eq. 2 conditionals
+    /// and grid survivals, then the sweep of attempts no longer running.
+    /// With `survivals`, appends each attempt's survival at every slot.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        cfg: &SchedConfig,
+        view: &SimulationView<'_>,
+        now: f64,
+        slots: &[f64],
+        cache: &mut EstimateCache,
+        estimate: impl Fn(&JobSpec) -> DiscreteDist,
+        mut survivals: Option<&mut Vec<f64>>,
+    ) {
+        self.cycle += 1;
+        let later = slots.get(1..).unwrap_or_default();
+        if self.grid != later {
+            self.grid = later.to_vec();
+            self.grid_epoch += 1;
+        }
+        let Self {
+            attempts,
+            cycle,
+            grid_epoch,
+            ..
+        } = self;
+        for r in &view.running {
+            let elapsed = r.elapsed(now);
+            let base = cache.base(r.spec.id, || estimate(r.spec));
+            // A running attempt's estimate stays pinned: Eq. 2 must keep
+            // renormalising the prior the plan was built on.
+            cache.pin(r.spec.id);
+            // Scale by the placement actually chosen for this attempt.
+            let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
+                r.allocation
+                    .iter()
+                    .any(|(p, n)| *n > 0 && !pref.contains(p))
+            });
+            let prior = if off_pref {
+                cache
+                    .scaled(r.spec.id, r.spec.nonpreferred_slowdown)
+                    .unwrap_or_else(|| base.clone())
+            } else {
+                base
+            };
+            let attempt = attempts
+                .entry((r.spec.id, r.start_time.to_bits()))
+                .or_default();
+            attempt.seen = *cycle;
+            let start = r.start_time;
+            if prior.is_exhausted_at(elapsed) {
+                // §4.2.1: exponential-increment under-estimate handling.
+                attempt.cond = None;
+                let ue = attempt.underest.get_or_insert(UnderEst {
+                    increments: 0,
+                    est_total_runtime: elapsed + cfg.cycle_hint,
+                });
+                let est = exp_inc(ue, elapsed, cfg.cycle_hint);
+                if let Some(out) = survivals.as_deref_mut() {
+                    let point = DiscreteDist::point(est);
+                    out.extend(slots.iter().map(|t| point.survival(t - start)));
+                }
+            } else {
+                let cached = attempt.cond.take();
+                let cond = attempt
+                    .cond
+                    .insert(Conditional::refresh(cached, &prior, elapsed));
+                cond.refresh_grid(later, *grid_epoch, start);
+                if let Some(out) = survivals.as_deref_mut() {
+                    out.extend(slots.first().map(|t| cond.dist.survival(t - start)));
+                    out.extend_from_slice(&cond.grid);
+                }
+            }
+        }
+        // Attempts that are no longer running take their state with them.
+        attempts.retain(|_, a| a.seen == *cycle);
+    }
 }
 
 #[cfg(test)]
@@ -432,6 +503,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use threesigma_cluster::{ClusterSpec, JobKind, PartitionId, RunningJob as ViewJob};
+    use threesigma_milp::{solver_for_tier, SolverConfig};
 
     #[test]
     fn exp_inc_saturates_past_sixty_three_doublings() {
@@ -542,7 +614,8 @@ mod tests {
                 let mut c = Conditional::refresh(carried.take(), &prior, elapsed);
                 let fresh = prior.condition(elapsed);
                 prop_assert_eq!(bits(&c.dist), bits(&fresh), "conditional at {elapsed}");
-                let served = c.grid_survivals(&later, epoch, start).to_vec();
+                c.refresh_grid(&later, epoch, start);
+                let served = c.grid.clone();
                 let expect: Vec<f64> = later.iter().map(|t| fresh.survival(t - start)).collect();
                 prop_assert_eq!(
                     served.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -656,6 +729,162 @@ mod tests {
         table.forget_conditionals();
         let rebuilt = compile_running(&mut table, &mut cache, 14.0, &second);
         assert_eq!(carried, rebuilt);
+    }
+
+    proptest! {
+        /// The idle fast path's premise: with nothing pending, every model
+        /// the compile stage can build is solved by the status quo at every
+        /// solver tier, and extraction preempts nothing.
+        #[test]
+        fn with_nothing_pending_the_status_quo_is_the_optimum(
+            multi in 0u8..2,
+            extra_racks in 0usize..8,
+            per_rack in 1u32..6,
+            // Per running attempt: SLO?, weight, tasks, first rack,
+            // preference (none / on / off the allocation), start, prior
+            // scale, prior exhausted?
+            n in 0usize..24,
+            slo in prop::collection::vec(0u8..2, 24),
+            weight in prop::collection::vec(0.0f64..20.0, 24),
+            tasks in prop::collection::vec(1u32..5, 24),
+            rack in prop::collection::vec(0usize..512, 24),
+            pref in prop::collection::vec(0u8..3, 24),
+            start in prop::collection::vec(0.0f64..590.0, 24),
+            scale in prop::collection::vec(0.05f64..3.0, 24),
+            exhausted in prop::collection::vec(0u8..2, 24),
+            preemption_cost in 1e-6f64..10.0,
+            preemption_off in 0u8..10,
+            plan_slots in 1usize..9,
+            extra_masks in prop::collection::vec(0usize..128, 0..4),
+        ) {
+            let racks = if multi == 1 { 129 + extra_racks } else { 1 + extra_racks };
+            let cluster = ClusterSpec::uniform(racks, per_rack);
+            let now = 600.0;
+            let mut free = vec![per_rack; racks];
+            let mut specs = Vec::new();
+            let mut allocations = Vec::new();
+            let mut priors = Vec::new();
+            for i in 0..n {
+                let (tasks, rack, start) = (tasks[i], rack[i], start[i]);
+                // A gang over consecutive racks from `rack`, if it fits.
+                let mut alloc: Vec<(PartitionId, u32)> = Vec::new();
+                let mut left = tasks;
+                for k in 0..racks {
+                    let p = (rack + k) % racks;
+                    let take = left.min(free[p]);
+                    if take > 0 {
+                        alloc.push((PartitionId(p), take));
+                        left -= take;
+                    }
+                    if left == 0 {
+                        break;
+                    }
+                }
+                if left > 0 {
+                    continue;
+                }
+                for (p, n) in &alloc {
+                    free[p.index()] -= n;
+                }
+                let kind = if slo[i] == 1 {
+                    JobKind::Slo { deadline: now + 300.0 }
+                } else {
+                    JobKind::BestEffort
+                };
+                let id = specs.len() as u64 + 1;
+                let mut spec = JobSpec::new(id, start, tasks, 100.0, kind).with_weight(weight[i]);
+                let home = alloc[0].0;
+                match pref[i] {
+                    1 => spec = spec.with_preference(vec![home], 1.5),
+                    2 => {
+                        let other = PartitionId((home.index() + racks - 1) % racks);
+                        spec = spec.with_preference(vec![other], 1.5);
+                    }
+                    _ => {}
+                }
+                let elapsed = now - start;
+                let prior = if exhausted[i] == 1 {
+                    DiscreteDist::from_points(vec![(0.25 * elapsed, 0.5), (0.5 * elapsed, 0.5)])
+                } else {
+                    let a = 10.0 + scale[i] * elapsed;
+                    DiscreteDist::from_points(vec![(a, 0.3), (2.0 * a, 0.3), (4.0 * a, 0.4)])
+                };
+                specs.push(spec);
+                allocations.push(alloc);
+                priors.push(prior);
+            }
+            let running: Vec<ViewJob<'_>> = specs
+                .iter()
+                .zip(&allocations)
+                .map(|(spec, alloc)| ViewJob {
+                    spec,
+                    start_time: spec.submit_time,
+                    allocation: alloc,
+                })
+                .collect();
+            let view = SimulationView {
+                cluster: &cluster,
+                pending: Vec::new(),
+                running,
+                free: &free,
+                now,
+            };
+            let groups = MaskGroups::new(racks);
+            let mut space_masks: Vec<(usize, RackMask)> =
+                (0..groups.num_groups()).map(|g| (g, groups.group_mask(g))).collect();
+            let (_, group0_len) = groups.group_range(0);
+            for m in &extra_masks {
+                space_masks.push((0, RackMask::single(m % group0_len)));
+            }
+            let slots: Vec<f64> = std::iter::once(now)
+                .chain((1..plan_slots).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
+                .collect();
+            let generated = Generated {
+                considered: &[],
+                job_groups: &[],
+                job_options: &[],
+                space_masks: &space_masks,
+                groups: &groups,
+                slots: &slots,
+            };
+            let cfg = SchedConfig {
+                preemption_cost,
+                preemption_enabled: preemption_off > 0,
+                ..SchedConfig::default()
+            };
+            let compiled = RunningTable::default().compile(
+                &cfg,
+                &view,
+                now,
+                &generated,
+                &mut EstimateCache::new(),
+                |spec| priors[spec.id.0 as usize - 1].clone(),
+            );
+            prop_assert!(compiled.compiled.is_empty() && compiled.hopeless.is_empty());
+            let model = &compiled.model;
+            let warm = vec![0.0; model.num_vars()];
+            for tier in 0..=2u8 {
+                let config = SolverConfig {
+                    node_limit: cfg.solver_nodes,
+                    time_limit: Some(cfg.solver_time),
+                    gap_tolerance: 1e-4,
+                    ..SolverConfig::default()
+                };
+                let solution = solver_for_tier(tier, config).solve_with_warm_start(model, Some(&warm));
+                prop_assert!(solution.has_solution(), "tier {tier}: {:?}", solution.status);
+                prop_assert!(!solution.timed_out, "tier {tier} timed out");
+                prop_assert!(
+                    solution.values.iter().all(|x| *x == 0.0),
+                    "tier {tier}: {:?}",
+                    solution.values
+                );
+                for (job, _) in compiled.running.iter() {
+                    if let Some(pv) = job.preempt_var {
+                        prop_assert!(solution.values[pv.index()] <= 0.5, "tier {tier} preempts");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -250,7 +250,9 @@ pub struct PlannedJob {
 }
 
 /// A cycle's full plan: what the MILP decided, including deferrals that
-/// produce no immediate placement (re-planned next cycle, §4.3.1).
+/// produce no immediate placement (re-planned next cycle, §4.3.1). An idle
+/// cycle (nothing pending) solves no MILP; its record is empty but for
+/// `now`, the status quo it keeps.
 #[derive(Debug, Clone, Default)]
 pub struct PlanRecord {
     /// Simulated time of the cycle.
@@ -269,7 +271,10 @@ pub struct PlanRecord {
 
 /// Per-cycle timing record (the §6.5 scalability measurements), with a
 /// per-stage latency breakdown. The stages are disjoint, so
-/// `generate + compile + solver + extract ≤ total`.
+/// `generate + compile + solver + extract ≤ total`. An idle cycle (nothing
+/// pending) builds no MILP: `compile` is the time it spent advancing the
+/// running-side table, and its other stage times, `milp_vars`, `milp_rows`,
+/// `nodes` and `cost_units` are zero.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleTiming {
     /// Pending jobs visible this cycle.
@@ -368,6 +373,18 @@ pub struct SchedStats {
     /// Presolve reductions across all cycles: variables fixed, rows
     /// absorbed, dominated options removed, and bounds tightened.
     pub presolve_reductions: u64,
+}
+
+impl SchedStats {
+    /// Records the solver tier a cycle ran at.
+    fn count_tier(&mut self, tier: u8) {
+        self.solver_tier = u64::from(tier);
+        match tier {
+            0 => self.tier0_cycles += 1,
+            1 => self.tier1_cycles += 1,
+            _ => self.tier2_cycles += 1,
+        }
+    }
 }
 
 /// Serialisable scheduler state for serve-mode restarts: the predictor's
@@ -789,6 +806,10 @@ pub struct ThreeSigmaScheduler {
     incremental: Option<(SolverConfig, IncrementalSolver)>,
     /// Registered metric handles when a recorder is attached.
     obs: Option<SchedMetrics>,
+    /// Runs idle cycles through the full MILP path (the differential
+    /// tests' reference for the idle fast path).
+    #[cfg(test)]
+    full_idle_cycles: bool,
 }
 
 impl ThreeSigmaScheduler {
@@ -816,6 +837,8 @@ impl ThreeSigmaScheduler {
             governor: Governor::default(),
             incremental: None,
             obs: None,
+            #[cfg(test)]
+            full_idle_cycles: false,
         }
     }
 
@@ -920,6 +943,22 @@ impl ThreeSigmaScheduler {
     /// `threesigma_milp::Model::from_text` to replay a cycle's solve.
     pub fn models(&self) -> &[String] {
         &self.models
+    }
+
+    /// Closes a cycle: records its cost for the governor, flushes the
+    /// counters to the attached recorder and keeps its timing record.
+    fn finish_cycle(&mut self, timing: CycleTiming) {
+        self.governor.last_cost = Some((timing.cost_units, timing.total));
+        if let Some(obs) = &self.obs {
+            obs.flush(&self.stats(), &self.predictor, &self.cache, &timing);
+        }
+        self.timings.push(timing);
+        if let Some(cap) = self.config.max_timings {
+            if self.timings.len() > cap {
+                let excess = self.timings.len() - cap;
+                self.timings.drain(..excess);
+            }
+        }
     }
 
     /// The estimate distribution for a job, per the configured source
@@ -1097,22 +1136,7 @@ impl Scheduler for ThreeSigmaScheduler {
         // Judge the previous cycle against the budget and settle this
         // cycle's ladder level before doing any work.
         let level = governor_step(&cfg, &mut self.governor, &mut self.totals);
-        let mut decision = SchedulingDecision::noop();
-        let Self {
-            cache,
-            source,
-            predictor,
-            running,
-            timings,
-            plans,
-            models,
-            totals,
-            governor,
-            incremental,
-            obs,
-            ..
-        } = self;
-        totals.cycles += 1;
+        self.totals.cycles += 1;
 
         // Each ladder rung maps to a solver tier (tier = 2 − level): level 1
         // shrinks the plan-ahead window and caps MILP work to fit the
@@ -1128,6 +1152,67 @@ impl Scheduler for ThreeSigmaScheduler {
         let solver_nodes = caps.as_ref().map_or(cfg.solver_nodes, |c| c.solver_nodes);
         let solver_time = caps.as_ref().map_or(cfg.solver_time, |c| c.solver_time);
         let max_options = caps.as_ref().map(|c| c.max_options);
+        let tier = cfg.solver_tier.unwrap_or(2 - level.min(2)).min(2);
+        let slots = slot_times(now, cfg.slot_width, plan_slots);
+
+        // ---- Idle cycle: nothing pending. The MILP's only columns are
+        // preemption indicators of negative cost and every capacity row
+        // admits the all-zero plan, so the status quo is its unique optimum
+        // (DESIGN.md "Idle cycles"). Only the running side advances. ----
+        let idle = view.pending.is_empty() && cfg.preemption_cost > 0.0;
+        #[cfg(test)]
+        let idle = idle && !self.full_idle_cycles;
+        if idle {
+            let compile_start = Stopwatch::start();
+            self.running
+                .advance(&cfg, view, now, &slots, &mut self.cache, |spec| {
+                    estimate_dist(&self.source, &self.predictor, cfg.mass_points, spec)
+                });
+            let compile = compile_start.elapsed();
+            // The incremental solver answers a cycle from the one before it.
+            // This cycle solved nothing, so drop its entry: kept, the next
+            // busy cycle would diff against an older busy model term by term
+            // instead of against nothing.
+            if let Some((_, solver)) = &mut self.incremental {
+                solver.reset();
+            }
+            self.totals.count_tier(tier);
+            if cfg.record_plans {
+                self.plans.push(PlanRecord {
+                    now,
+                    ..PlanRecord::default()
+                });
+            }
+            self.finish_cycle(CycleTiming {
+                pending: 0,
+                considered: 0,
+                milp_vars: 0,
+                milp_rows: 0,
+                total: cycle_start.elapsed(),
+                generate: Duration::ZERO,
+                compile,
+                solver: Duration::ZERO,
+                extract: Duration::ZERO,
+                nodes: 0,
+                level,
+                solver_tier: tier,
+                cost_units: 0,
+            });
+            return SchedulingDecision::noop();
+        }
+
+        let mut decision = SchedulingDecision::noop();
+        let Self {
+            cache,
+            source,
+            predictor,
+            running,
+            plans,
+            models,
+            totals,
+            incremental,
+            ..
+        } = self;
 
         // ---- Stage 1: generate. Select the most urgent pending jobs,
         // refresh cached estimates, and value every (space, slot) option. ----
@@ -1149,7 +1234,6 @@ impl Scheduler for ThreeSigmaScheduler {
         // job is homed to exactly one group.
         let groups = MaskGroups::new(view.cluster.num_partitions());
         let multi_group = groups.num_groups() > 1;
-        let slots = slot_times(now, cfg.slot_width, plan_slots);
 
         // Distinct (group, equivalence-set mask) pairs that need capacity
         // rows: each group's full mask first, then per-job preferred masks.
@@ -1253,7 +1337,6 @@ impl Scheduler for ThreeSigmaScheduler {
         // `solver_tier`); tier 2 additionally routes through the persistent
         // incremental wrapper so a bit-identical consecutive cycle is
         // answered from cache. ----
-        let tier = cfg.solver_tier.unwrap_or(2 - level.min(2)).min(2);
         let milp_config = SolverConfig {
             node_limit: solver_nodes,
             time_limit: Some(solver_time),
@@ -1289,12 +1372,7 @@ impl Scheduler for ThreeSigmaScheduler {
         let milp_vars = model.num_vars();
         let milp_rows = model.num_constraints();
         let nodes = solution.nodes;
-        totals.solver_tier = tier as u64;
-        match tier {
-            0 => totals.tier0_cycles += 1,
-            1 => totals.tier1_cycles += 1,
-            _ => totals.tier2_cycles += 1,
-        }
+        totals.count_tier(tier);
         totals.presolve_reductions += solution.presolve.total() as u64;
         totals.milp_nodes += solution.nodes as u64;
         totals.milp_pivots += solution.lp_iterations as u64;
@@ -1416,21 +1494,7 @@ impl Scheduler for ThreeSigmaScheduler {
             solver_tier: tier,
             cost_units,
         };
-        governor.last_cost = Some((timing.cost_units, timing.total));
-        if let Some(obs) = obs {
-            let stats = SchedStats {
-                cache: cache.stats(),
-                ..*totals
-            };
-            obs.flush(&stats, predictor, cache, &timing);
-        }
-        timings.push(timing);
-        if let Some(cap) = cfg.max_timings {
-            if timings.len() > cap {
-                let excess = timings.len() - cap;
-                timings.drain(..excess);
-            }
-        }
+        self.finish_cycle(timing);
         decision
     }
 }
@@ -1469,7 +1533,7 @@ fn pack_gang(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobKind};
+    use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobKind, Metrics};
 
     fn scheduler(source: EstimateSource) -> ThreeSigmaScheduler {
         ThreeSigmaScheduler::new(SchedConfig::default(), source, PredictorConfig::default())
@@ -2188,12 +2252,19 @@ mod tests {
     }
 
     /// Runs the inner scheduler, optionally dropping every carried Eq. 2
-    /// conditional first, and logs what it decided.
+    /// conditional first, and logs what it decided and what its running-side
+    /// table holds after every cycle.
     struct Recording {
         inner: ThreeSigmaScheduler,
         forget: bool,
         decisions: Vec<String>,
         running_at_level: [usize; 3],
+        /// Per cycle: (now, anything pending, running attempts).
+        cycles: Vec<(f64, bool, usize)>,
+        /// Per cycle: the running-side table after it.
+        tables: Vec<String>,
+        /// Idle cycles that carried an exp-inc attempt.
+        idle_exhausted: usize,
     }
 
     impl Scheduler for Recording {
@@ -2218,16 +2289,27 @@ mod tests {
             let d = self.inner.schedule(view, now);
             self.running_at_level[self.inner.degradation_level() as usize] += view.running.len();
             self.decisions.push(format!("{now}: {d:?}"));
+            let busy = !view.pending.is_empty();
+            self.cycles.push((now, busy, view.running.len()));
+            self.tables.push(self.inner.running.state());
+            if !busy && self.inner.running.exhausted() > 0 {
+                self.idle_exhausted += 1;
+            }
             d
         }
     }
 
-    #[test]
-    fn carried_running_state_compiles_the_same_models_as_a_cleared_table() {
+    /// Runs the running-table scenario: one job family whose runtimes spread
+    /// over 30–300 s, so a running attempt's elapsed time keeps crossing
+    /// mass points, and jobs that run past 300 s outlive the prior
+    /// (exp-inc). BE and SLO gangs on 4 racks × 4 nodes, every third job
+    /// preferring rack 1; a burst at t = 40 overruns the work-unit budget,
+    /// so the governor shrinks the window while attempts run and grows it
+    /// back once the queue drains. A second, sparse wave from t = 250
+    /// follows idle stretches with busy cycles. Job 1 is killed at t = 21
+    /// and retried.
+    fn table_scenario(forget: bool, full_idle_cycles: bool) -> (Metrics, Recording) {
         use threesigma_cluster::FaultEvent;
-        // Runtimes of one job family spread over 30–300 s, so a running
-        // attempt's elapsed time keeps crossing mass points, and the jobs
-        // below that run past 300 s outlive the prior (exp-inc).
         let attrs = || {
             threesigma_cluster::Attributes::new()
                 .with("user", "u")
@@ -2240,16 +2322,12 @@ mod tests {
                     .with_attributes(attrs())
             })
             .collect();
-        // BE and SLO gangs on 4 racks × 4 nodes, every third job preferring
-        // rack 1; a burst at t = 40 overruns the work-unit budget, so the
-        // governor shrinks the window while attempts run and grows it back
-        // once the queue drains.
         let mut jobs: Vec<JobSpec> = Vec::new();
-        for i in 0..20u64 {
-            let submit = if i < 8 {
-                i as f64 * 6.0
-            } else {
-                40.0 + (i - 8) as f64 * 0.5
+        for i in 0..26u64 {
+            let submit = match i {
+                0..=7 => i as f64 * 6.0,
+                8..=19 => 40.0 + (i - 8) as f64 * 0.5,
+                _ => 250.0 + (i - 20) as f64 * 97.0,
             };
             let duration = 25.0 + (i * 53 % 380) as f64;
             let kind = if i % 2 == 0 {
@@ -2267,42 +2345,49 @@ mod tests {
             }
             jobs.push(spec);
         }
-        let run = |forget: bool| {
-            let mut inner = ThreeSigmaScheduler::new(
-                SchedConfig {
-                    record_models: true,
-                    solver_nodes: 12,
-                    cycle_budget: CycleBudget::WorkUnits(100),
-                    ..SchedConfig::default()
-                },
-                EstimateSource::Predicted,
-                PredictorConfig::default(),
-            );
-            inner.pretrain(&history);
-            let mut s = Recording {
-                inner,
-                forget,
-                decisions: Vec::new(),
-                running_at_level: [0; 3],
-            };
-            let eng = Engine::new(
-                ClusterSpec::uniform(4, 4),
-                EngineConfig {
-                    cycle_interval: 2.0,
-                    drain: Some(4.0 * 3600.0),
-                    seed: 1,
-                    faults: vec![FaultEvent::TaskKill {
-                        at: 21.0,
-                        job: JobId(1),
-                    }],
-                    ..EngineConfig::default()
-                },
-            );
-            let m = eng.run(&jobs, &mut s).unwrap();
-            (m, s)
+        let mut inner = ThreeSigmaScheduler::new(
+            SchedConfig {
+                record_models: true,
+                record_plans: true,
+                solver_nodes: 12,
+                cycle_budget: CycleBudget::WorkUnits(100),
+                ..SchedConfig::default()
+            },
+            EstimateSource::Predicted,
+            PredictorConfig::default(),
+        );
+        inner.pretrain(&history);
+        inner.full_idle_cycles = full_idle_cycles;
+        let mut s = Recording {
+            inner,
+            forget,
+            decisions: Vec::new(),
+            running_at_level: [0; 3],
+            cycles: Vec::new(),
+            tables: Vec::new(),
+            idle_exhausted: 0,
         };
-        let (m, carried) = run(false);
-        let (m_cleared, cleared) = run(true);
+        let eng = Engine::new(
+            ClusterSpec::uniform(4, 4),
+            EngineConfig {
+                cycle_interval: 2.0,
+                drain: Some(4.0 * 3600.0),
+                seed: 1,
+                faults: vec![FaultEvent::TaskKill {
+                    at: 21.0,
+                    job: JobId(1),
+                }],
+                ..EngineConfig::default()
+            },
+        );
+        let m = eng.run(&jobs, &mut s).unwrap();
+        (m, s)
+    }
+
+    #[test]
+    fn carried_running_state_compiles_the_same_models_as_a_cleared_table() {
+        let (m, carried) = table_scenario(false, true);
+        let (m_cleared, cleared) = table_scenario(true, true);
 
         // The run exercises what the table has to survive.
         let stats = carried.inner.stats();
@@ -2323,6 +2408,120 @@ mod tests {
         assert_eq!(carried.decisions, cleared.decisions);
         assert_eq!(stats, cleared.inner.stats());
         assert_eq!(m.outcomes, m_cleared.outcomes);
+    }
+
+    #[test]
+    fn idle_cycles_skip_the_milp_and_leave_the_same_state() {
+        let (m, fast) = table_scenario(false, false);
+        let (m_full, full) = table_scenario(false, true);
+
+        // The scenario has what the fast path must get right: idle cycles
+        // with attempts running across slot-grid boundaries, exp-inc
+        // attempts that stay exhausted while idle, busy cycles right after
+        // idle ones, preemption, a kill and retry, and a governor that
+        // steps up and down.
+        let idle = |&(_, busy, running): &(f64, bool, usize)| !busy && running > 0;
+        assert!(fast.cycles.iter().filter(|c| idle(c)).count() > 100);
+        let crosses = fast.cycles.windows(2).any(|w| {
+            idle(&w[0]) && idle(&w[1]) && (w[0].0 / 60.0).floor() != (w[1].0 / 60.0).floor()
+        });
+        assert!(crosses, "an idle stretch crossed a slot-grid boundary");
+        assert!(
+            fast.idle_exhausted > 0,
+            "exp-inc attempts stayed exhausted while idle"
+        );
+        let resumes = fast
+            .cycles
+            .windows(2)
+            .any(|w| idle(&w[0]) && w[1].1 && w[1].2 > 0);
+        assert!(
+            resumes,
+            "a busy cycle followed an idle one with attempts running"
+        );
+        assert_eq!(m.kills, 1);
+        assert!(m.outcomes[0].finish_time.is_some());
+        assert!(m.preemptions >= 1);
+        let stats = fast.inner.stats();
+        assert!(stats.governor_step_ups >= 1 && stats.governor_step_downs >= 1);
+
+        // Same decisions, outcomes and running-side table after every cycle.
+        assert_eq!(fast.decisions, full.decisions);
+        assert_eq!(m.outcomes, m_full.outcomes);
+        assert_eq!(fast.cycles, full.cycles);
+        let diverged = fast
+            .tables
+            .iter()
+            .zip(&full.tables)
+            .position(|(x, y)| x != y);
+        assert_eq!(diverged, None, "first cycle whose running table differs");
+        // Every busy cycle compiled the same MILP; idle ones compiled none.
+        let busy_models: Vec<&String> = full
+            .inner
+            .models()
+            .iter()
+            .zip(&full.cycles)
+            .filter(|(_, c)| c.1)
+            .map(|(model, _)| model)
+            .collect();
+        assert_eq!(full.inner.models().len(), full.cycles.len());
+        assert_eq!(fast.inner.models().iter().collect::<Vec<_>>(), busy_models);
+        // One plan record and one timing per cycle, at the same level/tier.
+        assert_eq!(fast.inner.plans().len(), full.inner.plans().len());
+        let ladder = |s: &ThreeSigmaScheduler| {
+            s.timings()
+                .iter()
+                .map(|t| (t.level, t.solver_tier, t.pending))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ladder(&fast.inner), ladder(&full.inner));
+        let kept = |s: SchedStats| {
+            (
+                (
+                    s.cycles,
+                    s.options_enumerated,
+                    s.options_pruned,
+                    s.options_placed,
+                ),
+                (
+                    s.cache,
+                    s.solver_tier,
+                    s.tier0_cycles,
+                    s.tier1_cycles,
+                    s.tier2_cycles,
+                ),
+                (
+                    s.degradation_level,
+                    s.governor_step_ups,
+                    s.governor_step_downs,
+                ),
+                (s.budget_overruns, s.expert_switches),
+            )
+        };
+        assert_eq!(kept(stats), kept(full.inner.stats()));
+    }
+
+    #[test]
+    fn only_a_positive_preemption_cost_takes_the_idle_fast_path() {
+        for (cost, fast) in [(1.5, true), (0.0, false), (-1.0, false), (f64::NAN, false)] {
+            let mut s = ThreeSigmaScheduler::new(
+                SchedConfig {
+                    preemption_cost: cost,
+                    ..SchedConfig::default()
+                },
+                EstimateSource::OraclePoint,
+                PredictorConfig::default(),
+            );
+            let jobs = vec![JobSpec::new(1, 0.0, 2, 30.0, JobKind::BestEffort)];
+            // A negative cost makes preempting pay, so that run churns
+            // until the drain horizon; the others finish the job.
+            engine(1, 4).run(&jobs, &mut s).unwrap();
+            let idle: Vec<&CycleTiming> = s.timings().iter().filter(|t| t.pending == 0).collect();
+            assert!(idle.len() > 10);
+            // The full path compiles the running job's preemption column.
+            let compiled = idle.iter().any(|t| t.milp_vars > 0);
+            assert_eq!(compiled, !fast, "preemption cost {cost}");
+            assert_eq!(s.stats().tier2_cycles, s.stats().cycles);
+        }
     }
 
     #[test]
