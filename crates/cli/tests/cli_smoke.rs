@@ -103,6 +103,61 @@ fn generate_run_analyze_pipeline() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A trace job with preferred racks and a zero or negative off-preferred
+/// slowdown is a typed ingest error (exit 1), not a panic in the scheduler's
+/// runtime scaling.
+#[test]
+fn a_non_positive_slowdown_in_a_trace_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("threesigma_slowdown_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args([
+            "generate",
+            "--env",
+            "google",
+            "--hours",
+            "0.2",
+            "--seed",
+            "3",
+            "--out",
+            trace.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).unwrap();
+    for slowdown in [0.0, -1.0] {
+        let mut edited: threesigma_workload::Trace = serde_json::from_str(&text).unwrap();
+        let job = edited
+            .jobs
+            .iter_mut()
+            .find(|j| j.preferred.is_some())
+            .expect("a job with preferred racks");
+        job.nonpreferred_slowdown = slowdown;
+        let id = job.id.0;
+        let bad = dir.join(format!("bad_{slowdown}.json"));
+        std::fs::write(&bad, serde_json::to_string(&edited).unwrap()).unwrap();
+
+        let out = bin()
+            .args(["run", "--trace", bad.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "slowdown {slowdown}: {stderr}");
+        assert!(
+            stderr.contains(&format!("job JobId({id}) has a malformed spec"))
+                && stderr.contains("slowdown"),
+            "slowdown {slowdown}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,

@@ -10,7 +10,6 @@
 //! events carry an epoch so that preempting a job invalidates its stale
 //! finish event.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
@@ -18,7 +17,7 @@ use threesigma_obs::{Counter, Gauge, Recorder};
 
 use crate::job::{JobId, JobSpec, RetryPolicy};
 use crate::metrics::{JobOutcome, Metrics};
-use crate::sim::{config_problem, JobRecord, Sim};
+use crate::sim::{config_problem, JobRecord, Sim, SpecRef};
 use crate::spec::{ClusterSpec, PartitionId};
 
 /// Engine configuration.
@@ -276,7 +275,8 @@ pub enum SimError {
         job: JobId,
     },
     /// A job spec is unusable: non-finite/negative submit time or
-    /// duration, or a zero-task gang.
+    /// duration, a zero-task gang, or a non-finite or non-positive
+    /// off-preferred slowdown.
     MalformedJobSpec {
         /// The offending id.
         job: JobId,
@@ -737,7 +737,7 @@ impl Engine {
         // The trace outlives the run: records borrow their specs from it.
         sim.jobs.reserve_exact(jobs.len());
         for j in jobs {
-            sim.push_job(Cow::Borrowed(j))?;
+            sim.push_job(SpecRef::Borrowed(j))?;
             if let Some(reason) = spec_problem(j) {
                 return Err(SimError::MalformedJobSpec { job: j.id, reason });
             }
@@ -751,7 +751,8 @@ impl Engine {
 }
 
 /// Why a job spec is unusable, if it is: non-finite/negative submit time or
-/// duration, or a zero-task gang. Shared by batch ingest and the serve
+/// duration, a zero-task gang, or a non-finite or non-positive off-preferred
+/// slowdown (a runtime scale factor). Shared by batch ingest and the serve
 /// boundary, so a streamed job is held to exactly the trace contract.
 pub(crate) fn spec_problem(j: &JobSpec) -> Option<&'static str> {
     if !j.submit_time.is_finite() || j.submit_time < 0.0 {
@@ -760,6 +761,8 @@ pub(crate) fn spec_problem(j: &JobSpec) -> Option<&'static str> {
         Some("duration must be finite and non-negative")
     } else if j.tasks == 0 {
         Some("task count must be positive")
+    } else if !j.nonpreferred_slowdown.is_finite() || j.nonpreferred_slowdown <= 0.0 {
+        Some("non-preferred slowdown must be finite and positive")
     } else {
         None
     }
@@ -1161,8 +1164,24 @@ mod tests {
         infinite_duration.duration = f64::INFINITY;
         let mut zero_tasks = be(4, 0.0, 1, 5.0);
         zero_tasks.tasks = 0;
+        // A trace may carry any slowdown; `with_preference` would refuse these.
+        let slowdown = |id, s| {
+            let mut j = be(id, 0.0, 1, 5.0);
+            j.preferred = Some(vec![PartitionId(0)]);
+            j.nonpreferred_slowdown = s;
+            j
+        };
 
-        for bad in [nan_submit, negative_duration, infinite_duration, zero_tasks] {
+        for bad in [
+            nan_submit,
+            negative_duration,
+            infinite_duration,
+            zero_tasks,
+            slowdown(5, 0.0),
+            slowdown(6, -1.0),
+            slowdown(7, f64::NAN),
+            slowdown(8, f64::INFINITY),
+        ] {
             let id = bad.id;
             let err = engine.run(&[bad], &mut Fifo).unwrap_err();
             assert!(

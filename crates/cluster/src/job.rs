@@ -153,7 +153,8 @@ pub struct JobSpec {
     /// Preferred partitions (soft constraint). `None` — indifferent.
     pub preferred: Option<Vec<PartitionId>>,
     /// Runtime multiplier when any allocation is off-preferred (§5 uses
-    /// 1.5×). Ignored when `preferred` is `None`.
+    /// 1.5×). Ignored when `preferred` is `None`; must be finite and
+    /// positive either way (ingest rejects anything else as malformed).
     pub nonpreferred_slowdown: f64,
     /// Relative weight of this job's utility (SLO jobs outweigh BE jobs).
     pub utility_weight: f64,

@@ -43,7 +43,6 @@
 //! `serve_retired_jobs_total`, `serve_retention_seconds`, …) so saturation
 //! is visible in the Prometheus exposition.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -52,7 +51,7 @@ use threesigma_obs::{sanitize, Counter, Gauge, Recorder};
 use crate::engine::{spec_problem, FaultEvent, Scheduler, SimError};
 use crate::job::{JobSpec, RetryPolicy};
 use crate::metrics::{JobOutcome, JobState};
-use crate::sim::{config_problem, fault_problem, JobRecord, Sim};
+use crate::sim::{config_problem, fault_problem, JobRecord, Sim, SpecRef};
 use crate::spec::ClusterSpec;
 
 /// Serve-session configuration.
@@ -438,7 +437,7 @@ impl ServeSession {
                 });
             }
             sim.jobs.push_back(JobRecord {
-                spec: Cow::Owned(spec.clone()),
+                spec: SpecRef::Owned(Box::new(spec.clone())),
                 outcome: outcome.clone(),
                 epoch: *epoch,
             });
@@ -551,7 +550,7 @@ impl ServeSession {
         // cycles at equal timestamps).
         self.sim.ensure_cycle(spec.submit_time);
         self.last_submit = spec.submit_time;
-        self.sim.push_job(Cow::Owned(spec))?;
+        self.sim.push_job(SpecRef::Owned(Box::new(spec)))?;
         self.submitted += 1;
         Ok(())
     }

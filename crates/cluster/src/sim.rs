@@ -18,9 +18,9 @@
 //! may drop a terminal prefix ([`Sim::pop_front`]) without renumbering
 //! anything the queue, `pending` or `running` refer to.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -85,11 +85,30 @@ pub(crate) struct Running {
     on_preferred: bool,
 }
 
-/// One row of the per-job table. The spec is borrowed from the caller's
-/// trace in a batch run and owned in a serve session.
+/// A record's spec: borrowed from the caller's trace in a batch run, boxed
+/// in a serve session. Two words, where a `Cow` carried a whole `JobSpec`
+/// inline even when it only borrowed one.
+#[derive(Debug)]
+pub(crate) enum SpecRef<'a> {
+    Borrowed(&'a JobSpec),
+    Owned(Box<JobSpec>),
+}
+
+impl Deref for SpecRef<'_> {
+    type Target = JobSpec;
+
+    fn deref(&self) -> &JobSpec {
+        match self {
+            SpecRef::Borrowed(spec) => spec,
+            SpecRef::Owned(spec) => spec,
+        }
+    }
+}
+
+/// One row of the per-job table.
 #[derive(Debug)]
 pub(crate) struct JobRecord<'a> {
-    pub(crate) spec: Cow<'a, JobSpec>,
+    pub(crate) spec: SpecRef<'a>,
     pub(crate) outcome: JobOutcome,
     /// Bumped whenever an attempt starts or dies, so the finish event of a
     /// preempted or killed attempt no longer matches.
@@ -98,7 +117,7 @@ pub(crate) struct JobRecord<'a> {
 
 impl<'a> JobRecord<'a> {
     /// A fresh (pre-arrival) record.
-    fn new(spec: Cow<'a, JobSpec>) -> Self {
+    fn new(spec: SpecRef<'a>) -> Self {
         let outcome = JobOutcome {
             id: spec.id,
             kind: spec.kind,
@@ -257,7 +276,7 @@ impl<'a> Sim<'a> {
     /// Takes a job in: a fresh record at the next ingest index plus its
     /// arrival, queued at the spec's submit time. Fails if the id is
     /// already held.
-    pub(crate) fn push_job(&mut self, spec: Cow<'a, JobSpec>) -> Result<(), SimError> {
+    pub(crate) fn push_job(&mut self, spec: SpecRef<'a>) -> Result<(), SimError> {
         let idx = self.base + self.jobs.len();
         if self.index_of.insert(spec.id, idx).is_some() {
             return Err(SimError::DuplicateJobId { job: spec.id });
@@ -662,4 +681,22 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.random::<f64>();
     (-2.0f64 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A batch run holds one record per trace job for the whole run, so the
+    /// spec handle is two words; an inline `Cow<JobSpec>` made the record
+    /// 216 bytes.
+    #[test]
+    fn a_job_record_holds_its_spec_in_two_words() {
+        assert_eq!(size_of::<SpecRef<'_>>(), 2 * size_of::<usize>());
+        assert!(
+            size_of::<JobRecord<'_>>() <= size_of::<JobOutcome>() + 3 * size_of::<usize>(),
+            "JobRecord is {} bytes",
+            size_of::<JobRecord<'_>>()
+        );
+    }
 }

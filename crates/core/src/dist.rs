@@ -68,6 +68,16 @@ impl DiscreteDist {
         Self::with_points(vec![(runtime.max(0.0), 1.0)])
     }
 
+    /// `point(runtime).survival(t)` without building the point mass, bit
+    /// for bit: `1.0` before the point, the same empty-sum zero after it.
+    pub(crate) fn point_survival(runtime: f64, t: f64) -> f64 {
+        if runtime.max(0.0) <= t {
+            <[f64]>::iter(&[]).sum()
+        } else {
+            1.0
+        }
+    }
+
     /// Builds directly from points (must be sorted; for tests/examples).
     ///
     /// # Panics
@@ -309,6 +319,31 @@ mod tests {
         }
         assert_eq!(d.lower(), 1.0);
         assert_eq!(d.upper(), 5.0);
+    }
+
+    #[test]
+    fn point_survival_matches_a_built_point_mass_bit_for_bit() {
+        let edges = [
+            f64::NEG_INFINITY,
+            -5.0,
+            -0.0,
+            0.0,
+            1e-300,
+            5.0,
+            f64::from_bits(5f64.to_bits() + 1),
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for runtime in edges {
+            for t in edges {
+                assert_eq!(
+                    DiscreteDist::point_survival(runtime, t).to_bits(),
+                    DiscreteDist::point(runtime).survival(t).to_bits(),
+                    "point({runtime}).survival({t})"
+                );
+            }
+        }
     }
 
     #[test]

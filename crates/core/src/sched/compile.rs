@@ -22,8 +22,13 @@
 //! Both are value-exact, so the compiled model is bit-identical to a
 //! from-scratch compile; the differential tests clear the table before
 //! every cycle and compare MILP text.
+//!
+//! The walk itself is kept free of lookups and allocation: the table is a
+//! key-sorted `Vec` merged against the view's running set (which the
+//! simulator lists in id order), each attempt costs one
+//! [`EstimateCache::running_prior`] probe, and an exhausted attempt's
+//! point-mass survivals are computed inline.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use threesigma_cluster::{JobId, JobSpec, SimulationView};
@@ -179,8 +184,6 @@ impl Conditional {
 /// Per-attempt state, alive exactly as long as the attempt is running.
 #[derive(Default)]
 struct Attempt {
-    /// Compile cycle that last saw the attempt running.
-    seen: u64,
     /// Exp-inc state once the attempt has outlived its prior. Decisions
     /// depend on it, unlike `cond`.
     underest: Option<UnderEst>,
@@ -188,14 +191,20 @@ struct Attempt {
     cond: Option<Conditional>,
 }
 
-/// Cross-cycle table of running attempts keyed by (job, attempt-start
-/// bits); owns the running side of MILP compilation. Ordered map: the
-/// liveness sweep iterates it.
+/// A running attempt: (job, attempt-start bits).
+type AttemptKey = (JobId, u64);
+
+/// Cross-cycle table of running attempts; owns the running side of MILP
+/// compilation. Each cycle merges the view's running set (id order) into
+/// last cycle's table, so an attempt no longer running is simply not
+/// carried over.
 #[derive(Default)]
 pub(crate) struct RunningTable {
-    attempts: BTreeMap<(JobId, u64), Attempt>,
-    /// Compile cycles so far; the liveness stamp.
-    cycle: u64,
+    /// This cycle's attempts, sorted by key.
+    attempts: Vec<(AttemptKey, Attempt)>,
+    /// Last cycle's table while [`Self::step`] merges it; empty between
+    /// cycles, kept for its allocation.
+    spare: Vec<(AttemptKey, Attempt)>,
     /// The grid slots (`slots[1..]`) the current `grid_epoch` stands for.
     grid: Vec<f64>,
     grid_epoch: u64,
@@ -206,7 +215,7 @@ impl RunningTable {
     /// compile rebuilds the running side from scratch.
     #[cfg(test)]
     pub(crate) fn forget_conditionals(&mut self) {
-        for a in self.attempts.values_mut() {
+        for (_, a) in &mut self.attempts {
             a.cond = None;
         }
     }
@@ -217,7 +226,7 @@ impl RunningTable {
     pub(crate) fn state(&self) -> String {
         use std::fmt::Write;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut out = format!("{} {} {:?}", self.cycle, self.grid_epoch, bits(&self.grid));
+        let mut out = format!("{} {:?}", self.grid_epoch, bits(&self.grid));
         for ((id, start), a) in &self.attempts {
             let ue = a
                 .underest
@@ -226,7 +235,7 @@ impl RunningTable {
                 let points: Vec<f64> = c.dist.points().iter().flat_map(|(t, p)| [*t, *p]).collect();
                 (c.from.to_bits(), c.grid_epoch, bits(&c.grid), bits(&points))
             });
-            let _ = write!(out, "\n{id:?} {start} {} {ue:?} {cond:?}", a.seen);
+            let _ = write!(out, "\n{id:?} {start} {ue:?} {cond:?}");
         }
         out
     }
@@ -234,7 +243,10 @@ impl RunningTable {
     /// Running attempts currently on exp-inc estimates.
     #[cfg(test)]
     pub(crate) fn exhausted(&self) -> usize {
-        self.attempts.values().filter(|a| a.cond.is_none()).count()
+        self.attempts
+            .iter()
+            .filter(|(_, a)| a.cond.is_none())
+            .count()
     }
 
     /// Compiles the cycle's MILP: a binary and demand row per generated
@@ -418,10 +430,15 @@ impl RunningTable {
         self.step(cfg, view, now, slots, cache, estimate, None);
     }
 
-    /// The per-cycle walk of the running set: grid epoch, estimate-cache
-    /// lookups and pins, liveness stamps, exp-inc steps, Eq. 2 conditionals
-    /// and grid survivals, then the sweep of attempts no longer running.
-    /// With `survivals`, appends each attempt's survival at every slot.
+    /// The per-cycle walk of the running set: grid epoch, one estimate-cache
+    /// probe per attempt, exp-inc steps, Eq. 2 conditionals and grid
+    /// survivals. With `survivals`, appends each attempt's survival at every
+    /// slot, in view order.
+    ///
+    /// Last cycle's table is merged against `view.running` with a cursor
+    /// (the simulator lists running attempts in id order, and a job runs
+    /// one attempt at a time, so keys are distinct); a view in another order
+    /// falls back to binary search and the new table is sorted once.
     #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
@@ -433,41 +450,60 @@ impl RunningTable {
         estimate: impl Fn(&JobSpec) -> DiscreteDist,
         mut survivals: Option<&mut Vec<f64>>,
     ) {
-        self.cycle += 1;
         let later = slots.get(1..).unwrap_or_default();
         if self.grid != later {
-            self.grid = later.to_vec();
+            self.grid.clear();
+            self.grid.extend_from_slice(later);
             self.grid_epoch += 1;
         }
         let Self {
             attempts,
-            cycle,
+            spare,
             grid_epoch,
             ..
         } = self;
+        std::mem::swap(attempts, spare);
+        attempts.reserve(view.running.len());
+        let mut cursor = 0usize;
+        let mut in_order = true;
+        let mut prev: Option<AttemptKey> = None;
         for r in &view.running {
+            let key = (r.spec.id, r.start_time.to_bits());
+            in_order &= prev.is_none_or(|p| p < key);
+            prev = Some(key);
+            let carried = if in_order {
+                while spare.get(cursor).is_some_and(|(k, _)| *k < key) {
+                    cursor += 1;
+                }
+                spare
+                    .get_mut(cursor)
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, a)| {
+                        cursor += 1;
+                        std::mem::take(a)
+                    })
+            } else {
+                spare
+                    .binary_search_by(|(k, _)| k.cmp(&key))
+                    .ok()
+                    .and_then(|i| spare.get_mut(i))
+                    .map(|(_, a)| std::mem::take(a))
+            };
+            let mut attempt = carried.unwrap_or_default();
             let elapsed = r.elapsed(now);
-            let base = cache.base(r.spec.id, || estimate(r.spec));
-            // A running attempt's estimate stays pinned: Eq. 2 must keep
-            // renormalising the prior the plan was built on.
-            cache.pin(r.spec.id);
             // Scale by the placement actually chosen for this attempt.
             let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
                 r.allocation
                     .iter()
                     .any(|(p, n)| *n > 0 && !pref.contains(p))
             });
-            let prior = if off_pref {
-                cache
-                    .scaled(r.spec.id, r.spec.nonpreferred_slowdown)
-                    .unwrap_or_else(|| base.clone())
-            } else {
-                base
-            };
-            let attempt = attempts
-                .entry((r.spec.id, r.start_time.to_bits()))
-                .or_default();
-            attempt.seen = *cycle;
+            // A running attempt's estimate stays pinned: Eq. 2 must keep
+            // renormalising the prior the plan was built on.
+            let prior = cache.running_prior(
+                r.spec.id,
+                off_pref.then_some(r.spec.nonpreferred_slowdown),
+                || estimate(r.spec),
+            );
             let start = r.start_time;
             if prior.is_exhausted_at(elapsed) {
                 // §4.2.1: exponential-increment under-estimate handling.
@@ -478,8 +514,11 @@ impl RunningTable {
                 });
                 let est = exp_inc(ue, elapsed, cfg.cycle_hint);
                 if let Some(out) = survivals.as_deref_mut() {
-                    let point = DiscreteDist::point(est);
-                    out.extend(slots.iter().map(|t| point.survival(t - start)));
+                    out.extend(
+                        slots
+                            .iter()
+                            .map(|t| DiscreteDist::point_survival(est, t - start)),
+                    );
                 }
             } else {
                 let cached = attempt.cond.take();
@@ -492,9 +531,13 @@ impl RunningTable {
                     out.extend_from_slice(&cond.grid);
                 }
             }
+            attempts.push((key, attempt));
+        }
+        if !in_order {
+            attempts.sort_unstable_by_key(|(k, _)| *k);
         }
         // Attempts that are no longer running take their state with them.
-        attempts.retain(|_, a| a.seen == *cycle);
+        spare.clear();
     }
 }
 
@@ -502,6 +545,7 @@ impl RunningTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
     use threesigma_cluster::{ClusterSpec, JobKind, PartitionId, RunningJob as ViewJob};
     use threesigma_milp::{solver_for_tier, SolverConfig};
 
@@ -884,6 +928,226 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A running set on a 4 × 8 cluster: per attempt its spec, allocation
+    /// and prior. Odd ids run off their preferred rack; every third has
+    /// outlived its prior (exp-inc); the rest sit far short of their first
+    /// mass point, so their conditionals carry from cycle to cycle.
+    struct Fleet {
+        cluster: ClusterSpec,
+        specs: Vec<JobSpec>,
+        allocations: Vec<Vec<(PartitionId, u32)>>,
+        priors: Vec<DiscreteDist>,
+    }
+
+    impl Fleet {
+        fn new(n: u64) -> Self {
+            let mut fleet = Fleet {
+                cluster: ClusterSpec::uniform(4, 8),
+                specs: Vec::new(),
+                allocations: Vec::new(),
+                priors: Vec::new(),
+            };
+            for id in 1..=n {
+                let rack = (id % 4) as usize;
+                let mut spec = JobSpec::new(id, 10.0 * id as f64, 1, 500.0, JobKind::BestEffort);
+                if id % 2 == 1 {
+                    spec = spec.with_preference(vec![PartitionId((rack + 1) % 4)], 1.5);
+                }
+                let prior = if id % 3 == 0 {
+                    DiscreteDist::from_points(vec![(50.0, 0.5), (100.0, 0.5)])
+                } else {
+                    DiscreteDist::from_points(vec![(5_000.0, 0.5), (9_000.0 + id as f64, 0.5)])
+                };
+                fleet.specs.push(spec);
+                fleet.allocations.push(vec![(PartitionId(rack), 1)]);
+                fleet.priors.push(prior);
+            }
+            fleet
+        }
+
+        /// The view of the attempts at `order` (indices into the fleet).
+        fn view(&self, order: &[usize], now: f64) -> SimulationView<'_> {
+            SimulationView {
+                cluster: &self.cluster,
+                pending: Vec::new(),
+                running: order
+                    .iter()
+                    .map(|&i| ViewJob {
+                        spec: &self.specs[i],
+                        start_time: self.specs[i].submit_time,
+                        allocation: &self.allocations[i],
+                    })
+                    .collect(),
+                free: &[0, 0, 0, 0],
+                now,
+            }
+        }
+
+        /// One walk of `order` at `now`, returning the survivals by job id.
+        fn step(
+            &self,
+            table: &mut RunningTable,
+            cache: &mut EstimateCache,
+            order: &[usize],
+            now: f64,
+        ) -> Vec<(JobId, Vec<u64>)> {
+            let slots = [now, 660.0, 720.0, 780.0];
+            let mut survivals = Vec::new();
+            table.step(
+                &SchedConfig::default(),
+                &self.view(order, now),
+                now,
+                &slots,
+                cache,
+                |spec| self.priors[spec.id.0 as usize - 1].clone(),
+                Some(&mut survivals),
+            );
+            let mut by_id: Vec<(JobId, Vec<u64>)> = order
+                .iter()
+                .zip(survivals.chunks_exact(slots.len()))
+                .map(|(&i, s)| (self.specs[i].id, s.iter().map(|x| x.to_bits()).collect()))
+                .collect();
+            by_id.sort_by_key(|(id, _)| *id);
+            by_id
+        }
+    }
+
+    #[test]
+    fn a_shuffled_running_view_leaves_the_same_table() {
+        let fleet = Fleet::new(12);
+        let (mut sorted, mut shuffled) = (RunningTable::default(), RunningTable::default());
+        let (mut sorted_cache, mut shuffled_cache) = (EstimateCache::new(), EstimateCache::new());
+        // Attempts start and finish between cycles; the shuffled side sees
+        // each running set reversed and rotated.
+        let sets: [&[usize]; 5] = [
+            &[0, 1, 2, 3, 4, 5],
+            &[0, 2, 3, 4, 5, 6, 7],
+            &[3, 5, 7, 8, 9, 10, 11],
+            &[],
+            &[1, 4, 9, 11],
+        ];
+        for (cycle, set) in sets.iter().enumerate() {
+            let now = 600.0 + cycle as f64;
+            let mut order: Vec<usize> = set.iter().rev().copied().collect();
+            order.rotate_left(set.len() / 3);
+            let a = fleet.step(&mut sorted, &mut sorted_cache, set, now);
+            let b = fleet.step(&mut shuffled, &mut shuffled_cache, &order, now);
+            assert_eq!(a, b, "survivals, cycle {cycle}");
+            assert_eq!(sorted.state(), shuffled.state(), "table, cycle {cycle}");
+            assert_eq!(sorted.attempts.len(), set.len());
+            assert_eq!(sorted_cache.stats(), shuffled_cache.stats());
+        }
+        assert!(
+            sorted.exhausted() > 0,
+            "an exp-inc attempt is in the last set"
+        );
+    }
+
+    thread_local! {
+        /// Allocations made by the current thread (tests run on threads of
+        /// their own). Const-initialised and without a destructor, so
+        /// reading it from inside the allocator neither allocates nor
+        /// touches freed thread-local storage.
+        static ALLOCATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The system allocator, counting every `alloc`/`alloc_zeroed`/
+    /// `realloc`; installed for this crate's unit-test binary.
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // whose `GlobalAlloc` contract is therefore the one upheld; the only
+    // addition is a thread-local counter bump that does not allocate.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|c| c.set(c.get() + 1));
+            // SAFETY: the caller's obligations for `alloc` are passed through.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|c| c.set(c.get() + 1));
+            // SAFETY: as above, for `alloc_zeroed`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATIONS.with(|c| c.set(c.get() + 1));
+            // SAFETY: as above, for `realloc`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: as above, for `dealloc`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    /// Allocations one call of `f` makes on this thread.
+    fn allocations_of(f: impl FnOnce()) -> usize {
+        let before = ALLOCATIONS.with(std::cell::Cell::get);
+        f();
+        ALLOCATIONS.with(std::cell::Cell::get) - before
+    }
+
+    /// Steady state — no reconditioning, no grid change, no attempt
+    /// starting or finishing — after two warm-up cycles (one builds the
+    /// conditionals and fills the cache, the next sizes the second table
+    /// buffer). Views and the survival buffer are the caller's.
+    fn steady_state() -> (Fleet, RunningTable, EstimateCache) {
+        let fleet = Fleet::new(12);
+        let (mut table, mut cache) = (RunningTable::default(), EstimateCache::new());
+        let order: Vec<usize> = (0..12).collect();
+        for now in [600.0, 601.0] {
+            fleet.step(&mut table, &mut cache, &order, now);
+        }
+        assert!(table.exhausted() > 0 && table.exhausted() < 12);
+        (fleet, table, cache)
+    }
+
+    #[test]
+    fn a_steady_state_idle_cycle_allocates_nothing() {
+        let (fleet, mut table, mut cache) = steady_state();
+        let order: Vec<usize> = (0..12).collect();
+        let cfg = SchedConfig::default();
+        for now in [602.0, 603.0, 604.0] {
+            let view = fleet.view(&order, now);
+            let slots = [now, 660.0, 720.0, 780.0];
+            let spent = allocations_of(|| {
+                table.advance(&cfg, &view, now, &slots, &mut cache, |spec| {
+                    fleet.priors[spec.id.0 as usize - 1].clone()
+                });
+            });
+            assert_eq!(spent, 0, "idle cycle at {now}");
+        }
+    }
+
+    #[test]
+    fn a_steady_state_busy_walk_allocates_nothing() {
+        let (fleet, mut table, mut cache) = steady_state();
+        let order: Vec<usize> = (0..12).collect();
+        let cfg = SchedConfig::default();
+        let mut survivals: Vec<f64> = Vec::with_capacity(12 * 4);
+        for now in [602.0, 603.0, 604.0] {
+            let view = fleet.view(&order, now);
+            let slots = [now, 660.0, 720.0, 780.0];
+            survivals.clear();
+            let spent = allocations_of(|| {
+                table.step(
+                    &cfg,
+                    &view,
+                    now,
+                    &slots,
+                    &mut cache,
+                    |spec| fleet.priors[spec.id.0 as usize - 1].clone(),
+                    Some(&mut survivals),
+                );
+            });
+            assert_eq!(spent, 0, "running walk at {now}");
+            assert_eq!(survivals.len(), 12 * slots.len());
         }
     }
 

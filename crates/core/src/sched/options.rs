@@ -119,6 +119,25 @@ struct CacheEntry {
     pinned: bool,
 }
 
+impl CacheEntry {
+    /// The base scaled by `scale`, and whether it was already cached.
+    fn scaled(&mut self, scale: f64) -> (Arc<DiscreteDist>, bool) {
+        if scale == 1.0 {
+            return (self.base.clone(), true);
+        }
+        let mut hit = true;
+        let d = self
+            .scaled
+            .entry(scale.to_bits())
+            .or_insert_with(|| {
+                hit = false;
+                Arc::new(self.base.scale(scale))
+            })
+            .clone();
+        (d, hit)
+    }
+}
+
 /// Cross-cycle cache of per-job discretised runtime distributions.
 ///
 /// Replaces the per-cycle `clone()`/`scale()` churn of rebuilding every
@@ -313,25 +332,55 @@ impl EstimateCache {
             self.misses += 1;
             return None;
         };
-        if scale == 1.0 {
-            self.hits += 1;
-            return Some(e.base.clone());
-        }
-        let mut rescaled = false;
-        let d = e
-            .scaled
-            .entry(scale.to_bits())
-            .or_insert_with(|| {
-                rescaled = true;
-                Arc::new(e.base.scale(scale))
-            })
-            .clone();
-        if rescaled {
-            self.misses += 1;
-        } else {
-            self.hits += 1;
-        }
+        let (d, hit) = e.scaled(scale);
+        self.count(hit);
         Some(d)
+    }
+
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+
+    /// A running attempt's prior in one lookup: [`Self::base`], then
+    /// [`Self::pin`], then — for an attempt off its preferred racks —
+    /// [`Self::scaled`] by its `slowdown`, falling back to the base. Bumps
+    /// exactly the counters those calls bump; a missing or stale entry takes
+    /// the three calls themselves.
+    pub(crate) fn running_prior(
+        &mut self,
+        job: JobId,
+        slowdown: Option<f64>,
+        estimate: impl FnOnce() -> DiscreteDist,
+    ) -> Arc<DiscreteDist> {
+        let epoch = self.epoch;
+        let Some(e) = self
+            .entries
+            .get_mut(&job)
+            .filter(|e| e.pinned || e.epoch == epoch)
+        else {
+            let base = self.base(job, estimate);
+            self.pin(job);
+            return match slowdown {
+                Some(scale) => self.scaled(job, scale).unwrap_or(base),
+                None => base,
+            };
+        };
+        e.pinned = true;
+        let (d, hit) = match slowdown {
+            Some(scale) => e.scaled(scale),
+            None => (e.base.clone(), true),
+        };
+        self.lookups += 1;
+        self.hits += 1;
+        if slowdown.is_some() {
+            self.lookups += 1;
+            self.count(hit);
+        }
+        d
     }
 
     /// Pins the job's current estimate (attempt started running).
@@ -361,6 +410,16 @@ impl EstimateCache {
     /// True if the job's entry is pinned (for tests/introspection).
     pub fn is_pinned(&self, job: JobId) -> bool {
         self.entries.get(&job).is_some_and(|e| e.pinned)
+    }
+
+    /// The job's cached `Arc`s: base, then scaled variants by factor bits.
+    #[cfg(test)]
+    fn arcs(&self, job: JobId) -> Vec<Arc<DiscreteDist>> {
+        self.entries.get(&job).map_or_else(Vec::new, |e| {
+            std::iter::once(e.base.clone())
+                .chain(e.scaled.values().cloned())
+                .collect()
+        })
     }
 }
 
@@ -734,6 +793,97 @@ mod tests {
         assert_eq!(s.misses, 3);
         assert_eq!(s.lookups, 6);
         assert_eq!(s.hits + s.misses, s.lookups);
+    }
+
+    proptest::proptest! {
+        /// The running walk's one probe is the three calls it replaced:
+        /// over missing, stale-unpinned, pinned and current-epoch entries,
+        /// with and without a capacity cap, unscaled, at scale 1.0, and at
+        /// new and already-cached scales — the same returned `Arc` (by its
+        /// place among the entry's `Arc`s before and after the call), the
+        /// same values, estimate calls, counters and pin.
+        #[test]
+        fn running_prior_is_base_then_pin_then_scaled(
+            capped in 0u8..2,
+            seed in proptest::collection::vec(0u8..4, 6),
+            seed_scales in proptest::collection::vec(0u8..5, 6),
+            jobs in proptest::collection::vec(0u64..6, 40),
+            scales in proptest::collection::vec(0u8..5, 40),
+            bumps in proptest::collection::vec(0u8..4, 40),
+        ) {
+            const SCALES: [Option<f64>; 5] = [None, Some(1.0), Some(1.5), Some(2.0), Some(0.5)];
+            let mut fused = if capped == 1 { EstimateCache::with_capacity(3) } else { EstimateCache::new() };
+            let mut split = if capped == 1 { EstimateCache::with_capacity(3) } else { EstimateCache::new() };
+            let calls = std::cell::Cell::new(0u32);
+            let estimate = |job: JobId| {
+                calls.set(calls.get() + 1);
+                let t = (job.0 * 10 + u64::from(calls.get())) as f64;
+                DiscreteDist::from_points(vec![(t, 0.5), (2.0 * t, 0.5)])
+            };
+            // Seed both caches alike: per job, missing / current / stale /
+            // pinned, with some scaled variants cached.
+            for cache in [&mut fused, &mut split] {
+                calls.set(0);
+                for (i, (&state, &scale)) in seed.iter().zip(&seed_scales).enumerate() {
+                    let job = JobId(i as u64);
+                    if state == 0 {
+                        continue;
+                    }
+                    let _ = cache.base(job, || estimate(job));
+                    if let Some(s) = SCALES[scale as usize] {
+                        let _ = cache.scaled(job, s);
+                    }
+                    if state == 3 {
+                        cache.pin(job);
+                    }
+                }
+                cache.bump_epoch();
+                for (i, &state) in seed.iter().enumerate() {
+                    if state == 1 {
+                        let _ = cache.base(JobId(i as u64), || estimate(JobId(i as u64)));
+                    }
+                }
+            }
+            for (step, ((&job, &scale), &bump)) in jobs.iter().zip(&scales).zip(&bumps).enumerate() {
+                let job = JobId(job);
+                let slowdown = SCALES[scale as usize];
+                if bump == 0 {
+                    fused.bump_epoch();
+                    split.bump_epoch();
+                }
+                let mut seen = Vec::new();
+                for (k, cache) in [&mut fused, &mut split].into_iter().enumerate() {
+                    calls.set(0);
+                    let before = cache.arcs(job);
+                    let got = if k == 0 {
+                        cache.running_prior(job, slowdown, || estimate(job))
+                    } else {
+                        let base = cache.base(job, || estimate(job));
+                        cache.pin(job);
+                        match slowdown {
+                            Some(s) => cache.scaled(job, s).unwrap_or_else(|| base.clone()),
+                            None => base,
+                        }
+                    };
+                    let after = cache.arcs(job);
+                    let place = |arcs: &[Arc<DiscreteDist>]| {
+                        arcs.iter().map(|a| Arc::ptr_eq(a, &got)).collect::<Vec<_>>()
+                    };
+                    let bits: Vec<(u64, u64)> =
+                        got.points().iter().map(|(t, p)| (t.to_bits(), p.to_bits())).collect();
+                    seen.push((
+                        place(&before),
+                        place(&after),
+                        bits,
+                        calls.get(),
+                        cache.stats(),
+                        cache.is_pinned(job),
+                        cache.len(),
+                    ));
+                }
+                proptest::prop_assert_eq!(&seen[0], &seen[1], "probe {}", step);
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! restores to a full-space one via [`Presolve::restore`]. Reductions iterate
 //! in index order only — the pass is bit-deterministic.
 
+use std::borrow::Cow;
+
 use crate::model::{Cmp, Model, VarKind};
 
 /// Feasibility slack used when a row collapses to a constant.
@@ -55,10 +57,13 @@ enum VarMap {
 }
 
 /// The result of presolving a [`Model`]: the reduced model plus the mapping
-/// back to the original variable space.
+/// back to the original variable space. A pass that reduces nothing builds
+/// nothing: the "reduced" model is the input itself, borrowed, and the map
+/// is the identity.
 #[derive(Debug, Clone)]
-pub struct Presolve {
-    reduced: Model,
+pub struct Presolve<'m> {
+    reduced: Cow<'m, Model>,
+    /// Where each original variable went; empty for the identity.
     map: Vec<VarMap>,
     offset: f64,
     infeasible: bool,
@@ -73,15 +78,10 @@ struct WorkRow {
     removed: bool,
 }
 
-impl Presolve {
-    /// Runs the presolve passes on `model`.
-    pub fn run(model: &Model) -> Presolve {
-        let n = model.num_vars();
-        let mut lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
-        let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
-        let kinds: Vec<VarKind> = model.vars.iter().map(|v| v.kind).collect();
-        let objective: Vec<f64> = model.vars.iter().map(|v| v.objective).collect();
-        let mut rows: Vec<WorkRow> = model
+impl WorkRow {
+    /// `model`'s rows, all live.
+    fn of(model: &Model) -> Vec<WorkRow> {
+        model
             .constraints
             .iter()
             .map(|c| WorkRow {
@@ -90,7 +90,19 @@ impl Presolve {
                 rhs: c.rhs,
                 removed: false,
             })
-            .collect();
+            .collect()
+    }
+}
+
+impl<'m> Presolve<'m> {
+    /// Runs the presolve passes on `model`.
+    pub fn run(model: &'m Model) -> Self {
+        let n = model.num_vars();
+        let mut lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
+        let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
+        let kinds: Vec<VarKind> = model.vars.iter().map(|v| v.kind).collect();
+        let objective: Vec<f64> = model.vars.iter().map(|v| v.objective).collect();
+        let mut rows = WorkRow::of(model);
         let mut stats = PresolveStats::default();
         let mut infeasible = false;
         // A variable is "absorbed" once its fixed value has been substituted
@@ -213,17 +225,26 @@ impl Presolve {
             }
         }
 
+        stats.fixed_vars = absorbed.iter().filter(|a| **a).count();
+        if !infeasible && stats.total() == 0 {
+            return Presolve {
+                reduced: Cow::Borrowed(model),
+                map: Vec::new(),
+                offset: 0.0,
+                infeasible,
+                stats,
+            };
+        }
+
         // Materialise the reduced model.
         let mut map = vec![VarMap::Fixed(0.0); n];
         let mut reduced = Model::new();
         let mut offset = 0.0;
-        let mut fixed_vars = 0usize;
         for j in 0..n {
             if absorbed[j] {
                 let value = lower[j];
                 map[j] = VarMap::Fixed(value);
                 offset += objective[j] * value;
-                fixed_vars += 1;
                 continue;
             }
             let idx = reduced.num_vars();
@@ -241,7 +262,6 @@ impl Presolve {
                 }
             }
         }
-        stats.fixed_vars = fixed_vars;
         if !infeasible {
             for row in &rows {
                 if row.removed {
@@ -282,7 +302,7 @@ impl Presolve {
         }
 
         Presolve {
-            reduced,
+            reduced: Cow::Owned(reduced),
             map,
             offset,
             infeasible,
@@ -290,7 +310,17 @@ impl Presolve {
         }
     }
 
-    /// The reduced model (empty when [`Presolve::is_infeasible`]).
+    /// The dominated-option pass alone, over `model`'s own rows and bounds:
+    /// the SOS1 members [`Presolve::run`] fixes to zero when no other
+    /// reduction applies first, in the order it finds them.
+    pub fn dominated(model: &Model) -> Vec<usize> {
+        let lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
+        let upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
+        dominated_options(model, &lower, &upper, &WorkRow::of(model))
+    }
+
+    /// The reduced model (empty when [`Presolve::is_infeasible`]; the input
+    /// model itself when nothing was reduced).
     pub fn reduced(&self) -> &Model {
         &self.reduced
     }
@@ -314,6 +344,11 @@ impl Presolve {
     /// Maps a reduced-space assignment back to the original variable space;
     /// eliminated variables take their recorded fixed values.
     pub fn restore(&self, reduced_values: &[f64]) -> Vec<f64> {
+        if self.map.is_empty() {
+            return (0..self.reduced.num_vars())
+                .map(|j| reduced_values.get(j).copied().unwrap_or(0.0))
+                .collect();
+        }
         self.map
             .iter()
             .map(|m| match m {
@@ -328,6 +363,11 @@ impl Presolve {
     /// same way it repairs any other infeasible seed).
     pub fn project_warm(&self, warm: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.reduced.num_vars()];
+        if self.map.is_empty() {
+            let n = out.len().min(warm.len());
+            out[..n].copy_from_slice(&warm[..n]);
+            return out;
+        }
         for (j, m) in self.map.iter().enumerate() {
             if let VarMap::Kept(idx) = m {
                 if let Some(v) = warm.get(j) {
@@ -336,6 +376,53 @@ impl Presolve {
             }
         }
         out
+    }
+}
+
+/// Per-variable live-row membership with coefficients, in CSR form: the
+/// entries of variable `j` are `entries[start[j]..start[j + 1]]`, sorted by
+/// row; a duplicate term in one row keeps its first coefficient.
+struct Occurrences {
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Occurrences {
+    fn new(n: usize, rows: &[WorkRow]) -> Self {
+        let live = || rows.iter().enumerate().filter(|(_, row)| !row.removed);
+        // Count each variable's rows into `start[j + 1]`, with `last` as
+        // the per-variable "row already counted" mark.
+        let mut start = vec![0usize; n + 1];
+        let mut last = vec![usize::MAX; n];
+        for (r, row) in live() {
+            for (j, _) in &row.terms {
+                if last[*j] != r {
+                    last[*j] = r;
+                    start[*j + 1] += 1;
+                }
+            }
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        // Fill, with `last` reused as each variable's write cursor.
+        last.copy_from_slice(&start[..n]);
+        let mut entries = vec![(0usize, 0.0); start[n]];
+        for (r, row) in live() {
+            for (j, coef) in &row.terms {
+                let at = last[*j];
+                if at == start[*j] || entries[at - 1].0 != r {
+                    entries[at] = (r, *coef);
+                    last[*j] += 1;
+                }
+            }
+        }
+        Self { start, entries }
+    }
+
+    /// Variable `j`'s `(row, coefficient)` entries.
+    fn of(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
     }
 }
 
@@ -359,20 +446,17 @@ impl Presolve {
 /// make the swap infeasible without any row revealing it.
 fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], rows: &[WorkRow]) -> Vec<usize> {
     let n = model.num_vars();
-    // Per-variable row membership with coefficients, for live rows only.
-    // Rows are visited in index order, so each list is sorted by row; a
-    // duplicate term in one row keeps its first coefficient.
-    let mut occurs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for (r, row) in rows.iter().enumerate() {
-        if row.removed {
-            continue;
-        }
-        for (j, coef) in &row.terms {
-            if occurs[*j].last().is_none_or(|(last, _)| *last != r) {
-                occurs[*j].push((r, *coef));
-            }
-        }
-    }
+    let occurs = Occurrences::new(n, rows);
+    // Rows that can be a group's demand row, whatever the group.
+    let demand_shaped: Vec<bool> = rows
+        .iter()
+        .map(|row| {
+            !row.removed
+                && row.cmp == Cmp::Le
+                && (row.rhs - 1.0).abs() <= TOL
+                && row.terms.iter().all(|(_, c)| (*c - 1.0).abs() <= TOL)
+        })
+        .collect();
     let mut out = Vec::new();
     let mut gone = vec![false; n];
     // SOS1 membership counts: a dominator gets set to 1 by the swap, which
@@ -384,16 +468,16 @@ fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], rows: &[WorkRo
         }
     }
     for group in &model.sos1 {
-        // Only groups protected by their demand row qualify.
-        let has_demand_row = rows.iter().any(|row| {
-            !row.removed
-                && row.cmp == Cmp::Le
-                && (row.rhs - 1.0).abs() <= TOL
-                && row.terms.len() == group.len()
-                && row
-                    .terms
-                    .iter()
-                    .all(|(j, c)| (*c - 1.0).abs() <= TOL && group.contains(j))
+        // Only groups protected by their demand row qualify: a live row
+        // with exactly the group's length whose every term is a member at
+        // coefficient 1. Such a row holds some member, so the members'
+        // occurrence lists reach every candidate.
+        let has_demand_row = group.iter().any(|&j| {
+            occurs.of(j).iter().any(|&(r, _)| {
+                demand_shaped[r]
+                    && rows[r].terms.len() == group.len()
+                    && rows[r].terms.iter().all(|(k, _)| group.contains(k))
+            })
         });
         if !has_demand_row {
             continue;
@@ -420,7 +504,7 @@ fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], rows: &[WorkRo
                 // Both occurrence lists are sorted by row, so a single
                 // merge-walk visits each touched row once (an absent
                 // variable contributes coefficient 0).
-                let (la, lb) = (&occurs[a], &occurs[b]);
+                let (la, lb) = (occurs.of(a), occurs.of(b));
                 let (mut ia, mut ib) = (0usize, 0usize);
                 while ia < la.len() || ib < lb.len() {
                     let ra = la.get(ia).map_or(usize::MAX, |(r, _)| *r);

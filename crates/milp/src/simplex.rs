@@ -16,11 +16,12 @@
 //!   primal cleanup follows. Anything but a clean outcome abandons the warm
 //!   attempt and redoes the solve cold, so a warm start can change which
 //!   optimal vertex is reported, never the solution quality.
-//! * **One [`LpWorkspace`] per search.** The column structure, costs and
-//!   right-hand sides of a model are built once; each LP only resets bounds,
-//!   resting states, the slack basis and the inverse in place, and every
-//!   intermediate vector (duals, the entering column, the eta row, phase-1
-//!   costs, Gauss-Jordan scratch, extracted values) lives in the workspace.
+//! * **One [`LpWorkspace`] per search.** The column structure (two CSR
+//!   arrays, whatever the model's size), costs and right-hand sides of a
+//!   model are built once; each LP only resets bounds, resting states, the
+//!   slack basis and the inverse in place, and every intermediate vector
+//!   (duals, the entering column, the eta row, phase-1 costs, Gauss-Jordan
+//!   scratch, extracted values) lives in the workspace.
 //!   A reset workspace is in exactly the state a freshly built one is in, so
 //!   reuse cannot move a pivot — `tests/lp_workspace.rs` holds it to that
 //!   and to its allocation budget. [`solve_lp`], [`solve_lp_with_bounds`]
@@ -156,8 +157,11 @@ enum DualResult {
 }
 
 struct Tableau {
-    /// Sparse columns, structural then slack: `(row, coefficient)`.
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Sparse columns in CSR form, structural then slack: column `j` is
+    /// `col_entries[col_start[j]..col_start[j + 1]]`, `(row, coefficient)`
+    /// in row order.
+    col_start: Vec<usize>,
+    col_entries: Vec<(usize, f64)>,
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// True (phase-2) objective per column.
@@ -202,12 +206,30 @@ impl Tableau {
     fn new(model: &Model) -> Self {
         let n = model.num_vars();
         let m = model.num_constraints();
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n + m];
-        for (r, c) in model.constraints.iter().enumerate() {
-            for (j, coef) in &c.terms {
-                cols[*j].push((r, *coef));
+        // Count each structural column's terms into `col_start[j + 1]`
+        // (every slack column holds one entry), prefix-sum, then fill row by
+        // row through `col_start[j]` as the write cursor and shift it back.
+        let mut col_start = vec![0usize; n + m + 1];
+        for c in &model.constraints {
+            for (j, _) in &c.terms {
+                col_start[*j + 1] += 1;
             }
         }
+        col_start[n + 1..].fill(1);
+        for k in 0..n + m {
+            col_start[k + 1] += col_start[k];
+        }
+        let mut col_entries = vec![(0usize, 0.0); col_start[n + m]];
+        for (r, c) in model.constraints.iter().enumerate() {
+            for (j, coef) in &c.terms {
+                col_entries[col_start[*j]] = (r, *coef);
+                col_start[*j] += 1;
+            }
+            col_entries[col_start[n + r]] = (r, 1.0);
+            col_start[n + r] += 1;
+        }
+        col_start.copy_within(0..n + m, 1);
+        col_start[0] = 0;
         let mut lower = Vec::with_capacity(n + m);
         let mut upper = Vec::with_capacity(n + m);
         let mut cost = Vec::with_capacity(n + m);
@@ -217,9 +239,7 @@ impl Tableau {
             cost.push(v.objective);
         }
         let mut rhs = Vec::with_capacity(m);
-        for (r, c) in model.constraints.iter().enumerate() {
-            let slack = n + r;
-            cols[slack].push((r, 1.0));
+        for c in &model.constraints {
             let (lo, hi) = match c.cmp {
                 Cmp::Le => (0.0, f64::INFINITY),
                 Cmp::Ge => (f64::NEG_INFINITY, 0.0),
@@ -231,7 +251,8 @@ impl Tableau {
             rhs.push(c.rhs);
         }
         Self {
-            cols,
+            col_start,
+            col_entries,
             lower,
             upper,
             cost,
@@ -254,6 +275,16 @@ impl Tableau {
             gj_inv: vec![0.0; m * m],
             values: vec![0.0; n],
         }
+    }
+
+    /// Structural plus slack columns.
+    fn num_cols(&self) -> usize {
+        self.n_structural + self.m
+    }
+
+    /// Column `j`'s `(row, coefficient)` entries, in row order.
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.col_entries[self.col_start[j]..self.col_start[j + 1]]
     }
 
     /// Starts a new LP: installs the structural bounds (`bounds[j]`, or the
@@ -375,7 +406,7 @@ impl Tableau {
     /// objective — the precondition for dual-simplex reoptimisation.
     fn dual_feasible(&mut self) -> bool {
         self.duals(false);
-        for j in 0..self.cols.len() {
+        for j in 0..self.num_cols() {
             let sigma = match self.state[j] {
                 VarState::Basic(_) => continue,
                 VarState::AtLower => 1.0,
@@ -429,7 +460,7 @@ impl Tableau {
             // Row r of Binv·A for every nonbasic column, priced lazily.
             let m = self.m;
             let mut entering: Option<(usize, f64, f64)> = None; // (col, ratio, sigma)
-            for j in 0..self.cols.len() {
+            for j in 0..self.num_cols() {
                 let sigma = match self.state[j] {
                     VarState::Basic(_) => continue,
                     VarState::AtLower => 1.0,
@@ -439,7 +470,7 @@ impl Tableau {
                     continue;
                 }
                 let mut alpha = 0.0;
-                for (row, coef) in &self.cols[j] {
+                for (row, coef) in self.col(j) {
                     alpha += self.binv[r * m + row] * coef;
                 }
                 // xb[r] moves at rate −sigma·alpha per unit step of x_j; the
@@ -547,13 +578,13 @@ impl Tableau {
     fn recompute_xb(&mut self) {
         // x_B = Binv · (b − Σ_nonbasic A_j x_j).
         self.adjusted.copy_from_slice(&self.rhs);
-        for j in 0..self.cols.len() {
+        for j in 0..self.num_cols() {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
             }
             let xj = self.xn[j];
             if xj != 0.0 {
-                for (r, coef) in &self.cols[j] {
+                for (r, coef) in &self.col_entries[self.col_start[j]..self.col_start[j + 1]] {
                     self.adjusted[*r] -= coef * xj;
                 }
             }
@@ -569,14 +600,14 @@ impl Tableau {
 
     /// Rebuilds `binv` by inverting the basis matrix with Gauss-Jordan from
     /// the identity; on a singular basis returns `false` with `binv` as it
-    /// was. The result depends on `basis` and `cols` alone.
+    /// was. The result depends on `basis` and the columns alone.
     fn refactorize(&mut self) -> bool {
         let m = self.m;
         let a = &mut self.gj_a;
         let inv = &mut self.gj_inv;
         a.fill(0.0);
         for (col_pos, &j) in self.basis.iter().enumerate() {
-            for (r, coef) in &self.cols[j] {
+            for (r, coef) in &self.col_entries[self.col_start[j]..self.col_start[j + 1]] {
                 a[*r * m + col_pos] = *coef;
             }
         }
@@ -632,7 +663,7 @@ impl Tableau {
     /// `w = Binv · A_j` for column `j`.
     fn ftran(&mut self, j: usize) {
         self.w.fill(0.0);
-        for (r, coef) in &self.cols[j] {
+        for (r, coef) in &self.col_entries[self.col_start[j]..self.col_start[j + 1]] {
             for i in 0..self.m {
                 self.w[i] += self.binv[i * self.m + *r] * coef;
             }
@@ -656,7 +687,7 @@ impl Tableau {
     /// Reduced cost of column `j` against the current [`Tableau::duals`].
     fn reduced_cost(&self, j: usize, phase1: bool) -> f64 {
         let mut d = if phase1 { self.phase1[j] } else { self.cost[j] };
-        for (r, coef) in &self.cols[j] {
+        for (r, coef) in self.col(j) {
             d -= self.y[*r] * coef;
         }
         d
@@ -698,7 +729,7 @@ impl Tableau {
         self.duals(phase1);
         // Pricing.
         let mut entering: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
-        for j in 0..self.cols.len() {
+        for j in 0..self.num_cols() {
             let sigma = match self.state[j] {
                 VarState::Basic(_) => continue,
                 VarState::AtLower => 1.0,

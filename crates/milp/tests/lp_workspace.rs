@@ -6,8 +6,9 @@
 //!    basis. No state leaks from one solve into the next, which is why
 //!    reusing one workspace per search cannot move a pivot.
 //! 2. *allocation budget*: after its first solve, a warm re-solve allocates
-//!    only what it returns. A counting allocator, installed for this test
-//!    binary alone, pins the number.
+//!    only what it returns, and building one allocates a fixed number of
+//!    buffers whatever the model's size. A counting allocator, installed for
+//!    this test binary alone, pins both numbers.
 
 mod common;
 
@@ -276,4 +277,29 @@ fn a_warm_node_resolve_allocates_only_what_it_returns() {
         checked += 1;
     }
     assert!(checked >= 8, "only {checked} fixtures branch at the root");
+}
+
+#[test]
+fn building_a_workspace_allocates_a_fixed_number_of_times() {
+    // Every fixture has rows and columns, so every buffer is non-empty; the
+    // count must not grow with n + m (one allocation per column would).
+    let counts: Vec<(String, usize, usize)> = cases()
+        .into_iter()
+        .map(|(name, model, _)| {
+            let before = allocations();
+            let ws = LpWorkspace::new(&model);
+            let spent = allocations() - before;
+            drop(ws);
+            (name, model.num_vars() + model.num_constraints(), spent)
+        })
+        .collect();
+    let sizes: Vec<usize> = counts.iter().map(|c| c.1).collect();
+    assert!(
+        sizes.iter().max() > sizes.iter().min(),
+        "fixtures of one size cannot show growth"
+    );
+    assert!(
+        counts.iter().all(|c| c.2 == counts[0].2),
+        "allocations per LpWorkspace::new (name, n + m, count): {counts:?}"
+    );
 }
