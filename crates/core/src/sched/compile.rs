@@ -4,40 +4,41 @@
 //! The pending side is cheap (one binary per option, one demand row per
 //! job). The running side is what a large cluster pays for: every running
 //! attempt's prior is conditioned on its elapsed time (Eq. 2) and charged
-//! to every capacity row (Eq. 3). [`RunningTable`] keeps that per-attempt
-//! state across cycles and rebuilds it only when it can change:
+//! to every capacity row (Eq. 3). [`RunningTable`] is the one owner of a
+//! running attempt's state. Its *decision state* is the prior — handed over
+//! at placement ([`RunningTable::place`]), scaled once if the attempt runs
+//! off its preferred racks — and, once the attempt outlives it, the §4.2.1
+//! exp-inc estimate, which steps every cycle. Its *derived state*, read
+//! only by the MILP and brought up to date only by busy cycles, is:
 //!
-//! * **The conditional** `P(T | T > elapsed)` keeps exactly the mass points
-//!   `t > elapsed`. Built at `from`, it is reused while the prior is the
-//!   same `Arc` and `from ≤ elapsed < lower()` — no point lies in
-//!   `(from, elapsed]`, so [`DiscreteDist::condition`] would keep the same
-//!   points and renormalise by the same sum. The exhausted (exp-inc) case is
-//!   never cached, and a tiny-mass `point(elapsed)` conditional has
-//!   `lower() == from`, which the strict bound rejects.
+//! * **The conditional** `P(T | T > elapsed)`. It keeps exactly the mass
+//!   points `t > elapsed`; built at `from`, it is reused while
+//!   `from ≤ elapsed < lower()` — no point lies in `(from, elapsed]`, so
+//!   [`DiscreteDist::condition`] would keep the same points and
+//!   renormalise by the same sum. A tiny-mass `point(elapsed)` conditional
+//!   has `lower() == from`, which the strict bound rejects.
 //! * **Grid survivals.** Slot 0 is `now`, but later slots sit on the
 //!   absolute `slot_width` grid, so `survival(slot − start)` at those slots
 //!   is a function of the conditional and the grid alone; it is recomputed
 //!   only when either changes.
 //!
-//! Both are value-exact, so the compiled model is bit-identical to a
-//! from-scratch compile; the differential tests clear the table before
-//! every cycle and compare MILP text.
-//!
-//! The walk itself is kept free of lookups and allocation: the table is a
-//! key-sorted `Vec` merged against the view's running set (which the
-//! simulator lists in id order), each attempt costs one
-//! [`EstimateCache::running_prior`] probe, and an exhausted attempt's
-//! point-mass survivals are computed inline.
+//! Both rules are value-exact for any jump in `elapsed`, so however many
+//! idle cycles left a conditional stale, the compiled model is
+//! bit-identical to a from-scratch compile (the differential tests clear
+//! the table before every cycle, or refresh it every cycle, and compare
+//! MILP text). The walk is a key-sorted `Vec` merged against the view's
+//! running set (which the simulator lists in id order): no lookups, and
+//! no allocation in steady state.
 
 use std::sync::Arc;
 
-use threesigma_cluster::{JobId, JobSpec, SimulationView};
+use threesigma_cluster::{JobId, JobSpec, RunningJob as ViewJob, SimulationView};
 use threesigma_milp::{Cmp, Model, VarId};
 
 use crate::dist::DiscreteDist;
 use crate::sched::feasibility::mask_capacity;
 use crate::sched::groups::MaskGroups;
-use crate::sched::options::{CompiledOption, EstimateCache, JobOptions, OptionBuckets, RackMask};
+use crate::sched::options::{CompiledOption, JobOptions, OptionBuckets, RackMask};
 use crate::sched::threesigma::SchedConfig;
 
 /// Stage 1's output, as stage 2 reads it. The three per-job slices are
@@ -98,14 +99,8 @@ pub(crate) struct CompiledModel {
     pub pruned: u64,
 }
 
-/// Exp-inc under-estimate state for one running attempt (§4.2.1).
-#[derive(Debug, Clone, Copy)]
-struct UnderEst {
-    increments: u32,
-    est_total_runtime: f64,
-}
-
-/// §4.2.1 exponential-increment step with saturating arithmetic.
+/// §4.2.1 exponential-increment step with saturating arithmetic, on one
+/// running attempt's exp-inc state (`increments`, `est_total_runtime`).
 ///
 /// Advances the attempt's estimated total runtime to `elapsed + 2^t · hint`
 /// until it exceeds `elapsed`. The `2^t` factor is computed in `u64` with
@@ -114,33 +109,39 @@ struct UnderEst {
 /// produced a `point(inf)` distribution and NaN survival terms in the
 /// MILP). If `hint` is so small it is absorbed by `elapsed` in floating
 /// point, the estimate still makes forward progress instead of looping.
-fn exp_inc(ue: &mut UnderEst, elapsed: f64, hint: f64) -> f64 {
-    while ue.est_total_runtime <= elapsed {
-        ue.increments = ue.increments.saturating_add(1);
+fn exp_inc(increments: &mut u32, est_total_runtime: &mut f64, elapsed: f64, hint: f64) -> f64 {
+    while *est_total_runtime <= elapsed {
+        *increments = increments.saturating_add(1);
         let factor = 1u64
-            .checked_shl(ue.increments)
+            .checked_shl(*increments)
             .map_or(u64::MAX as f64, |f| f as f64);
-        ue.est_total_runtime = (elapsed + factor * hint).min(f64::MAX);
-        if ue.increments >= 64 {
+        *est_total_runtime = (elapsed + factor * hint).min(f64::MAX);
+        if *increments >= 64 {
             // The doubling factor has saturated; guarantee progress even
             // when `factor * hint` underflows against `elapsed`.
-            if ue.est_total_runtime <= elapsed {
-                ue.est_total_runtime = (elapsed * 2.0).min(f64::MAX).max(elapsed + 1.0);
+            if *est_total_runtime <= elapsed {
+                *est_total_runtime = (elapsed * 2.0).min(f64::MAX).max(elapsed + 1.0);
             }
             break;
         }
     }
-    ue.est_total_runtime
+    *est_total_runtime
 }
 
-/// An attempt's Eq. 2 conditional and the survivals derived from it.
+/// An attempt's Eq. 2 conditional and the survivals derived from it. The
+/// fields a busy cycle reads while the conditional holds sit inline, so
+/// that visit never touches `dist`'s heap memory.
+#[derive(Clone)]
 struct Conditional {
-    /// The pinned (placement-scaled) estimate this was conditioned from.
-    prior: Arc<DiscreteDist>,
-    /// `prior.condition(from)`.
+    /// The attempt's prior conditioned on `from`.
     dist: DiscreteDist,
     /// Elapsed time `dist` was built at.
     from: f64,
+    /// `dist.lower()`.
+    lower: f64,
+    /// `dist`'s survival at any time short of `lower` (its whole mass):
+    /// slot 0's survival for as long as the conditional holds.
+    mass: f64,
     /// `dist.survival(slot − start)` at the grid slots of `grid_epoch`.
     grid: Vec<f64>,
     /// [`RunningTable::grid_epoch`] `grid` was computed under; 0 = never.
@@ -148,23 +149,48 @@ struct Conditional {
 }
 
 impl Conditional {
-    /// True when conditioning `prior` on `elapsed` would rebuild `dist`
-    /// bit for bit (see the module docs).
-    fn holds(&self, prior: &Arc<DiscreteDist>, elapsed: f64) -> bool {
-        Arc::ptr_eq(&self.prior, prior) && self.from <= elapsed && elapsed < self.dist.lower()
+    /// The conditional of `prior` at `elapsed`; `grid` lends its buffer
+    /// only (no epoch is current yet).
+    fn new(prior: &DiscreteDist, elapsed: f64, grid: Vec<f64>) -> Self {
+        let dist = prior.condition(elapsed);
+        Self {
+            from: elapsed,
+            lower: dist.lower(),
+            mass: dist.survival(f64::NEG_INFINITY),
+            dist,
+            grid,
+            grid_epoch: 0,
+        }
     }
 
-    /// The conditional of `prior` at `elapsed`, reusing `cached` when exact.
-    fn refresh(cached: Option<Self>, prior: &Arc<DiscreteDist>, elapsed: f64) -> Self {
-        match cached {
-            Some(c) if c.holds(prior, elapsed) => c,
-            _ => Self {
-                prior: prior.clone(),
-                dist: prior.condition(elapsed),
-                from: elapsed,
-                grid: Vec::new(),
-                grid_epoch: 0,
-            },
+    /// Brings `slot` to the conditional of `prior` at `elapsed`: kept while
+    /// conditioning would rebuild it bit for bit (`from ≤ elapsed <
+    /// lower`, see the module docs), otherwise rebuilt in place, reusing
+    /// the box and the grid buffer.
+    fn refresh<'c>(
+        slot: &'c mut Option<Box<Self>>,
+        prior: &DiscreteDist,
+        elapsed: f64,
+    ) -> &'c mut Self {
+        match slot {
+            Some(c) => {
+                if !(c.from <= elapsed && elapsed < c.lower) {
+                    let grid = std::mem::take(&mut c.grid);
+                    **c = Self::new(prior, elapsed, grid);
+                }
+                c
+            }
+            None => slot.insert(Box::new(Self::new(prior, elapsed, Vec::new()))),
+        }
+    }
+
+    /// `dist.survival(t)` bit for bit: no point lies at or before a `t`
+    /// short of `lower`, so the whole mass survives.
+    fn survival(&self, t: f64) -> f64 {
+        if t < self.lower {
+            self.mass
+        } else {
+            self.dist.survival(t)
         }
     }
 
@@ -173,22 +199,72 @@ impl Conditional {
     /// new grid epoch.
     fn refresh_grid(&mut self, later: &[f64], epoch: u64, start: f64) {
         if self.grid_epoch != epoch {
-            self.grid.clear();
-            self.grid
-                .extend(later.iter().map(|t| self.dist.survival(t - start)));
+            let mut grid = std::mem::take(&mut self.grid);
+            grid.clear();
+            grid.extend(later.iter().map(|t| self.survival(t - start)));
+            self.grid = grid;
             self.grid_epoch = epoch;
         }
     }
 }
 
+/// Where a running attempt stands against its prior.
+#[derive(Clone)]
+enum Phase {
+    /// Short of the prior's `upper()`. The Eq. 2 conditional is derived
+    /// state: built by the first busy cycle that needs it, refreshed only
+    /// by busy cycles, and dropping it only costs a rebuild.
+    Conditioned(Option<Box<Conditional>>),
+    /// Outlived the prior (§4.2.1): exp-inc state, which decisions depend
+    /// on and every cycle steps.
+    ExpInc {
+        increments: u32,
+        est_total_runtime: f64,
+    },
+}
+
 /// Per-attempt state, alive exactly as long as the attempt is running.
-#[derive(Default)]
+#[derive(Clone)]
 struct Attempt {
-    /// Exp-inc state once the attempt has outlived its prior. Decisions
-    /// depend on it, unlike `cond`.
-    underest: Option<UnderEst>,
-    /// Derived state: dropping it only costs a rebuild.
-    cond: Option<Conditional>,
+    /// The estimate the attempt was placed on, scaled once if it runs off
+    /// its preferred racks; fixed for the attempt's life.
+    prior: Arc<DiscreteDist>,
+    /// `prior.upper()`, inline so an idle cycle never reads the prior.
+    upper: f64,
+    phase: Phase,
+}
+
+impl Attempt {
+    /// A newly seen attempt: takes its prior from `placed` (or, for a view
+    /// built without a hand-off, a fresh `estimate`), scaled by the job's
+    /// slowdown if any of its nodes lie off its preferred racks.
+    fn first_sight(
+        r: &ViewJob<'_>,
+        placed: &mut Vec<(JobId, Arc<DiscreteDist>)>,
+        estimate: impl Fn(&JobSpec) -> DiscreteDist,
+    ) -> Self {
+        let base = placed
+            .iter()
+            .position(|(job, _)| *job == r.spec.id)
+            .map_or_else(|| Arc::new(estimate(r.spec)), |i| placed.swap_remove(i).1);
+        let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
+            r.allocation
+                .iter()
+                .any(|(p, n)| *n > 0 && !pref.contains(p))
+        });
+        let slowdown = r.spec.nonpreferred_slowdown;
+        // A 1.0 factor keeps the base, as `EstimateCache::scaled` does.
+        let prior = if off_pref && slowdown != 1.0 {
+            Arc::new(base.scale(slowdown))
+        } else {
+            base
+        };
+        Self {
+            upper: prior.upper(),
+            prior,
+            phase: Phase::Conditioned(None),
+        }
+    }
 }
 
 /// A running attempt: (job, attempt-start bits).
@@ -202,51 +278,23 @@ type AttemptKey = (JobId, u64);
 pub(crate) struct RunningTable {
     /// This cycle's attempts, sorted by key.
     attempts: Vec<(AttemptKey, Attempt)>,
-    /// Last cycle's table while [`Self::step`] merges it; empty between
+    /// Last cycle's table while [`Self::advance`] merges it; empty between
     /// cycles, kept for its allocation.
     spare: Vec<(AttemptKey, Attempt)>,
+    /// Estimates of jobs placed since the last walk, which takes them as
+    /// their attempts appear and drops the rest (attempts that ended
+    /// before any cycle saw them).
+    placed: Vec<(JobId, Arc<DiscreteDist>)>,
     /// The grid slots (`slots[1..]`) the current `grid_epoch` stands for.
     grid: Vec<f64>,
     grid_epoch: u64,
 }
 
 impl RunningTable {
-    /// Drops every cached conditional, keeping exp-inc state, so the next
-    /// compile rebuilds the running side from scratch.
-    #[cfg(test)]
-    pub(crate) fn forget_conditionals(&mut self) {
-        for (_, a) in &mut self.attempts {
-            a.cond = None;
-        }
-    }
-
-    /// Everything the table carries, bit for bit, except the prior `Arc`s
-    /// (the idle-path differential compares it after every cycle).
-    #[cfg(test)]
-    pub(crate) fn state(&self) -> String {
-        use std::fmt::Write;
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut out = format!("{} {:?}", self.grid_epoch, bits(&self.grid));
-        for ((id, start), a) in &self.attempts {
-            let ue = a
-                .underest
-                .map(|u| (u.increments, u.est_total_runtime.to_bits()));
-            let cond = a.cond.as_ref().map(|c| {
-                let points: Vec<f64> = c.dist.points().iter().flat_map(|(t, p)| [*t, *p]).collect();
-                (c.from.to_bits(), c.grid_epoch, bits(&c.grid), bits(&points))
-            });
-            let _ = write!(out, "\n{id:?} {start} {ue:?} {cond:?}");
-        }
-        out
-    }
-
-    /// Running attempts currently on exp-inc estimates.
-    #[cfg(test)]
-    pub(crate) fn exhausted(&self) -> usize {
-        self.attempts
-            .iter()
-            .filter(|(_, a)| a.cond.is_none())
-            .count()
+    /// Hands a placed job's estimate (the one its plan was valued with) to
+    /// the attempt the placement starts.
+    pub(crate) fn place(&mut self, job: JobId, base: Arc<DiscreteDist>) {
+        self.placed.push((job, base));
     }
 
     /// Compiles the cycle's MILP: a binary and demand row per generated
@@ -259,7 +307,6 @@ impl RunningTable {
         view: &SimulationView<'_>,
         now: f64,
         gen: &Generated<'_>,
-        cache: &mut EstimateCache,
         estimate: impl Fn(&JobSpec) -> DiscreteDist,
     ) -> CompiledModel {
         let Generated {
@@ -327,7 +374,7 @@ impl RunningTable {
         // attempt, in view order) plus, for best-effort jobs, a preemption
         // indicator and the nodes it would free.
         let mut survivals: Vec<f64> = Vec::with_capacity(view.running.len() * slots.len());
-        self.step(cfg, view, now, slots, cache, estimate, Some(&mut survivals));
+        self.advance(cfg, view, now, estimate, Some((slots, &mut survivals)));
         let stride = view.cluster.num_partitions().max(1);
         let mut running: Vec<RunningJob> = Vec::with_capacity(view.running.len());
         let mut nodes = vec![0u32; view.running.len() * stride];
@@ -412,46 +459,29 @@ impl RunningTable {
         }
     }
 
-    /// Advances the table one cycle without compiling a model: everything
-    /// [`Self::compile`] does to the running side except emit columns and
-    /// rows. An idle cycle (nothing pending) calls this instead of
-    /// compiling: exp-inc state is decision state and must step every
-    /// cycle, and keeping the conditionals and grid survivals warm leaves
-    /// the next busy cycle exactly the work a compiled idle cycle would.
-    pub(crate) fn advance(
-        &mut self,
-        cfg: &SchedConfig,
-        view: &SimulationView<'_>,
-        now: f64,
-        slots: &[f64],
-        cache: &mut EstimateCache,
-        estimate: impl Fn(&JobSpec) -> DiscreteDist,
-    ) {
-        self.step(cfg, view, now, slots, cache, estimate, None);
-    }
-
-    /// The per-cycle walk of the running set: grid epoch, one estimate-cache
-    /// probe per attempt, exp-inc steps, Eq. 2 conditionals and grid
-    /// survivals. With `survivals`, appends each attempt's survival at every
-    /// slot, in view order.
+    /// The per-cycle walk of the running set. Every cycle gives new
+    /// attempts their priors and steps exp-inc for exhausted ones; that is
+    /// all an idle cycle (nothing pending, no model) does. A busy cycle
+    /// passes `busy` — its slots and a buffer — and also brings the grid
+    /// epoch, Eq. 2 conditionals and grid survivals up to date, appending
+    /// each attempt's survival at every slot, in view order; its reuse
+    /// rules rebuild whatever idle cycles left stale, bit for bit.
     ///
     /// Last cycle's table is merged against `view.running` with a cursor
     /// (the simulator lists running attempts in id order, and a job runs
     /// one attempt at a time, so keys are distinct); a view in another order
     /// falls back to binary search and the new table is sorted once.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
+    pub(crate) fn advance(
         &mut self,
         cfg: &SchedConfig,
         view: &SimulationView<'_>,
         now: f64,
-        slots: &[f64],
-        cache: &mut EstimateCache,
         estimate: impl Fn(&JobSpec) -> DiscreteDist,
-        mut survivals: Option<&mut Vec<f64>>,
+        busy: Option<(&[f64], &mut Vec<f64>)>,
     ) {
+        let (slots, mut survivals) = busy.map_or((&[] as &[f64], None), |(s, out)| (s, Some(out)));
         let later = slots.get(1..).unwrap_or_default();
-        if self.grid != later {
+        if survivals.is_some() && self.grid != later {
             self.grid.clear();
             self.grid.extend_from_slice(later);
             self.grid_epoch += 1;
@@ -459,85 +489,80 @@ impl RunningTable {
         let Self {
             attempts,
             spare,
+            placed,
             grid_epoch,
             ..
         } = self;
-        std::mem::swap(attempts, spare);
-        attempts.reserve(view.running.len());
-        let mut cursor = 0usize;
-        let mut in_order = true;
-        let mut prev: Option<AttemptKey> = None;
-        for r in &view.running {
-            let key = (r.spec.id, r.start_time.to_bits());
-            in_order &= prev.is_none_or(|p| p < key);
-            prev = Some(key);
-            let carried = if in_order {
-                while spare.get(cursor).is_some_and(|(k, _)| *k < key) {
-                    cursor += 1;
-                }
-                spare
-                    .get_mut(cursor)
-                    .filter(|(k, _)| *k == key)
-                    .map(|(_, a)| {
-                        cursor += 1;
-                        std::mem::take(a)
-                    })
-            } else {
-                spare
-                    .binary_search_by(|(k, _)| k.cmp(&key))
-                    .ok()
-                    .and_then(|i| spare.get_mut(i))
-                    .map(|(_, a)| std::mem::take(a))
-            };
-            let mut attempt = carried.unwrap_or_default();
+        let mut visit = |r: &ViewJob<'_>, carried: Option<Attempt>| {
+            let mut attempt = carried.unwrap_or_else(|| Attempt::first_sight(r, placed, &estimate));
             let elapsed = r.elapsed(now);
-            // Scale by the placement actually chosen for this attempt.
-            let off_pref = r.spec.preferred.as_ref().is_some_and(|pref| {
-                r.allocation
-                    .iter()
-                    .any(|(p, n)| *n > 0 && !pref.contains(p))
-            });
-            // A running attempt's estimate stays pinned: Eq. 2 must keep
-            // renormalising the prior the plan was built on.
-            let prior = cache.running_prior(
-                r.spec.id,
-                off_pref.then_some(r.spec.nonpreferred_slowdown),
-                || estimate(r.spec),
-            );
             let start = r.start_time;
-            if prior.is_exhausted_at(elapsed) {
-                // §4.2.1: exponential-increment under-estimate handling.
-                attempt.cond = None;
-                let ue = attempt.underest.get_or_insert(UnderEst {
+            let Attempt {
+                prior,
+                upper,
+                phase,
+            } = &mut attempt;
+            if elapsed >= *upper && matches!(phase, Phase::Conditioned(_)) {
+                // §4.2.1: the attempt has outlived its prior, and an
+                // attempt's elapsed time only grows, so exp-inc from here on.
+                *phase = Phase::ExpInc {
                     increments: 0,
                     est_total_runtime: elapsed + cfg.cycle_hint,
-                });
-                let est = exp_inc(ue, elapsed, cfg.cycle_hint);
-                if let Some(out) = survivals.as_deref_mut() {
-                    out.extend(
-                        slots
-                            .iter()
-                            .map(|t| DiscreteDist::point_survival(est, t - start)),
-                    );
+                };
+            }
+            match phase {
+                Phase::ExpInc {
+                    increments,
+                    est_total_runtime,
+                } => {
+                    let est = exp_inc(increments, est_total_runtime, elapsed, cfg.cycle_hint);
+                    if let Some(out) = survivals.as_deref_mut() {
+                        out.extend(
+                            slots
+                                .iter()
+                                .map(|t| DiscreteDist::point_survival(est, t - start)),
+                        );
+                    }
                 }
-            } else {
-                let cached = attempt.cond.take();
-                let cond = attempt
-                    .cond
-                    .insert(Conditional::refresh(cached, &prior, elapsed));
-                cond.refresh_grid(later, *grid_epoch, start);
-                if let Some(out) = survivals.as_deref_mut() {
-                    out.extend(slots.first().map(|t| cond.dist.survival(t - start)));
-                    out.extend_from_slice(&cond.grid);
+                Phase::Conditioned(cond) => {
+                    if let Some(out) = survivals.as_deref_mut() {
+                        let cond = Conditional::refresh(cond, prior, elapsed);
+                        cond.refresh_grid(later, *grid_epoch, start);
+                        out.extend(slots.first().map(|t| cond.survival(t - start)));
+                        out.extend_from_slice(&cond.grid);
+                    }
                 }
             }
-            attempts.push((key, attempt));
-        }
-        if !in_order {
+            attempt
+        };
+        let key_of = |r: &ViewJob<'_>| (r.spec.id, r.start_time.to_bits());
+        std::mem::swap(attempts, spare);
+        attempts.reserve(view.running.len());
+        if view.running.is_sorted_by(|a, b| key_of(a) < key_of(b)) {
+            let mut old = spare.drain(..).peekable();
+            for r in &view.running {
+                let key = key_of(r);
+                while old.next_if(|(k, _)| *k < key).is_some() {}
+                let carried = old.next_if(|(k, _)| *k == key).map(|(_, a)| a);
+                attempts.push((key, visit(r, carried)));
+            }
+        } else {
+            for r in &view.running {
+                let key = key_of(r);
+                let carried = spare
+                    .binary_search_by(|(k, _)| k.cmp(&key))
+                    .ok()
+                    .and_then(|i| spare.get(i))
+                    .map(|(_, a)| a.clone());
+                attempts.push((key, visit(r, carried)));
+            }
             attempts.sort_unstable_by_key(|(k, _)| *k);
         }
-        // Attempts that are no longer running take their state with them.
+        // Attempts that are no longer running take their state with them,
+        // and hand-offs no attempt claimed belong to attempts that ended
+        // unseen.
         spare.clear();
+        placed.clear();
     }
 }
 
@@ -549,20 +574,59 @@ mod tests {
     use threesigma_cluster::{ClusterSpec, JobKind, PartitionId, RunningJob as ViewJob};
     use threesigma_milp::{solver_for_tier, SolverConfig};
 
+    /// Test views of the table, for the differentials here and in
+    /// `threesigma`.
+    impl RunningTable {
+        /// Drops every cached conditional, keeping decision state, so the next
+        /// compile rebuilds the running side from scratch.
+        pub(crate) fn forget_conditionals(&mut self) {
+            for (_, a) in &mut self.attempts {
+                if let Phase::Conditioned(cond) = &mut a.phase {
+                    *cond = None;
+                }
+            }
+        }
+
+        /// The table's decision state, bit for bit: per attempt its key,
+        /// prior and exp-inc state (derived conditionals are left out).
+        pub(crate) fn state(&self) -> String {
+            let mut out = String::new();
+            for ((id, start), a) in &self.attempts {
+                let prior: Vec<_> = (a.prior.points().iter())
+                    .map(|(t, p)| (t.to_bits(), p.to_bits()))
+                    .collect();
+                let ue = match a.phase {
+                    Phase::ExpInc {
+                        increments,
+                        est_total_runtime,
+                    } => Some((increments, est_total_runtime.to_bits())),
+                    Phase::Conditioned(_) => None,
+                };
+                out += &format!("\n{id:?} {start} {prior:?} {ue:?}");
+            }
+            out
+        }
+
+        /// Running attempts currently on exp-inc estimates.
+        pub(crate) fn exhausted(&self) -> usize {
+            self.attempts
+                .iter()
+                .filter(|(_, a)| matches!(a.phase, Phase::ExpInc { .. }))
+                .count()
+        }
+    }
+
     #[test]
     fn exp_inc_saturates_past_sixty_three_doublings() {
         // Drive the doubling count far past 63: the 2^t factor must
         // saturate instead of overflowing to inf (which produced a
         // `point(inf)` distribution and NaN survival terms downstream).
-        let mut ue = UnderEst {
-            increments: 0,
-            est_total_runtime: 0.0,
-        };
+        let (mut t, mut total) = (0u32, 0.0f64);
         // hint so small relative to elapsed's float granularity that even
         // 2^63 · hint is absorbed — the doubling count must run all the
         // way to the cap and still make finite forward progress.
-        let est = exp_inc(&mut ue, 1e30, 1e-6);
-        assert!(ue.increments >= 64, "t = {}", ue.increments);
+        let est = exp_inc(&mut t, &mut total, 1e30, 1e-6);
+        assert!(t >= 64, "t = {t}");
         assert!(est.is_finite(), "estimate must stay finite, got {est}");
         assert!(est > 1e30, "estimate must exceed elapsed, got {est}");
 
@@ -570,21 +634,18 @@ mod tests {
         // forward progress; the increment counter saturates, never wraps.
         let mut elapsed = est;
         for _ in 0..10 {
-            let next = exp_inc(&mut ue, elapsed, 1e-6);
+            let next = exp_inc(&mut t, &mut total, elapsed, 1e-6);
             assert!(next.is_finite() && next > elapsed);
             elapsed = next;
         }
 
         // The pre-saturation regime still doubles exactly as §4.2.1 asks.
-        let mut small = UnderEst {
-            increments: 0,
-            est_total_runtime: 0.0,
-        };
-        let est = exp_inc(&mut small, 100.0, 10.0);
-        assert_eq!(small.increments, 1);
+        let (mut t, mut total) = (0u32, 0.0f64);
+        let est = exp_inc(&mut t, &mut total, 100.0, 10.0);
+        assert_eq!(t, 1);
         assert_eq!(est, 100.0 + 2.0 * 10.0);
-        let est = exp_inc(&mut small, 130.0, 10.0);
-        assert_eq!(small.increments, 2);
+        let est = exp_inc(&mut t, &mut total, 130.0, 10.0);
+        assert_eq!(t, 2);
         assert_eq!(est, 130.0 + 4.0 * 10.0);
     }
 
@@ -631,7 +692,7 @@ mod tests {
             let mut elapsed = 0.0f64;
             let mut epoch = 1u64;
             let mut later = vec![60.0, 120.0, 180.0, 240.0];
-            let mut carried: Option<Conditional> = None;
+            let mut carried: Option<Box<Conditional>> = None;
             for ((step, nudge), regrid) in steps.iter().zip(&nudges).zip(&regrids) {
                 // Walk to a random support point (or past the last one),
                 // landing exactly on it, one ulp short, or one ulp past.
@@ -655,7 +716,7 @@ mod tests {
                     carried = None;
                     continue;
                 }
-                let mut c = Conditional::refresh(carried.take(), &prior, elapsed);
+                let c = Conditional::refresh(&mut carried, &prior, elapsed);
                 let fresh = prior.condition(elapsed);
                 prop_assert_eq!(bits(&c.dist), bits(&fresh), "conditional at {elapsed}");
                 c.refresh_grid(&later, epoch, start);
@@ -666,45 +727,35 @@ mod tests {
                     expect.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     "grid survivals at {elapsed}"
                 );
-                for t in [elapsed, elapsed + 1.0, prior.upper(), 1e9] {
+                for t in [-1.0, elapsed, elapsed + 1.0, c.lower, prior.upper(), 1e9] {
                     prop_assert_eq!(c.dist.survival(t).to_bits(), fresh.survival(t).to_bits());
+                    prop_assert_eq!(c.survival(t).to_bits(), fresh.survival(t).to_bits());
                 }
-                carried = Some(c);
             }
         }
     }
 
     #[test]
     fn conditional_is_carried_between_mass_points_only() {
-        let prior = Arc::new(DiscreteDist::from_points(vec![
-            (100.0, 0.25),
-            (200.0, 0.25),
-            (300.0, 0.5),
-        ]));
-        let c = Conditional::refresh(None, &prior, 10.0);
-        assert_eq!(c.from, 10.0);
+        let prior = DiscreteDist::from_points(vec![(100.0, 0.25), (200.0, 0.25), (300.0, 0.5)]);
+        let mut slot = None;
+        assert_eq!(Conditional::refresh(&mut slot, &prior, 10.0).from, 10.0);
+        let boxed: *const Conditional = slot.as_deref().expect("built");
         // Still short of the first point: carried, `from` untouched.
-        let c = Conditional::refresh(Some(c), &prior, 99.0);
-        assert_eq!(c.from, 10.0);
-        // Landing on a point drops it (`t > elapsed` is strict): rebuilt.
-        let c = Conditional::refresh(Some(c), &prior, 100.0);
-        assert_eq!(c.from, 100.0);
-        assert_eq!(c.dist.lower(), 200.0);
-        // An equal prior behind a different `Arc` is a different prior.
-        let twin = Arc::new((*prior).clone());
-        let c = Conditional::refresh(Some(c), &twin, 150.0);
-        assert_eq!(c.from, 150.0);
-        assert!(Arc::ptr_eq(&c.prior, &twin));
+        assert_eq!(Conditional::refresh(&mut slot, &prior, 99.0).from, 10.0);
+        // Landing on a point drops it (`t > elapsed` is strict): rebuilt,
+        // in the same box.
+        let c = Conditional::refresh(&mut slot, &prior, 100.0);
+        assert_eq!((c.from, c.dist.lower()), (100.0, 200.0));
+        assert!(std::ptr::eq(c, boxed));
         // Time running backwards is not covered by the carried state.
-        let c = Conditional::refresh(Some(c), &twin, 120.0);
-        assert_eq!(c.from, 120.0);
+        assert_eq!(Conditional::refresh(&mut slot, &prior, 50.0).from, 50.0);
     }
 
     /// Compiles a cycle with nothing pending and job 7 running (or, with
     /// `running` false, finished) and returns the MILP text.
     fn compile_cycle(
         table: &mut RunningTable,
-        cache: &mut EstimateCache,
         now: f64,
         estimate: &DiscreteDist,
         running: bool,
@@ -734,45 +785,83 @@ mod tests {
             slots: &[now, 60.0, 120.0, 180.0],
         };
         let cfg = SchedConfig::default();
-        let compiled = table.compile(&cfg, &view, now, &generated, cache, |_| estimate.clone());
+        let compiled = table.compile(&cfg, &view, now, &generated, |_| estimate.clone());
         assert_eq!(compiled.running.iter().count(), usize::from(running));
         compiled.model.to_text()
     }
 
-    fn compile_running(
-        table: &mut RunningTable,
-        cache: &mut EstimateCache,
-        now: f64,
-        estimate: &DiscreteDist,
-    ) -> String {
-        compile_cycle(table, cache, now, estimate, true)
+    #[test]
+    fn a_new_attempt_takes_its_handed_off_prior_and_scales_it_once() {
+        // Odd ids run off their preferred rack (slowdown 1.5); job 3 has
+        // already outlived its prior when first seen.
+        let fleet = Fleet::new(4);
+        let bases: Vec<Arc<DiscreteDist>> = fleet.priors.iter().cloned().map(Arc::new).collect();
+        let mut table = RunningTable::default();
+        for (spec, base) in fleet.specs.iter().zip(&bases).take(3) {
+            table.place(spec.id, base.clone());
+        }
+        // A hand-off no attempt claims: the placement ended unseen.
+        table.place(JobId(99), Arc::new(DiscreteDist::point(1.0)));
+        let calls = std::cell::Cell::new(0);
+        let order = [0, 1, 2, 3];
+        let mut priors: Vec<Arc<DiscreteDist>> = Vec::new();
+        for (cycle, now) in [600.0, 601.0, 602.0].into_iter().enumerate() {
+            let slots = [now, 660.0, 720.0, 780.0];
+            let mut survivals = Vec::new();
+            let busy = cycle != 1;
+            table.advance(
+                &SchedConfig::default(),
+                &fleet.view(&order, now),
+                now,
+                |spec| {
+                    calls.set(calls.get() + 1);
+                    fleet.priors[spec.id.0 as usize - 1].clone()
+                },
+                busy.then_some((&slots[..], &mut survivals)),
+            );
+            assert_eq!(calls.get(), 1, "only job 4, handed nothing, is estimated");
+            assert!(
+                table.placed.is_empty(),
+                "every hand-off is consumed or dropped"
+            );
+            if cycle == 0 {
+                priors = table
+                    .attempts
+                    .iter()
+                    .map(|(_, a)| a.prior.clone())
+                    .collect();
+            }
+            for (i, (_, a)) in table.attempts.iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(&a.prior, &priors[i]),
+                    "job {} keeps its prior",
+                    i + 1
+                );
+                assert_eq!(a.upper.to_bits(), a.prior.upper().to_bits());
+            }
+        }
+        for (i, prior) in priors.iter().enumerate() {
+            if fleet.specs[i].id.0 % 2 == 1 {
+                assert_eq!(
+                    bits(prior),
+                    bits(&fleet.priors[i].scale(1.5)),
+                    "job {} scaled",
+                    i + 1
+                );
+            } else if i < 3 {
+                assert!(
+                    Arc::ptr_eq(prior, &bases[i]),
+                    "job {} keeps the handed-off Arc",
+                    i + 1
+                );
+            }
+        }
+        assert_eq!(table.exhausted(), 1);
     }
 
     #[test]
-    fn swapped_prior_is_detected_and_reconditioned() {
-        let first = DiscreteDist::from_points(vec![(100.0, 0.5), (200.0, 0.5)]);
-        let second = DiscreteDist::from_points(vec![(50.0, 0.5), (300.0, 0.5)]);
-        let mut table = RunningTable::default();
-        let mut cache = EstimateCache::new();
-        let before = compile_running(&mut table, &mut cache, 10.0, &first);
-        // The entry is dropped and re-estimated between cycles; elapsed is
-        // still short of the carried conditional's first point, so only
-        // the `Arc` identity tells the two priors apart.
-        cache.invalidate(JobId(7));
-        let swapped = compile_running(&mut table, &mut cache, 12.0, &second);
-        let scratch = compile_running(
-            &mut RunningTable::default(),
-            &mut EstimateCache::new(),
-            12.0,
-            &second,
-        );
-        assert_eq!(swapped, scratch);
-        assert_ne!(swapped, before);
-        // Same prior, next cycle: carried state and a cleared table agree.
-        let carried = compile_running(&mut table, &mut cache, 14.0, &second);
-        table.forget_conditionals();
-        let rebuilt = compile_running(&mut table, &mut cache, 14.0, &second);
-        assert_eq!(carried, rebuilt);
+    fn a_table_entry_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<(AttemptKey, Attempt)>() <= 48);
     }
 
     proptest! {
@@ -896,14 +985,9 @@ mod tests {
                 preemption_enabled: preemption_off > 0,
                 ..SchedConfig::default()
             };
-            let compiled = RunningTable::default().compile(
-                &cfg,
-                &view,
-                now,
-                &generated,
-                &mut EstimateCache::new(),
-                |spec| priors[spec.id.0 as usize - 1].clone(),
-            );
+            let compiled = RunningTable::default().compile(&cfg, &view, now, &generated, |spec| {
+                priors[spec.id.0 as usize - 1].clone()
+            });
             prop_assert!(compiled.compiled.is_empty() && compiled.hopeless.is_empty());
             let model = &compiled.model;
             let warm = vec![0.0; model.num_vars()];
@@ -932,9 +1016,10 @@ mod tests {
     }
 
     /// A running set on a 4 × 8 cluster: per attempt its spec, allocation
-    /// and prior. Odd ids run off their preferred rack; every third has
-    /// outlived its prior (exp-inc); the rest sit far short of their first
-    /// mass point, so their conditionals carry from cycle to cycle.
+    /// and prior. Odd ids run off their preferred rack. With
+    /// [`Fleet::new`], every third has outlived its prior (exp-inc) and the
+    /// rest sit far short of their first mass point, so their conditionals
+    /// carry from cycle to cycle.
     struct Fleet {
         cluster: ClusterSpec,
         specs: Vec<JobSpec>,
@@ -944,26 +1029,37 @@ mod tests {
 
     impl Fleet {
         fn new(n: u64) -> Self {
+            Self::with(
+                (1..=n)
+                    .map(|id| {
+                        let prior = if id % 3 == 0 {
+                            vec![(50.0, 0.5), (100.0, 0.5)]
+                        } else {
+                            vec![(5_000.0, 0.5), (9_000.0 + id as f64, 0.5)]
+                        };
+                        (10.0 * id as f64, prior)
+                    })
+                    .collect(),
+            )
+        }
+
+        /// One attempt per (start time, prior points), ids from 1.
+        fn with(attempts: Vec<(f64, Vec<(f64, f64)>)>) -> Self {
             let mut fleet = Fleet {
                 cluster: ClusterSpec::uniform(4, 8),
                 specs: Vec::new(),
                 allocations: Vec::new(),
                 priors: Vec::new(),
             };
-            for id in 1..=n {
+            for (id, (start, points)) in (1u64..).zip(attempts) {
                 let rack = (id % 4) as usize;
-                let mut spec = JobSpec::new(id, 10.0 * id as f64, 1, 500.0, JobKind::BestEffort);
+                let mut spec = JobSpec::new(id, start, 1, 500.0, JobKind::BestEffort);
                 if id % 2 == 1 {
                     spec = spec.with_preference(vec![PartitionId((rack + 1) % 4)], 1.5);
                 }
-                let prior = if id % 3 == 0 {
-                    DiscreteDist::from_points(vec![(50.0, 0.5), (100.0, 0.5)])
-                } else {
-                    DiscreteDist::from_points(vec![(5_000.0, 0.5), (9_000.0 + id as f64, 0.5)])
-                };
                 fleet.specs.push(spec);
                 fleet.allocations.push(vec![(PartitionId(rack), 1)]);
-                fleet.priors.push(prior);
+                fleet.priors.push(DiscreteDist::from_points(points));
             }
             fleet
         }
@@ -986,24 +1082,25 @@ mod tests {
             }
         }
 
+        fn estimate(&self, spec: &JobSpec) -> DiscreteDist {
+            self.priors[spec.id.0 as usize - 1].clone()
+        }
+
         /// One walk of `order` at `now`, returning the survivals by job id.
         fn step(
             &self,
             table: &mut RunningTable,
-            cache: &mut EstimateCache,
             order: &[usize],
             now: f64,
         ) -> Vec<(JobId, Vec<u64>)> {
             let slots = [now, 660.0, 720.0, 780.0];
             let mut survivals = Vec::new();
-            table.step(
+            table.advance(
                 &SchedConfig::default(),
                 &self.view(order, now),
                 now,
-                &slots,
-                cache,
-                |spec| self.priors[spec.id.0 as usize - 1].clone(),
-                Some(&mut survivals),
+                |spec| self.estimate(spec),
+                Some((&slots, &mut survivals)),
             );
             let mut by_id: Vec<(JobId, Vec<u64>)> = order
                 .iter()
@@ -1013,13 +1110,42 @@ mod tests {
             by_id.sort_by_key(|(id, _)| *id);
             by_id
         }
+
+        /// The MILP text of a cycle with nothing pending and `order`
+        /// running, under a `plan_slots` window.
+        fn compile(
+            &self,
+            table: &mut RunningTable,
+            order: &[usize],
+            now: f64,
+            plan_slots: usize,
+        ) -> String {
+            let groups = MaskGroups::new(4);
+            let slots: Vec<f64> = std::iter::once(now)
+                .chain((1..plan_slots).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
+                .collect();
+            let generated = Generated {
+                considered: &[],
+                job_groups: &[],
+                job_options: &[],
+                space_masks: &[(0, groups.group_mask(0)), (0, RackMask::single(1))],
+                groups: &groups,
+                slots: &slots,
+            };
+            let view = self.view(order, now);
+            table
+                .compile(&SchedConfig::default(), &view, now, &generated, |spec| {
+                    self.estimate(spec)
+                })
+                .model
+                .to_text()
+        }
     }
 
     #[test]
     fn a_shuffled_running_view_leaves_the_same_table() {
         let fleet = Fleet::new(12);
         let (mut sorted, mut shuffled) = (RunningTable::default(), RunningTable::default());
-        let (mut sorted_cache, mut shuffled_cache) = (EstimateCache::new(), EstimateCache::new());
         // Attempts start and finish between cycles; the shuffled side sees
         // each running set reversed and rotated.
         let sets: [&[usize]; 5] = [
@@ -1033,17 +1159,81 @@ mod tests {
             let now = 600.0 + cycle as f64;
             let mut order: Vec<usize> = set.iter().rev().copied().collect();
             order.rotate_left(set.len() / 3);
-            let a = fleet.step(&mut sorted, &mut sorted_cache, set, now);
-            let b = fleet.step(&mut shuffled, &mut shuffled_cache, &order, now);
+            let a = fleet.step(&mut sorted, set, now);
+            let b = fleet.step(&mut shuffled, &order, now);
             assert_eq!(a, b, "survivals, cycle {cycle}");
             assert_eq!(sorted.state(), shuffled.state(), "table, cycle {cycle}");
             assert_eq!(sorted.attempts.len(), set.len());
-            assert_eq!(sorted_cache.stats(), shuffled_cache.stats());
         }
         assert!(
             sorted.exhausted() > 0,
             "an exp-inc attempt is in the last set"
         );
+    }
+
+    proptest! {
+        /// Idle cycles advance only exp-inc state, leaving conditionals and
+        /// grid survivals stale for the next busy cycle. Against a table
+        /// that refreshes everything every cycle, over random interleavings
+        /// of idle and busy cycles, attempts starting (with or without a
+        /// hand-off) and finishing, priors outlived while idle or busy, and
+        /// slot-grid and window changes: the same MILP at every busy cycle
+        /// and the same decision state after every cycle.
+        #[test]
+        fn lazy_idle_cycles_match_an_eager_refresh(
+            starts in prop::collection::vec(0.0f64..900.0, 10),
+            times in prop::collection::vec(prop::collection::vec(1.0f64..1500.0, 1..4), 10),
+            weights in prop::collection::vec(prop::collection::vec(0.05f64..1.0, 4), 10),
+            joins in prop::collection::vec(0usize..30, 10),
+            stays in prop::collection::vec(1usize..30, 10),
+            handed in prop::collection::vec(0u8..2, 10),
+            steps in prop::collection::vec(0.5f64..90.0, 30),
+            busy in prop::collection::vec(0u8..3, 30),
+            windows in prop::collection::vec(1usize..6, 30),
+        ) {
+            let attempts: Vec<(f64, Vec<(f64, f64)>)> = starts
+                .iter()
+                .zip(times.iter().zip(&weights))
+                .map(|(&start, (ts, ws))| {
+                    let mut ts = ts.clone();
+                    ts.sort_by(f64::total_cmp);
+                    let total: f64 = ws.iter().take(ts.len()).sum();
+                    (start, ts.iter().zip(ws).map(|(&t, &w)| (t, w / total)).collect())
+                })
+                .collect();
+            let fleet = Fleet::with(attempts);
+            let (mut lazy, mut eager) = (RunningTable::default(), RunningTable::default());
+            let cfg = SchedConfig::default();
+            let mut now = 900.0;
+            let mut scratch = Vec::new();
+            for cycle in 0..steps.len() {
+                now += steps[cycle];
+                let order: Vec<usize> = (0..fleet.specs.len())
+                    .filter(|&i| joins[i] <= cycle && cycle < joins[i] + stays[i])
+                    .collect();
+                for &i in &order {
+                    if joins[i] == cycle && handed[i] == 1 {
+                        let base = Arc::new(fleet.priors[i].clone());
+                        lazy.place(fleet.specs[i].id, base.clone());
+                        eager.place(fleet.specs[i].id, base);
+                    }
+                }
+                if busy[cycle] == 0 {
+                    let a = fleet.compile(&mut lazy, &order, now, windows[cycle]);
+                    let b = fleet.compile(&mut eager, &order, now, windows[cycle]);
+                    prop_assert_eq!(a, b, "MILP at busy cycle {}", cycle);
+                } else {
+                    let view = fleet.view(&order, now);
+                    lazy.advance(&cfg, &view, now, |spec| fleet.estimate(spec), None);
+                    let slots: Vec<f64> = std::iter::once(now)
+                        .chain((1..windows[cycle]).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
+                        .collect();
+                    scratch.clear();
+                    eager.advance(&cfg, &view, now, |spec| fleet.estimate(spec), Some((&slots, &mut scratch)));
+                }
+                prop_assert_eq!(lazy.state(), eager.state(), "decision state after cycle {}", cycle);
+            }
+        }
     }
 
     thread_local! {
@@ -1097,29 +1287,26 @@ mod tests {
     /// starting or finishing — after two warm-up cycles (one builds the
     /// conditionals and fills the cache, the next sizes the second table
     /// buffer). Views and the survival buffer are the caller's.
-    fn steady_state() -> (Fleet, RunningTable, EstimateCache) {
+    fn steady_state() -> (Fleet, RunningTable) {
         let fleet = Fleet::new(12);
-        let (mut table, mut cache) = (RunningTable::default(), EstimateCache::new());
+        let mut table = RunningTable::default();
         let order: Vec<usize> = (0..12).collect();
         for now in [600.0, 601.0] {
-            fleet.step(&mut table, &mut cache, &order, now);
+            fleet.step(&mut table, &order, now);
         }
         assert!(table.exhausted() > 0 && table.exhausted() < 12);
-        (fleet, table, cache)
+        (fleet, table)
     }
 
     #[test]
     fn a_steady_state_idle_cycle_allocates_nothing() {
-        let (fleet, mut table, mut cache) = steady_state();
+        let (fleet, mut table) = steady_state();
         let order: Vec<usize> = (0..12).collect();
         let cfg = SchedConfig::default();
         for now in [602.0, 603.0, 604.0] {
             let view = fleet.view(&order, now);
-            let slots = [now, 660.0, 720.0, 780.0];
             let spent = allocations_of(|| {
-                table.advance(&cfg, &view, now, &slots, &mut cache, |spec| {
-                    fleet.priors[spec.id.0 as usize - 1].clone()
-                });
+                table.advance(&cfg, &view, now, |spec| fleet.estimate(spec), None);
             });
             assert_eq!(spent, 0, "idle cycle at {now}");
         }
@@ -1127,7 +1314,7 @@ mod tests {
 
     #[test]
     fn a_steady_state_busy_walk_allocates_nothing() {
-        let (fleet, mut table, mut cache) = steady_state();
+        let (fleet, mut table) = steady_state();
         let order: Vec<usize> = (0..12).collect();
         let cfg = SchedConfig::default();
         let mut survivals: Vec<f64> = Vec::with_capacity(12 * 4);
@@ -1136,14 +1323,12 @@ mod tests {
             let slots = [now, 660.0, 720.0, 780.0];
             survivals.clear();
             let spent = allocations_of(|| {
-                table.step(
+                table.advance(
                     &cfg,
                     &view,
                     now,
-                    &slots,
-                    &mut cache,
-                    |spec| fleet.priors[spec.id.0 as usize - 1].clone(),
-                    Some(&mut survivals),
+                    |spec| fleet.estimate(spec),
+                    Some((&slots, &mut survivals)),
                 );
             });
             assert_eq!(spent, 0, "running walk at {now}");
@@ -1155,10 +1340,9 @@ mod tests {
     fn finished_attempts_leave_the_table() {
         let d = DiscreteDist::from_points(vec![(100.0, 1.0)]);
         let mut table = RunningTable::default();
-        let mut cache = EstimateCache::new();
-        let busy = compile_running(&mut table, &mut cache, 10.0, &d);
+        let busy = compile_cycle(&mut table, 10.0, &d, true);
         assert_eq!(table.attempts.len(), 1);
-        let idle = compile_cycle(&mut table, &mut cache, 12.0, &d, false);
+        let idle = compile_cycle(&mut table, 12.0, &d, false);
         assert!(table.attempts.is_empty());
         assert_ne!(busy, idle);
         assert_eq!(idle, Model::new().to_text(), "nothing left to constrain");

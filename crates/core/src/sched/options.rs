@@ -11,8 +11,9 @@
 //! * [`EstimateCache`] holds each job's discretised base distribution and
 //!   its slowdown-scaled variants across cycles, re-estimating *pending*
 //!   jobs only when the predictor has learned something new (an epoch
-//!   counter bumped per observation) and pinning estimates for running
-//!   attempts so Eq. 2's conditioning always renormalises the same prior.
+//!   counter bumped per observation). It holds pending jobs only: a placed
+//!   job's estimate moves out with [`EstimateCache::take`] to the running
+//!   attempt that renormalises it (Eq. 2) for the rest of its run.
 //! * [`generate`] values every (space, slot) option of every considered
 //!   job by Eq. 1, in job order on the calling thread. The job cap, the
 //!   plan-ahead window and the §4.3.6 prunes bound the work per cycle.
@@ -113,29 +114,6 @@ struct CacheEntry {
     scaled: BTreeMap<u64, Arc<DiscreteDist>>,
     /// History epoch `base` was estimated at.
     epoch: u64,
-    /// Pinned while the job's current attempt is running: the conditional
-    /// consumption (Eq. 2) must renormalise a stable prior, and §4.2.1's
-    /// exp-inc handling assumes the distribution under it does not move.
-    pinned: bool,
-}
-
-impl CacheEntry {
-    /// The base scaled by `scale`, and whether it was already cached.
-    fn scaled(&mut self, scale: f64) -> (Arc<DiscreteDist>, bool) {
-        if scale == 1.0 {
-            return (self.base.clone(), true);
-        }
-        let mut hit = true;
-        let d = self
-            .scaled
-            .entry(scale.to_bits())
-            .or_insert_with(|| {
-                hit = false;
-                Arc::new(self.base.scale(scale))
-            })
-            .clone();
-        (d, hit)
-    }
 }
 
 /// Cross-cycle cache of per-job discretised runtime distributions.
@@ -147,10 +125,9 @@ impl CacheEntry {
 ///   completion; *pending* jobs are lazily re-estimated on next access, so
 ///   a job frozen with a poor submission-time estimate sharpens as history
 ///   accumulates (the seed froze estimates at submission forever).
-/// * [`EstimateCache::pin`] freezes a job's estimate for the duration of a
-///   running attempt.
-/// * [`EstimateCache::invalidate`] drops a job's entry outright
-///   (completion, preemption, cancellation).
+/// * [`EstimateCache::take`] moves a placed job's estimate out to its
+///   running attempt, so the cache only ever holds pending jobs.
+/// * [`EstimateCache::invalidate`] drops a cancelled job's entry.
 pub struct EstimateCache {
     /// Ordered map: capacity eviction scans this smallest-id-first, so its
     /// victim choice must be independent of hash order.
@@ -203,12 +180,12 @@ impl EstimateCache {
     }
 
     /// An empty cache holding at most `capacity` entries. When an insert
-    /// would exceed the cap, *stale unpinned* entries (epoch older than
-    /// current) are evicted smallest job id first. Pinned entries (running
-    /// attempts) and current-epoch entries (estimated this cycle, possibly
-    /// for still-pending jobs) are never evicted, so the cache may
-    /// temporarily overflow rather than drop an estimate the current cycle
-    /// relies on.
+    /// would exceed the cap, *stale* entries (epoch older than current) are
+    /// evicted smallest job id first; they would be re-estimated on their
+    /// next access anyway, so eviction never changes a value. Current-epoch
+    /// entries (estimated this cycle, possibly for still-pending jobs) are
+    /// never evicted, so the cache may temporarily overflow rather than
+    /// drop an estimate the current cycle relies on.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             capacity: Some(capacity.max(1)),
@@ -226,25 +203,19 @@ impl EstimateCache {
         self.evictions
     }
 
-    /// Evicts stale unpinned entries, smallest job id first, until the cap
-    /// is met or no safe victim remains.
+    /// Evicts stale entries, smallest job id first, until the cap is met
+    /// or no safe victim remains.
     fn enforce_capacity(&mut self) {
         let Some(cap) = self.capacity else { return };
         if self.entries.len() <= cap {
             return;
         }
         let epoch = self.epoch;
-        let mut victims: Vec<JobId> = Vec::new();
-        let mut excess = self.entries.len() - cap;
-        for (id, e) in &self.entries {
-            if excess == 0 {
-                break;
-            }
-            if !e.pinned && e.epoch < epoch {
-                victims.push(*id);
-                excess -= 1;
-            }
-        }
+        let victims: Vec<JobId> = (self.entries.iter())
+            .filter(|(_, e)| e.epoch < epoch)
+            .map(|(id, _)| *id)
+            .take(self.entries.len() - cap)
+            .collect();
         for id in victims {
             self.entries.remove(&id);
             self.evictions += 1;
@@ -272,7 +243,7 @@ impl EstimateCache {
     }
 
     /// Records that the estimation history changed (e.g. the predictor
-    /// observed a completed runtime). Unpinned entries become stale.
+    /// observed a completed runtime). Every entry becomes stale.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
     }
@@ -283,8 +254,7 @@ impl EstimateCache {
     }
 
     /// The job's base distribution; `estimate` is invoked only when the
-    /// entry is missing or stale (unpinned and older than the current
-    /// epoch).
+    /// entry is missing or stale (older than the current epoch).
     pub fn base(
         &mut self,
         job: JobId,
@@ -293,7 +263,7 @@ impl EstimateCache {
         let epoch = self.epoch;
         self.lookups += 1;
         match self.entries.get_mut(&job) {
-            Some(e) if e.pinned || e.epoch == epoch => {
+            Some(e) if e.epoch == epoch => {
                 self.hits += 1;
                 e.base.clone()
             }
@@ -313,7 +283,6 @@ impl EstimateCache {
                         base: base.clone(),
                         scaled: BTreeMap::new(),
                         epoch,
-                        pinned: false,
                     },
                 );
                 self.enforce_capacity();
@@ -332,67 +301,33 @@ impl EstimateCache {
             self.misses += 1;
             return None;
         };
-        let (d, hit) = e.scaled(scale);
-        self.count(hit);
-        Some(d)
-    }
-
-    fn count(&mut self, hit: bool) {
+        if scale == 1.0 {
+            self.hits += 1;
+            return Some(e.base.clone());
+        }
+        let mut hit = true;
+        let d = (e.scaled.entry(scale.to_bits()))
+            .or_insert_with(|| {
+                hit = false;
+                Arc::new(e.base.scale(scale))
+            })
+            .clone();
         if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
+        Some(d)
     }
 
-    /// A running attempt's prior in one lookup: [`Self::base`], then
-    /// [`Self::pin`], then — for an attempt off its preferred racks —
-    /// [`Self::scaled`] by its `slowdown`, falling back to the base. Bumps
-    /// exactly the counters those calls bump; a missing or stale entry takes
-    /// the three calls themselves.
-    pub(crate) fn running_prior(
-        &mut self,
-        job: JobId,
-        slowdown: Option<f64>,
-        estimate: impl FnOnce() -> DiscreteDist,
-    ) -> Arc<DiscreteDist> {
-        let epoch = self.epoch;
-        let Some(e) = self
-            .entries
-            .get_mut(&job)
-            .filter(|e| e.pinned || e.epoch == epoch)
-        else {
-            let base = self.base(job, estimate);
-            self.pin(job);
-            return match slowdown {
-                Some(scale) => self.scaled(job, scale).unwrap_or(base),
-                None => base,
-            };
-        };
-        e.pinned = true;
-        let (d, hit) = match slowdown {
-            Some(scale) => e.scaled(scale),
-            None => (e.base.clone(), true),
-        };
-        self.lookups += 1;
-        self.hits += 1;
-        if slowdown.is_some() {
-            self.lookups += 1;
-            self.count(hit);
-        }
-        d
+    /// Moves the job's base distribution out of the cache (the job was
+    /// placed: its running attempt owns the estimate from here on). Counts
+    /// no lookup.
+    pub fn take(&mut self, job: JobId) -> Option<Arc<DiscreteDist>> {
+        self.entries.remove(&job).map(|e| e.base)
     }
 
-    /// Pins the job's current estimate (attempt started running).
-    pub fn pin(&mut self, job: JobId) {
-        if let Some(e) = self.entries.get_mut(&job) {
-            e.pinned = true;
-        }
-    }
-
-    /// Drops the job's entry (completed, preempted, or cancelled). A
-    /// preempted job re-enters the pending queue and is re-estimated from
-    /// the *current* history on next access.
+    /// Drops the job's entry (a pending job that was cancelled).
     pub fn invalidate(&mut self, job: JobId) {
         self.entries.remove(&job);
     }
@@ -407,19 +342,10 @@ impl EstimateCache {
         self.entries.is_empty()
     }
 
-    /// True if the job's entry is pinned (for tests/introspection).
-    pub fn is_pinned(&self, job: JobId) -> bool {
-        self.entries.get(&job).is_some_and(|e| e.pinned)
-    }
-
-    /// The job's cached `Arc`s: base, then scaled variants by factor bits.
+    /// True if the job has an entry.
     #[cfg(test)]
-    fn arcs(&self, job: JobId) -> Vec<Arc<DiscreteDist>> {
-        self.entries.get(&job).map_or_else(Vec::new, |e| {
-            std::iter::once(e.base.clone())
-                .chain(e.scaled.values().cloned())
-                .collect()
-        })
+    pub(crate) fn contains(&self, job: JobId) -> bool {
+        self.entries.contains_key(&job)
     }
 }
 
@@ -731,20 +657,26 @@ mod tests {
     }
 
     #[test]
-    fn estimate_cache_pins_running_attempts() {
+    fn take_moves_a_placed_jobs_estimate_out_of_the_cache() {
         let mut cache = EstimateCache::new();
         let job = JobId(7);
-        let _ = cache.base(job, || DiscreteDist::point(100.0));
-        cache.pin(job);
-        assert!(cache.is_pinned(job));
+        let base = cache.base(job, || DiscreteDist::point(100.0));
+        let _ = cache.scaled(job, 1.5);
+        let counted = cache.stats();
+        // The running attempt gets the very `Arc` the plan was valued with;
+        // its scaled variants go with the entry, and nothing is counted.
+        let taken = cache.take(job).expect("entry present");
+        assert!(Arc::ptr_eq(&taken, &base));
+        assert!(!cache.contains(job) && cache.is_empty());
+        assert_eq!(cache.stats(), counted);
+        assert!(cache.take(job).is_none(), "taken once");
+        // Epoch bumps no longer reach it; a retry (preemption, kill)
+        // re-estimates from current history as a fresh miss.
         cache.bump_epoch();
-        let d = cache.base(job, || unreachable!("pinned entries never re-estimate"));
-        assert_eq!(d.mean(), 100.0);
-        // Preemption invalidates; the next access re-estimates fresh.
-        cache.invalidate(job);
-        assert!(!cache.is_pinned(job));
+        assert_eq!(taken.mean(), 100.0);
         let d = cache.base(job, || DiscreteDist::point(25.0));
         assert_eq!(d.mean(), 25.0);
+        assert_eq!(cache.stats().misses, counted.misses + 1);
     }
 
     #[test]
@@ -795,97 +727,6 @@ mod tests {
         assert_eq!(s.hits + s.misses, s.lookups);
     }
 
-    proptest::proptest! {
-        /// The running walk's one probe is the three calls it replaced:
-        /// over missing, stale-unpinned, pinned and current-epoch entries,
-        /// with and without a capacity cap, unscaled, at scale 1.0, and at
-        /// new and already-cached scales — the same returned `Arc` (by its
-        /// place among the entry's `Arc`s before and after the call), the
-        /// same values, estimate calls, counters and pin.
-        #[test]
-        fn running_prior_is_base_then_pin_then_scaled(
-            capped in 0u8..2,
-            seed in proptest::collection::vec(0u8..4, 6),
-            seed_scales in proptest::collection::vec(0u8..5, 6),
-            jobs in proptest::collection::vec(0u64..6, 40),
-            scales in proptest::collection::vec(0u8..5, 40),
-            bumps in proptest::collection::vec(0u8..4, 40),
-        ) {
-            const SCALES: [Option<f64>; 5] = [None, Some(1.0), Some(1.5), Some(2.0), Some(0.5)];
-            let mut fused = if capped == 1 { EstimateCache::with_capacity(3) } else { EstimateCache::new() };
-            let mut split = if capped == 1 { EstimateCache::with_capacity(3) } else { EstimateCache::new() };
-            let calls = std::cell::Cell::new(0u32);
-            let estimate = |job: JobId| {
-                calls.set(calls.get() + 1);
-                let t = (job.0 * 10 + u64::from(calls.get())) as f64;
-                DiscreteDist::from_points(vec![(t, 0.5), (2.0 * t, 0.5)])
-            };
-            // Seed both caches alike: per job, missing / current / stale /
-            // pinned, with some scaled variants cached.
-            for cache in [&mut fused, &mut split] {
-                calls.set(0);
-                for (i, (&state, &scale)) in seed.iter().zip(&seed_scales).enumerate() {
-                    let job = JobId(i as u64);
-                    if state == 0 {
-                        continue;
-                    }
-                    let _ = cache.base(job, || estimate(job));
-                    if let Some(s) = SCALES[scale as usize] {
-                        let _ = cache.scaled(job, s);
-                    }
-                    if state == 3 {
-                        cache.pin(job);
-                    }
-                }
-                cache.bump_epoch();
-                for (i, &state) in seed.iter().enumerate() {
-                    if state == 1 {
-                        let _ = cache.base(JobId(i as u64), || estimate(JobId(i as u64)));
-                    }
-                }
-            }
-            for (step, ((&job, &scale), &bump)) in jobs.iter().zip(&scales).zip(&bumps).enumerate() {
-                let job = JobId(job);
-                let slowdown = SCALES[scale as usize];
-                if bump == 0 {
-                    fused.bump_epoch();
-                    split.bump_epoch();
-                }
-                let mut seen = Vec::new();
-                for (k, cache) in [&mut fused, &mut split].into_iter().enumerate() {
-                    calls.set(0);
-                    let before = cache.arcs(job);
-                    let got = if k == 0 {
-                        cache.running_prior(job, slowdown, || estimate(job))
-                    } else {
-                        let base = cache.base(job, || estimate(job));
-                        cache.pin(job);
-                        match slowdown {
-                            Some(s) => cache.scaled(job, s).unwrap_or_else(|| base.clone()),
-                            None => base,
-                        }
-                    };
-                    let after = cache.arcs(job);
-                    let place = |arcs: &[Arc<DiscreteDist>]| {
-                        arcs.iter().map(|a| Arc::ptr_eq(a, &got)).collect::<Vec<_>>()
-                    };
-                    let bits: Vec<(u64, u64)> =
-                        got.points().iter().map(|(t, p)| (t.to_bits(), p.to_bits())).collect();
-                    seen.push((
-                        place(&before),
-                        place(&after),
-                        bits,
-                        calls.get(),
-                        cache.stats(),
-                        cache.is_pinned(job),
-                        cache.len(),
-                    ));
-                }
-                proptest::prop_assert_eq!(&seen[0], &seen[1], "probe {}", step);
-            }
-        }
-    }
-
     #[test]
     fn estimate_cache_never_evicts_current_cycle_entries() {
         // Every entry estimated this epoch may belong to a still-pending
@@ -901,16 +742,13 @@ mod tests {
             let d = cache.base(JobId(i), || unreachable!("entry {i} must survive"));
             assert_eq!(d.mean(), 100.0);
         }
-        // Next cycle: the backlog is stale and fair game, except for pinned
-        // (running) entries, which survive any number of epochs.
-        cache.pin(JobId(2));
+        // Job 2 is placed: its estimate leaves with its attempt. Next
+        // cycle the backlog is stale and fair game.
+        assert!(cache.take(JobId(2)).is_some());
         cache.bump_epoch();
         let _ = cache.base(JobId(10), || DiscreteDist::point(50.0));
         assert_eq!(cache.len(), 4, "evicted down to the cap");
-        assert_eq!(cache.evictions(), 7, "exactly the excess over the cap");
-        assert!(cache.is_pinned(JobId(2)), "pinned entry spared");
-        let d = cache.base(JobId(2), || unreachable!("pinned entry must survive"));
-        assert_eq!(d.mean(), 100.0);
+        assert_eq!(cache.evictions(), 6, "exactly the excess over the cap");
         let d = cache.base(JobId(10), || {
             unreachable!("current-epoch entry must survive")
         });

@@ -7,8 +7,9 @@
 //!    over a plan-ahead window — valuing each by expected utility (Eq. 1)
 //!    under the job's runtime distribution, with over-estimate handling
 //!    adjusting the utility curve (§4.2.2–4.2.3); distributions come from
-//!    the cross-cycle [`EstimateCache`] (pending jobs are re-estimated when
-//!    the predictor learns, running attempts stay pinned) and valuation is
+//!    the cross-cycle [`EstimateCache`] (pending jobs only, re-estimated
+//!    when the predictor learns; a placed job's estimate moves to its
+//!    running attempt) and valuation is
 //!    [`options::generate`],
 //! 3. charges each option its expected resource consumption over time
 //!    (Eq. 3), conditioning running jobs' distributions on their elapsed
@@ -261,6 +262,11 @@ pub struct PlanRecord {
     pub started: Vec<PlannedJob>,
     /// Jobs deliberately deferred to a later slot.
     pub deferred: Vec<PlannedJob>,
+    /// Jobs chosen to start now whose gang extraction could not pack into
+    /// the chosen racks (nodes taken by gangs placed before it in the same
+    /// cycle); they stay pending. With `started` and `deferred`, this
+    /// partitions the chosen options.
+    pub unpackable: Vec<PlannedJob>,
     /// Running jobs the plan preempts.
     pub preempted: Vec<JobId>,
     /// Pending jobs abandoned as hopeless.
@@ -390,9 +396,11 @@ impl SchedStats {
 /// Serialisable scheduler state for serve-mode restarts: the predictor's
 /// sketches and NMAE expert accounts, the cumulative counters, the
 /// degradation-governor ladder position, and the estimate-cache epoch and
-/// lifetime stats. Cache *entries* are deliberately absent — snapshots are
-/// taken at quiescence, when every live job's entry has been invalidated by
-/// completion — as is the incremental-solver state, whose reuse contract
+/// lifetime stats. Cache *entries* are deliberately absent — the cache
+/// holds pending jobs only (a placed job's estimate leaves it for the
+/// running attempt), a quiescent session has none, and any entry is
+/// re-derived on demand from the restored predictor — as is the
+/// incremental-solver state, whose reuse contract
 /// already guarantees byte-identical decisions with or without it.
 ///
 /// Field order is the byte-stability contract: serialisation is
@@ -783,11 +791,11 @@ pub struct ThreeSigmaScheduler {
     config: SchedConfig,
     source: EstimateSource,
     predictor: Predictor,
-    /// Cross-cycle cache of per-job discretised distributions (base and
-    /// slowdown-scaled), epoch-invalidated as the predictor learns.
+    /// Cross-cycle cache of pending jobs' discretised distributions (base
+    /// and slowdown-scaled), epoch-invalidated as the predictor learns.
     cache: EstimateCache,
-    /// Per-attempt state of the running set (exp-inc, Eq. 2 conditionals),
-    /// owned by the compile stage.
+    /// Per-attempt state of the running set (prior, exp-inc, Eq. 2
+    /// conditionals), owned by the compile stage.
     running: RunningTable,
     timings: Vec<CycleTiming>,
     plans: Vec<PlanRecord>,
@@ -876,8 +884,8 @@ impl ThreeSigmaScheduler {
 
     /// Captures the scheduler state a serve-mode restart must carry (see
     /// [`SchedSnapshot`]). Meant to be taken at engine quiescence: running
-    /// attempts' exp-inc state and pinned cache entries are transient
-    /// per-attempt bookkeeping that an idle scheduler does not hold.
+    /// attempts' priors and exp-inc state are transient per-attempt
+    /// bookkeeping that an idle scheduler does not hold.
     pub fn serve_snapshot(&self) -> SchedSnapshot {
         SchedSnapshot {
             predictor: self.predictor.snapshot(),
@@ -1114,7 +1122,6 @@ impl Scheduler for ThreeSigmaScheduler {
             // The predictor learned: pending jobs' estimates are stale.
             self.cache.bump_epoch();
         }
-        self.cache.invalidate(spec.id);
     }
 
     fn on_job_killed(&mut self, spec: &JobSpec, elapsed: f64, _will_retry: bool, _now: f64) {
@@ -1125,9 +1132,6 @@ impl Scheduler for ThreeSigmaScheduler {
         // bump either: the histories did not change.
         self.predictor
             .observe_censored(&Attrs(&spec.attributes), elapsed);
-        // The attempt is dead; drop its pinned estimate so a retry is
-        // re-estimated from current history.
-        self.cache.invalidate(spec.id);
     }
 
     fn schedule(&mut self, view: &SimulationView<'_>, now: f64) -> SchedulingDecision {
@@ -1153,7 +1157,6 @@ impl Scheduler for ThreeSigmaScheduler {
         let solver_time = caps.as_ref().map_or(cfg.solver_time, |c| c.solver_time);
         let max_options = caps.as_ref().map(|c| c.max_options);
         let tier = cfg.solver_tier.unwrap_or(2 - level.min(2)).min(2);
-        let slots = slot_times(now, cfg.slot_width, plan_slots);
 
         // ---- Idle cycle: nothing pending. The MILP's only columns are
         // preemption indicators of negative cost and every capacity row
@@ -1164,10 +1167,10 @@ impl Scheduler for ThreeSigmaScheduler {
         let idle = idle && !self.full_idle_cycles;
         if idle {
             let compile_start = Stopwatch::start();
-            self.running
-                .advance(&cfg, view, now, &slots, &mut self.cache, |spec| {
-                    estimate_dist(&self.source, &self.predictor, cfg.mass_points, spec)
-                });
+            let estimate = |spec: &JobSpec| {
+                estimate_dist(&self.source, &self.predictor, cfg.mass_points, spec)
+            };
+            self.running.advance(&cfg, view, now, estimate, None);
             let compile = compile_start.elapsed();
             // The incremental solver answers a cycle from the one before it.
             // This cycle solved nothing, so drop its entry: kept, the next
@@ -1201,6 +1204,7 @@ impl Scheduler for ThreeSigmaScheduler {
             return SchedulingDecision::noop();
         }
 
+        let slots = slot_times(now, cfg.slot_width, plan_slots);
         let mut decision = SchedulingDecision::noop();
         let Self {
             cache,
@@ -1322,7 +1326,7 @@ impl Scheduler for ThreeSigmaScheduler {
             hopeless,
             pruned,
             running: running_jobs,
-        } = running.compile(&cfg, view, now, &generated, cache, |spec| {
+        } = running.compile(&cfg, view, now, &generated, |spec| {
             estimate_dist(source, predictor, cfg.mass_points, spec)
         });
         totals.options_pruned += pruned;
@@ -1448,26 +1452,28 @@ impl Scheduler for ThreeSigmaScheduler {
                         expected_utility: model.objective_coeff(opt.var),
                         preferred_space: opt.mask != groups.group_mask(opt.group),
                     };
-                    if opt.slot == 0 && placed.contains(&spec.id) {
+                    if opt.slot > 0 {
+                        record.deferred.push(planned);
+                    } else if placed.contains(&spec.id) {
                         record.started.push(planned);
                     } else {
-                        record.deferred.push(planned);
+                        record.unpackable.push(planned);
                     }
                 }
                 plans.push(record);
             }
         }
-        // Cache bookkeeping: cancelled jobs are terminal, preempted jobs
-        // re-enter pending and should be re-estimated from fresh history,
-        // and newly placed attempts pin their estimate.
+        // Cache bookkeeping: cancelled jobs are terminal, and a placed job's
+        // estimate moves to the attempt it starts. (A preempted job's left
+        // with its placement; back in pending, it is re-estimated from
+        // fresh history.)
         for id in &decision.cancellations {
             cache.invalidate(*id);
         }
-        for id in &decision.preemptions {
-            cache.invalidate(*id);
-        }
         for p in &decision.placements {
-            cache.pin(p.job);
+            if let Some(base) = cache.take(p.job) {
+                running.place(p.job, base);
+            }
         }
         let extract_elapsed = extract_start.elapsed();
         totals.options_placed += decision.placements.len() as u64;
@@ -1855,6 +1861,53 @@ mod tests {
         // Recording off by default.
         let plain = scheduler(EstimateSource::OraclePoint);
         assert!(plain.plans().is_empty());
+    }
+
+    #[test]
+    fn an_unpackable_slot_zero_choice_is_recorded_as_unpackable_not_deferred() {
+        // Racks of 1/2/1 free nodes; two 2-task gangs prefer racks {0, 1}
+        // and {1, 2}. Hall's condition holds (any one mask holds 3 nodes,
+        // both together 4), so the MILP starts both now on their preferred
+        // racks. Extraction packs the higher-utility gang fullest-first
+        // into rack 1, which leaves the other mask 1 free node.
+        let cluster = ClusterSpec::new(vec![1, 2, 1]);
+        let jobs = [
+            JobSpec::new(1, 0.0, 2, 100.0, JobKind::BestEffort)
+                .with_preference(vec![PartitionId(0), PartitionId(1)], 3.0)
+                .with_weight(2.0),
+            JobSpec::new(2, 0.0, 2, 100.0, JobKind::BestEffort)
+                .with_preference(vec![PartitionId(1), PartitionId(2)], 3.0),
+        ];
+        let mut s = ThreeSigmaScheduler::new(
+            SchedConfig {
+                record_plans: true,
+                ..SchedConfig::default()
+            },
+            EstimateSource::OraclePoint,
+            PredictorConfig::default(),
+        );
+        for j in &jobs {
+            s.on_job_submitted(j, 0.0);
+        }
+        let view = SimulationView {
+            cluster: &cluster,
+            pending: jobs.iter().collect(),
+            running: Vec::new(),
+            free: &[1, 2, 1],
+            now: 0.0,
+        };
+        let d = s.schedule(&view, 0.0);
+        let plan = &s.plans()[0];
+        let jobs_of = |v: &[PlannedJob]| {
+            v.iter()
+                .map(|p| (p.job, p.slot, p.preferred_space))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(jobs_of(&plan.started), [(JobId(1), 0, true)], "{plan:?}");
+        assert_eq!(jobs_of(&plan.unpackable), [(JobId(2), 0, true)], "{plan:?}");
+        assert!(plan.deferred.is_empty(), "{plan:?}");
+        assert_eq!(d.placements.len(), 1);
+        assert_eq!(d.placements[0].allocation, [(PartitionId(1), 2)]);
     }
 
     #[test]
@@ -2286,10 +2339,23 @@ mod tests {
             if self.forget {
                 self.inner.running.forget_conditionals();
             }
+            let cache = self.inner.cache.stats();
             let d = self.inner.schedule(view, now);
+            let busy = !view.pending.is_empty();
+            if !busy {
+                assert_eq!(
+                    self.inner.cache.stats(),
+                    cache,
+                    "idle cycle at {now} probed the cache"
+                );
+            }
+            // One owner: a running or just-placed job has no cache entry.
+            let live = view.running.iter().map(|r| r.spec.id);
+            for job in live.chain(d.placements.iter().map(|p| p.job)) {
+                assert!(!self.inner.cache.contains(job), "{job:?} cached at {now}");
+            }
             self.running_at_level[self.inner.degradation_level() as usize] += view.running.len();
             self.decisions.push(format!("{now}: {d:?}"));
-            let busy = !view.pending.is_empty();
             self.cycles.push((now, busy, view.running.len()));
             self.tables.push(self.inner.running.state());
             if !busy && self.inner.running.exhausted() > 0 {
@@ -2538,8 +2604,9 @@ mod tests {
         let spec = JobSpec::new(1, 0.0, 1, 100.0, JobKind::BestEffort)
             .with_attributes(threesigma_cluster::Attributes::new().with("user", "alice"));
         s.on_job_submitted(&spec, 0.0);
-
-        // The engine reports a kill 30 s into the attempt.
+        // Placed: the estimate moves to the attempt, which the engine
+        // reports killed 30 s in.
+        assert!(s.cache.take(spec.id).is_some());
         s.on_job_killed(&spec, 30.0, true, 30.0);
 
         let qs = s.predictor.quick_stats();
@@ -2548,12 +2615,12 @@ mod tests {
             qs.observations, obs_before,
             "the truncated runtime never reached the histograms"
         );
-        // The dead attempt's cached estimate was dropped, so the retry
-        // re-estimates from (unchanged) history.
+        // The dead attempt's estimate left the cache when it was placed,
+        // so the retry re-estimates from (unchanged) history.
         let d = s.cache.base(spec.id, || DiscreteDist::point(999.0));
         assert!(
             (d.mean() - 999.0).abs() < 1e-9,
-            "cache entry was invalidated"
+            "no cache entry outlived the attempt"
         );
     }
 
@@ -2764,8 +2831,10 @@ mod tests {
         }
         assert_eq!(s.cache.len(), 12, "current-epoch entries all survive");
         assert_eq!(s.stats().cache.evictions, 0);
-        // Job 1 completes: the epoch moves, the backlog goes stale, and the
-        // next insert evicts down toward the cap (smallest id first).
+        // Job 1 runs (its estimate leaves the cache) and completes: the
+        // epoch moves, the backlog goes stale, and the next insert evicts
+        // down toward the cap (smallest id first).
+        assert!(s.cache.take(jobs[0].id).is_some());
         s.on_job_completed(&jobs[0], &completed(&jobs[0], 42.0), 42.0);
         s.on_job_submitted(&spec(13), 42.0);
         assert_eq!(s.cache.len(), 4, "stale backlog evicted down to the cap");
@@ -2773,6 +2842,7 @@ mod tests {
         // Another completion bumps the epoch past the eviction. Touching an
         // evicted job must now run the estimator afresh — the pre-eviction
         // distribution is gone for good.
+        assert!(s.cache.take(jobs[9].id).is_some());
         s.on_job_completed(&jobs[9], &completed(&jobs[9], 42.0), 84.0);
         let d = s.cache.base(JobId(2), || DiscreteDist::point(777.0));
         assert!(
