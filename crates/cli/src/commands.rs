@@ -30,22 +30,22 @@ USAGE:
                        [--load L | --jobs-per-hour R] [--slack S] [--pretrain N])
                       [--scheduler NAME] [--cycle SECS] [--rc] [--out FILE]
                       [--cycle-budget-ms MS] [--max-retries N]
-                      [--solver-tier T] [--no-incremental]
+                      [--solver-tier T]
   threesigma compare  (--trace FILE | --env E [--hours H] [--seed N]
                        [--load L | --jobs-per-hour R] [--slack S] [--pretrain N])
                       [--cycle SECS] [--rc] [--ablations]
                       [--cycle-budget-ms MS] [--max-retries N]
-                      [--solver-tier T] [--no-incremental]
+                      [--solver-tier T]
   threesigma analyze  (--trace FILE | --env E [--jobs N] [--seed N])
   threesigma simtest  [--seed N | --iters K [--start-seed S]]
                       [--cycle-budget-ms MS] [--max-retries N]
-                      [--solver-tier T] [--no-incremental]
+                      [--solver-tier T]
                       [--crash [--crash-jobs N] [--kill-points K]]
   threesigma metrics  (--trace FILE | --env E [--hours H] [--seed N]
                        [--load L | --jobs-per-hour R] [--slack S] [--pretrain N])
                       [--scheduler NAME] [--cycle SECS] [--rc]
                       [--cycle-budget-ms MS] [--max-retries N]
-                      [--solver-tier T] [--no-incremental]
+                      [--solver-tier T]
                       [--json FILE] [--trace-out FILE]
   threesigma serve    [--input FILE|- | --listen ADDR]
                       [--racks N] [--nodes-per-rack N] [--cycle SECS]
@@ -79,9 +79,6 @@ metrics + simtest).
   --solver-tier T       pin the MILP backend: 0 greedy rounding, 1 LP+repair,
                         2 branch-and-bound. Default: the degradation ladder
                         picks the tier (level 0 → tier 2, …, level 2 → tier 0)
-  --no-incremental      disable the tier-2 cycle-over-cycle solution cache.
-                        Reuse is restricted to bit-identical models, so
-                        results are byte-identical with or without it.
 
 METRICS: run one instrumented simulation and export its counters.
   Prints a Prometheus-style text exposition to stdout.
@@ -223,9 +220,6 @@ fn experiment(args: &Args) -> Result<Experiment, CliError> {
     }
     if let Some(raw) = args.get("solver-tier") {
         exp.sched.solver_tier = Some(parse_solver_tier(raw)?);
-    }
-    if args.switch("no-incremental") {
-        exp.sched.incremental_solver = false;
     }
     Ok(exp)
 }
@@ -403,7 +397,6 @@ pub fn cmd_simtest(args: &Args) -> Result<String, CliError> {
     if let Some(raw) = args.get("solver-tier") {
         overrides.solver_tier = Some(parse_solver_tier(raw)?);
     }
-    overrides.no_incremental = args.switch("no-incremental");
     if let Some(raw) = args.get("seed") {
         let seed: u64 = raw.parse().map_err(|_| CliError::BadValue {
             option: "seed".into(),
@@ -502,7 +495,6 @@ const EXPERIMENT: &[&str] = &[
     "cycle-budget-ms",
     "max-retries",
     "solver-tier",
-    "no-incremental",
 ];
 
 /// One subcommand: its name, every `--flag` it reads (options and switches,
@@ -545,7 +537,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "cycle-budget-ms",
             "max-retries",
             "solver-tier",
-            "no-incremental",
             "crash",
             "crash-jobs",
             "kill-points",

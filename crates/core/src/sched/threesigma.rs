@@ -43,7 +43,7 @@ use threesigma_cluster::{
     JobId, JobSpec, PartitionId, Placement, Scheduler, SchedulingDecision, SimulationView,
 };
 use threesigma_histogram::RuntimeDistribution;
-use threesigma_milp::{solver_for_tier, IncrementalSolver, Solver, SolverConfig};
+use threesigma_milp::{solver_for_tier, SolverConfig};
 use threesigma_obs::{Counter, Gauge, Histogram, Recorder};
 use threesigma_predict::{AttributeSource, EstimatorKind, Predictor, PredictorConfig};
 
@@ -185,12 +185,6 @@ pub struct SchedConfig {
     /// degradation ladder (`--solver-tier`). The governor still walks the
     /// ladder and applies its work caps; only the solve backend is forced.
     pub solver_tier: Option<u8>,
-    /// Enable the cycle-over-cycle incremental tier-2 path: the cycle-N
-    /// model is diffed against cycle-N−1 and a bit-identical model with a
-    /// clean previous solve returns the cached solution. Reuse is gated to
-    /// provably-identical inputs, so reports are byte-identical with this
-    /// on or off (`--no-incremental` disables it).
-    pub incremental_solver: bool,
     /// Entry cap for the cross-cycle [`EstimateCache`] (serve mode; see
     /// [`EstimateCache::with_capacity`] for the eviction contract). `None`
     /// leaves the cache unbounded, which batch run lengths already bound.
@@ -228,7 +222,6 @@ impl Default for SchedConfig {
             cycle_budget: CycleBudget::Unlimited,
             budget_hysteresis: 3,
             solver_tier: None,
-            incremental_solver: true,
             cache_capacity: None,
             max_timings: None,
         }
@@ -373,8 +366,10 @@ pub struct SchedStats {
     pub tier1_cycles: u64,
     /// Cycles solved at tier 2 (full branch-and-bound).
     pub tier2_cycles: u64,
-    /// Tier-2 solves answered from the incremental cache (bit-identical
-    /// model, warm start, and budgets vs the previous cycle).
+    /// Retired: tier-2 solves once answered from a cross-cycle solution
+    /// cache that no longer exists. Nothing adds to it and it is not
+    /// exported as a metric; it stays so that snapshots written with it
+    /// still restore (see [`SchedSnapshot`]).
     pub incremental_reuses: u64,
     /// Presolve reductions across all cycles: variables fixed, rows
     /// absorbed, dominated options removed, and bounds tightened.
@@ -399,9 +394,12 @@ impl SchedStats {
 /// lifetime stats. Cache *entries* are deliberately absent — the cache
 /// holds pending jobs only (a placed job's estimate leaves it for the
 /// running attempt), a quiescent session has none, and any entry is
-/// re-derived on demand from the restored predictor — as is the
-/// incremental-solver state, whose reuse contract
-/// already guarantees byte-identical decisions with or without it.
+/// re-derived on demand from the restored predictor. The solver keeps
+/// nothing between cycles, so there is no solver state to save.
+///
+/// `totals` still carries the retired `SchedStats::incremental_reuses`:
+/// the snapshot reader requires every field, so dropping it would leave
+/// existing snapshots unrestorable until the format's next version bump.
 ///
 /// Field order is the byte-stability contract: serialisation is
 /// `serde_json` over this struct in declaration order, so the same state
@@ -454,7 +452,6 @@ struct SchedMetrics {
     tier0_cycles: Counter,
     tier1_cycles: Counter,
     tier2_cycles: Counter,
-    incremental_reuses: Counter,
     presolve_reductions: Counter,
     predict_tracked_values: Gauge,
     predict_tracked_values_limit: Gauge,
@@ -555,10 +552,6 @@ impl SchedMetrics {
                 "sched_solver_tier2_cycles_total",
                 "Cycles solved at tier 2 (full branch-and-bound)",
             ),
-            incremental_reuses: rec.counter(
-                "sched_incremental_reuses_total",
-                "Tier-2 solves answered from the incremental cache",
-            ),
             presolve_reductions: rec.counter(
                 "sched_presolve_reductions_total",
                 "Presolve reductions (fixed vars, rows, dominated options, bounds)",
@@ -643,7 +636,6 @@ impl SchedMetrics {
         self.tier0_cycles.set_total(stats.tier0_cycles);
         self.tier1_cycles.set_total(stats.tier1_cycles);
         self.tier2_cycles.set_total(stats.tier2_cycles);
-        self.incremental_reuses.set_total(stats.incremental_reuses);
         self.presolve_reductions
             .set_total(stats.presolve_reductions);
         // O(1): the full `predictor.stats()` scan over every tracked
@@ -808,10 +800,6 @@ pub struct ThreeSigmaScheduler {
     last_expert: Option<(&'static str, EstimatorKind)>,
     /// Degradation-governor state (level, hysteresis streak, last cost).
     governor: Governor,
-    /// Persistent tier-2 incremental solver, tagged with the budgets it
-    /// was built for. Rebuilt (dropping the cycle-N−1 cache — a budget
-    /// change invalidates the reuse contract) whenever the caps change.
-    incremental: Option<(SolverConfig, IncrementalSolver)>,
     /// Registered metric handles when a recorder is attached.
     obs: Option<SchedMetrics>,
     /// Runs idle cycles through the full MILP path (the differential
@@ -843,7 +831,6 @@ impl ThreeSigmaScheduler {
             totals: SchedStats::default(),
             last_expert: None,
             governor: Governor::default(),
-            incremental: None,
             obs: None,
             #[cfg(test)]
             full_idle_cycles: false,
@@ -1172,13 +1159,6 @@ impl Scheduler for ThreeSigmaScheduler {
             };
             self.running.advance(&cfg, view, now, estimate, None);
             let compile = compile_start.elapsed();
-            // The incremental solver answers a cycle from the one before it.
-            // This cycle solved nothing, so drop its entry: kept, the next
-            // busy cycle would diff against an older busy model term by term
-            // instead of against nothing.
-            if let Some((_, solver)) = &mut self.incremental {
-                solver.reset();
-            }
             self.totals.count_tier(tier);
             if cfg.record_plans {
                 self.plans.push(PlanRecord {
@@ -1214,7 +1194,6 @@ impl Scheduler for ThreeSigmaScheduler {
             plans,
             models,
             totals,
-            incremental,
             ..
         } = self;
 
@@ -1338,9 +1317,7 @@ impl Scheduler for ThreeSigmaScheduler {
 
         // ---- Stage 3: solve (status-quo warm start is always feasible).
         // The backend is picked by tier (tier = 2 − level unless pinned by
-        // `solver_tier`); tier 2 additionally routes through the persistent
-        // incremental wrapper so a bit-identical consecutive cycle is
-        // answered from cache. ----
+        // `solver_tier`). ----
         let milp_config = SolverConfig {
             node_limit: solver_nodes,
             time_limit: Some(solver_time),
@@ -1349,28 +1326,8 @@ impl Scheduler for ThreeSigmaScheduler {
         };
         let warm = vec![0.0; model.num_vars()];
         let solve_start = Stopwatch::start();
-        let solution = if tier == 2 && cfg.incremental_solver {
-            // Rebuild the persistent solver when the budgets change —
-            // dropping the cycle-N−1 cache, since the reuse contract is
-            // config-exact.
-            let stale = !matches!(incremental, Some((c, _)) if *c == milp_config);
-            if stale {
-                *incremental = None;
-            }
-            let (_, solver) = incremental.get_or_insert_with(|| {
-                (
-                    milp_config.clone(),
-                    IncrementalSolver::with_config(milp_config),
-                )
-            });
-            let reuses_before = solver.stats().reuses;
-            let solution = solver.solve_with_warm_start(&model, Some(&warm));
-            totals.incremental_reuses += solver.stats().reuses - reuses_before;
-            solution
-        } else {
-            let mut solver = solver_for_tier(tier, milp_config);
-            solver.solve_with_warm_start(&model, Some(&warm))
-        };
+        let solution =
+            solver_for_tier(tier, milp_config).solve_with_warm_start(&model, Some(&warm));
         let solver_elapsed = solve_start.elapsed();
 
         let milp_vars = model.num_vars();
@@ -2290,20 +2247,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_reuses_stay_within_cycle_count() {
-        // Identical consecutive cycles (no pending churn) may be answered
-        // from the incremental cache; the counter can never exceed cycles.
-        let mut s = scheduler(EstimateSource::OraclePoint);
-        let jobs: Vec<JobSpec> = (0..4)
-            .map(|i| JobSpec::new(i + 1, 0.0, 1, 50.0, JobKind::BestEffort))
-            .collect();
-        engine(1, 4).run(&jobs, &mut s).unwrap();
-        let stats = s.stats();
-        assert!(stats.incremental_reuses <= stats.cycles);
-        assert_eq!(stats.tier2_cycles, stats.cycles);
-    }
-
     /// Runs the inner scheduler, optionally dropping every carried Eq. 2
     /// conditional first, and logs what it decided and what its running-side
     /// table holds after every cycle.
@@ -2587,6 +2530,72 @@ mod tests {
             let compiled = idle.iter().any(|t| t.milp_vars > 0);
             assert_eq!(compiled, !fast, "preemption cost {cost}");
             assert_eq!(s.stats().tier2_cycles, s.stats().cycles);
+        }
+    }
+
+    #[test]
+    fn a_recorded_model_reproduces_its_plan() {
+        // The solver keeps nothing between cycles, so a busy cycle's dumped
+        // model, solved alone from the status-quo warm start, must give that
+        // cycle's answer. The text format carries no variable names, so the
+        // objective bits and node count stand in for the chosen jobs.
+        let mut s = ThreeSigmaScheduler::new(
+            SchedConfig {
+                record_models: true,
+                record_plans: true,
+                ..SchedConfig::default()
+            },
+            EstimateSource::OraclePoint,
+            PredictorConfig::default(),
+        );
+        let jobs: Vec<JobSpec> = (0..12u64)
+            .map(|i| {
+                let submit = (i / 3) as f64 * 20.0;
+                let duration = 30.0 + (i * 37 % 90) as f64;
+                let kind = if i % 2 == 0 {
+                    JobKind::Slo {
+                        deadline: submit + 300.0 + (i * 13 % 120) as f64,
+                    }
+                } else {
+                    JobKind::BestEffort
+                };
+                JobSpec::new(i + 1, submit, 1 + (i % 4) as u32, duration, kind)
+                    .with_weight(if i % 2 == 0 { 10.0 } else { 1.0 })
+            })
+            .collect();
+        engine(2, 4).run(&jobs, &mut s).unwrap();
+
+        let busy: Vec<(&CycleTiming, &PlanRecord)> = s
+            .timings()
+            .iter()
+            .zip(s.plans())
+            .filter(|(t, _)| t.pending > 0)
+            .collect();
+        assert_eq!(busy.len(), s.models().len());
+        assert!(busy.len() >= 10, "only {} busy cycles", busy.len());
+        assert!(busy.iter().any(|(t, _)| t.nodes > 1), "no cycle branched");
+        let config = SolverConfig {
+            node_limit: s.config.solver_nodes,
+            time_limit: None,
+            gap_tolerance: 1e-4,
+            ..SolverConfig::default()
+        };
+        for (i, ((timing, plan), text)) in busy.iter().zip(s.models()).enumerate() {
+            let model = threesigma_milp::Model::from_text(text).unwrap();
+            let warm = vec![0.0; model.num_vars()];
+            let replay =
+                solver_for_tier(2, config.clone()).solve_with_warm_start(&model, Some(&warm));
+            assert_eq!(
+                replay.objective.to_bits(),
+                plan.objective.to_bits(),
+                "busy cycle {i} at t={}",
+                plan.now
+            );
+            assert_eq!(
+                replay.nodes, timing.nodes,
+                "busy cycle {i} at t={}",
+                plan.now
+            );
         }
     }
 

@@ -21,8 +21,6 @@
 //!   solver tiers.
 //! * [`tiers`] — the [`Solver`] trait plus the cheap tier-0/1 backends that
 //!   mirror the scheduler's degradation ladder.
-//! * [`incremental`] — cycle-over-cycle model diffing and provably-safe
-//!   solution reuse for the tier-2 path.
 //! * [`text`] — bit-exact fixture serialisation for the differential
 //!   solver-oracle suite.
 //!
@@ -46,7 +44,6 @@
 
 pub mod branch;
 pub mod clock;
-pub mod incremental;
 pub mod model;
 pub mod presolve;
 pub mod simplex;
@@ -54,7 +51,6 @@ pub mod text;
 pub mod tiers;
 
 pub use branch::{BranchAndBound, MipSolution, MipStatus, SolverConfig};
-pub use incremental::{diff_models, IncrementalSolver, IncrementalStats, ModelDiff};
 pub use model::{Cmp, Model, VarId, VarKind};
 pub use presolve::{Presolve, PresolveStats};
 pub use simplex::{Basis, LpOutcome, LpSolution, LpWorkspace};

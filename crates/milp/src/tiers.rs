@@ -22,20 +22,17 @@ use crate::presolve::Presolve;
 use crate::simplex::{LpOutcome, LpWorkspace};
 
 /// Common interface of the solver tiers.
-///
-/// `&mut self` because stateful implementations (the incremental wrapper)
-/// carry previous-cycle artifacts between calls.
 pub trait Solver {
     /// Degradation tier this backend implements (0, 1, or 2).
     fn tier(&self) -> u8;
     /// Stable human-readable backend name (used in traces and stats).
     fn name(&self) -> &'static str;
     /// Solves `model` with no warm start.
-    fn solve(&mut self, model: &Model) -> MipSolution {
+    fn solve(&self, model: &Model) -> MipSolution {
         self.solve_with_warm_start(model, None)
     }
     /// Solves `model`, optionally seeding from a known-feasible assignment.
-    fn solve_with_warm_start(&mut self, model: &Model, warm: Option<&[f64]>) -> MipSolution;
+    fn solve_with_warm_start(&self, model: &Model, warm: Option<&[f64]>) -> MipSolution;
 }
 
 /// Builds the backend for a governor tier with the given budgets.
@@ -54,7 +51,7 @@ impl Solver for BranchAndBound {
     fn name(&self) -> &'static str {
         "branch-and-bound"
     }
-    fn solve_with_warm_start(&mut self, model: &Model, warm: Option<&[f64]>) -> MipSolution {
+    fn solve_with_warm_start(&self, model: &Model, warm: Option<&[f64]>) -> MipSolution {
         BranchAndBound::solve_with_warm_start(self, model, warm)
     }
 }
@@ -86,7 +83,7 @@ impl Solver for LpRepair {
     fn name(&self) -> &'static str {
         "lp-repair"
     }
-    fn solve_with_warm_start(&mut self, model: &Model, warm: Option<&[f64]>) -> MipSolution {
+    fn solve_with_warm_start(&self, model: &Model, warm: Option<&[f64]>) -> MipSolution {
         let config = SolverConfig {
             node_limit: self.config.node_limit.min(1),
             // Guarantee the round-and-repair heuristic fires at the root.
@@ -124,7 +121,7 @@ impl Solver for GreedyRounding {
     fn name(&self) -> &'static str {
         "greedy-rounding"
     }
-    fn solve_with_warm_start(&mut self, model: &Model, warm: Option<&[f64]>) -> MipSolution {
+    fn solve_with_warm_start(&self, model: &Model, warm: Option<&[f64]>) -> MipSolution {
         let pre = Presolve::run(model);
         let fail = |status: MipStatus, bound: f64, lp_iterations: usize| MipSolution {
             status,
@@ -265,7 +262,7 @@ mod tests {
         let m = knapsack();
         let reference = BranchAndBound::new().solve(&m);
         for t in 0..=2u8 {
-            let mut s = solver_for_tier(t, SolverConfig::default());
+            let s = solver_for_tier(t, SolverConfig::default());
             let sol = s.solve(&m);
             assert!(sol.has_solution(), "tier {t}");
             assert!(m.is_feasible(&sol.values, 1e-6), "tier {t}");
@@ -282,7 +279,7 @@ mod tests {
     fn every_tier_honours_the_warm_start_contract() {
         let (m, warm) = scheduler_shape();
         for t in 0..=2u8 {
-            let mut s = solver_for_tier(t, SolverConfig::default());
+            let s = solver_for_tier(t, SolverConfig::default());
             let sol = s.solve_with_warm_start(&m, Some(&warm));
             assert!(sol.has_solution(), "tier {t}");
             assert!(m.is_feasible(&sol.values, 1e-6), "tier {t}");

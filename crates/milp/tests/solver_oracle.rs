@@ -2,12 +2,11 @@
 //!
 //! Every `tests/fixtures/*.milp` file is a real scheduling-cycle MILP
 //! dumped by `cargo run --example dump_milp_fixtures` (bit-exact text
-//! format). Each fixture is replayed through all three solver tiers and
-//! the incremental wrapper, and the tiers are held to their contracts:
+//! format). Each fixture is replayed through all three solver tiers, and
+//! the tiers are held to their contracts:
 //!
-//! * tier 2 is deterministic: two cold solves are bit-for-bit identical;
-//! * the incremental wrapper is invisible: with or without a cache hit,
-//!   its answer is bit-for-bit the answer a fresh rebuild produces;
+//! * tier 2 is deterministic: two cold solves are bit-for-bit identical,
+//!   and each answer matches its recorded golden row;
 //! * tiers 0 and 1 are sound: whenever they claim a solution it is
 //!   feasible and its objective never exceeds tier 2's (maximisation).
 
@@ -16,13 +15,11 @@ mod common;
 use std::path::PathBuf;
 
 use common::fixtures;
-use threesigma_milp::{
-    solver_for_tier, BranchAndBound, IncrementalSolver, MipStatus, Solver, SolverConfig,
-};
+use threesigma_milp::{solver_for_tier, BranchAndBound, SolverConfig};
 
 /// The scheduler's stage-3 budgets, minus the wall clock (a wall-clock
-/// limit would make `timed_out` — and thus cache behaviour — machine-
-/// dependent; the node budget alone keeps every replay deterministic).
+/// limit would make `timed_out`, and with it the answer, machine-dependent;
+/// the node budget alone keeps every replay deterministic).
 fn oracle_config() -> SolverConfig {
     SolverConfig {
         node_limit: 150,
@@ -58,37 +55,6 @@ fn tier2_cold_solves_are_bit_for_bit_deterministic() {
 }
 
 #[test]
-fn incremental_reuse_matches_a_tier2_rebuild_bit_for_bit() {
-    for (name, model) in fixtures() {
-        let warm = vec![0.0; model.num_vars()];
-        let rebuild =
-            BranchAndBound::with_config(oracle_config()).solve_with_warm_start(&model, Some(&warm));
-
-        let mut inc = IncrementalSolver::with_config(oracle_config());
-        let first = inc.solve_with_warm_start(&model, Some(&warm));
-        let second = inc.solve_with_warm_start(&model, Some(&warm));
-        if rebuild.status == MipStatus::Optimal {
-            assert_eq!(
-                inc.stats().reuses,
-                1,
-                "{name}: clean optimal solve must be cached"
-            );
-        }
-        for (label, sol) in [("first", &first), ("second", &second)] {
-            assert_eq!(sol.status, rebuild.status, "{name} {label}");
-            assert_eq!(
-                sol.objective.to_bits(),
-                rebuild.objective.to_bits(),
-                "{name} {label}"
-            );
-            assert_eq!(bits(&sol.values), bits(&rebuild.values), "{name} {label}");
-            assert_eq!(sol.nodes, rebuild.nodes, "{name} {label}");
-            assert_eq!(sol.lp_iterations, rebuild.lp_iterations, "{name} {label}");
-        }
-    }
-}
-
-#[test]
 fn cheap_tiers_are_sound_and_never_beat_tier2() {
     for (name, model) in fixtures() {
         let warm = vec![0.0; model.num_vars()];
@@ -100,7 +66,7 @@ fn cheap_tiers_are_sound_and_never_beat_tier2() {
         );
 
         for tier in [0u8, 1] {
-            let mut solver = solver_for_tier(tier, oracle_config());
+            let solver = solver_for_tier(tier, oracle_config());
             assert_eq!(solver.tier(), tier);
             let sol = solver.solve_with_warm_start(&model, Some(&warm));
             assert!(

@@ -219,18 +219,12 @@ pub struct SeedOverrides {
     /// degradation level. Tiers 0/1 change which plan is chosen, so reports
     /// are tier-specific — but still byte-stable per tier.
     pub solver_tier: Option<u8>,
-    /// Disables the tier-2 incremental solution cache (`--no-incremental`).
-    /// Reuse is restricted to bit-identical consecutive models, so reports
-    /// must stay byte-identical either way — the corpus replay proves it.
-    pub no_incremental: bool,
 }
 
 impl SeedOverrides {
     fn is_default(&self) -> bool {
-        // `no_incremental` is deliberately ignored: work-unit cost is
-        // reuse-invariant, so the governor acceptance checks still hold. A
-        // pinned solver tier, however, changes which ladder rung does the
-        // work, so it disarms acceptance.
+        // A pinned solver tier changes which ladder rung does the work, so
+        // it disarms acceptance.
         self.max_retries.is_none() && self.cycle_budget_ms.is_none() && self.solver_tier.is_none()
     }
 }
@@ -255,7 +249,6 @@ fn three_sigma_for_with(scenario: &Scenario, overrides: &SeedOverrides) -> Three
             cycle_hint: scenario.cycle_interval,
             cycle_budget,
             solver_tier: overrides.solver_tier,
-            incremental_solver: !overrides.no_incremental,
             ..SchedConfig::default()
         },
         source,

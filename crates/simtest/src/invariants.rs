@@ -94,10 +94,6 @@ struct CounterProbe {
     /// Solver tier of the last cycle (`solver-tier-sanity`). Reads 0 for
     /// schedulers without a MILP stage.
     tier: Gauge,
-    /// Tier-2 incremental-cache reuses (`solver-tier-sanity` reuse bound).
-    incremental_reuses: Counter,
-    /// Scheduler cycle counter, the ceiling for `incremental_reuses`.
-    sched_cycles: Counter,
 }
 
 impl CounterProbe {
@@ -115,8 +111,6 @@ impl CounterProbe {
             level: g("sched_degradation_level"),
             cost: g("sched_cycle_cost_units"),
             tier: g("sched_solver_tier"),
-            incremental_reuses: c("sched_incremental_reuses_total"),
-            sched_cycles: c("sched_cycles_total"),
         }
     }
 }
@@ -420,25 +414,18 @@ impl CycleObserver for InvariantChecker {
         // solver-tier-sanity: the published solver tier is an integer in
         // {0, 1, 2}, moves at most one step per cycle (the ladder-mapped
         // tier inherits the governor's hysteresis; a pinned tier is
-        // constant), and the incremental cache can never claim more reuses
-        // than cycles run. Schedulers without a MILP stage leave the gauge
-        // at 0, so the checks hold vacuously.
+        // constant). Schedulers without a MILP stage leave the gauge at 0,
+        // so the checks hold vacuously.
         let (tier_ok, detail) = match &self.probe {
             Some(p) => {
                 let tier = p.tier.get();
                 let prev = self.last_tier;
-                let reuses = p.incremental_reuses.get();
-                let cycles = p.sched_cycles.get();
                 let mut ok = tier.fract() == 0.0 && (0.0..=2.0).contains(&tier);
                 if let Some(last) = prev {
                     ok &= (tier - last).abs() <= 1.0;
                 }
-                ok &= reuses <= cycles;
                 self.last_tier = Some(tier);
-                (
-                    ok,
-                    format!("tier={tier} (prev {prev:?}) reuses={reuses} cycles={cycles}"),
-                )
+                (ok, format!("tier={tier} (prev {prev:?})"))
             }
             None => (true, String::new()),
         };

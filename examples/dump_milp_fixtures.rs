@@ -4,7 +4,7 @@
 //! `record_models` enabled, dedupes the per-cycle MILP dumps, and writes
 //! them to `crates/milp/tests/fixtures/*.milp` in the bit-exact text
 //! format. The `solver_oracle` integration test replays every fixture
-//! through all three solver tiers and the incremental wrapper.
+//! through all three solver tiers.
 //!
 //! ```sh
 //! cargo run --release --example dump_milp_fixtures
