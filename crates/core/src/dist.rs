@@ -30,6 +30,15 @@ pub struct DiscreteDist {
     suffix: Vec<f64>,
 }
 
+/// Appends the survival table of `points` to `suffix`: every entry —
+/// including the empty tail — uses the same sum expression as the linear
+/// scan, so even the empty-sum zero has the same sign bit (`Iterator::sum`
+/// for floats starts from -0.0).
+fn fill_suffix(points: &[(f64, f64)], suffix: &mut Vec<f64>) {
+    let tails = std::iter::successors(Some(points), |tail| tail.split_first().map(|(_, t)| t));
+    suffix.extend(tails.map(|tail| tail.iter().map(|(_, p)| p).sum::<f64>()));
+}
+
 impl DiscreteDist {
     /// Builds from sorted points, precomputing the survival table.
     ///
@@ -39,17 +48,13 @@ impl DiscreteDist {
     /// The construction is O(n²) (n ≤ the configured `mass_points`,
     /// typically 40) and nothing amortises it: every caller pays it once
     /// per distribution built. In the scheduler those are estimate-cache
-    /// misses (a new or re-estimated job) and, for a running attempt, each
-    /// time its elapsed time crosses a mass point — the compile stage keeps
-    /// the conditional in between (`sched::compile`).
+    /// misses (a new or re-estimated job); a running attempt's conditional
+    /// rebuilds its table in place ([`Self::condition_into`]) each time its
+    /// elapsed time crosses a mass point, and the compile stage keeps it in
+    /// between (`sched::compile`).
     fn with_points(points: Vec<(f64, f64)>) -> Self {
-        let n = points.len();
-        // Every entry — including the empty tail at k = n — uses the same
-        // sum expression as the linear scan, so even the empty-sum zero has
-        // the same sign bit (`Iterator::sum` for floats starts from -0.0).
-        let suffix = (0..=n)
-            .map(|k| points[k..].iter().map(|(_, p)| p).sum())
-            .collect();
+        let mut suffix = Vec::with_capacity(points.len() + 1);
+        fill_suffix(&points, &mut suffix);
         Self { points, suffix }
     }
 
@@ -120,17 +125,33 @@ impl DiscreteDist {
     /// exhausted — an under-estimate), the conditional collapses to a point
     /// mass at `elapsed`; the caller layers exp-inc handling on top.
     pub fn condition(&self, elapsed: f64) -> Self {
-        let kept: Vec<(f64, f64)> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t > elapsed)
-            .copied()
-            .collect();
-        let total: f64 = kept.iter().map(|(_, p)| p).sum();
+        let mut out = Self {
+            points: Vec::new(),
+            suffix: Vec::new(),
+        };
+        self.condition_into(elapsed, &mut out);
+        out
+    }
+
+    /// [`Self::condition`] into `out`'s buffers: it keeps the points past
+    /// `elapsed`, divides them by their sum (or falls back to a point mass
+    /// at `elapsed` when that sum is at most 1e-12) and rebuilds the
+    /// survival table, without allocating once `out` has room.
+    pub fn condition_into(&self, elapsed: f64, out: &mut DiscreteDist) {
+        let DiscreteDist { points, suffix } = out;
+        points.clear();
+        points.extend(self.points.iter().filter(|(t, _)| *t > elapsed));
+        let total: f64 = points.iter().map(|(_, p)| p).sum();
         if total <= 1e-12 {
-            return Self::point(elapsed);
+            points.clear();
+            points.push((elapsed.max(0.0), 1.0));
+        } else {
+            for (_, p) in points.iter_mut() {
+                *p /= total;
+            }
         }
-        Self::with_points(kept.into_iter().map(|(t, p)| (t, p / total)).collect())
+        suffix.clear();
+        fill_suffix(points, suffix);
     }
 
     /// `P(T > t)` — probability the job still holds resources after running
@@ -352,6 +373,82 @@ mod tests {
         assert_eq!(d.mean(), 100.0);
         assert_eq!(d.variance(), 2500.0);
         assert_eq!(DiscreteDist::point(42.0).variance(), 0.0);
+    }
+
+    /// `condition` as it was written before `condition_into`: a fresh
+    /// filter-and-collect, divided by the kept sum, built by `with_points`.
+    fn reference_condition(d: &DiscreteDist, elapsed: f64) -> DiscreteDist {
+        let kept: Vec<(f64, f64)> = d
+            .points
+            .iter()
+            .filter(|(t, _)| *t > elapsed)
+            .copied()
+            .collect();
+        let total: f64 = kept.iter().map(|(_, p)| p).sum();
+        if total <= 1e-12 {
+            return DiscreteDist::point(elapsed);
+        }
+        DiscreteDist::with_points(kept.into_iter().map(|(t, p)| (t, p / total)).collect())
+    }
+
+    fn bits(d: &DiscreteDist) -> (Vec<(u64, u64)>, Vec<u64>) {
+        (
+            (d.points.iter())
+                .map(|(t, p)| (t.to_bits(), p.to_bits()))
+                .collect(),
+            d.suffix.iter().map(|s| s.to_bits()).collect(),
+        )
+    }
+
+    proptest::proptest! {
+        /// `condition_into` into one buffer reused across two priors and
+        /// many elapsed times equals a fresh `condition`, and the
+        /// filter-and-collect reference, bit for bit — points and survival
+        /// table — so nothing of an earlier result survives in the buffer:
+        /// priors with duplicate abscissae and masses below the 1e-12
+        /// floor, elapsed times on, one ulp either side of, and past
+        /// support points, and before zero.
+        #[test]
+        fn condition_into_matches_condition_bit_for_bit(
+            mut times in proptest::collection::vec(1.0f64..500.0, 1..12),
+            weights in proptest::collection::vec(0.0f64..1.0, 12),
+            tiny in proptest::collection::vec(0u8..4, 12),
+            dups in proptest::collection::vec(0u8..3, 12),
+            steps in proptest::collection::vec(0.0f64..1.0, 1..24),
+            nudges in proptest::collection::vec(0u8..5, 24),
+        ) {
+            times.sort_by(f64::total_cmp);
+            for i in 1..times.len() {
+                if dups[i] == 0 {
+                    times[i] = times[i - 1];
+                }
+            }
+            let raw: Vec<f64> = (0..times.len())
+                .map(|i| if tiny[i] == 0 { 1e-15 } else { 0.05 + weights[i] })
+                .collect();
+            let total: f64 = raw.iter().sum();
+            let prior = DiscreteDist::from_points(
+                times.iter().zip(&raw).map(|(t, w)| (*t, w / total)).collect(),
+            );
+            let priors = [prior.scale(1.5), prior];
+            let mut out = DiscreteDist::point(0.0);
+            for (i, (step, nudge)) in steps.iter().zip(&nudges).enumerate() {
+                let d = &priors[i % 2];
+                let k = (step * (d.points().len() + 1) as f64) as usize;
+                let target = d.points().get(k).map_or(d.upper() + 100.0 * step, |p| p.0);
+                let elapsed = match nudge {
+                    0 => target,
+                    1 => f64::from_bits(target.to_bits() - 1),
+                    2 => f64::from_bits(target.to_bits() + 1),
+                    3 => -step,
+                    _ => step * d.upper(),
+                };
+                d.condition_into(elapsed, &mut out);
+                let want = bits(&reference_condition(d, elapsed));
+                proptest::prop_assert_eq!(bits(&d.condition(elapsed)), want.clone(), "at {}", elapsed);
+                proptest::prop_assert_eq!(bits(&out), want, "at {}", elapsed);
+            }
+        }
     }
 
     #[test]

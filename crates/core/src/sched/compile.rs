@@ -28,7 +28,9 @@
 //! the table before every cycle, or refresh it every cycle, and compare
 //! MILP text). The walk is a key-sorted `Vec` merged against the view's
 //! running set (which the simulator lists in id order): no lookups, and
-//! no allocation in steady state.
+//! no allocation in steady state. The table also keeps the cycle's MILP
+//! and the buffers its rows are built from; a busy cycle clears and
+//! rebuilds them, building every row already in variable order.
 
 use std::sync::Arc;
 
@@ -38,7 +40,7 @@ use threesigma_milp::{Cmp, Model, VarId};
 use crate::dist::DiscreteDist;
 use crate::sched::feasibility::mask_capacity;
 use crate::sched::groups::MaskGroups;
-use crate::sched::options::{CompiledOption, JobOptions, OptionBuckets, RackMask};
+use crate::sched::options::{contained_options, CompiledOption, JobOptions, RackMask};
 use crate::sched::threesigma::SchedConfig;
 
 /// Stage 1's output, as stage 2 reads it. The three per-job slices are
@@ -66,37 +68,39 @@ pub(crate) struct RunningJob {
     pub preempt_var: Option<VarId>,
 }
 
-/// The running set as compiled: one [`RunningJob`] per attempt in view
-/// order, with the per-partition node counts in one flat buffer.
-pub(crate) struct RunningSide {
-    jobs: Vec<RunningJob>,
-    /// `jobs.len()` rows of `stride` node counts.
-    nodes: Vec<u32>,
-    stride: usize,
-}
-
-impl RunningSide {
-    /// Each running attempt with the nodes it holds per partition.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&RunningJob, &[u32])> {
-        self.jobs.iter().zip(self.nodes.chunks_exact(self.stride))
-    }
-}
-
 /// Stage 2's output: the MILP plus what extraction needs to read a
-/// solution back.
+/// solution back. The [`RunningTable`] keeps it and rebuilds it in place
+/// every busy cycle.
+#[derive(Default)]
 pub(crate) struct CompiledModel {
     /// The cycle's MILP.
     pub model: Model,
     /// Options that got a binary, in variable order.
     pub compiled: Vec<CompiledOption>,
-    /// The running set and its preemption indicators.
-    pub running: RunningSide,
+    /// The running set in view order, with its preemption indicators.
+    pub running: Vec<RunningJob>,
     /// Jobs to cancel: SLO jobs whose every option is worthless (if
     /// configured), and gangs wider than every mask group.
     pub hopeless: Vec<JobId>,
     /// Options dropped because their gang cannot fit under the mask
     /// (clusters of more than one mask group only).
     pub pruned: u64,
+}
+
+/// The compile's row-building buffers, refilled per job, per (group, mask)
+/// or per row and kept for their allocations.
+#[derive(Default)]
+struct RowScratch {
+    /// One job's option binaries.
+    vars: Vec<VarId>,
+    /// One row's terms, in variable order.
+    terms: Vec<(VarId, f64)>,
+    /// The (group, mask)'s options, in variable order.
+    contained: Vec<usize>,
+    /// The (group, mask)'s running members: (attempt in view order, nodes
+    /// it holds inside the set, its preemption indicator), nonzero
+    /// footprints only.
+    members: Vec<(usize, u32, Option<VarId>)>,
 }
 
 /// §4.2.1 exponential-increment step with saturating arithmetic, on one
@@ -149,24 +153,23 @@ struct Conditional {
 }
 
 impl Conditional {
-    /// The conditional of `prior` at `elapsed`; `grid` lends its buffer
-    /// only (no epoch is current yet).
-    fn new(prior: &DiscreteDist, elapsed: f64, grid: Vec<f64>) -> Self {
+    /// The conditional of `prior` at `elapsed`.
+    fn new(prior: &DiscreteDist, elapsed: f64) -> Self {
         let dist = prior.condition(elapsed);
         Self {
             from: elapsed,
             lower: dist.lower(),
             mass: dist.survival(f64::NEG_INFINITY),
             dist,
-            grid,
+            grid: Vec::new(),
             grid_epoch: 0,
         }
     }
 
     /// Brings `slot` to the conditional of `prior` at `elapsed`: kept while
     /// conditioning would rebuild it bit for bit (`from ≤ elapsed <
-    /// lower`, see the module docs), otherwise rebuilt in place, reusing
-    /// the box and the grid buffer.
+    /// lower`, see the module docs), otherwise re-conditioned in place,
+    /// into the box's own point, survival and grid buffers.
     fn refresh<'c>(
         slot: &'c mut Option<Box<Self>>,
         prior: &DiscreteDist,
@@ -175,12 +178,15 @@ impl Conditional {
         match slot {
             Some(c) => {
                 if !(c.from <= elapsed && elapsed < c.lower) {
-                    let grid = std::mem::take(&mut c.grid);
-                    **c = Self::new(prior, elapsed, grid);
+                    prior.condition_into(elapsed, &mut c.dist);
+                    c.from = elapsed;
+                    c.lower = c.dist.lower();
+                    c.mass = c.dist.survival(f64::NEG_INFINITY);
+                    c.grid_epoch = 0;
                 }
                 c
             }
-            None => slot.insert(Box::new(Self::new(prior, elapsed, Vec::new()))),
+            None => slot.insert(Box::new(Self::new(prior, elapsed))),
         }
     }
 
@@ -273,7 +279,9 @@ type AttemptKey = (JobId, u64);
 /// Cross-cycle table of running attempts; owns the running side of MILP
 /// compilation. Each cycle merges the view's running set (id order) into
 /// last cycle's table, so an attempt no longer running is simply not
-/// carried over.
+/// carried over. It also keeps the compiled model and every per-cycle
+/// buffer the compile fills, so a busy cycle builds into last cycle's
+/// allocations.
 #[derive(Default)]
 pub(crate) struct RunningTable {
     /// This cycle's attempts, sorted by key.
@@ -288,6 +296,12 @@ pub(crate) struct RunningTable {
     /// The grid slots (`slots[1..]`) the current `grid_epoch` stands for.
     grid: Vec<f64>,
     grid_epoch: u64,
+    /// The last busy walk's survivals, slot-major: attempt `ri` (view
+    /// order) at slot `si` is `survivals[si * running + ri]`.
+    survivals: Vec<f64>,
+    /// The last busy cycle's compiled model.
+    out: CompiledModel,
+    scratch: RowScratch,
 }
 
 impl RunningTable {
@@ -300,7 +314,10 @@ impl RunningTable {
     /// Compiles the cycle's MILP: a binary and demand row per generated
     /// option, a preemption indicator per running best-effort job, and one
     /// capacity row per (equivalence set, slot) charging options (Eq. 3)
-    /// and running attempts (Eq. 2) their expected consumption.
+    /// and running attempts (Eq. 2) their expected consumption. Every row
+    /// is built in variable order — option binaries come first and
+    /// preemption indicators follow in view order — so the model appends
+    /// it without sorting.
     pub(crate) fn compile(
         &mut self,
         cfg: &SchedConfig,
@@ -308,18 +325,40 @@ impl RunningTable {
         now: f64,
         gen: &Generated<'_>,
         estimate: impl Fn(&JobSpec) -> DiscreteDist,
-    ) -> CompiledModel {
+    ) -> &CompiledModel {
         let Generated {
             groups,
             slots,
             space_masks,
             ..
         } = *gen;
+        // Running jobs' conditional consumption, slot-major in `survivals`.
+        self.advance(cfg, view, now, estimate, Some(slots));
+        let Self {
+            survivals,
+            out,
+            scratch,
+            ..
+        } = self;
+        let CompiledModel {
+            model,
+            compiled,
+            running,
+            hopeless,
+            pruned,
+        } = out;
+        let RowScratch {
+            vars,
+            terms,
+            contained,
+            members,
+        } = scratch;
+        model.clear();
+        compiled.clear();
+        running.clear();
+        hopeless.clear();
+        *pruned = 0;
         let multi_group = groups.num_groups() > 1;
-        let mut model = Model::new();
-        let mut compiled: Vec<CompiledOption> = Vec::new();
-        let mut hopeless: Vec<JobId> = Vec::new();
-        let mut pruned = 0u64;
         let jobs = gen
             .job_options
             .iter()
@@ -327,7 +366,7 @@ impl RunningTable {
             .zip(gen.job_groups);
         for (job_idx, ((jo, spec), &group)) in jobs.enumerate() {
             let (group_start, group_len) = groups.group_range(group);
-            let mut vars = Vec::with_capacity(jo.options.len());
+            vars.clear();
             for o in &jo.options {
                 // Multiple groups only: drop options whose gang cannot fit
                 // the static capacity under the mask, so a group never
@@ -336,7 +375,7 @@ impl RunningTable {
                 if multi_group
                     && spec.tasks > mask_capacity(view.cluster, group_start, group_len, o.mask)
                 {
-                    pruned += 1;
+                    *pruned += 1;
                     continue;
                 }
                 let var = model.add_binary(o.utility);
@@ -365,25 +404,15 @@ impl RunningTable {
                 continue;
             }
             // Demand: at most one option per job.
-            let terms: Vec<(VarId, f64)> = vars.iter().map(|v| (*v, 1.0)).collect();
-            model.add_constraint(&terms, Cmp::Le, 1.0);
-            model.add_sos1(&vars);
+            terms.clear();
+            terms.extend(vars.iter().map(|v| (*v, 1.0)));
+            model.add_constraint(terms, Cmp::Le, 1.0);
+            model.add_sos1(vars);
         }
 
-        // Running jobs: conditional consumption (one row of `survivals` per
-        // attempt, in view order) plus, for best-effort jobs, a preemption
-        // indicator and the nodes it would free.
-        let mut survivals: Vec<f64> = Vec::with_capacity(view.running.len() * slots.len());
-        self.advance(cfg, view, now, estimate, Some((slots, &mut survivals)));
-        let stride = view.cluster.num_partitions().max(1);
-        let mut running: Vec<RunningJob> = Vec::with_capacity(view.running.len());
-        let mut nodes = vec![0u32; view.running.len() * stride];
-        for (r, nodes_by_part) in view.running.iter().zip(nodes.chunks_exact_mut(stride)) {
-            for (p, n) in r.allocation {
-                if let Some(held) = nodes_by_part.get_mut(p.index()) {
-                    *held += n;
-                }
-            }
+        // Best-effort running jobs get a preemption indicator, crediting
+        // the nodes it would free.
+        for r in &view.running {
             let preempt_var = if cfg.preemption_enabled && !r.spec.kind.is_slo() {
                 Some(model.add_binary(-cfg.preemption_cost * r.spec.utility_weight.max(1.0)))
             } else {
@@ -395,76 +424,73 @@ impl RunningTable {
             });
         }
 
-        // Capacity rows per (equivalence set, slot). The (mask, slot)
-        // buckets hand each row exactly the options contained in its set
-        // that have started by its slot — no full-option scan per row.
-        let buckets = OptionBuckets::build(&compiled, slots.len());
-        let mut footprints: Vec<u32> = Vec::with_capacity(running.len());
+        // Capacity rows per (equivalence set, slot): each charges the
+        // options contained in its set that have started by its slot, and
+        // the set's running members their surviving nodes.
+        let n = running.len();
         for &(g, mask) in space_masks {
             let (group_start, group_len) = groups.group_range(g);
             let cap = mask_capacity(view.cluster, group_start, group_len, mask) as f64;
+            contained.clear();
+            contained.extend(contained_options(compiled, g, mask));
             // `mask` bits are group-local: bit i ↔ global partition
             // group_start + i (identity on single-group clusters).
-            footprints.clear();
-            footprints.extend(nodes.chunks_exact(stride).map(|row| {
-                row.iter()
-                    .skip(group_start)
-                    .take(group_len)
-                    .enumerate()
-                    .filter(|(i, _)| mask.contains(*i))
-                    .map(|(_, n)| *n)
-                    .sum::<u32>()
+            let inside = |p: usize| {
+                p.checked_sub(group_start)
+                    .is_some_and(|i| i < group_len && mask.contains(i))
+            };
+            members.clear();
+            let attempts = view.running.iter().zip(running.iter()).enumerate();
+            members.extend(attempts.filter_map(|(ri, (r, job))| {
+                let held: u32 = (r.allocation.iter())
+                    .filter(|(p, _)| inside(p.index()))
+                    .map(|(_, held)| *held)
+                    .sum();
+                (held > 0).then_some((ri, held, job.preempt_var))
             }));
             for (si, &t) in slots.iter().enumerate() {
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                buckets.for_each_contained(g, mask, si, |oi| {
+                terms.clear();
+                for &oi in contained.iter() {
                     let opt = &compiled[oi];
+                    if opt.slot > si {
+                        continue;
+                    }
                     let rc = opt.dist.survival(t - slots[opt.slot]);
                     let coeff = opt.tasks * rc;
                     if coeff > 1e-6 {
                         terms.push((opt.var, coeff));
                     }
-                });
+                }
                 // Running usage inside this set, creditable by preemption.
+                let at_slot = survivals.get(si * n..(si + 1) * n).unwrap_or_default();
                 let mut used = 0.0;
-                let at_slot = survivals.iter().skip(si).step_by(slots.len().max(1));
-                for ((ri, &nodes_in), &surv) in running.iter().zip(&footprints).zip(at_slot) {
-                    if nodes_in == 0 {
+                for &(ri, held, preempt_var) in members.iter() {
+                    let Some(&survival) = at_slot.get(ri) else {
                         continue;
-                    }
-                    let usage = nodes_in as f64 * surv;
+                    };
+                    let usage = held as f64 * survival;
                     if usage <= 1e-6 {
                         continue;
                     }
                     used += usage;
-                    if let Some(pv) = ri.preempt_var {
+                    if let Some(pv) = preempt_var {
                         terms.push((pv, -usage));
                     }
                 }
                 if !terms.is_empty() {
-                    model.add_constraint(&terms, Cmp::Le, cap - used);
+                    model.add_constraint(terms, Cmp::Le, cap - used);
                 }
             }
         }
-        CompiledModel {
-            model,
-            compiled,
-            running: RunningSide {
-                jobs: running,
-                nodes,
-                stride,
-            },
-            hopeless,
-            pruned,
-        }
+        out
     }
 
     /// The per-cycle walk of the running set. Every cycle gives new
     /// attempts their priors and steps exp-inc for exhausted ones; that is
     /// all an idle cycle (nothing pending, no model) does. A busy cycle
-    /// passes `busy` — its slots and a buffer — and also brings the grid
-    /// epoch, Eq. 2 conditionals and grid survivals up to date, appending
-    /// each attempt's survival at every slot, in view order; its reuse
+    /// passes its `slots` and also brings the grid epoch, Eq. 2
+    /// conditionals and grid survivals up to date, writing each attempt's
+    /// survival at every slot into `survivals` (slot-major); its reuse
     /// rules rebuild whatever idle cycles left stale, bit for bit.
     ///
     /// Last cycle's table is merged against `view.running` with a cursor
@@ -477,11 +503,11 @@ impl RunningTable {
         view: &SimulationView<'_>,
         now: f64,
         estimate: impl Fn(&JobSpec) -> DiscreteDist,
-        busy: Option<(&[f64], &mut Vec<f64>)>,
+        busy: Option<&[f64]>,
     ) {
-        let (slots, mut survivals) = busy.map_or((&[] as &[f64], None), |(s, out)| (s, Some(out)));
+        let slots = busy.unwrap_or_default();
         let later = slots.get(1..).unwrap_or_default();
-        if survivals.is_some() && self.grid != later {
+        if busy.is_some() && self.grid != later {
             self.grid.clear();
             self.grid.extend_from_slice(later);
             self.grid_epoch += 1;
@@ -491,9 +517,15 @@ impl RunningTable {
             spare,
             placed,
             grid_epoch,
+            survivals,
             ..
         } = self;
-        let mut visit = |r: &ViewJob<'_>, carried: Option<Attempt>| {
+        let n = view.running.len();
+        if busy.is_some() {
+            survivals.clear();
+            survivals.resize(n * slots.len(), 0.0);
+        }
+        let mut visit = |ri: usize, r: &ViewJob<'_>, carried: Option<Attempt>| {
             let mut attempt = carried.unwrap_or_else(|| Attempt::first_sight(r, placed, &estimate));
             let elapsed = r.elapsed(now);
             let start = r.start_time;
@@ -510,26 +542,26 @@ impl RunningTable {
                     est_total_runtime: elapsed + cfg.cycle_hint,
                 };
             }
+            // Attempt `ri`'s survival at each slot, for a busy cycle.
+            let column = survivals.iter_mut().skip(ri).step_by(n);
             match phase {
                 Phase::ExpInc {
                     increments,
                     est_total_runtime,
                 } => {
                     let est = exp_inc(increments, est_total_runtime, elapsed, cfg.cycle_hint);
-                    if let Some(out) = survivals.as_deref_mut() {
-                        out.extend(
-                            slots
-                                .iter()
-                                .map(|t| DiscreteDist::point_survival(est, t - start)),
-                        );
+                    for (out, t) in column.zip(slots) {
+                        *out = DiscreteDist::point_survival(est, t - start);
                     }
                 }
                 Phase::Conditioned(cond) => {
-                    if let Some(out) = survivals.as_deref_mut() {
+                    if busy.is_some() {
                         let cond = Conditional::refresh(cond, prior, elapsed);
                         cond.refresh_grid(later, *grid_epoch, start);
-                        out.extend(slots.first().map(|t| cond.survival(t - start)));
-                        out.extend_from_slice(&cond.grid);
+                        let first = slots.first().map(|t| cond.survival(t - start));
+                        for (out, s) in column.zip(first.iter().chain(&cond.grid)) {
+                            *out = *s;
+                        }
                     }
                 }
             }
@@ -537,24 +569,24 @@ impl RunningTable {
         };
         let key_of = |r: &ViewJob<'_>| (r.spec.id, r.start_time.to_bits());
         std::mem::swap(attempts, spare);
-        attempts.reserve(view.running.len());
+        attempts.reserve(n);
         if view.running.is_sorted_by(|a, b| key_of(a) < key_of(b)) {
             let mut old = spare.drain(..).peekable();
-            for r in &view.running {
+            for (ri, r) in view.running.iter().enumerate() {
                 let key = key_of(r);
                 while old.next_if(|(k, _)| *k < key).is_some() {}
                 let carried = old.next_if(|(k, _)| *k == key).map(|(_, a)| a);
-                attempts.push((key, visit(r, carried)));
+                attempts.push((key, visit(ri, r, carried)));
             }
         } else {
-            for r in &view.running {
+            for (ri, r) in view.running.iter().enumerate() {
                 let key = key_of(r);
                 let carried = spare
                     .binary_search_by(|(k, _)| k.cmp(&key))
                     .ok()
                     .and_then(|i| spare.get(i))
                     .map(|(_, a)| a.clone());
-                attempts.push((key, visit(r, carried)));
+                attempts.push((key, visit(ri, r, carried)));
             }
             attempts.sort_unstable_by_key(|(k, _)| *k);
         }
@@ -569,6 +601,7 @@ impl RunningTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::options::GenOption;
     use proptest::prelude::*;
     use std::alloc::{GlobalAlloc, Layout, System};
     use threesigma_cluster::{ClusterSpec, JobKind, PartitionId, RunningJob as ViewJob};
@@ -786,7 +819,7 @@ mod tests {
         };
         let cfg = SchedConfig::default();
         let compiled = table.compile(&cfg, &view, now, &generated, |_| estimate.clone());
-        assert_eq!(compiled.running.iter().count(), usize::from(running));
+        assert_eq!(compiled.running.len(), usize::from(running));
         compiled.model.to_text()
     }
 
@@ -807,7 +840,6 @@ mod tests {
         let mut priors: Vec<Arc<DiscreteDist>> = Vec::new();
         for (cycle, now) in [600.0, 601.0, 602.0].into_iter().enumerate() {
             let slots = [now, 660.0, 720.0, 780.0];
-            let mut survivals = Vec::new();
             let busy = cycle != 1;
             table.advance(
                 &SchedConfig::default(),
@@ -817,7 +849,7 @@ mod tests {
                     calls.set(calls.get() + 1);
                     fleet.priors[spec.id.0 as usize - 1].clone()
                 },
-                busy.then_some((&slots[..], &mut survivals)),
+                busy.then_some(&slots[..]),
             );
             assert_eq!(calls.get(), 1, "only job 4, handed nothing, is estimated");
             assert!(
@@ -985,7 +1017,8 @@ mod tests {
                 preemption_enabled: preemption_off > 0,
                 ..SchedConfig::default()
             };
-            let compiled = RunningTable::default().compile(&cfg, &view, now, &generated, |spec| {
+            let mut table = RunningTable::default();
+            let compiled = table.compile(&cfg, &view, now, &generated, |spec| {
                 priors[spec.id.0 as usize - 1].clone()
             });
             prop_assert!(compiled.compiled.is_empty() && compiled.hopeless.is_empty());
@@ -1006,7 +1039,7 @@ mod tests {
                     "tier {tier}: {:?}",
                     solution.values
                 );
-                for (job, _) in compiled.running.iter() {
+                for job in &compiled.running {
                     if let Some(pv) = job.preempt_var {
                         prop_assert!(solution.values[pv.index()] <= 0.5, "tier {tier} preempts");
                     }
@@ -1094,18 +1127,19 @@ mod tests {
             now: f64,
         ) -> Vec<(JobId, Vec<u64>)> {
             let slots = [now, 660.0, 720.0, 780.0];
-            let mut survivals = Vec::new();
             table.advance(
                 &SchedConfig::default(),
                 &self.view(order, now),
                 now,
                 |spec| self.estimate(spec),
-                Some((&slots, &mut survivals)),
+                Some(&slots),
             );
-            let mut by_id: Vec<(JobId, Vec<u64>)> = order
-                .iter()
-                .zip(survivals.chunks_exact(slots.len()))
-                .map(|(&i, s)| (self.specs[i].id, s.iter().map(|x| x.to_bits()).collect()))
+            let n = order.len();
+            let mut by_id: Vec<(JobId, Vec<u64>)> = (order.iter().enumerate())
+                .map(|(ri, &i)| {
+                    let at = |si: usize| table.survivals[si * n + ri].to_bits();
+                    (self.specs[i].id, (0..slots.len()).map(at).collect())
+                })
                 .collect();
             by_id.sort_by_key(|(id, _)| *id);
             by_id
@@ -1205,7 +1239,6 @@ mod tests {
             let (mut lazy, mut eager) = (RunningTable::default(), RunningTable::default());
             let cfg = SchedConfig::default();
             let mut now = 900.0;
-            let mut scratch = Vec::new();
             for cycle in 0..steps.len() {
                 now += steps[cycle];
                 let order: Vec<usize> = (0..fleet.specs.len())
@@ -1228,8 +1261,7 @@ mod tests {
                     let slots: Vec<f64> = std::iter::once(now)
                         .chain((1..windows[cycle]).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
                         .collect();
-                    scratch.clear();
-                    eager.advance(&cfg, &view, now, |spec| fleet.estimate(spec), Some((&slots, &mut scratch)));
+                    eager.advance(&cfg, &view, now, |spec| fleet.estimate(spec), Some(&slots));
                 }
                 prop_assert_eq!(lazy.state(), eager.state(), "decision state after cycle {}", cycle);
             }
@@ -1317,23 +1349,167 @@ mod tests {
         let (fleet, mut table) = steady_state();
         let order: Vec<usize> = (0..12).collect();
         let cfg = SchedConfig::default();
-        let mut survivals: Vec<f64> = Vec::with_capacity(12 * 4);
         for now in [602.0, 603.0, 604.0] {
             let view = fleet.view(&order, now);
             let slots = [now, 660.0, 720.0, 780.0];
-            survivals.clear();
             let spent = allocations_of(|| {
-                table.advance(
-                    &cfg,
-                    &view,
-                    now,
-                    |spec| fleet.estimate(spec),
-                    Some((&slots, &mut survivals)),
-                );
+                table.advance(&cfg, &view, now, |spec| fleet.estimate(spec), Some(&slots));
             });
             assert_eq!(spent, 0, "running walk at {now}");
-            assert_eq!(survivals.len(), 12 * slots.len());
+            assert_eq!(table.survivals.len(), 12 * slots.len());
         }
+    }
+
+    /// Allocations of each of four busy compiles of `attempts` running
+    /// attempts and three pending jobs, each with an option per slot of a
+    /// `plan_slots` window in two equivalence sets.
+    fn compile_allocations(attempts: u64, plan_slots: usize) -> Vec<usize> {
+        let fleet = Fleet::new(attempts);
+        let order: Vec<usize> = (0..fleet.specs.len()).collect();
+        let pending: Vec<JobSpec> = (100..103)
+            .map(|id| JobSpec::new(id, 500.0, 2, 300.0, JobKind::BestEffort))
+            .collect();
+        let considered: Vec<&JobSpec> = pending.iter().collect();
+        let groups = MaskGroups::new(4);
+        let space_masks = [(0, groups.group_mask(0)), (0, RackMask::single(1))];
+        let dist = Arc::new(DiscreteDist::from_points(vec![(100.0, 0.5), (400.0, 0.5)]));
+        let job_options: Vec<JobOptions> = (0..pending.len())
+            .map(|j| JobOptions {
+                options: (space_masks.iter())
+                    .flat_map(|&(_, mask)| (0..plan_slots).map(move |slot| (mask, slot)))
+                    .map(|(mask, slot)| GenOption {
+                        slot,
+                        mask,
+                        dist: dist.clone(),
+                        utility: 1.0 + j as f64 - 0.1 * slot as f64,
+                    })
+                    .collect(),
+                best_utility: 1.0,
+                enumerated: 0,
+                pruned: 0,
+            })
+            .collect();
+        let cfg = SchedConfig::default();
+        let mut table = RunningTable::default();
+        let mut spent = Vec::new();
+        for now in [600.0f64, 601.0, 602.0, 603.0] {
+            let slots: Vec<f64> = std::iter::once(now)
+                .chain((1..plan_slots).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
+                .collect();
+            let generated = Generated {
+                considered: &considered,
+                job_groups: &[0, 0, 0],
+                job_options: &job_options,
+                space_masks: &space_masks,
+                groups: &groups,
+                slots: &slots,
+            };
+            let view = fleet.view(&order, now);
+            spent.push(allocations_of(|| {
+                let compiled =
+                    table.compile(&cfg, &view, now, &generated, |spec| fleet.estimate(spec));
+                assert_eq!(compiled.compiled.len(), 3 * 2 * plan_slots);
+                assert_eq!(compiled.running.len(), order.len());
+            }));
+        }
+        spent
+    }
+
+    #[test]
+    fn a_steady_state_busy_compile_allocates_nothing_at_any_size() {
+        // Cycles 0 and 1 estimate new attempts, build the conditionals and
+        // size the table's buffers; from cycle 2 on the model — its rows
+        // and SOS1 groups — and the row scratch are rebuilt in place, at
+        // 12 or 48 attempts and under a 4- or 8-slot window alike.
+        for (attempts, plan_slots) in [(12, 4), (48, 4), (12, 8), (48, 8)] {
+            let spent = compile_allocations(attempts, plan_slots);
+            assert_eq!(
+                spent[2..],
+                [0, 0],
+                "{attempts} attempts, {plan_slots} slots: {spent:?}"
+            );
+        }
+    }
+
+    /// `model`'s rows as its text form spells them: right-hand side and
+    /// `(column, coefficient)` terms.
+    fn text_rows(model: &Model) -> Vec<(f64, Vec<(usize, f64)>)> {
+        let hex = |s: &str| f64::from_bits(u64::from_str_radix(s, 16).expect("f64 hex"));
+        let text = model.to_text();
+        let rows = text
+            .lines()
+            .filter(|l| ["le ", "ge ", "eq "].iter().any(|c| l.starts_with(c)));
+        rows.map(|line| {
+            let mut parts = line.split(' ').skip(1);
+            let rhs = hex(parts.next().expect("rhs"));
+            let terms = parts.skip(1).map(|t| {
+                let (j, c) = t.split_once(':').expect("term");
+                (j.parse().expect("column"), hex(c))
+            });
+            (rhs, terms.collect())
+        })
+        .collect()
+    }
+
+    #[test]
+    fn capacity_rows_charge_each_attempt_its_nodes_inside_the_set() {
+        // Two groups of 65 racks of 4 nodes. Job 1 (best effort) holds 2
+        // nodes on rack 3 (group 0) and 1 on rack 66 (group 1, local rack
+        // 1); job 2 (SLO: no preemption column) holds 3 on rack 66. Neither
+        // can finish inside the window.
+        let cluster = ClusterSpec::uniform(130, 4);
+        let groups = MaskGroups::new(130);
+        assert_eq!(groups.group_range(1), (65, 65));
+        let specs = [
+            JobSpec::new(1, 0.0, 3, 500.0, JobKind::BestEffort),
+            JobSpec::new(2, 0.0, 3, 500.0, JobKind::Slo { deadline: 1e6 }),
+        ];
+        let allocations = [
+            vec![(PartitionId(3), 2), (PartitionId(66), 1)],
+            vec![(PartitionId(66), 3)],
+        ];
+        let free = vec![4; 130];
+        let view = SimulationView {
+            cluster: &cluster,
+            pending: Vec::new(),
+            running: (specs.iter().zip(&allocations))
+                .map(|(spec, allocation)| ViewJob {
+                    spec,
+                    start_time: 0.0,
+                    allocation,
+                })
+                .collect(),
+            free: &free,
+            now: 10.0,
+        };
+        let space_masks = [
+            (0, groups.group_mask(0)),
+            (1, groups.group_mask(1)),
+            (0, RackMask::single(3)),
+            (1, RackMask::single(1)),
+            (0, RackMask::single(1)),
+        ];
+        let generated = Generated {
+            considered: &[],
+            job_groups: &[],
+            job_options: &[],
+            space_masks: &space_masks,
+            groups: &groups,
+            slots: &[10.0, 60.0],
+        };
+        let prior = DiscreteDist::from_points(vec![(1e6, 1.0)]);
+        let mut table = RunningTable::default();
+        let cfg = SchedConfig::default();
+        let compiled = table.compile(&cfg, &view, 10.0, &generated, |_| prior.clone());
+        // Per set, at both slots: job 1's nodes inside it as its preemption
+        // column's credit, and both jobs' nodes off the capacity. Rack 1 of
+        // group 0 holds nobody: no row.
+        let expect: Vec<(f64, Vec<(usize, f64)>)> =
+            [(258.0, -2.0), (256.0, -1.0), (2.0, -2.0), (0.0, -1.0)]
+                .into_iter()
+                .flat_map(|(rhs, credit)| [(rhs, vec![(0, credit)]), (rhs, vec![(0, credit)])])
+                .collect();
+        assert_eq!(text_rows(&compiled.model), expect);
     }
 
     #[test]

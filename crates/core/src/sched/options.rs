@@ -1,5 +1,5 @@
 //! Scheduling-cycle hot path: rack masks, the cross-cycle estimate cache,
-//! placement-option generation, and (mask, slot) bucketing.
+//! placement-option generation, and the options a capacity row charges.
 //!
 //! Every cycle, 3σSched enumerates placement options — (equivalence set,
 //! start slot) pairs — for each considered job, then charges each option
@@ -17,10 +17,10 @@
 //! * [`generate`] values every (space, slot) option of every considered
 //!   job by Eq. 1, in job order on the calling thread. The job cap, the
 //!   plan-ahead window and the §4.3.6 prunes bound the work per cycle.
-//! * [`OptionBuckets`] groups compiled options by (mask, slot) once, so
-//!   each capacity row visits only the options that can actually consume
-//!   from its equivalence set and have started by its slot — instead of
-//!   scanning every option for every (set, slot) pair.
+//! * [`contained_options`] picks, once per equivalence set, the compiled
+//!   options that can consume from it, in variable order, so each of the
+//!   set's capacity rows visits only those — instead of scanning every
+//!   option for every (set, slot) pair — and builds its terms sorted.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -478,57 +478,19 @@ pub(crate) struct CompiledOption {
     pub tasks: f64,
 }
 
-/// Options indexed by (mask group, equivalence-set mask, start slot), built
-/// once per cycle so each capacity row iterates only the options that can
-/// consume from its set and have started by its slot. Masks in different
-/// groups use independent local coordinates and never mix.
-pub(crate) struct OptionBuckets {
-    keys: Vec<(usize, RackMask)>,
-    /// `buckets[key_id][slot]` → indices into the compiled-option vec.
-    buckets: Vec<Vec<Vec<usize>>>,
-}
-
-impl OptionBuckets {
-    /// Groups `options` by (group, mask, slot).
-    pub fn build(options: &[CompiledOption], num_slots: usize) -> Self {
-        let mut keys: Vec<(usize, RackMask)> = Vec::new();
-        let mut buckets: Vec<Vec<Vec<usize>>> = Vec::new();
-        for (i, opt) in options.iter().enumerate() {
-            let key = (opt.group, opt.mask);
-            let mid = match keys.iter().position(|&k| k == key) {
-                Some(m) => m,
-                None => {
-                    keys.push(key);
-                    buckets.push(vec![Vec::new(); num_slots]);
-                    keys.len() - 1
-                }
-            };
-            buckets[mid][opt.slot].push(i);
-        }
-        Self { keys, buckets }
-    }
-
-    /// Visits every option in `group` whose equivalence set is contained in
-    /// `space` and whose start slot is at most `slot` — exactly the options
-    /// a capacity row for (`group`, `space`, `slot`) must charge.
-    pub fn for_each_contained(
-        &self,
-        group: usize,
-        space: RackMask,
-        slot: usize,
-        mut f: impl FnMut(usize),
-    ) {
-        for (mid, (g, mask)) in self.keys.iter().enumerate() {
-            if *g != group || !mask.is_subset_of(space) {
-                continue;
-            }
-            for bucket in self.buckets[mid].iter().take(slot + 1) {
-                for &oi in bucket {
-                    f(oi);
-                }
-            }
-        }
-    }
+/// The options in `group` whose equivalence set is contained in `space`,
+/// as indices into `options` (variable order): a capacity row for
+/// (`group`, `space`, slot) charges exactly those of them started by its
+/// slot. Masks in different groups use independent local coordinates and
+/// never mix.
+pub(crate) fn contained_options(
+    options: &[CompiledOption],
+    group: usize,
+    space: RackMask,
+) -> impl Iterator<Item = usize> + '_ {
+    (options.iter().enumerate())
+        .filter(move |(_, o)| o.group == group && o.mask.is_subset_of(space))
+        .map(|(oi, _)| oi)
 }
 
 #[cfg(test)]
@@ -865,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn buckets_visit_exactly_contained_started_options() {
+    fn contained_options_are_exactly_those_inside_the_space() {
         let d = Arc::new(DiscreteDist::point(10.0));
         let mut model = threesigma_milp::Model::new();
         let mut mk = |job_idx, slot, mask| CompiledOption {
@@ -887,12 +849,10 @@ mod tests {
             mk(1, 2, a),
             mk(2, 1, b),
         ];
-        let buckets = OptionBuckets::build(&options, 3);
         let collect = |space, slot| {
-            let mut got = Vec::new();
-            buckets.for_each_contained(0, space, slot, |oi| got.push(oi));
-            got.sort_unstable();
-            got
+            contained_options(&options, 0, space)
+                .filter(|&oi| options[oi].slot <= slot)
+                .collect::<Vec<_>>()
         };
         // Space {0}: only mask-a options, started by the slot.
         assert_eq!(collect(a, 0), vec![0]);
@@ -905,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn buckets_never_mix_mask_groups() {
+    fn contained_options_never_mix_mask_groups() {
         // Identical local masks in different groups address different
         // physical racks; a capacity row for group 1 must not charge group
         // 0's options even though the bit patterns match.
@@ -922,13 +882,7 @@ mod tests {
         };
         let local = RackMask::all(2);
         let options = vec![mk(0, 0, local), mk(1, 1, local), mk(2, 1, local)];
-        let buckets = OptionBuckets::build(&options, 1);
-        let collect = |group| {
-            let mut got = Vec::new();
-            buckets.for_each_contained(group, local, 0, |oi| got.push(oi));
-            got.sort_unstable();
-            got
-        };
+        let collect = |group| contained_options(&options, group, local).collect::<Vec<_>>();
         assert_eq!(collect(0), vec![0]);
         assert_eq!(collect(1), vec![1, 2]);
         assert_eq!(collect(2), Vec::<usize>::new());

@@ -16,10 +16,10 @@
 //!    time (Eq. 2) with exponential-increment under-estimate handling
 //!    (§4.2.1),
 //! 4. compiles a MILP — binary indicators per option, demand rows, capacity
-//!    rows per (equivalence set, time slot) fed from the per-(mask, slot)
-//!    [`options::OptionBuckets`] index, preemption indicators for running
-//!    best-effort jobs — and solves it with a warm start (the status quo is
-//!    always feasible) under a node/time budget,
+//!    rows per (equivalence set, time slot) charging the options
+//!    [`options::contained_options`] picks for the set, preemption
+//!    indicators for running best-effort jobs — and solves it with a warm
+//!    start (the status quo is always feasible) under a node/time budget,
 //! 5. turns slot-zero selections into concrete per-rack gang allocations.
 //!
 //! Steps 3 and 4 are [`super::compile`], which also owns the per-attempt
@@ -45,7 +45,7 @@ use threesigma_cluster::{
 use threesigma_histogram::RuntimeDistribution;
 use threesigma_milp::{solver_for_tier, SolverConfig};
 use threesigma_obs::{Counter, Gauge, Histogram, Recorder};
-use threesigma_predict::{AttributeSource, EstimatorKind, Predictor, PredictorConfig};
+use threesigma_predict::{AttributeSource, EstimatorKind, Prediction, Predictor, PredictorConfig};
 
 use crate::dist::DiscreteDist;
 use crate::sched::compile::{CompiledModel, Generated, RunningTable};
@@ -982,27 +982,38 @@ fn estimate_dist(
             Some(d) => DiscreteDist::from_distribution(d, n),
             None => DiscreteDist::point(spec.duration),
         },
-        EstimateSource::Predicted => match predictor.predict(&Attrs(&spec.attributes)) {
-            Some(p) => DiscreteDist::from_distribution(&p.distribution, n),
-            None => cold_start_dist(spec),
-        },
         EstimateSource::PredictedPoint => match predictor.predict_point(&Attrs(&spec.attributes)) {
             Some(point) => DiscreteDist::point(point),
             None => DiscreteDist::point(300.0),
         },
-        EstimateSource::PredictedPadded { sigmas } => {
-            match predictor.predict(&Attrs(&spec.attributes)) {
-                Some(p) => {
-                    // Pad around the discretised distribution's own mean:
-                    // the base and the variance must come from the same
-                    // estimator. (Padding the point expert's estimate with
-                    // the distribution expert's σ mixed two estimators.)
-                    let d = DiscreteDist::from_distribution(&p.distribution, n);
-                    DiscreteDist::point(d.mean() + sigmas * d.variance().sqrt())
-                }
-                None => DiscreteDist::point(300.0),
-            }
+        EstimateSource::Predicted | EstimateSource::PredictedPadded { .. } => {
+            let prediction = predictor.predict(&Attrs(&spec.attributes));
+            from_prediction(source, prediction.as_ref(), n, spec)
         }
+    }
+}
+
+/// The estimate a [`EstimateSource::Predicted`] or
+/// [`EstimateSource::PredictedPadded`] source makes from the predictor's
+/// `prediction` (`None`: no history yet).
+fn from_prediction(
+    source: &EstimateSource,
+    prediction: Option<&Prediction>,
+    n: usize,
+    spec: &JobSpec,
+) -> DiscreteDist {
+    match (source, prediction) {
+        (EstimateSource::PredictedPadded { sigmas }, Some(p)) => {
+            // Pad around the discretised distribution's own mean: the base
+            // and the variance must come from the same estimator. (Padding
+            // the point expert's estimate with the distribution expert's σ
+            // mixed two estimators.)
+            let d = DiscreteDist::from_distribution(&p.distribution, n);
+            DiscreteDist::point(d.mean() + sigmas * d.variance().sqrt())
+        }
+        (EstimateSource::PredictedPadded { .. }, None) => DiscreteDist::point(300.0),
+        (_, Some(p)) => DiscreteDist::from_distribution(&p.distribution, n),
+        (_, None) => cold_start_dist(spec),
     }
 }
 
@@ -1075,26 +1086,36 @@ fn slot_times(now: f64, width: f64, slots: usize) -> Vec<f64> {
 
 impl Scheduler for ThreeSigmaScheduler {
     fn on_job_submitted(&mut self, spec: &JobSpec, _now: f64) {
-        let d = estimate_dist(&self.source, &self.predictor, self.config.mass_points, spec);
+        let n = self.config.mass_points;
+        // One prediction serves both the estimate (distribution sources)
+        // and the expert tracking below; the point source estimates from
+        // its own expert.
+        let prediction = match self.source {
+            EstimateSource::Predicted
+            | EstimateSource::PredictedPoint
+            | EstimateSource::PredictedPadded { .. } => {
+                self.predictor.predict(&Attrs(&spec.attributes))
+            }
+            EstimateSource::OraclePoint | EstimateSource::Injected(_) => None,
+        };
+        let d = match self.source {
+            EstimateSource::Predicted | EstimateSource::PredictedPadded { .. } => {
+                from_prediction(&self.source, prediction.as_ref(), n, spec)
+            }
+            _ => estimate_dist(&self.source, &self.predictor, n, spec),
+        };
         // Seed the cache; the entry is lazily refreshed every time the
         // history epoch moves while the job is still pending.
         let _ = self.cache.base(spec.id, || d);
         // Track which (feature, estimator) expert the predictor currently
         // trusts; a change between consecutive predictions is an expert
         // switch (estimator-competition churn, §4.1).
-        if matches!(
-            self.source,
-            EstimateSource::Predicted
-                | EstimateSource::PredictedPoint
-                | EstimateSource::PredictedPadded { .. }
-        ) {
-            if let Some(p) = self.predictor.predict(&Attrs(&spec.attributes)) {
-                let expert = (p.feature, p.estimator);
-                if self.last_expert.is_some_and(|prev| prev != expert) {
-                    self.totals.expert_switches += 1;
-                }
-                self.last_expert = Some(expert);
+        if let Some(p) = prediction {
+            let expert = (p.feature, p.estimator);
+            if self.last_expert.is_some_and(|prev| prev != expert) {
+                self.totals.expert_switches += 1;
             }
+            self.last_expert = Some(expert);
         }
     }
 
@@ -1309,7 +1330,7 @@ impl Scheduler for ThreeSigmaScheduler {
             estimate_dist(source, predictor, cfg.mass_points, spec)
         });
         totals.options_pruned += pruned;
-        decision.cancellations = hopeless;
+        decision.cancellations.clone_from(hopeless);
         let compile_elapsed = compile_start.elapsed();
         if cfg.record_models {
             models.push(model.to_text());
@@ -1326,8 +1347,7 @@ impl Scheduler for ThreeSigmaScheduler {
         };
         let warm = vec![0.0; model.num_vars()];
         let solve_start = Stopwatch::start();
-        let solution =
-            solver_for_tier(tier, milp_config).solve_with_warm_start(&model, Some(&warm));
+        let solution = solver_for_tier(tier, milp_config).solve_with_warm_start(model, Some(&warm));
         let solver_elapsed = solve_start.elapsed();
 
         let milp_vars = model.num_vars();
@@ -1350,12 +1370,14 @@ impl Scheduler for ThreeSigmaScheduler {
             let x = &solution.values;
             // Preemptions first (their capacity becomes available now).
             let mut freed: Vec<u32> = vec![0; view.cluster.num_partitions()];
-            for (ri, nodes_by_part) in running_jobs.iter() {
+            for (ri, r) in running_jobs.iter().zip(&view.running) {
                 if let Some(pv) = ri.preempt_var {
                     if x[pv.index()] > 0.5 {
                         decision.preemptions.push(ri.id);
-                        for (p, n) in nodes_by_part.iter().enumerate() {
-                            freed[p] += n;
+                        for (p, n) in r.allocation {
+                            if let Some(f) = freed.get_mut(p.index()) {
+                                *f += n;
+                            }
                         }
                     }
                 }
@@ -1397,7 +1419,7 @@ impl Scheduler for ThreeSigmaScheduler {
                 };
                 let placed: std::collections::HashSet<JobId> =
                     decision.placements.iter().map(|p| p.job).collect();
-                for opt in &compiled {
+                for opt in compiled {
                     if x[opt.var.index()] <= 0.5 {
                         continue;
                     }

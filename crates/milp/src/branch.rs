@@ -515,7 +515,8 @@ impl BranchAndBound {
         // Prefer SOS1 branching: split the group containing the branch
         // variable into two halves ordered by LP value.
         for &g in groups.of(branch_var) {
-            let fractional: Vec<usize> = model.sos1[g]
+            let fractional: Vec<usize> = model
+                .sos1_group(g)
                 .iter()
                 .copied()
                 .filter(|&j| {
@@ -589,7 +590,7 @@ struct GroupIndex {
 impl GroupIndex {
     fn new(model: &Model) -> Self {
         let mut starts = vec![0usize; model.num_vars() + 1];
-        for &j in model.sos1.iter().flatten() {
+        for &j in &model.sos1 {
             starts[j + 1] += 1;
         }
         for j in 0..model.num_vars() {
@@ -597,7 +598,7 @@ impl GroupIndex {
         }
         let mut next = starts.clone();
         let mut groups = vec![0usize; starts[model.num_vars()]];
-        for (g, group) in model.sos1.iter().enumerate() {
+        for (g, group) in model.sos1_groups().enumerate() {
             for &j in group {
                 groups[next[j]] = g;
                 next[j] += 1;

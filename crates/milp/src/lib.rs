@@ -6,7 +6,9 @@
 //! the required subset from scratch:
 //!
 //! * [`model`] — a sparse problem builder (continuous and binary variables,
-//!   `≤ / ≥ / =` rows, SOS1 groups for "at most one placement option").
+//!   `≤ / ≥ / =` rows, SOS1 groups for "at most one placement option"),
+//!   its rows stored row-CSR in one entry buffer a caller can `clear()`
+//!   and rebuild into.
 //! * [`simplex`] — a bounded-variable revised simplex with an explicit basis
 //!   inverse (composite phase-1 primal for cold solves, dual reoptimisation
 //!   from a warm basis) on an [`LpWorkspace`] a search builds once and
@@ -18,7 +20,7 @@
 //!   found so far (the solver contract §4.3.6 relies on).
 //! * [`presolve`] — equivalence-preserving reductions (bound tightening,
 //!   fixed-variable elimination, dominated-option removal) shared by all
-//!   solver tiers.
+//!   solver tiers, working in place on the model's CSR rows.
 //! * [`tiers`] — the [`Solver`] trait plus the cheap tier-0/1 backends that
 //!   mirror the scheduler's degradation ladder.
 //! * [`text`] — bit-exact fixture serialisation for the differential

@@ -47,27 +47,68 @@ pub(crate) struct Variable {
     pub name: Option<String>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Constraint {
-    /// Sparse `(column, coefficient)` terms, deduplicated and sorted.
-    pub terms: Vec<(usize, f64)>,
-    pub cmp: Cmp,
-    pub rhs: f64,
-}
-
 /// A MILP in build form: maximise `objective · x` subject to linear rows,
 /// variable bounds, integrality, and SOS1 groups.
-#[derive(Debug, Clone, Default)]
+///
+/// Rows are stored compressed (row-CSR): row `r`'s sparse `(column,
+/// coefficient)` terms are `entries[row_start[r]..row_start[r + 1]]`, with
+/// its sense and right-hand side at `cmp[r]` and `rhs[r]`. A built row is
+/// sorted by column, deduplicated and free of zeros; a row read by
+/// [`Model::from_text`] is kept exactly as written. SOS1 groups are stored
+/// the same way: group `g` is `sos1[sos1_start[g]..sos1_start[g + 1]]`.
+#[derive(Debug, Clone)]
 pub struct Model {
     pub(crate) vars: Vec<Variable>,
-    pub(crate) constraints: Vec<Constraint>,
-    pub(crate) sos1: Vec<Vec<usize>>,
+    /// `num_constraints() + 1` offsets into `entries`; `row_start[0] == 0`.
+    pub(crate) row_start: Vec<usize>,
+    pub(crate) entries: Vec<(usize, f64)>,
+    pub(crate) cmp: Vec<Cmp>,
+    pub(crate) rhs: Vec<f64>,
+    /// One offset into `sos1` per group, plus one; `sos1_start[0] == 0`.
+    pub(crate) sos1_start: Vec<usize>,
+    pub(crate) sos1: Vec<usize>,
+}
+
+impl Default for Model {
+    fn default() -> Self {
+        Self {
+            vars: Vec::new(),
+            row_start: vec![0],
+            entries: Vec::new(),
+            cmp: Vec::new(),
+            rhs: Vec::new(),
+            sos1_start: vec![0],
+            sos1: Vec::new(),
+        }
+    }
 }
 
 impl Model {
     /// Creates an empty model.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the model, keeping its buffers: a model rebuilt after
+    /// `clear` is the model built fresh, without the allocations.
+    pub fn clear(&mut self) {
+        self.vars.clear();
+        self.row_start.truncate(1);
+        self.entries.clear();
+        self.cmp.clear();
+        self.rhs.clear();
+        self.sos1_start.truncate(1);
+        self.sos1.clear();
+    }
+
+    /// Reserves room for `vars` more variables, `rows` more rows and
+    /// `entries` more row terms.
+    pub(crate) fn reserve(&mut self, vars: usize, rows: usize, entries: usize) {
+        self.vars.reserve(vars);
+        self.row_start.reserve(rows);
+        self.cmp.reserve(rows);
+        self.rhs.reserve(rows);
+        self.entries.reserve(entries);
     }
 
     /// Adds a continuous variable with bounds `[lower, upper]` and the given
@@ -121,29 +162,37 @@ impl Model {
     /// Panics on NaN coefficients/rhs or out-of-model variable ids.
     pub fn add_constraint(&mut self, terms: &[(VarId, f64)], cmp: Cmp, rhs: f64) -> usize {
         assert!(!rhs.is_nan(), "NaN rhs");
-        let mut sparse: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
-        for (v, c) in terms {
+        let start = self.entries.len();
+        // Strictly ascending columns and no zero coefficient: the row is
+        // already in normal form.
+        let mut normal = true;
+        for &(v, c) in terms {
             assert!(v.0 < self.vars.len(), "unknown variable {v:?}");
             assert!(!c.is_nan(), "NaN coefficient");
-            sparse.push((v.0, *c));
+            let ascending =
+                self.entries.len() == start || self.entries[self.entries.len() - 1].0 < v.0;
+            normal &= ascending && c != 0.0;
+            self.entries.push((v.0, c));
         }
-        sparse.sort_unstable_by_key(|(i, _)| *i);
-        // Merge duplicates, drop exact zeros (the "internal pruning" of
-        // generated expressions mentioned in §4.3.6).
-        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(sparse.len());
-        for (i, c) in sparse {
-            match merged.last_mut() {
-                Some((j, acc)) if *j == i => *acc += c,
-                _ => merged.push((i, c)),
-            }
+        if !normal {
+            let kept = normalise(&mut self.entries[start..]);
+            self.entries.truncate(start + kept);
         }
-        merged.retain(|(_, c)| *c != 0.0);
-        self.constraints.push(Constraint {
-            terms: merged,
-            cmp,
-            rhs,
-        });
-        self.constraints.len() - 1
+        self.push_row(cmp, rhs)
+    }
+
+    /// Closes the row whose terms are `entries[row_start.last()..]`;
+    /// returns its index.
+    pub(crate) fn push_row(&mut self, cmp: Cmp, rhs: f64) -> usize {
+        self.row_start.push(self.entries.len());
+        self.cmp.push(cmp);
+        self.rhs.push(rhs);
+        self.cmp.len() - 1
+    }
+
+    /// Row `r`'s `(column, coefficient)` terms.
+    pub(crate) fn row(&self, r: usize) -> &[(usize, f64)] {
+        &self.entries[self.row_start[r]..self.row_start[r + 1]]
     }
 
     /// Declares an SOS1 group: at most one of `vars` may be non-zero in an
@@ -159,8 +208,19 @@ impl Model {
             assert!(v.0 < self.vars.len(), "unknown variable {v:?}");
         }
         if vars.len() > 1 {
-            self.sos1.push(vars.iter().map(|v| v.0).collect());
+            self.sos1.extend(vars.iter().map(|v| v.0));
+            self.sos1_start.push(self.sos1.len());
         }
+    }
+
+    /// SOS1 group `g`'s members.
+    pub(crate) fn sos1_group(&self, g: usize) -> &[usize] {
+        &self.sos1[self.sos1_start[g]..self.sos1_start[g + 1]]
+    }
+
+    /// Every SOS1 group's members, in group order.
+    pub(crate) fn sos1_groups(&self) -> impl Iterator<Item = &[usize]> {
+        (self.sos1_start.windows(2)).map(|span| &self.sos1[span[0]..span[1]])
     }
 
     /// Tightens a variable's bounds (used by branch-and-bound node fixing).
@@ -181,7 +241,7 @@ impl Model {
 
     /// Number of constraint rows.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.cmp.len()
     }
 
     /// Ids of all binary variables.
@@ -222,12 +282,12 @@ impl Model {
                 return false;
             }
         }
-        for c in &self.constraints {
-            let lhs: f64 = c.terms.iter().map(|(i, coef)| coef * x[*i]).sum();
-            let ok = match c.cmp {
-                Cmp::Le => lhs <= c.rhs + tol,
-                Cmp::Ge => lhs >= c.rhs - tol,
-                Cmp::Eq => (lhs - c.rhs).abs() <= tol,
+        for (r, (cmp, rhs)) in self.cmp.iter().zip(&self.rhs).enumerate() {
+            let lhs: f64 = self.row(r).iter().map(|(i, coef)| coef * x[*i]).sum();
+            let ok = match cmp {
+                Cmp::Le => lhs <= rhs + tol,
+                Cmp::Ge => lhs >= rhs - tol,
+                Cmp::Eq => (lhs - rhs).abs() <= tol,
             };
             if !ok {
                 return false;
@@ -235,6 +295,34 @@ impl Model {
         }
         true
     }
+}
+
+/// Brings a row's terms to normal form in place — sorted by column,
+/// duplicates summed in order, exact zeros (either sign) dropped — and
+/// returns how many it keeps. Distinct ascending columns are what any sort
+/// returns, so the sort is skipped for them and moves no bits.
+fn normalise(row: &mut [(usize, f64)]) -> usize {
+    if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+        row.sort_unstable_by_key(|(i, _)| *i);
+    }
+    let mut merged = 0;
+    for k in 0..row.len() {
+        let (i, c) = row[k];
+        if merged > 0 && row[merged - 1].0 == i {
+            row[merged - 1].1 += c;
+        } else {
+            row[merged] = (i, c);
+            merged += 1;
+        }
+    }
+    let mut kept = 0;
+    for k in 0..merged {
+        if row[k].1 != 0.0 {
+            row[kept] = row[k];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 impl fmt::Display for Model {
@@ -254,9 +342,9 @@ impl fmt::Display for Model {
                 .collect::<Vec<_>>()
                 .join(" ")
         )?;
-        for c in &self.constraints {
-            let lhs = c
-                .terms
+        for (r, (cmp, rhs)) in self.cmp.iter().zip(&self.rhs).enumerate() {
+            let lhs = self
+                .row(r)
                 .iter()
                 .map(|(i, coef)| {
                     let name = self.vars[*i]
@@ -267,12 +355,12 @@ impl fmt::Display for Model {
                 })
                 .collect::<Vec<_>>()
                 .join(" ");
-            let op = match c.cmp {
+            let op = match cmp {
                 Cmp::Le => "<=",
                 Cmp::Ge => ">=",
                 Cmp::Eq => "=",
             };
-            writeln!(f, "  {lhs} {op} {}", c.rhs)?;
+            writeln!(f, "  {lhs} {op} {rhs}")?;
         }
         Ok(())
     }
@@ -299,7 +387,7 @@ mod tests {
         let a = m.add_binary(0.0);
         let b = m.add_binary(0.0);
         m.add_constraint(&[(a, 1.0), (a, 2.0), (b, 0.0)], Cmp::Le, 4.0);
-        assert_eq!(m.constraints[0].terms, vec![(0, 3.0)]);
+        assert_eq!(m.row(0), [(0, 3.0)]);
     }
 
     #[test]
@@ -328,10 +416,10 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_binary(0.0);
         m.add_sos1(&[a]);
-        assert!(m.sos1.is_empty());
+        assert_eq!(m.sos1_groups().count(), 0);
         let b = m.add_binary(0.0);
         m.add_sos1(&[a, b]);
-        assert_eq!(m.sos1.len(), 1);
+        assert_eq!(m.sos1_groups().collect::<Vec<_>>(), [[0, 1]]);
     }
 
     #[test]

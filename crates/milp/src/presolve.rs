@@ -21,7 +21,7 @@
 
 use std::borrow::Cow;
 
-use crate::model::{Cmp, Model, VarKind};
+use crate::model::{Cmp, Model, VarId, VarKind};
 
 /// Feasibility slack used when a row collapses to a constant.
 const TOL: f64 = 1e-9;
@@ -70,27 +70,51 @@ pub struct Presolve<'m> {
     stats: PresolveStats,
 }
 
-/// Working row representation during reduction.
+/// The rows during reduction: the model's entries, with row `r` the
+/// segment `entries[rows[r].start..][..rows[r].len]` of its original span.
+/// The entries are borrowed until the first substitution copies them;
+/// substituting a fixed variable shifts the rest of its row down within the
+/// segment, so terms keep their order.
+struct WorkRows<'m> {
+    entries: Cow<'m, [(usize, f64)]>,
+    rows: Vec<WorkRow>,
+}
+
+/// One row's live segment, sense and (substituted) right-hand side.
 struct WorkRow {
-    terms: Vec<(usize, f64)>,
+    start: usize,
+    len: usize,
     cmp: Cmp,
     rhs: f64,
     removed: bool,
 }
 
 impl WorkRow {
+    /// The row's live terms within `entries`.
+    fn terms<'e>(&self, entries: &'e [(usize, f64)]) -> &'e [(usize, f64)] {
+        &entries[self.start..self.start + self.len]
+    }
+}
+
+impl<'m> WorkRows<'m> {
     /// `model`'s rows, all live.
-    fn of(model: &Model) -> Vec<WorkRow> {
-        model
-            .constraints
-            .iter()
-            .map(|c| WorkRow {
-                terms: c.terms.clone(),
-                cmp: c.cmp,
-                rhs: c.rhs,
+    fn of(model: &'m Model) -> Self {
+        let rows = model
+            .row_start
+            .windows(2)
+            .zip(model.cmp.iter().zip(&model.rhs))
+            .map(|(span, (&cmp, &rhs))| WorkRow {
+                start: span[0],
+                len: span[1] - span[0],
+                cmp,
+                rhs,
                 removed: false,
             })
-            .collect()
+            .collect();
+        Self {
+            entries: Cow::Borrowed(&model.entries),
+            rows,
+        }
     }
 }
 
@@ -102,7 +126,7 @@ impl<'m> Presolve<'m> {
         let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
         let kinds: Vec<VarKind> = model.vars.iter().map(|v| v.kind).collect();
         let objective: Vec<f64> = model.vars.iter().map(|v| v.objective).collect();
-        let mut rows = WorkRow::of(model);
+        let mut work = WorkRows::of(model);
         let mut stats = PresolveStats::default();
         let mut infeasible = false;
         // A variable is "absorbed" once its fixed value has been substituted
@@ -111,10 +135,11 @@ impl<'m> Presolve<'m> {
 
         let fixpoint = |lower: &mut Vec<f64>,
                         upper: &mut Vec<f64>,
-                        rows: &mut Vec<WorkRow>,
+                        work: &mut WorkRows,
                         absorbed: &mut Vec<bool>,
                         stats: &mut PresolveStats|
          -> bool {
+            let WorkRows { entries, rows } = work;
             // Alternate bound tightening and fixed-variable substitution
             // until neither changes anything (bounded pass count for
             // safety; real models settle in two or three).
@@ -124,7 +149,8 @@ impl<'m> Presolve<'m> {
                     if row.removed {
                         continue;
                     }
-                    if row.terms.is_empty() {
+                    let terms = row.terms(entries);
+                    if terms.is_empty() {
                         // Constant row: feasible or the whole model dies.
                         let ok = match row.cmp {
                             Cmp::Le => 0.0 <= row.rhs + TOL,
@@ -139,8 +165,8 @@ impl<'m> Presolve<'m> {
                         changed = true;
                         continue;
                     }
-                    if row.terms.len() == 1 {
-                        let (j, a) = row.terms[0];
+                    if terms.len() == 1 {
+                        let (j, a) = terms[0];
                         if a == 0.0 || a.is_nan() || row.rhs.is_nan() {
                             continue;
                         }
@@ -191,8 +217,11 @@ impl<'m> Presolve<'m> {
                         if row.removed {
                             continue;
                         }
-                        if let Some(pos) = row.terms.iter().position(|(k, _)| *k == j) {
-                            let (_, coef) = row.terms.remove(pos);
+                        if let Some(pos) = row.terms(entries).iter().position(|(k, _)| *k == j) {
+                            let segment = &mut entries.to_mut()[row.start..row.start + row.len];
+                            let (_, coef) = segment[pos];
+                            segment.copy_within(pos + 1.., pos);
+                            row.len -= 1;
                             row.rhs -= coef * value;
                         }
                     }
@@ -206,20 +235,20 @@ impl<'m> Presolve<'m> {
             true
         };
 
-        if !fixpoint(&mut lower, &mut upper, &mut rows, &mut absorbed, &mut stats) {
+        if !fixpoint(&mut lower, &mut upper, &mut work, &mut absorbed, &mut stats) {
             infeasible = true;
         }
 
         // Dominated-option removal, then another fixpoint to absorb the
         // zero-fixed options.
         if !infeasible {
-            let dominated = dominated_options(model, &lower, &upper, &rows);
+            let dominated = dominated_options(model, &lower, &upper, &work);
             if !dominated.is_empty() {
                 for j in dominated {
                     upper[j] = 0.0;
                     stats.dominated += 1;
                 }
-                if !fixpoint(&mut lower, &mut upper, &mut rows, &mut absorbed, &mut stats) {
+                if !fixpoint(&mut lower, &mut upper, &mut work, &mut absorbed, &mut stats) {
                     infeasible = true;
                 }
             }
@@ -236,9 +265,18 @@ impl<'m> Presolve<'m> {
             };
         }
 
-        // Materialise the reduced model.
+        // Materialise the reduced model, its buffers sized up front.
+        let WorkRows { entries, rows } = &work;
+        let live = || rows.iter().filter(|row| !row.removed);
         let mut map = vec![VarMap::Fixed(0.0); n];
         let mut reduced = Model::new();
+        reduced.reserve(
+            n - stats.fixed_vars,
+            live().count(),
+            live().map(|row| row.len).sum(),
+        );
+        reduced.sos1_start.reserve(model.sos1_start.len());
+        reduced.sos1.reserve(model.sos1.len());
         let mut offset = 0.0;
         for j in 0..n {
             if absorbed[j] {
@@ -263,11 +301,10 @@ impl<'m> Presolve<'m> {
             }
         }
         if !infeasible {
-            for row in &rows {
-                if row.removed {
-                    continue;
-                }
-                if row.terms.is_empty() {
+            let widest = live().map(|row| row.len).max().unwrap_or(0);
+            let mut terms: Vec<(VarId, f64)> = Vec::with_capacity(widest);
+            for row in live() {
+                if row.len == 0 {
                     let ok = match row.cmp {
                         Cmp::Le => 0.0 <= row.rhs + TOL,
                         Cmp::Ge => 0.0 >= row.rhs - TOL,
@@ -279,24 +316,20 @@ impl<'m> Presolve<'m> {
                     }
                     continue;
                 }
-                let terms: Vec<(crate::model::VarId, f64)> = row
-                    .terms
-                    .iter()
-                    .map(|(j, coef)| match map[*j] {
-                        VarMap::Kept(idx) => (crate::model::VarId(idx), *coef),
-                        VarMap::Fixed(_) => unreachable!("fixed vars were substituted"),
-                    })
-                    .collect();
+                terms.clear();
+                terms.extend(row.terms(entries).iter().map(|(j, coef)| match map[*j] {
+                    VarMap::Kept(idx) => (VarId(idx), *coef),
+                    VarMap::Fixed(_) => unreachable!("fixed vars were substituted"),
+                }));
                 reduced.add_constraint(&terms, row.cmp, row.rhs);
             }
-            for group in &model.sos1 {
-                let members: Vec<crate::model::VarId> = group
-                    .iter()
-                    .filter_map(|j| match map[*j] {
-                        VarMap::Kept(idx) => Some(crate::model::VarId(idx)),
-                        VarMap::Fixed(_) => None,
-                    })
-                    .collect();
+            let mut members: Vec<VarId> = Vec::new();
+            for group in model.sos1_groups() {
+                members.clear();
+                members.extend(group.iter().filter_map(|j| match map[*j] {
+                    VarMap::Kept(idx) => Some(VarId(idx)),
+                    VarMap::Fixed(_) => None,
+                }));
                 reduced.add_sos1(&members);
             }
         }
@@ -316,7 +349,7 @@ impl<'m> Presolve<'m> {
     pub fn dominated(model: &Model) -> Vec<usize> {
         let lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
         let upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
-        dominated_options(model, &lower, &upper, &WorkRow::of(model))
+        dominated_options(model, &lower, &upper, &WorkRows::of(model))
     }
 
     /// The reduced model (empty when [`Presolve::is_infeasible`]; the input
@@ -379,27 +412,33 @@ impl<'m> Presolve<'m> {
     }
 }
 
-/// Per-variable live-row membership with coefficients, in CSR form: the
-/// entries of variable `j` are `entries[start[j]..start[j + 1]]`, sorted by
-/// row; a duplicate term in one row keeps its first coefficient.
+/// Live-row membership with coefficients of the SOS1 members, in CSR form:
+/// the entries of variable `j` are `entries[start[j]..start[j + 1]]`,
+/// sorted by row (empty for a variable in no group); a duplicate term in
+/// one row keeps its first coefficient.
 struct Occurrences {
     start: Vec<usize>,
     entries: Vec<(usize, f64)>,
 }
 
 impl Occurrences {
-    fn new(n: usize, rows: &[WorkRow]) -> Self {
-        let live = || rows.iter().enumerate().filter(|(_, row)| !row.removed);
+    fn new(membership: &[usize], work: &WorkRows) -> Self {
+        let n = membership.len();
+        let WorkRows { entries, rows } = work;
+        let live = || {
+            (rows.iter().enumerate())
+                .filter(|(_, row)| !row.removed)
+                .flat_map(|(r, row)| row.terms(entries).iter().map(move |term| (r, term)))
+                .filter(|(_, (j, _))| membership[*j] > 0)
+        };
         // Count each variable's rows into `start[j + 1]`, with `last` as
         // the per-variable "row already counted" mark.
         let mut start = vec![0usize; n + 1];
         let mut last = vec![usize::MAX; n];
-        for (r, row) in live() {
-            for (j, _) in &row.terms {
-                if last[*j] != r {
-                    last[*j] = r;
-                    start[*j + 1] += 1;
-                }
+        for (r, (j, _)) in live() {
+            if last[*j] != r {
+                last[*j] = r;
+                start[*j + 1] += 1;
             }
         }
         for j in 0..n {
@@ -408,13 +447,11 @@ impl Occurrences {
         // Fill, with `last` reused as each variable's write cursor.
         last.copy_from_slice(&start[..n]);
         let mut entries = vec![(0usize, 0.0); start[n]];
-        for (r, row) in live() {
-            for (j, coef) in &row.terms {
-                let at = last[*j];
-                if at == start[*j] || entries[at - 1].0 != r {
-                    entries[at] = (r, *coef);
-                    last[*j] += 1;
-                }
+        for (r, (j, coef)) in live() {
+            let at = last[*j];
+            if at == start[*j] || entries[at - 1].0 != r {
+                entries[at] = (r, *coef);
+                last[*j] += 1;
             }
         }
         Self { start, entries }
@@ -444,9 +481,16 @@ impl Occurrences {
 /// solution itself, so ties are never removed. The dominator must also
 /// belong to no other SOS1 group: a second, branching-enforced group could
 /// make the swap infeasible without any row revealing it.
-fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], rows: &[WorkRow]) -> Vec<usize> {
+fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], work: &WorkRows) -> Vec<usize> {
     let n = model.num_vars();
-    let occurs = Occurrences::new(n, rows);
+    // SOS1 membership counts: a dominator gets set to 1 by the swap, which
+    // could violate a second (row-less, branching-enforced) group.
+    let mut membership = vec![0usize; n];
+    for &j in &model.sos1 {
+        membership[j] += 1;
+    }
+    let occurs = Occurrences::new(&membership, work);
+    let WorkRows { entries, rows } = work;
     // Rows that can be a group's demand row, whatever the group.
     let demand_shaped: Vec<bool> = rows
         .iter()
@@ -454,20 +498,12 @@ fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], rows: &[WorkRo
             !row.removed
                 && row.cmp == Cmp::Le
                 && (row.rhs - 1.0).abs() <= TOL
-                && row.terms.iter().all(|(_, c)| (*c - 1.0).abs() <= TOL)
+                && (row.terms(entries).iter()).all(|(_, c)| (*c - 1.0).abs() <= TOL)
         })
         .collect();
     let mut out = Vec::new();
     let mut gone = vec![false; n];
-    // SOS1 membership counts: a dominator gets set to 1 by the swap, which
-    // could violate a second (row-less, branching-enforced) group.
-    let mut membership = vec![0usize; n];
-    for group in &model.sos1 {
-        for &j in group {
-            membership[j] += 1;
-        }
-    }
-    for group in &model.sos1 {
+    for group in model.sos1_groups() {
         // Only groups protected by their demand row qualify: a live row
         // with exactly the group's length whose every term is a member at
         // coefficient 1. Such a row holds some member, so the members'
@@ -475,8 +511,8 @@ fn dominated_options(model: &Model, lower: &[f64], upper: &[f64], rows: &[WorkRo
         let has_demand_row = group.iter().any(|&j| {
             occurs.of(j).iter().any(|&(r, _)| {
                 demand_shaped[r]
-                    && rows[r].terms.len() == group.len()
-                    && rows[r].terms.iter().all(|(k, _)| group.contains(k))
+                    && rows[r].len == group.len()
+                    && (rows[r].terms(entries).iter()).all(|(k, _)| group.contains(k))
             })
         });
         if !has_demand_row {

@@ -206,22 +206,21 @@ impl Tableau {
     fn new(model: &Model) -> Self {
         let n = model.num_vars();
         let m = model.num_constraints();
-        // Count each structural column's terms into `col_start[j + 1]`
-        // (every slack column holds one entry), prefix-sum, then fill row by
-        // row through `col_start[j]` as the write cursor and shift it back.
+        // Transpose the model's row-CSR: count each structural column's
+        // terms into `col_start[j + 1]` (every slack column holds one
+        // entry), prefix-sum, then fill row by row through `col_start[j]` as
+        // the write cursor and shift it back.
         let mut col_start = vec![0usize; n + m + 1];
-        for c in &model.constraints {
-            for (j, _) in &c.terms {
-                col_start[*j + 1] += 1;
-            }
+        for (j, _) in &model.entries {
+            col_start[*j + 1] += 1;
         }
         col_start[n + 1..].fill(1);
         for k in 0..n + m {
             col_start[k + 1] += col_start[k];
         }
         let mut col_entries = vec![(0usize, 0.0); col_start[n + m]];
-        for (r, c) in model.constraints.iter().enumerate() {
-            for (j, coef) in &c.terms {
+        for r in 0..m {
+            for (j, coef) in model.row(r) {
                 col_entries[col_start[*j]] = (r, *coef);
                 col_start[*j] += 1;
             }
@@ -238,9 +237,8 @@ impl Tableau {
             upper.push(v.upper);
             cost.push(v.objective);
         }
-        let mut rhs = Vec::with_capacity(m);
-        for c in &model.constraints {
-            let (lo, hi) = match c.cmp {
+        for cmp in &model.cmp {
+            let (lo, hi) = match cmp {
                 Cmp::Le => (0.0, f64::INFINITY),
                 Cmp::Ge => (f64::NEG_INFINITY, 0.0),
                 Cmp::Eq => (0.0, 0.0),
@@ -248,7 +246,6 @@ impl Tableau {
             lower.push(lo);
             upper.push(hi);
             cost.push(0.0);
-            rhs.push(c.rhs);
         }
         Self {
             col_start,
@@ -256,7 +253,7 @@ impl Tableau {
             lower,
             upper,
             cost,
-            rhs,
+            rhs: model.rhs.clone(),
             n_structural: n,
             m,
             state: vec![VarState::AtLower; n + m],

@@ -20,7 +20,7 @@
 
 use std::fmt::Write as _;
 
-use crate::model::{Cmp, Constraint, Model, VarKind, Variable};
+use crate::model::{Cmp, Model, VarKind, Variable};
 
 fn hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -50,21 +50,22 @@ impl Model {
                 hex(v.objective)
             );
         }
-        let _ = writeln!(out, "rows {}", self.constraints.len());
-        for c in &self.constraints {
-            let cmp = match c.cmp {
+        let _ = writeln!(out, "rows {}", self.num_constraints());
+        for (r, (cmp, rhs)) in self.cmp.iter().zip(&self.rhs).enumerate() {
+            let cmp = match cmp {
                 Cmp::Le => "le",
                 Cmp::Ge => "ge",
                 Cmp::Eq => "eq",
             };
-            let _ = write!(out, "{cmp} {} {}", hex(c.rhs), c.terms.len());
-            for (j, coef) in &c.terms {
+            let terms = self.row(r);
+            let _ = write!(out, "{cmp} {} {}", hex(*rhs), terms.len());
+            for (j, coef) in terms {
                 let _ = write!(out, " {j}:{}", hex(*coef));
             }
             out.push('\n');
         }
-        let _ = writeln!(out, "sos1 {}", self.sos1.len());
-        for group in &self.sos1 {
+        let _ = writeln!(out, "sos1 {}", self.sos1_start.len() - 1);
+        for group in self.sos1_groups() {
             let members: Vec<String> = group.iter().map(|j| j.to_string()).collect();
             let _ = writeln!(out, "{}", members.join(" "));
         }
@@ -128,7 +129,8 @@ impl Model {
                 .ok_or("missing term count")?
                 .parse()
                 .map_err(|e| format!("bad term count: {e}"))?;
-            let mut terms = Vec::with_capacity(terms_len);
+            // Pushed raw (unsorted, zeros kept), so a fixture replays
+            // exactly the rows it was dumped with.
             for _ in 0..terms_len {
                 let term = parts.next().ok_or("missing term")?;
                 let (j, coef) = term.split_once(':').ok_or("term missing `:`")?;
@@ -136,22 +138,21 @@ impl Model {
                 if j >= model.vars.len() {
                     return Err(format!("term index {j} out of range"));
                 }
-                terms.push((j, unhex(coef)?));
+                model.entries.push((j, unhex(coef)?));
             }
-            model.constraints.push(Constraint { terms, cmp, rhs });
+            model.push_row(cmp, rhs);
         }
         let g = count(next("sos1")?, "sos1")?;
         for _ in 0..g {
             let line = next("sos1 group")?;
-            let mut group = Vec::new();
             for part in line.split_whitespace() {
                 let j: usize = part.parse().map_err(|e| format!("bad sos1 index: {e}"))?;
                 if j >= model.vars.len() {
                     return Err(format!("sos1 index {j} out of range"));
                 }
-                group.push(j);
+                model.sos1.push(j);
             }
-            model.sos1.push(group);
+            model.sos1_start.push(model.sos1.len());
         }
         if next("end")? != "end" {
             return Err("expected `end` terminator".into());
@@ -200,7 +201,7 @@ mod tests {
         let back = Model::from_text(&m.to_text()).unwrap();
         assert_eq!(back.vars[0].upper.to_bits(), f64::INFINITY.to_bits());
         assert_eq!(back.vars[0].objective.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(back.constraints[0].rhs.to_bits(), f64::INFINITY.to_bits());
+        assert_eq!(back.rhs[0].to_bits(), f64::INFINITY.to_bits());
     }
 
     #[test]
