@@ -39,14 +39,14 @@ pub enum CliError {
         /// What was expected.
         expected: &'static str,
     },
-    /// A snapshot (or data-dir) file was produced by a newer build than
-    /// this one; restoring it could silently misread committed state.
+    /// A snapshot (or data-dir) file carries another build's format
+    /// version; restoring it could silently misread committed state.
     SnapshotVersion {
         /// Offending snapshot file or data directory.
         path: String,
         /// Format version recorded in the file.
         found: u32,
-        /// Newest format version this build reads.
+        /// The one format version this build reads.
         supported: u32,
     },
     /// Underlying I/O failure.
@@ -79,8 +79,8 @@ impl fmt::Display for CliError {
                 supported,
             } => write!(
                 f,
-                "snapshot {path}: format version {found} is newer than the newest \
-                 supported version {supported}; refusing to restore"
+                "snapshot {path}: format version {found}, but this build reads only \
+                 version {supported}; refusing to restore"
             ),
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Failed(msg) => write!(f, "{msg}"),

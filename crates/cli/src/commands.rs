@@ -376,7 +376,9 @@ pub fn cmd_simtest(args: &Args) -> Result<String, CliError> {
             kill_points: args.parse_or("kill-points", defaults.kill_points)?,
             seed: args.parse_or("seed", defaults.seed)?,
         };
-        return threesigma_simtest::run_crash_campaign(&cfg).map_err(CliError::Failed);
+        return threesigma_simtest::run_crash_campaign(&cfg)
+            .map(|(report, _)| report)
+            .map_err(CliError::Failed);
     }
     let mut overrides = threesigma_simtest::SeedOverrides::default();
     if args.get("max-retries").is_some() {

@@ -19,7 +19,10 @@
 //! and corrupt candidates are tolerated, never panicked on) and the
 //! journal suffix is replayed through the same deterministic ingest
 //! pipeline, so a `kill -9`'d process recovers to a state digest-identical
-//! to a never-crashed run — the CI `crash-smoke` check.
+//! to a never-crashed run — the CI `crash-smoke` check. The journal,
+//! snapshot and recovery protocol is [`Durable`], shared with the crash
+//! campaign; this module supplies the payload ([`FullSnapshot`]) and the
+//! wire.
 //!
 //! # The input loop: one commit per `read()`
 //!
@@ -55,32 +58,27 @@
 //! stream resynchronises at the next newline.
 //!
 //! `--snapshot-out` writes a quiescent [`FullSnapshot`] (engine session +
-//! scheduler/predictor state); `--restore` resumes from one. A restored
-//! process that streams the remainder of an input reproduces the
-//! uninterrupted run's summary digest and stable metrics JSON byte for
-//! byte — that equivalence is this mode's correctness contract (and the
-//! CI `serve-smoke` check).
+//! scheduler/predictor state + wire counters) in the same [`SnapshotFile`]
+//! envelope a data directory holds, watermark 0; `--restore` reads it with
+//! the same reader, so one version check covers both. A restored process
+//! that streams the remainder of an input reproduces the uninterrupted
+//! run's summary digest and stable metrics JSON byte for byte — that
+//! equivalence is this mode's correctness contract (and the CI
+//! `serve-smoke` check).
 
 use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Map, Serialize, Value};
 use threesigma::{EstimateSource, SchedConfig, SchedSnapshot, ThreeSigmaScheduler};
-use threesigma_cluster::wal::{recover_data_dir, replay};
 use threesigma_cluster::{
-    Attributes, ClusterSpec, DataDir, JobKind, JobSpec, ServeConfig, ServeSession, ServeSnapshot,
-    SimError, SnapshotFile, Wal, WalError, WalMetrics, WalRecord, SNAPSHOT_FORMAT_VERSION,
-    WAL_MAGIC,
+    Attributes, ClusterSpec, DataDir, Durable, JobKind, JobSpec, ServeConfig, ServeSession,
+    ServeSnapshot, SimError, SnapshotFile, WalError, WalRecord, SNAPSHOT_FORMAT_VERSION,
 };
 use threesigma_obs::{Counter, Recorder};
 use threesigma_predict::PredictorConfig;
 
 use crate::args::{Args, CliError};
-
-/// Format version written into [`FullSnapshot`] files. Legacy files
-/// without the field read as version 1; newer versions are refused with
-/// [`CliError::SnapshotVersion`].
-pub const FULL_SNAPSHOT_VERSION: u32 = 2;
 
 /// Longest input line accepted, newline excluded. Anything longer is
 /// rejected as `malformed` and discarded up to the next newline, so a
@@ -97,8 +95,6 @@ const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// byte-stable rejection counters survive restarts and crashes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct WireStats {
-    /// Jobs accepted (journaled, where durable) over the stream lifetime.
-    pub accepted: u64,
     /// Lines rejected as malformed (bad JSON, bad fields, bad UTF-8).
     pub rejected_malformed: u64,
     /// Jobs rejected because the non-terminal backlog hit `--max-queue`.
@@ -127,21 +123,35 @@ impl WireStats {
     }
 }
 
-/// On-disk `--snapshot-out` / `--restore` format: the engine-side session
-/// snapshot and the scheduler/predictor snapshot, composed at the CLI
-/// layer so both halves restart from the same quiescent instant. The same
-/// structure is the payload of every auto-snapshot in `--data-dir`.
+/// The serve payload of a [`SnapshotFile`], in `--snapshot-out` files and
+/// data-directory snapshots alike: the engine-side session snapshot, the
+/// scheduler/predictor snapshot and the wire counters, composed at the CLI
+/// layer so every part restarts from the same quiescent instant. Its
+/// layout is versioned by the envelope's [`SNAPSHOT_FORMAT_VERSION`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FullSnapshot {
-    /// [`FULL_SNAPSHOT_VERSION`] when written by this build; `None` in
-    /// legacy (version-1) files, which are still accepted.
-    pub format_version: Option<u32>,
     /// Cluster/session state (`threesigma_cluster::serve`).
     pub engine: ServeSnapshot,
     /// Predictor sketches, expert scores, cache bookkeeping, totals.
     pub sched: SchedSnapshot,
-    /// Wire-layer counters; `None` in legacy files (restored as zeros).
-    pub wire: Option<WireStats>,
+    /// Wire-layer counters.
+    pub wire: WireStats,
+}
+
+impl FullSnapshot {
+    /// Captures a quiescent session, its scheduler and the wire counters.
+    fn capture(
+        session: &ServeSession,
+        sched: &ThreeSigmaScheduler,
+        wire: WireStats,
+    ) -> Result<Value, CliError> {
+        let full = FullSnapshot {
+            engine: session.snapshot().map_err(sim_err)?,
+            sched: sched.serve_snapshot(),
+            wire,
+        };
+        serde_json::to_value(&full).map_err(io_err)
+    }
 }
 
 /// Keys of the wire format that are job fields rather than attributes.
@@ -249,47 +259,20 @@ fn sim_err(e: SimError) -> CliError {
     CliError::Failed(e.to_string())
 }
 
-fn wal_err(e: WalError) -> CliError {
-    match e {
-        WalError::UnsupportedSnapshotVersion {
-            path,
-            found,
-            supported,
-        } => CliError::SnapshotVersion {
-            path: path.display().to_string(),
-            found,
-            supported,
-        },
-        other => CliError::Io(other.to_string()),
-    }
-}
-
-/// Parses a [`FullSnapshot`] from a JSON value, refusing newer format
-/// versions with a typed error *before* attempting the full decode (so a
-/// newer build's layout changes surface as a version problem, not a
-/// confusing parse failure). Files without `format_version` are legacy
-/// version 1 and accepted.
-fn full_snapshot_from_value(value: &Value, origin: &str) -> Result<FullSnapshot, CliError> {
-    if let Some(found) = value.get("format_version").and_then(Value::as_u64) {
-        if found > u64::from(FULL_SNAPSHOT_VERSION) {
-            return Err(CliError::SnapshotVersion {
-                path: origin.to_owned(),
-                found: u32::try_from(found).unwrap_or(u32::MAX),
-                supported: FULL_SNAPSHOT_VERSION,
-            });
+impl From<WalError> for CliError {
+    fn from(e: WalError) -> Self {
+        match e {
+            WalError::UnsupportedSnapshotVersion {
+                path,
+                found,
+                supported,
+            } => CliError::SnapshotVersion {
+                path: path.display().to_string(),
+                found,
+                supported,
+            },
+            other => CliError::Io(other.to_string()),
         }
-    }
-    serde_json::from_value(value).map_err(|e| CliError::Failed(format!("{origin}: {e}")))
-}
-
-fn restore_err(origin: &str) -> impl Fn(SimError) -> CliError + '_ {
-    move |e| match e {
-        SimError::UnsupportedSnapshotVersion { found, supported } => CliError::SnapshotVersion {
-            path: origin.to_owned(),
-            found,
-            supported,
-        },
-        other => CliError::Failed(format!("{origin}: {other}")),
     }
 }
 
@@ -530,91 +513,6 @@ impl WireMetrics {
     }
 }
 
-/// The durability half of a `--data-dir` session: journal handle, metric
-/// handles, the lifetime truncation total (carried through snapshots),
-/// and the auto-snapshot policy state.
-struct Durable {
-    data: DataDir,
-    wal: Wal,
-    metrics: WalMetrics,
-    truncated_total: u64,
-    snap_jobs: u64,
-    snap_secs: f64,
-    records_since_snap: u64,
-    last_snap_now: f64,
-}
-
-impl Durable {
-    /// Queues `record` for the journal. It is durable, and may be
-    /// acknowledged, only after the next [`Durable::sync`].
-    fn append(&mut self, record: WalRecord) -> Result<u64, CliError> {
-        let seq = self.wal.append_unsynced(record).map_err(wal_err)?;
-        self.records_since_snap += 1;
-        Ok(seq)
-    }
-
-    /// The journal barrier: one write and one fsync for every record
-    /// appended since the last one.
-    fn sync(&mut self) -> Result<(), CliError> {
-        self.wal.sync().map_err(wal_err)?;
-        self.metrics.publish(&self.wal, self.truncated_total);
-        Ok(())
-    }
-
-    /// Whether the auto-snapshot policy wants a snapshot *now* (the caller
-    /// still checks quiescence). Both triggers are deterministic functions
-    /// of the accepted stream — journaled-records-since-snapshot and
-    /// simulated seconds-since-snapshot — so a recovered run snapshots at
-    /// the same stream positions as a never-crashed one.
-    fn snapshot_due(&self, now: f64) -> bool {
-        if self.records_since_snap == 0 {
-            return false;
-        }
-        (self.snap_jobs > 0 && self.records_since_snap >= self.snap_jobs)
-            || (self.snap_secs > 0.0 && now - self.last_snap_now >= self.snap_secs)
-    }
-
-    /// Writes a watermarked snapshot (temp file + rename, newest two
-    /// generations kept), *then* truncates the journal through the
-    /// watermark. A crash between the two steps only leaves covered
-    /// records behind; recovery filters them by sequence number. The
-    /// caller commits first, so the journal on disk is complete.
-    fn take_snapshot(
-        &mut self,
-        session: &ServeSession,
-        sched: &ThreeSigmaScheduler,
-        wire: &WireStats,
-    ) -> Result<(), CliError> {
-        let full = FullSnapshot {
-            format_version: Some(FULL_SNAPSHOT_VERSION),
-            engine: session.snapshot().map_err(sim_err)?,
-            sched: sched.serve_snapshot(),
-            wire: Some(*wire),
-        };
-        let watermark = self.wal.next_seq().saturating_sub(1);
-        // Count the truncation at snapshot-write time: the snapshot carries
-        // the post-truncation lifetime total, so the counter is identical
-        // whether or not the truncate below ever runs before a crash.
-        let body = self.wal.len_bytes().saturating_sub(WAL_MAGIC.len() as u64);
-        let total = self.truncated_total + body;
-        let payload = serde_json::to_value(&full).map_err(io_err)?;
-        self.data
-            .write_snapshot(&SnapshotFile {
-                format_version: SNAPSHOT_FORMAT_VERSION,
-                wal_seq: watermark,
-                wal_truncated_bytes: total,
-                payload,
-            })
-            .map_err(wal_err)?;
-        self.truncated_total = total;
-        self.wal.truncate_through(watermark).map_err(wal_err)?;
-        self.records_since_snap = 0;
-        self.last_snap_now = session.now();
-        self.metrics.publish(&self.wal, self.truncated_total);
-        Ok(())
-    }
-}
-
 /// One serve stream: the session, its scheduler, the durability half and
 /// the wire-layer state, driven line by line and committed batch by batch.
 struct Stream {
@@ -716,8 +614,10 @@ impl Stream {
         // here if the policy says it is due, *before* journaling the new
         // job (so the snapshot watermark excludes it). The batch so far is
         // committed first: the snapshot truncates the journal on disk.
-        let now = self.session.now();
-        if self.durable.as_ref().is_some_and(|d| d.snapshot_due(now)) && self.session.is_quiescent()
+        if self
+            .durable
+            .as_ref()
+            .is_some_and(|d| d.snapshot_due(&self.session))
         {
             self.commit()?;
             self.snapshot()?;
@@ -731,7 +631,6 @@ impl Stream {
         // Admission passed pre-pump and pumping only completes or cancels
         // work, so this submit cannot be rejected; any error here is internal.
         self.session.submit(spec).map_err(sim_err)?;
-        self.wire.accepted += 1;
         self.responder.accepted(line_no, id, seq);
         Ok(())
     }
@@ -750,10 +649,11 @@ impl Stream {
     }
 
     fn snapshot(&mut self) -> Result<(), CliError> {
-        match &mut self.durable {
-            Some(d) => d.take_snapshot(&self.session, &self.sched, &self.wire),
-            None => Ok(()),
-        }
+        let Some(d) = &mut self.durable else {
+            return Ok(());
+        };
+        let payload = FullSnapshot::capture(&self.session, &self.sched, self.wire)?;
+        Ok(d.take_snapshot(payload, self.session.now())?)
     }
 
     /// Reads `reader` to its end: every complete line of one `read()` goes
@@ -872,83 +772,54 @@ fn serve_on(
     let mut sched = ThreeSigmaScheduler::new(sched_cfg, EstimateSource::Predicted, pred_cfg)
         .with_recorder(&recorder);
     let wire_metrics = WireMetrics::register(&recorder);
-    let mut wire = WireStats::default();
 
     // Durable mode: recover the data directory (newest valid snapshot +
-    // journal suffix) and replay the suffix through the same deterministic
-    // ingest pipeline the live loop uses.
-    let mut durable: Option<Durable> = None;
-    let session = if let Some(dir) = args.get("data-dir") {
-        if args.get("restore").is_some() {
+    // journal suffix), restore from the snapshot, and replay the suffix
+    // through the same deterministic ingest pipeline the live loop uses.
+    let (recovery, restored, origin) = match (args.get("data-dir"), args.get("restore")) {
+        (Some(_), Some(_)) => {
             return Err(CliError::Failed(
                 "--data-dir and --restore are mutually exclusive; the data directory \
                  carries its own snapshots"
                     .into(),
-            ));
+            ))
         }
-        let sync = !args.switch("no-fsync");
-        let data = DataDir::open(dir).map_err(wal_err)?;
-        let mut recovered = recover_data_dir(&data, sync).map_err(wal_err)?;
-        let metrics = WalMetrics::register(&recorder);
-        let mut truncated_total = 0;
-        let watermark = recovered.snapshot.as_ref().map_or(0, |s| s.wal_seq);
-        let mut session = match &recovered.snapshot {
-            Some(sf) => {
-                truncated_total = sf.wal_truncated_bytes;
-                let full = full_snapshot_from_value(&sf.payload, dir)?;
-                wire = full.wire.unwrap_or_default();
-                sched
-                    .serve_restore(full.sched)
-                    .map_err(|e| CliError::Failed(format!("data dir {dir}: {e}")))?;
-                ServeSession::restore(cluster, serve_cfg, &recorder, &full.engine)
-                    .map_err(restore_err(dir))?
-            }
-            None => ServeSession::new(cluster, serve_cfg, &recorder).map_err(sim_err)?,
-        };
-        // Finish an interrupted truncation: records at or below the
-        // watermark were already counted into the snapshot's lifetime
-        // truncation total, so this pass does not re-count them.
-        if recovered.covered > 0 || recovered.duplicates > 0 {
-            recovered.wal.truncate_through(watermark).map_err(wal_err)?;
+        (Some(dir), None) => {
+            let recovery = Durable::recover(DataDir::open(dir)?, !args.switch("no-fsync"))?;
+            (Some(recovery), None, format!("data dir {dir}"))
         }
-        let last_snap_now = session.now();
-        let replayed = replay(&mut session, &mut sched, &recovered.suffix).map_err(sim_err)?;
-        let jobs_replayed = recovered
-            .suffix
-            .iter()
-            .filter(|e| matches!(e.record, WalRecord::Job(_)))
-            .count() as u64;
-        wire.accepted += jobs_replayed;
-        metrics.recovered_records.set(replayed as f64);
-        metrics.publish(&recovered.wal, truncated_total);
-        durable = Some(Durable {
-            data,
-            wal: recovered.wal,
-            metrics,
-            truncated_total,
-            snap_jobs: args.parse_or("snapshot-every-jobs", 256u64)?,
-            snap_secs: args.parse_or("snapshot-every-secs", 0.0f64)?,
-            records_since_snap: recovered.suffix.len() as u64,
-            last_snap_now,
-        });
-        session
-    } else {
-        match args.get("restore") {
-            Some(path) => {
-                let text = std::fs::read_to_string(path).map_err(io_err)?;
-                let value: Value = serde_json::from_str(&text)
-                    .map_err(|e| CliError::Failed(format!("--restore {path}: {e}")))?;
-                let origin = format!("--restore {path}");
-                let full = full_snapshot_from_value(&value, &origin)?;
-                wire = full.wire.unwrap_or_default();
-                sched
-                    .serve_restore(full.sched)
-                    .map_err(|e| CliError::Failed(format!("{origin}: {e}")))?;
-                ServeSession::restore(cluster, serve_cfg, &recorder, &full.engine)
-                    .map_err(restore_err(&origin))?
-            }
-            None => ServeSession::new(cluster, serve_cfg, &recorder).map_err(sim_err)?,
+        (None, Some(path)) => {
+            let snap = SnapshotFile::read(Path::new(path))?;
+            (None, Some(snap.payload), format!("--restore {path}"))
         }
+        (None, None) => (None, None, String::new()),
+    };
+    let payload = restored
+        .as_ref()
+        .or_else(|| Some(&recovery.as_ref()?.recovered.snapshot.as_ref()?.payload));
+    let (mut session, wire) = match payload {
+        Some(payload) => {
+            let failed = |e: &dyn std::fmt::Display| CliError::Failed(format!("{origin}: {e}"));
+            let full: FullSnapshot = serde_json::from_value(payload).map_err(|e| failed(&e))?;
+            sched.serve_restore(full.sched).map_err(|e| failed(&e))?;
+            let session = ServeSession::restore(cluster, serve_cfg, &recorder, &full.engine)
+                .map_err(|e| failed(&e))?;
+            (session, full.wire)
+        }
+        None => (
+            ServeSession::new(cluster, serve_cfg, &recorder).map_err(sim_err)?,
+            WireStats::default(),
+        ),
+    };
+    let durable = match recovery {
+        Some(recovery) => {
+            let snap_jobs = args.parse_or("snapshot-every-jobs", 256u64)?;
+            let snap_secs = args.parse_or("snapshot-every-secs", 0.0f64)?;
+            let resumed =
+                recovery.resume(&mut session, &mut sched, &recorder, snap_jobs, snap_secs);
+            Some(resumed.map_err(sim_err)?)
+        }
+        None => None,
     };
     wire_metrics.publish(&wire);
 
@@ -958,7 +829,7 @@ fn serve_on(
     } = open(args)?;
     let quarantine_path = match args.get("quarantine") {
         Some(p) => Some(PathBuf::from(p)),
-        None => durable.as_ref().map(|d| d.data.quarantine_path()),
+        None => durable.as_ref().map(|d| d.data().quarantine_path()),
     };
     let mut stream = Stream {
         session,
@@ -1009,14 +880,13 @@ fn serve_on(
     } = stream;
 
     if let Some(path) = args.get("snapshot-out") {
-        let snap = FullSnapshot {
-            format_version: Some(FULL_SNAPSHOT_VERSION),
-            engine: session.snapshot().map_err(sim_err)?,
-            sched: sched.serve_snapshot(),
-            wire: Some(wire),
-        };
-        let json = serde_json::to_string_pretty(&snap).map_err(io_err)?;
-        std::fs::write(path, json).map_err(io_err)?;
+        SnapshotFile {
+            format_version: SNAPSHOT_FORMAT_VERSION,
+            wal_seq: 0,
+            wal_truncated_bytes: 0,
+            payload: FullSnapshot::capture(&session, &sched, wire)?,
+        }
+        .write(Path::new(path))?;
     }
     let summary = session.summary();
     if let Some(path) = args.get("summary-json") {
@@ -1047,6 +917,7 @@ fn serve_on(
 mod tests {
     use super::*;
     use crate::commands::dispatch;
+    use threesigma_cluster::Wal;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -1356,85 +1227,66 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir_crashed);
     }
 
+    /// The `--snapshot-out` envelope this build writes after part 1.
+    fn part1_envelope(tag: &str) -> SnapshotFile {
+        let (input, snap) = (tmp(&format!("{tag}_in")), tmp(&format!("{tag}_out")));
+        std::fs::write(&input, part1()).unwrap();
+        let (input_arg, snap_arg) = (input.to_str().unwrap(), snap.to_str().unwrap());
+        serve(&["--input", input_arg, "--snapshot-out", snap_arg]).unwrap();
+        let envelope = serde_json::from_str(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+        let _ = std::fs::remove_file(input);
+        let _ = std::fs::remove_file(snap);
+        envelope
+    }
+
+    /// Starts serve with `flag path` and returns the version its typed
+    /// refusal reports (the refusal comes before any input is read).
+    fn refused_version(flag: &str, path: &Path) -> u32 {
+        match serve(&[flag, path.to_str().unwrap()]).unwrap_err() {
+            CliError::SnapshotVersion {
+                found,
+                supported: SNAPSHOT_FORMAT_VERSION,
+                ..
+            } => found,
+            other => panic!("expected a version refusal: {other}"),
+        }
+    }
+
     #[test]
     fn restore_refuses_newer_snapshot_versions_with_a_typed_error() {
-        let p1_in = tmp("ver_p1");
+        let mut envelope = part1_envelope("ver");
+        assert_eq!(envelope.format_version, SNAPSHOT_FORMAT_VERSION);
+        envelope.format_version = 99;
         let snap = tmp("ver_snap");
-        std::fs::write(&p1_in, part1()).unwrap();
-        serve(&[
-            "--input",
-            p1_in.to_str().unwrap(),
-            "--snapshot-out",
-            snap.to_str().unwrap(),
-        ])
-        .unwrap();
-        let text = std::fs::read_to_string(&snap).unwrap();
-        assert!(text.contains("\"format_version\": 2"), "{text}");
-        let newer = text.replace("\"format_version\": 2", "\"format_version\": 99");
-        std::fs::write(&snap, newer).unwrap();
-        let err = serve(&[
-            "--input",
-            p1_in.to_str().unwrap(),
-            "--restore",
-            snap.to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CliError::SnapshotVersion {
-                    found: 99,
-                    supported: FULL_SNAPSHOT_VERSION,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        let _ = std::fs::remove_file(p1_in);
+        std::fs::write(&snap, serde_json::to_string(&envelope).unwrap()).unwrap();
+        assert_eq!(refused_version("--restore", &snap), 99);
         let _ = std::fs::remove_file(snap);
     }
 
     #[test]
-    fn restore_accepts_legacy_snapshots_without_a_format_version() {
-        let p1_in = tmp("legacy_p1");
-        let p2_in = tmp("legacy_p2");
-        let snap = tmp("legacy_snap");
-        std::fs::write(&p1_in, part1()).unwrap();
-        std::fs::write(&p2_in, part2()).unwrap();
-        serve(&[
-            "--input",
-            p1_in.to_str().unwrap(),
-            "--snapshot-out",
-            snap.to_str().unwrap(),
-        ])
-        .unwrap();
-        // Rewrite the snapshot as a legacy (version-1) file: no
-        // format_version, no wire block — exactly what an older build wrote.
-        let text = std::fs::read_to_string(&snap).unwrap();
-        let value: Value = serde_json::from_str(&text).unwrap();
-        let full: FullSnapshot = serde_json::from_value(&value).unwrap();
-        let legacy = FullSnapshot {
-            format_version: None,
-            wire: None,
-            ..full
-        };
-        let compact = serde_json::to_string(&legacy).unwrap();
-        let stripped = compact
-            .replace("\"format_version\":null,", "")
-            .replace(",\"wire\":null", "");
-        assert!(!stripped.contains("format_version"), "{stripped}");
-        std::fs::write(&snap, stripped).unwrap();
-        let out = serve(&[
-            "--input",
-            p2_in.to_str().unwrap(),
-            "--restore",
-            snap.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(out.contains("submitted=10"), "{out}");
-        for p in [&p1_in, &p2_in, &snap] {
-            let _ = std::fs::remove_file(p);
-        }
+    fn snapshot_layouts_of_older_builds_are_refused_with_a_typed_error() {
+        // The two layouts older builds wrote, rebuilt around this build's
+        // payload: `--snapshot-out` wrote a bare version-2 `FullSnapshot`
+        // (its engine part versioned 2 as well), and a data directory held
+        // that inside a version-1 envelope.
+        let payload = serde_json::to_string(&part1_envelope("old").payload).unwrap();
+        let bare_v2 = payload.replacen(
+            "{\"engine\":{",
+            "{\"format_version\":2,\"engine\":{\"version\":2,",
+            1,
+        );
+        assert_ne!(bare_v2, payload);
+        let snap = tmp("old_snap");
+        std::fs::write(&snap, &bare_v2).unwrap();
+        assert_eq!(refused_version("--restore", &snap), 2);
+        let dir = tmpdir("old_dir");
+        let v1 = format!(
+            "{{\"format_version\":1,\"wal_seq\":0,\"wal_truncated_bytes\":0,\"payload\":{bare_v2}}}"
+        );
+        std::fs::write(dir.join("snapshot-00000000000000000000.json"), v1).unwrap();
+        assert_eq!(refused_version("--data-dir", &dir), 1);
+        let _ = std::fs::remove_file(snap);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

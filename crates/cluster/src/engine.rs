@@ -329,14 +329,6 @@ pub enum SimError {
         /// The configured per-tenant quota.
         quota: u64,
     },
-    /// A serve snapshot was produced by a newer build than this one and
-    /// cannot be restored safely.
-    UnsupportedSnapshotVersion {
-        /// Version recorded in the snapshot.
-        found: u32,
-        /// Newest version this build reads.
-        supported: u32,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -398,13 +390,6 @@ impl std::fmt::Display for SimError {
                     f,
                     "job {job:?} rejected: tenant {tenant:?} has {in_flight} \
                      jobs in flight at quota {quota}"
-                )
-            }
-            SimError::UnsupportedSnapshotVersion { found, supported } => {
-                write!(
-                    f,
-                    "snapshot format version {found} is newer than the newest \
-                     supported version {supported}; refusing to restore"
                 )
             }
         }

@@ -34,11 +34,9 @@ pub use engine::{
 };
 pub use job::{Attributes, JobId, JobKind, JobSpec, RetryPolicy};
 pub use metrics::{JobOutcome, JobState, Metrics};
-pub use serve::{
-    RetiredAggregate, ServeConfig, ServeSession, ServeSnapshot, ServeSummary, SNAPSHOT_VERSION,
-};
+pub use serve::{RetiredAggregate, ServeConfig, ServeSession, ServeSnapshot, ServeSummary};
 pub use spec::{ClusterSpec, PartitionId, RcFidelity};
 pub use wal::{
-    DataDir, FrameDefect, JournalDecode, Recovered, SnapshotFile, Wal, WalEntry, WalError,
-    WalMetrics, WalRecord, WalRecovery, SNAPSHOT_FORMAT_VERSION, WAL_MAGIC,
+    DataDir, Durable, FrameDefect, JournalDecode, Recovered, Recovery, SnapshotFile, Wal, WalEntry,
+    WalError, WalRecord, WalRecovery, SNAPSHOT_FORMAT_VERSION, WAL_MAGIC,
 };

@@ -186,8 +186,6 @@ pub struct ServeSummary {
 /// and serde_json's shortest-roundtrip formatting is deterministic).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeSnapshot {
-    /// Format version (see [`SNAPSHOT_VERSION`]).
-    pub version: u32,
     /// Simulated time of the last processed event.
     pub now: f64,
     /// Latest accepted submission time.
@@ -228,19 +226,12 @@ pub struct ServeSnapshot {
     /// quiescence every live record is terminal (retained, not yet past the
     /// retention window).
     pub live: Vec<(JobSpec, JobOutcome, u32)>,
-    /// Every tenant the session has seen (version ≥ 2), so a restored
-    /// session re-registers the same per-tenant in-flight gauges and its
-    /// metrics dump stays byte-identical to a never-restarted run. At
-    /// quiescence every in-flight count is zero, so only names persist.
-    /// `None` in version-1 snapshots (the field did not exist; a missing
-    /// key deserializes as `None`, the legacy-accepting fallback).
-    pub tenants: Option<Vec<String>>,
+    /// Every tenant the session has seen, so a restored session
+    /// re-registers the same per-tenant in-flight gauges and its metrics
+    /// dump stays byte-identical to a never-restarted run. At quiescence
+    /// every in-flight count is zero, so only names persist.
+    pub tenants: Vec<String>,
 }
-
-/// Current [`ServeSnapshot::version`]. Version 1 lacked the `tenants`
-/// registry and is still accepted; versions newer than this are rejected
-/// with [`SimError::UnsupportedSnapshotVersion`].
-pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Serve metric handles (all totals published with `set_total`, so a
 /// restored session reports stream-lifetime totals, not process totals).
@@ -397,17 +388,6 @@ impl ServeSession {
         recorder: &Recorder,
         snap: &ServeSnapshot,
     ) -> Result<Self, SimError> {
-        if snap.version > SNAPSHOT_VERSION {
-            return Err(SimError::UnsupportedSnapshotVersion {
-                found: snap.version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        if snap.version == 0 {
-            return Err(SimError::BadServeConfig {
-                reason: "snapshot version mismatch",
-            });
-        }
         let mut session = Self::idle(cluster, config, recorder)?;
         let parts = session.sim.cluster.num_partitions();
         if snap.free.len() != parts || snap.offline.len() != parts || snap.owed.len() != parts {
@@ -452,7 +432,7 @@ impl ServeSession {
         // Re-register every tenant the stream has seen (all at zero: the
         // snapshot was quiescent), so restored gauge sets match a
         // never-restarted run byte for byte.
-        for tenant in snap.tenants.iter().flatten() {
+        for tenant in &snap.tenants {
             session.tenant_gauge(tenant);
             session.in_flight.entry(tenant.clone()).or_insert(0);
         }
@@ -620,7 +600,6 @@ impl ServeSession {
             .map(|rec| ((*rec.spec).clone(), rec.outcome.clone(), rec.epoch))
             .collect();
         Ok(ServeSnapshot {
-            version: SNAPSHOT_VERSION,
             now: self.sim.now,
             last_submit: self.last_submit,
             cycles: self.sim.cycles,
@@ -640,7 +619,7 @@ impl ServeSession {
             offline: self.sim.offline.clone(),
             owed: self.sim.owed.clone(),
             live,
-            tenants: Some(self.in_flight.keys().cloned().collect()),
+            tenants: self.in_flight.keys().cloned().collect(),
         })
     }
 

@@ -48,7 +48,16 @@
 //! journal; recovery filters them out by sequence number, so nothing is
 //! replayed twice. `wal_truncated_bytes` is carried in the snapshot —
 //! counted at snapshot-write time — so the lifetime truncation total is
-//! itself crash-consistent.
+//! itself crash-consistent. The envelope's `format_version` is the only
+//! version a snapshot carries; any other value is refused.
+//!
+//! # One implementation
+//!
+//! [`Durable`] runs the whole protocol — group commit, the auto-snapshot
+//! policy, snapshot-then-truncate, and recovery ([`Durable::recover`],
+//! then [`Recovery::resume`]) — for every caller: `threesigma serve
+//! --data-dir` and the in-process crash campaign. A caller supplies only
+//! its snapshot payload and restores its own session from it.
 
 use std::fs;
 use std::io::Write;
@@ -68,9 +77,12 @@ pub const WAL_MAGIC: [u8; 8] = *b"3SIGWAL1";
 /// detected instead of honoured.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// Format version written into every [`SnapshotFile`]. Files with a newer
-/// version are refused with [`WalError::UnsupportedSnapshotVersion`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// Format version of every [`SnapshotFile`]: it covers the envelope and the
+/// payload inside it, which carries no version of its own, and it is the
+/// only one this build reads. A file with any other version, older or
+/// newer, is refused with [`WalError::UnsupportedSnapshotVersion`]. A
+/// change to the payload layout bumps it.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// One durable event on the serve boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,13 +125,13 @@ pub enum WalError {
         /// The underlying error, stringified.
         error: String,
     },
-    /// A snapshot file was produced by a newer build than this one.
+    /// A snapshot file carries a format version other than this build's.
     UnsupportedSnapshotVersion {
         /// The offending file.
         path: PathBuf,
         /// Version recorded in the file.
         found: u32,
-        /// Newest version this build reads.
+        /// The one version this build reads.
         supported: u32,
     },
     /// A record could not be encoded (or a trusted structure re-decoded).
@@ -141,8 +153,8 @@ impl std::fmt::Display for WalError {
                 supported,
             } => write!(
                 f,
-                "wal: snapshot {} has format version {found}, newer than the \
-                 newest supported version {supported}; refusing to restore",
+                "wal: snapshot {} has format version {found}, but this build \
+                 reads only version {supported}; refusing to restore",
                 path.display()
             ),
             WalError::Codec { detail } => write!(f, "wal: codec failure: {detail}"),
@@ -158,6 +170,40 @@ fn io_err(path: &Path, op: &'static str, error: &std::io::Error) -> WalError {
         op,
         error: error.to_string(),
     }
+}
+
+/// Syncs the directory that holds `path`, making a create or rename there
+/// durable: without it, a power loss may keep a later rename (a journal
+/// truncation) and lose an earlier one (the snapshot that covers it).
+fn sync_dir(path: &Path) -> Result<(), WalError> {
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, "sync dir", &e))
+}
+
+/// Replaces `path` with `bytes` atomically: a temp file (`path` + `.tmp`),
+/// renamed over `path`. With `sync` the temp file is synced before the
+/// rename and the directory after it.
+fn replace_file(path: &Path, bytes: &[u8], sync: bool) -> Result<(), WalError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
+        f.write_all(bytes).map_err(|e| io_err(&tmp, "write", &e))?;
+        if sync {
+            f.sync_data().map_err(|e| io_err(&tmp, "sync", &e))?;
+        }
+    }
+    fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", &e))?;
+    if sync {
+        sync_dir(path)?;
+    }
+    Ok(())
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`.
@@ -365,9 +411,9 @@ impl Wal {
     ///
     /// [`WalError::Io`] on filesystem failures.
     pub fn open(path: &Path, sync: bool) -> Result<(Self, WalRecovery), WalError> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let (bytes, created) = match fs::read(path) {
+            Ok(b) => (b, false),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), true),
             Err(e) => return Err(io_err(path, "read", &e)),
         };
         let decode = decode_journal(&bytes);
@@ -397,6 +443,9 @@ impl Wal {
         }
         if sync && (torn_bytes > 0 || valid_len == 0) {
             file.sync_data().map_err(|e| io_err(path, "sync", &e))?;
+            if created {
+                sync_dir(path)?;
+            }
         }
         use std::io::Seek;
         file.seek(std::io::SeekFrom::End(0))
@@ -522,15 +571,7 @@ impl Wal {
         if dropped == 0 {
             return Ok(0);
         }
-        let tmp = self.path.with_extension("wal.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
-            f.write_all(&fresh).map_err(|e| io_err(&tmp, "write", &e))?;
-            if self.fsync {
-                f.sync_data().map_err(|e| io_err(&tmp, "sync", &e))?;
-            }
-        }
-        fs::rename(&tmp, &self.path).map_err(|e| io_err(&self.path, "rename", &e))?;
+        replace_file(&self.path, &fresh, self.fsync)?;
         let mut file = fs::OpenOptions::new()
             .append(true)
             .open(&self.path)
@@ -562,6 +603,50 @@ pub struct SnapshotFile {
     pub payload: serde::Value,
 }
 
+impl SnapshotFile {
+    /// Writes the file durably at `path`: a synced temp file renamed over
+    /// it, then a sync of the directory.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Io`] / [`WalError::Codec`]. On error a file already at
+    /// `path` is undamaged.
+    pub fn write(&self, path: &Path) -> Result<(), WalError> {
+        let text = serde_json::to_string(self).map_err(|e| WalError::Codec {
+            detail: format!("encode snapshot: {e}"),
+        })?;
+        replace_file(path, text.as_bytes(), true)
+    }
+
+    /// Reads the file at `path`. The version is checked before anything
+    /// else is decoded, so an older or newer layout is reported as a
+    /// version problem rather than a parse failure.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::UnsupportedSnapshotVersion`] for any version but
+    /// [`SNAPSHOT_FORMAT_VERSION`] (a JSON file without one reads as 0);
+    /// [`WalError::Io`] if the file cannot be read; [`WalError::Codec`] if
+    /// it is not a snapshot envelope.
+    pub fn read(path: &Path) -> Result<Self, WalError> {
+        let codec = |why: String| WalError::Codec {
+            detail: format!("snapshot {}: {why}", path.display()),
+        };
+        let text = fs::read_to_string(path).map_err(|e| io_err(path, "read", &e))?;
+        let value: serde::Value = serde_json::from_str(&text).map_err(|e| codec(e.to_string()))?;
+        let found = value.get("format_version").and_then(serde::Value::as_u64);
+        let found = found.unwrap_or(0);
+        if found != u64::from(SNAPSHOT_FORMAT_VERSION) {
+            return Err(WalError::UnsupportedSnapshotVersion {
+                path: path.to_path_buf(),
+                found: u32::try_from(found).unwrap_or(u32::MAX),
+                supported: SNAPSHOT_FORMAT_VERSION,
+            });
+        }
+        serde_json::from_value(&value).map_err(|e| codec(e.to_string()))
+    }
+}
+
 /// A serve data directory: one journal plus rotating snapshot files and a
 /// quarantine file for poison input lines.
 #[derive(Debug, Clone)]
@@ -579,11 +664,6 @@ impl DataDir {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create dir", &e))?;
         Ok(Self { dir })
-    }
-
-    /// The directory path.
-    pub fn path(&self) -> &Path {
-        &self.dir
     }
 
     /// Path of the journal file.
@@ -609,18 +689,8 @@ impl DataDir {
     /// [`WalError::Io`] / [`WalError::Codec`]. On error no existing
     /// snapshot has been damaged.
     pub fn write_snapshot(&self, snap: &SnapshotFile) -> Result<PathBuf, WalError> {
-        let text = serde_json::to_string(snap).map_err(|e| WalError::Codec {
-            detail: format!("encode snapshot: {e}"),
-        })?;
         let path = self.dir.join(Self::snapshot_name(snap.wal_seq));
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
-            f.write_all(text.as_bytes())
-                .map_err(|e| io_err(&tmp, "write", &e))?;
-            f.sync_data().map_err(|e| io_err(&tmp, "sync", &e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename", &e))?;
+        snap.write(&path)?;
         // Prune older generations, newest two kept (the newest may be the
         // one just written; the previous one survives as a fallback should
         // the newest prove unreadable later).
@@ -647,13 +717,14 @@ impl DataDir {
         Ok(names)
     }
 
-    /// Loads the newest readable snapshot, falling back past corrupt or
-    /// partially written candidates. `Ok(None)` when no snapshot exists.
+    /// Loads the newest readable snapshot with [`SnapshotFile::read`],
+    /// falling back past corrupt or partially written candidates.
+    /// `Ok(None)` when no snapshot exists.
     ///
     /// # Errors
     ///
     /// [`WalError::UnsupportedSnapshotVersion`] if the newest readable
-    /// candidate was produced by a newer build (a hard, typed refusal —
+    /// candidate carries another build's version (a hard, typed refusal —
     /// silently falling back could silently lose committed state), and
     /// [`WalError::Io`] for directory-scan failures.
     pub fn load_latest_snapshot(&self) -> Result<Option<SnapshotFile>, WalError> {
@@ -661,27 +732,12 @@ impl DataDir {
         names.sort();
         names.reverse();
         for name in names {
-            let path = self.dir.join(&name);
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(value) = serde_json::from_str::<serde::Value>(&text) else {
-                continue; // torn/corrupt candidate: fall back to the previous one
-            };
-            let Some(found) = value.get("format_version").and_then(serde::Value::as_u64) else {
-                continue;
-            };
-            if found > u64::from(SNAPSHOT_FORMAT_VERSION) {
-                return Err(WalError::UnsupportedSnapshotVersion {
-                    path,
-                    found: u32::try_from(found).unwrap_or(u32::MAX),
-                    supported: SNAPSHOT_FORMAT_VERSION,
-                });
+            match SnapshotFile::read(&self.dir.join(&name)) {
+                Ok(snap) => return Ok(Some(snap)),
+                Err(e @ WalError::UnsupportedSnapshotVersion { .. }) => return Err(e),
+                // A torn or corrupt candidate: fall back to the previous one.
+                Err(_) => continue,
             }
-            let Ok(snap) = serde_json::from_value::<SnapshotFile>(&value) else {
-                continue;
-            };
-            return Ok(Some(snap));
         }
         Ok(None)
     }
@@ -769,6 +825,145 @@ pub fn replay(
     Ok(applied)
 }
 
+/// The durable half of a serve session, shared by `threesigma serve
+/// --data-dir` and the crash campaign: the journal, the durability
+/// metrics, the lifetime truncation total (carried through snapshots) and
+/// the auto-snapshot policy. The caller's payload is opaque to it.
+#[derive(Debug)]
+pub struct Durable {
+    data: DataDir,
+    wal: Wal,
+    metrics: WalMetrics,
+    truncated_total: u64,
+    snap_jobs: u64,
+    snap_secs: f64,
+    records_since_snap: u64,
+    last_snap_now: f64,
+}
+
+/// A data directory opened by [`Durable::recover`], its journal suffix not
+/// yet replayed. The caller restores its session and scheduler from the
+/// snapshot's payload (or starts them fresh), then calls
+/// [`Recovery::resume`].
+#[derive(Debug)]
+pub struct Recovery {
+    /// What recovery found: the snapshot, the suffix to replay, torn bytes.
+    pub recovered: Recovered,
+    data: DataDir,
+}
+
+impl Durable {
+    /// Opens `data` with [`recover_data_dir`] and completes a truncation a
+    /// crash interrupted.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError`] from recovery or the truncation.
+    pub fn recover(data: DataDir, sync: bool) -> Result<Recovery, WalError> {
+        let mut recovered = recover_data_dir(&data, sync)?;
+        // The snapshot counted these bytes into its lifetime truncation
+        // total when it was written, so this pass does not re-count them.
+        if recovered.covered > 0 || recovered.duplicates > 0 {
+            let watermark = recovered.snapshot.as_ref().map_or(0, |s| s.wal_seq);
+            recovered.wal.truncate_through(watermark)?;
+        }
+        Ok(Recovery { recovered, data })
+    }
+
+    /// The data directory.
+    pub fn data(&self) -> &DataDir {
+        &self.data
+    }
+
+    /// Queues `record` for the journal ([`Wal::append_unsynced`]). It may
+    /// be acknowledged only after the next [`Durable::sync`].
+    pub fn append(&mut self, record: WalRecord) -> Result<u64, WalError> {
+        let seq = self.wal.append_unsynced(record)?;
+        self.records_since_snap += 1;
+        Ok(seq)
+    }
+
+    /// The journal barrier ([`Wal::sync`]), then the metrics.
+    pub fn sync(&mut self) -> Result<(), WalError> {
+        self.wal.sync()?;
+        self.metrics.publish(&self.wal, self.truncated_total);
+        Ok(())
+    }
+
+    /// Whether the policy wants a snapshot of `session` now, which it
+    /// can take only at quiescence. Both triggers are functions of the
+    /// accepted stream, so a recovered run snapshots at the same stream
+    /// positions as a never-crashed one.
+    pub fn snapshot_due(&self, session: &ServeSession) -> bool {
+        let (records, now) = (self.records_since_snap, session.now());
+        records > 0
+            && ((self.snap_jobs > 0 && records >= self.snap_jobs)
+                || (self.snap_secs > 0.0 && now - self.last_snap_now >= self.snap_secs))
+            && session.is_quiescent()
+    }
+
+    /// Writes `payload`, the caller's state at simulated time `now`, as a
+    /// snapshot watermarked at the last appended record, *then* truncates
+    /// the journal through the watermark. A crash between the two steps
+    /// only leaves covered records behind, which recovery filters by
+    /// sequence number. The caller syncs first.
+    pub fn take_snapshot(&mut self, payload: serde::Value, now: f64) -> Result<(), WalError> {
+        let watermark = self.wal.next_seq().saturating_sub(1);
+        // Count the truncation at snapshot-write time: the snapshot carries
+        // the post-truncation lifetime total, so the counter is identical
+        // whether or not the truncate below ever runs before a crash.
+        let body = self.wal.len_bytes().saturating_sub(WAL_MAGIC.len() as u64);
+        let total = self.truncated_total + body;
+        self.data.write_snapshot(&SnapshotFile {
+            format_version: SNAPSHOT_FORMAT_VERSION,
+            wal_seq: watermark,
+            wal_truncated_bytes: total,
+            payload,
+        })?;
+        self.truncated_total = total;
+        self.wal.truncate_through(watermark)?;
+        self.records_since_snap = 0;
+        self.last_snap_now = now;
+        self.metrics.publish(&self.wal, self.truncated_total);
+        Ok(())
+    }
+}
+
+impl Recovery {
+    /// Replays the journal suffix through the caller's restored `session`
+    /// and `scheduler`, registers and publishes the durability metrics on
+    /// `recorder`, and starts the snapshot policy: a snapshot after
+    /// `snap_jobs` journaled records or `snap_secs` simulated seconds (0
+    /// turns a trigger off), counted so that the next one lands where a
+    /// never-crashed run takes it. Fails as [`replay`] does.
+    pub fn resume(
+        self,
+        session: &mut ServeSession,
+        scheduler: &mut dyn Scheduler,
+        recorder: &Recorder,
+        snap_jobs: u64,
+        snap_secs: f64,
+    ) -> Result<Durable, SimError> {
+        let recovered = self.recovered;
+        let truncated_total = recovered.snapshot.map_or(0, |s| s.wal_truncated_bytes);
+        let last_snap_now = session.now();
+        let replayed = replay(session, scheduler, &recovered.suffix)?;
+        let metrics = WalMetrics::register(recorder);
+        metrics.recovered_records.set(replayed as f64);
+        metrics.publish(&recovered.wal, truncated_total);
+        Ok(Durable {
+            data: self.data,
+            metrics,
+            truncated_total,
+            snap_jobs,
+            snap_secs,
+            records_since_snap: recovered.suffix.len() as u64,
+            last_snap_now,
+            wal: recovered.wal,
+        })
+    }
+}
+
 /// Durability metric handles. Totals are published with `set_total` so a
 /// recovered process reports stream-lifetime values: `appended_records`
 /// mirrors the lifetime sequence counter and `truncated_bytes` the
@@ -776,7 +971,7 @@ pub fn replay(
 /// `recovered_records` is genuinely process-local (zero on a straight-
 /// through run) — crash-equivalence comparisons filter it out.
 #[derive(Debug)]
-pub struct WalMetrics {
+pub(crate) struct WalMetrics {
     /// `wal_appended_records_total` — lifetime journal records.
     pub appended_records: Counter,
     /// `wal_truncated_bytes_total` — lifetime journal bytes truncated.
@@ -1038,23 +1233,25 @@ mod tests {
     }
 
     #[test]
-    fn newer_snapshot_version_is_a_typed_error() {
-        let dir = tmpdir("version");
-        let data = DataDir::open(&dir).unwrap();
-        data.write_snapshot(&SnapshotFile {
-            format_version: SNAPSHOT_FORMAT_VERSION + 7,
-            wal_seq: 1,
-            wal_truncated_bytes: 0,
-            payload: serde::Value::Null,
-        })
-        .unwrap();
-        let err = data.load_latest_snapshot().unwrap_err();
-        assert!(matches!(
-            err,
-            WalError::UnsupportedSnapshotVersion { found, supported, .. }
-                if found == SNAPSHOT_FORMAT_VERSION + 7 && supported == SNAPSHOT_FORMAT_VERSION
-        ));
-        let _ = fs::remove_dir_all(&dir);
+    fn older_and_newer_snapshot_versions_are_a_typed_error() {
+        for version in [SNAPSHOT_FORMAT_VERSION - 1, SNAPSHOT_FORMAT_VERSION + 7] {
+            let dir = tmpdir(&format!("version{version}"));
+            let data = DataDir::open(&dir).unwrap();
+            data.write_snapshot(&SnapshotFile {
+                format_version: version,
+                wal_seq: 1,
+                wal_truncated_bytes: 0,
+                payload: serde::Value::Null,
+            })
+            .unwrap();
+            let err = data.load_latest_snapshot().unwrap_err();
+            assert!(matches!(
+                err,
+                WalError::UnsupportedSnapshotVersion { found, supported, .. }
+                    if found == version && supported == SNAPSHOT_FORMAT_VERSION
+            ));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -368,8 +368,8 @@ pub struct SchedStats {
     pub tier2_cycles: u64,
     /// Retired: tier-2 solves once answered from a cross-cycle solution
     /// cache that no longer exists. Nothing adds to it and it is not
-    /// exported as a metric; it stays so that snapshots written with it
-    /// still restore (see [`SchedSnapshot`]).
+    /// exported as a metric; it stays because the repository benchmark
+    /// reads it.
     pub incremental_reuses: u64,
     /// Presolve reductions across all cycles: variables fixed, rows
     /// absorbed, dominated options removed, and bounds tightened.
@@ -396,10 +396,6 @@ impl SchedStats {
 /// running attempt), a quiescent session has none, and any entry is
 /// re-derived on demand from the restored predictor. The solver keeps
 /// nothing between cycles, so there is no solver state to save.
-///
-/// `totals` still carries the retired `SchedStats::incremental_reuses`:
-/// the snapshot reader requires every field, so dropping it would leave
-/// existing snapshots unrestorable until the format's next version bump.
 ///
 /// Field order is the byte-stability contract: serialisation is
 /// `serde_json` over this struct in declaration order, so the same state
@@ -893,7 +889,7 @@ impl ThreeSigmaScheduler {
     pub fn serve_restore(&mut self, snapshot: SchedSnapshot) -> Result<(), String> {
         self.predictor
             .restore(snapshot.predictor)
-            .map_err(|i| format!("predictor snapshot entry {i} references an unknown feature"))?;
+            .map_err(|e| format!("predictor snapshot: {e}"))?;
         self.totals = snapshot.totals;
         self.cache
             .restore_stats(snapshot.cache_stats, snapshot.cache_epoch);

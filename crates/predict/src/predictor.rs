@@ -82,9 +82,7 @@ pub struct Predictor {
     /// Last touch per tracked key (same keys as `state`).
     touch: BTreeMap<(usize, String), u64>,
     /// Recency index: `(touch, feature index, value)` ascending, so the
-    /// least-recently-observed entry is always `first()`. Ties (legacy
-    /// snapshots with no recorded touches) break on the key, keeping
-    /// eviction deterministic.
+    /// least-recently-observed entry is always `first()`.
     by_touch: BTreeSet<(u64, usize, String)>,
     /// Feature-value states evicted by the LRU cap or TTL (memory gauge).
     evictions: u64,
@@ -401,21 +399,28 @@ impl Predictor {
     /// Restores a snapshot taken by [`snapshot`](Self::snapshot), replacing
     /// any current state.
     ///
-    /// Returns `Err` with the offending feature index when the snapshot
-    /// references features this predictor does not have.
-    pub fn restore(&mut self, snapshot: Snapshot) -> Result<(), usize> {
+    /// # Errors
+    ///
+    /// Refuses, leaving the predictor unchanged, a snapshot that
+    /// references a feature this predictor does not have, or whose touch
+    /// list does not pair one touch with each entry.
+    pub fn restore(&mut self, snapshot: Snapshot) -> Result<(), String> {
         for (fi, _, _) in &snapshot.entries {
             if *fi >= self.features.len() {
-                return Err(*fi);
+                return Err(format!("entry references unknown feature {fi}"));
             }
+        }
+        if snapshot.touches.len() != snapshot.entries.len() {
+            return Err(format!(
+                "{} touches for {} entries",
+                snapshot.touches.len(),
+                snapshot.entries.len()
+            ));
         }
         self.touch = BTreeMap::new();
         self.by_touch = BTreeSet::new();
         let mut max_touch = 0u64;
-        for (i, (fi, value, _)) in snapshot.entries.iter().enumerate() {
-            // Legacy snapshots carry no touches; those entries restore as
-            // touch 0 and evict first, tie-broken on the key.
-            let t = snapshot.touches.get(i).copied().unwrap_or(0);
+        for ((fi, value, _), &t) in snapshot.entries.iter().zip(&snapshot.touches) {
             max_touch = max_touch.max(t);
             self.touch.insert((*fi, value.clone()), t);
             self.by_touch.insert((t, *fi, value.clone()));
@@ -433,17 +438,9 @@ impl Predictor {
         self.observations = self.state.values().map(ValueState::count).sum();
         self.bin_merges = self.state.values().map(ValueState::bin_merges).sum();
         // The historical-best NMAE travels in the snapshot (a restarted
-        // serve session must republish the same gauge); legacy snapshots
-        // without it fall back to the current minimum.
-        let current_min = self
-            .state
-            .values()
-            .filter_map(ValueState::best_nmae)
-            .min_by(f64::total_cmp);
-        self.best_nmae_seen = match (snapshot.best_nmae, current_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        // serve session must republish the same gauge). `observe` already
+        // folded every state's score into it.
+        self.best_nmae_seen = snapshot.best_nmae;
         Ok(())
     }
 }
@@ -453,9 +450,7 @@ impl Predictor {
 pub struct Snapshot {
     /// `(feature index, feature value, state)` triples.
     entries: Vec<(usize, String, ValueState)>,
-    /// Last-touch clock per entry (same order as `entries`); restoring
-    /// entries with no recorded touch treats them as 0 (evicted first
-    /// under a cap).
+    /// Last-touch clock per entry (same order and length as `entries`).
     touches: Vec<u64>,
     /// Logical observation clock at snapshot time.
     clock: u64,
@@ -464,8 +459,7 @@ pub struct Snapshot {
     /// Censored observations recorded before the snapshot.
     censored: u64,
     /// Lowest scored-expert NMAE ever seen (including evicted states and
-    /// past scores); `Null` in legacy snapshots, which restore from the
-    /// current minimum instead.
+    /// past scores); `None` until an expert is scored.
     best_nmae: Option<f64>,
 }
 
@@ -730,7 +724,17 @@ mod tests {
         snap.entries
             .push((999, "v".into(), snap.entries[0].2.clone()));
         let mut fresh = Predictor::new(PredictorConfig::default());
-        assert_eq!(fresh.restore(snap), Err(999));
+        assert_eq!(
+            fresh.restore(snap.clone()),
+            Err("entry references unknown feature 999".into())
+        );
+        // A touch list that does not pair one touch with each entry is
+        // refused too, not read as touch 0.
+        snap.entries.pop();
+        snap.touches.pop();
+        let err = fresh.restore(snap).unwrap_err();
+        assert!(err.contains("touches for"), "{err}");
+        assert_eq!(fresh.tracked_values(), 0);
     }
 
     #[test]

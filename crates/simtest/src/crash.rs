@@ -5,13 +5,14 @@
 //! 1. **Reference** — straight through one durable session (journal +
 //!    auto-snapshots in a scratch data directory), drained to quiescence.
 //! 2. **Victim** — the stream is cut at a seeded step index and the
-//!    session is dropped *without* a final snapshot or journal truncation
-//!    (the in-process equivalent of `kill -9` between two acks). A third
-//!    of the kill points additionally corrupt the journal tail — garbage
-//!    bytes or a half-written frame — to model a write torn by the crash
-//!    itself. A fresh process then recovers from the data directory,
-//!    replays the journal suffix, consumes the rest of the stream, and
-//!    finishes.
+//!    process is dropped *without* a final commit, snapshot or journal
+//!    truncation (the in-process equivalent of `kill -9`). Steps fed since
+//!    its last commit were never durable, so never acknowledged, and are
+//!    lost with it. A third of the kill points additionally corrupt the
+//!    journal tail — garbage bytes or a half-written frame — to model a
+//!    write torn by the crash itself. A fresh process then recovers from
+//!    the data directory, must hold exactly the steps through the last
+//!    commit, consumes the rest of the stream from there, and finishes.
 //!
 //! The campaign fails unless, at every kill point, the recovered run's
 //! [`ServeSummary`] (including its outcome digest) and its byte-stable
@@ -20,22 +21,25 @@
 //! straight-through run). Every other durability counter is lifetime-
 //! valued by construction and must survive the crash exactly.
 //!
-//! The driver mirrors the CLI serve loop's ordering contract:
-//! admit → pump → auto-snapshot (quiescent, *before* journaling the new
-//! record) → append+sync → apply → ack. Faults and the final clock edge
-//! are journaled the same way, so replay reconstructs the exact event
-//! history.
+//! Every process runs [`Durable`], the journal/snapshot/recovery code
+//! `threesigma serve --data-dir` runs, in the serve loop's order: admit →
+//! pump → (commit, then snapshot, if one is due and the session is
+//! quiescent — *before* journaling the new record) → journal → apply. Like
+//! the serve loop, which commits once per `read()`, a process commits
+//! (one journal sync) once per seeded batch of 1–`MAX_BATCH` steps.
+//! Faults and the final clock edge are journaled the same way, so replay
+//! reconstructs the exact event history.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use threesigma::{EstimateSource, SchedConfig, SchedSnapshot, ThreeSigmaScheduler};
-use threesigma_cluster::wal::{encode_frame, recover_data_dir, replay};
+use threesigma_cluster::wal::encode_frame;
 use threesigma_cluster::{
-    Attributes, ClusterSpec, DataDir, FaultEvent, JobKind, JobSpec, PartitionId, ServeConfig,
-    ServeSession, ServeSnapshot, ServeSummary, SnapshotFile, Wal, WalEntry, WalMetrics, WalRecord,
-    SNAPSHOT_FORMAT_VERSION, WAL_MAGIC,
+    Attributes, ClusterSpec, DataDir, Durable, FaultEvent, JobKind, JobSpec, PartitionId,
+    ServeConfig, ServeSession, ServeSnapshot, ServeSummary, WalEntry, WalRecord,
 };
 use threesigma_obs::Recorder;
 
@@ -56,6 +60,8 @@ const BURST_GAP: f64 = 24.0;
 const IDLE_GAP: f64 = 900.0;
 /// Auto-snapshot threshold (journal records since the last snapshot).
 const SNAP_EVERY: u64 = 20;
+/// Most steps one commit covers.
+const MAX_BATCH: u64 = 4;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
@@ -107,8 +113,8 @@ impl TailDamage {
 }
 
 /// The engine + policy state a campaign snapshot checkpoints. Mirrors the
-/// CLI's full snapshot minus the wire counters (the campaign driver sits
-/// below the wire layer).
+/// CLI's full snapshot minus the wire counters (the campaign sits below
+/// the wire layer).
 #[derive(Debug, Serialize, Deserialize)]
 struct CampaignSnapshot {
     engine: ServeSnapshot,
@@ -199,149 +205,157 @@ fn plan_stream(cfg: &CrashConfig) -> Vec<Step> {
     steps
 }
 
-/// The campaign's durable serve driver: the same journal/snapshot protocol
-/// the CLI serve loop runs, minus the wire layer.
-struct Driver {
-    data: DataDir,
-    wal: Wal,
-    metrics: WalMetrics,
-    truncated_total: u64,
-    records_since_snap: u64,
+/// Marks the steps after which a process commits: seeded batches of 1 to
+/// [`MAX_BATCH`] steps. The stream's last batch ends at the clean stop's
+/// own commit.
+fn plan_commits(seed: u64, steps: usize) -> Vec<bool> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0ba7_c4ed);
+    let mut commit_after = vec![false; steps];
+    let mut end = 0usize;
+    loop {
+        end += 1 + (rng.random::<u64>() % MAX_BATCH) as usize;
+        let Some(last) = commit_after.get_mut(end - 1) else {
+            return commit_after;
+        };
+        *last = true;
+    }
 }
 
-impl Driver {
-    fn append(&mut self, record: WalRecord) -> Result<(), String> {
-        self.wal
-            .append(record)
-            .map_err(|e| format!("journal append: {e}"))?;
-        self.records_since_snap += 1;
-        self.metrics.publish(&self.wal, self.truncated_total);
-        Ok(())
-    }
+/// Labels an error with what was being attempted.
+fn fail<E: std::fmt::Display>(what: &'static str) -> impl FnOnce(E) -> String {
+    move |e| format!("{what}: {e}")
+}
 
-    /// Snapshot-write-then-truncate, with the truncation counted at write
-    /// time so the lifetime total is crash-consistent (the CLI protocol).
-    fn take_snapshot(
-        &mut self,
-        session: &ServeSession,
-        sched: &ThreeSigmaScheduler,
-    ) -> Result<(), String> {
-        let payload = CampaignSnapshot {
-            engine: session.snapshot().map_err(|e| format!("snapshot: {e}"))?,
-            sched: sched.serve_snapshot(),
+/// One serve process of the campaign: a session and its scheduler over
+/// the shipped [`Durable`].
+struct Process {
+    recorder: Recorder,
+    session: ServeSession,
+    sched: ThreeSigmaScheduler,
+    durable: Durable,
+}
+
+impl Process {
+    /// Starts a process on the data directory `dir` through the shipped
+    /// recovery (an empty directory yields an empty session). Also returns
+    /// the torn journal bytes recovery discarded.
+    fn start(dir: &Path) -> Result<(Self, u64), String> {
+        let recorder = Recorder::enabled();
+        let (mut session, mut sched) = build(&recorder);
+        let data = DataDir::open(dir).map_err(fail("open data dir"))?;
+        let recovery = Durable::recover(data, false).map_err(fail("recover"))?;
+        if let Some(file) = &recovery.recovered.snapshot {
+            let snap: CampaignSnapshot =
+                serde_json::from_value(&file.payload).map_err(fail("decode snapshot"))?;
+            sched
+                .serve_restore(snap.sched)
+                .map_err(fail("scheduler restore"))?;
+            let cluster = ClusterSpec::uniform(4, 16);
+            session = ServeSession::restore(cluster, serve_config(), &recorder, &snap.engine)
+                .map_err(fail("session restore"))?;
+        }
+        let torn_bytes = recovery.recovered.torn_bytes;
+        let durable = recovery
+            .resume(&mut session, &mut sched, &recorder, SNAP_EVERY, 0.0)
+            .map_err(fail("resume"))?;
+        let process = Self {
+            recorder,
+            session,
+            sched,
+            durable,
         };
-        let watermark = self.wal.next_seq().saturating_sub(1);
-        let body = self.wal.len_bytes().saturating_sub(WAL_MAGIC.len() as u64);
-        let total = self.truncated_total + body;
-        let payload =
-            serde_json::to_value(&payload).map_err(|e| format!("encode snapshot: {e}"))?;
-        self.data
-            .write_snapshot(&SnapshotFile {
-                format_version: SNAPSHOT_FORMAT_VERSION,
-                wal_seq: watermark,
-                wal_truncated_bytes: total,
-                payload,
-            })
-            .map_err(|e| format!("write snapshot: {e}"))?;
-        self.truncated_total = total;
-        self.wal
-            .truncate_through(watermark)
-            .map_err(|e| format!("truncate journal: {e}"))?;
-        self.records_since_snap = 0;
-        self.metrics.publish(&self.wal, self.truncated_total);
-        Ok(())
+        Ok((process, torn_bytes))
     }
 
-    /// Feeds one stream step through the full ordering contract.
-    fn feed(
-        &mut self,
-        step: &Step,
-        session: &mut ServeSession,
-        sched: &mut ThreeSigmaScheduler,
-    ) -> Result<(), String> {
+    /// Commits the open batch, then snapshots.
+    fn snapshot(&mut self) -> Result<(), String> {
+        self.durable.sync().map_err(fail("journal sync"))?;
+        let payload = CampaignSnapshot {
+            engine: self.session.snapshot().map_err(fail("snapshot"))?,
+            sched: self.sched.serve_snapshot(),
+        };
+        let payload = serde_json::to_value(&payload).map_err(fail("encode snapshot"))?;
+        self.durable
+            .take_snapshot(payload, self.session.now())
+            .map_err(fail("take snapshot"))
+    }
+
+    /// Feeds one stream step through the serve loop's order. Returns
+    /// whether a due snapshot committed the open batch first.
+    fn step(&mut self, step: &Step) -> Result<bool, String> {
         match step {
             Step::Job(spec) => {
-                session
-                    .admit(spec)
-                    .map_err(|e| format!("job {} rejected: {e}", spec.id.0))?;
-                session
-                    .pump_until(spec.submit_time, sched)
-                    .map_err(|e| format!("pump: {e}"))?;
-                if self.records_since_snap >= SNAP_EVERY && session.is_quiescent() {
-                    self.take_snapshot(session, sched)?;
+                self.session.admit(spec).map_err(fail("admit"))?;
+                self.session
+                    .pump_until(spec.submit_time, &mut self.sched)
+                    .map_err(fail("pump"))?;
+                let due = self.durable.snapshot_due(&self.session);
+                if due {
+                    self.snapshot()?;
                 }
-                self.append(WalRecord::Job(spec.clone()))?;
-                session
-                    .submit(spec.clone())
-                    .map_err(|e| format!("submit after admit: {e}"))?;
+                self.durable
+                    .append(WalRecord::Job(spec.clone()))
+                    .map_err(fail("journal append"))?;
+                self.session.submit(spec.clone()).map_err(fail("submit"))?;
+                Ok(due)
             }
             Step::Fault(fault) => {
-                self.append(WalRecord::Fault(*fault))?;
-                session
+                self.durable
+                    .append(WalRecord::Fault(*fault))
+                    .map_err(fail("journal append"))?;
+                self.session
                     .inject_fault(*fault)
-                    .map_err(|e| format!("inject fault: {e}"))?;
+                    .map_err(fail("inject fault"))?;
+                Ok(false)
             }
         }
-        Ok(())
     }
 
-    /// Drains to quiescence, journals the final clock edge, and takes the
-    /// shutdown snapshot — the clean-stop protocol.
-    fn finish(
+    /// Feeds `steps[range]`, committing after every step `commit_after`
+    /// marks. Returns how many steps of the stream were durable at the
+    /// last commit.
+    fn feed(
         &mut self,
-        session: &mut ServeSession,
-        sched: &mut ThreeSigmaScheduler,
-    ) -> Result<(), String> {
-        session
-            .drain(f64::INFINITY, sched)
-            .map_err(|e| format!("drain: {e}"))?;
-        self.append(WalRecord::Clock { now: session.now() })?;
-        self.take_snapshot(session, sched)
+        steps: &[Step],
+        range: Range<usize>,
+        commit_after: &[bool],
+    ) -> Result<usize, String> {
+        let mut synced = range.start;
+        for i in range {
+            if self.step(&steps[i])? {
+                synced = i;
+            }
+            if commit_after[i] {
+                self.durable.sync().map_err(fail("journal sync"))?;
+                synced = i + 1;
+            }
+        }
+        Ok(synced)
     }
-}
 
-fn open_driver(dir: &Path, recorder: &Recorder) -> Result<Driver, String> {
-    let data = DataDir::open(dir).map_err(|e| format!("open data dir: {e}"))?;
-    let (wal, _) =
-        Wal::open(&data.journal_path(), false).map_err(|e| format!("open journal: {e}"))?;
-    Ok(Driver {
-        data,
-        wal,
-        metrics: WalMetrics::register(recorder),
-        truncated_total: 0,
-        records_since_snap: 0,
-    })
-}
-
-/// The comparison key of one finished run: the summary (with its outcome
-/// digest) and the stable metrics dump minus the process-local
-/// `wal_recovered_records` gauge.
-fn finish_and_fingerprint(
-    driver: &mut Driver,
-    mut session: ServeSession,
-    sched: &mut ThreeSigmaScheduler,
-    recorder: &Recorder,
-) -> Result<(ServeSummary, String), String> {
-    driver.finish(&mut session, sched)?;
-    let metrics: String = recorder
-        .snapshot()
-        .to_stable_json()
-        .lines()
-        .filter(|l| !l.contains("wal_recovered_records"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    Ok((session.summary(), metrics))
-}
-
-/// Runs the stream straight through one durable session.
-fn reference_run(dir: &Path, steps: &[Step]) -> Result<(ServeSummary, String), String> {
-    let recorder = Recorder::enabled();
-    let (mut session, mut sched) = build(&recorder);
-    let mut driver = open_driver(dir, &recorder)?;
-    for step in steps {
-        driver.feed(step, &mut session, &mut sched)?;
+    /// The clean stop — drain to quiescence, journal the final clock edge,
+    /// commit, take the shutdown snapshot — then the comparison key: the
+    /// summary (with its outcome digest) and the stable metrics dump
+    /// minus the process-local `wal_recovered_records` gauge.
+    fn finish(mut self) -> Result<(ServeSummary, String), String> {
+        self.session
+            .drain(f64::INFINITY, &mut self.sched)
+            .map_err(fail("drain"))?;
+        let clock = WalRecord::Clock {
+            now: self.session.now(),
+        };
+        self.durable.append(clock).map_err(fail("journal append"))?;
+        self.snapshot()?;
+        let metrics: String = self
+            .recorder
+            .snapshot()
+            .to_stable_json()
+            .lines()
+            .filter(|l| !l.contains("wal_recovered_records"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        Ok((self.session.summary(), metrics))
     }
-    finish_and_fingerprint(&mut driver, session, &mut sched, &recorder)
 }
 
 /// Applies the post-kill tail damage to the journal file.
@@ -365,89 +379,44 @@ fn damage_tail(journal: &Path, damage: TailDamage) -> Result<(), String> {
     std::fs::write(journal, bytes).map_err(|e| format!("write torn journal: {e}"))
 }
 
-/// Kills the stream after `kill_at` acknowledged steps, damages the tail,
-/// recovers in a "fresh process", finishes the stream, and fingerprints.
+/// Kills the stream after `kill_at` fed steps, damages the tail, recovers
+/// in a "fresh process", finishes the stream, and fingerprints. Also
+/// returns how many fed steps the kill lost because no commit covered
+/// them.
 fn recovered_run(
     dir: &Path,
     steps: &[Step],
+    commit_after: &[bool],
     kill_at: usize,
     damage: TailDamage,
-) -> Result<(ServeSummary, String), String> {
-    // Victim process: acks `kill_at` steps, then vanishes — no drain, no
-    // final snapshot, no truncation.
-    {
-        let recorder = Recorder::enabled();
-        let (mut session, mut sched) = build(&recorder);
-        let mut driver = open_driver(dir, &recorder)?;
-        for step in &steps[..kill_at] {
-            driver.feed(step, &mut session, &mut sched)?;
-        }
-    }
-    let data = DataDir::open(dir).map_err(|e| format!("open data dir: {e}"))?;
+) -> Result<((ServeSummary, String), usize), String> {
+    // Victim process: feeds `kill_at` steps, then vanishes — no final
+    // commit, no drain, no snapshot, no truncation.
+    let synced = Process::start(dir)?
+        .0
+        .feed(steps, 0..kill_at, commit_after)?;
+    let data = DataDir::open(dir).map_err(fail("open data dir"))?;
     damage_tail(&data.journal_path(), damage)?;
 
-    // Fresh process: recover, replay, resume.
-    let recovered = recover_data_dir(&data, false).map_err(|e| format!("recover: {e}"))?;
-    if damage != TailDamage::None && recovered.torn_bytes == 0 {
+    let (mut process, torn_bytes) = Process::start(dir)?;
+    if damage != TailDamage::None && torn_bytes == 0 {
         return Err("tail damage was not detected as torn bytes".into());
     }
-    let recorder = Recorder::enabled();
-    let (mut session, mut sched) = build(&recorder);
-    if let Some(snap) = &recovered.snapshot {
-        let payload: CampaignSnapshot =
-            serde_json::from_value(&snap.payload).map_err(|e| format!("decode snapshot: {e}"))?;
-        sched
-            .serve_restore(payload.sched)
-            .map_err(|e| format!("scheduler restore: {e}"))?;
-        session = ServeSession::restore(
-            ClusterSpec::uniform(4, 16),
-            serve_config(),
-            &recorder,
-            &payload.engine,
-        )
-        .map_err(|e| format!("session restore: {e}"))?;
-    }
-    let mut driver = Driver {
-        metrics: WalMetrics::register(&recorder),
-        truncated_total: recovered
-            .snapshot
-            .as_ref()
-            .map_or(0, |s| s.wal_truncated_bytes),
-        records_since_snap: recovered.suffix.len() as u64,
-        wal: recovered.wal,
-        data,
-    };
-    // Complete an interrupted truncation (snapshot written, truncate lost)
-    // without recounting: those bytes were counted at snapshot-write time.
-    if recovered.covered > 0 || recovered.duplicates > 0 {
-        let watermark = recovered.snapshot.as_ref().map_or(0, |s| s.wal_seq);
-        driver
-            .wal
-            .truncate_through(watermark)
-            .map_err(|e| format!("complete truncation: {e}"))?;
-    }
-    let replayed =
-        replay(&mut session, &mut sched, &recovered.suffix).map_err(|e| format!("replay: {e}"))?;
-    driver.metrics.recovered_records.set(replayed as f64);
-    driver.metrics.publish(&driver.wal, driver.truncated_total);
-
-    // No acknowledged step may be lost: state must equal exactly the
-    // pre-kill prefix, so the resume point is the kill offset itself.
-    let acked_jobs = steps[..kill_at]
+    // No acknowledged step may be lost and no unacknowledged one kept:
+    // state must equal exactly the prefix through the last commit, so the
+    // resume point is that commit.
+    let acked_jobs = steps[..synced]
         .iter()
         .filter(|s| matches!(s, Step::Job(_)))
         .count() as u64;
-    if session.summary().submitted != acked_jobs {
+    let submitted = process.session.summary().submitted;
+    if submitted != acked_jobs {
         return Err(format!(
-            "recovered {} submitted jobs, but {} were acknowledged before the kill",
-            session.summary().submitted,
-            acked_jobs
+            "recovered {submitted} submitted jobs, but {acked_jobs} were committed before the kill"
         ));
     }
-    for step in &steps[kill_at..] {
-        driver.feed(step, &mut session, &mut sched)?;
-    }
-    finish_and_fingerprint(&mut driver, session, &mut sched, &recorder)
+    process.feed(steps, synced..steps.len(), commit_after)?;
+    Ok((process.finish()?, kill_at - synced))
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -458,20 +427,26 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Runs the campaign: one reference run plus `cfg.kill_points` recovered
 /// runs at seeded offsets, each compared byte-for-byte. Returns the
-/// rendered report, or a reproducible failure description.
+/// rendered report and how many kill points cut a batch (lost fed steps
+/// that no commit covered), or a reproducible failure description.
 ///
 /// # Errors
 ///
 /// The first kill point whose recovered run diverges from (or fails
 /// against) the reference, with the seed, offset, and damage mode needed
 /// to replay it.
-pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
+pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<(String, usize), String> {
     let steps = plan_stream(cfg);
     if steps.len() < 2 {
         return Err("stream too short to kill".into());
     }
+    let commit_after = plan_commits(cfg.seed, steps.len());
+    // The reference: the whole stream straight through one process.
     let ref_dir = scratch_dir(&format!("{:x}_ref", cfg.seed));
-    let reference = reference_run(&ref_dir, &steps);
+    let reference = Process::start(&ref_dir).and_then(|(mut process, _)| {
+        process.feed(&steps, 0..steps.len(), &commit_after)?;
+        process.finish()
+    });
     let _ = std::fs::remove_dir_all(&ref_dir);
     let (ref_summary, ref_metrics) = reference?;
 
@@ -483,6 +458,7 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
         steps.len(),
         cfg.kill_points
     );
+    let mut mid_batch = 0;
     for point in 0..cfg.kill_points {
         let kill_at = 1 + (rng.random::<u64>() as usize) % (steps.len() - 1);
         let damage = match point % 3 {
@@ -497,9 +473,9 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
             cfg.seed
         );
         let dir = scratch_dir(&format!("{:x}_k{point}", cfg.seed));
-        let run = recovered_run(&dir, &steps, kill_at, damage);
+        let run = recovered_run(&dir, &steps, &commit_after, kill_at, damage);
         let _ = std::fs::remove_dir_all(&dir);
-        let (summary, metrics) = run.map_err(|e| format!("{ctx}: {e}"))?;
+        let ((summary, metrics), unsynced) = run.map_err(|e| format!("{ctx}: {e}"))?;
         if summary != ref_summary {
             return Err(format!(
                 "{ctx}: recovered summary diverged\nreference: {ref_summary:?}\nrecovered: {summary:?}"
@@ -511,10 +487,17 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<String, String> {
                 "{ctx}: recovered metrics diverged\nfirst differing line:\n{diff}"
             ));
         }
-        report.push_str(&format!("  {ctx}: equivalent\n"));
+        if unsynced > 0 {
+            mid_batch += 1;
+        }
+        report.push_str(&format!(
+            "  {ctx}: equivalent, {unsynced} uncommitted steps lost\n"
+        ));
     }
-    report.push_str("all kill points recovered to digest-identical state\n");
-    Ok(report)
+    report.push_str(&format!(
+        "all kill points recovered to digest-identical state ({mid_batch} cut a batch)\n"
+    ));
+    Ok((report, mid_batch))
 }
 
 fn first_diff(a: &str, b: &str) -> String {
@@ -543,7 +526,7 @@ mod tests {
             kill_points: 3,
             seed: 0x0035_160b_ad01,
         };
-        let report = run_crash_campaign(&cfg).expect("campaign passes");
+        let (report, _) = run_crash_campaign(&cfg).expect("campaign passes");
         assert!(report.contains("all kill points recovered"), "{report}");
     }
 
@@ -557,7 +540,9 @@ mod tests {
             kill_points: 21,
             seed: 0x0035_160b_ad02,
         };
-        let report = run_crash_campaign(&cfg).expect("campaign passes");
+        let (report, mid_batch) = run_crash_campaign(&cfg).expect("campaign passes");
         assert!(report.contains("all kill points recovered"), "{report}");
+        // Group commit is covered only if some kill lands inside a batch.
+        assert!(mid_batch > 0, "{report}");
     }
 }
