@@ -77,6 +77,7 @@ use threesigma_cluster::{
 };
 use threesigma_obs::{Counter, Recorder};
 use threesigma_predict::PredictorConfig;
+use threesigma_workload::MAX_DURATION;
 
 use crate::args::{Args, CliError};
 
@@ -171,7 +172,9 @@ fn bad_line(line_no: u64, why: impl std::fmt::Display) -> CliError {
 /// Parses one JSONL wire job into a [`JobSpec`].
 ///
 /// Required fields: `id` (u64), `tenant` (string), `submit_time` (seconds,
-/// finite ≥ 0), `tasks` (u32 ≥ 1), `duration` (seconds, finite > 0).
+/// finite ≥ 0), `tasks` (u32 ≥ 1), `duration` (seconds, > 0 and at most
+/// [`MAX_DURATION`], 30 days: a job that runs for years keeps the session
+/// cycling for as long).
 /// Optional: `deadline` (absolute seconds → SLO job; absent → best-effort)
 /// and any further *string* fields, which become predictor attributes.
 /// `tenant` is stored as the `tenant` attribute and also mirrored into
@@ -203,8 +206,13 @@ fn parse_wire_job(line: &str, line_no: u64) -> Result<JobSpec, CliError> {
         .ok_or_else(|| bad_line(line_no, "`tasks` must be an integer >= 1"))?;
     let duration = field("duration")?
         .as_f64()
-        .filter(|d| d.is_finite() && *d > 0.0)
-        .ok_or_else(|| bad_line(line_no, "`duration` must be a finite number > 0"))?;
+        .filter(|d| *d > 0.0 && *d <= MAX_DURATION)
+        .ok_or_else(|| {
+            bad_line(
+                line_no,
+                format!("`duration` must be a number > 0 and <= {MAX_DURATION} (30 days)"),
+            )
+        })?;
     let kind = match obj.get("deadline") {
         Some(v) => {
             let deadline = v
@@ -1301,6 +1309,52 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn wire_durations_past_thirty_days_are_rejected() {
+        let line = |duration: &str| {
+            format!(
+                "{{\"id\":1,\"tenant\":\"acme\",\"submit_time\":0,\"tasks\":1,\
+                 \"duration\":{duration}}}"
+            )
+        };
+        let spec = parse_wire_job(&line("2592000"), 1).unwrap();
+        assert_eq!(spec.duration, MAX_DURATION);
+        for duration in ["2592000.5", "1e7", "1e8", "1e308"] {
+            let err = parse_wire_job(&line(duration), 3).unwrap_err().to_string();
+            assert!(
+                err.contains("input line 3") && err.contains("`duration`"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_overlong_duration_is_quarantined_and_serve_exits_promptly() {
+        // A 1e308 s job would keep the session cycling for as long as it
+        // runs; refused at the wire, the stream drains like any other.
+        let input = tmp("overlong_in");
+        std::fs::write(
+            &input,
+            "{\"id\":1,\"tenant\":\"acme\",\"submit_time\":0,\"tasks\":1,\"duration\":1e308}\n\
+             {\"id\":2,\"tenant\":\"acme\",\"submit_time\":1,\"tasks\":1,\"duration\":30}\n",
+        )
+        .unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let arg = input.to_str().unwrap().to_owned();
+        let server = std::thread::spawn(move || {
+            let _ = done.send(serve(&["--input", &arg]));
+        });
+        let out = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("serve drains a two-line stream within a minute")
+            .unwrap();
+        server.join().unwrap();
+        assert!(out.contains("submitted=1"), "{out}");
+        assert!(out.contains("completed=1"), "{out}");
+        assert!(out.contains("rejected=1"), "{out}");
+        let _ = std::fs::remove_file(input);
     }
 
     #[test]

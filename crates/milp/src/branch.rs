@@ -217,6 +217,10 @@ impl BranchAndBound {
         // periodic heuristic — runs on this one workspace.
         let mut ws = LpWorkspace::new(model);
         let mut bounds = Vec::with_capacity(base.len());
+        // A node's chain of changes, leaf to root. A branching fixes at least
+        // one binary its LP left fractional, hence free, so a chain is
+        // rarely longer than `binaries`, and the buffer rarely grows.
+        let mut chain = Vec::with_capacity(binaries.len());
         let mut lp_iterations = 0usize;
         let mut incumbent_updates = 0usize;
         let mut timed_out = false;
@@ -313,10 +317,10 @@ impl BranchAndBound {
             }
             nodes += 1;
 
-            materialise(&mut bounds, &base, node.changes.as_deref());
+            materialise(&mut bounds, &mut chain, &base, node.changes.as_ref());
             // A sibling still queued holds the other reference.
             let shared = Rc::strong_count(&node.basis) > 1;
-            let (lp, lp_basis) = ws.solve_shared(&bounds, &node.basis, shared);
+            let lp = ws.solve_shared(&bounds, &node.basis, shared);
             lp_iterations += lp.iterations;
             match lp.outcome {
                 LpOutcome::Infeasible => continue,
@@ -352,6 +356,9 @@ impl BranchAndBound {
                     }
                 }
                 Some(branch_var) => {
+                    // The children start from this LP's basis; snapshot it
+                    // before the heuristic below reuses the workspace.
+                    let parent_basis = Rc::new(SharedBasis::new(ws.basis()));
                     // Periodic round-and-repair heuristic for an early
                     // incumbent (mirrors "query best solution found so far").
                     if nodes.checked_rem(self.config.heuristic_every) == Some(1) {
@@ -373,7 +380,6 @@ impl BranchAndBound {
                     // otherwise.
                     let children =
                         self.branch_children(model, &groups, &lp.values, branch_var, tol, &node);
-                    let parent_basis = Rc::new(SharedBasis::new(lp_basis));
                     for changes in children {
                         let child = Node {
                             bound: lp.objective,
@@ -612,18 +618,23 @@ impl GroupIndex {
     }
 }
 
-/// Fills `bounds` with `base` overridden by the node's chain of changes.
-fn materialise(bounds: &mut Vec<(f64, f64)>, base: &[(f64, f64)], changes: Option<&NodeChanges>) {
+/// Fills `bounds` with `base` overridden by the node's chain of changes;
+/// `chain` is scratch and is left empty.
+fn materialise(
+    bounds: &mut Vec<(f64, f64)>,
+    chain: &mut Vec<Rc<NodeChanges>>,
+    base: &[(f64, f64)],
+    changes: Option<&Rc<NodeChanges>>,
+) {
     bounds.clear();
     bounds.extend_from_slice(base);
     // Child changes override ancestors; apply root-to-leaf.
-    let mut chain = Vec::new();
-    let mut cur = changes;
+    let mut cur = changes.cloned();
     while let Some(c) = cur {
+        cur = c.parent.clone();
         chain.push(c);
-        cur = c.parent.as_deref();
     }
-    for c in chain.iter().rev() {
+    for c in chain.drain(..).rev() {
         for (j, lo, hi) in &c.changes {
             bounds[*j] = (*lo, *hi);
         }

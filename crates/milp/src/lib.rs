@@ -44,6 +44,11 @@
 //! assert!((solution.objective - 16.0).abs() < 1e-6); // a + b
 //! ```
 
+// The solver's exactness tests share the integration tests' fixture loader,
+// which names this crate by its package name.
+#[cfg(test)]
+extern crate self as threesigma_milp;
+
 pub mod branch;
 pub mod clock;
 pub mod model;

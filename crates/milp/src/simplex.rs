@@ -19,18 +19,22 @@
 //! * **One [`LpWorkspace`] per search.** The column structure (two CSR
 //!   arrays, whatever the model's size), costs and right-hand sides of a
 //!   model are built once; each LP only resets bounds, resting states, the
-//!   slack basis and the inverse in place, and every intermediate vector
-//!   (duals, the entering column, the eta row, phase-1 costs, Gauss-Jordan
-//!   scratch, extracted values) lives in the workspace.
-//!   A reset workspace is in exactly the state a freshly built one is in, so
-//!   reuse cannot move a pivot — `tests/lp_workspace.rs` holds it to that
-//!   and to its allocation budget. [`solve_lp`], [`solve_lp_with_bounds`]
-//!   and [`solve_lp_warm`] are the same path over a throw-away workspace.
+//!   basis and the inverse in place, and every intermediate vector (duals,
+//!   the entering column, the eta row, phase-1 costs, Gauss-Jordan scratch,
+//!   reduced costs, extracted values) lives in the workspace. A reset
+//!   workspace is in exactly the state a freshly built one is in, so reuse
+//!   cannot move a pivot — `tests/lp_workspace.rs` holds it to that and to
+//!   its allocation budget.
 //!
 //! Scheduling-cycle LPs are small (tens to hundreds of rows) but re-solved
-//! at every branch-and-bound node, so the implementation favours predictable
-//! `O(m²)` pivots and `O(nm)` pricing over sparse-factorisation
-//! sophistication (DESIGN.md §9).
+//! at every branch-and-bound node, so the implementation keeps a dense
+//! `O(m²)` inverse and skips only work that is provably a no-op: the
+//! Gauss-Jordan refactorisation, the eta update, the ratio-test row `ρ·A`
+//! and pricing `c − y·A` visit nonzeros only, the latter two row-wise over
+//! the model's own row CSR. Skipped terms are all ±0, and every accumulator
+//! they would feed starts at +0 or at a cost, so no nonzero bit and no
+//! comparison moves (DESIGN.md §9; `simplex/exactness.rs` holds each kernel
+//! to its dense counterpart).
 
 // Dense kernel loops index several parallel arrays at once; the indexed
 // form is clearer than zipped iterators here.
@@ -100,12 +104,12 @@ enum VarState {
 /// A snapshot of a simplex basis: which variable occupies each basis row and
 /// which bound every nonbasic variable rests on.
 ///
-/// Opaque to callers — obtain one from [`LpWorkspace::solve`] (or
-/// [`solve_lp_warm`]) and feed it back to a later solve of a model with the
-/// *same* variable and row counts to reoptimise from that vertex (dual
-/// simplex first, then primal) instead of restarting from the all-slack
-/// basis. An incompatible or singular snapshot is ignored and the solve
-/// falls back to a cold start, so reuse is always safe.
+/// Opaque to callers — obtain one from [`LpWorkspace::solve`] and feed it
+/// back to a later solve of a model with the *same* variable and row counts
+/// to reoptimise from that vertex (dual simplex first, then primal) instead
+/// of restarting from the all-slack basis. An incompatible or singular
+/// snapshot is ignored and the solve falls back to a cold start, so reuse is
+/// always safe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     state: Vec<VarState>,
@@ -117,6 +121,25 @@ impl Basis {
     /// tableau — the precondition for installing it.
     pub fn fits(&self, num_vars: usize, num_constraints: usize) -> bool {
         self.state.len() == num_vars + num_constraints && self.basis.len() == num_constraints
+    }
+
+    /// True when the snapshot fits and is consistent: every basis row names
+    /// a column marked basic for that row, and states and rows agree in
+    /// count. Every snapshot a solve returns is.
+    fn is_consistent(&self, num_vars: usize, num_constraints: usize) -> bool {
+        if !self.fits(num_vars, num_constraints) {
+            return false;
+        }
+        let mut basic_seen = 0usize;
+        for (j, s) in self.state.iter().enumerate() {
+            if let VarState::Basic(r) = s {
+                if *r >= num_constraints || self.basis[*r] != j {
+                    return false;
+                }
+                basic_seen += 1;
+            }
+        }
+        basic_seen == num_constraints
     }
 }
 
@@ -146,6 +169,17 @@ impl SharedBasis {
 /// inverse left in it.
 type SharedInverse<'a> = (&'a RefCell<Option<Vec<f64>>>, bool);
 
+/// How much of the phase-2 pricing in a [`Tableau`] belongs to its current
+/// basis and inverse: nothing, the duals `y`, or `y` and the structural
+/// reduced costs. A basis or inverse change, or phase-1 pricing, makes it
+/// stale; a bound flip does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Fresh {
+    Stale,
+    Duals,
+    ReducedCosts,
+}
+
 /// Outcome of the dual-simplex reoptimisation loop.
 enum DualResult {
     /// Primal feasibility restored; continue with primal phase 2.
@@ -156,6 +190,7 @@ enum DualResult {
     Stalled,
 }
 
+#[cfg_attr(test, derive(Clone))]
 struct Tableau {
     /// Sparse columns in CSR form, structural then slack: column `j` is
     /// `col_entries[col_start[j]..col_start[j + 1]]`, `(row, coefficient)`
@@ -170,6 +205,9 @@ struct Tableau {
     n_structural: usize,
     m: usize,
     state: Vec<VarState>,
+    /// The direction each column can move in: +1 off its lower bound, −1
+    /// off its upper, 0 when basic or fixed ([`Tableau::set_state`]).
+    dir: Vec<f64>,
     /// Variable occupying each basis row.
     basis: Vec<usize>,
     /// Dense row-major basis inverse.
@@ -180,21 +218,33 @@ struct Tableau {
     xn: Vec<f64>,
     pivots_since_refactor: usize,
     iterations: usize,
+    /// What [`Tableau::duals`] and [`Tableau::price`] need not recompute.
+    fresh: Fresh,
     // Scratch, each fully overwritten by its producer before anything reads
     // it, so nothing carries from one LP to the next.
     /// Phase-1 cost per column ([`Tableau::phase1_cost`]).
     phase1: Vec<f64>,
     /// Dual values ([`Tableau::duals`]).
     y: Vec<f64>,
+    /// Reduced cost `c_j − y·A_j` per structural column
+    /// ([`Tableau::price`]).
+    dj: Vec<f64>,
+    /// `ρ·A_j` per structural column for the dual ratio test's row `ρ` of
+    /// the inverse.
+    alpha: Vec<f64>,
     /// `Binv · A_q` for the entering column ([`Tableau::ftran`]).
     w: Vec<f64>,
-    /// The scaled pivot row of an eta update.
+    /// The scaled pivot row of an eta update, and where it is nonzero.
     pivot_row: Vec<f64>,
+    pivot_nz: Vec<usize>,
     /// `b − Σ_nonbasic A_j x_j` ([`Tableau::recompute_xb`]).
     adjusted: Vec<f64>,
-    /// Gauss-Jordan working copies of the basis matrix and its inverse.
+    /// Gauss-Jordan working copies of the basis matrix and its inverse, and
+    /// where the current pivot row of each is nonzero.
     gj_a: Vec<f64>,
     gj_inv: Vec<f64>,
+    gj_a_nz: Vec<usize>,
+    gj_inv_nz: Vec<usize>,
     /// Structural values ([`Tableau::extract`]).
     values: Vec<f64>,
 }
@@ -257,19 +307,26 @@ impl Tableau {
             n_structural: n,
             m,
             state: vec![VarState::AtLower; n + m],
+            dir: vec![0.0; n + m],
             basis: vec![0; m],
             binv: vec![0.0; m * m],
             xb: vec![0.0; m],
             xn: vec![0.0; n + m],
             pivots_since_refactor: 0,
             iterations: 0,
+            fresh: Fresh::Stale,
             phase1: vec![0.0; n + m],
             y: vec![0.0; m],
+            dj: vec![0.0; n],
+            alpha: vec![0.0; n],
             w: vec![0.0; m],
             pivot_row: vec![0.0; m],
+            pivot_nz: vec![0; m],
             adjusted: vec![0.0; m],
             gj_a: vec![0.0; m * m],
             gj_inv: vec![0.0; m * m],
+            gj_a_nz: vec![0; m],
+            gj_inv_nz: vec![0; m],
             values: vec![0.0; n],
         }
     }
@@ -285,7 +342,9 @@ impl Tableau {
     }
 
     /// Starts a new LP: installs the structural bounds (`bounds[j]`, or the
-    /// model's own) and returns to the all-slack cold start.
+    /// model's own). The basis is left as the last LP left it; the caller
+    /// installs one ([`Tableau::install`]) or takes the cold start
+    /// ([`Tableau::reset_cold`]) before solving.
     fn reset(&mut self, model: &Model, bounds: Option<&[(f64, f64)]>) {
         for (j, v) in model.vars.iter().enumerate() {
             let (lo, hi) = match bounds {
@@ -296,7 +355,7 @@ impl Tableau {
             self.upper[j] = hi;
         }
         self.iterations = 0;
-        self.reset_cold();
+        self.fresh = Fresh::Stale;
     }
 
     /// Discards the current basis and returns to the all-slack cold start:
@@ -310,15 +369,15 @@ impl Tableau {
         let m = self.m;
         for j in 0..n {
             if self.lower[j].is_finite() {
-                self.state[j] = VarState::AtLower;
+                self.set_state(j, VarState::AtLower);
                 self.xn[j] = self.lower[j];
             } else {
-                self.state[j] = VarState::AtUpper;
+                self.set_state(j, VarState::AtUpper);
                 self.xn[j] = self.upper[j];
             }
         }
         for r in 0..m {
-            self.state[n + r] = VarState::Basic(r);
+            self.set_state(n + r, VarState::Basic(r));
             self.basis[r] = n + r;
             self.xn[n + r] = 0.0;
         }
@@ -327,6 +386,7 @@ impl Tableau {
             self.binv[k * m + k] = 1.0;
         }
         self.pivots_since_refactor = 0;
+        self.fresh = Fresh::Stale;
         self.recompute_xb();
     }
 
@@ -335,61 +395,62 @@ impl Tableau {
     /// branch-and-bound child tightens bounds between solves), resting each
     /// variable on a finite bound. `inverse`, when given, is this basis's
     /// inverse as an earlier install computed it and is copied instead of
-    /// eliminating again. Returns `false` — leaving the tableau in its valid
-    /// cold-start state — when the snapshot does not fit or its basis matrix
-    /// is singular under the current column set.
+    /// eliminating again. `b` must be [`Basis::is_consistent`]. Returns
+    /// `false` when its basis matrix is singular under the current column
+    /// set; the tableau then needs [`Tableau::reset_cold`] before it can
+    /// solve.
     fn install(&mut self, b: &Basis, inverse: Option<&[f64]>) -> bool {
-        if !b.fits(self.n_structural, self.m) {
-            return false;
-        }
-        // Validate consistency: every basis row names a column marked Basic
-        // for that row, and states/rows agree in count.
-        let mut basic_seen = 0usize;
-        for (j, s) in b.state.iter().enumerate() {
-            if let VarState::Basic(r) = s {
-                if *r >= self.m || b.basis[*r] != j {
-                    return false;
-                }
-                basic_seen += 1;
-            }
-        }
-        if basic_seen != self.m {
-            return false;
-        }
-        self.state.copy_from_slice(&b.state);
+        debug_assert!(b.is_consistent(self.n_structural, self.m));
         self.basis.copy_from_slice(&b.basis);
+        self.fresh = Fresh::Stale;
         match inverse {
-            Some(inv) => self.binv.copy_from_slice(inv),
+            Some(inv) => {
+                self.binv.copy_from_slice(inv);
+                self.pivots_since_refactor = 0;
+            }
             None => {
                 if !self.refactorize() {
-                    self.reset_cold();
                     return false;
                 }
             }
         }
-        for j in 0..self.state.len() {
-            match self.state[j] {
-                VarState::Basic(_) => {}
+        for (j, &state) in b.state.iter().enumerate() {
+            let state = match state {
+                VarState::Basic(_) => state,
+                VarState::AtLower if self.lower[j].is_finite() => {
+                    self.xn[j] = self.lower[j];
+                    state
+                }
                 VarState::AtLower => {
-                    if self.lower[j].is_finite() {
-                        self.xn[j] = self.lower[j];
-                    } else {
-                        self.state[j] = VarState::AtUpper;
-                        self.xn[j] = self.upper[j];
-                    }
+                    self.xn[j] = self.upper[j];
+                    VarState::AtUpper
+                }
+                VarState::AtUpper if self.upper[j].is_finite() => {
+                    self.xn[j] = self.upper[j];
+                    state
                 }
                 VarState::AtUpper => {
-                    if self.upper[j].is_finite() {
-                        self.xn[j] = self.upper[j];
-                    } else {
-                        self.state[j] = VarState::AtLower;
-                        self.xn[j] = self.lower[j];
-                    }
+                    self.xn[j] = self.lower[j];
+                    VarState::AtLower
                 }
-            }
+            };
+            self.set_state(j, state);
         }
         self.recompute_xb();
         true
+    }
+
+    /// Rests column `j` in `state`, keeping `dir[j]` in step with it and
+    /// with the current bounds.
+    fn set_state(&mut self, j: usize, state: VarState) {
+        self.state[j] = state;
+        self.dir[j] = match state {
+            VarState::Basic(_) => 0.0,
+            // A fixed variable (equal bounds) can never move.
+            _ if self.upper[j] - self.lower[j] <= 0.0 => 0.0,
+            VarState::AtLower => 1.0,
+            VarState::AtUpper => -1.0,
+        };
     }
 
     fn snapshot(&self) -> Basis {
@@ -401,33 +462,19 @@ impl Tableau {
 
     /// True when no nonbasic column prices out as improving for the true
     /// objective — the precondition for dual-simplex reoptimisation.
-    fn dual_feasible(&mut self) -> bool {
+    fn dual_feasible(&mut self, model: &Model) -> bool {
         self.duals(false);
-        for j in 0..self.num_cols() {
-            let sigma = match self.state[j] {
-                VarState::Basic(_) => continue,
-                VarState::AtLower => 1.0,
-                VarState::AtUpper => -1.0,
-            };
-            if self.upper[j] - self.lower[j] <= 0.0 {
-                continue;
-            }
-            let d = self.reduced_cost(j, false);
-            if sigma > 0.0 && d > OPT_TOL {
-                return false;
-            }
-            if sigma < 0.0 && d < -OPT_TOL {
-                return false;
-            }
-        }
-        true
+        self.price(model, false);
+        // `dir · d > tol` is `d > tol` off a lower bound, `d < −tol` off an
+        // upper one, and never for a column that cannot move.
+        !(0..self.num_cols()).any(|j| self.dir[j] * self.priced_cost(j, false) > OPT_TOL)
     }
 
     /// Dual-simplex reoptimisation for the true objective: starting from a
     /// dual-feasible basis with primal violations (the warm-start case after
     /// bound/rhs changes), drives the most-violated basic variable to its
     /// bound per iteration while the ratio test preserves dual feasibility.
-    fn dual_loop(&mut self, iter_limit: usize) -> DualResult {
+    fn dual_loop(&mut self, model: &Model, iter_limit: usize) -> DualResult {
         loop {
             // Leaving row: largest bound violation among basic variables.
             let mut leaving: Option<(usize, f64, f64)> = None; // (row, violation, target)
@@ -454,29 +501,38 @@ impl Tableau {
 
             let delta_r = target - self.xb[r];
             self.duals(false);
-            // Row r of Binv·A for every nonbasic column, priced lazily.
+            // Row r of Binv·A: every structural column's at once, row-wise;
+            // a slack column's from its one entry.
             let m = self.m;
+            let n = self.n_structural;
+            let rho = &self.binv[r * m..(r + 1) * m];
+            self.alpha.fill(0.0);
+            scatter_rows(model, rho, &mut self.alpha, |alpha, t| alpha + t);
+            let sign = delta_r.signum();
             let mut entering: Option<(usize, f64, f64)> = None; // (col, ratio, sigma)
-            for j in 0..self.num_cols() {
-                let sigma = match self.state[j] {
-                    VarState::Basic(_) => continue,
-                    VarState::AtLower => 1.0,
-                    VarState::AtUpper => -1.0,
+            for (j, &sigma) in self.dir.iter().enumerate() {
+                let alpha = if j < n {
+                    self.alpha[j]
+                } else {
+                    let mut alpha = 0.0;
+                    for (row, coef) in self.col(j) {
+                        alpha += self.binv[r * m + row] * coef;
+                    }
+                    alpha
                 };
-                if self.upper[j] - self.lower[j] <= 0.0 {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for (row, coef) in self.col(j) {
-                    alpha += self.binv[r * m + row] * coef;
-                }
-                // xb[r] moves at rate −sigma·alpha per unit step of x_j; the
-                // candidate must move it toward the violated bound.
+                // xb[r] moves at rate −sigma·alpha per unit step of x_j; a
+                // candidate can move and moves it toward the violated bound.
                 let rate = -sigma * alpha;
-                if rate * delta_r.signum() <= PIVOT_TOL {
+                if (sigma == 0.0) | (rate * sign <= PIVOT_TOL) {
                     continue;
                 }
-                let d = self.reduced_cost(j, false);
+                // Reduced costs priced for this `y` are reused; after a
+                // pivot only the candidates' are walked.
+                let d = if self.fresh == Fresh::ReducedCosts {
+                    self.priced_cost(j, false)
+                } else {
+                    self.reduced_cost(j, false)
+                };
                 let ratio = d.abs() / alpha.abs();
                 if entering
                     .is_none_or(|(ej, er, _)| ratio < er - 1e-12 || (ratio < er + 1e-12 && j < ej))
@@ -502,6 +558,7 @@ impl Tableau {
             if t_needed > own_range {
                 // Entering variable hits its opposite bound first: bound
                 // flip; the violated row stays leaving next iteration.
+                // The basis, and with it `y`, is unchanged.
                 let t = own_range;
                 for i in 0..m {
                     self.xb[i] += -sigma * self.w[i] * t;
@@ -511,7 +568,7 @@ impl Tableau {
                     VarState::AtUpper => VarState::AtLower,
                     VarState::Basic(_) => return DualResult::Stalled,
                 };
-                self.state[q] = new_state;
+                self.set_state(q, new_state);
                 self.xn[q] = match new_state {
                     VarState::AtLower => self.lower[q],
                     VarState::AtUpper => self.upper[q],
@@ -525,11 +582,12 @@ impl Tableau {
                 self.xb[i] += -sigma * self.w[i] * t;
             }
             let leaving_var = self.basis[r];
-            self.state[leaving_var] = if target == self.upper[leaving_var] {
+            let leaving_state = if target == self.upper[leaving_var] {
                 VarState::AtUpper
             } else {
                 VarState::AtLower
             };
+            self.set_state(leaving_var, leaving_state);
             self.xn[leaving_var] = target;
             let piv = self.w[r];
             if piv.abs() < PIVOT_TOL {
@@ -543,28 +601,26 @@ impl Tableau {
 
     /// Makes nonbasic column `q` basic in row `r` on pivot element `piv`
     /// (= `w[r]` of the current [`Tableau::ftran`]): eta-updates the
-    /// inverse, records the new basis row and its value, and refactorises
-    /// when due. The leaving variable's state is the caller's business.
+    /// inverse where the scaled pivot row is nonzero, records the new basis
+    /// row and its value, and refactorises when due. The leaving variable's
+    /// state is the caller's business.
     fn pivot(&mut self, r: usize, q: usize, piv: f64, entering_value: f64) {
         let m = self.m;
-        for k in 0..m {
-            self.pivot_row[k] = self.binv[r * m + k] / piv;
-        }
-        for i in 0..m {
-            if i == r {
-                continue;
-            }
-            let f = self.w[i];
-            if f != 0.0 {
-                for k in 0..m {
-                    self.binv[i * m + k] -= f * self.pivot_row[k];
+        self.pivot_row
+            .copy_from_slice(&self.binv[r * m..(r + 1) * m]);
+        let nz = scale_nonzeros(&mut self.pivot_row, 0, piv, &mut self.pivot_nz);
+        for (i, (row, &f)) in self.binv.chunks_exact_mut(m).zip(&self.w).enumerate() {
+            if i != r && f != 0.0 {
+                for &k in nz {
+                    row[k] -= f * self.pivot_row[k];
                 }
             }
         }
         self.binv[r * m..(r + 1) * m].copy_from_slice(&self.pivot_row);
         self.basis[r] = q;
-        self.state[q] = VarState::Basic(r);
+        self.set_state(q, VarState::Basic(r));
         self.xb[r] = entering_value;
+        self.fresh = Fresh::Stale;
         self.pivots_since_refactor += 1;
         if self.pivots_since_refactor >= REFACTOR_EVERY {
             self.refactorize();
@@ -586,18 +642,29 @@ impl Tableau {
                 }
             }
         }
-        for i in 0..self.m {
+        if self.m == 0 {
+            return; // `chunks_exact(0)` panics
+        }
+        for (x, row) in self.xb.iter_mut().zip(self.binv.chunks_exact(self.m)) {
             let mut acc = 0.0;
-            for (k, a) in self.adjusted.iter().enumerate() {
-                acc += self.binv[i * self.m + k] * a;
+            for (b, a) in row.iter().zip(&self.adjusted) {
+                acc += b * a;
             }
-            self.xb[i] = acc;
+            *x = acc;
         }
     }
 
     /// Rebuilds `binv` by inverting the basis matrix with Gauss-Jordan from
     /// the identity; on a singular basis returns `false` with `binv` as it
     /// was. The result depends on `basis` and the columns alone.
+    ///
+    /// Partial pivoting and the row order are the textbook dense
+    /// elimination's, but only nonzeros are touched: a column at or before
+    /// the pivot column is never read again, so `a` is eliminated to its
+    /// right only, and both matrices are updated only where the scaled pivot
+    /// row is nonzero. A skipped update subtracts ±0, which can change only
+    /// the sign of a zero, so every entry equals the dense result under `==`
+    /// and every nonzero has the same bits (DESIGN.md §9).
     fn refactorize(&mut self) -> bool {
         let m = self.m;
         let a = &mut self.gj_a;
@@ -627,26 +694,38 @@ impl Tableau {
                 return false;
             }
             if best != col {
-                for k in 0..m {
+                for k in col..m {
                     a.swap(col * m + k, best * m + k);
+                }
+                for k in 0..m {
                     inv.swap(col * m + k, best * m + k);
                 }
             }
+            // Scale the pivot row where it is nonzero, then eliminate the
+            // pivot column from every other row that has a nonzero in it.
             let piv = a[col * m + col];
-            for k in 0..m {
-                a[col * m + k] /= piv;
-                inv[col * m + k] /= piv;
-            }
+            let a_nz = scale_nonzeros(
+                &mut a[col * m..(col + 1) * m],
+                col + 1,
+                piv,
+                &mut self.gj_a_nz,
+            );
+            let inv_nz = scale_nonzeros(
+                &mut inv[col * m..(col + 1) * m],
+                0,
+                piv,
+                &mut self.gj_inv_nz,
+            );
             for row in 0..m {
-                if row == col {
+                let f = a[row * m + col];
+                if row == col || f == 0.0 {
                     continue;
                 }
-                let f = a[row * m + col];
-                if f != 0.0 {
-                    for k in 0..m {
-                        a[row * m + k] -= f * a[col * m + k];
-                        inv[row * m + k] -= f * inv[col * m + k];
-                    }
+                for &k in a_nz.iter() {
+                    a[row * m + k] -= f * a[col * m + k];
+                }
+                for &k in inv_nz.iter() {
+                    inv[row * m + k] -= f * inv[col * m + k];
                 }
             }
         }
@@ -654,34 +733,73 @@ impl Tableau {
         // because we performed identical row ops on both, inv = B^{-1}.
         std::mem::swap(&mut self.binv, &mut self.gj_inv);
         self.pivots_since_refactor = 0;
+        self.fresh = Fresh::Stale;
         true
     }
 
     /// `w = Binv · A_j` for column `j`.
     fn ftran(&mut self, j: usize) {
-        self.w.fill(0.0);
-        for (r, coef) in &self.col_entries[self.col_start[j]..self.col_start[j + 1]] {
-            for i in 0..self.m {
-                self.w[i] += self.binv[i * self.m + *r] * coef;
+        let col = &self.col_entries[self.col_start[j]..self.col_start[j + 1]];
+        if self.m == 0 {
+            return; // `chunks_exact(0)` panics
+        }
+        for (wi, row) in self.w.iter_mut().zip(self.binv.chunks_exact(self.m)) {
+            let mut acc = 0.0;
+            for (r, coef) in col {
+                acc += row[*r] * coef;
             }
+            *wi = acc;
         }
     }
 
-    /// Dual values `y = c_B · Binv` for the given phase's costs.
+    /// Dual values `y = c_B · Binv` for the given phase's costs; phase-2
+    /// duals still fresh for this basis and inverse are kept.
     fn duals(&mut self, phase1: bool) {
+        if !phase1 && self.fresh >= Fresh::Duals {
+            return;
+        }
         let cost = if phase1 { &self.phase1 } else { &self.cost };
         self.y.fill(0.0);
-        for (i, &bj) in self.basis.iter().enumerate() {
-            let cb = cost[bj];
-            if cb != 0.0 {
-                for k in 0..self.m {
-                    self.y[k] += cb * self.binv[i * self.m + k];
+        if self.m > 0 {
+            for (&bj, row) in self.basis.iter().zip(self.binv.chunks_exact(self.m)) {
+                let cb = cost[bj];
+                if cb != 0.0 {
+                    for (yk, b) in self.y.iter_mut().zip(row) {
+                        *yk += cb * b;
+                    }
                 }
             }
         }
+        self.fresh = if phase1 { Fresh::Stale } else { Fresh::Duals };
     }
 
-    /// Reduced cost of column `j` against the current [`Tableau::duals`].
+    /// Every structural column's reduced cost against the current
+    /// [`Tableau::duals`], into `dj`, row-wise; phase-2 reduced costs still
+    /// fresh are kept.
+    fn price(&mut self, model: &Model, phase1: bool) {
+        if !phase1 && self.fresh == Fresh::ReducedCosts {
+            return;
+        }
+        let cost = if phase1 { &self.phase1 } else { &self.cost };
+        self.dj.copy_from_slice(&cost[..self.n_structural]);
+        scatter_rows(model, &self.y, &mut self.dj, |d, t| d - t);
+        if !phase1 {
+            self.fresh = Fresh::ReducedCosts;
+        }
+    }
+
+    /// Column `j`'s reduced cost: a structural column's from the last
+    /// [`Tableau::price`], a slack's from its one entry.
+    fn priced_cost(&self, j: usize, phase1: bool) -> f64 {
+        if j < self.n_structural {
+            self.dj[j]
+        } else {
+            self.reduced_cost(j, phase1)
+        }
+    }
+
+    /// Reduced cost of column `j` against the current [`Tableau::duals`],
+    /// by walking the column.
     fn reduced_cost(&self, j: usize, phase1: bool) -> f64 {
         let mut d = if phase1 { self.phase1[j] } else { self.cost[j] };
         for (r, coef) in self.col(j) {
@@ -722,36 +840,24 @@ impl Tableau {
     /// * `Ok(true)` — step taken,
     /// * `Ok(false)` — no improving column (optimal for these costs),
     /// * `Err(())` — unbounded in the improving direction.
-    fn step(&mut self, bland: bool, phase1: bool) -> Result<bool, ()> {
+    fn step(&mut self, model: &Model, bland: bool, phase1: bool) -> Result<bool, ()> {
         self.duals(phase1);
+        self.price(model, phase1);
         // Pricing.
         let mut entering: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
-        for j in 0..self.num_cols() {
-            let sigma = match self.state[j] {
-                VarState::Basic(_) => continue,
-                VarState::AtLower => 1.0,
-                VarState::AtUpper => -1.0,
-            };
-            // A fixed variable (equal bounds) can never move.
-            if self.upper[j] - self.lower[j] <= 0.0 {
-                continue;
-            }
-            let d = self.reduced_cost(j, phase1);
-            let improving = if sigma > 0.0 {
-                d > OPT_TOL
-            } else {
-                d < -OPT_TOL
-            };
-            if !improving {
-                continue;
-            }
-            let score = d.abs();
-            if bland {
-                entering = Some((j, score, sigma));
-                break;
-            }
-            if entering.is_none_or(|(_, s, _)| score > s) {
-                entering = Some((j, score, sigma));
+        for (j, &sigma) in self.dir.iter().enumerate() {
+            let d = self.priced_cost(j, phase1);
+            // Improving: `d > tol` off a lower bound, `d < −tol` off an
+            // upper one, never for a column that cannot move.
+            if sigma * d > OPT_TOL {
+                let score = d.abs();
+                if bland {
+                    entering = Some((j, score, sigma));
+                    break;
+                }
+                if entering.is_none_or(|(_, s, _)| score > s) {
+                    entering = Some((j, score, sigma));
+                }
             }
         }
         let Some((q, _, sigma)) = entering else {
@@ -815,7 +921,8 @@ impl Tableau {
         self.iterations += 1;
         match leaving {
             None => {
-                // Bound flip: entering jumps to its opposite bound.
+                // Bound flip: entering jumps to its opposite bound; the
+                // basis, and with it `y`, is unchanged.
                 let t = t_max;
                 for i in 0..self.m {
                     self.xb[i] += -sigma * self.w[i] * t;
@@ -825,7 +932,7 @@ impl Tableau {
                     VarState::AtUpper => VarState::AtLower,
                     VarState::Basic(_) => unreachable!("entering var is nonbasic"),
                 };
-                self.state[q] = new_state;
+                self.set_state(q, new_state);
                 self.xn[q] = match new_state {
                     VarState::AtLower => self.lower[q],
                     VarState::AtUpper => self.upper[q],
@@ -855,11 +962,12 @@ impl Tableau {
                 let x_leave = self.xb[r];
                 let to_upper = (x_leave - self.upper[leaving_var]).abs()
                     <= (x_leave - self.lower[leaving_var]).abs();
-                self.state[leaving_var] = if to_upper {
+                let leaving_state = if to_upper {
                     VarState::AtUpper
                 } else {
                     VarState::AtLower
                 };
+                self.set_state(leaving_var, leaving_state);
                 self.xn[leaving_var] = if to_upper {
                     self.upper[leaving_var]
                 } else {
@@ -882,12 +990,43 @@ impl Tableau {
     }
 }
 
+/// Folds `v[r] · A[r][j]` into `out[j]` with `op` for every structural
+/// column `j`, walking the model's rows in ascending order — so each column
+/// receives its terms in the order a walk down that column would — and
+/// skipping rows where `v[r]` is zero, whose terms are all ±0.
+fn scatter_rows(model: &Model, v: &[f64], out: &mut [f64], op: impl Fn(f64, f64) -> f64) {
+    for (r, &vr) in v.iter().enumerate() {
+        if vr != 0.0 {
+            for (j, coef) in model.row(r) {
+                out[*j] = op(out[*j], vr * coef);
+            }
+        }
+    }
+}
+
+/// Divides the nonzeros of `row` at positions `k ≥ from` by `piv` and
+/// lists, in `buf` (as long as `row`), the positions that stay nonzero.
+fn scale_nonzeros<'b>(row: &mut [f64], from: usize, piv: f64, buf: &'b mut [usize]) -> &'b [usize] {
+    let mut len = 0;
+    for (k, v) in row.iter_mut().enumerate().skip(from) {
+        if *v != 0.0 {
+            *v /= piv;
+            if *v != 0.0 {
+                buf[len] = k;
+                len += 1;
+            }
+        }
+    }
+    &buf[..len]
+}
+
 /// The LP kernel's state for one model: everything a solve needs that does
 /// not depend on the bounds is built once by [`LpWorkspace::new`], and each
 /// [`LpWorkspace::solve`] resets the rest in place — to exactly the state a
 /// fresh workspace starts from, so a reused workspace and a new one return
 /// bit-identical answers. After the first solve a further one allocates
-/// only what it returns (the values and the basis snapshot).
+/// only what it returns (the values, and from [`LpWorkspace::solve`] the
+/// basis snapshot).
 ///
 /// Branch-and-bound owns one per search and sends the root LP, every node
 /// LP and every round-and-repair LP through it.
@@ -934,21 +1073,30 @@ impl<'m> LpWorkspace<'m> {
         bounds: Option<&[(f64, f64)]>,
         warm: Option<&Basis>,
     ) -> (LpSolution, Basis) {
-        self.run(bounds, warm, None)
+        let (n, m) = (self.t.n_structural, self.t.m);
+        let warm = warm.filter(|b| b.is_consistent(n, m));
+        let sol = self.run(bounds, warm, None);
+        (sol, self.basis())
     }
 
     /// [`LpWorkspace::solve`] from a basis this workspace's earlier solve
-    /// returned and several node LPs start from. `keep` says another of
-    /// them is still to come: the inverse computed here is then left in
-    /// `warm` for it (within [`SHARED_INVERSE_WORDS`]); the last user
-    /// takes it away.
+    /// returned and several node LPs start from, without the basis
+    /// snapshot: take [`LpWorkspace::basis`] before the next solve if the
+    /// node branches. `keep` says another of them is still to come: the
+    /// inverse computed here is then left in `warm` for it (within
+    /// [`SHARED_INVERSE_WORDS`]); the last user takes it away.
     pub(crate) fn solve_shared(
         &mut self,
         bounds: &[(f64, f64)],
         warm: &SharedBasis,
         keep: bool,
-    ) -> (LpSolution, Basis) {
+    ) -> LpSolution {
         self.run(Some(bounds), Some(&warm.basis), Some((&warm.inverse, keep)))
+    }
+
+    /// The basis the last solve ended on.
+    pub(crate) fn basis(&self) -> Basis {
+        self.t.snapshot()
     }
 
     /// Installs `basis`, through the shared inverse slot when there is one.
@@ -982,12 +1130,13 @@ impl<'m> LpWorkspace<'m> {
         bounds: Option<&[(f64, f64)]>,
         warm: Option<&Basis>,
         shared: Option<SharedInverse<'_>>,
-    ) -> (LpSolution, Basis) {
+    ) -> LpSolution {
         self.t.reset(self.model, bounds);
         if let Some(b) = bounds {
             debug_assert_eq!(b.len(), self.model.num_vars());
             if b.iter().any(|(lo, hi)| lo > hi) {
-                return (LpSolution::infeasible(0), self.t.snapshot());
+                self.t.reset_cold();
+                return LpSolution::infeasible(0);
             }
         }
         let iter_limit = 200 * (self.t.m + self.t.n_structural) + 2000;
@@ -998,16 +1147,13 @@ impl<'m> LpWorkspace<'m> {
         // basis with cold-start semantics — a clipped or drifted warm result
         // never escapes, so warm starts can only change *which* optimal
         // vertex is reported, never the solution quality (see DESIGN.md §9).
-        if let Some(basis) = warm {
-            if self.install(basis, shared) {
-                match self.warm_attempt(iter_limit) {
-                    Some(sol) => return (sol, self.t.snapshot()),
-                    None => self.t.reset_cold(),
-                }
+        if warm.is_some_and(|basis| self.install(basis, shared)) {
+            if let Some(sol) = self.warm_attempt(iter_limit) {
+                return sol;
             }
         }
-        let sol = self.cold(iter_limit);
-        (sol, self.t.snapshot())
+        self.t.reset_cold();
+        self.cold(iter_limit)
     }
 
     /// Owned copy of the current structural values.
@@ -1058,7 +1204,7 @@ impl<'m> LpWorkspace<'m> {
             }
             self.t.phase1_cost();
             let bland = stall > 2 * (self.t.m + 10);
-            match self.t.step(bland, true) {
+            match self.t.step(self.model, bland, true) {
                 Ok(true) => {
                     let inf = self.t.infeasibility();
                     if inf < last_inf - FEAS_TOL {
@@ -1081,7 +1227,7 @@ impl<'m> LpWorkspace<'m> {
                 return self.solution(LpOutcome::IterationLimit);
             }
             let bland = stall > 2 * (self.t.m + 10);
-            match self.t.step(bland, false) {
+            match self.t.step(self.model, bland, false) {
                 Ok(true) => {
                     let obj = self.objective();
                     if obj > last_obj + OPT_TOL {
@@ -1097,7 +1243,7 @@ impl<'m> LpWorkspace<'m> {
                         self.t.recompute_xb();
                         if self.t.infeasibility() > 1e3 * FEAS_TOL {
                             self.t.phase1_cost();
-                            let _ = self.t.step(false, true);
+                            let _ = self.t.step(self.model, false, true);
                         }
                     }
                 }
@@ -1116,12 +1262,12 @@ impl<'m> LpWorkspace<'m> {
     /// only pick a different optimal vertex or waste its bounded effort
     /// budget.
     fn warm_attempt(&mut self, iter_limit: usize) -> Option<LpSolution> {
-        if self.t.dual_feasible() {
+        if self.t.dual_feasible(self.model) {
             // Dual reoptimisation normally needs a handful of pivots (one
             // per changed bound), but on degenerate faces it can cycle — the
             // leaving rule has no anti-cycling guarantee. Cap its effort.
             let dual_budget = (self.t.iterations + 2 * self.t.m + 100).min(iter_limit);
-            match self.t.dual_loop(dual_budget) {
+            match self.t.dual_loop(self.model, dual_budget) {
                 DualResult::Feasible => {}
                 // Dual unboundedness proves primal infeasibility from any
                 // starting basis.
@@ -1143,7 +1289,7 @@ impl<'m> LpWorkspace<'m> {
             }
             self.t.phase1_cost();
             let bland = stall > 2 * (self.t.m + 10);
-            match self.t.step(bland, true) {
+            match self.t.step(self.model, bland, true) {
                 Ok(true) => {
                     let inf = self.t.infeasibility();
                     if inf < last_inf - FEAS_TOL {
@@ -1168,7 +1314,7 @@ impl<'m> LpWorkspace<'m> {
                 return None;
             }
             let bland = stall > 2 * (self.t.m + 10);
-            match self.t.step(bland, false) {
+            match self.t.step(self.model, bland, false) {
                 Ok(true) => {
                     let obj = self.objective();
                     if obj > last_obj + OPT_TOL {
@@ -1203,25 +1349,8 @@ impl<'m> LpWorkspace<'m> {
     }
 }
 
-/// Solves the LP relaxation of `model` (integrality ignored).
-pub fn solve_lp(model: &Model) -> LpSolution {
-    LpWorkspace::new(model).solve(None, None).0
-}
-
-/// Solves the LP relaxation with per-variable bound overrides (`bounds[j]`
-/// replaces variable `j`'s bounds).
-pub fn solve_lp_with_bounds(model: &Model, bounds: Option<&[(f64, f64)]>) -> LpSolution {
-    LpWorkspace::new(model).solve(bounds, None).0
-}
-
-/// [`LpWorkspace::solve`] on a throw-away workspace.
-pub fn solve_lp_warm(
-    model: &Model,
-    bounds: Option<&[(f64, f64)]>,
-    warm: Option<&Basis>,
-) -> (LpSolution, Basis) {
-    LpWorkspace::new(model).solve(bounds, warm)
-}
+#[cfg(test)]
+mod exactness;
 
 #[cfg(test)]
 mod tests {
@@ -1232,11 +1361,28 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
     }
 
+    /// The LP relaxation of `m` on a fresh workspace.
+    fn lp(m: &Model) -> LpSolution {
+        LpWorkspace::new(m).solve(None, None).0
+    }
+
+    fn lp_with_bounds(m: &Model, bounds: Option<&[(f64, f64)]>) -> LpSolution {
+        LpWorkspace::new(m).solve(bounds, None).0
+    }
+
+    fn lp_warm(
+        m: &Model,
+        bounds: Option<&[(f64, f64)]>,
+        warm: Option<&Basis>,
+    ) -> (LpSolution, Basis) {
+        LpWorkspace::new(m).solve(bounds, warm)
+    }
+
     #[test]
     fn one_var_hits_its_upper_bound() {
         let mut m = Model::new();
         m.add_continuous(0.0, 4.0, 2.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, 8.0);
         assert_near(s.values[0], 4.0);
@@ -1251,7 +1397,7 @@ mod tests {
         m.add_constraint(&[(x, 1.0)], Cmp::Le, 4.0);
         m.add_constraint(&[(y, 2.0)], Cmp::Le, 12.0);
         m.add_constraint(&[(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, 36.0);
         assert_near(s.values[0], 2.0);
@@ -1266,7 +1412,7 @@ mod tests {
         let y = m.add_continuous(0.0, f64::INFINITY, 1.0);
         m.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 5.0);
         m.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.values[0], 3.0);
         assert_near(s.values[1], 2.0);
@@ -1280,7 +1426,7 @@ mod tests {
         let y = m.add_continuous(0.0, f64::INFINITY, -2.0);
         m.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
         m.add_constraint(&[(y, 1.0)], Cmp::Ge, 1.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, -5.0);
         assert_near(s.values[0], 3.0);
@@ -1292,7 +1438,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 1.0, 1.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Ge, 2.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Infeasible);
     }
 
@@ -1302,7 +1448,7 @@ mod tests {
         let x = m.add_continuous(0.0, f64::INFINITY, 1.0);
         let y = m.add_continuous(0.0, f64::INFINITY, 1.0);
         m.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Unbounded);
     }
 
@@ -1311,7 +1457,7 @@ mod tests {
         // max x s.t. x ∈ [−5, −2] → −2.
         let mut m = Model::new();
         m.add_continuous(-5.0, -2.0, 1.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.values[0], -2.0);
     }
@@ -1323,7 +1469,7 @@ mod tests {
         let x = m.add_continuous(4.0, f64::INFINITY, 0.0);
         let y = m.add_continuous(0.0, f64::INFINITY, 1.0);
         m.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 10.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, 6.0);
     }
@@ -1332,9 +1478,9 @@ mod tests {
     fn bound_overrides_replace_model_bounds() {
         let mut m = Model::new();
         m.add_continuous(0.0, 10.0, 1.0);
-        let s = solve_lp_with_bounds(&m, Some(&[(0.0, 3.0)]));
+        let s = lp_with_bounds(&m, Some(&[(0.0, 3.0)]));
         assert_near(s.objective, 3.0);
-        let s = solve_lp_with_bounds(&m, Some(&[(5.0, 2.0)]));
+        let s = lp_with_bounds(&m, Some(&[(5.0, 2.0)]));
         assert_eq!(s.outcome, LpOutcome::Infeasible);
     }
 
@@ -1348,7 +1494,7 @@ mod tests {
         m.add_constraint(&[(x, 2.0), (y, 2.0)], Cmp::Le, 4.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Le, 2.0);
         m.add_constraint(&[(y, 1.0)], Cmp::Le, 2.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, 2.0);
     }
@@ -1360,7 +1506,7 @@ mod tests {
         let a = m.add_binary(10.0);
         let b = m.add_binary(6.0);
         m.add_constraint(&[(a, 5.0), (b, 4.0)], Cmp::Le, 7.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, 13.0);
         assert_near(s.values[0], 1.0);
@@ -1374,7 +1520,7 @@ mod tests {
         let _x = m.add_continuous(2.0, 2.0, 0.0);
         let y = m.add_continuous(0.0, f64::INFINITY, 1.0);
         m.add_constraint(&[(_x, 1.0), (y, 1.0)], Cmp::Le, 5.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.values[0], 2.0);
         assert_near(s.values[1], 3.0);
@@ -1383,7 +1529,7 @@ mod tests {
     #[test]
     fn empty_model_is_trivially_optimal() {
         let m = Model::new();
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_eq!(s.objective, 0.0);
         assert!(s.values.is_empty());
@@ -1395,11 +1541,11 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 1.0, 1.0);
         m.add_constraint(&[(x, 0.0)], Cmp::Le, 1.0);
-        assert_eq!(solve_lp(&m).outcome, LpOutcome::Optimal);
+        assert_eq!(lp(&m).outcome, LpOutcome::Optimal);
         let mut bad = Model::new();
         let y = bad.add_continuous(0.0, 1.0, 1.0);
         bad.add_constraint(&[(y, 0.0)], Cmp::Ge, 1.0);
-        assert_eq!(solve_lp(&bad).outcome, LpOutcome::Infeasible);
+        assert_eq!(lp(&bad).outcome, LpOutcome::Infeasible);
     }
 
     #[test]
@@ -1410,7 +1556,7 @@ mod tests {
         let y = m.add_continuous(0.0, f64::INFINITY, 0.0);
         m.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 4.0);
         m.add_constraint(&[(x, 2.0), (y, 2.0)], Cmp::Eq, 8.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.values[0], 3.0);
         assert_near(s.values[1], 1.0);
@@ -1422,7 +1568,7 @@ mod tests {
         let x = m.add_continuous(0.0, 10.0, 1.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Eq, 3.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Eq, 4.0);
-        assert_eq!(solve_lp(&m).outcome, LpOutcome::Infeasible);
+        assert_eq!(lp(&m).outcome, LpOutcome::Infeasible);
     }
 
     #[test]
@@ -1442,7 +1588,7 @@ mod tests {
         m.add_constraint(&[(x[2], 1.0), (x[3], 1.0)], Cmp::Le, 7.0);
         m.add_constraint(&[(x[0], 1.0), (x[2], 1.0)], Cmp::Eq, 4.0);
         m.add_constraint(&[(x[1], 1.0), (x[3], 1.0)], Cmp::Eq, 6.0);
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         // Optimal: x00 = 4 (cost 8), x11 = 6 (cost 6) → total −14.
         assert_near(s.objective, -14.0);
@@ -1458,7 +1604,7 @@ mod tests {
         for (i, v) in vars.iter().enumerate() {
             m.add_constraint(&[(*v, 1.0)], Cmp::Le, 0.5 + (i % 2) as f64);
         }
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         let expected: f64 = (0..n)
             .map(|i| {
@@ -1488,7 +1634,7 @@ mod tests {
             let terms: Vec<_> = vars.iter().map(|v| (*v, next())).collect();
             m.add_constraint(&terms, Cmp::Le, 2.0 + 3.0 * next());
         }
-        let s = solve_lp(&m);
+        let s = lp(&m);
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert!(m.is_feasible(
             &s.values.iter().map(|v| v.max(0.0)).collect::<Vec<_>>(),
@@ -1511,14 +1657,14 @@ mod tests {
     #[test]
     fn warm_basis_reoptimises_after_bound_tightening() {
         let (m, _, _) = two_var_model();
-        let (cold, basis) = solve_lp_warm(&m, None, None);
+        let (cold, basis) = lp_warm(&m, None, None);
         assert_eq!(cold.outcome, LpOutcome::Optimal);
         // Tighten x ≤ 1 via bound overrides and reoptimise from the optimal
         // basis: dual simplex should need far fewer pivots than a cold solve
         // and land on the same optimum the cold path finds.
         let bounds = [(0.0, 1.0), (0.0, f64::INFINITY)];
-        let (warm, _) = solve_lp_warm(&m, Some(&bounds), Some(&basis));
-        let cold2 = solve_lp_with_bounds(&m, Some(&bounds));
+        let (warm, _) = lp_warm(&m, Some(&bounds), Some(&basis));
+        let cold2 = lp_with_bounds(&m, Some(&bounds));
         assert_eq!(warm.outcome, LpOutcome::Optimal);
         assert_near(warm.objective, cold2.objective);
         assert!(
@@ -1534,23 +1680,23 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 10.0, 1.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Ge, 5.0);
-        let (cold, basis) = solve_lp_warm(&m, None, None);
+        let (cold, basis) = lp_warm(&m, None, None);
         assert_eq!(cold.outcome, LpOutcome::Optimal);
         // x ∈ [0, 2] conflicts with x ≥ 5: the dual loop must certify
         // infeasibility from the warm basis.
-        let (warm, _) = solve_lp_warm(&m, Some(&[(0.0, 2.0)]), Some(&basis));
+        let (warm, _) = lp_warm(&m, Some(&[(0.0, 2.0)]), Some(&basis));
         assert_eq!(warm.outcome, LpOutcome::Infeasible);
     }
 
     #[test]
     fn incompatible_basis_falls_back_to_cold_start() {
         let (m, _, _) = two_var_model();
-        let (_, basis) = solve_lp_warm(&m, None, None);
+        let (_, basis) = lp_warm(&m, None, None);
         // A different model shape must ignore the stale snapshot entirely.
         let mut other = Model::new();
         other.add_continuous(0.0, 4.0, 2.0);
         assert!(!basis.fits(other.num_vars(), other.num_constraints()));
-        let (s, _) = solve_lp_warm(&other, None, Some(&basis));
+        let (s, _) = lp_warm(&other, None, Some(&basis));
         assert_eq!(s.outcome, LpOutcome::Optimal);
         assert_near(s.objective, 8.0);
     }
@@ -1558,10 +1704,10 @@ mod tests {
     #[test]
     fn warm_basis_roundtrip_matches_on_identical_model() {
         let (m, _, _) = two_var_model();
-        let (cold, basis) = solve_lp_warm(&m, None, None);
+        let (cold, basis) = lp_warm(&m, None, None);
         // Re-solving the identical model from its own optimal basis is a
         // no-pivot dual/primal pass at the same vertex.
-        let (warm, _) = solve_lp_warm(&m, None, Some(&basis));
+        let (warm, _) = lp_warm(&m, None, Some(&basis));
         assert_eq!(warm.outcome, LpOutcome::Optimal);
         assert_near(warm.objective, cold.objective);
         for (a, b) in warm.values.iter().zip(&cold.values) {
@@ -1589,7 +1735,7 @@ mod tests {
             let terms: Vec<_> = vars.iter().map(|v| (*v, next())).collect();
             m.add_constraint(&terms, Cmp::Le, 2.0 + 2.0 * next());
         }
-        let (_, mut basis) = solve_lp_warm(&m, None, None);
+        let (_, mut basis) = lp_warm(&m, None, None);
         for _ in 0..12 {
             let bounds: Vec<(f64, f64)> = (0..vars.len())
                 .map(|j| {
@@ -1600,8 +1746,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let (warm, next_basis) = solve_lp_warm(&m, Some(&bounds), Some(&basis));
-            let cold = solve_lp_with_bounds(&m, Some(&bounds));
+            let (warm, next_basis) = lp_warm(&m, Some(&bounds), Some(&basis));
+            let cold = lp_with_bounds(&m, Some(&bounds));
             assert_eq!(warm.outcome, cold.outcome);
             if warm.outcome == LpOutcome::Optimal {
                 assert!(

@@ -6,16 +6,20 @@
 //!    basis. No state leaks from one solve into the next, which is why
 //!    reusing one workspace per search cannot move a pivot.
 //! 2. *allocation budget*: after its first solve, a warm re-solve allocates
-//!    only what it returns, and building one allocates a fixed number of
-//!    buffers whatever the model's size. A counting allocator, installed for
-//!    this test binary alone, pins both numbers.
+//!    only what it returns, building one allocates a fixed number of
+//!    buffers whatever the model's size, and inside branch-and-bound only a
+//!    node that branches snapshots its basis. A counting allocator,
+//!    installed for this test binary alone, pins all three.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use threesigma_milp::{Basis, LpOutcome, LpSolution, LpWorkspace, Model};
+use common::{bound_set, Rng};
+use threesigma_milp::{
+    Basis, BranchAndBound, LpOutcome, LpSolution, LpWorkspace, Model, SolverConfig,
+};
 
 thread_local! {
     /// Allocations made by the current thread (tests run on threads of their
@@ -129,51 +133,6 @@ fn mixed_model() -> Case {
     );
     m.add_constraint(&[(vars[7], 1.0), (vars[9], 1.0)], Cmp::Le, 6.0);
     ("mixed".to_string(), m, bounds)
-}
-
-/// Deterministic xorshift stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// One seeded bound set: usually random binary fixings over the model's own
-/// bounds, sometimes the model's bounds untouched (`None`), a crossed
-/// `lo > hi` pair, or everything fixed to its upper bound (infeasible on
-/// any contended fixture).
-fn bound_set(rng: &mut Rng, own: &[(f64, f64)], binaries: &[usize]) -> Option<Vec<(f64, f64)>> {
-    let mut b = own.to_vec();
-    match rng.below(10) {
-        0 => return None,
-        1 => {
-            let j = rng.below(b.len());
-            b[j] = (1.0, 0.0);
-        }
-        2 => {
-            for &j in binaries {
-                b[j] = (1.0, 1.0);
-            }
-        }
-        _ => {
-            let one_in = 2 + rng.below(6);
-            for &j in binaries {
-                if rng.below(one_in) == 0 {
-                    let v = rng.below(2) as f64;
-                    b[j] = (v, v);
-                }
-            }
-        }
-    }
-    Some(b)
 }
 
 fn assert_same(name: &str, step: usize, a: &(LpSolution, Basis), b: &(LpSolution, Basis)) {
@@ -302,4 +261,68 @@ fn building_a_workspace_allocates_a_fixed_number_of_times() {
         counts.iter().all(|c| c.2 == counts[0].2),
         "allocations per LpWorkspace::new (name, n + m, count): {counts:?}"
     );
+}
+
+/// Most allocations a branch-and-bound node that does not branch may make:
+/// its LP values, and — as the first of two siblings to be expanded — the
+/// copy of the shared inverse it leaves the other. A basis snapshot would
+/// add two more (its two vectors).
+const LEAF_NODE_ALLOCATIONS: usize = 2;
+
+/// Fewest allocations a node that branches makes: its values (1), the basis
+/// its children share (two vectors and the shared handle: 3), and its
+/// children (the list, and each child's changes and their handle: 5).
+const BRANCH_NODE_ALLOCATIONS: usize = 9;
+
+#[test]
+fn only_branching_nodes_snapshot_their_basis() {
+    // The search is deterministic, so a solve capped at `k` nodes repeats
+    // the one capped at `k − 1` and then expands node `k`: the difference in
+    // allocations is node `k`'s own.
+    let config = |node_limit| SolverConfig {
+        node_limit,
+        gap_tolerance: 1e-4,
+        ..SolverConfig::default()
+    };
+    let (mut checked, mut leaves, mut branchings) = (0usize, 0usize, 0usize);
+    for (name, model, _) in cases() {
+        let warm = vec![0.0; model.num_vars()];
+        let full =
+            BranchAndBound::with_config(config(40)).solve_with_warm_start(&model, Some(&warm));
+        if full.nodes < 8 {
+            continue; // too little search to be worth replaying
+        }
+        let spent = |k| {
+            let before = allocations();
+            let sol =
+                BranchAndBound::with_config(config(k)).solve_with_warm_start(&model, Some(&warm));
+            let spent = allocations() - before;
+            assert_eq!(sol.nodes, k, "{name}");
+            drop(sol);
+            spent
+        };
+        let mut previous = spent(0);
+        for k in 1..=full.nodes {
+            let total = spent(k);
+            let node = total - previous;
+            previous = total;
+            assert!(
+                node <= LEAF_NODE_ALLOCATIONS || node >= BRANCH_NODE_ALLOCATIONS,
+                "{name}: node {k} made {node} allocations: a node that does not \
+                 branch must not snapshot its basis"
+            );
+            if node <= LEAF_NODE_ALLOCATIONS {
+                leaves += 1;
+            } else {
+                branchings += 1;
+            }
+        }
+        checked += 1;
+    }
+    assert!(checked >= 4, "only {checked} fixtures search");
+    assert!(
+        leaves > 0,
+        "no node among the first 40 of any fixture was a leaf"
+    );
+    assert!(branchings > 0, "no node branched");
 }

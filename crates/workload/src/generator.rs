@@ -18,6 +18,10 @@ use threesigma_cluster::{Attributes, JobKind, JobSpec, PartitionId};
 use crate::env::{Environment, JobClass};
 use crate::sampling::{lognormal, standard_normal, weighted_choice, HyperExp};
 
+/// Longest job runtime, in seconds (30 days): the generator clamps every
+/// sampled duration to it, and the serve wire format rejects a longer one.
+pub const MAX_DURATION: f64 = 30.0 * 86_400.0;
+
 /// How the arrival rate is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalTarget {
@@ -203,7 +207,7 @@ impl BodySampler {
                 duration *= b.factor;
             }
         }
-        let duration = duration.clamp(1.0, 30.0 * 86_400.0);
+        let duration = duration.clamp(1.0, MAX_DURATION);
 
         // Redraw oversized gangs (the paper filters jobs larger than the
         // cluster out of the trace).

@@ -20,4 +20,4 @@ pub mod generator;
 pub mod sampling;
 
 pub use env::{Environment, JobClass};
-pub use generator::{generate, ArrivalTarget, Trace, WorkloadConfig};
+pub use generator::{generate, ArrivalTarget, Trace, WorkloadConfig, MAX_DURATION};
