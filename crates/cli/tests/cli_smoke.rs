@@ -158,6 +158,64 @@ fn a_non_positive_slowdown_in_a_trace_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A trace job whose `duration` exceeds `MAX_DURATION` (30 days) is a
+/// typed ingest error at once (exit 1), where it used to keep `run`
+/// cycling through simulated decades; `serve` already refused the value on
+/// the wire.
+#[test]
+fn an_overlong_duration_in_a_trace_is_a_typed_error_at_once() {
+    let dir = std::env::temp_dir().join(format!("threesigma_duration_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args([
+            "generate", "--env", "google", "--hours", "0.2", "--seed", "3",
+        ])
+        .args(["--out", trace.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut edited: threesigma_workload::Trace =
+        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let job = edited.jobs.last_mut().expect("a job");
+    job.duration = 1e9;
+    let id = job.id.0;
+    let bad = dir.join("bad.json");
+    std::fs::write(&bad, serde_json::to_string(&edited).unwrap()).unwrap();
+
+    let mut child = bin()
+        .args(["run", "--trace", bad.to_str().unwrap()])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if start.elapsed() > std::time::Duration::from_secs(60) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`run` still going after 60 s on a 1e9 s duration");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("job JobId({id}) has a malformed spec"))
+            && stderr.contains("30 days"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,

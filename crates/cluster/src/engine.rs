@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 use threesigma_obs::{Counter, Gauge, Recorder};
 
-use crate::job::{JobId, JobSpec, RetryPolicy};
+use crate::job::{JobId, JobSpec, RetryPolicy, MAX_DURATION};
 use crate::metrics::{JobOutcome, Metrics};
 use crate::sim::{config_problem, JobRecord, Sim, SpecRef};
 use crate::spec::{ClusterSpec, PartitionId};
@@ -736,14 +736,17 @@ impl Engine {
 }
 
 /// Why a job spec is unusable, if it is: non-finite/negative submit time or
-/// duration, a zero-task gang, or a non-finite or non-positive off-preferred
-/// slowdown (a runtime scale factor). Shared by batch ingest and the serve
-/// boundary, so a streamed job is held to exactly the trace contract.
+/// duration, a duration over [`MAX_DURATION`], a zero-task gang, or a
+/// non-finite or non-positive off-preferred slowdown (a runtime scale
+/// factor). Shared by batch ingest and the serve boundary, so a streamed
+/// job is held to exactly the trace contract.
 pub(crate) fn spec_problem(j: &JobSpec) -> Option<&'static str> {
     if !j.submit_time.is_finite() || j.submit_time < 0.0 {
         Some("submit time must be finite and non-negative")
     } else if !j.duration.is_finite() || j.duration < 0.0 {
         Some("duration must be finite and non-negative")
+    } else if j.duration > MAX_DURATION {
+        Some("duration must be at most 30 days")
     } else if j.tasks == 0 {
         Some("task count must be positive")
     } else if !j.nonpreferred_slowdown.is_finite() || j.nonpreferred_slowdown <= 0.0 {
@@ -1147,6 +1150,8 @@ mod tests {
         negative_duration.duration = -1.0;
         let mut infinite_duration = be(3, 0.0, 1, 5.0);
         infinite_duration.duration = f64::INFINITY;
+        let mut overlong_duration = be(9, 0.0, 1, 5.0);
+        overlong_duration.duration = 1e9;
         let mut zero_tasks = be(4, 0.0, 1, 5.0);
         zero_tasks.tasks = 0;
         // A trace may carry any slowdown; `with_preference` would refuse these.
@@ -1161,6 +1166,7 @@ mod tests {
             nan_submit,
             negative_duration,
             infinite_duration,
+            overlong_duration,
             zero_tasks,
             slowdown(5, 0.0),
             slowdown(6, -1.0),

@@ -8,6 +8,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::spec::PartitionId;
 
+/// Longest job runtime, in seconds (30 days). Ingest rejects a longer
+/// `duration` as a malformed spec (a job that runs for years keeps a run
+/// cycling for as long), the serve wire format rejects it, and the
+/// workload generator clamps every sampled duration to it.
+pub const MAX_DURATION: f64 = 30.0 * 86_400.0;
+
 /// Unique job identifier within a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub u64);

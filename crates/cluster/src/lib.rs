@@ -32,7 +32,7 @@ pub use engine::{
     CycleObserver, CycleStats, Engine, EngineConfig, EngineSnapshot, FaultEvent, Placement,
     RunningJob, Scheduler, SchedulingDecision, SimError, SimulationView, SnapshotRunning,
 };
-pub use job::{Attributes, JobId, JobKind, JobSpec, RetryPolicy};
+pub use job::{Attributes, JobId, JobKind, JobSpec, RetryPolicy, MAX_DURATION};
 pub use metrics::{JobOutcome, JobState, Metrics};
 pub use serve::{RetiredAggregate, ServeConfig, ServeSession, ServeSnapshot, ServeSummary};
 pub use spec::{ClusterSpec, PartitionId, RcFidelity};

@@ -30,13 +30,21 @@ pub struct DiscreteDist {
     suffix: Vec<f64>,
 }
 
-/// Appends the survival table of `points` to `suffix`: every entry —
-/// including the empty tail — uses the same sum expression as the linear
-/// scan, so even the empty-sum zero has the same sign bit (`Iterator::sum`
-/// for floats starts from -0.0).
+/// Replaces `suffix` with the survival table of `points`, built column by
+/// column: every entry starts from the empty sum's bits (`Iterator::sum`
+/// for floats starts from -0.0) and `p[j]` is added into `suffix[..=j]`
+/// for each `j` in turn. Entry `k` therefore sees `p[k], p[k+1], …` added
+/// left to right, the linear scan's order, so it equals that scan bit for
+/// bit; the entries of one column are independent, so the inner loop
+/// vectorises where a row-by-row sum is one dependent chain per entry.
 fn fill_suffix(points: &[(f64, f64)], suffix: &mut Vec<f64>) {
-    let tails = std::iter::successors(Some(points), |tail| tail.split_first().map(|(_, t)| t));
-    suffix.extend(tails.map(|tail| tail.iter().map(|(_, p)| p).sum::<f64>()));
+    suffix.clear();
+    suffix.resize(points.len() + 1, <[f64]>::iter(&[]).sum());
+    for (j, (_, p)) in points.iter().enumerate() {
+        for s in suffix.iter_mut().take(j + 1) {
+            *s += p;
+        }
+    }
 }
 
 impl DiscreteDist {
@@ -45,24 +53,31 @@ impl DiscreteDist {
     /// Each `suffix[k]` is accumulated left-to-right over `points[k..]`, in
     /// the same order as the linear scan it replaces, so lookups agree
     /// exactly (not just approximately) with [`Self::survival_linear`].
-    /// The construction is O(n²) (n ≤ the configured `mass_points`,
-    /// typically 40) and nothing amortises it: every caller pays it once
-    /// per distribution built. In the scheduler those are estimate-cache
-    /// misses (a new or re-estimated job); a running attempt's conditional
-    /// rebuilds its table in place ([`Self::condition_into`]) each time its
-    /// elapsed time crosses a mass point, and the compile stage keeps it in
-    /// between (`sched::compile`).
+    /// The construction is O(n²) (n is one point per histogram bin, up to
+    /// 80, for a predicted distribution) and nothing amortises it within
+    /// one distribution. In the scheduler a distribution is built once per
+    /// predictor state version and shared by every pending job that picks
+    /// that version; a running attempt's conditional rebuilds its table in
+    /// place ([`Self::condition_into`]) each time its elapsed time crosses
+    /// a mass point, and the compile stage keeps it in between
+    /// (`sched::compile`).
     fn with_points(points: Vec<(f64, f64)>) -> Self {
         let mut suffix = Vec::with_capacity(points.len() + 1);
         fill_suffix(&points, &mut suffix);
         Self { points, suffix }
     }
 
-    /// Discretises a [`RuntimeDistribution`] into at most `max_points`
-    /// mass points.
+    /// Discretises a [`RuntimeDistribution`] into its mass points: one per
+    /// bin of an empirical histogram (up to its 80-bin budget, whatever
+    /// `max_points` says), at most `max_points` on an analytic family's
+    /// quantile grid (see [`Dist::mass_points`]).
     pub fn from_distribution(dist: &RuntimeDistribution, max_points: usize) -> Self {
         let mut points = dist.mass_points(max_points.max(1));
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Empirical points come sorted (histogram bins are), so this
+        // usually skips the sort.
+        if !points.is_sorted_by(|a, b| a.0.total_cmp(&b.0).is_le()) {
+            points.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
         let d = Self::with_points(points);
         debug_assert!(d.is_normalised());
         d
@@ -150,7 +165,6 @@ impl DiscreteDist {
                 *p /= total;
             }
         }
-        suffix.clear();
         fill_suffix(points, suffix);
     }
 
@@ -448,6 +462,50 @@ mod tests {
                 proptest::prop_assert_eq!(bits(&d.condition(elapsed)), want.clone(), "at {}", elapsed);
                 proptest::prop_assert_eq!(bits(&out), want, "at {}", elapsed);
             }
+        }
+    }
+
+    /// The survival table as it was built before the column-order fill:
+    /// each entry its own left-to-right sum over the points past it.
+    fn row_order_suffix(points: &[(f64, f64)]) -> Vec<f64> {
+        let tails = std::iter::successors(Some(points), |tail| tail.split_first().map(|(_, t)| t));
+        tails
+            .map(|tail| tail.iter().map(|(_, p)| p).sum::<f64>())
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The column-order survival table equals the row-order one bit
+        /// for bit, through `with_points` and through `condition_into`
+        /// into a reused buffer, on point sets of 1 to 80 points whose
+        /// masses mix magnitudes (so rounding differs with the order of
+        /// additions) and include exact zeros and duplicates.
+        #[test]
+        fn column_order_suffix_matches_row_order_bit_for_bit(
+            len in 1usize..81,
+            raw in proptest::collection::vec(0.0f64..1.0, 80),
+            scale in proptest::collection::vec(0u8..6, 80),
+            cut in 0.0f64..1.0,
+        ) {
+            let masses: Vec<f64> = (0..len)
+                .map(|i| match scale[i] {
+                    0 => 0.0,
+                    1 => raw[i] * 1e-12,
+                    2 => raw[i] * 1e6,
+                    _ => raw[i],
+                })
+                .collect();
+            let total: f64 = masses.iter().sum();
+            let points: Vec<(f64, f64)> = (0..len)
+                .map(|i| ((i / 2) as f64 * 3.5, if total > 0.0 { masses[i] / total } else { 1.0 / len as f64 }))
+                .collect();
+            let d = DiscreteDist::with_points(points.clone());
+            let want: Vec<u64> = row_order_suffix(&points).iter().map(|s| s.to_bits()).collect();
+            proptest::prop_assert_eq!(d.suffix.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), want);
+            let mut out = DiscreteDist::point(1.0);
+            d.condition_into(cut * d.upper(), &mut out);
+            let want: Vec<u64> = row_order_suffix(&out.points).iter().map(|s| s.to_bits()).collect();
+            proptest::prop_assert_eq!(out.suffix.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), want);
         }
     }
 

@@ -599,7 +599,7 @@ impl RunningTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sched::options::GenOption;
     use proptest::prelude::*;
@@ -1309,7 +1309,7 @@ mod tests {
     static ALLOCATOR: Counting = Counting;
 
     /// Allocations one call of `f` makes on this thread.
-    fn allocations_of(f: impl FnOnce()) -> usize {
+    pub(crate) fn allocations_of(f: impl FnOnce()) -> usize {
         let before = ALLOCATIONS.with(std::cell::Cell::get);
         f();
         ALLOCATIONS.with(std::cell::Cell::get) - before

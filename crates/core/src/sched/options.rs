@@ -258,7 +258,7 @@ impl EstimateCache {
     pub fn base(
         &mut self,
         job: JobId,
-        estimate: impl FnOnce() -> DiscreteDist,
+        estimate: impl FnOnce() -> Arc<DiscreteDist>,
     ) -> Arc<DiscreteDist> {
         let epoch = self.epoch;
         self.lookups += 1;
@@ -269,14 +269,14 @@ impl EstimateCache {
             }
             Some(e) => {
                 self.misses += 1;
-                e.base = Arc::new(estimate());
+                e.base = estimate();
                 e.epoch = epoch;
                 e.scaled.clear();
                 e.base.clone()
             }
             None => {
                 self.misses += 1;
-                let base = Arc::new(estimate());
+                let base = estimate();
                 self.entries.insert(
                     job,
                     CacheEntry {
@@ -573,7 +573,7 @@ mod tests {
         let mut calls = 0;
         let _ = cache.base(job, || {
             calls += 1;
-            DiscreteDist::point(100.0)
+            Arc::new(DiscreteDist::point(100.0))
         });
         assert_eq!(cache.epoch(), 0);
         cache.bump_epoch();
@@ -582,16 +582,16 @@ mod tests {
         assert_eq!(cache.epoch(), 3);
         let _ = cache.base(job, || {
             calls += 1;
-            DiscreteDist::point(80.0)
+            Arc::new(DiscreteDist::point(80.0))
         });
         let _ = cache.base(job, || {
             calls += 1;
-            DiscreteDist::point(60.0)
+            Arc::new(DiscreteDist::point(60.0))
         });
         assert_eq!(calls, 2, "three bumps coalesce into one re-estimation");
         // A job first seen after bumps is already at the current epoch.
         let other = JobId(12);
-        let _ = cache.base(other, || DiscreteDist::point(10.0));
+        let _ = cache.base(other, || Arc::new(DiscreteDist::point(10.0)));
         let d = cache.base(other, || unreachable!("fresh entry must be reused"));
         assert_eq!(d.mean(), 10.0);
         assert_eq!(cache.len(), 2);
@@ -605,14 +605,14 @@ mod tests {
         for _ in 0..3 {
             let _ = cache.base(job, || {
                 calls += 1;
-                DiscreteDist::point(100.0)
+                Arc::new(DiscreteDist::point(100.0))
             });
         }
         assert_eq!(calls, 1, "fresh entry is reused");
         cache.bump_epoch();
         let d = cache.base(job, || {
             calls += 1;
-            DiscreteDist::point(50.0)
+            Arc::new(DiscreteDist::point(50.0))
         });
         assert_eq!(calls, 2, "stale entry is re-estimated");
         assert_eq!(d.mean(), 50.0);
@@ -622,7 +622,7 @@ mod tests {
     fn take_moves_a_placed_jobs_estimate_out_of_the_cache() {
         let mut cache = EstimateCache::new();
         let job = JobId(7);
-        let base = cache.base(job, || DiscreteDist::point(100.0));
+        let base = cache.base(job, || Arc::new(DiscreteDist::point(100.0)));
         let _ = cache.scaled(job, 1.5);
         let counted = cache.stats();
         // The running attempt gets the very `Arc` the plan was valued with;
@@ -636,7 +636,7 @@ mod tests {
         // re-estimates from current history as a fresh miss.
         cache.bump_epoch();
         assert_eq!(taken.mean(), 100.0);
-        let d = cache.base(job, || DiscreteDist::point(25.0));
+        let d = cache.base(job, || Arc::new(DiscreteDist::point(25.0)));
         assert_eq!(d.mean(), 25.0);
         assert_eq!(cache.stats().misses, counted.misses + 1);
     }
@@ -645,7 +645,7 @@ mod tests {
     fn estimate_cache_scales_once_per_factor() {
         let mut cache = EstimateCache::new();
         let job = JobId(3);
-        let _ = cache.base(job, || DiscreteDist::point(100.0));
+        let _ = cache.base(job, || Arc::new(DiscreteDist::point(100.0)));
         let a = cache.scaled(job, 1.5).unwrap();
         let b = cache.scaled(job, 1.5).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same Arc, no re-scale");
@@ -654,7 +654,7 @@ mod tests {
         assert_eq!(unit.mean(), 100.0);
         // Re-estimation clears stale scaled variants.
         cache.bump_epoch();
-        let _ = cache.base(job, || DiscreteDist::point(10.0));
+        let _ = cache.base(job, || Arc::new(DiscreteDist::point(10.0)));
         assert_eq!(cache.scaled(job, 1.5).unwrap().mean(), 15.0);
     }
 
@@ -675,13 +675,13 @@ mod tests {
     fn estimate_cache_counts_hits_and_misses() {
         let mut cache = EstimateCache::new();
         let job = JobId(5);
-        let _ = cache.base(job, || DiscreteDist::point(100.0)); // miss
+        let _ = cache.base(job, || Arc::new(DiscreteDist::point(100.0))); // miss
         let _ = cache.base(job, || unreachable!()); // hit
         let _ = cache.scaled(job, 2.0); // miss (first scale)
         let _ = cache.scaled(job, 2.0); // hit
         let _ = cache.scaled(job, 1.0); // hit (base reuse)
         cache.bump_epoch();
-        let _ = cache.base(job, || DiscreteDist::point(50.0)); // miss (stale)
+        let _ = cache.base(job, || Arc::new(DiscreteDist::point(50.0))); // miss (stale)
         let s = cache.stats();
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 3);
@@ -696,7 +696,7 @@ mod tests {
         // rather than drop one.
         let mut cache = EstimateCache::with_capacity(4);
         for i in 0..10 {
-            let _ = cache.base(JobId(i), || DiscreteDist::point(100.0));
+            let _ = cache.base(JobId(i), || Arc::new(DiscreteDist::point(100.0)));
         }
         assert_eq!(cache.len(), 10, "current-epoch entries are safe");
         assert_eq!(cache.evictions(), 0);
@@ -708,7 +708,7 @@ mod tests {
         // cycle the backlog is stale and fair game.
         assert!(cache.take(JobId(2)).is_some());
         cache.bump_epoch();
-        let _ = cache.base(JobId(10), || DiscreteDist::point(50.0));
+        let _ = cache.base(JobId(10), || Arc::new(DiscreteDist::point(50.0)));
         assert_eq!(cache.len(), 4, "evicted down to the cap");
         assert_eq!(cache.evictions(), 6, "exactly the excess over the cap");
         let d = cache.base(JobId(10), || {
@@ -724,16 +724,16 @@ mod tests {
         // from current history — never replay the evicted distribution.
         let mut cache = EstimateCache::with_capacity(1);
         let victim = JobId(1);
-        let _ = cache.base(victim, || DiscreteDist::point(100.0));
+        let _ = cache.base(victim, || Arc::new(DiscreteDist::point(100.0)));
         cache.bump_epoch();
-        let _ = cache.base(JobId(2), || DiscreteDist::point(10.0));
+        let _ = cache.base(JobId(2), || Arc::new(DiscreteDist::point(10.0)));
         assert_eq!(cache.evictions(), 1, "victim evicted by the cap");
         assert_eq!(cache.len(), 1);
         cache.bump_epoch();
         let mut calls = 0;
         let d = cache.base(victim, || {
             calls += 1;
-            DiscreteDist::point(30.0)
+            Arc::new(DiscreteDist::point(30.0))
         });
         assert_eq!(calls, 1, "evicted entry re-estimates as a fresh miss");
         assert_eq!(d.mean(), 30.0, "the pre-eviction estimate must not return");

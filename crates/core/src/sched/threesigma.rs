@@ -31,7 +31,7 @@
 //! pending if its gang cannot actually be packed (a rare Hall-condition
 //! corner; see DESIGN.md).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,7 +45,7 @@ use threesigma_cluster::{
 use threesigma_histogram::RuntimeDistribution;
 use threesigma_milp::{solver_for_tier, SolverConfig};
 use threesigma_obs::{Counter, Gauge, Histogram, Recorder};
-use threesigma_predict::{AttributeSource, EstimatorKind, Prediction, Predictor, PredictorConfig};
+use threesigma_predict::{AttributeSource, Choice, EstimatorKind, Predictor, PredictorConfig};
 
 use crate::dist::DiscreteDist;
 use crate::sched::compile::{CompiledModel, Generated, RunningTable};
@@ -155,7 +155,9 @@ pub struct SchedConfig {
     pub be_horizon: f64,
     /// Best-effort utility floor fraction (> 0 prevents starvation).
     pub be_floor: f64,
-    /// Mass points per distribution per cycle.
+    /// Quantile-grid points for an analytic distribution (injected
+    /// estimates). An empirical prediction hands over one mass point per
+    /// histogram bin (up to the predictor's 80) whatever this says.
     pub mass_points: usize,
     /// Cancel SLO jobs whose every option has zero expected utility.
     pub cancel_hopeless: bool,
@@ -782,6 +784,8 @@ pub struct ThreeSigmaScheduler {
     /// Cross-cycle cache of pending jobs' discretised distributions (base
     /// and slowdown-scaled), epoch-invalidated as the predictor learns.
     cache: EstimateCache,
+    /// Discretised predictions, shared per predictor state version.
+    discretised: Discretised,
     /// Per-attempt state of the running set (prior, exp-inc, Eq. 2
     /// conditionals), owned by the compile stage.
     running: RunningTable,
@@ -820,6 +824,7 @@ impl ThreeSigmaScheduler {
             source,
             predictor: Predictor::new(predictor_config),
             cache,
+            discretised: Discretised::default(),
             running: RunningTable::default(),
             timings: Vec::new(),
             plans: Vec::new(),
@@ -939,6 +944,7 @@ impl ThreeSigmaScheduler {
     /// Closes a cycle: records its cost for the governor, flushes the
     /// counters to the attached recorder and keeps its timing record.
     fn finish_cycle(&mut self, timing: CycleTiming) {
+        self.discretised.prune();
         self.governor.last_cost = Some((timing.cost_units, timing.total));
         if let Some(obs) = &self.obs {
             obs.flush(&self.stats(), &self.predictor, &self.cache, &timing);
@@ -956,7 +962,35 @@ impl ThreeSigmaScheduler {
     /// (uncached; the scheduling cycle goes through the [`EstimateCache`]).
     #[cfg(test)]
     fn estimate(&self, spec: &JobSpec) -> DiscreteDist {
-        estimate_dist(&self.source, &self.predictor, self.config.mass_points, spec)
+        unshared_estimate(&self.source, &self.predictor, self.config.mass_points, spec)
+    }
+}
+
+/// Discretised predictions by predictor state version
+/// ([`Choice::version`]): a version names one unchanged history, so every
+/// pending job whose prediction picks it shares one distribution instead
+/// of discretising (and copying) the same histogram again.
+#[derive(Default)]
+struct Discretised(BTreeMap<u64, Arc<DiscreteDist>>);
+
+impl Discretised {
+    /// The discretised distribution of `choice`'s winning state.
+    fn get(&mut self, choice: &Choice<'_>, mass_points: usize) -> Arc<DiscreteDist> {
+        let d = self.0.entry(choice.version).or_insert_with(|| {
+            // A chosen state has history, so it has a distribution.
+            Arc::new(match choice.distribution() {
+                Some(d) => DiscreteDist::from_distribution(&d, mass_points),
+                None => cold_start_dist(),
+            })
+        });
+        Arc::clone(d)
+    }
+
+    /// Drops every distribution no estimate holds any more. Called once a
+    /// cycle: what a pending or running job holds stays (its version may
+    /// still be current), and the rest is at most one cycle's new entries.
+    fn prune(&mut self) {
+        self.0.retain(|_, d| Arc::strong_count(d) > 1);
     }
 }
 
@@ -968,53 +1002,74 @@ impl ThreeSigmaScheduler {
 fn estimate_dist(
     source: &EstimateSource,
     predictor: &Predictor,
+    discretised: &mut Discretised,
     mass_points: usize,
     spec: &JobSpec,
-) -> DiscreteDist {
+) -> Arc<DiscreteDist> {
     let n = mass_points;
     match source {
-        EstimateSource::OraclePoint => DiscreteDist::point(spec.duration),
-        EstimateSource::Injected(map) => match map.get(&spec.id) {
+        EstimateSource::OraclePoint => Arc::new(DiscreteDist::point(spec.duration)),
+        EstimateSource::Injected(map) => Arc::new(match map.get(&spec.id) {
             Some(d) => DiscreteDist::from_distribution(d, n),
             None => DiscreteDist::point(spec.duration),
-        },
-        EstimateSource::PredictedPoint => match predictor.predict_point(&Attrs(&spec.attributes)) {
-            Some(point) => DiscreteDist::point(point),
-            None => DiscreteDist::point(300.0),
-        },
-        EstimateSource::Predicted | EstimateSource::PredictedPadded { .. } => {
-            let prediction = predictor.predict(&Attrs(&spec.attributes));
-            from_prediction(source, prediction.as_ref(), n, spec)
+        }),
+        EstimateSource::Predicted
+        | EstimateSource::PredictedPoint
+        | EstimateSource::PredictedPadded { .. } => {
+            let choice = predictor.choose(&Attrs(&spec.attributes));
+            from_choice(source, choice.as_ref(), discretised, n)
         }
     }
 }
 
-/// The estimate a [`EstimateSource::Predicted`] or
-/// [`EstimateSource::PredictedPadded`] source makes from the predictor's
-/// `prediction` (`None`: no history yet).
-fn from_prediction(
+/// [`estimate_dist`] outside the scheduling cycle's sharing (a running
+/// attempt seen without a hand-off, and tests).
+fn unshared_estimate(
     source: &EstimateSource,
-    prediction: Option<&Prediction>,
-    n: usize,
+    predictor: &Predictor,
+    mass_points: usize,
     spec: &JobSpec,
 ) -> DiscreteDist {
-    match (source, prediction) {
-        (EstimateSource::PredictedPadded { sigmas }, Some(p)) => {
+    let d = estimate_dist(
+        source,
+        predictor,
+        &mut Discretised::default(),
+        mass_points,
+        spec,
+    );
+    Arc::unwrap_or_clone(d)
+}
+
+/// The estimate a predicted source ([`EstimateSource::Predicted`],
+/// [`EstimateSource::PredictedPoint`] or
+/// [`EstimateSource::PredictedPadded`]) makes from the predictor's
+/// `choice` (`None`: no history yet).
+fn from_choice(
+    source: &EstimateSource,
+    choice: Option<&Choice<'_>>,
+    discretised: &mut Discretised,
+    n: usize,
+) -> Arc<DiscreteDist> {
+    match (source, choice) {
+        (EstimateSource::PredictedPadded { sigmas }, Some(c)) => {
             // Pad around the discretised distribution's own mean: the base
             // and the variance must come from the same estimator. (Padding
             // the point expert's estimate with the distribution expert's σ
             // mixed two estimators.)
-            let d = DiscreteDist::from_distribution(&p.distribution, n);
-            DiscreteDist::point(d.mean() + sigmas * d.variance().sqrt())
+            let d = discretised.get(c, n);
+            Arc::new(DiscreteDist::point(d.mean() + sigmas * d.variance().sqrt()))
         }
-        (EstimateSource::PredictedPadded { .. }, None) => DiscreteDist::point(300.0),
-        (_, Some(p)) => DiscreteDist::from_distribution(&p.distribution, n),
-        (_, None) => cold_start_dist(spec),
+        (EstimateSource::PredictedPadded { .. } | EstimateSource::PredictedPoint, None) => {
+            Arc::new(DiscreteDist::point(300.0))
+        }
+        (EstimateSource::PredictedPoint, Some(c)) => Arc::new(DiscreteDist::point(c.point)),
+        (_, Some(c)) => discretised.get(c, n),
+        (_, None) => Arc::new(cold_start_dist()),
     }
 }
 
 /// With zero history anywhere (cold start), assume a broad prior.
-fn cold_start_dist(_spec: &JobSpec) -> DiscreteDist {
+fn cold_start_dist() -> DiscreteDist {
     let prior =
         RuntimeDistribution::LogNormal(threesigma_histogram::LogNormal::new(300f64.ln(), 1.0));
     DiscreteDist::from_distribution(&prior, 16)
@@ -1083,22 +1138,26 @@ fn slot_times(now: f64, width: f64, slots: usize) -> Vec<f64> {
 impl Scheduler for ThreeSigmaScheduler {
     fn on_job_submitted(&mut self, spec: &JobSpec, _now: f64) {
         let n = self.config.mass_points;
-        // One prediction serves both the estimate (distribution sources)
-        // and the expert tracking below; the point source estimates from
-        // its own expert.
-        let prediction = match self.source {
+        // One choice serves both the estimate and the expert tracking below.
+        let predicted = match self.source {
             EstimateSource::Predicted
             | EstimateSource::PredictedPoint
-            | EstimateSource::PredictedPadded { .. } => {
-                self.predictor.predict(&Attrs(&spec.attributes))
-            }
-            EstimateSource::OraclePoint | EstimateSource::Injected(_) => None,
+            | EstimateSource::PredictedPadded { .. } => true,
+            EstimateSource::OraclePoint | EstimateSource::Injected(_) => false,
         };
-        let d = match self.source {
-            EstimateSource::Predicted | EstimateSource::PredictedPadded { .. } => {
-                from_prediction(&self.source, prediction.as_ref(), n, spec)
-            }
-            _ => estimate_dist(&self.source, &self.predictor, n, spec),
+        let choice = predicted
+            .then(|| self.predictor.choose(&Attrs(&spec.attributes)))
+            .flatten();
+        let d = if predicted {
+            from_choice(&self.source, choice.as_ref(), &mut self.discretised, n)
+        } else {
+            estimate_dist(
+                &self.source,
+                &self.predictor,
+                &mut self.discretised,
+                n,
+                spec,
+            )
         };
         // Seed the cache; the entry is lazily refreshed every time the
         // history epoch moves while the job is still pending.
@@ -1106,8 +1165,8 @@ impl Scheduler for ThreeSigmaScheduler {
         // Track which (feature, estimator) expert the predictor currently
         // trusts; a change between consecutive predictions is an expert
         // switch (estimator-competition churn, §4.1).
-        if let Some(p) = prediction {
-            let expert = (p.feature, p.estimator);
+        if let Some(c) = choice {
+            let expert = (c.feature, c.estimator);
             if self.last_expert.is_some_and(|prev| prev != expert) {
                 self.totals.expert_switches += 1;
             }
@@ -1172,7 +1231,7 @@ impl Scheduler for ThreeSigmaScheduler {
         if idle {
             let compile_start = Stopwatch::start();
             let estimate = |spec: &JobSpec| {
-                estimate_dist(&self.source, &self.predictor, cfg.mass_points, spec)
+                unshared_estimate(&self.source, &self.predictor, cfg.mass_points, spec)
             };
             self.running.advance(&cfg, view, now, estimate, None);
             let compile = compile_start.elapsed();
@@ -1205,6 +1264,7 @@ impl Scheduler for ThreeSigmaScheduler {
         let mut decision = SchedulingDecision::noop();
         let Self {
             cache,
+            discretised,
             source,
             predictor,
             running,
@@ -1247,7 +1307,7 @@ impl Scheduler for ThreeSigmaScheduler {
             let g = groups.home_group(spec, view.cluster);
             let gmask = groups.group_mask(g);
             let base = cache.base(spec.id, || {
-                estimate_dist(source, predictor, cfg.mass_points, spec)
+                estimate_dist(source, predictor, discretised, cfg.mass_points, spec)
             });
             let curve = utility_curve(&cfg, spec, &base);
             // Equivalence sets for this job: preferred racks (unscaled
@@ -1323,7 +1383,7 @@ impl Scheduler for ThreeSigmaScheduler {
             pruned,
             running: running_jobs,
         } = running.compile(&cfg, view, now, &generated, |spec| {
-            estimate_dist(source, predictor, cfg.mass_points, spec)
+            unshared_estimate(source, predictor, cfg.mass_points, spec)
         });
         totals.options_pruned += pruned;
         decision.cancellations.clone_from(hopeless);
@@ -1930,6 +1990,77 @@ mod tests {
     fn pat_probe() -> JobSpec {
         JobSpec::new(1, 0.0, 1, 100.0, JobKind::BestEffort)
             .with_attributes(threesigma_cluster::Attributes::new().with("user", "pat"))
+    }
+
+    /// A state version discretises once: a second estimate from the same
+    /// unchanged history hands out the same distribution and allocates
+    /// nothing beyond choosing the expert (no histogram copy, no mass
+    /// points, no survival table);
+    /// a new observation makes a new version, and pruning keeps exactly
+    /// the distributions something still holds.
+    #[test]
+    fn a_repeated_state_version_shares_one_discretisation() {
+        let mut s = scheduler(EstimateSource::Predicted);
+        s.pretrain(&bimodal_history());
+        let probe = pat_probe();
+        let n = s.config.mass_points;
+        let mut shared = Discretised::default();
+        let first = estimate_dist(&s.source, &s.predictor, &mut shared, n, &probe);
+        assert_eq!(
+            *first,
+            s.estimate(&probe),
+            "shared ≡ a fresh discretisation"
+        );
+        let mut again = None;
+        let spent = crate::sched::compile::tests::allocations_of(|| {
+            again = Some(estimate_dist(
+                &s.source,
+                &s.predictor,
+                &mut shared,
+                n,
+                &probe,
+            ));
+        });
+        let again = again.unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "same version, same distribution"
+        );
+        // Choosing the expert may fill its key buffer; nothing else runs.
+        let choosing = crate::sched::compile::tests::allocations_of(|| {
+            assert!(s.predictor.choose(&Attrs(&probe.attributes)).is_some());
+        });
+        assert!(choosing <= 1, "choose allocated {choosing} times");
+        assert_eq!(spent, choosing, "a repeated version builds nothing");
+
+        s.predictor.observe(&Attrs(&probe.attributes), 400.0);
+        let newer = estimate_dist(&s.source, &s.predictor, &mut shared, n, &probe);
+        assert!(
+            !Arc::ptr_eq(&first, &newer),
+            "a new observation is a new version"
+        );
+        assert_eq!(*newer, s.estimate(&probe));
+        shared.prune();
+        assert_eq!(shared.0.len(), 2, "both versions are still held");
+        drop((first, again));
+        shared.prune();
+        assert_eq!(shared.0.len(), 1, "the released version is pruned");
+
+        // Through the scheduler: two pending jobs with one history share
+        // the cached distribution.
+        let twin = JobSpec {
+            id: JobId(2),
+            ..probe.clone()
+        };
+        s.on_job_submitted(&probe, 0.0);
+        s.on_job_submitted(&twin, 0.0);
+        let a = s
+            .cache
+            .base(probe.id, || unreachable!("seeded at submission"));
+        let b = s
+            .cache
+            .base(twin.id, || unreachable!("seeded at submission"));
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -2644,7 +2775,9 @@ mod tests {
         );
         // The dead attempt's estimate left the cache when it was placed,
         // so the retry re-estimates from (unchanged) history.
-        let d = s.cache.base(spec.id, || DiscreteDist::point(999.0));
+        let d = s
+            .cache
+            .base(spec.id, || Arc::new(DiscreteDist::point(999.0)));
         assert!(
             (d.mean() - 999.0).abs() < 1e-9,
             "no cache entry outlived the attempt"
@@ -2801,7 +2934,7 @@ mod tests {
         s.on_job_submitted(&a, 0.0);
         s.on_job_submitted(&b, 0.0);
         // b's estimate is cached: the probe closure must NOT run.
-        let before = s.cache.base(b.id, || DiscreteDist::point(999.0));
+        let before = s.cache.base(b.id, || Arc::new(DiscreteDist::point(999.0)));
         assert!(
             (before.mean() - 999.0).abs() > 1e-9,
             "precondition: b's estimate is cached"
@@ -2809,7 +2942,7 @@ mod tests {
         // a completes — the predictor learned, so every pending estimate
         // is stale, including b's in the other group.
         s.on_job_completed(&a, &completed(&a, 42.0), 42.0);
-        let after = s.cache.base(b.id, || DiscreteDist::point(999.0));
+        let after = s.cache.base(b.id, || Arc::new(DiscreteDist::point(999.0)));
         assert!(
             (after.mean() - 999.0).abs() < 1e-9,
             "b's estimate must be re-derived after the cross-group completion"
@@ -2871,7 +3004,9 @@ mod tests {
         // distribution is gone for good.
         assert!(s.cache.take(jobs[9].id).is_some());
         s.on_job_completed(&jobs[9], &completed(&jobs[9], 42.0), 84.0);
-        let d = s.cache.base(JobId(2), || DiscreteDist::point(777.0));
+        let d = s
+            .cache
+            .base(JobId(2), || Arc::new(DiscreteDist::point(777.0)));
         assert!(
             (d.mean() - 777.0).abs() < 1e-9,
             "evicted entry re-estimates as a fresh miss, got mean {}",

@@ -42,9 +42,11 @@ pub trait Dist {
     /// triggers under-estimate handling once exceeded.
     fn upper_bound(&self) -> f64;
 
-    /// Discrete `(runtime, probability)` representation with at most
-    /// `max_points` points; probabilities sum to 1. Eq. 1's integral is
-    /// evaluated as a weighted sum over these points.
+    /// Discrete `(runtime, probability)` representation; probabilities
+    /// sum to 1. Eq. 1's integral is evaluated as a weighted sum over
+    /// these points. An analytic family gives at most `max_points` points
+    /// (and at most 64) on its quantile grid; an empirical histogram gives
+    /// one point per bin, sorted, whatever `max_points` says.
     fn mass_points(&self, max_points: usize) -> Vec<(f64, f64)>;
 }
 

@@ -38,6 +38,16 @@ pub struct StreamingHistogram {
     merges: u64,
 }
 
+/// The bin two adjacent bins `a < b` collapse into: their summed count at
+/// the count-weighted mean centroid.
+fn merged(a: Bin, b: Bin) -> Bin {
+    let count = a.count + b.count;
+    Bin {
+        centroid: (a.centroid * a.count + b.centroid * b.count) / count,
+        count,
+    }
+}
+
 impl StreamingHistogram {
     /// Creates an empty histogram holding at most `max_bins` bins.
     ///
@@ -47,7 +57,7 @@ impl StreamingHistogram {
     pub fn new(max_bins: usize) -> Self {
         assert!(max_bins > 0, "histogram needs at least one bin");
         Self {
-            bins: Vec::with_capacity(max_bins + 1),
+            bins: Vec::with_capacity(max_bins),
             max_bins,
             count: 0,
             min: f64::INFINITY,
@@ -110,20 +120,66 @@ impl StreamingHistogram {
         self.count += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+        let new = Bin {
+            centroid: value,
+            count: 1.0,
+        };
         match self.bins.binary_search_by(|b| b.centroid.total_cmp(&value)) {
             Ok(i) => self.bins[i].count += 1.0,
+            Err(i) if self.bins.len() == self.max_bins => self.insert_full(i, new),
             Err(i) => {
-                self.bins.insert(
-                    i,
-                    Bin {
-                        centroid: value,
-                        count: 1.0,
-                    },
-                );
+                self.bins.insert(i, new);
                 if self.bins.len() > self.max_bins {
                     self.merge_closest();
                 }
             }
+        }
+    }
+
+    /// Inserting `new` at `i` into a full histogram, then merging the
+    /// closest pair, in one pass: the pair is the first minimal gap of the
+    /// virtual `max_bins + 1` bins (`bins[..i]`, `new`, `bins[i..]`), merged
+    /// with [`merge_closest`](Self::merge_closest)'s arithmetic, and at most
+    /// one range of bins shifts.
+    fn insert_full(&mut self, i: usize, new: Bin) {
+        self.merges += 1;
+        let bins = &mut self.bins;
+        let n = bins.len();
+        // Virtual gap `k` lies between virtual bins `k` and `k + 1`.
+        let mut best = 0;
+        let mut best_gap = f64::INFINITY;
+        let mut consider = |k: usize, gap: f64| {
+            if gap < best_gap {
+                best_gap = gap;
+                best = k;
+            }
+        };
+        for k in 0..i.saturating_sub(1) {
+            consider(k, bins[k + 1].centroid - bins[k].centroid);
+        }
+        if i > 0 {
+            consider(i - 1, new.centroid - bins[i - 1].centroid);
+        }
+        if i < n {
+            consider(i, bins[i].centroid - new.centroid);
+        }
+        for k in i + 1..n {
+            consider(k, bins[k].centroid - bins[k - 1].centroid);
+        }
+        if best + 1 < i {
+            // Both merged bins lie left of `new`.
+            bins[best] = merged(bins[best], bins[best + 1]);
+            bins.copy_within(best + 2..i, best + 1);
+            bins[i - 1] = new;
+        } else if best + 1 == i {
+            bins[best] = merged(bins[best], new);
+        } else if best == i {
+            bins[i] = merged(new, bins[i]);
+        } else {
+            // Both lie right of `new`: virtual `best` is `bins[best - 1]`.
+            bins[best] = merged(bins[best - 1], bins[best]);
+            bins.copy_within(i..best - 1, i + 1);
+            bins[i] = new;
         }
     }
 
@@ -161,12 +217,7 @@ impl StreamingHistogram {
                 best = i;
             }
         }
-        let (a, b) = (self.bins[best], self.bins[best + 1]);
-        let count = a.count + b.count;
-        self.bins[best] = Bin {
-            centroid: (a.centroid * a.count + b.centroid * b.count) / count,
-            count,
-        };
+        self.bins[best] = merged(self.bins[best], self.bins[best + 1]);
         self.bins.remove(best + 1);
     }
 
@@ -456,6 +507,66 @@ mod tests {
         assert_eq!(fwd.max(), rev.max());
         let (mf, mr) = (fwd.mean().unwrap(), rev.mean().unwrap());
         assert!((mf - mr).abs() < 1e-9);
+    }
+
+    /// `insert` as it was before the single-shift path: insert the new
+    /// bin, then merge the closest pair of the now over-full histogram.
+    fn reference_insert(h: &mut StreamingHistogram, value: f64) {
+        h.count += 1;
+        h.min = h.min.min(value);
+        h.max = h.max.max(value);
+        match h.bins.binary_search_by(|b| b.centroid.total_cmp(&value)) {
+            Ok(i) => h.bins[i].count += 1.0,
+            Err(i) => {
+                let new = Bin {
+                    centroid: value,
+                    count: 1.0,
+                };
+                h.bins.insert(i, new);
+                if h.bins.len() > h.max_bins {
+                    h.merge_closest();
+                }
+            }
+        }
+    }
+
+    fn bin_bits(h: &StreamingHistogram) -> Vec<(u64, u64)> {
+        (h.bins.iter())
+            .map(|b| (b.centroid.to_bits(), b.count.to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The single-shift insert into a full histogram leaves the same
+        /// bins, bit for bit, and the same merge count as inserting and
+        /// then merging the closest pair: streams with repeated values,
+        /// ties between gaps, and new values below, between and above
+        /// every bin, into budgets from one bin to the paper's 80.
+        #[test]
+        fn single_shift_insert_matches_insert_then_merge(
+            budget in 0usize..30,
+            len in 1usize..400,
+            xs in proptest::collection::vec(0u32..400, 400),
+            shapes in proptest::collection::vec(0u8..4, 400),
+        ) {
+            let max_bins = if budget < 24 { budget + 1 } else { 80 };
+            let mut fast = StreamingHistogram::new(max_bins);
+            let mut slow = StreamingHistogram::new(max_bins);
+            for (i, (x, shape)) in xs.iter().zip(&shapes).take(len).enumerate() {
+                // Integer grids tie gaps exactly; the other shapes spread.
+                let v = match shape {
+                    0 => f64::from(*x),
+                    1 => f64::from(*x) * 0.37 + 1e-3 * i as f64,
+                    2 => f64::from(*x).sqrt() * 1e4,
+                    _ => 1.0 + f64::from(*x % 7),
+                };
+                fast.insert(v);
+                reference_insert(&mut slow, v);
+                proptest::prop_assert_eq!(bin_bits(&fast), bin_bits(&slow), "after {} inserts", i + 1);
+                proptest::prop_assert_eq!(fast.merge_count(), slow.merge_count());
+            }
+            proptest::prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]

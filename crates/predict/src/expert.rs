@@ -128,6 +128,17 @@ impl ValueState {
 
     /// Current point estimate of an estimator, `None` with no history.
     pub fn estimate(&self, kind: EstimatorKind) -> Option<f64> {
+        self.estimate_with(kind, &mut Vec::new())
+    }
+
+    /// All four current estimates, indexed by [`EstimatorKind::index`];
+    /// the median sorts its copy of the recent window in `scratch`, so a
+    /// reused buffer makes this allocation-free.
+    pub(crate) fn estimates(&self, scratch: &mut Vec<f64>) -> [Option<f64>; 4] {
+        ESTIMATORS.map(|kind| self.estimate_with(kind, scratch))
+    }
+
+    fn estimate_with(&self, kind: EstimatorKind, scratch: &mut Vec<f64>) -> Option<f64> {
         if self.count() == 0 {
             return None;
         }
@@ -151,11 +162,15 @@ impl ValueState {
                 None => self.ewma.value(),
             },
             EstimatorKind::RecentMedian => {
-                let mut v: Vec<f64> = self.recent.iter().copied().collect();
+                let v = scratch;
+                v.clear();
+                v.extend(&self.recent);
                 if v.is_empty() {
                     return None;
                 }
-                v.sort_by(f64::total_cmp);
+                // Values equal under `total_cmp` have equal bits, so an
+                // unstable sort yields the same sequence as a stable one.
+                v.sort_unstable_by(f64::total_cmp);
                 Some(if v.len() % 2 == 1 {
                     v[v.len() / 2]
                 } else {
@@ -193,9 +208,17 @@ impl ValueState {
 
     /// Scores all estimators against `runtime`, then folds it into history.
     pub fn observe(&mut self, runtime: f64) {
+        let estimates = self.estimates(&mut Vec::new());
+        self.fold(runtime, &estimates);
+    }
+
+    /// [`observe`](Self::observe) given this state's current
+    /// [`estimates`](Self::estimates): scores each against `runtime`,
+    /// then folds `runtime` into the history.
+    pub(crate) fn fold(&mut self, runtime: f64, estimates: &[Option<f64>; 4]) {
         debug_assert!(runtime > 0.0 && runtime.is_finite());
         for kind in ESTIMATORS {
-            if let Some(est) = self.estimate(kind) {
+            if let Some(est) = estimates[kind.index()] {
                 self.scores[kind.index()].update(est, runtime);
             }
         }

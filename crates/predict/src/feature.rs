@@ -51,21 +51,31 @@ pub struct Feature {
     pub keys: Vec<&'static str>,
 }
 
-/// Extracts the feature's value for a job. Returns `None` when any
-/// constituent attribute is missing; the empty-key feature yields `"*"`.
-pub fn extract(feature: &Feature, attrs: &impl AttributeSource) -> Option<String> {
-    if feature.keys.is_empty() {
-        return Some("*".to_owned());
-    }
-    let mut out = String::new();
-    for (i, key) in feature.keys.iter().enumerate() {
-        let v = attrs.get_attr(key)?;
-        if i > 0 {
-            out.push('\u{1f}'); // unit separator: unambiguous join
+/// The feature's value for a job: its attribute values joined by a unit
+/// separator, `"*"` for the empty-key feature, `None` when any constituent
+/// attribute is missing. A single-key feature borrows the attribute and a
+/// multi-key one joins into `buf` (cleared first), so nothing allocates
+/// once `buf` has grown.
+pub(crate) fn value_of<'a>(
+    feature: &Feature,
+    attrs: &'a impl AttributeSource,
+    buf: &'a mut String,
+) -> Option<&'a str> {
+    match feature.keys[..] {
+        [] => Some("*"),
+        [key] => attrs.get_attr(key),
+        _ => {
+            buf.clear();
+            for (i, key) in feature.keys.iter().enumerate() {
+                let v = attrs.get_attr(key)?;
+                if i > 0 {
+                    buf.push('\u{1f}'); // unit separator: unambiguous join
+                }
+                buf.push_str(v);
+            }
+            Some(buf)
         }
-        out.push_str(v);
     }
-    Some(out)
 }
 
 /// An ordered set of features, most generic last.
@@ -114,6 +124,10 @@ impl FeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn extract(feature: &Feature, attrs: &impl AttributeSource) -> Option<String> {
+        value_of(feature, attrs, &mut String::new()).map(str::to_owned)
+    }
 
     #[test]
     fn extract_single_and_combined() {

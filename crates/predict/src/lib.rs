@@ -40,7 +40,8 @@ pub mod feature;
 pub mod predictor;
 
 pub use expert::{EstimatorKind, ValueState, ESTIMATORS};
-pub use feature::{extract, AttributeSource, Feature, FeatureSet};
+pub use feature::{AttributeSource, Feature, FeatureSet};
 pub use predictor::{
-    FeatureStats, Prediction, Predictor, PredictorConfig, PredictorStats, QuickStats, Snapshot,
+    Choice, FeatureStats, Prediction, Predictor, PredictorConfig, PredictorStats, QuickStats,
+    Snapshot,
 };

@@ -11,7 +11,10 @@ use serde::{Deserialize, Serialize};
 use threesigma_histogram::RuntimeDistribution;
 
 use crate::expert::{EstimatorKind, ValueState, ESTIMATORS};
-use crate::feature::{extract, AttributeSource, FeatureSet};
+use crate::feature::{value_of, AttributeSource, FeatureSet};
+
+#[cfg(test)]
+mod reference;
 
 /// Predictor tuning knobs.
 #[derive(Debug, Clone)]
@@ -64,6 +67,61 @@ pub struct Prediction {
     pub estimator: EstimatorKind,
     /// Number of history samples behind the distribution.
     pub history: u64,
+    /// Version of the winning feature value's history (see
+    /// [`Choice::version`]).
+    pub version: u64,
+}
+
+/// The winning expert of a prediction, before its distribution is built
+/// (see [`Predictor::choose`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Choice<'a> {
+    state: &'a ValueState,
+    /// The winning expert's point estimate (JVuPredict's output).
+    pub point: f64,
+    /// Name of the winning feature.
+    pub feature: &'static str,
+    /// The winning estimator.
+    pub estimator: EstimatorKind,
+    /// Number of history samples behind the distribution.
+    pub history: u64,
+    /// Version of the winning feature value's history: its last touch.
+    /// Touches are unique across every tracked value and each observation
+    /// makes a new one, so two choices with one version read the same
+    /// history and have the same distribution.
+    pub version: u64,
+}
+
+impl Choice<'_> {
+    /// The winning feature value's runtime distribution (a copy of its
+    /// histogram, or one built from its capped sample window).
+    pub fn distribution(&self) -> Option<RuntimeDistribution> {
+        self.state.distribution()
+    }
+
+    /// The full prediction: this choice plus its distribution.
+    pub fn prediction(&self) -> Option<Prediction> {
+        Some(Prediction {
+            distribution: self.distribution()?,
+            point: self.point,
+            feature: self.feature,
+            estimator: self.estimator,
+            history: self.history,
+            version: self.version,
+        })
+    }
+}
+
+/// One tracked feature value.
+#[derive(Debug)]
+struct Tracked {
+    state: ValueState,
+    /// The state's four estimates, indexed by [`EstimatorKind::index`], as
+    /// its last observation left them: the next observation is scored
+    /// against them and predictions read them.
+    estimates: [Option<f64>; 4],
+    /// The clock at the last observation (the state's version).
+    touch: u64,
 }
 
 /// 3σPredict: per-feature-value histories plus online expert selection.
@@ -71,19 +129,19 @@ pub struct Prediction {
 pub struct Predictor {
     config: PredictorConfig,
     features: FeatureSet,
-    /// State per `(feature index, feature value)`.
-    /// Ordered map: `stats`/`snapshot`/`restore` iterate it, and both
+    /// Tracked values per feature (indexed like `features`), by value.
+    /// Ordered maps: `stats`/`snapshot`/`restore` iterate them, and both
     /// expert scoring and snapshot bytes must not depend on hash order.
-    state: BTreeMap<(usize, String), ValueState>,
+    values: Vec<BTreeMap<String, Tracked>>,
     /// Logical observation clock: advances once per feature-value touch in
     /// [`observe`](Self::observe). Drives LRU/TTL eviction and is persisted
     /// in snapshots so eviction order survives restarts bit-for-bit.
     clock: u64,
-    /// Last touch per tracked key (same keys as `state`).
-    touch: BTreeMap<(usize, String), u64>,
-    /// Recency index: `(touch, feature index, value)` ascending, so the
-    /// least-recently-observed entry is always `first()`.
-    by_touch: BTreeSet<(u64, usize, String)>,
+    /// Recency index, kept only under an LRU cap or a TTL: touch →
+    /// `(feature index, value)`. Touches are unique, so ascending touch is
+    /// `(touch, feature, value)` order and the least-recently-observed
+    /// entry is always first.
+    by_touch: BTreeMap<u64, (usize, String)>,
     /// Feature-value states evicted by the LRU cap or TTL (memory gauge).
     evictions: u64,
     /// Running totals maintained by [`observe`](Self::observe) so
@@ -96,6 +154,10 @@ pub struct Predictor {
     censored: u64,
     /// Lowest scored-expert NMAE seen so far (historical minimum).
     best_nmae_seen: Option<f64>,
+    /// Reused buffers: a multi-key feature value's join, and the median
+    /// expert's sorted window.
+    key: String,
+    scratch: Vec<f64>,
 }
 
 impl Predictor {
@@ -105,26 +167,32 @@ impl Predictor {
     }
 
     /// Predictor with an explicit feature set.
-    pub fn with_features(config: PredictorConfig, features: FeatureSet) -> Self {
+    fn with_features(config: PredictorConfig, features: FeatureSet) -> Self {
         assert!(!features.is_empty(), "need at least one feature");
         Self {
             config,
+            values: features.features.iter().map(|_| BTreeMap::new()).collect(),
             features,
-            state: BTreeMap::new(),
             clock: 0,
-            touch: BTreeMap::new(),
-            by_touch: BTreeSet::new(),
+            by_touch: BTreeMap::new(),
             evictions: 0,
             observations: 0,
             bin_merges: 0,
             censored: 0,
             best_nmae_seen: None,
+            key: String::new(),
+            scratch: Vec::new(),
         }
     }
 
     /// Number of distinct feature values tracked (memory gauge).
     pub fn tracked_values(&self) -> usize {
-        self.state.len()
+        self.values.iter().map(BTreeMap::len).sum()
+    }
+
+    /// True when eviction needs the recency index.
+    fn keeps_recency(&self) -> bool {
+        self.config.max_tracked_values.is_some() || self.config.value_ttl.is_some()
     }
 
     /// The canonical `&'static str` for a feature name this predictor
@@ -143,33 +211,62 @@ impl Predictor {
         if !(runtime.is_finite() && runtime > 0.0) {
             return; // defensive: never poison history with bad samples
         }
-        let cfg = &self.config;
-        for (fi, feature) in self.features.features.iter().enumerate() {
-            let Some(value) = extract(feature, attrs) else {
+        let recency = self.keeps_recency();
+        let Self {
+            config: cfg,
+            features,
+            values,
+            clock,
+            by_touch,
+            observations,
+            bin_merges,
+            best_nmae_seen,
+            key,
+            scratch,
+            ..
+        } = self;
+        for (fi, (feature, map)) in features.features.iter().zip(values).enumerate() {
+            let Some(value) = value_of(feature, attrs, key) else {
                 continue;
             };
-            self.clock += 1;
-            let now = self.clock;
-            if let Some(prev) = self.touch.insert((fi, value.clone()), now) {
-                self.by_touch.remove(&(prev, fi, value.clone()));
-            }
-            self.by_touch.insert((now, fi, value.clone()));
-            let state = self.state.entry((fi, value)).or_insert_with(|| {
-                ValueState::new(
-                    cfg.max_bins,
-                    cfg.recent_window,
-                    cfg.ewma_alpha,
-                    cfg.sample_cap,
-                )
-            });
+            *clock += 1;
+            let now = *clock;
+            let tracked = match map.get_mut(value) {
+                Some(tracked) => {
+                    // Move the index entry (if kept), key and all.
+                    if let Some(entry) = by_touch.remove(&tracked.touch) {
+                        by_touch.insert(now, entry);
+                    }
+                    tracked
+                }
+                None => {
+                    if recency {
+                        by_touch.insert(now, (fi, value.to_owned()));
+                    }
+                    let state = ValueState::new(
+                        cfg.max_bins,
+                        cfg.recent_window,
+                        cfg.ewma_alpha,
+                        cfg.sample_cap,
+                    );
+                    map.entry(value.to_owned()).or_insert(Tracked {
+                        state,
+                        estimates: [None; 4],
+                        touch: now,
+                    })
+                }
+            };
+            tracked.touch = now;
+            let state = &mut tracked.state;
             let (count_before, merges_before) = (state.count(), state.bin_merges());
-            state.observe(runtime);
+            state.fold(runtime, &tracked.estimates);
+            tracked.estimates = state.estimates(scratch);
             // Count deltas rather than inserts: a sample cap keeps
             // `count()` flat, and one insert can trigger several merges.
-            self.observations += state.count().saturating_sub(count_before);
-            self.bin_merges += state.bin_merges().saturating_sub(merges_before);
+            *observations += state.count().saturating_sub(count_before);
+            *bin_merges += state.bin_merges().saturating_sub(merges_before);
             if let Some(n) = state.best_nmae() {
-                self.best_nmae_seen = Some(self.best_nmae_seen.map_or(n, |cur| cur.min(n)));
+                *best_nmae_seen = Some(best_nmae_seen.map_or(n, |cur| cur.min(n)));
             }
         }
         self.enforce_bounds();
@@ -180,32 +277,30 @@ impl Predictor {
     /// evicted history so `quick_stats` keeps agreeing with a full scan.
     fn enforce_bounds(&mut self) {
         if let Some(ttl) = self.config.value_ttl {
-            while let Some(oldest) = self.by_touch.first().cloned() {
-                if self.clock.saturating_sub(oldest.0) <= ttl {
+            while let Some((&oldest, _)) = self.by_touch.first_key_value() {
+                if self.clock.saturating_sub(oldest) <= ttl {
                     break;
                 }
-                self.evict(oldest);
+                self.evict_oldest();
             }
         }
         if let Some(cap) = self.config.max_tracked_values {
-            while self.state.len() > cap {
-                let Some(oldest) = self.by_touch.first().cloned() else {
-                    break;
-                };
-                self.evict(oldest);
-            }
+            while self.tracked_values() > cap && self.evict_oldest() {}
         }
     }
 
-    fn evict(&mut self, entry: (u64, usize, String)) {
-        self.by_touch.remove(&entry);
-        let key = (entry.1, entry.2);
-        self.touch.remove(&key);
-        if let Some(state) = self.state.remove(&key) {
+    /// Evicts the least-recently-observed state; false when none is left.
+    fn evict_oldest(&mut self) -> bool {
+        let Some((_, (fi, value))) = self.by_touch.pop_first() else {
+            return false;
+        };
+        if let Some(tracked) = self.values[fi].remove(&value) {
+            let state = &tracked.state;
             self.observations = self.observations.saturating_sub(state.count());
             self.bin_merges = self.bin_merges.saturating_sub(state.bin_merges());
             self.evictions += 1;
         }
+        true
     }
 
     /// Feature-value states evicted so far by the LRU cap or TTL.
@@ -246,37 +341,42 @@ impl Predictor {
     /// Predicts the runtime distribution for a job with the given
     /// attributes. `None` when no matching feature value has any history.
     pub fn predict(&self, attrs: &impl AttributeSource) -> Option<Prediction> {
-        // Best scored expert: lowest trusted NMAE; tie-break on more history.
-        let mut best_scored: Option<(f64, u64, &ValueState, usize, EstimatorKind)> = None;
-        // Fallback: most history, preferring the median estimator.
-        let mut best_fallback: Option<(u64, &ValueState, usize, EstimatorKind)> = None;
+        self.choose(attrs)?.prediction()
+    }
 
-        for (fi, feature) in self.features.features.iter().enumerate() {
-            let Some(value) = extract(feature, attrs) else {
+    /// The expert [`predict`](Self::predict) picks, without building its
+    /// distribution: the scored expert with the lowest trusted NMAE (ties
+    /// to more history), else the one with the most history, preferring
+    /// the median estimator.
+    pub fn choose(&self, attrs: &impl AttributeSource) -> Option<Choice<'_>> {
+        let mut best_scored: Option<(f64, u64, &Tracked, usize, EstimatorKind)> = None;
+        let mut best_fallback: Option<(u64, &Tracked, usize, EstimatorKind)> = None;
+        let mut key = String::new();
+
+        for (fi, (feature, map)) in self.features.features.iter().zip(&self.values).enumerate() {
+            let Some(tracked) = value_of(feature, attrs, &mut key).and_then(|v| map.get(v)) else {
                 continue;
             };
-            let Some(state) = self.state.get(&(fi, value)) else {
-                continue;
-            };
-            if state.count() == 0 {
+            let history = tracked.state.count();
+            if history == 0 {
                 continue;
             }
             for kind in ESTIMATORS {
-                if state.estimate(kind).is_none() {
+                if tracked.estimates[kind.index()].is_none() {
                     continue;
                 }
-                let score = state.score(kind);
+                let score = tracked.state.score(kind);
                 match score.nmae() {
                     Some(nmae) if score.evals >= self.config.min_expert_evals => {
                         let better = match &best_scored {
                             None => true,
                             Some((b_nmae, b_hist, ..)) => {
                                 nmae < *b_nmae - 1e-12
-                                    || ((nmae - *b_nmae).abs() <= 1e-12 && state.count() > *b_hist)
+                                    || ((nmae - *b_nmae).abs() <= 1e-12 && history > *b_hist)
                             }
                         };
                         if better {
-                            best_scored = Some((nmae, state.count(), state, fi, kind));
+                            best_scored = Some((nmae, history, tracked, fi, kind));
                         }
                     }
                     _ => {
@@ -284,46 +384,49 @@ impl Predictor {
                         let better = match &best_fallback {
                             None => true,
                             Some((b_hist, _, _, b_kind)) => {
-                                state.count() > *b_hist
-                                    || (state.count() == *b_hist
+                                history > *b_hist
+                                    || (history == *b_hist
                                         && pref
                                         && *b_kind != EstimatorKind::RecentMedian)
                             }
                         };
                         if better {
-                            best_fallback = Some((state.count(), state, fi, kind));
+                            best_fallback = Some((history, tracked, fi, kind));
                         }
                     }
                 }
             }
         }
 
-        let (state, fi, kind) = match (best_scored, best_fallback) {
-            (Some((_, _, s, fi, k)), _) => (s, fi, k),
-            (None, Some((_, s, fi, k))) => (s, fi, k),
+        let (tracked, fi, kind) = match (best_scored, best_fallback) {
+            (Some((_, _, t, fi, k)), _) => (t, fi, k),
+            (None, Some((_, t, fi, k))) => (t, fi, k),
             (None, None) => return None,
         };
-        let distribution = state.distribution()?;
-        let point = state.estimate(kind)?;
-        Some(Prediction {
-            distribution,
-            point,
+        Some(Choice {
+            state: &tracked.state,
+            point: tracked.estimates[kind.index()]?,
             feature: self.features.features[fi].name,
             estimator: kind,
-            history: state.count(),
+            history: tracked.state.count(),
+            version: tracked.touch,
         })
     }
 
     /// JVuPredict: just the winning expert's point estimate.
     pub fn predict_point(&self, attrs: &impl AttributeSource) -> Option<f64> {
-        self.predict(attrs).map(|p| p.point)
+        self.choose(attrs).map(|c| c.point)
+    }
+
+    /// Every tracked value as `(feature index, value, tracked)`, in
+    /// `(feature, value)` order.
+    fn tracked(&self) -> impl Iterator<Item = (usize, &String, &Tracked)> {
+        (self.values.iter().enumerate())
+            .flat_map(|(fi, map)| map.iter().map(move |(value, t)| (fi, value, t)))
     }
 
     /// Aggregate telemetry over the predictor's state: per-feature history
     /// sizes, sketch compression (bin merges), and the best expert NMAE.
-    ///
-    /// Every aggregate is order-independent (sums and minima), so the
-    /// result is deterministic despite the hash-map backing store.
     pub fn stats(&self) -> PredictorStats {
         let mut per_feature: Vec<FeatureStats> = self
             .features
@@ -337,8 +440,8 @@ impl Predictor {
                 best_nmae: None,
             })
             .collect();
-        for ((fi, _), state) in &self.state {
-            let fs = &mut per_feature[*fi];
+        for (fi, _, tracked) in self.tracked() {
+            let (fs, state) = (&mut per_feature[fi], &tracked.state);
             fs.values += 1;
             fs.observations += state.count();
             fs.bin_merges += state.bin_merges();
@@ -347,7 +450,7 @@ impl Predictor {
             }
         }
         PredictorStats {
-            tracked_values: self.state.len(),
+            tracked_values: self.tracked_values(),
             observations: per_feature.iter().map(|f| f.observations).sum(),
             bin_merges: per_feature.iter().map(|f| f.bin_merges).sum(),
             per_feature,
@@ -364,7 +467,7 @@ impl Predictor {
     /// seen so far), whereas [`stats`] reports the current minimum.
     pub fn quick_stats(&self) -> QuickStats {
         QuickStats {
-            tracked_values: self.state.len(),
+            tracked_values: self.tracked_values(),
             observations: self.observations,
             bin_merges: self.bin_merges,
             censored: self.censored,
@@ -378,22 +481,21 @@ impl Predictor {
     /// Restoring requires the same feature set and config; this is how a
     /// long-lived deployment persists its history database across restarts.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            touches: self
-                .state
-                .keys()
-                .map(|key| self.touch.get(key).copied().unwrap_or(0))
-                .collect(),
+        let mut snapshot = Snapshot {
+            entries: Vec::with_capacity(self.tracked_values()),
+            touches: Vec::with_capacity(self.tracked_values()),
             clock: self.clock,
             evictions: self.evictions,
             censored: self.censored,
             best_nmae: self.best_nmae_seen,
-            entries: self
-                .state
-                .iter()
-                .map(|((fi, value), state)| (*fi, value.clone(), state.clone()))
-                .collect(),
+        };
+        for (fi, map) in self.values.iter().enumerate() {
+            for (value, t) in map {
+                snapshot.entries.push((fi, value.clone(), t.state.clone()));
+                snapshot.touches.push(t.touch);
+            }
         }
+        snapshot
     }
 
     /// Restores a snapshot taken by [`snapshot`](Self::snapshot), replacing
@@ -402,8 +504,10 @@ impl Predictor {
     /// # Errors
     ///
     /// Refuses, leaving the predictor unchanged, a snapshot that
-    /// references a feature this predictor does not have, or whose touch
-    /// list does not pair one touch with each entry.
+    /// references a feature this predictor does not have, whose touch
+    /// list does not pair one touch with each entry, or that repeats a
+    /// touch or a `(feature, value)` entry (touches name state versions,
+    /// so they must be unique).
     pub fn restore(&mut self, snapshot: Snapshot) -> Result<(), String> {
         for (fi, _, _) in &snapshot.entries {
             if *fi >= self.features.len() {
@@ -417,26 +521,46 @@ impl Predictor {
                 snapshot.entries.len()
             ));
         }
-        self.touch = BTreeMap::new();
-        self.by_touch = BTreeSet::new();
-        let mut max_touch = 0u64;
-        for ((fi, value, _), &t) in snapshot.entries.iter().zip(&snapshot.touches) {
-            max_touch = max_touch.max(t);
-            self.touch.insert((*fi, value.clone()), t);
-            self.by_touch.insert((t, *fi, value.clone()));
+        let mut seen = BTreeSet::new();
+        if let Some(t) = snapshot.touches.iter().find(|t| !seen.insert(**t)) {
+            return Err(format!("touch {t} is repeated"));
+        }
+        let mut values: Vec<BTreeMap<String, Tracked>> = self
+            .features
+            .features
+            .iter()
+            .map(|_| BTreeMap::new())
+            .collect();
+        for ((fi, value, state), touch) in snapshot.entries.into_iter().zip(snapshot.touches) {
+            if values[fi].contains_key(&value) {
+                return Err(format!("entry ({fi}, {value:?}) is repeated"));
+            }
+            let estimates = state.estimates(&mut self.scratch);
+            values[fi].insert(
+                value,
+                Tracked {
+                    state,
+                    estimates,
+                    touch,
+                },
+            );
+        }
+        self.values = values;
+        let max_touch = self.tracked().map(|(_, _, t)| t.touch).max().unwrap_or(0);
+        self.by_touch = BTreeMap::new();
+        if self.keeps_recency() {
+            let index: Vec<_> = (self.tracked())
+                .map(|(fi, value, t)| (t.touch, (fi, value.clone())))
+                .collect();
+            self.by_touch.extend(index);
         }
         self.clock = snapshot.clock.max(max_touch);
         self.evictions = snapshot.evictions;
         self.censored = snapshot.censored;
-        self.state = snapshot
-            .entries
-            .into_iter()
-            .map(|(fi, value, state)| ((fi, value), state))
-            .collect();
         // Rebuild the running totals from the restored state (one-off scan —
         // exact, since eviction subtracts the departing history from both).
-        self.observations = self.state.values().map(ValueState::count).sum();
-        self.bin_merges = self.state.values().map(ValueState::bin_merges).sum();
+        self.observations = self.tracked().map(|(_, _, t)| t.state.count()).sum();
+        self.bin_merges = self.tracked().map(|(_, _, t)| t.state.bin_merges()).sum();
         // The historical-best NMAE travels in the snapshot (a restarted
         // serve session must republish the same gauge). `observe` already
         // folded every state's score into it.
@@ -760,7 +884,6 @@ mod tests {
         assert_eq!(user.values, 1);
         assert_eq!(user.observations, 200);
         assert!(user.best_nmae.is_some());
-        // Aggregates must be reproducible despite the hash-map store.
         assert_eq!(p.stats(), stats);
     }
 
@@ -919,6 +1042,139 @@ mod tests {
         let mut fresh = Predictor::new(PredictorConfig::default());
         fresh.restore(p.snapshot()).unwrap();
         assert_eq!(fresh.censored_observations(), 1);
+    }
+
+    /// Feature, estimator, history, version, point bits, mass-point bits.
+    type PredictionBits = (&'static str, EstimatorKind, u64, u64, u64, Vec<(u64, u64)>);
+
+    /// Everything of a prediction the scheduler reads, as bits.
+    fn prediction_bits(p: Option<Prediction>) -> Option<PredictionBits> {
+        p.map(|p| {
+            let points = (p.distribution.mass_points(40).iter())
+                .map(|(t, w)| (t.to_bits(), w.to_bits()))
+                .collect();
+            (
+                p.feature,
+                p.estimator,
+                p.history,
+                p.version,
+                p.point.to_bits(),
+                points,
+            )
+        })
+    }
+
+    fn keys(p: &Predictor) -> Vec<(usize, String)> {
+        p.tracked()
+            .map(|(fi, value, _)| (fi, value.clone()))
+            .collect()
+    }
+
+    fn json(snapshot: &Snapshot) -> String {
+        serde_json::to_string(snapshot).unwrap()
+    }
+
+    proptest::proptest! {
+        /// The interned predictor equals the reference (the predictor as it
+        /// was before) on random attribute/runtime streams, with and without
+        /// an LRU cap and a TTL, with and without a sample cap: the same
+        /// key set and evictions after every operation (so the same
+        /// eviction sequence), the same prediction for the operation's job
+        /// and a fixed probe (feature, estimator, history, version, point
+        /// bits, mass-point bits), and at the end the same `stats()`,
+        /// `quick_stats()` and snapshot JSON — also after both restore one
+        /// snapshot mid-stream and continue.
+        #[test]
+        fn interned_predictor_matches_the_reference(
+            bounds in 0u8..4,
+            capped in 0u8..3,
+            evals in 1u64..5,
+            len in 1usize..160,
+            users in proptest::collection::vec(0u8..9, 160),
+            names in proptest::collection::vec(0u8..7, 160),
+            kinds in proptest::collection::vec(0u8..16, 160),
+            runtimes in proptest::collection::vec(1.0f64..2000.0, 160),
+            restart_at in 0usize..200,
+        ) {
+            let cfg = PredictorConfig {
+                max_tracked_values: (bounds & 1 == 1).then_some(7 + usize::from(users[0] % 8)),
+                value_ttl: (bounds & 2 == 2).then_some(20 + u64::from(names[0]) * 5),
+                sample_cap: (capped == 0).then_some(4),
+                min_expert_evals: evals,
+                ..PredictorConfig::default()
+            };
+            let mut new = Predictor::new(cfg.clone());
+            let mut old = reference::Reference::new(cfg.clone());
+            let probe = attrs("u0", "j0");
+            for i in 0..len {
+                let job = if names[i] == 6 {
+                    // No job name: the features that need one do not match.
+                    vec![
+                        ("user".to_owned(), format!("u{}", users[i])),
+                        ("priority".to_owned(), (kinds[i] % 3).to_string()),
+                    ]
+                } else {
+                    let mut a = attrs(&format!("u{}", users[i]), &format!("j{}", names[i])).to_vec();
+                    a[3].1 = (kinds[i] % 5).to_string();
+                    a
+                };
+                let runtime = match kinds[i] % 4 {
+                    0 => (runtimes[i] / 100.0).round() * 100.0 + 1.0, // repeats
+                    _ => runtimes[i],
+                };
+                match kinds[i] {
+                    15 => {
+                        new.observe_censored(&job, runtime);
+                        old.observe_censored(&job, runtime);
+                    }
+                    14 => {
+                        new.observe(&job, -runtime);
+                        old.observe(&job, -runtime);
+                    }
+                    _ => {
+                        new.observe(&job, runtime);
+                        old.observe(&job, runtime);
+                    }
+                }
+                let old_keys: Vec<(usize, String)> = old.state.keys().cloned().collect();
+                proptest::prop_assert_eq!(keys(&new), old_keys, "keys after op {}", i);
+                proptest::prop_assert_eq!(new.tracked_values(), old.tracked_values());
+                proptest::prop_assert_eq!(new.evicted_values(), old.evicted_values());
+                for a in [&job[..], &probe[..]] {
+                    let want = prediction_bits(old.predict(&a));
+                    proptest::prop_assert_eq!(new.predict_point(&a).map(f64::to_bits), want.as_ref().map(|w| w.4));
+                    proptest::prop_assert_eq!(prediction_bits(new.predict(&a)), want, "op {}", i);
+                }
+                if i == restart_at {
+                    let snap = json(&new.snapshot());
+                    proptest::prop_assert_eq!(&snap, &json(&old.snapshot()));
+                    new = Predictor::new(cfg.clone());
+                    new.restore(serde_json::from_str(&snap).unwrap()).unwrap();
+                    old = reference::Reference::new(cfg.clone());
+                    old.restore(serde_json::from_str(&snap).unwrap()).unwrap();
+                }
+            }
+            proptest::prop_assert_eq!(new.stats(), old.stats());
+            proptest::prop_assert_eq!(new.quick_stats(), old.quick_stats());
+            proptest::prop_assert_eq!(json(&new.snapshot()), json(&old.snapshot()));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_repeated_touches_and_entries() {
+        let mut p = Predictor::new(PredictorConfig::default());
+        p.observe(&attrs("x", "y"), 10.0);
+        let mut snap = p.snapshot();
+        snap.touches[1] = snap.touches[0];
+        let mut fresh = Predictor::new(PredictorConfig::default());
+        let err = fresh.restore(snap).unwrap_err();
+        assert!(err.contains("is repeated"), "{err}");
+        let mut snap = p.snapshot();
+        snap.entries.push(snap.entries[0].clone());
+        snap.touches.push(999);
+        let err = fresh.restore(snap).unwrap_err();
+        assert!(err.contains("is repeated"), "{err}");
+        assert_eq!(fresh.tracked_values(), 0);
     }
 
     #[test]

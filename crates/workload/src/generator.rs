@@ -13,14 +13,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+pub use threesigma_cluster::MAX_DURATION;
 use threesigma_cluster::{Attributes, JobKind, JobSpec, PartitionId};
 
 use crate::env::{Environment, JobClass};
 use crate::sampling::{lognormal, standard_normal, weighted_choice, HyperExp};
-
-/// Longest job runtime, in seconds (30 days): the generator clamps every
-/// sampled duration to it, and the serve wire format rejects a longer one.
-pub const MAX_DURATION: f64 = 30.0 * 86_400.0;
 
 /// How the arrival rate is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
