@@ -18,7 +18,7 @@ use serde::Serialize;
 use threesigma::driver::{run_with_source, Experiment, SchedulerKind};
 use threesigma::sched::threesigma::{EstimateSource, OverestimateMode};
 use threesigma_bench::{banner, e2e_config, run_system, sc256, write_json, Scale};
-use threesigma_histogram::{Normal, PointMass, RuntimeDistribution};
+use threesigma_histogram::DiscreteDist;
 use threesigma_workload::{generate, Environment, Trace};
 
 fn standard_normal(rng: &mut StdRng) -> f64 {
@@ -48,9 +48,10 @@ fn injected_map(
             profile[2] += 1;
         }
         let mu = (job.duration * (1.0 + shift_j)).max(1.0);
+        // 40 quantile-grid points: the resolution of the recorded results.
         let dist = match cov {
-            None => RuntimeDistribution::Point(PointMass::new(mu)),
-            Some(c) => RuntimeDistribution::Normal(Normal::new(mu, (job.duration * c).max(0.1))),
+            None => DiscreteDist::point(mu),
+            Some(c) => DiscreteDist::normal(mu, (job.duration * c).max(0.1), 40),
         };
         map.insert(job.id, dist);
     }

@@ -358,10 +358,7 @@ pub fn run_with_source_observed(
 
 /// Convenience: an injected-distribution source from a prebuilt map.
 pub fn injected(
-    map: std::collections::HashMap<
-        threesigma_cluster::JobId,
-        threesigma_histogram::RuntimeDistribution,
-    >,
+    map: std::collections::HashMap<threesigma_cluster::JobId, crate::DiscreteDist>,
 ) -> EstimateSource {
     EstimateSource::Injected(Arc::new(map))
 }

@@ -9,11 +9,11 @@
 //!
 //! 1. Jobs arrive via the cluster manager ([`threesigma_cluster::Engine`]).
 //! 2. [`threesigma_predict::Predictor`] supplies each job's estimated
-//!    runtime distribution from history.
+//!    runtime distribution from history, as a [`DiscreteDist`].
 //! 3. Each scheduling cycle, [`ThreeSigmaScheduler`] enumerates
 //!    placement options (equivalence set × start slot within a plan-ahead
 //!    window), values each by **expected utility** ([`utility`], Eq. 1),
-//!    charges **expected resource consumption** ([`dist`], Eq. 2/3),
+//!    charges **expected resource consumption** ([`DiscreteDist`], Eq. 2/3),
 //!    compiles everything into a MILP ([`threesigma_milp`]) including
 //!    preemption options, solves with a warm start and time budget, and
 //!    converts the solution into placements.
@@ -39,13 +39,11 @@
 //! println!("SLO miss rate: {:.1}%", result.metrics.slo_miss_pct());
 //! ```
 
-pub mod dist;
 pub mod driver;
 pub mod paper;
 pub mod sched;
 pub mod utility;
 
-pub use dist::DiscreteDist;
 pub use driver::{
     run, run_observed, run_with_source, run_with_source_observed, CycleTraceWriter, Experiment,
     RunResult, SchedulerKind,
@@ -59,4 +57,5 @@ pub use sched::threesigma::{
     CycleBudget, CycleTiming, EstimateSource, OverestimateMode, PlanRecord, PlannedJob,
     SchedConfig, SchedSnapshot, SchedStats, ThreeSigmaScheduler,
 };
+pub use threesigma_histogram::DiscreteDist;
 pub use utility::UtilityCurve;

@@ -10,7 +10,7 @@
 //! | §3.1 utility functions, Fig. 3(a)/(d) | [`UtilityCurve`](crate::UtilityCurve) (`SloStep`, `SloDecay`, `BeLinear`) |
 //! | Eq. 1 expected utility | [`UtilityCurve::expected`](crate::UtilityCurve::expected) over [`DiscreteDist`](crate::DiscreteDist) mass points |
 //! | §3.2 expected resource consumption (`1 − CDF`) | [`DiscreteDist::survival`](crate::DiscreteDist::survival); capacity rows in `ThreeSigmaScheduler::schedule` |
-//! | Eq. 2 conditional distribution of running jobs | [`DiscreteDist::condition`](crate::DiscreteDist::condition) / `threesigma_histogram::ConditionalDist` |
+//! | Eq. 2 conditional distribution of running jobs | [`DiscreteDist::condition`](crate::DiscreteDist::condition) (`condition_into` for a running attempt's carried conditional) |
 //! | §4.1 3σPredict features | `threesigma_predict::FeatureSet::standard` |
 //! | §4.1 experts (average / median / rolling α=0.6 / recent-X) | `threesigma_predict::EstimatorKind`, scored by NMAE in `ValueState` |
 //! | §4.1 streaming histogram (≤80 bins) | `threesigma_histogram::StreamingHistogram` (Ben-Haim & Tom-Tov) |

@@ -37,11 +37,11 @@ use std::sync::Arc;
 use threesigma_cluster::{JobId, JobSpec, RunningJob as ViewJob, SimulationView};
 use threesigma_milp::{Cmp, Model, VarId};
 
-use crate::dist::DiscreteDist;
 use crate::sched::feasibility::mask_capacity;
 use crate::sched::groups::MaskGroups;
 use crate::sched::options::{contained_options, CompiledOption, JobOptions, RackMask};
 use crate::sched::threesigma::SchedConfig;
+use crate::DiscreteDist;
 
 /// Stage 1's output, as stage 2 reads it. The three per-job slices are
 /// parallel (one entry per considered job, urgency order).

@@ -30,8 +30,8 @@ use serde::{Deserialize, Serialize};
 use threesigma_cluster::{JobId, PartitionId};
 use threesigma_milp::VarId;
 
-use crate::dist::DiscreteDist;
 use crate::utility::UtilityCurve;
+use crate::DiscreteDist;
 
 /// A set of rack partitions as a fixed-width (128-bit) bitmask.
 ///

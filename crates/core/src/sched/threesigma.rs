@@ -42,16 +42,15 @@ use serde::{Deserialize, Serialize};
 use threesigma_cluster::{
     JobId, JobSpec, PartitionId, Placement, Scheduler, SchedulingDecision, SimulationView,
 };
-use threesigma_histogram::RuntimeDistribution;
 use threesigma_milp::{solver_for_tier, SolverConfig};
 use threesigma_obs::{Counter, Gauge, Histogram, Recorder};
 use threesigma_predict::{AttributeSource, Choice, EstimatorKind, Predictor, PredictorConfig};
 
-use crate::dist::DiscreteDist;
 use crate::sched::compile::{CompiledModel, Generated, RunningTable};
 use crate::sched::groups::MaskGroups;
 use crate::sched::options::{self, CacheStats, CompiledOption, EstimateCache, GenInput, RackMask};
 use crate::utility::UtilityCurve;
+use crate::DiscreteDist;
 
 /// Where runtime estimates come from (Table 1).
 #[derive(Clone)]
@@ -71,7 +70,7 @@ pub enum EstimateSource {
     OraclePoint,
     /// Externally injected distributions keyed by job id (the §6.3
     /// perturbation study); falls back to the oracle point when missing.
-    Injected(Arc<HashMap<JobId, RuntimeDistribution>>),
+    Injected(Arc<HashMap<JobId, DiscreteDist>>),
 }
 
 impl std::fmt::Debug for EstimateSource {
@@ -155,9 +154,11 @@ pub struct SchedConfig {
     pub be_horizon: f64,
     /// Best-effort utility floor fraction (> 0 prevents starvation).
     pub be_floor: f64,
-    /// Quantile-grid points for an analytic distribution (injected
-    /// estimates). An empirical prediction hands over one mass point per
-    /// histogram bin (up to the predictor's 80) whatever this says.
+    /// Read by nothing: a prediction is one mass point per histogram bin,
+    /// and an injected or analytic distribution is built with its own point
+    /// count. The field stays only because the repo benchmark
+    /// (`benchmark/src/batch.rs`) still passes it to
+    /// [`DiscreteDist::from_distribution`]; both go together.
     pub mass_points: usize,
     /// Cancel SLO jobs whose every option has zero expected utility.
     pub cancel_hopeless: bool,
@@ -962,26 +963,23 @@ impl ThreeSigmaScheduler {
     /// (uncached; the scheduling cycle goes through the [`EstimateCache`]).
     #[cfg(test)]
     fn estimate(&self, spec: &JobSpec) -> DiscreteDist {
-        unshared_estimate(&self.source, &self.predictor, self.config.mass_points, spec)
+        unshared_estimate(&self.source, &self.predictor, spec)
     }
 }
 
-/// Discretised predictions by predictor state version
+/// Predicted distributions by predictor state version
 /// ([`Choice::version`]): a version names one unchanged history, so every
 /// pending job whose prediction picks it shares one distribution instead
-/// of discretising (and copying) the same histogram again.
+/// of building it from the same histogram again.
 #[derive(Default)]
 struct Discretised(BTreeMap<u64, Arc<DiscreteDist>>);
 
 impl Discretised {
-    /// The discretised distribution of `choice`'s winning state.
-    fn get(&mut self, choice: &Choice<'_>, mass_points: usize) -> Arc<DiscreteDist> {
+    /// The distribution of `choice`'s winning state.
+    fn get(&mut self, choice: &Choice<'_>) -> Arc<DiscreteDist> {
         let d = self.0.entry(choice.version).or_insert_with(|| {
             // A chosen state has history, so it has a distribution.
-            Arc::new(match choice.distribution() {
-                Some(d) => DiscreteDist::from_distribution(&d, mass_points),
-                None => cold_start_dist(),
-            })
+            Arc::new(choice.distribution().unwrap_or_else(cold_start_dist))
         });
         Arc::clone(d)
     }
@@ -1003,21 +1001,19 @@ fn estimate_dist(
     source: &EstimateSource,
     predictor: &Predictor,
     discretised: &mut Discretised,
-    mass_points: usize,
     spec: &JobSpec,
 ) -> Arc<DiscreteDist> {
-    let n = mass_points;
     match source {
         EstimateSource::OraclePoint => Arc::new(DiscreteDist::point(spec.duration)),
         EstimateSource::Injected(map) => Arc::new(match map.get(&spec.id) {
-            Some(d) => DiscreteDist::from_distribution(d, n),
+            Some(d) => d.clone(),
             None => DiscreteDist::point(spec.duration),
         }),
         EstimateSource::Predicted
         | EstimateSource::PredictedPoint
         | EstimateSource::PredictedPadded { .. } => {
             let choice = predictor.choose(&Attrs(&spec.attributes));
-            from_choice(source, choice.as_ref(), discretised, n)
+            from_choice(source, choice.as_ref(), discretised)
         }
     }
 }
@@ -1027,16 +1023,9 @@ fn estimate_dist(
 fn unshared_estimate(
     source: &EstimateSource,
     predictor: &Predictor,
-    mass_points: usize,
     spec: &JobSpec,
 ) -> DiscreteDist {
-    let d = estimate_dist(
-        source,
-        predictor,
-        &mut Discretised::default(),
-        mass_points,
-        spec,
-    );
+    let d = estimate_dist(source, predictor, &mut Discretised::default(), spec);
     Arc::unwrap_or_clone(d)
 }
 
@@ -1048,31 +1037,28 @@ fn from_choice(
     source: &EstimateSource,
     choice: Option<&Choice<'_>>,
     discretised: &mut Discretised,
-    n: usize,
 ) -> Arc<DiscreteDist> {
     match (source, choice) {
         (EstimateSource::PredictedPadded { sigmas }, Some(c)) => {
-            // Pad around the discretised distribution's own mean: the base
+            // Pad around the predicted distribution's own mean: the base
             // and the variance must come from the same estimator. (Padding
             // the point expert's estimate with the distribution expert's σ
             // mixed two estimators.)
-            let d = discretised.get(c, n);
+            let d = discretised.get(c);
             Arc::new(DiscreteDist::point(d.mean() + sigmas * d.variance().sqrt()))
         }
         (EstimateSource::PredictedPadded { .. } | EstimateSource::PredictedPoint, None) => {
             Arc::new(DiscreteDist::point(300.0))
         }
         (EstimateSource::PredictedPoint, Some(c)) => Arc::new(DiscreteDist::point(c.point)),
-        (_, Some(c)) => discretised.get(c, n),
+        (_, Some(c)) => discretised.get(c),
         (_, None) => Arc::new(cold_start_dist()),
     }
 }
 
 /// With zero history anywhere (cold start), assume a broad prior.
 fn cold_start_dist() -> DiscreteDist {
-    let prior =
-        RuntimeDistribution::LogNormal(threesigma_histogram::LogNormal::new(300f64.ln(), 1.0));
-    DiscreteDist::from_distribution(&prior, 16)
+    DiscreteDist::log_normal(300f64.ln(), 1.0, 16)
 }
 
 /// The utility curve for a job, applying over-estimate handling.
@@ -1137,7 +1123,6 @@ fn slot_times(now: f64, width: f64, slots: usize) -> Vec<f64> {
 
 impl Scheduler for ThreeSigmaScheduler {
     fn on_job_submitted(&mut self, spec: &JobSpec, _now: f64) {
-        let n = self.config.mass_points;
         // One choice serves both the estimate and the expert tracking below.
         let predicted = match self.source {
             EstimateSource::Predicted
@@ -1149,15 +1134,9 @@ impl Scheduler for ThreeSigmaScheduler {
             .then(|| self.predictor.choose(&Attrs(&spec.attributes)))
             .flatten();
         let d = if predicted {
-            from_choice(&self.source, choice.as_ref(), &mut self.discretised, n)
+            from_choice(&self.source, choice.as_ref(), &mut self.discretised)
         } else {
-            estimate_dist(
-                &self.source,
-                &self.predictor,
-                &mut self.discretised,
-                n,
-                spec,
-            )
+            estimate_dist(&self.source, &self.predictor, &mut self.discretised, spec)
         };
         // Seed the cache; the entry is lazily refreshed every time the
         // history epoch moves while the job is still pending.
@@ -1230,9 +1209,7 @@ impl Scheduler for ThreeSigmaScheduler {
         let idle = idle && !self.full_idle_cycles;
         if idle {
             let compile_start = Stopwatch::start();
-            let estimate = |spec: &JobSpec| {
-                unshared_estimate(&self.source, &self.predictor, cfg.mass_points, spec)
-            };
+            let estimate = |spec: &JobSpec| unshared_estimate(&self.source, &self.predictor, spec);
             self.running.advance(&cfg, view, now, estimate, None);
             let compile = compile_start.elapsed();
             self.totals.count_tier(tier);
@@ -1307,7 +1284,7 @@ impl Scheduler for ThreeSigmaScheduler {
             let g = groups.home_group(spec, view.cluster);
             let gmask = groups.group_mask(g);
             let base = cache.base(spec.id, || {
-                estimate_dist(source, predictor, discretised, cfg.mass_points, spec)
+                estimate_dist(source, predictor, discretised, spec)
             });
             let curve = utility_curve(&cfg, spec, &base);
             // Equivalence sets for this job: preferred racks (unscaled
@@ -1383,7 +1360,7 @@ impl Scheduler for ThreeSigmaScheduler {
             pruned,
             running: running_jobs,
         } = running.compile(&cfg, view, now, &generated, |spec| {
-            unshared_estimate(source, predictor, cfg.mass_points, spec)
+            unshared_estimate(source, predictor, spec)
         });
         totals.options_pruned += pruned;
         decision.cancellations.clone_from(hopeless);
@@ -1624,7 +1601,7 @@ mod tests {
         // §2.3 / Fig. 5 scenario 1: single node, SLO deadline 15 min, both
         // runtimes ~ U(0, 10) min. The distribution scheduler must run the
         // SLO job first.
-        let dist = RuntimeDistribution::Uniform(threesigma_histogram::Uniform::new(0.0, 600.0));
+        let dist = DiscreteDist::uniform(0.0, 600.0, 40);
         let mut map = HashMap::new();
         map.insert(JobId(1), dist.clone());
         map.insert(JobId(2), dist);
@@ -1655,7 +1632,7 @@ mod tests {
     fn worked_example_scenario_two_lets_the_be_job_go_first() {
         // Fig. 5 scenario 2: runtimes ~ U(2.5, 7.5) min; the SLO job is safe
         // even if both hit worst case, so the BE job should start first.
-        let dist = RuntimeDistribution::Uniform(threesigma_histogram::Uniform::new(150.0, 450.0));
+        let dist = DiscreteDist::uniform(150.0, 450.0, 40);
         let mut map = HashMap::new();
         map.insert(JobId(1), dist.clone());
         map.insert(JobId(2), dist);
@@ -1721,7 +1698,7 @@ mod tests {
         // History says ~2000 s, the job actually runs 100 s, deadline in
         // 400 s. Step utility would be ~0 (cancelled); adaptive OE keeps it
         // alive and it completes in time.
-        let dist = RuntimeDistribution::from_samples(&[1900.0, 2000.0, 2100.0], 16).unwrap();
+        let dist = DiscreteDist::from_samples(&[1900.0, 2000.0, 2100.0], 16).unwrap();
         let mut map = HashMap::new();
         map.insert(JobId(1), dist);
         let mut s = ThreeSigmaScheduler::new(
@@ -1738,7 +1715,7 @@ mod tests {
 
     #[test]
     fn overestimated_job_is_cancelled_without_oe() {
-        let dist = RuntimeDistribution::from_samples(&[1900.0, 2000.0, 2100.0], 16).unwrap();
+        let dist = DiscreteDist::from_samples(&[1900.0, 2000.0, 2100.0], 16).unwrap();
         let mut map = HashMap::new();
         map.insert(JobId(1), dist);
         let mut s = ThreeSigmaScheduler::new(
@@ -1762,7 +1739,7 @@ mod tests {
         // History says 50 s but the job runs 500 s; a second job queued
         // behind it must still complete (exp-inc handling keeps updating
         // the expected finish).
-        let dist = RuntimeDistribution::from_samples(&[45.0, 50.0, 55.0], 16).unwrap();
+        let dist = DiscreteDist::from_samples(&[45.0, 50.0, 55.0], 16).unwrap();
         let mut map = HashMap::new();
         map.insert(JobId(1), dist);
         let mut s = ThreeSigmaScheduler::new(
@@ -1863,7 +1840,7 @@ mod tests {
     fn plan_records_show_deferrals() {
         // Fig. 5 scenario 2 (BE first, SLO deferred): the first cycle's
         // plan must record the SLO job as deliberately deferred.
-        let dist = RuntimeDistribution::Uniform(threesigma_histogram::Uniform::new(150.0, 450.0));
+        let dist = DiscreteDist::uniform(150.0, 450.0, 40);
         let mut map = HashMap::new();
         map.insert(JobId(1), dist.clone());
         map.insert(JobId(2), dist);
@@ -1992,10 +1969,10 @@ mod tests {
             .with_attributes(threesigma_cluster::Attributes::new().with("user", "pat"))
     }
 
-    /// A state version discretises once: a second estimate from the same
-    /// unchanged history hands out the same distribution and allocates
-    /// nothing beyond choosing the expert (no histogram copy, no mass
-    /// points, no survival table);
+    /// A state version builds its distribution once: a second estimate
+    /// from the same unchanged history hands out the same distribution and
+    /// allocates nothing beyond choosing the expert (no mass points, no
+    /// survival table);
     /// a new observation makes a new version, and pruning keeps exactly
     /// the distributions something still holds.
     #[test]
@@ -2003,23 +1980,12 @@ mod tests {
         let mut s = scheduler(EstimateSource::Predicted);
         s.pretrain(&bimodal_history());
         let probe = pat_probe();
-        let n = s.config.mass_points;
         let mut shared = Discretised::default();
-        let first = estimate_dist(&s.source, &s.predictor, &mut shared, n, &probe);
-        assert_eq!(
-            *first,
-            s.estimate(&probe),
-            "shared ≡ a fresh discretisation"
-        );
+        let first = estimate_dist(&s.source, &s.predictor, &mut shared, &probe);
+        assert_eq!(*first, s.estimate(&probe), "shared ≡ a fresh build");
         let mut again = None;
         let spent = crate::sched::compile::tests::allocations_of(|| {
-            again = Some(estimate_dist(
-                &s.source,
-                &s.predictor,
-                &mut shared,
-                n,
-                &probe,
-            ));
+            again = Some(estimate_dist(&s.source, &s.predictor, &mut shared, &probe));
         });
         let again = again.unwrap();
         assert!(
@@ -2034,7 +2000,7 @@ mod tests {
         assert_eq!(spent, choosing, "a repeated version builds nothing");
 
         s.predictor.observe(&Attrs(&probe.attributes), 400.0);
-        let newer = estimate_dist(&s.source, &s.predictor, &mut shared, n, &probe);
+        let newer = estimate_dist(&s.source, &s.predictor, &mut shared, &probe);
         assert!(
             !Arc::ptr_eq(&first, &newer),
             "a new observation is a new version"
@@ -2151,7 +2117,7 @@ mod tests {
         // End-to-end: a grossly under-estimated job (history ~1 s, actual
         // 5000 s) with a tiny cycle hint accumulates many exp-inc steps;
         // the run must complete rather than wedge or panic on overflow.
-        let dist = RuntimeDistribution::from_samples(&[0.9, 1.0, 1.1], 16).unwrap();
+        let dist = DiscreteDist::from_samples(&[0.9, 1.0, 1.1], 16).unwrap();
         let mut map = HashMap::new();
         map.insert(JobId(1), dist);
         let mut s = ThreeSigmaScheduler::new(

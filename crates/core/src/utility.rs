@@ -11,7 +11,7 @@
 //! utility at each possible completion time weighted by the runtime mass
 //! points.
 
-use crate::dist::DiscreteDist;
+use crate::DiscreteDist;
 
 /// A job's utility as a function of its completion time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,10 +111,9 @@ impl UtilityCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threesigma_histogram::{RuntimeDistribution, Uniform};
 
     fn uniform(lo: f64, hi: f64) -> DiscreteDist {
-        DiscreteDist::from_distribution(&RuntimeDistribution::Uniform(Uniform::new(lo, hi)), 64)
+        DiscreteDist::uniform(lo, hi, 64)
     }
 
     #[test]
@@ -355,10 +354,7 @@ mod tests {
                     deadline,
                     zero_at: deadline + span,
                 };
-                let d = DiscreteDist::from_distribution(
-                    &RuntimeDistribution::Uniform(Uniform::new(lo, lo + width.max(1e-6))),
-                    16,
-                );
+                let d = DiscreteDist::uniform(lo, lo + width.max(1e-6), 16);
                 let e = u.expected(start, &d);
                 prop_assert!(e.is_finite(), "expected({start}) = {e}");
                 prop_assert!((0.0..=weight * (1.0 + 1e-12)).contains(&e), "{e}");

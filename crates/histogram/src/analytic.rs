@@ -1,21 +1,20 @@
-//! Analytic runtime distributions.
+//! Quantile grids of the analytic runtime distributions.
 //!
 //! The paper's worked example (§2.3, Fig. 5) reasons about uniform runtime
-//! distributions, and the robustness study (§6.3, Fig. 9) feeds the scheduler
-//! synthetic normal distributions `N(μ = runtime·(1 + shift), σ = runtime·CoV)`.
-//! Log-normals parameterise the heavy-tailed per-class runtime models of the
-//! workload generator, and a point mass is how point-estimate schedulers see
-//! the world.
+//! distributions, the robustness study (§6.3, Fig. 9) feeds the scheduler
+//! synthetic normal distributions `N(μ = runtime·(1 + shift), σ =
+//! runtime·CoV)`, and 3σSched's cold-start prior is a broad log-normal.
+//! None of them is kept as a shape: each becomes `n` equal-mass points at
+//! its `(i + ½)/n` quantiles, which the constructors of
+//! [`DiscreteDist`](crate::DiscreteDist) turn into the one distribution
+//! type the scheduler reads.
 //!
-//! All runtime distributions are truncated to a finite non-negative support
-//! (`[lower_bound, upper_bound]`): a job cannot run for negative time and the
-//! scheduler's under-estimate handling (§4.2.1) triggers off the finite
-//! distribution maximum.
-
-use serde::{Deserialize, Serialize};
+//! Every family is truncated to a finite non-negative support: a job cannot
+//! run for negative time, and the scheduler's under-estimate handling
+//! (§4.2.1) triggers off the finite distribution maximum.
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26, |ε| ≤ 1.5e-7).
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -28,173 +27,108 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Standard normal CDF.
-pub fn std_normal_cdf(z: f64) -> f64 {
+fn std_normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
-/// A degenerate distribution: the job runs for exactly `value`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PointMass {
-    /// The single supported runtime.
-    pub value: f64,
+/// `n` (at least one) equal-mass points at the `(i + ½)/n` quantiles.
+fn quantile_grid(n: usize, quantile: impl Fn(f64) -> f64) -> Vec<(f64, f64)> {
+    let n = n.max(1);
+    let p = 1.0 / n as f64;
+    (0..n)
+        .map(|i| (quantile((i as f64 + 0.5) * p), p))
+        .collect()
 }
 
-impl PointMass {
-    /// Creates a point mass at `value` (clamped to be non-negative).
-    pub fn new(value: f64) -> Self {
-        Self {
-            value: value.max(0.0),
+/// Smallest `t` in `[lo, hi]` with `cdf(t) ≥ q`, by bisection over a
+/// monotone `cdf`, for `q` strictly inside `(0, 1)` (a grid quantile).
+fn bisect_quantile(lo: f64, hi: f64, cdf: impl Fn(f64) -> f64, q: f64) -> f64 {
+    let (mut lo, mut hi) = (lo, hi);
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if cdf(mid) < q {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi - lo <= 1e-9 * (1.0 + hi.abs()) {
+            break;
         }
     }
+    0.5 * (lo + hi)
 }
 
-/// Uniform distribution over `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Uniform {
-    /// Inclusive lower end of the support.
-    pub lo: f64,
-    /// Inclusive upper end of the support.
-    pub hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution over `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is negative/non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-        assert!((0.0..=hi).contains(&lo), "need 0 ≤ lo ≤ hi");
-        Self { lo, hi }
-    }
-
-    pub(crate) fn cdf(&self, t: f64) -> f64 {
-        if self.hi == self.lo {
-            return if t >= self.hi { 1.0 } else { 0.0 };
-        }
-        ((t - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
-    }
-
-    pub(crate) fn quantile(&self, q: f64) -> f64 {
-        self.lo + (self.hi - self.lo) * q.clamp(0.0, 1.0)
-    }
-
-    pub(crate) fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
-/// Normal distribution truncated to a non-negative support.
+/// The quantile grid of the uniform distribution over `[lo, hi]`.
 ///
-/// The truncation interval defaults to `[max(0, μ − 4σ), μ + 4σ]` and the
-/// CDF is renormalised over it, so `cdf(lower) = 0` and `cdf(upper) = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Normal {
-    /// Mean of the underlying (untruncated) normal.
-    pub mu: f64,
-    /// Standard deviation of the underlying normal.
-    pub sigma: f64,
-    lo: f64,
-    hi: f64,
-}
-
-impl Normal {
-    /// Creates a truncated normal with the default `±4σ` support.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is not strictly positive or inputs are non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite() && sigma.is_finite(), "must be finite");
-        assert!(sigma > 0.0, "sigma must be positive");
-        let lo = (mu - 4.0 * sigma).max(0.0);
-        let hi = (mu + 4.0 * sigma).max(lo + f64::MIN_POSITIVE);
-        Self { mu, sigma, lo, hi }
-    }
-
-    fn raw_cdf(&self, t: f64) -> f64 {
-        std_normal_cdf((t - self.mu) / self.sigma)
-    }
-
-    pub(crate) fn cdf(&self, t: f64) -> f64 {
-        if t <= self.lo {
-            return 0.0;
-        }
-        if t >= self.hi {
-            return 1.0;
-        }
-        let base = self.raw_cdf(self.lo);
-        let span = self.raw_cdf(self.hi) - base;
-        if span <= 0.0 {
-            return if t >= self.mu { 1.0 } else { 0.0 };
-        }
-        ((self.raw_cdf(t) - base) / span).clamp(0.0, 1.0)
-    }
-
-    pub(crate) fn lower(&self) -> f64 {
-        self.lo
-    }
-
-    pub(crate) fn upper(&self) -> f64 {
-        self.hi
-    }
-}
-
-/// Log-normal distribution, truncated at its `99.95th` percentile.
+/// # Panics
 ///
-/// `mu`/`sigma` parameterise the underlying normal of `ln T`; this is the
-/// heavy-tailed shape the workload generator uses for per-class runtimes
-/// (job runtimes are heavy-tailed in all three traces, §2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LogNormal {
-    /// Mean of `ln T`.
-    pub mu: f64,
-    /// Standard deviation of `ln T`.
-    pub sigma: f64,
-    hi: f64,
+/// Panics if `lo > hi` or either bound is negative or non-finite.
+pub(crate) fn uniform_grid(lo: f64, hi: f64, n: usize) -> Vec<(f64, f64)> {
+    assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
+    assert!((0.0..=hi).contains(&lo), "need 0 ≤ lo ≤ hi");
+    quantile_grid(n, |q| lo + (hi - lo) * q)
 }
 
-impl LogNormal {
-    /// Creates a log-normal from the parameters of `ln T`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is not strictly positive or inputs are non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite() && sigma.is_finite(), "must be finite");
-        assert!(sigma > 0.0, "sigma must be positive");
-        // 99.95th percentile of the underlying normal: z ≈ 3.2905.
-        let hi = (mu + 3.2905 * sigma).exp();
-        Self { mu, sigma, hi }
-    }
+/// The quantile grid of `N(mu, sigma²)` truncated to `[max(0, mu − 4σ),
+/// mu + 4σ]`, its CDF renormalised over that interval.
+///
+/// # Panics
+///
+/// Panics if `sigma` is not strictly positive or an input is non-finite.
+pub(crate) fn normal_grid(mu: f64, sigma: f64, n: usize) -> Vec<(f64, f64)> {
+    assert!(mu.is_finite() && sigma.is_finite(), "must be finite");
+    assert!(sigma > 0.0, "sigma must be positive");
+    let lo = (mu - 4.0 * sigma).max(0.0);
+    let hi = (mu + 4.0 * sigma).max(lo + f64::MIN_POSITIVE);
+    let raw_cdf = |t: f64| std_normal_cdf((t - mu) / sigma);
+    let base = raw_cdf(lo);
+    let span = raw_cdf(hi) - base;
+    let cdf = |t: f64| {
+        if t <= lo {
+            0.0
+        } else if t >= hi {
+            1.0
+        } else if span <= 0.0 {
+            if t >= mu {
+                1.0
+            } else {
+                0.0
+            }
+        } else {
+            ((raw_cdf(t) - base) / span).clamp(0.0, 1.0)
+        }
+    };
+    quantile_grid(n, |q| bisect_quantile(lo, hi, cdf, q))
+}
 
-    fn raw_cdf(&self, t: f64) -> f64 {
+/// The quantile grid of the log-normal whose `ln T` is `N(mu, sigma²)`,
+/// truncated at its 99.95th percentile (`z ≈ 3.2905`).
+///
+/// # Panics
+///
+/// Panics if `sigma` is not strictly positive or an input is non-finite.
+pub(crate) fn log_normal_grid(mu: f64, sigma: f64, n: usize) -> Vec<(f64, f64)> {
+    assert!(mu.is_finite() && sigma.is_finite(), "must be finite");
+    assert!(sigma > 0.0, "sigma must be positive");
+    let hi = (mu + 3.2905 * sigma).exp();
+    let raw_cdf = |t: f64| {
         if t <= 0.0 {
-            return 0.0;
+            0.0
+        } else {
+            std_normal_cdf((t.ln() - mu) / sigma)
         }
-        std_normal_cdf((t.ln() - self.mu) / self.sigma)
-    }
-
-    pub(crate) fn cdf(&self, t: f64) -> f64 {
-        if t >= self.hi {
-            return 1.0;
+    };
+    let span = raw_cdf(hi);
+    let cdf = |t: f64| {
+        if t >= hi {
+            1.0
+        } else if span <= 0.0 {
+            0.0
+        } else {
+            (raw_cdf(t) / span).clamp(0.0, 1.0)
         }
-        let span = self.raw_cdf(self.hi);
-        if span <= 0.0 {
-            return 0.0;
-        }
-        (self.raw_cdf(t) / span).clamp(0.0, 1.0)
-    }
-
-    pub(crate) fn upper(&self) -> f64 {
-        self.hi
-    }
-
-    /// Mean of the *untruncated* log-normal, `exp(μ + σ²/2)`.
-    pub fn raw_mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
+    };
+    quantile_grid(n, |q| bisect_quantile(0.0, hi, cdf, q))
 }
 
 #[cfg(test)]
@@ -219,63 +153,19 @@ mod tests {
     }
 
     #[test]
-    fn uniform_cdf_and_quantile() {
-        let u = Uniform::new(2.5, 7.5);
-        assert_eq!(u.cdf(0.0), 0.0);
-        assert_eq!(u.cdf(10.0), 1.0);
-        assert!((u.cdf(5.0) - 0.5).abs() < 1e-12);
-        assert!((u.quantile(0.5) - 5.0).abs() < 1e-12);
-        assert!((u.mean() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_uniform_behaves_like_point() {
-        let u = Uniform::new(3.0, 3.0);
-        assert_eq!(u.cdf(2.9), 0.0);
-        assert_eq!(u.cdf(3.0), 1.0);
+    fn degenerate_uniform_is_a_point() {
+        assert!(uniform_grid(3.0, 3.0, 8).iter().all(|(t, _)| *t == 3.0));
     }
 
     #[test]
     #[should_panic(expected = "lo")]
     fn uniform_rejects_inverted_bounds() {
-        let _ = Uniform::new(5.0, 1.0);
+        let _ = uniform_grid(5.0, 1.0, 8);
     }
 
     #[test]
-    fn truncated_normal_covers_its_support() {
-        let n = Normal::new(100.0, 10.0);
-        assert_eq!(n.cdf(n.lower()), 0.0);
-        assert_eq!(n.cdf(n.upper()), 1.0);
-        assert!((n.cdf(100.0) - 0.5).abs() < 1e-6);
-        assert!(n.cdf(90.0) < n.cdf(110.0));
-    }
-
-    #[test]
-    fn normal_near_zero_truncates_at_zero() {
-        let n = Normal::new(5.0, 10.0);
-        assert_eq!(n.lower(), 0.0);
-        assert_eq!(n.cdf(-1.0), 0.0);
-        assert_eq!(n.cdf(0.0), 0.0);
-        assert!(n.cdf(5.0) > 0.0);
-    }
-
-    #[test]
-    fn lognormal_cdf_is_monotone_with_heavy_tail() {
-        let ln = LogNormal::new(4.0, 1.5);
-        let mut prev = 0.0;
-        for t in [1.0, 10.0, 50.0, 200.0, 1000.0, 5000.0] {
-            let c = ln.cdf(t);
-            assert!(c >= prev);
-            prev = c;
-        }
-        assert_eq!(ln.cdf(ln.upper()), 1.0);
-        // Heavy tail: the mean exceeds the median exp(mu).
-        assert!(ln.raw_mean() > 4.0f64.exp());
-    }
-
-    #[test]
-    fn point_mass_clamps_negative() {
-        assert_eq!(PointMass::new(-3.0).value, 0.0);
-        assert_eq!(PointMass::new(42.0).value, 42.0);
+    #[should_panic(expected = "sigma")]
+    fn normal_rejects_zero_sigma() {
+        let _ = normal_grid(5.0, 0.0, 8);
     }
 }

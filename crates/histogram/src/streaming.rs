@@ -3,14 +3,12 @@
 //! Maintains at most `max_bins` (centroid, count) pairs over a stream of
 //! observations in constant memory. This is the sketch 3σPredict uses to keep
 //! a runtime histogram per feature value (the paper caps it at 80 bins), and
-//! the basis for the empirical [`RuntimeDistribution`] handed to 3σSched.
-//!
-//! [`RuntimeDistribution`]: crate::dist::RuntimeDistribution
+//! its bins are the mass points of the empirical [`DiscreteDist`] handed to
+//! 3σSched.
 
 use serde::{Deserialize, Serialize};
 
-/// Default bin budget used by 3σPredict (the paper's maximum of 80 bins).
-pub const DEFAULT_MAX_BINS: usize = 80;
+use crate::dist::DiscreteDist;
 
 /// One histogram bin: a centroid position and the mass merged into it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -31,6 +29,8 @@ pub struct StreamingHistogram {
     bins: Vec<Bin>,
     max_bins: usize,
     count: u64,
+    /// Smallest and largest observation. Nothing reads them; they stay
+    /// because snapshots carry them.
     min: f64,
     max: f64,
     /// Times two bins were collapsed to stay within `max_bins` —
@@ -66,11 +66,6 @@ impl StreamingHistogram {
         }
     }
 
-    /// Creates a histogram with the paper's default bin budget (80).
-    pub fn with_default_bins() -> Self {
-        Self::new(DEFAULT_MAX_BINS)
-    }
-
     /// Number of observations inserted so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -81,37 +76,11 @@ impl StreamingHistogram {
         self.count == 0
     }
 
-    /// Smallest observation seen, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (!self.is_empty()).then_some(self.min)
-    }
-
-    /// Largest observation seen, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (!self.is_empty()).then_some(self.max)
-    }
-
-    /// The current bins, sorted by centroid.
-    pub fn bins(&self) -> &[Bin] {
-        &self.bins
-    }
-
     /// Times two bins were collapsed to respect the bin budget. A high
     /// merge count relative to [`count`](Self::count) means the sketch has
     /// been compressing aggressively and quantiles are coarser.
     pub fn merge_count(&self) -> u64 {
         self.merges
-    }
-
-    /// Mean of the inserted observations (exact for sums, since merging
-    /// preserves centroid×count mass).
-    pub fn mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        let total: f64 = self.bins.iter().map(|b| b.count).sum();
-        let sum: f64 = self.bins.iter().map(|b| b.centroid * b.count).sum();
-        Some(sum / total)
     }
 
     /// Inserts one observation (Algorithm "Update" of Ben-Haim & Tom-Tov).
@@ -126,21 +95,16 @@ impl StreamingHistogram {
         };
         match self.bins.binary_search_by(|b| b.centroid.total_cmp(&value)) {
             Ok(i) => self.bins[i].count += 1.0,
-            Err(i) if self.bins.len() == self.max_bins => self.insert_full(i, new),
-            Err(i) => {
-                self.bins.insert(i, new);
-                if self.bins.len() > self.max_bins {
-                    self.merge_closest();
-                }
-            }
+            Err(i) if self.bins.len() >= self.max_bins => self.insert_full(i, new),
+            Err(i) => self.bins.insert(i, new),
         }
     }
 
     /// Inserting `new` at `i` into a full histogram, then merging the
     /// closest pair, in one pass: the pair is the first minimal gap of the
     /// virtual `max_bins + 1` bins (`bins[..i]`, `new`, `bins[i..]`), merged
-    /// with [`merge_closest`](Self::merge_closest)'s arithmetic, and at most
-    /// one range of bins shifts.
+    /// into their count-weighted centroid, and at most one range of bins
+    /// shifts.
     fn insert_full(&mut self, i: usize, new: Bin) {
         self.merges += 1;
         let bins = &mut self.bins;
@@ -183,133 +147,20 @@ impl StreamingHistogram {
         }
     }
 
-    /// Merges another histogram into this one (Algorithm "Merge").
-    pub fn merge(&mut self, other: &StreamingHistogram) {
-        if other.is_empty() {
-            return;
-        }
-        self.count += other.count;
-        self.merges += other.merges;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for bin in &other.bins {
-            match self
-                .bins
-                .binary_search_by(|b| b.centroid.total_cmp(&bin.centroid))
-            {
-                Ok(i) => self.bins[i].count += bin.count,
-                Err(i) => self.bins.insert(i, *bin),
-            }
-        }
-        while self.bins.len() > self.max_bins {
-            self.merge_closest();
-        }
-    }
-
-    fn merge_closest(&mut self) {
-        self.merges += 1;
-        let mut best = 0;
-        let mut best_gap = f64::INFINITY;
-        for i in 0..self.bins.len() - 1 {
-            let gap = self.bins[i + 1].centroid - self.bins[i].centroid;
-            if gap < best_gap {
-                best_gap = gap;
-                best = i;
-            }
-        }
-        self.bins[best] = merged(self.bins[best], self.bins[best + 1]);
-        self.bins.remove(best + 1);
-    }
-
-    /// Estimated number of observations `≤ value` (Algorithm "Sum").
-    ///
-    /// Within `[min, max]` the estimate interpolates between bins treating
-    /// each bin's mass as a trapezoid between adjacent centroids; outside
-    /// that range it clamps to `0` or `count`. Virtual zero-mass bins at the
-    /// exact observed `min` and `max` make the interpolation well-defined
-    /// over the full observed support.
-    pub fn sum(&self, value: f64) -> f64 {
-        if self.is_empty() || value < self.min {
-            return 0.0;
-        }
-        if value >= self.max {
-            return self.count as f64;
-        }
-        let lo = Bin {
-            centroid: self.min,
-            count: 0.0,
-        };
-        let hi = Bin {
-            centroid: self.max,
-            count: 0.0,
-        };
-        let chain = std::iter::once(lo)
-            .chain(self.bins.iter().copied())
-            .chain(std::iter::once(hi));
-        let mut acc = 0.0;
-        let mut prev: Option<Bin> = None;
-        for cur in chain {
-            if let Some(p) = prev {
-                if value < cur.centroid {
-                    let width = cur.centroid - p.centroid;
-                    let frac = if width > 0.0 {
-                        (value - p.centroid) / width
-                    } else {
-                        0.0
-                    };
-                    let mb = p.count + (cur.count - p.count) * frac;
-                    return acc + p.count / 2.0 + (p.count + mb) / 2.0 * frac;
-                }
-                acc += p.count;
-            }
-            prev = Some(cur);
-        }
-        self.count as f64
-    }
-
-    /// Estimated quantile: smallest `x` with `sum(x) ≥ q · count`.
-    ///
-    /// `q` is clamped to `[0, 1]`. Returns `None` if the histogram is empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.count as f64;
-        let (mut lo, mut hi) = (self.min, self.max);
-        if target <= 0.0 {
-            return Some(lo);
-        }
-        if target >= self.count as f64 {
-            return Some(hi);
-        }
-        // The interpolated `sum` is monotone, so bisection converges fast.
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if self.sum(mid) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi - lo <= 1e-9 * (1.0 + hi.abs()) {
-                break;
-            }
-        }
-        Some(0.5 * (lo + hi))
-    }
-
-    /// Normalised `(value, probability)` mass points — one per bin.
-    ///
-    /// This is the discrete form the scheduler integrates against (Eq. 1).
-    pub fn mass_points(&self) -> Vec<(f64, f64)> {
+    /// The empirical runtime distribution: one mass point per bin, at its
+    /// centroid, with the bin's share of the count. `None` when empty.
+    pub fn distribution(&self) -> Option<DiscreteDist> {
         let total: f64 = self.bins.iter().map(|b| b.count).sum();
         if total <= 0.0 {
-            return Vec::new();
+            return None;
         }
-        self.bins
-            .iter()
+        // Bins are sorted by centroid.
+        let points = (self.bins.iter())
             .map(|b| (b.centroid, b.count / total))
-            .collect()
+            .collect();
+        let d = DiscreteDist::with_points(points);
+        debug_assert!(d.is_normalised());
+        Some(d)
     }
 }
 
@@ -322,11 +173,7 @@ mod tests {
         let h = StreamingHistogram::new(8);
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.sum(10.0), 0.0);
+        assert_eq!(h.distribution(), None);
     }
 
     #[test]
@@ -336,10 +183,10 @@ mod tests {
             h.insert(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.bins().len(), 5);
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(5.0));
-        assert!((h.mean().unwrap() - 3.0).abs() < 1e-12);
+        assert_eq!(h.bins.len(), 5);
+        assert_eq!((h.min, h.max), (1.0, 5.0));
+        let d = h.distribution().unwrap();
+        assert_eq!(d.points(), [1.0, 2.0, 3.0, 4.0, 5.0].map(|t| (t, 0.2)));
     }
 
     #[test]
@@ -348,9 +195,9 @@ mod tests {
         for _ in 0..100 {
             h.insert(7.0);
         }
-        assert_eq!(h.bins().len(), 1);
-        assert_eq!(h.bins()[0].count, 100.0);
-        assert_eq!(h.quantile(0.5), Some(7.0));
+        assert_eq!(h.bins.len(), 1);
+        assert_eq!(h.bins[0].count, 100.0);
+        assert_eq!(h.distribution().unwrap().points(), [(7.0, 1.0)]);
     }
 
     #[test]
@@ -359,7 +206,7 @@ mod tests {
         for i in 0..1000 {
             h.insert(i as f64);
         }
-        assert!(h.bins().len() <= 8);
+        assert!(h.bins.len() <= 8);
         assert_eq!(h.count(), 1000);
     }
 
@@ -371,38 +218,7 @@ mod tests {
         for v in &vals {
             h.insert(*v);
         }
-        assert!((h.mean().unwrap() - exact).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sum_is_monotone_and_bounded() {
-        let mut h = StreamingHistogram::new(16);
-        for i in 0..500 {
-            h.insert((i % 37) as f64 * 1.7);
-        }
-        let mut prev = -1.0;
-        for step in -10..80 {
-            let s = h.sum(step as f64);
-            assert!(s >= prev - 1e-9, "sum must be monotone");
-            assert!((0.0..=500.0 + 1e-9).contains(&s));
-            prev = s;
-        }
-        assert_eq!(h.sum(-1.0), 0.0);
-        assert_eq!(h.sum(1e9), 500.0);
-    }
-
-    #[test]
-    fn quantiles_bracket_the_data() {
-        let mut h = StreamingHistogram::new(32);
-        for i in 1..=1000 {
-            h.insert(i as f64);
-        }
-        let q50 = h.quantile(0.5).unwrap();
-        assert!((q50 - 500.0).abs() < 25.0, "median estimate {q50}");
-        let q0 = h.quantile(0.0).unwrap();
-        let q1 = h.quantile(1.0).unwrap();
-        assert_eq!(q0, 1.0);
-        assert_eq!(q1, 1000.0);
+        assert!((h.distribution().unwrap().mean() - exact).abs() < 1e-9);
     }
 
     #[test]
@@ -417,41 +233,6 @@ mod tests {
         }
         // Every insert past the budget costs exactly one merge.
         assert_eq!(h.merge_count(), 16);
-
-        let mut a = StreamingHistogram::new(4);
-        for i in 0..10 {
-            a.insert(i as f64);
-        }
-        let before = a.merge_count();
-        a.merge(&h);
-        assert!(a.merge_count() >= before + h.merge_count());
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = StreamingHistogram::new(8);
-        let mut b = StreamingHistogram::new(8);
-        for i in 0..50 {
-            a.insert(i as f64);
-        }
-        for i in 50..100 {
-            b.insert(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert_eq!(a.min(), Some(0.0));
-        assert_eq!(a.max(), Some(99.0));
-        assert!(a.bins().len() <= 8);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = StreamingHistogram::new(8);
-        a.insert(3.0);
-        let before = a.clone();
-        a.merge(&StreamingHistogram::new(8));
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.bins(), before.bins());
     }
 
     #[test]
@@ -466,52 +247,24 @@ mod tests {
         assert_eq!(back.count(), 200);
     }
 
-    #[test]
-    fn sum_is_continuous_at_centroids() {
-        let mut h = StreamingHistogram::new(8);
-        for i in 0..300 {
-            h.insert((i % 17) as f64 * 3.0);
-        }
-        for b in h.bins().to_vec() {
-            let eps = 1e-6;
-            let below = h.sum(b.centroid - eps);
-            let above = h.sum(b.centroid + eps);
-            assert!(
-                (above - below).abs() < 1.0,
-                "jump at centroid {}: {below} → {above}",
-                b.centroid
-            );
-        }
-    }
-
-    #[test]
-    fn merge_order_does_not_change_count_or_extremes() {
-        let mut parts = Vec::new();
-        for p in 0..4 {
-            let mut h = StreamingHistogram::new(12);
-            for i in 0..100 {
-                h.insert((p * 100 + i) as f64);
-            }
-            parts.push(h);
-        }
-        let mut fwd = StreamingHistogram::new(12);
-        for p in &parts {
-            fwd.merge(p);
-        }
-        let mut rev = StreamingHistogram::new(12);
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        assert_eq!(fwd.count(), rev.count());
-        assert_eq!(fwd.min(), rev.min());
-        assert_eq!(fwd.max(), rev.max());
-        let (mf, mr) = (fwd.mean().unwrap(), rev.mean().unwrap());
-        assert!((mf - mr).abs() < 1e-9);
-    }
-
     /// `insert` as it was before the single-shift path: insert the new
     /// bin, then merge the closest pair of the now over-full histogram.
     fn reference_insert(h: &mut StreamingHistogram, value: f64) {
+        fn merge_closest(h: &mut StreamingHistogram) {
+            h.merges += 1;
+            let mut best = 0;
+            let mut best_gap = f64::INFINITY;
+            for i in 0..h.bins.len() - 1 {
+                let gap = h.bins[i + 1].centroid - h.bins[i].centroid;
+                if gap < best_gap {
+                    best_gap = gap;
+                    best = i;
+                }
+            }
+            h.bins[best] = merged(h.bins[best], h.bins[best + 1]);
+            h.bins.remove(best + 1);
+        }
+
         h.count += 1;
         h.min = h.min.min(value);
         h.max = h.max.max(value);
@@ -524,7 +277,7 @@ mod tests {
                 };
                 h.bins.insert(i, new);
                 if h.bins.len() > h.max_bins {
-                    h.merge_closest();
+                    merge_closest(h);
                 }
             }
         }
@@ -567,15 +320,5 @@ mod tests {
             }
             proptest::prop_assert_eq!(fast, slow);
         }
-    }
-
-    #[test]
-    fn mass_points_sum_to_one() {
-        let mut h = StreamingHistogram::new(8);
-        for i in 0..123 {
-            h.insert((i * i % 97) as f64);
-        }
-        let total: f64 = h.mass_points().iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 }

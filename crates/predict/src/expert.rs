@@ -9,7 +9,11 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use threesigma_histogram::{Ewma, RuntimeDistribution, StreamingHistogram, StreamingMoments};
+use threesigma_histogram::{DiscreteDist, Ewma, StreamingHistogram, StreamingMoments};
+
+/// Bin budget of every feature value's histogram, live or over a
+/// `sample_cap` window (the paper's 80).
+const MAX_BINS: usize = 80;
 
 /// The four point-estimation techniques of §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -99,15 +103,10 @@ pub struct ValueState {
 
 impl ValueState {
     /// Creates empty state.
-    pub fn new(
-        max_bins: usize,
-        recent_window: usize,
-        ewma_alpha: f64,
-        sample_cap: Option<usize>,
-    ) -> Self {
+    pub fn new(recent_window: usize, ewma_alpha: f64, sample_cap: Option<usize>) -> Self {
         assert!(recent_window >= 1, "recent window must hold a sample");
         Self {
-            hist: StreamingHistogram::new(max_bins),
+            hist: StreamingHistogram::new(MAX_BINS),
             moments: StreamingMoments::new(),
             ewma: Ewma::new(ewma_alpha),
             recent: VecDeque::with_capacity(recent_window),
@@ -237,21 +236,12 @@ impl ValueState {
         }
     }
 
-    /// Empirical runtime distribution of this feature value, `None` with no
-    /// history.
-    pub fn distribution(&self) -> Option<RuntimeDistribution> {
+    /// Empirical runtime distribution of this feature value (one mass
+    /// point per histogram bin), `None` with no history.
+    pub fn distribution(&self) -> Option<DiscreteDist> {
         match &self.capped {
-            Some(w) => {
-                let samples: Vec<f64> = w.iter().copied().collect();
-                RuntimeDistribution::from_samples(&samples, 80)
-            }
-            None => {
-                if self.hist.is_empty() {
-                    None
-                } else {
-                    Some(RuntimeDistribution::Empirical(self.hist.clone()))
-                }
-            }
+            Some(w) => DiscreteDist::from_samples(w, MAX_BINS),
+            None => self.hist.distribution(),
         }
     }
 }
@@ -259,10 +249,9 @@ impl ValueState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threesigma_histogram::Dist;
 
     fn state() -> ValueState {
-        ValueState::new(80, 5, 0.6, None)
+        ValueState::new(5, 0.6, None)
     }
 
     #[test]
@@ -316,7 +305,7 @@ mod tests {
 
     #[test]
     fn even_window_median_interpolates() {
-        let mut s = ValueState::new(80, 4, 0.6, None);
+        let mut s = ValueState::new(4, 0.6, None);
         for v in [1.0, 2.0, 3.0, 10.0] {
             s.observe(v);
         }
@@ -344,14 +333,14 @@ mod tests {
             s.observe(v);
         }
         let d = s.distribution().unwrap();
-        assert_eq!(d.lower_bound(), 10.0);
-        assert_eq!(d.upper_bound(), 30.0);
+        assert_eq!(d.lower(), 10.0);
+        assert_eq!(d.upper(), 30.0);
         assert!((d.mean() - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn sample_cap_limits_visible_history() {
-        let mut s = ValueState::new(80, 5, 0.6, Some(5));
+        let mut s = ValueState::new(5, 0.6, Some(5));
         for _ in 0..50 {
             s.observe(1000.0);
         }
@@ -360,7 +349,7 @@ mod tests {
         }
         assert_eq!(s.count(), 5);
         let d = s.distribution().unwrap();
-        assert_eq!(d.upper_bound(), 10.0, "old samples evicted");
+        assert_eq!(d.upper(), 10.0, "old samples evicted");
         assert!((s.estimate(EstimatorKind::Average).unwrap() - 10.0).abs() < 1e-9);
         assert!((s.estimate(EstimatorKind::Rolling).unwrap() - 10.0).abs() < 1e-9);
     }

@@ -13,8 +13,10 @@
 //!    EWMA with α = 0.6, average-of-recent-X) ([`expert`]),
 //! 3. scoring every `feature-value:estimator` pair ("expert") online by the
 //!    normalised mean absolute error of its past point estimates, and
-//! 4. answering a prediction with the histogram of the expert with the
-//!    lowest NMAE ([`predictor`]).
+//! 4. answering a prediction with the distribution of the expert with the
+//!    lowest NMAE: a [`DiscreteDist`](threesigma_histogram::DiscreteDist)
+//!    with one mass point per bin of its feature value's histogram
+//!    ([`predictor`]), the type 3σSched's Eq. 1–3 read directly.
 //!
 //! The same machinery with the winning expert's *point* estimate is the
 //! JVuPredict baseline the paper's `PointRealEst` scheduler uses.
@@ -23,7 +25,6 @@
 //!
 //! ```
 //! use threesigma_predict::{Predictor, PredictorConfig};
-//! use threesigma_histogram::Dist;
 //!
 //! let mut predictor = Predictor::new(PredictorConfig::default());
 //! for runtime in [100.0, 110.0, 95.0, 105.0] {

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use threesigma_histogram::RuntimeDistribution;
+use threesigma_histogram::DiscreteDist;
 
 use crate::expert::{EstimatorKind, ValueState, ESTIMATORS};
 use crate::feature::{value_of, AttributeSource, FeatureSet};
@@ -19,8 +19,6 @@ mod reference;
 /// Predictor tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PredictorConfig {
-    /// Streaming-histogram bin budget (paper: 80).
-    pub max_bins: usize,
     /// Window for the median / recent-average experts.
     pub recent_window: usize,
     /// Rolling-expert smoothing factor (paper: 0.6).
@@ -43,7 +41,6 @@ pub struct PredictorConfig {
 impl Default for PredictorConfig {
     fn default() -> Self {
         Self {
-            max_bins: 80,
             recent_window: 10,
             ewma_alpha: 0.6,
             sample_cap: None,
@@ -57,8 +54,9 @@ impl Default for PredictorConfig {
 /// A runtime prediction.
 #[derive(Debug, Clone)]
 pub struct Prediction {
-    /// Estimated runtime distribution (the winning feature value's history).
-    pub distribution: RuntimeDistribution,
+    /// Estimated runtime distribution: one mass point per bin of the
+    /// winning feature value's histogram.
+    pub distribution: DiscreteDist,
     /// The winning expert's point estimate (JVuPredict's output).
     pub point: f64,
     /// Name of the winning feature.
@@ -93,9 +91,9 @@ pub struct Choice<'a> {
 }
 
 impl Choice<'_> {
-    /// The winning feature value's runtime distribution (a copy of its
-    /// histogram, or one built from its capped sample window).
-    pub fn distribution(&self) -> Option<RuntimeDistribution> {
+    /// The winning feature value's runtime distribution, built from its
+    /// histogram's bins (or its capped sample window's).
+    pub fn distribution(&self) -> Option<DiscreteDist> {
         self.state.distribution()
     }
 
@@ -243,12 +241,7 @@ impl Predictor {
                     if recency {
                         by_touch.insert(now, (fi, value.to_owned()));
                     }
-                    let state = ValueState::new(
-                        cfg.max_bins,
-                        cfg.recent_window,
-                        cfg.ewma_alpha,
-                        cfg.sample_cap,
-                    );
+                    let state = ValueState::new(cfg.recent_window, cfg.ewma_alpha, cfg.sample_cap);
                     map.entry(value.to_owned()).or_insert(Tracked {
                         state,
                         estimates: [None; 4],
@@ -639,7 +632,6 @@ pub struct PredictorStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threesigma_histogram::Dist;
 
     fn attrs(user: &str, name: &str) -> [(String, String); 4] {
         [
@@ -717,10 +709,9 @@ mod tests {
         }
         let pred = p.predict(&attrs("carol", "sweep")).unwrap();
         let d = &pred.distribution;
-        assert!(d.lower_bound() <= 60.0 + 1e-9);
-        assert!(d.upper_bound() >= 600.0 - 1e-9);
-        // Both modes carry mass (the histogram interpolation smears some
-        // mass between the modes, hence the generous band).
+        assert!(d.lower() <= 60.0 + 1e-9);
+        assert!(d.upper() >= 600.0 - 1e-9);
+        // Both modes carry mass.
         assert!(d.cdf(100.0) > 0.2 && d.cdf(100.0) < 0.8);
     }
 
@@ -757,7 +748,7 @@ mod tests {
         }
         let pred = p.predict(&attrs("erin", "etl")).unwrap();
         assert_eq!(pred.history, 5);
-        assert!(pred.distribution.upper_bound() <= 50.0 + 1e-9);
+        assert!(pred.distribution.upper() <= 50.0 + 1e-9);
     }
 
     #[test]
@@ -1050,7 +1041,7 @@ mod tests {
     /// Everything of a prediction the scheduler reads, as bits.
     fn prediction_bits(p: Option<Prediction>) -> Option<PredictionBits> {
         p.map(|p| {
-            let points = (p.distribution.mass_points(40).iter())
+            let points = (p.distribution.points().iter())
                 .map(|(t, w)| (t.to_bits(), w.to_bits()))
                 .collect();
             (

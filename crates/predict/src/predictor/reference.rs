@@ -95,12 +95,7 @@ impl Reference {
             }
             self.by_touch.insert((now, fi, value.clone()));
             let state = self.state.entry((fi, value)).or_insert_with(|| {
-                ValueState::new(
-                    cfg.max_bins,
-                    cfg.recent_window,
-                    cfg.ewma_alpha,
-                    cfg.sample_cap,
-                )
+                ValueState::new(cfg.recent_window, cfg.ewma_alpha, cfg.sample_cap)
             });
             let (count_before, merges_before) = (state.count(), state.bin_merges());
             state.observe(runtime);

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use threesigma_cluster::{FaultEvent, JobId, JobKind, JobSpec, PartitionId, RetryPolicy};
-use threesigma_histogram::RuntimeDistribution;
+use threesigma_histogram::DiscreteDist;
 
 /// The stress regime a scenario exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ pub struct Scenario {
     /// governor (`None` = unlimited, the governor never engages).
     pub cycle_budget: Option<u64>,
     /// Adversarial estimates injected into 3σSched (empty = oracle points).
-    pub estimates: HashMap<JobId, RuntimeDistribution>,
+    pub estimates: HashMap<JobId, DiscreteDist>,
 }
 
 impl Scenario {
@@ -160,7 +160,7 @@ impl Scenario {
                     let factor = 2f64.powf(uniform(&mut rng, -3.0, 3.0));
                     estimates.insert(
                         job.id,
-                        RuntimeDistribution::point((job.duration * factor).max(1.0)),
+                        DiscreteDist::point((job.duration * factor).max(1.0)),
                     );
                     jobs.push(job);
                 }

@@ -21,7 +21,7 @@ use threesigma_repro::cluster::{ClusterSpec, Engine, EngineConfig, JobId, JobKin
 use threesigma_repro::core::sched::threesigma::{
     CycleBudget, EstimateSource, SchedConfig, ThreeSigmaScheduler,
 };
-use threesigma_repro::histogram::{LogNormal, RuntimeDistribution, Uniform};
+use threesigma_repro::histogram::DiscreteDist;
 use threesigma_repro::predict::PredictorConfig;
 
 /// FNV-1a, for content-addressed dedup of the dumped models.
@@ -67,10 +67,12 @@ fn mixed_injected(seed_jobs: usize) -> (Vec<JobSpec>, EstimateSource) {
             )
         };
         let spec = JobSpec::new(i + 1, submit, tasks, duration, kind);
+        // 40 quantile-grid points: the resolution the checked-in corpus was
+        // recorded at.
         let dist = if i % 2 == 0 {
-            RuntimeDistribution::Uniform(Uniform::new(duration * 0.5, duration * 1.5))
+            DiscreteDist::uniform(duration * 0.5, duration * 1.5, 40)
         } else {
-            RuntimeDistribution::LogNormal(LogNormal::new(duration.ln(), 0.4))
+            DiscreteDist::log_normal(duration.ln(), 0.4, 40)
         };
         estimates.insert(JobId(i + 1), dist);
         jobs.push(spec);

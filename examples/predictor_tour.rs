@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use threesigma_repro::histogram::Dist;
+use threesigma_repro::core::DiscreteDist;
 use threesigma_repro::predict::{AttributeSource, Predictor, PredictorConfig};
 use threesigma_repro::workload::analysis::{
     error_histogram, estimate_error_pct, fraction_off_by_factor,
@@ -25,6 +25,18 @@ impl AttributeSource for Attrs<'_> {
     fn get_attr(&self, key: &str) -> Option<&str> {
         self.0.get(key)
     }
+}
+
+/// Smallest mass point `t` with `P(T ≤ t) ≥ q`.
+fn quantile(dist: &DiscreteDist, q: f64) -> f64 {
+    let mut acc = 0.0;
+    for &(t, p) in dist.points() {
+        acc += p;
+        if acc >= q {
+            return t;
+        }
+    }
+    dist.upper()
 }
 
 fn main() {
@@ -98,9 +110,9 @@ fn main() {
                 "example distribution for user={} job={}: p10={:.0}s p50={:.0}s p90={:.0}s",
                 attrs.get("user").unwrap_or("?"),
                 attrs.get("job_name").unwrap_or("?"),
-                dist.quantile(0.1),
-                dist.quantile(0.5),
-                dist.quantile(0.9),
+                quantile(&dist, 0.1),
+                quantile(&dist, 0.5),
+                quantile(&dist, 0.9),
             );
         }
     }

@@ -24,16 +24,13 @@ use threesigma_repro::cluster::{
 };
 use threesigma_repro::core::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
 use threesigma_repro::core::{DiscreteDist, UtilityCurve};
-use threesigma_repro::histogram::{RuntimeDistribution, Uniform};
 use threesigma_repro::predict::PredictorConfig;
 
 const MIN: f64 = 60.0;
 
 fn run_scenario(name: &str, lo_min: f64, hi_min: f64) -> Metrics {
-    let dist = RuntimeDistribution::Uniform(Uniform::new(lo_min * MIN, hi_min * MIN));
-
     // Print the expected-utility curve of the SLO job (Fig. 5(e)/(f)).
-    let d = DiscreteDist::from_distribution(&dist, 64);
+    let d = DiscreteDist::uniform(lo_min * MIN, hi_min * MIN, 64);
     let curve = UtilityCurve::SloStep {
         weight: 1.0,
         deadline: 15.0 * MIN,
@@ -47,6 +44,7 @@ fn run_scenario(name: &str, lo_min: f64, hi_min: f64) -> Metrics {
     }
 
     // Run it for real through the MILP scheduler.
+    let dist = DiscreteDist::uniform(lo_min * MIN, hi_min * MIN, 40);
     let mut estimates = HashMap::new();
     estimates.insert(JobId(1), dist.clone());
     estimates.insert(JobId(2), dist);

@@ -136,7 +136,7 @@ fn padded_estimates_run_end_to_end() {
 #[test]
 fn injected_distributions_flow_through_driver() {
     use threesigma_repro::core::sched::threesigma::OverestimateMode;
-    use threesigma_repro::histogram::RuntimeDistribution;
+    use threesigma_repro::core::DiscreteDist;
 
     let trace = small_trace(Environment::Google, 9);
     // Oracle-centred uniform bands: a well-informed distribution source.
@@ -144,10 +144,7 @@ fn injected_distributions_flow_through_driver() {
         .jobs
         .iter()
         .map(|j| {
-            let d = RuntimeDistribution::Uniform(threesigma_repro::histogram::Uniform::new(
-                j.duration * 0.8,
-                j.duration * 1.2,
-            ));
+            let d = DiscreteDist::uniform(j.duration * 0.8, j.duration * 1.2, 40);
             (j.id, d)
         })
         .collect();

@@ -43,7 +43,7 @@ proptest! {
         for &rt in &runtimes {
             p.observe(&attrs("prop", "trace"), rt);
         }
-        let mut shadow = ValueState::new(80, 10, 0.6, None);
+        let mut shadow = ValueState::new(10, 0.6, None);
         for &rt in &runtimes {
             shadow.observe(rt);
         }
@@ -87,7 +87,7 @@ proptest! {
     ) {
         let expected = ewma_closed_form(0.6, &runtimes);
 
-        let mut streaming = ValueState::new(80, 10, 0.6, None);
+        let mut streaming = ValueState::new(10, 0.6, None);
         for &rt in &runtimes {
             streaming.observe(rt);
         }
@@ -99,7 +99,7 @@ proptest! {
 
         // Capped mode re-folds the window; with the cap wider than the
         // history it must agree with the streaming path exactly.
-        let mut capped = ValueState::new(80, 10, 0.6, Some(16));
+        let mut capped = ValueState::new(10, 0.6, Some(16));
         for &rt in &runtimes {
             capped.observe(rt);
         }
@@ -117,7 +117,7 @@ proptest! {
         value in 1.0f64..1e4,
         reps in 2usize..20,
     ) {
-        let mut s = ValueState::new(80, 10, 0.6, None);
+        let mut s = ValueState::new(10, 0.6, None);
         for _ in 0..reps {
             s.observe(value);
         }

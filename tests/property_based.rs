@@ -3,14 +3,14 @@
 use proptest::prelude::*;
 
 use threesigma_repro::core::{DiscreteDist, UtilityCurve};
-use threesigma_repro::histogram::{
-    quantile_sorted, RuntimeDistribution, StreamingHistogram, StreamingMoments,
-};
+use threesigma_repro::histogram::{quantile_sorted, StreamingHistogram, StreamingMoments};
 use threesigma_repro::milp::{BranchAndBound, Cmp, Model};
 
 proptest! {
-    /// The streaming histogram's CDF estimate stays within a coarse band of
-    /// the empirical CDF, is monotone, and preserves count/min/max exactly.
+    /// The CDF of the distribution the scheduler reads — one mass point per
+    /// bin of the streaming histogram — stays within a coarse band of the
+    /// empirical CDF and is monotone; the sketch keeps the count exactly
+    /// and its support inside the observed range.
     #[test]
     fn histogram_tracks_empirical_cdf(
         mut values in prop::collection::vec(0.0f64..1e4, 1..300),
@@ -21,21 +21,23 @@ proptest! {
         }
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         prop_assert_eq!(h.count(), values.len() as u64);
-        prop_assert_eq!(h.min().unwrap(), values[0]);
-        prop_assert_eq!(h.max().unwrap(), *values.last().unwrap());
+        let d = h.distribution().unwrap();
+        prop_assert!(d.points().len() <= 32);
+        prop_assert!(d.lower() >= values[0] && d.upper() <= *values.last().unwrap());
 
         let n = values.len() as f64;
         let mut prev = 0.0;
         for q in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let x = quantile_sorted(&values, q).unwrap();
-            let est = h.sum(x) / n;
+            let est = d.cdf(x);
             prop_assert!(est >= prev - 1e-9, "monotone");
             prev = est;
             // Compare against the empirical CDF at x (not q itself — ties
-            // make the empirical CDF jump past q). Coarse band: the sketch
-            // may smear mass across bins.
+            // make the empirical CDF jump past q). Band: each bin's whole
+            // mass sits at its centroid, so the step CDF can miss by about
+            // one bin's share (a little over 0.1 at worst in 2M cases).
             let emp = values.partition_point(|v| *v <= x) as f64 / n;
-            prop_assert!((est - emp).abs() < 0.35, "x={x} emp={emp} est={est}");
+            prop_assert!((est - emp).abs() < 0.2, "x={x} emp={emp} est={est}");
         }
     }
 
@@ -63,8 +65,7 @@ proptest! {
         samples in prop::collection::vec(1.0f64..1e4, 2..100),
         elapsed_frac in 0.0f64..1.2,
     ) {
-        let dist = RuntimeDistribution::from_samples(&samples, 40).unwrap();
-        let d = DiscreteDist::from_distribution(&dist, 40);
+        let d = DiscreteDist::from_samples(&samples, 40).unwrap();
         let elapsed = d.upper() * elapsed_frac;
         let c = d.condition(elapsed);
         let total: f64 = c.points().iter().map(|(_, p)| p).sum();
@@ -87,8 +88,7 @@ proptest! {
         weight in 0.1f64..20.0,
         deadline in 100.0f64..1e4,
     ) {
-        let dist = RuntimeDistribution::from_samples(&samples, 20).unwrap();
-        let d = DiscreteDist::from_distribution(&dist, 20);
+        let d = DiscreteDist::from_samples(&samples, 20).unwrap();
         let curve = UtilityCurve::SloStep { weight, deadline };
         let mut prev = f64::INFINITY;
         for k in 0..10 {
@@ -199,8 +199,7 @@ proptest! {
         factor in 1.0f64..3.0,
         elapsed_frac in 0.0f64..1.1,
     ) {
-        let dist = RuntimeDistribution::from_samples(&samples, 40).unwrap();
-        let base = DiscreteDist::from_distribution(&dist, 40);
+        let base = DiscreteDist::from_samples(&samples, 40).unwrap();
         let dists = [
             base.clone(),
             base.scale(factor),
@@ -233,8 +232,7 @@ proptest! {
         samples in prop::collection::vec(1.0f64..1e3, 1..50),
         factor in 1.0f64..3.0,
     ) {
-        let dist = RuntimeDistribution::from_samples(&samples, 20).unwrap();
-        let d = DiscreteDist::from_distribution(&dist, 20);
+        let d = DiscreteDist::from_samples(&samples, 20).unwrap();
         let s = d.scale(factor);
         prop_assert!((s.mean() - d.mean() * factor).abs() < 1e-6 * (1.0 + s.mean()));
         prop_assert!((s.upper() - d.upper() * factor).abs() < 1e-9 * (1.0 + s.upper()));
