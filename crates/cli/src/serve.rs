@@ -26,10 +26,10 @@
 //!
 //! # The input loop: one commit per `read()`
 //!
-//! [`Stream::run`] owns the read buffer. Every complete line one `read()`
+//! `Stream::run` owns the read buffer. Every complete line one `read()`
 //! returned goes through the per-line order parse → admit → `pump_until`
 //! → [snapshot if due] → journal append → `submit` → *queue* the response,
-//! and then [`Stream::commit`] writes the batch: one `write_all` of the
+//! and then `Stream::commit` writes the batch: one `write_all` of the
 //! queued journal frames, one `sync_data`, then one `write_all` of the
 //! queued responses on a `TCP_NODELAY` socket. The batch is whatever the
 //! `read()` returned, so a client that waits for each ack still gets one

@@ -11,9 +11,9 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use threesigma_repro::cluster::ClusterSpec;
-use threesigma_repro::core::driver::{run, Experiment, SchedulerKind};
-use threesigma_repro::workload::{generate, Environment, WorkloadConfig};
+use threesigma::driver::{run, Experiment, SchedulerKind};
+use threesigma_cluster::ClusterSpec;
+use threesigma_workload::{generate, Environment, WorkloadConfig};
 
 fn main() {
     // A fixed 90-minute workload sized for a 256-node cluster at load 1.3.

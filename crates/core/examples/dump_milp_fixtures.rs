@@ -7,7 +7,7 @@
 //! through all three solver tiers.
 //!
 //! ```sh
-//! cargo run --release --example dump_milp_fixtures
+//! cargo run --release -p threesigma --example dump_milp_fixtures
 //! ```
 //!
 //! The corpus is checked in; re-run this only when the model compiler
@@ -17,12 +17,12 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use threesigma_repro::cluster::{ClusterSpec, Engine, EngineConfig, JobId, JobKind, JobSpec};
-use threesigma_repro::core::sched::threesigma::{
+use threesigma::sched::threesigma::{
     CycleBudget, EstimateSource, SchedConfig, ThreeSigmaScheduler,
 };
-use threesigma_repro::histogram::DiscreteDist;
-use threesigma_repro::predict::PredictorConfig;
+use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobId, JobKind, JobSpec};
+use threesigma_histogram::DiscreteDist;
+use threesigma_predict::PredictorConfig;
 
 /// FNV-1a, for content-addressed dedup of the dumped models.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -11,15 +11,13 @@
 
 use std::collections::HashMap;
 
-use threesigma_repro::core::DiscreteDist;
-use threesigma_repro::predict::{AttributeSource, Predictor, PredictorConfig};
-use threesigma_repro::workload::analysis::{
-    error_histogram, estimate_error_pct, fraction_off_by_factor,
-};
-use threesigma_repro::workload::{generate, Environment, WorkloadConfig};
+use threesigma::DiscreteDist;
+use threesigma_predict::{AttributeSource, Predictor, PredictorConfig};
+use threesigma_workload::analysis::{error_histogram, estimate_error_pct, fraction_off_by_factor};
+use threesigma_workload::{generate, Environment, WorkloadConfig};
 
 /// Adapter from cluster attributes to the predictor's attribute trait.
-struct Attrs<'a>(&'a threesigma_repro::cluster::Attributes);
+struct Attrs<'a>(&'a threesigma_cluster::Attributes);
 
 impl AttributeSource for Attrs<'_> {
     fn get_attr(&self, key: &str) -> Option<&str> {

@@ -4,8 +4,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use threesigma_repro::core::driver::{run, Experiment, SchedulerKind};
-use threesigma_repro::workload::{generate, Environment, WorkloadConfig};
+use threesigma::driver::{run, Experiment, SchedulerKind};
+use threesigma_workload::{generate, Environment, WorkloadConfig};
 
 fn main() {
     // A 30-minute Google-like workload on the paper's 256-node cluster:

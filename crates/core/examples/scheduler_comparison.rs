@@ -9,8 +9,8 @@
 //! # env ∈ {google, hedgefund, mustang}
 //! ```
 
-use threesigma_repro::core::driver::{run, Experiment, SchedulerKind};
-use threesigma_repro::workload::{generate, Environment, WorkloadConfig};
+use threesigma::driver::{run, Experiment, SchedulerKind};
+use threesigma_workload::{generate, Environment, WorkloadConfig};
 
 fn main() {
     let hours: f64 = std::env::args()

@@ -19,12 +19,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use threesigma_repro::cluster::{
-    ClusterSpec, Engine, EngineConfig, JobId, JobKind, JobSpec, Metrics,
-};
-use threesigma_repro::core::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
-use threesigma_repro::core::{DiscreteDist, UtilityCurve};
-use threesigma_repro::predict::PredictorConfig;
+use threesigma::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
+use threesigma::{DiscreteDist, UtilityCurve};
+use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobId, JobKind, JobSpec, Metrics};
+use threesigma_predict::PredictorConfig;
 
 const MIN: f64 = 60.0;
 

@@ -32,7 +32,7 @@
 //! |---|---|
 //! | Fig. 1 | Google rows of `benches/fig07_workloads` |
 //! | Fig. 2(a–d) | `benches/fig02_traces` |
-//! | Figs. 3 & 5 (worked example) | `examples/worked_example.rs`; unit tests in [`utility`](crate::utility) and `sched::threesigma` |
+//! | Figs. 3 & 5 (worked example) | `crates/core/examples/worked_example.rs`; unit tests in [`utility`](crate::utility) and `sched::threesigma` |
 //! | Fig. 6 + Table 2 | `benches/fig06_e2e_real` |
 //! | Fig. 7 | `benches/fig07_workloads` |
 //! | Fig. 8 | `benches/fig08_ablation` |

@@ -14,10 +14,10 @@
 //!   counter bumped per observation). It holds pending jobs only: a placed
 //!   job's estimate moves out with [`EstimateCache::take`] to the running
 //!   attempt that renormalises it (Eq. 2) for the rest of its run.
-//! * [`generate`] values every (space, slot) option of every considered
+//! * `generate` values every (space, slot) option of every considered
 //!   job by Eq. 1, in job order on the calling thread. The job cap, the
 //!   plan-ahead window and the §4.3.6 prunes bound the work per cycle.
-//! * [`contained_options`] picks, once per equivalence set, the compiled
+//! * `contained_options` picks, once per equivalence set, the compiled
 //!   options that can consume from it, in variable order, so each of the
 //!   set's capacity rows visits only those — instead of scanning every
 //!   option for every (set, slot) pair — and builds its terms sorted.

@@ -10,19 +10,19 @@
 //!    the cross-cycle [`EstimateCache`] (pending jobs only, re-estimated
 //!    when the predictor learns; a placed job's estimate moves to its
 //!    running attempt) and valuation is
-//!    [`options::generate`],
+//!    `options::generate`,
 //! 3. charges each option its expected resource consumption over time
 //!    (Eq. 3), conditioning running jobs' distributions on their elapsed
 //!    time (Eq. 2) with exponential-increment under-estimate handling
 //!    (§4.2.1),
 //! 4. compiles a MILP — binary indicators per option, demand rows, capacity
 //!    rows per (equivalence set, time slot) charging the options
-//!    [`options::contained_options`] picks for the set, preemption
+//!    `options::contained_options` picks for the set, preemption
 //!    indicators for running best-effort jobs — and solves it with a warm
 //!    start (the status quo is always feasible) under a node/time budget,
 //! 5. turns slot-zero selections into concrete per-rack gang allocations.
 //!
-//! Steps 3 and 4 are [`super::compile`], which also owns the per-attempt
+//! Steps 3 and 4 are `super::compile`, which also owns the per-attempt
 //! state they keep across cycles.
 //!
 //! Capacity rows are kept per *equivalence set* (each distinct preferred

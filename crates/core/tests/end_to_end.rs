@@ -3,9 +3,9 @@
 //! Debug builds are slow, so these use short traces; the full-scale
 //! experiments live in the bench harnesses.
 
-use threesigma_repro::cluster::JobState;
-use threesigma_repro::core::driver::{run, Experiment, SchedulerKind};
-use threesigma_repro::workload::{generate, Environment, Trace, WorkloadConfig};
+use threesigma::driver::{run, Experiment, SchedulerKind};
+use threesigma_cluster::JobState;
+use threesigma_workload::{generate, Environment, Trace, WorkloadConfig};
 
 fn small_trace(env: Environment, seed: u64) -> Trace {
     generate(&WorkloadConfig {
@@ -135,8 +135,8 @@ fn padded_estimates_run_end_to_end() {
 
 #[test]
 fn injected_distributions_flow_through_driver() {
-    use threesigma_repro::core::sched::threesigma::OverestimateMode;
-    use threesigma_repro::core::DiscreteDist;
+    use threesigma::sched::threesigma::OverestimateMode;
+    use threesigma::DiscreteDist;
 
     let trace = small_trace(Environment::Google, 9);
     // Oracle-centred uniform bands: a well-informed distribution source.
@@ -148,8 +148,8 @@ fn injected_distributions_flow_through_driver() {
             (j.id, d)
         })
         .collect();
-    let r = threesigma_repro::core::driver::run_with_source(
-        threesigma_repro::core::driver::injected(map),
+    let r = threesigma::driver::run_with_source(
+        threesigma::driver::injected(map),
         OverestimateMode::Adaptive,
         &trace,
         &quick_exp(),

@@ -1,12 +1,12 @@
 //! Integration of 3σPredict with the synthetic environments: the predictor
 //! must reproduce the paper's qualitative accuracy profiles (§2.1, Fig. 2).
 
-use threesigma_repro::cluster::Attributes;
-use threesigma_repro::predict::{AttributeSource, Predictor, PredictorConfig};
-use threesigma_repro::workload::analysis::{
+use threesigma_cluster::Attributes;
+use threesigma_predict::{AttributeSource, Predictor, PredictorConfig};
+use threesigma_workload::analysis::{
     cov_by_attribute, fraction_off_by_factor, high_variability_fraction, runtime_cdf,
 };
-use threesigma_repro::workload::{generate, Environment, WorkloadConfig};
+use threesigma_workload::{generate, Environment, WorkloadConfig};
 
 struct Attrs<'a>(&'a Attributes);
 

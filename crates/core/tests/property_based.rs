@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 
-use threesigma_repro::core::{DiscreteDist, UtilityCurve};
-use threesigma_repro::histogram::{quantile_sorted, StreamingHistogram, StreamingMoments};
-use threesigma_repro::milp::{BranchAndBound, Cmp, Model};
+use threesigma::{DiscreteDist, UtilityCurve};
+use threesigma_histogram::{quantile_sorted, StreamingHistogram, StreamingMoments};
+use threesigma_milp::{BranchAndBound, Cmp, Model};
 
 proptest! {
     /// The CDF of the distribution the scheduler reads — one mass point per
@@ -140,9 +140,9 @@ proptest! {
         seeds in prop::collection::vec(1u64..1000, 1..4),
         n_jobs in 2usize..8,
     ) {
-        use threesigma_repro::cluster::{ClusterSpec, Engine, EngineConfig, JobKind, JobSpec, JobState};
-        use threesigma_repro::core::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
-        use threesigma_repro::predict::PredictorConfig;
+        use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobKind, JobSpec, JobState};
+        use threesigma::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
+        use threesigma_predict::PredictorConfig;
 
         let seed = seeds[0];
         let mut jobs = Vec::new();

@@ -16,11 +16,6 @@ pub const DECISION_SCOPES: &[&str] = &[
     "crates/simtest/src",
 ];
 
-/// Hot-path scopes: code that must degrade through typed errors rather than
-/// panic (the AST-aware replacement for the old CI grep). The panic-safety
-/// rule applies here.
-pub const HOT_PATH_SCOPES: &[&str] = &["crates/cluster/src", "crates/core/src/sched"];
-
 /// Service-loop scopes: the simulation core and its two drivers, where hash
 /// containers are banned outright — not just their iteration. The serve
 /// loop's retirement digest and snapshot restart-equivalence contract

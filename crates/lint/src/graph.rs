@@ -54,7 +54,7 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// True when the workspace declared at least one decision-path root.
-    /// Synthetic fixture trees without roots fall back to path scoping.
+    /// `check_workspace` refuses a tree without one.
     pub fn has_roots(&self) -> bool {
         !self.roots.is_empty()
     }

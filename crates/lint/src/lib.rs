@@ -29,9 +29,8 @@
 //! * **metrics-consistency** — metric names register exactly once, are
 //!   snake_case, and doc-cited names exist.
 //!
-//! The reachability rules fall back to the legacy path-prefix scopes when a
-//! tree declares no roots (synthetic fixture workspaces). See `DESIGN.md`
-//! §12 for rule rationale and the escape hatches.
+//! A tree that declares no decision-path root is an error, not a clean
+//! check. See `DESIGN.md` §12 for rule rationale and the escape hatches.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -85,9 +84,8 @@ pub struct Report {
     pub stale_exclusions: Vec<allowlist::Entry>,
     /// Number of source files parsed.
     pub files_scanned: usize,
-    /// Number of functions reachable from the decision-path roots, or
-    /// `None` when the tree declared no roots (legacy path scoping used).
-    pub reachable_fns: Option<usize>,
+    /// Number of functions reachable from the decision-path roots.
+    pub reachable_fns: usize,
 }
 
 impl Report {
@@ -121,10 +119,7 @@ fn json_escape(s: &str) -> String {
 pub fn render_json(report: &Report) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    match report.reachable_fns {
-        Some(n) => out.push_str(&format!("  \"reachable_fns\": {n},\n")),
-        None => out.push_str("  \"reachable_fns\": null,\n"),
-    }
+    out.push_str(&format!("  \"reachable_fns\": {},\n", report.reachable_fns));
     out.push_str(&format!("  \"clean\": {},\n", report.clean()));
     out.push_str("  \"violations\": [");
     for (i, v) in report.violations.iter().enumerate() {
@@ -180,27 +175,6 @@ pub fn render_json(report: &Report) -> String {
         out.push('\n');
     }
     out.push_str("}\n");
-    out
-}
-
-/// Runs every rule over one parsed file, applying the scope config.
-pub fn check_file(parsed: &scan::ParsedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if config::in_scope(&parsed.rel, config::DECISION_SCOPES) {
-        out.extend(rules::hash_iter(parsed));
-        out.extend(rules::time_source(parsed));
-        out.extend(rules::float_ordering(parsed));
-        out.extend(rules::thread_in_decision_scope(parsed));
-    }
-    if config::in_scope(&parsed.rel, config::NO_HASH_CONTAINER_SCOPES) {
-        out.extend(rules::no_hash_container(parsed));
-    }
-    if config::in_scope(&parsed.rel, config::HOT_PATH_SCOPES) {
-        out.extend(rules::panic_safety(parsed));
-    }
-    if config::in_scope(&parsed.rel, &["crates/"]) {
-        out.extend(rules::os_seeded_rng(parsed));
-    }
     out
 }
 
@@ -267,40 +241,38 @@ pub fn check_workspace(root: &Path) -> Result<Report, String> {
     // Phase 1: call graph + reachability from the decision-path roots.
     let cg = graph::build(&parsed_files, config::DECISION_ROOTS);
 
-    // Phase 2a: the reachability-driven determinism/panic rules. Trees
-    // without any root (synthetic fixture workspaces) keep the legacy
-    // path-prefix scoping so partial trees still get checked.
-    if cg.has_roots() {
-        report.reachable_fns = Some(cg.reachable_len());
-        for parsed in &parsed_files {
-            let reach = parsed.filtered(|f| cg.is_reachable(&parsed.rel, f));
-            if config::in_reach_domain(&parsed.rel) {
-                report.violations.extend(rules::hash_iter(&reach));
-                report.violations.extend(rules::time_source(&reach));
-                report.violations.extend(rules::float_ordering(&reach));
-            }
-            if config::in_scope(&parsed.rel, config::PANIC_DOMAINS) {
-                report.violations.extend(rules::panic_safety(&reach));
-            }
-            // The structural rules keep their path scoping: banned
-            // containers, OS-seeded RNG and thread fan-outs are wrong
-            // wherever they appear, not just on paths a scheduler can
-            // currently reach.
-            if config::in_scope(&parsed.rel, config::NO_HASH_CONTAINER_SCOPES) {
-                report.violations.extend(rules::no_hash_container(parsed));
-            }
-            if config::in_scope(&parsed.rel, &["crates/"]) {
-                report.violations.extend(rules::os_seeded_rng(parsed));
-            }
-            if config::in_scope(&parsed.rel, config::DECISION_SCOPES) {
-                report
-                    .violations
-                    .extend(rules::thread_in_decision_scope(parsed));
-            }
+    // Phase 2a: the reachability-driven determinism/panic rules.
+    if !cg.has_roots() {
+        return Err(format!(
+            "{}: no decision-path root (a `Scheduler::schedule` impl, a `Solver` impl, ...)",
+            root.display()
+        ));
+    }
+    report.reachable_fns = cg.reachable_len();
+    for parsed in &parsed_files {
+        let reach = parsed.filtered(|f| cg.is_reachable(&parsed.rel, f));
+        if config::in_reach_domain(&parsed.rel) {
+            report.violations.extend(rules::hash_iter(&reach));
+            report.violations.extend(rules::time_source(&reach));
+            report.violations.extend(rules::float_ordering(&reach));
         }
-    } else {
-        for parsed in &parsed_files {
-            report.violations.extend(check_file(parsed));
+        if config::in_scope(&parsed.rel, config::PANIC_DOMAINS) {
+            report.violations.extend(rules::panic_safety(&reach));
+        }
+        // The structural rules keep their path scoping: banned
+        // containers, OS-seeded RNG and thread fan-outs are wrong
+        // wherever they appear, not just on paths a scheduler can
+        // currently reach.
+        if config::in_scope(&parsed.rel, config::NO_HASH_CONTAINER_SCOPES) {
+            report.violations.extend(rules::no_hash_container(parsed));
+        }
+        if config::in_scope(&parsed.rel, &["crates/"]) {
+            report.violations.extend(rules::os_seeded_rng(parsed));
+        }
+        if config::in_scope(&parsed.rel, config::DECISION_SCOPES) {
+            report
+                .violations
+                .extend(rules::thread_in_decision_scope(parsed));
         }
     }
 

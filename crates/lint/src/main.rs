@@ -75,17 +75,10 @@ fn main() -> ExitCode {
                 };
             }
             if report.clean() {
-                match report.reachable_fns {
-                    Some(n) => println!(
-                        "threesigma-lint: {} files scanned, {n} reachable fns, no violations",
-                        report.files_scanned
-                    ),
-                    None => println!(
-                        "threesigma-lint: {} files scanned (no decision roots; legacy path \
-                         scoping), no violations",
-                        report.files_scanned
-                    ),
-                }
+                println!(
+                    "threesigma-lint: {} files scanned, {} reachable fns, no violations",
+                    report.files_scanned, report.reachable_fns
+                );
                 ExitCode::SUCCESS
             } else {
                 for v in &report.violations {

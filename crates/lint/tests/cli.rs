@@ -8,12 +8,23 @@ use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_threesigma-lint");
 
-/// A throwaway workspace root with the leaf manifests the layering rule
-/// always reads; removed on drop.
+/// A decision-path root that calls every function the reachability-scoped
+/// fixtures define, so a bad fixture is reachable wherever it is dropped.
+const ROOT: &str = "impl Scheduler for Root { fn schedule(&mut self) { \
+    self.decide(); decide(); pick(); extract(); cycle_budget_exceeded(); value_all(); } }\n";
+
+/// A throwaway workspace root with a decision-path root and the leaf
+/// manifests the layering rule always reads; removed on drop.
 struct TempRoot(PathBuf);
 
 impl TempRoot {
     fn new(tag: &str) -> Self {
+        let root = Self::rootless(tag);
+        root.write("crates/core/src/root.rs", ROOT);
+        root
+    }
+
+    fn rootless(tag: &str) -> Self {
         let dir =
             std::env::temp_dir().join(format!("threesigma-lint-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -249,6 +260,23 @@ fn stale_allowlist_entry_exits_nonzero() {
     let (code, stdout) = root.check();
     assert_eq!(code, 1, "stdout:\n{stdout}");
     assert!(stdout.contains("[stale-allowlist]"), "{stdout}");
+}
+
+#[test]
+fn a_tree_without_a_decision_root_exits_two() {
+    let root = TempRoot::rootless("rootless");
+    root.write(
+        "crates/cluster/src/fx.rs",
+        include_str!("fixtures/panic_bad.rs"),
+    );
+    let out = Command::new(BIN)
+        .args(["check", "--root"])
+        .arg(&root.0)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no decision-path root"), "{stderr}");
 }
 
 #[test]

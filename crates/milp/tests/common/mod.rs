@@ -13,7 +13,7 @@ use threesigma_milp::Model;
 pub fn fixtures() -> Vec<(String, Model)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("fixture dir exists; regenerate with `cargo run --example dump_milp_fixtures`")
+        .expect("fixture dir exists; regenerate with `cargo run -p threesigma --example dump_milp_fixtures`")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "milp"))
         .collect();

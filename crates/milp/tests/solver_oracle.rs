@@ -1,7 +1,7 @@
 //! Differential solver-oracle suite over the checked-in fixture corpus.
 //!
 //! Every `tests/fixtures/*.milp` file is a real scheduling-cycle MILP
-//! dumped by `cargo run --example dump_milp_fixtures` (bit-exact text
+//! dumped by `cargo run -p threesigma --example dump_milp_fixtures` (bit-exact text
 //! format). Each fixture is replayed through all three solver tiers, and
 //! the tiers are held to their contracts:
 //!

@@ -455,9 +455,9 @@ impl Predictor {
     /// uses this instead of [`stats`](Self::stats), whose full scan over
     /// every tracked feature value is too slow for a hot path.
     ///
-    /// `observations` and `bin_merges` agree exactly with [`stats`];
+    /// `observations` and `bin_merges` agree exactly with [`stats`](Self::stats);
     /// `best_nmae` is the *historical* minimum (lowest scored-expert NMAE
-    /// seen so far), whereas [`stats`] reports the current minimum.
+    /// seen so far), whereas [`stats`](Self::stats) reports the current minimum.
     pub fn quick_stats(&self) -> QuickStats {
         QuickStats {
             tracked_values: self.tracked_values(),

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use threesigma_repro::predict::{
-    EstimatorKind, Predictor, PredictorConfig, ValueState, ESTIMATORS,
-};
+use threesigma_predict::{EstimatorKind, Predictor, PredictorConfig, ValueState, ESTIMATORS};
 
 fn attrs(user: &str, name: &str) -> [(String, String); 4] {
     [

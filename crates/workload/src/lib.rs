@@ -4,7 +4,7 @@
 //! from the original traces (Google 2011, a hedge-fund's two Mesos clusters,
 //! LANL's Mustang) and regenerated from per-class parameter distributions
 //! with an exponential arrival process of squared arrival CoV 4 (§5). We do
-//! not have the raw traces, so the [`env`] module encodes per-environment
+//! not have the raw traces, so the [`env`](mod@env) module encodes per-environment
 //! *job-class mixtures* tuned to match the published summary statistics —
 //! the heavy-tailed runtime CDFs, per-feature CoV spreads, and
 //! JVuPredict-style estimate-error profiles of Fig. 2 — and [`generator`]

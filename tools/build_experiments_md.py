@@ -222,7 +222,7 @@ points, no OE), `PointRealEst` (3σPredict points, no OE), `Prio`
 
 ## Figs. 3 & 5 — worked example
 
-Reproduced exactly (not statistically) by `examples/worked_example.rs` and
+Reproduced exactly (not statistically) by `crates/core/examples/worked_example.rs` and
 unit tests (`utility::tests::expected_utility_matches_fig5_*`,
 `sched::threesigma::tests::worked_example_*`): with U(0,10) runtimes the
 scheduler runs the SLO job first; with U(2.5,7.5) it safely lets the BE
