@@ -32,9 +32,13 @@ fn every_corpus_seed_passes() {
 fn every_corpus_seed_is_deterministic_across_runs() {
     // Two full in-process runs of the same seed must render byte-identical
     // reports (the render ends in its own FNV digest, so equal strings mean
-    // equal digests). This is the guard the determinism lints exist to
-    // protect: any HashMap-order or wall-clock leak into a decision path
-    // shows up here as a digest mismatch.
+    // equal digests), and that digest must be the one `corpus/digests.tsv`
+    // pins for the seed. The first guards what the determinism lints
+    // protect (a HashMap-order or wall-clock leak into a decision path);
+    // the second catches a change of decisions that is deterministic, which
+    // two runs of one build cannot see.
+    let mut actual = String::from("seed\tdigest\n");
+    let mut diverged = Vec::new();
     for seed in corpus_seeds() {
         let first = run_seed(seed).render();
         let second = run_seed(seed).render();
@@ -42,5 +46,29 @@ fn every_corpus_seed_is_deterministic_across_runs() {
             first, second,
             "SEED {seed} DIVERGED between two in-process runs\nfirst:\n{first}\nsecond:\n{second}"
         );
+        let digest = first
+            .lines()
+            .find_map(|l| l.strip_prefix("digest "))
+            .expect("a rendered report ends in its digest line");
+        if pinned_digest(seed) != Some(digest) {
+            diverged.push(seed);
+        }
+        actual.push_str(&format!("{seed}\t{digest}\n"));
     }
+    assert!(
+        diverged.is_empty(),
+        "seeds {diverged:?} moved off corpus/digests.tsv; replay: cargo run --release \
+         -p threesigma-cli -- simtest --seed N. If the change of decisions is intended, \
+         the replacement file is:\n{actual}"
+    );
+}
+
+/// The digest `corpus/digests.tsv` pins for `seed`.
+fn pinned_digest(seed: u64) -> Option<&'static str> {
+    include_str!("../corpus/digests.tsv")
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_once('\t'))
+        .find(|(s, _)| s.parse() == Ok(seed))
+        .map(|(_, d)| d)
 }

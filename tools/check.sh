@@ -21,6 +21,8 @@ target=${CARGO_TARGET_DIR:-target}
 case "$target" in /*) ;; *) target="$PWD/$target" ;; esac
 bin="$target/release/threesigma"
 fix="$PWD/crates/cli/tests/fixtures"
+pins="$PWD/crates/cli/tests/pins"
+corpus="$PWD/crates/simtest/corpus"
 out="$target/check/$stage"
 rm -rf "$out"
 mkdir -p "$out"
@@ -31,6 +33,17 @@ nonempty() {
   cargo test "$@" 2>&1 | tee "$out/cargo-test.log"
   if ! awk '/^test result:/ { n += $4 } END { exit n == 0 }' "$out/cargo-test.log"; then
     echo "error: \`cargo test $*\` ran no test" >&2
+    exit 1
+  fi
+}
+
+# `cmp` an output against the file that pins it across builds. There is no
+# bless switch: a mismatch prints the replacement, to copy over by hand
+# when the change of decisions or metrics is intended.
+pin() {
+  if ! cmp "$1" "$2"; then
+    echo "error: $2 differs from the pinned $1; if intended, replace it with:" >&2
+    cat "$2" >&2
     exit 1
   fi
 }
@@ -90,6 +103,14 @@ simtest)
   "$bin" simtest --seed 6 # overload, full report
   echo "fresh seeds from $seed"
   "$bin" simtest --iters 12 --start-seed "$seed"
+  # Each corpus seed's report digest, against the pinned list.
+  {
+    printf 'seed\tdigest\n'
+    for s in $(grep -v '^#' "$corpus/seeds.txt" | cut -d'#' -f1); do
+      printf '%s\t%s\n' "$s" "$("$bin" simtest --seed "$s" | sed -n 's/^digest //p')"
+    done
+  } > digests.tsv
+  pin "$corpus/digests.tsv" digests.tsv
   # `metrics` self-checks its Prometheus exposition; the re-run holds the
   # stable JSON dump byte-identical for a fixed seed.
   "$bin" metrics --env google --hours 0.25 --seed 42 --cycle 30 \
@@ -97,6 +118,10 @@ simtest)
   "$bin" metrics --env google --hours 0.25 --seed 42 --cycle 30 \
     --json metrics_replay.json > /dev/null
   cmp metrics.json metrics_replay.json
+  # The stable JSON, and the help text it does not carry, across builds.
+  pin "$pins/metrics_google_42.json" metrics.json
+  grep -E '^# (HELP|TYPE) ' exposition.txt > exposition_help.txt
+  pin "$pins/metrics_google_42_help.txt" exposition_help.txt
   ;;
 serve-smoke)
   cargo build --release -p threesigma-cli
@@ -104,6 +129,8 @@ serve-smoke)
   cat "$fix/serve_part1.jsonl" "$fix/serve_part2.jsonl" > serve_full.jsonl
   "$bin" serve --retention 60 --input serve_full.jsonl \
     --metrics-json metrics_full.json --summary-json summary_full.json
+  pin "$pins/serve_summary_full.json" summary_full.json
+  pin "$pins/serve_metrics_full.json" metrics_full.json
   # Part 1, snapshot at quiescence, exit; restore in a fresh process and
   # stream part 2. Metrics and summary (with the outcome digest) match.
   "$bin" serve --retention 60 --input "$fix/serve_part1.jsonl" --snapshot-out serve_snap.json
