@@ -714,11 +714,13 @@ struct LevelCaps {
     max_options: usize,
 }
 
-/// Shrinks the plan-ahead MILP so a level-1 cycle provably (for
-/// [`CycleBudget::WorkUnits`]) or heuristically (wall clock) fits the
-/// budget. For a work-unit budget `b`: enumeration is capped at
+/// Shrinks the plan-ahead MILP so a level-1 cycle fits the budget: by
+/// construction for [`CycleBudget::WorkUnits`], heuristically for wall
+/// clock. For a work-unit budget `b`: enumeration is capped at
 /// `max_jobs · 2 spaces · plan_slots ≤ b/2` and solver nodes at `b/8`, so
-/// the total cycle cost stays ≤ 5b/8 with slack for rounding.
+/// the cycle costs at most 5b/8 — but only when `b ≥ 4 · plan_slots` (16
+/// units at the default window of 4). Below that the floors of one job and
+/// one node are more than those shares, and a cycle can overrun `b`.
 fn level1_caps(cfg: &SchedConfig) -> LevelCaps {
     let plan_slots = cfg.plan_slots.clamp(2, 4);
     match cfg.cycle_budget {
@@ -748,10 +750,11 @@ fn level1_caps(cfg: &SchedConfig) -> LevelCaps {
 /// Level-2 caps: the emergency rung runs a *minimal* plan-ahead MILP at
 /// solver tier 0 (greedy rounding, zero search nodes) instead of bypassing
 /// the MILP entirely — a principled backend rather than a special case.
-/// For a work-unit budget `b`: enumeration ≤ `max_jobs · 2 spaces ·
+/// For a work-unit budget `b ≥ 16`: enumeration ≤ `max_jobs · 2 spaces ·
 /// 2 slots ≤ b/4` and tier 0 expands no nodes (nodes ≤ `b/8` even if the
 /// tier is overridden upward), so the cycle cost stays well under budget
-/// and hysteresis can step the ladder back down.
+/// and hysteresis can step the ladder back down. Below 16 units the
+/// one-job floor alone values 4 options.
 fn level2_caps(cfg: &SchedConfig) -> LevelCaps {
     let plan_slots = 2;
     match cfg.cycle_budget {
@@ -2236,6 +2239,102 @@ mod tests {
         ];
         let m = engine(1, 2).run(&jobs, &mut s).unwrap();
         assert_eq!(m.slo_miss_pct(), 0.0);
+    }
+
+    /// The degraded-level caps, as the governor applies them.
+    fn caps(level: u8, cfg: &SchedConfig) -> LevelCaps {
+        match level {
+            1 => level1_caps(cfg),
+            _ => level2_caps(cfg),
+        }
+    }
+
+    /// The level-1/2 caps across budgets and windows, the rest of the
+    /// config at its defaults: (level, budget, plan_slots) → ([window,
+    /// max_jobs, solver_nodes], solver_time ms). The option cap is the
+    /// window. A work-unit cycle values at most `max_jobs · 2 · window`
+    /// options and expands at most `solver_nodes` nodes; that stays within
+    /// `b/2^level + b/8` only where `b ≥ 2^level · 2 · window`: below it the
+    /// one-job and one-node floors take over.
+    #[test]
+    fn level_caps_table() {
+        use CycleBudget::{Unlimited as U, WallClockMs as W, WorkUnits as B};
+        #[rustfmt::skip]
+        let rows: &[(u8, CycleBudget, usize, [usize; 3], u64)] = &[
+            (1, B(1), 2, [2, 1, 1], 2000),
+            (1, B(1), 4, [4, 1, 1], 2000),
+            (1, B(1), 8, [4, 1, 1], 2000),
+            (1, B(8), 2, [2, 1, 1], 2000),
+            (1, B(8), 4, [4, 1, 1], 2000),
+            (1, B(8), 8, [4, 1, 1], 2000),
+            (1, B(15), 2, [2, 1, 1], 2000),
+            (1, B(15), 4, [4, 1, 1], 2000),
+            (1, B(15), 8, [4, 1, 1], 2000),
+            (1, B(16), 2, [2, 2, 2], 2000),
+            (1, B(16), 4, [4, 1, 2], 2000),
+            (1, B(16), 8, [4, 1, 2], 2000),
+            (1, B(64), 2, [2, 8, 8], 2000),
+            (1, B(64), 4, [4, 4, 8], 2000),
+            (1, B(64), 8, [4, 4, 8], 2000),
+            (1, B(1000), 2, [2, 96, 125], 2000),
+            (1, B(1000), 4, [4, 62, 125], 2000),
+            (1, B(1000), 8, [4, 62, 125], 2000),
+            (1, W(50.0), 2, [2, 24, 37], 1000),
+            (1, W(50.0), 4, [4, 24, 37], 1000),
+            (1, W(50.0), 8, [4, 24, 37], 1000),
+            (1, U, 2, [2, 24, 37], 1000),
+            (1, U, 4, [4, 24, 37], 1000),
+            (1, U, 8, [4, 24, 37], 1000),
+            (2, B(1), 2, [2, 1, 1], 2000),
+            (2, B(1), 4, [2, 1, 1], 2000),
+            (2, B(1), 8, [2, 1, 1], 2000),
+            (2, B(8), 2, [2, 1, 1], 2000),
+            (2, B(8), 4, [2, 1, 1], 2000),
+            (2, B(8), 8, [2, 1, 1], 2000),
+            (2, B(15), 2, [2, 1, 1], 2000),
+            (2, B(15), 4, [2, 1, 1], 2000),
+            (2, B(15), 8, [2, 1, 1], 2000),
+            (2, B(16), 2, [2, 1, 2], 2000),
+            (2, B(16), 4, [2, 1, 2], 2000),
+            (2, B(16), 8, [2, 1, 2], 2000),
+            (2, B(64), 2, [2, 4, 8], 2000),
+            (2, B(64), 4, [2, 4, 8], 2000),
+            (2, B(64), 8, [2, 4, 8], 2000),
+            (2, B(1000), 2, [2, 62, 125], 2000),
+            (2, B(1000), 4, [2, 62, 125], 2000),
+            (2, B(1000), 8, [2, 62, 125], 2000),
+            (2, W(50.0), 2, [2, 12, 18], 500),
+            (2, W(50.0), 4, [2, 12, 18], 500),
+            (2, W(50.0), 8, [2, 12, 18], 500),
+            (2, U, 2, [2, 12, 18], 500),
+            (2, U, 4, [2, 12, 18], 500),
+            (2, U, 8, [2, 12, 18], 500),
+        ];
+        let mut broken = 0;
+        for &(level, budget, plan_slots, [window, max_jobs, nodes], ms) in rows {
+            let cfg = SchedConfig {
+                plan_slots,
+                cycle_budget: budget,
+                ..SchedConfig::default()
+            };
+            let c = caps(level, &cfg);
+            let at = format!("level {level}, {budget:?}, plan_slots {plan_slots}");
+            assert_eq!(c.plan_slots, window, "{at}");
+            assert_eq!(c.max_jobs, max_jobs, "{at}");
+            assert_eq!(c.solver_nodes, nodes, "{at}");
+            assert_eq!(c.solver_time, Duration::from_millis(ms), "{at}");
+            assert_eq!(c.max_options, window, "{at}");
+            if let B(b) = budget {
+                let cost = (max_jobs * 2 * window + nodes) as u64;
+                let within = cost <= (b >> level) + b / 8;
+                if b >= (2 * window as u64) << level {
+                    assert!(within, "{at}: cost {cost}");
+                } else {
+                    broken += usize::from(!within);
+                }
+            }
+        }
+        assert!(broken > 0, "the floors break the bound on small budgets");
     }
 
     #[test]
