@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::Serialize;
 use threesigma::driver::{run_with_source, Experiment, SchedulerKind};
-use threesigma::sched::threesigma::{EstimateSource, OverestimateMode};
+use threesigma::{EstimateSource, OverestimateMode};
 use threesigma_bench::{banner, e2e_config, run_system, sc256, write_json, Scale};
 use threesigma_histogram::DiscreteDist;
 use threesigma_workload::{generate, Environment, Trace};

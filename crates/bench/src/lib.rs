@@ -39,7 +39,7 @@ impl Scale {
 
     /// Trace length for the E2E workloads of an environment. Mustang jobs
     /// are huge gangs, so its traces must be longer to hold enough jobs.
-    pub fn trace_secs(&self, env: Environment) -> f64 {
+    pub(crate) fn trace_secs(&self, env: Environment) -> f64 {
         let hours = match (self, env) {
             (Scale::Quick, Environment::Google) => 2.0,
             (Scale::Quick, Environment::HedgeFund) => 1.5,
@@ -159,7 +159,7 @@ pub fn print_row(row: &MetricRow) {
 }
 
 /// Directory for machine-readable results (created on demand).
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     std::fs::create_dir_all(&dir).expect("create bench_results/");
     dir

@@ -51,8 +51,7 @@ USAGE:
                       [--racks N] [--nodes-per-rack N] [--cycle SECS]
                       [--retention SECS] [--max-retries N]
                       [--predictor-cap N] [--predictor-ttl N] [--cache-cap N]
-                      [--max-timings N] [--snapshot-out FILE] [--restore FILE]
-                      [--data-dir DIR] [--snapshot-every-jobs N]
+                      [--max-timings N] [--data-dir DIR] [--snapshot-every-jobs N]
                       [--snapshot-every-secs S] [--no-fsync]
                       [--max-queue N] [--tenant-quota N]
                       [--quarantine FILE] [--quarantine-sample N]
@@ -98,18 +97,16 @@ SERVE: long-running bounded-memory scheduling over a JSONL job stream.
   --predictor-ttl N   evict states untouched for N observations, 0 = never
   --cache-cap N       estimate-cache capacity, 0 = unbounded (default 4096)
   --max-timings N     per-cycle timing records kept, 0 = unbounded
-  --snapshot-out FILE write a quiescent engine+scheduler snapshot at EOF
-  --restore FILE      resume from a snapshot; the resumed run reproduces the
-                      uninterrupted run's digest and metrics byte-for-byte
 
 CRASH SAFETY (serve --data-dir): journaled, crash-only operation.
   Accepted jobs are appended to a CRC32-framed write-ahead journal (fsynced
   before they are acknowledged); quiescent idle gaps trigger automatic
   snapshots that truncate the journal. On startup the newest valid snapshot
   is loaded (torn tails tolerated) and the journal suffix is replayed, so a
-  killed process recovers digest-identically to a never-crashed run.
+  killed process recovers digest-identically to a never-crashed run. EOF
+  ends in a closing snapshot, so a clean restart on the same directory
+  resumes the stream with the uninterrupted run's digest.
   --data-dir DIR            journal + snapshots + quarantine live here
-                            (mutually exclusive with --restore)
   --snapshot-every-jobs N   snapshot after N journaled records (default 256,
                             0 = only at EOF); quiescent moments only
   --snapshot-every-secs S   also snapshot after S simulated seconds (0 = off)
@@ -248,7 +245,7 @@ fn metrics_line(kind: SchedulerKind, m: &threesigma_cluster::Metrics) -> String 
 }
 
 /// `generate` — emit a trace JSON.
-pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
+pub(crate) fn cmd_generate(args: &Args) -> Result<String, CliError> {
     let config = workload_config(args)?;
     let out = args.require("out")?;
     let trace = generate(&config);
@@ -262,7 +259,7 @@ pub fn cmd_generate(args: &Args) -> Result<String, CliError> {
 }
 
 /// `run` — one scheduler over one trace.
-pub fn cmd_run(args: &Args) -> Result<String, CliError> {
+pub(crate) fn cmd_run(args: &Args) -> Result<String, CliError> {
     let trace = load_or_generate(args)?;
     let kind = parse_scheduler(args.get_or("scheduler", "3sigma"))?;
     let exp = experiment(args)?;
@@ -276,7 +273,7 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
 }
 
 /// `compare` — the headline systems (plus ablations with `--ablations`).
-pub fn cmd_compare(args: &Args) -> Result<String, CliError> {
+pub(crate) fn cmd_compare(args: &Args) -> Result<String, CliError> {
     let trace = load_or_generate(args)?;
     let exp = experiment(args)?;
     let mut kinds = SchedulerKind::headline().to_vec();
@@ -299,7 +296,7 @@ pub fn cmd_compare(args: &Args) -> Result<String, CliError> {
 }
 
 /// `analyze` — Fig. 2-style trace statistics.
-pub fn cmd_analyze(args: &Args) -> Result<String, CliError> {
+pub(crate) fn cmd_analyze(args: &Args) -> Result<String, CliError> {
     let trace = match args.get("trace") {
         Some(path) => Trace::load(path).map_err(|e| CliError::Io(e.to_string()))?,
         None => {
@@ -368,7 +365,7 @@ pub fn cmd_analyze(args: &Args) -> Result<String, CliError> {
 /// state digest-identical to the straight-through run. `--crash-jobs`
 /// sizes the stream, `--kill-points` the number of injected crashes, and
 /// `--seed` reseeds both the stream and the kill offsets.
-pub fn cmd_simtest(args: &Args) -> Result<String, CliError> {
+pub(crate) fn cmd_simtest(args: &Args) -> Result<String, CliError> {
     if args.switch("crash") {
         let defaults = threesigma_simtest::CrashConfig::default();
         let cfg = threesigma_simtest::CrashConfig {
@@ -447,7 +444,7 @@ pub fn cmd_simtest(args: &Args) -> Result<String, CliError> {
 /// `--json FILE` additionally writes the byte-stable JSON dump (wall-clock
 /// timers excluded, so the same trace + seed reproduces the file
 /// byte-for-byte); `--trace-out FILE` writes the per-cycle JSON-lines trace.
-pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
+pub(crate) fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     let trace = load_or_generate(args)?;
     let kind = parse_scheduler(args.get_or("scheduler", "3sigma"))?;
     let exp = experiment(args)?;
@@ -569,8 +566,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "predictor-ttl",
             "cache-cap",
             "max-timings",
-            "snapshot-out",
-            "restore",
             "data-dir",
             "snapshot-every-jobs",
             "snapshot-every-secs",

@@ -21,7 +21,7 @@
 //! pipeline, so a `kill -9`'d process recovers to a state digest-identical
 //! to a never-crashed run — the CI `crash-smoke` check. The journal,
 //! snapshot and recovery protocol is [`Durable`], shared with the crash
-//! campaign; this module supplies the payload ([`FullSnapshot`]) and the
+//! campaign; this module supplies the payload (`FullSnapshot`) and the
 //! wire.
 //!
 //! # The input loop: one commit per `read()`
@@ -53,27 +53,28 @@
 //! connection. Abrupt client disconnects and mid-line EOF on `--listen`
 //! are handled gracefully: complete lines are processed (and journaled),
 //! the partial tail is discarded with a typed warning. A line longer than
-//! [`MAX_LINE_BYTES`] is rejected as `malformed` (`line too long`) as soon
+//! `MAX_LINE_BYTES` is rejected as `malformed` (`line too long`) as soon
 //! as the excess is seen, so no more than that is ever buffered; the
 //! stream resynchronises at the next newline.
 //!
-//! `--snapshot-out` writes a quiescent [`FullSnapshot`] (engine session +
-//! scheduler/predictor state + wire counters) in the same [`SnapshotFile`]
-//! envelope a data directory holds, watermark 0; `--restore` reads it with
-//! the same reader, so one version check covers both. A restored process
-//! that streams the remainder of an input reproduces the uninterrupted
-//! run's summary digest and stable metrics JSON byte for byte — that
-//! equivalence is this mode's correctness contract (and the CI
-//! `serve-smoke` check).
+//! With `--data-dir`, EOF ends in a closing `FullSnapshot` (engine
+//! session + scheduler/predictor state + wire counters) after the drain,
+//! in the data directory's [`SnapshotFile`](threesigma_cluster::SnapshotFile)
+//! envelope, and the next start
+//! recovers it. A restarted process that streams the remainder of an input
+//! reproduces the uninterrupted run's summary digest and, but for the
+//! `wal_*` lines a data directory adds, its stable metrics JSON byte for
+//! byte — that equivalence is this mode's correctness contract (and the
+//! CI `serve-smoke` check).
 
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde::{Deserialize, Map, Serialize, Value};
 use threesigma::{EstimateSource, SchedConfig, SchedSnapshot, ThreeSigmaScheduler};
 use threesigma_cluster::{
     Attributes, ClusterSpec, DataDir, Durable, JobKind, JobSpec, ServeConfig, ServeSession,
-    ServeSnapshot, SimError, SnapshotFile, WalError, WalRecord, SNAPSHOT_FORMAT_VERSION,
+    ServeSnapshot, SimError, WalError, WalRecord,
 };
 use threesigma_obs::{Counter, Recorder};
 use threesigma_predict::PredictorConfig;
@@ -84,7 +85,7 @@ use crate::args::{Args, CliError};
 /// Longest input line accepted, newline excluded. Anything longer is
 /// rejected as `malformed` and discarded up to the next newline, so a
 /// newline-free stream cannot grow the read buffer without bound.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Bytes of an over-long line kept as its quarantine sample.
 const LONG_LINE_SAMPLE_BYTES: usize = 256;
@@ -92,7 +93,7 @@ const LONG_LINE_SAMPLE_BYTES: usize = 256;
 /// Size of one `read()`, and so the most input one commit covers.
 const READ_CHUNK_BYTES: usize = 64 * 1024;
 
-/// Wire-layer stream statistics. Persisted inside [`FullSnapshot`] so the
+/// Wire-layer stream statistics. Persisted inside `FullSnapshot` so the
 /// byte-stable rejection counters survive restarts and crashes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct WireStats {
@@ -124,13 +125,14 @@ impl WireStats {
     }
 }
 
-/// The serve payload of a [`SnapshotFile`], in `--snapshot-out` files and
-/// data-directory snapshots alike: the engine-side session snapshot, the
-/// scheduler/predictor snapshot and the wire counters, composed at the CLI
-/// layer so every part restarts from the same quiescent instant. Its
-/// layout is versioned by the envelope's [`SNAPSHOT_FORMAT_VERSION`].
+/// The serve payload of a data directory's
+/// [`SnapshotFile`](threesigma_cluster::SnapshotFile): the
+/// engine-side session snapshot, the scheduler/predictor snapshot and the
+/// wire counters, composed at the CLI layer so every part restarts from
+/// the same quiescent instant. Its layout is versioned by the envelope's
+/// [`SNAPSHOT_FORMAT_VERSION`](threesigma_cluster::SNAPSHOT_FORMAT_VERSION).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FullSnapshot {
+pub(crate) struct FullSnapshot {
     /// Cluster/session state (`threesigma_cluster::serve`).
     pub engine: ServeSnapshot,
     /// Predictor sketches, expert scores, cache bookkeeping, totals.
@@ -784,31 +786,21 @@ fn serve_on(
     // Durable mode: recover the data directory (newest valid snapshot +
     // journal suffix), restore from the snapshot, and replay the suffix
     // through the same deterministic ingest pipeline the live loop uses.
-    let (recovery, restored, origin) = match (args.get("data-dir"), args.get("restore")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Failed(
-                "--data-dir and --restore are mutually exclusive; the data directory \
-                 carries its own snapshots"
-                    .into(),
-            ))
-        }
-        (Some(dir), None) => {
+    let (recovery, origin) = match args.get("data-dir") {
+        Some(dir) => {
             let recovery = Durable::recover(DataDir::open(dir)?, !args.switch("no-fsync"))?;
-            (Some(recovery), None, format!("data dir {dir}"))
+            (Some(recovery), format!("data dir {dir}"))
         }
-        (None, Some(path)) => {
-            let snap = SnapshotFile::read(Path::new(path))?;
-            (None, Some(snap.payload), format!("--restore {path}"))
-        }
-        (None, None) => (None, None, String::new()),
+        None => (None, String::new()),
     };
-    let payload = restored
+    let snapshot = recovery
         .as_ref()
-        .or_else(|| Some(&recovery.as_ref()?.recovered.snapshot.as_ref()?.payload));
-    let (mut session, wire) = match payload {
-        Some(payload) => {
+        .and_then(|r| r.recovered.snapshot.as_ref());
+    let (mut session, wire) = match snapshot {
+        Some(snapshot) => {
             let failed = |e: &dyn std::fmt::Display| CliError::Failed(format!("{origin}: {e}"));
-            let full: FullSnapshot = serde_json::from_value(payload).map_err(|e| failed(&e))?;
+            let full: FullSnapshot =
+                serde_json::from_value(&snapshot.payload).map_err(|e| failed(&e))?;
             sched.serve_restore(full.sched).map_err(|e| failed(&e))?;
             let session = ServeSession::restore(cluster, serve_cfg, &recorder, &full.engine)
                 .map_err(|e| failed(&e))?;
@@ -880,22 +872,8 @@ fn serve_on(
         stream.commit()?;
         stream.snapshot()?;
     }
-    let Stream {
-        session,
-        sched,
-        wire,
-        ..
-    } = stream;
+    let Stream { session, wire, .. } = stream;
 
-    if let Some(path) = args.get("snapshot-out") {
-        SnapshotFile {
-            format_version: SNAPSHOT_FORMAT_VERSION,
-            wal_seq: 0,
-            wal_truncated_bytes: 0,
-            payload: FullSnapshot::capture(&session, &sched, wire)?,
-        }
-        .write(Path::new(path))?;
-    }
     let summary = session.summary();
     if let Some(path) = args.get("summary-json") {
         let json = serde_json::to_string_pretty(&summary).map_err(io_err)?;
@@ -925,7 +903,8 @@ fn serve_on(
 mod tests {
     use super::*;
     use crate::commands::dispatch;
-    use threesigma_cluster::Wal;
+    use std::path::Path;
+    use threesigma_cluster::{SnapshotFile, Wal, SNAPSHOT_FORMAT_VERSION};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -989,13 +968,23 @@ mod tests {
         let _ = std::fs::remove_file(input);
     }
 
+    /// Drops the `wal_*` lines a data directory adds to the stable metrics
+    /// dump, and the commas they leave dangling.
+    fn without_wal_lines(metrics: &str) -> String {
+        metrics
+            .lines()
+            .filter(|l| !l.contains("\"wal_"))
+            .map(|l| l.trim_end_matches(','))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
     #[test]
     fn serve_snapshot_restore_reproduces_the_uninterrupted_run() {
         let files: Vec<_> = [
             "full_in",
             "p1_in",
             "p2_in",
-            "snap",
             "m_full",
             "m_resumed",
             "s_full",
@@ -1004,58 +993,65 @@ mod tests {
         .iter()
         .map(|n| tmp(&format!("equiv_{n}")))
         .collect();
-        let [full_in, p1_in, p2_in, snap, m_full, m_resumed, s_full, s_resumed] =
-            <[_; 8]>::try_from(files.clone()).unwrap();
+        let [full_in, p1_in, p2_in, m_full, m_resumed, s_full, s_resumed] =
+            <[_; 7]>::try_from(files.clone()).unwrap();
+        let dir = tmpdir("equiv_data");
         std::fs::write(&full_in, format!("{}{}", part1(), part2())).unwrap();
         std::fs::write(&p1_in, part1()).unwrap();
         std::fs::write(&p2_in, part2()).unwrap();
+        let path = |p: &std::path::PathBuf| p.to_str().unwrap().to_owned();
 
         // Uninterrupted run.
         serve(&[
             "--input",
-            full_in.to_str().unwrap(),
+            &path(&full_in),
             "--metrics-json",
-            m_full.to_str().unwrap(),
+            &path(&m_full),
             "--summary-json",
-            s_full.to_str().unwrap(),
+            &path(&s_full),
         ])
         .unwrap();
-        // Stream part 1, snapshot at the idle gap, "crash".
+        // Stream part 1 on a data directory; EOF drains and closes with a
+        // snapshot. A fresh process on the same directory streams part 2.
         serve(&[
             "--input",
-            p1_in.to_str().unwrap(),
-            "--snapshot-out",
-            snap.to_str().unwrap(),
+            &path(&p1_in),
+            "--data-dir",
+            &path(&dir),
+            "--no-fsync",
         ])
         .unwrap();
-        // Restore in a fresh process image and stream the remainder.
         serve(&[
             "--input",
-            p2_in.to_str().unwrap(),
-            "--restore",
-            snap.to_str().unwrap(),
+            &path(&p2_in),
+            "--data-dir",
+            &path(&dir),
+            "--no-fsync",
             "--metrics-json",
-            m_resumed.to_str().unwrap(),
+            &path(&m_resumed),
             "--summary-json",
-            s_resumed.to_str().unwrap(),
+            &path(&s_resumed),
         ])
         .unwrap();
 
-        let metrics_full = std::fs::read(&m_full).unwrap();
-        let metrics_resumed = std::fs::read(&m_resumed).unwrap();
+        let metrics_full = std::fs::read_to_string(&m_full).unwrap();
+        let metrics_resumed = std::fs::read_to_string(&m_resumed).unwrap();
+        assert!(metrics_resumed.contains("\"wal_"), "{metrics_resumed}");
         assert_eq!(
-            metrics_full, metrics_resumed,
-            "restored run must reproduce the uninterrupted metrics dump byte-for-byte"
+            without_wal_lines(&metrics_full),
+            without_wal_lines(&metrics_resumed),
+            "restarted run must reproduce the uninterrupted metrics dump but for wal_* lines"
         );
         let summary_full = std::fs::read(&s_full).unwrap();
         let summary_resumed = std::fs::read(&s_resumed).unwrap();
         assert_eq!(
             summary_full, summary_resumed,
-            "restored run must reproduce the uninterrupted summary (incl. digest)"
+            "restarted run must reproduce the uninterrupted summary (incl. digest)"
         );
         for p in &files {
             let _ = std::fs::remove_file(p);
         }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -1235,22 +1231,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir_crashed);
     }
 
-    /// The `--snapshot-out` envelope this build writes after part 1.
+    /// The closing snapshot this build writes to a data directory after
+    /// part 1.
     fn part1_envelope(tag: &str) -> SnapshotFile {
-        let (input, snap) = (tmp(&format!("{tag}_in")), tmp(&format!("{tag}_out")));
+        let (input, dir) = (tmp(&format!("{tag}_in")), tmpdir(&format!("{tag}_data")));
         std::fs::write(&input, part1()).unwrap();
-        let (input_arg, snap_arg) = (input.to_str().unwrap(), snap.to_str().unwrap());
-        serve(&["--input", input_arg, "--snapshot-out", snap_arg]).unwrap();
-        let envelope = serde_json::from_str(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+        let (input_arg, dir_arg) = (input.to_str().unwrap(), dir.to_str().unwrap());
+        serve(&["--input", input_arg, "--data-dir", dir_arg, "--no-fsync"]).unwrap();
+        let envelope = DataDir::open(&dir)
+            .unwrap()
+            .load_latest_snapshot()
+            .unwrap()
+            .unwrap();
         let _ = std::fs::remove_file(input);
-        let _ = std::fs::remove_file(snap);
+        let _ = std::fs::remove_dir_all(dir);
         envelope
     }
 
-    /// Starts serve with `flag path` and returns the version its typed
-    /// refusal reports (the refusal comes before any input is read).
-    fn refused_version(flag: &str, path: &Path) -> u32 {
-        match serve(&[flag, path.to_str().unwrap()]).unwrap_err() {
+    /// Starts serve on the data directory `dir` and returns the version
+    /// its typed refusal reports (the refusal comes before any input is
+    /// read).
+    fn refused_version(dir: &Path) -> u32 {
+        match serve(&["--data-dir", dir.to_str().unwrap()]).unwrap_err() {
             CliError::SnapshotVersion {
                 found,
                 supported: SNAPSHOT_FORMAT_VERSION,
@@ -1265,18 +1267,20 @@ mod tests {
         let mut envelope = part1_envelope("ver");
         assert_eq!(envelope.format_version, SNAPSHOT_FORMAT_VERSION);
         envelope.format_version = 99;
-        let snap = tmp("ver_snap");
-        std::fs::write(&snap, serde_json::to_string(&envelope).unwrap()).unwrap();
-        assert_eq!(refused_version("--restore", &snap), 99);
-        let _ = std::fs::remove_file(snap);
+        let dir = tmpdir("ver_dir");
+        DataDir::open(&dir)
+            .unwrap()
+            .write_snapshot(&envelope)
+            .unwrap();
+        assert_eq!(refused_version(&dir), 99);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn snapshot_layouts_of_older_builds_are_refused_with_a_typed_error() {
         // The two layouts older builds wrote, rebuilt around this build's
-        // payload: `--snapshot-out` wrote a bare version-2 `FullSnapshot`
-        // (its engine part versioned 2 as well), and a data directory held
-        // that inside a version-1 envelope.
+        // payload: a bare version-2 `FullSnapshot` (its engine part
+        // versioned 2 as well), and that inside a version-1 envelope.
         let payload = serde_json::to_string(&part1_envelope("old").payload).unwrap();
         let bare_v2 = payload.replacen(
             "{\"engine\":{",
@@ -1284,31 +1288,15 @@ mod tests {
             1,
         );
         assert_ne!(bare_v2, payload);
-        let snap = tmp("old_snap");
-        std::fs::write(&snap, &bare_v2).unwrap();
-        assert_eq!(refused_version("--restore", &snap), 2);
-        let dir = tmpdir("old_dir");
         let v1 = format!(
             "{{\"format_version\":1,\"wal_seq\":0,\"wal_truncated_bytes\":0,\"payload\":{bare_v2}}}"
         );
-        std::fs::write(dir.join("snapshot-00000000000000000000.json"), v1).unwrap();
-        assert_eq!(refused_version("--data-dir", &dir), 1);
-        let _ = std::fs::remove_file(snap);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn data_dir_and_restore_are_mutually_exclusive() {
-        let dir = tmpdir("excl");
-        let err = serve(&[
-            "--data-dir",
-            dir.to_str().unwrap(),
-            "--restore",
-            "/nonexistent.json",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-        let _ = std::fs::remove_dir_all(dir);
+        for (text, version) in [(bare_v2.clone(), 2), (v1, 1)] {
+            let dir = tmpdir(&format!("old_dir_{version}"));
+            std::fs::write(dir.join("snapshot-00000000000000000000.json"), text).unwrap();
+            assert_eq!(refused_version(&dir), version);
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -497,7 +497,7 @@ impl ServeSession {
     /// Jobs accepted but not yet terminal (queued arrivals + pending +
     /// running + retained records still mid-retry) — the depth the
     /// [`ServeConfig::max_queue`] admission bound applies to.
-    pub fn non_terminal(&self) -> usize {
+    pub(crate) fn non_terminal(&self) -> usize {
         let terminal =
             self.completed + self.cancellations_total + self.sim.retry_cancellations as u64;
         usize::try_from(self.submitted - terminal).unwrap_or(usize::MAX)
@@ -672,14 +672,9 @@ impl ServeSession {
         self.sim.jobs.len()
     }
 
-    /// Jobs retired into the aggregates.
-    pub fn retired_jobs(&self) -> u64 {
-        self.retired.jobs
-    }
-
     /// Live job outcomes in ingest order (terminal records awaiting
     /// retirement, plus pending/running jobs mid-stream).
-    pub fn live_outcomes(&self) -> impl Iterator<Item = &JobOutcome> {
+    pub(crate) fn live_outcomes(&self) -> impl Iterator<Item = &JobOutcome> {
         self.sim.jobs.iter().map(|rec| &rec.outcome)
     }
 
@@ -1123,7 +1118,7 @@ mod tests {
         assert_eq!(session.now(), 1000.0, "the stale finish was reached");
         let summary = session.summary();
         assert_eq!((summary.completed, summary.canceled), (1, 1));
-        assert!(session.retired_jobs() >= 1);
+        assert!(summary.retired >= 1);
     }
 
     /// Retirement bounds live per-job state without changing the stream
@@ -1147,7 +1142,9 @@ mod tests {
             assert!(session.drain(f64::INFINITY, &mut Fifo).unwrap());
             let gauge_live = rec.snapshot().gauge("serve_live_jobs").unwrap();
             assert_eq!(gauge_live as usize, session.live_jobs());
-            (session.summary(), peak_live, session.retired_jobs())
+            let summary = session.summary();
+            let retired = summary.retired;
+            (summary, peak_live, retired)
         };
 
         let (unbounded, unbounded_peak, unbounded_retired) = run(f64::INFINITY);

@@ -13,13 +13,13 @@
 //! monotonically increasing sequence number plus the [`WalRecord`] it
 //! carries (an accepted job, an injected fault, or a clock advance). The
 //! CRC covers the payload bytes only; `len` is bounded by
-//! [`MAX_FRAME_LEN`] so a corrupt length field cannot trigger a huge
+//! `MAX_FRAME_LEN` so a corrupt length field cannot trigger a huge
 //! allocation.
 //!
 //! # Group commit
 //!
 //! Appending and making durable are separate steps.
-//! [`Wal::append_unsynced`] assigns the sequence number and queues the
+//! `Wal::append_unsynced` assigns the sequence number and queues the
 //! frame in memory; [`Wal::sync`] is the barrier — one `write_all` of every
 //! queued frame and one `sync_data` — after which all of them may be
 //! acknowledged. [`Wal::append`] is exactly the two in sequence, one
@@ -43,7 +43,7 @@
 //! journal record folded into its payload. The writer first persists the
 //! snapshot (`snapshot-<seq>.json`, temp-file + rename, newest two
 //! generations kept), *then* truncates the journal past the watermark
-//! ([`Wal::truncate_through`], itself a temp-file + rename rewrite). A
+//! (`Wal::truncate_through`, itself a temp-file + rename rewrite). A
 //! crash between the two steps leaves already-covered records in the
 //! journal; recovery filters them out by sequence number, so nothing is
 //! replayed twice. `wal_truncated_bytes` is carried in the snapshot —
@@ -75,7 +75,7 @@ pub const WAL_MAGIC: [u8; 8] = *b"3SIGWAL1";
 
 /// Upper bound on one frame's payload length; a corrupt length field is
 /// detected instead of honoured.
-pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Format version of every [`SnapshotFile`]: it covers the envelope and the
 /// payload inside it, which carries no version of its own, and it is the
@@ -207,7 +207,7 @@ fn replace_file(path: &Path, bytes: &[u8], sync: bool) -> Result<(), WalError> {
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         let idx = (crc ^ u32::from(b)) & 0xff;
@@ -245,7 +245,7 @@ const fn build_crc32_table() -> [u32; 256] {
 /// # Errors
 ///
 /// [`WalError::Codec`] if the entry cannot be serialized or exceeds
-/// [`MAX_FRAME_LEN`].
+/// `MAX_FRAME_LEN`.
 pub fn encode_frame(entry: &WalEntry) -> Result<Vec<u8>, WalError> {
     let payload = serde_json::to_string(entry)
         .map_err(|e| WalError::Codec {
@@ -277,7 +277,7 @@ pub enum FrameDefect {
     TornHeader,
     /// The payload extends past the end of the file — a torn payload write.
     TornPayload,
-    /// The length field exceeds [`MAX_FRAME_LEN`] (or is zero) — corrupt.
+    /// The length field exceeds `MAX_FRAME_LEN` (or is zero) — corrupt.
     BadLength,
     /// The payload does not match its CRC — corrupt bytes.
     CrcMismatch,
@@ -472,23 +472,23 @@ impl Wal {
     /// Raises the next sequence number to at least `floor` (used after
     /// loading a snapshot whose watermark is past the journal's tail, so
     /// lifetime numbering continues across truncations).
-    pub fn ensure_next_seq(&mut self, floor: u64) {
+    pub(crate) fn ensure_next_seq(&mut self, floor: u64) {
         self.next_seq = self.next_seq.max(floor);
     }
 
     /// The sequence number the next append will use.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Lifetime records appended (sequence numbers are 1-based).
-    pub fn appended_records(&self) -> u64 {
+    pub(crate) fn appended_records(&self) -> u64 {
         self.next_seq - 1
     }
 
     /// Current journal length in bytes (header + live frames, including
     /// frames appended but not yet [`Wal::sync`]ed).
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.len
     }
 
@@ -499,7 +499,7 @@ impl Wal {
     /// # Errors
     ///
     /// [`WalError::Codec`]; the journal is unchanged.
-    pub fn append_unsynced(&mut self, record: WalRecord) -> Result<u64, WalError> {
+    pub(crate) fn append_unsynced(&mut self, record: WalRecord) -> Result<u64, WalError> {
         let seq = self.next_seq;
         let frame = encode_frame(&WalEntry { seq, record })?;
         self.pending.extend_from_slice(&frame);
@@ -534,7 +534,7 @@ impl Wal {
     }
 
     /// Appends one record and makes it durable: exactly
-    /// [`Wal::append_unsynced`] followed by [`Wal::sync`]. With `sync`
+    /// `Wal::append_unsynced` followed by [`Wal::sync`]. With `sync`
     /// enabled the record is durable when this returns — only then may
     /// the caller acknowledge it.
     ///
@@ -555,7 +555,7 @@ impl Wal {
     ///
     /// [`WalError::Io`] / [`WalError::Codec`]; on error the original
     /// journal is untouched (the rewrite is atomic).
-    pub fn truncate_through(&mut self, watermark: u64) -> Result<u64, WalError> {
+    pub(crate) fn truncate_through(&mut self, watermark: u64) -> Result<u64, WalError> {
         // The rewrite below starts from the file, so queued frames must be
         // in it first or they would be lost.
         self.sync()?;
@@ -875,7 +875,7 @@ impl Durable {
         &self.data
     }
 
-    /// Queues `record` for the journal ([`Wal::append_unsynced`]). It may
+    /// Queues `record` for the journal (`Wal::append_unsynced`). It may
     /// be acknowledged only after the next [`Durable::sync`].
     pub fn append(&mut self, record: WalRecord) -> Result<u64, WalError> {
         let seq = self.wal.append_unsynced(record)?;

@@ -17,9 +17,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use threesigma::sched::threesigma::{
-    CycleBudget, EstimateSource, SchedConfig, ThreeSigmaScheduler,
-};
+use threesigma::{CycleBudget, EstimateSource, SchedConfig, ThreeSigmaScheduler};
 use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobId, JobKind, JobSpec};
 use threesigma_histogram::DiscreteDist;
 use threesigma_predict::PredictorConfig;
@@ -151,7 +149,7 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 fn main() {
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/milp/tests/fixtures");
+    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../milp/tests/fixtures");
     std::fs::create_dir_all(&out_dir).expect("create fixture dir");
 
     let mut seen = std::collections::BTreeSet::new();

@@ -19,8 +19,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use threesigma::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
 use threesigma::{DiscreteDist, UtilityCurve};
+use threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
 use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobId, JobKind, JobSpec, Metrics};
 use threesigma_predict::PredictorConfig;
 

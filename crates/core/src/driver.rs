@@ -14,9 +14,10 @@ use threesigma_obs::Recorder;
 use threesigma_predict::PredictorConfig;
 use threesigma_workload::Trace;
 
+use crate::sched::estimate::EstimateSource;
 use crate::sched::prio::PrioScheduler;
 use crate::sched::threesigma::{
-    CycleTiming, EstimateSource, OverestimateMode, SchedConfig, SchedStats, ThreeSigmaScheduler,
+    CycleTiming, OverestimateMode, SchedConfig, SchedStats, ThreeSigmaScheduler,
 };
 
 /// The scheduling systems compared in the paper (Table 1 + §6.2 ablations).
@@ -335,17 +336,9 @@ pub fn run_with_source_observed(
         cycle_hint: exp.engine.cycle_interval,
         ..exp.sched.clone()
     };
-    let needs_history = matches!(
-        source,
-        EstimateSource::Predicted
-            | EstimateSource::PredictedPoint
-            | EstimateSource::PredictedPadded { .. }
-    );
     let mut sched = ThreeSigmaScheduler::new(sched_config, source, exp.predictor.clone())
         .with_recorder(recorder);
-    if needs_history {
-        sched.pretrain(&trace.pretrain);
-    }
+    sched.pretrain(&trace.pretrain);
     let engine =
         Engine::new(exp.cluster.clone(), exp.engine.clone()).with_recorder(recorder.clone());
     let metrics = engine.run_observed(&trace.jobs, &mut sched, observer)?;

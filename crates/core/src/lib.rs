@@ -49,13 +49,15 @@ pub use driver::{
     RunResult, SchedulerKind,
 };
 pub use sched::backfill::{BackfillScheduler, PointSource};
+pub use sched::estimate::EstimateSource;
 pub use sched::feasibility::{check_decision, FeasibilityViolation};
+pub use sched::governor::CycleBudget;
 pub use sched::groups::MaskGroups;
 pub use sched::options::{CacheStats, EstimateCache, RackMask};
 pub use sched::prio::PrioScheduler;
 pub use sched::threesigma::{
-    CycleBudget, CycleTiming, EstimateSource, OverestimateMode, PlanRecord, PlannedJob,
-    SchedConfig, SchedSnapshot, SchedStats, ThreeSigmaScheduler,
+    CycleTiming, OverestimateMode, PlanRecord, PlannedJob, SchedConfig, SchedSnapshot, SchedStats,
+    ThreeSigmaScheduler,
 };
 pub use threesigma_histogram::DiscreteDist;
 pub use utility::UtilityCurve;

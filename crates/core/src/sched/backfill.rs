@@ -140,7 +140,7 @@ impl Scheduler for BackfillScheduler {
 /// function so other schedulers can reuse it — 3σSched's degradation
 /// governor falls back to it at level 2, where a cycle must place jobs
 /// without paying for option enumeration or the MILP.
-pub fn backfill_plan(
+pub(crate) fn backfill_plan(
     view: &SimulationView<'_>,
     now: f64,
     mut estimate: impl FnMut(&JobSpec) -> f64,

@@ -43,21 +43,22 @@ use crate::sched::options::{contained_options, CompiledOption, JobOptions, RackM
 use crate::sched::threesigma::SchedConfig;
 use crate::DiscreteDist;
 
-/// Stage 1's output, as stage 2 reads it. The three per-job slices are
-/// parallel (one entry per considered job, urgency order).
-pub(crate) struct Generated<'a> {
+/// Stage 1's output: the jobs a busy cycle considers and their valued
+/// options. The three per-job vectors are parallel (one entry per
+/// considered job, urgency order).
+pub(crate) struct Generated<'v> {
     /// Jobs considered this cycle.
-    pub considered: &'a [&'a JobSpec],
+    pub considered: Vec<&'v JobSpec>,
     /// Home mask group of each considered job.
-    pub job_groups: &'a [usize],
+    pub job_groups: Vec<usize>,
     /// Valued options of each considered job.
-    pub job_options: &'a [JobOptions],
+    pub job_options: Vec<JobOptions>,
     /// Distinct (group, equivalence-set mask) pairs that get capacity rows.
-    pub space_masks: &'a [(usize, RackMask)],
+    pub space_masks: Vec<(usize, RackMask)>,
     /// Partition → mask-group layout.
-    pub groups: &'a MaskGroups,
+    pub groups: MaskGroups,
     /// Start-slot times; slot 0 is `now`, later slots are grid-aligned.
-    pub slots: &'a [f64],
+    pub slots: Vec<f64>,
 }
 
 /// A running attempt's column in the compiled model.
@@ -305,6 +306,11 @@ pub(crate) struct RunningTable {
 }
 
 impl RunningTable {
+    /// The last busy cycle's compiled model.
+    pub(crate) fn compiled(&self) -> &CompiledModel {
+        &self.out
+    }
+
     /// Hands a placed job's estimate (the one its plan was valued with) to
     /// the attempt the placement starts.
     pub(crate) fn place(&mut self, job: JobId, base: Arc<DiscreteDist>) {
@@ -331,9 +337,9 @@ impl RunningTable {
             slots,
             space_masks,
             ..
-        } = *gen;
+        } = gen;
         // Running jobs' conditional consumption, slot-major in `survivals`.
-        self.advance(cfg, view, now, estimate, Some(slots));
+        self.advance(cfg, view, now, estimate, Some(slots.as_slice()));
         let Self {
             survivals,
             out,
@@ -362,8 +368,8 @@ impl RunningTable {
         let jobs = gen
             .job_options
             .iter()
-            .zip(gen.considered)
-            .zip(gen.job_groups);
+            .zip(&gen.considered)
+            .zip(&gen.job_groups);
         for (job_idx, ((jo, spec), &group)) in jobs.enumerate() {
             let (group_start, group_len) = groups.group_range(group);
             vars.clear();
@@ -810,12 +816,12 @@ pub(crate) mod tests {
         };
         let groups = MaskGroups::new(2);
         let generated = Generated {
-            considered: &[],
-            job_groups: &[],
-            job_options: &[],
-            space_masks: &[(0, groups.group_mask(0)), (0, RackMask::single(1))],
-            groups: &groups,
-            slots: &[now, 60.0, 120.0, 180.0],
+            considered: Vec::new(),
+            job_groups: Vec::new(),
+            job_options: Vec::new(),
+            space_masks: vec![(0, groups.group_mask(0)), (0, RackMask::single(1))],
+            groups,
+            slots: vec![now, 60.0, 120.0, 180.0],
         };
         let cfg = SchedConfig::default();
         let compiled = table.compile(&cfg, &view, now, &generated, |_| estimate.clone());
@@ -1005,12 +1011,12 @@ pub(crate) mod tests {
                 .chain((1..plan_slots).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
                 .collect();
             let generated = Generated {
-                considered: &[],
-                job_groups: &[],
-                job_options: &[],
-                space_masks: &space_masks,
-                groups: &groups,
-                slots: &slots,
+                considered: Vec::new(),
+                job_groups: Vec::new(),
+                job_options: Vec::new(),
+                space_masks,
+                groups,
+                slots,
             };
             let cfg = SchedConfig {
                 preemption_cost,
@@ -1159,12 +1165,12 @@ pub(crate) mod tests {
                 .chain((1..plan_slots).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
                 .collect();
             let generated = Generated {
-                considered: &[],
-                job_groups: &[],
-                job_options: &[],
-                space_masks: &[(0, groups.group_mask(0)), (0, RackMask::single(1))],
-                groups: &groups,
-                slots: &slots,
+                considered: Vec::new(),
+                job_groups: Vec::new(),
+                job_options: Vec::new(),
+                space_masks: vec![(0, groups.group_mask(0)), (0, RackMask::single(1))],
+                groups,
+                slots,
             };
             let view = self.view(order, now);
             table
@@ -1392,18 +1398,18 @@ pub(crate) mod tests {
         let cfg = SchedConfig::default();
         let mut table = RunningTable::default();
         let mut spent = Vec::new();
+        let mut generated = Generated {
+            considered,
+            job_groups: vec![0, 0, 0],
+            job_options,
+            space_masks: space_masks.to_vec(),
+            groups,
+            slots: Vec::new(),
+        };
         for now in [600.0f64, 601.0, 602.0, 603.0] {
-            let slots: Vec<f64> = std::iter::once(now)
+            generated.slots = std::iter::once(now)
                 .chain((1..plan_slots).map(|k| ((now / 60.0).floor() + k as f64) * 60.0))
                 .collect();
-            let generated = Generated {
-                considered: &considered,
-                job_groups: &[0, 0, 0],
-                job_options: &job_options,
-                space_masks: &space_masks,
-                groups: &groups,
-                slots: &slots,
-            };
             let view = fleet.view(&order, now);
             spent.push(allocations_of(|| {
                 let compiled =
@@ -1482,7 +1488,7 @@ pub(crate) mod tests {
             free: &free,
             now: 10.0,
         };
-        let space_masks = [
+        let space_masks = vec![
             (0, groups.group_mask(0)),
             (1, groups.group_mask(1)),
             (0, RackMask::single(3)),
@@ -1490,12 +1496,12 @@ pub(crate) mod tests {
             (0, RackMask::single(1)),
         ];
         let generated = Generated {
-            considered: &[],
-            job_groups: &[],
-            job_options: &[],
-            space_masks: &space_masks,
-            groups: &groups,
-            slots: &[10.0, 60.0],
+            considered: Vec::new(),
+            job_groups: Vec::new(),
+            job_options: Vec::new(),
+            space_masks,
+            groups,
+            slots: vec![10.0, 60.0],
         };
         let prior = DiscreteDist::from_points(vec![(1e6, 1.0)]);
         let mut table = RunningTable::default();

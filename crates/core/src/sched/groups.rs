@@ -111,13 +111,6 @@ impl MaskGroups {
         p.index() - start
     }
 
-    /// Group-local mask bit → global partition.
-    pub fn to_global(&self, g: usize, local: usize) -> PartitionId {
-        let (start, len) = self.group_range(g);
-        debug_assert!(local < len, "local index {local} outside group {g}");
-        PartitionId(start + local)
-    }
-
     /// Full mask of group `g` (all racks in the group).
     pub fn group_mask(&self, g: usize) -> RackMask {
         RackMask::all(self.group_range(g).1)
@@ -150,7 +143,6 @@ mod tests {
                 for (p, local) in [(start, 0), (start + len - 1, len - 1)] {
                     assert_eq!(groups.group_of(PartitionId(p)), g, "n={n} p={p}");
                     assert_eq!(groups.to_local(g, PartitionId(p)), local);
-                    assert_eq!(groups.to_global(g, local), PartitionId(p));
                 }
                 covered += len;
             }
@@ -165,7 +157,6 @@ mod tests {
             assert_eq!(groups.group_range(0), (0, n));
             assert_eq!(groups.home_group(&be(7, 1), &ClusterSpec::uniform(n, 1)), 0);
             assert_eq!(groups.to_local(0, PartitionId(3)), 3);
-            assert_eq!(groups.to_global(0, 3), PartitionId(3));
         }
         let groups = MaskGroups::new(129);
         assert_eq!(groups.group_range(0), (0, 65));

@@ -94,7 +94,7 @@ impl RackMask {
     }
 
     /// True if every partition of `self` is also in `other`.
-    pub fn is_subset_of(self, other: RackMask) -> bool {
+    pub(crate) fn is_subset_of(self, other: RackMask) -> bool {
         self.0 & !other.0 == 0
     }
 

@@ -1,29 +1,34 @@
 //! 3σSched: the distribution-based MILP scheduler (§4.3).
 //!
-//! Every cycle the scheduler
+//! A busy cycle ([`Scheduler::schedule`]) is a pipeline of four stages,
+//! one function each, over typed hand-offs:
 //!
-//! 1. picks the most urgent pending jobs (bounded by `max_jobs_per_cycle`),
-//! 2. enumerates placement options per job — (equivalence set, start slot)
-//!    over a plan-ahead window — valuing each by expected utility (Eq. 1)
-//!    under the job's runtime distribution, with over-estimate handling
-//!    adjusting the utility curve (§4.2.2–4.2.3); distributions come from
-//!    the cross-cycle [`EstimateCache`] (pending jobs only, re-estimated
-//!    when the predictor learns; a placed job's estimate moves to its
-//!    running attempt) and valuation is
-//!    `options::generate`,
-//! 3. charges each option its expected resource consumption over time
-//!    (Eq. 3), conditioning running jobs' distributions on their elapsed
-//!    time (Eq. 2) with exponential-increment under-estimate handling
-//!    (§4.2.1),
-//! 4. compiles a MILP — binary indicators per option, demand rows, capacity
-//!    rows per (equivalence set, time slot) charging the options
-//!    `options::contained_options` picks for the set, preemption
-//!    indicators for running best-effort jobs — and solves it with a warm
-//!    start (the status quo is always feasible) under a node/time budget,
-//! 5. turns slot-zero selections into concrete per-rack gang allocations.
+//! 1. `generate` picks the most urgent pending jobs (bounded by
+//!    `max_jobs_per_cycle`), homes each to a mask group and values every
+//!    placement option — (equivalence set, start slot) over a plan-ahead
+//!    window — by expected utility (Eq. 1) under the job's runtime
+//!    distribution, with over-estimate handling adjusting the utility
+//!    curve (§4.2.2–4.2.3). Distributions come from the cross-cycle
+//!    [`EstimateCache`] (pending jobs only, re-estimated when the predictor
+//!    learns; a placed job's estimate moves to its running attempt), by
+//!    way of `super::estimate`. → `Generated`
+//! 2. `RunningTable::compile` (`super::compile`) charges each option its
+//!    expected resource consumption over time (Eq. 3), conditions running
+//!    jobs' distributions on their elapsed time (Eq. 2) with
+//!    exponential-increment under-estimate handling (§4.2.1), and builds the
+//!    MILP: binary indicators per option, demand rows, capacity rows per
+//!    (equivalence set, time slot) and preemption indicators for running
+//!    best-effort jobs. It owns the per-attempt state it keeps across
+//!    cycles. → `CompiledModel`
+//! 3. `solve` runs the MILP from a warm start (the status quo is always
+//!    feasible) under the level's node/time budget. → [`MipSolution`]
+//! 4. `extract` turns slot-zero selections into concrete per-rack gang
+//!    allocations and hands placed jobs' estimates to their attempts.
+//!    → [`SchedulingDecision`]
 //!
-//! Steps 3 and 4 are `super::compile`, which also owns the per-attempt
-//! state they keep across cycles.
+//! The degradation governor (`super::governor`) sets each cycle's caps
+//! before stage 1. A cycle with nothing pending skips all four and only
+//! advances the running side; both paths end in one `CycleTiming`.
 //!
 //! Capacity rows are kept per *equivalence set* (each distinct preferred
 //! rack set, plus the whole cluster) rather than per rack; the extraction
@@ -31,8 +36,6 @@
 //! pending if its gang cannot actually be packed (a rare Hall-condition
 //! corner; see DESIGN.md).
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use std::time::Duration;
 
 use super::clock::Stopwatch;
@@ -42,50 +45,17 @@ use serde::{Deserialize, Serialize};
 use threesigma_cluster::{
     JobId, JobSpec, PartitionId, Placement, Scheduler, SchedulingDecision, SimulationView,
 };
-use threesigma_milp::{solver_for_tier, SolverConfig};
+use threesigma_milp::{solver_for_tier, MipSolution, Model, SolverConfig};
 use threesigma_obs::{Counter, Gauge, Histogram, Recorder};
-use threesigma_predict::{AttributeSource, Choice, EstimatorKind, Predictor, PredictorConfig};
+use threesigma_predict::{EstimatorKind, Predictor, PredictorConfig};
 
-use crate::sched::compile::{CompiledModel, Generated, RunningTable};
+use crate::sched::compile::{Generated, RunningTable};
+use crate::sched::estimate::{estimate, unshared_estimate, Attrs, Discretised, EstimateSource};
+use crate::sched::governor::{CycleBudget, Governor, LevelCaps};
 use crate::sched::groups::MaskGroups;
 use crate::sched::options::{self, CacheStats, CompiledOption, EstimateCache, GenInput, RackMask};
 use crate::utility::UtilityCurve;
 use crate::DiscreteDist;
-
-/// Where runtime estimates come from (Table 1).
-#[derive(Clone)]
-pub enum EstimateSource {
-    /// Full distributions from 3σPredict (the 3Sigma system).
-    Predicted,
-    /// Point estimates from 3σPredict (PointRealEst / 3SigmaNoDist).
-    PredictedPoint,
-    /// Point estimates padded by `k` standard deviations of the predicted
-    /// distribution — the conservative "stochastic scheduler" heuristic the
-    /// paper discusses among the mis-estimate mitigations (§2.2).
-    PredictedPadded {
-        /// Standard deviations of padding added to the point estimate.
-        sigmas: f64,
-    },
-    /// Oracle: the job's true runtime as a point (PointPerfEst).
-    OraclePoint,
-    /// Externally injected distributions keyed by job id (the §6.3
-    /// perturbation study); falls back to the oracle point when missing.
-    Injected(Arc<HashMap<JobId, DiscreteDist>>),
-}
-
-impl std::fmt::Debug for EstimateSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EstimateSource::Predicted => write!(f, "Predicted"),
-            EstimateSource::PredictedPoint => write!(f, "PredictedPoint"),
-            EstimateSource::PredictedPadded { sigmas } => {
-                write!(f, "PredictedPadded({sigmas}σ)")
-            }
-            EstimateSource::OraclePoint => write!(f, "OraclePoint"),
-            EstimateSource::Injected(m) => write!(f, "Injected({} jobs)", m.len()),
-        }
-    }
-}
 
 /// Over-estimate handling policy (§4.2.2–4.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,29 +69,18 @@ pub enum OverestimateMode {
     Adaptive,
 }
 
-/// Per-cycle cost budget driving the degradation governor.
-///
-/// Production clusters overrun their scheduling-cycle budget under load;
-/// rather than let one slow MILP stall the cycle clock, the governor
-/// watches each cycle's cost against this budget and walks a degradation
-/// ladder (see [`SchedConfig::cycle_budget`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CycleBudget {
-    /// No budget: every cycle runs the full plan-ahead MILP and the
-    /// governor never engages (the default — keeps default-config runs
-    /// bit-identical to pre-governor behaviour).
-    Unlimited,
-    /// Wall-clock budget per cycle, in milliseconds (the production knob,
-    /// exposed as `--cycle-budget-ms`). Inherently nondeterministic:
-    /// level transitions follow real latency, so replay of a budgeted run
-    /// is not byte-stable.
-    WallClockMs(f64),
-    /// Deterministic work-unit budget: (space, slot) options valued by
-    /// Eq. 1 plus branch-and-bound nodes expanded, per cycle. A machine-
-    /// independent stand-in for wall-clock that the simtest harness uses
-    /// so byte-stable replay survives governor activity.
-    WorkUnits(u64),
-}
+/// §4.2.3 adaptive over-estimate handling: an SLO job gets the decaying
+/// utility tail when `P(runtime ≤ deadline − submit)` is below this.
+const OE_THRESHOLD: f64 = 0.15;
+
+/// §3.1 best-effort utility: it decays linearly to its floor over this many
+/// seconds after submission. A quarter of it is also a best-effort job's
+/// urgency horizon when pending jobs are ordered.
+const BE_HORIZON: f64 = 4.0 * 3600.0;
+
+/// §3.1 best-effort utility floor, as a fraction of the job's weight
+/// (> 0, so a best-effort job never starves).
+const BE_FLOOR: f64 = 0.02;
 
 /// 3σSched tuning knobs.
 #[derive(Debug, Clone)]
@@ -140,20 +99,10 @@ pub struct SchedConfig {
     pub solver_time: Duration,
     /// Over-estimate handling policy.
     pub oe_mode: OverestimateMode,
-    /// Adaptive threshold: enable the decay tail when
-    /// `P(runtime ≤ deadline − submit) <` this.
-    pub oe_threshold: f64,
-    /// Decay span: utility reaches zero at
-    /// `deadline + span_factor · (deadline − submit)`.
-    pub oe_span_factor: f64,
     /// Consider preempting running best-effort jobs.
     pub preemption_enabled: bool,
     /// Objective cost of preempting one BE job (in utility units).
     pub preemption_cost: f64,
-    /// Best-effort utility decays to its floor over this many seconds.
-    pub be_horizon: f64,
-    /// Best-effort utility floor fraction (> 0 prevents starvation).
-    pub be_floor: f64,
     /// Read by nothing: a prediction is one mass point per histogram bin,
     /// and an injected or analytic distribution is built with its own point
     /// count. The field stays only because the repo benchmark
@@ -177,12 +126,9 @@ pub struct SchedConfig {
     /// level 0 = full plan-ahead MILP (solver tier 2), level 1 = shrunken
     /// window plus aggressive §4.3.6 option pruning at solver tier 1
     /// (LP-relax + repair), level 2 = minimal window at solver tier 0
-    /// (greedy rounding, no branch-and-bound search).
+    /// (greedy rounding, no branch-and-bound search). It steps back down
+    /// after a few on-budget cycles in a row.
     pub cycle_budget: CycleBudget,
-    /// Consecutive on-budget cycles required before the governor steps the
-    /// ladder back *down* one level (hysteresis, so a load spike straddling
-    /// the budget doesn't flap between levels every cycle).
-    pub budget_hysteresis: u32,
     /// Pins the solver tier (0 = greedy rounding, 1 = LP-relax + repair,
     /// 2 = full branch-and-bound) instead of deriving it from the
     /// degradation ladder (`--solver-tier`). The governor still walks the
@@ -211,19 +157,14 @@ impl Default for SchedConfig {
             // of the cycle) when wall-clock matters more than replay.
             solver_time: Duration::from_secs(2),
             oe_mode: OverestimateMode::Adaptive,
-            oe_threshold: 0.15,
-            oe_span_factor: 1.0,
             preemption_enabled: true,
             preemption_cost: 1.5,
-            be_horizon: 4.0 * 3600.0,
-            be_floor: 0.02,
             mass_points: 40,
             cancel_hopeless: true,
             cycle_hint: 2.0,
             record_plans: false,
             record_models: false,
             cycle_budget: CycleBudget::Unlimited,
-            budget_hysteresis: 3,
             solver_tier: None,
             cache_capacity: None,
             max_timings: None,
@@ -277,7 +218,7 @@ pub struct PlanRecord {
 /// pending) builds no MILP: `compile` is the time it spent advancing the
 /// running-side table, and its other stage times, `milp_vars`, `milp_rows`,
 /// `nodes` and `cost_units` are zero.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CycleTiming {
     /// Pending jobs visible this cycle.
     pub pending: usize,
@@ -312,15 +253,6 @@ pub struct CycleTiming {
     /// nodes expanded) — what [`CycleBudget::WorkUnits`] is charged
     /// against.
     pub cost_units: u64,
-}
-
-/// Adapter exposing cluster attributes to the predictor.
-struct Attrs<'a>(&'a threesigma_cluster::Attributes);
-
-impl AttributeSource for Attrs<'_> {
-    fn get_attr(&self, key: &str) -> Option<&str> {
-        self.0.get(key)
-    }
 }
 
 /// Deterministic cumulative scheduler counters, kept as plain integers on
@@ -658,127 +590,6 @@ impl SchedMetrics {
     }
 }
 
-/// Hysteresis state of the degradation governor.
-#[derive(Debug, Clone, Copy, Default)]
-struct Governor {
-    /// Current ladder level (0 = full MILP, 1 = shrunken window at tier 1,
-    /// 2 = minimal window at tier 0).
-    level: u8,
-    /// Consecutive on-budget cycles since the last transition.
-    streak: u32,
-    /// Previous cycle's cost as (work units, wall clock); `None` before
-    /// the first cycle, so the first cycle is never judged.
-    last_cost: Option<(u64, Duration)>,
-}
-
-/// Judges the previous cycle against the budget and moves the ladder by at
-/// most one level. Called at the top of every cycle, *before* any work, so
-/// a cycle runs entirely at one level and transitions are visible in the
-/// cycle trace as ±1 steps.
-fn governor_step(cfg: &SchedConfig, gov: &mut Governor, totals: &mut SchedStats) -> u8 {
-    let over = match (cfg.cycle_budget, gov.last_cost) {
-        (CycleBudget::Unlimited, _) | (_, None) => None,
-        (CycleBudget::WallClockMs(ms), Some((_, wall))) => Some(wall.as_secs_f64() * 1e3 > ms),
-        (CycleBudget::WorkUnits(units), Some((cost, _))) => Some(cost > units),
-    };
-    match over {
-        None => {}
-        Some(true) => {
-            totals.budget_overruns += 1;
-            gov.streak = 0;
-            if gov.level < 2 {
-                gov.level += 1;
-                totals.governor_step_ups += 1;
-            }
-        }
-        Some(false) => {
-            gov.streak += 1;
-            if gov.level > 0 && gov.streak >= cfg.budget_hysteresis.max(1) {
-                gov.level -= 1;
-                totals.governor_step_downs += 1;
-                gov.streak = 0;
-            }
-        }
-    }
-    totals.degradation_level = gov.level as u64;
-    gov.level
-}
-
-/// The degraded-level caps on MILP work, derived from the configured budget.
-struct LevelCaps {
-    plan_slots: usize,
-    max_jobs: usize,
-    solver_nodes: usize,
-    solver_time: Duration,
-    /// Aggressive §4.3.6 prune: keep at most this many options per job.
-    max_options: usize,
-}
-
-/// Shrinks the plan-ahead MILP so a level-1 cycle fits the budget: by
-/// construction for [`CycleBudget::WorkUnits`], heuristically for wall
-/// clock. For a work-unit budget `b`: enumeration is capped at
-/// `max_jobs · 2 spaces · plan_slots ≤ b/2` and solver nodes at `b/8`, so
-/// the cycle costs at most 5b/8 — but only when `b ≥ 4 · plan_slots` (16
-/// units at the default window of 4). Below that the floors of one job and
-/// one node are more than those shares, and a cycle can overrun `b`.
-fn level1_caps(cfg: &SchedConfig) -> LevelCaps {
-    let plan_slots = cfg.plan_slots.clamp(2, 4);
-    match cfg.cycle_budget {
-        CycleBudget::WorkUnits(b) => {
-            let per_job = 2 * plan_slots as u64;
-            let max_jobs = ((b / 2) / per_job.max(1)).max(1) as usize;
-            LevelCaps {
-                plan_slots,
-                max_jobs: max_jobs.min(cfg.max_jobs_per_cycle),
-                solver_nodes: ((b / 8).max(1) as usize).min(cfg.solver_nodes),
-                solver_time: cfg.solver_time,
-                max_options: plan_slots,
-            }
-        }
-        // Wall-clock (or, defensively, unlimited) budgets have no exact
-        // unit conversion: quarter the work and halve the solver clock.
-        CycleBudget::WallClockMs(_) | CycleBudget::Unlimited => LevelCaps {
-            plan_slots,
-            max_jobs: (cfg.max_jobs_per_cycle / 4).max(1),
-            solver_nodes: (cfg.solver_nodes / 4).max(1),
-            solver_time: cfg.solver_time / 2,
-            max_options: plan_slots,
-        },
-    }
-}
-
-/// Level-2 caps: the emergency rung runs a *minimal* plan-ahead MILP at
-/// solver tier 0 (greedy rounding, zero search nodes) instead of bypassing
-/// the MILP entirely — a principled backend rather than a special case.
-/// For a work-unit budget `b ≥ 16`: enumeration ≤ `max_jobs · 2 spaces ·
-/// 2 slots ≤ b/4` and tier 0 expands no nodes (nodes ≤ `b/8` even if the
-/// tier is overridden upward), so the cycle cost stays well under budget
-/// and hysteresis can step the ladder back down. Below 16 units the
-/// one-job floor alone values 4 options.
-fn level2_caps(cfg: &SchedConfig) -> LevelCaps {
-    let plan_slots = 2;
-    match cfg.cycle_budget {
-        CycleBudget::WorkUnits(b) => {
-            let per_job = 2 * plan_slots as u64;
-            let max_jobs = ((b / 4) / per_job.max(1)).max(1) as usize;
-            LevelCaps {
-                plan_slots,
-                max_jobs: max_jobs.min(cfg.max_jobs_per_cycle),
-                solver_nodes: ((b / 8).max(1) as usize).min(cfg.solver_nodes),
-                solver_time: cfg.solver_time,
-                max_options: plan_slots,
-            }
-        }
-        CycleBudget::WallClockMs(_) | CycleBudget::Unlimited => LevelCaps {
-            plan_slots,
-            max_jobs: (cfg.max_jobs_per_cycle / 8).max(1),
-            solver_nodes: (cfg.solver_nodes / 8).max(1),
-            solver_time: cfg.solver_time / 4,
-            max_options: plan_slots,
-        },
-    }
-}
-
 /// The 3σSched scheduler (and, via its config, all Table 1 baselines
 /// except `Prio`).
 pub struct ThreeSigmaScheduler {
@@ -920,8 +731,12 @@ impl ThreeSigmaScheduler {
     }
 
     /// Feeds completed history jobs to the predictor (the §5 pre-training
-    /// step). No-op for oracle/injected sources that don't use history.
+    /// step). No-op for sources that do not read the predictor (oracle and
+    /// injected).
     pub fn pretrain(&mut self, history: &[JobSpec]) {
+        if !self.source.reads_predictor() {
+            return;
+        }
         for job in history {
             self.predictor
                 .observe(&Attrs(&job.attributes), job.duration);
@@ -945,327 +760,33 @@ impl ThreeSigmaScheduler {
         &self.models
     }
 
-    /// Closes a cycle: records its cost for the governor, flushes the
-    /// counters to the attached recorder and keeps its timing record.
-    fn finish_cycle(&mut self, timing: CycleTiming) {
-        self.discretised.prune();
-        self.governor.last_cost = Some((timing.cost_units, timing.total));
-        if let Some(obs) = &self.obs {
-            obs.flush(&self.stats(), &self.predictor, &self.cache, &timing);
-        }
-        self.timings.push(timing);
-        if let Some(cap) = self.config.max_timings {
-            if self.timings.len() > cap {
-                let excess = self.timings.len() - cap;
-                self.timings.drain(..excess);
-            }
-        }
-    }
-
-    /// The estimate distribution for a job, per the configured source
-    /// (uncached; the scheduling cycle goes through the [`EstimateCache`]).
-    #[cfg(test)]
-    fn estimate(&self, spec: &JobSpec) -> DiscreteDist {
-        unshared_estimate(&self.source, &self.predictor, spec)
-    }
-}
-
-/// Predicted distributions by predictor state version
-/// ([`Choice::version`]): a version names one unchanged history, so every
-/// pending job whose prediction picks it shares one distribution instead
-/// of building it from the same histogram again.
-#[derive(Default)]
-struct Discretised(BTreeMap<u64, Arc<DiscreteDist>>);
-
-impl Discretised {
-    /// The distribution of `choice`'s winning state.
-    fn get(&mut self, choice: &Choice<'_>) -> Arc<DiscreteDist> {
-        let d = self.0.entry(choice.version).or_insert_with(|| {
-            // A chosen state has history, so it has a distribution.
-            Arc::new(choice.distribution().unwrap_or_else(cold_start_dist))
-        });
-        Arc::clone(d)
-    }
-
-    /// Drops every distribution no estimate holds any more. Called once a
-    /// cycle: what a pending or running job holds stays (its version may
-    /// still be current), and the rest is at most one cycle's new entries.
-    fn prune(&mut self) {
-        self.0.retain(|_, d| Arc::strong_count(d) > 1);
-    }
-}
-
-/// Computes a job's estimate distribution from the configured source.
-///
-/// Free function (rather than a method) so the scheduling cycle can call it
-/// from inside [`EstimateCache::base`] closures while the cache itself is
-/// mutably borrowed.
-fn estimate_dist(
-    source: &EstimateSource,
-    predictor: &Predictor,
-    discretised: &mut Discretised,
-    spec: &JobSpec,
-) -> Arc<DiscreteDist> {
-    match source {
-        EstimateSource::OraclePoint => Arc::new(DiscreteDist::point(spec.duration)),
-        EstimateSource::Injected(map) => Arc::new(match map.get(&spec.id) {
-            Some(d) => d.clone(),
-            None => DiscreteDist::point(spec.duration),
-        }),
-        EstimateSource::Predicted
-        | EstimateSource::PredictedPoint
-        | EstimateSource::PredictedPadded { .. } => {
-            let choice = predictor.choose(&Attrs(&spec.attributes));
-            from_choice(source, choice.as_ref(), discretised)
-        }
-    }
-}
-
-/// [`estimate_dist`] outside the scheduling cycle's sharing (a running
-/// attempt seen without a hand-off, and tests).
-fn unshared_estimate(
-    source: &EstimateSource,
-    predictor: &Predictor,
-    spec: &JobSpec,
-) -> DiscreteDist {
-    let d = estimate_dist(source, predictor, &mut Discretised::default(), spec);
-    Arc::unwrap_or_clone(d)
-}
-
-/// The estimate a predicted source ([`EstimateSource::Predicted`],
-/// [`EstimateSource::PredictedPoint`] or
-/// [`EstimateSource::PredictedPadded`]) makes from the predictor's
-/// `choice` (`None`: no history yet).
-fn from_choice(
-    source: &EstimateSource,
-    choice: Option<&Choice<'_>>,
-    discretised: &mut Discretised,
-) -> Arc<DiscreteDist> {
-    match (source, choice) {
-        (EstimateSource::PredictedPadded { sigmas }, Some(c)) => {
-            // Pad around the predicted distribution's own mean: the base
-            // and the variance must come from the same estimator. (Padding
-            // the point expert's estimate with the distribution expert's σ
-            // mixed two estimators.)
-            let d = discretised.get(c);
-            Arc::new(DiscreteDist::point(d.mean() + sigmas * d.variance().sqrt()))
-        }
-        (EstimateSource::PredictedPadded { .. } | EstimateSource::PredictedPoint, None) => {
-            Arc::new(DiscreteDist::point(300.0))
-        }
-        (EstimateSource::PredictedPoint, Some(c)) => Arc::new(DiscreteDist::point(c.point)),
-        (_, Some(c)) => discretised.get(c),
-        (_, None) => Arc::new(cold_start_dist()),
-    }
-}
-
-/// With zero history anywhere (cold start), assume a broad prior.
-fn cold_start_dist() -> DiscreteDist {
-    DiscreteDist::log_normal(300f64.ln(), 1.0, 16)
-}
-
-/// The utility curve for a job, applying over-estimate handling.
-fn utility_curve(cfg: &SchedConfig, spec: &JobSpec, dist: &DiscreteDist) -> UtilityCurve {
-    match spec.kind.deadline() {
-        None => UtilityCurve::BeLinear {
-            weight: spec.utility_weight,
-            submit: spec.submit_time,
-            horizon: cfg.be_horizon,
-            floor: cfg.be_floor,
-        },
-        Some(deadline) => {
-            let decay = match cfg.oe_mode {
-                OverestimateMode::Off => false,
-                OverestimateMode::Always => true,
-                OverestimateMode::Adaptive => {
-                    // §4.2.3: time-to-deadline is a proxy upper bound on
-                    // the true runtime; if the distribution says the job
-                    // almost surely cannot fit that bound, the
-                    // distribution is likely skewed high.
-                    let bound = deadline - spec.submit_time;
-                    dist.cdf(bound) < cfg.oe_threshold
-                }
-            };
-            if decay {
-                // The decay must span the distribution's support, or a
-                // fully over-estimated job would still see zero utility
-                // everywhere (§4.2.2 wants non-zero utility even when
-                // all completion times exceed the deadline).
-                let span = (deadline - spec.submit_time)
-                    .max(dist.upper())
-                    .max(cfg.slot_width)
-                    * cfg.oe_span_factor;
-                UtilityCurve::SloDecay {
-                    weight: spec.utility_weight,
-                    deadline,
-                    zero_at: deadline + span,
-                }
-            } else {
-                UtilityCurve::SloStep {
-                    weight: spec.utility_weight,
-                    deadline,
-                }
-            }
-        }
-    }
-}
-
-/// Start-slot times: slot 0 is "now"; later slots snap to absolute
-/// `slot_width` boundaries so a deferred plan (e.g. "start when the running
-/// job's distribution is exhausted") stays stable across scheduling cycles
-/// instead of drifting with the cycle clock.
-fn slot_times(now: f64, width: f64, slots: usize) -> Vec<f64> {
-    let mut ts = Vec::with_capacity(slots);
-    ts.push(now);
-    let base = (now / width).floor();
-    for k in 1..slots {
-        ts.push((base + k as f64) * width);
-    }
-    ts
-}
-
-impl Scheduler for ThreeSigmaScheduler {
-    fn on_job_submitted(&mut self, spec: &JobSpec, _now: f64) {
-        // One choice serves both the estimate and the expert tracking below.
-        let predicted = match self.source {
-            EstimateSource::Predicted
-            | EstimateSource::PredictedPoint
-            | EstimateSource::PredictedPadded { .. } => true,
-            EstimateSource::OraclePoint | EstimateSource::Injected(_) => false,
-        };
-        let choice = predicted
-            .then(|| self.predictor.choose(&Attrs(&spec.attributes)))
-            .flatten();
-        let d = if predicted {
-            from_choice(&self.source, choice.as_ref(), &mut self.discretised)
-        } else {
-            estimate_dist(&self.source, &self.predictor, &mut self.discretised, spec)
-        };
-        // Seed the cache; the entry is lazily refreshed every time the
-        // history epoch moves while the job is still pending.
-        let _ = self.cache.base(spec.id, || d);
-        // Track which (feature, estimator) expert the predictor currently
-        // trusts; a change between consecutive predictions is an expert
-        // switch (estimator-competition churn, §4.1).
-        if let Some(c) = choice {
-            let expert = (c.feature, c.estimator);
-            if self.last_expert.is_some_and(|prev| prev != expert) {
-                self.totals.expert_switches += 1;
-            }
-            self.last_expert = Some(expert);
-        }
-    }
-
-    fn on_job_completed(
+    /// Stage 1: selects the most urgent pending jobs, homes each to a mask
+    /// group, refreshes their cached estimates, and values every (space,
+    /// slot) option by Eq. 1.
+    fn generate<'v>(
         &mut self,
-        spec: &JobSpec,
-        outcome: &threesigma_cluster::JobOutcome,
-        _now: f64,
-    ) {
-        if let Some(rt) = outcome.measured_runtime {
-            self.predictor.observe(&Attrs(&spec.attributes), rt);
-            // The predictor learned: pending jobs' estimates are stale.
-            self.cache.bump_epoch();
-        }
-    }
-
-    fn on_job_killed(&mut self, spec: &JobSpec, elapsed: f64, _will_retry: bool, _now: f64) {
-        // A killed run's elapsed time is a *censored* lower bound on the
-        // true runtime — it must never enter the per-feature histograms as
-        // a completion (that would bias every history short, since long
-        // jobs are exactly the ones most likely to be killed). No epoch
-        // bump either: the histories did not change.
-        self.predictor
-            .observe_censored(&Attrs(&spec.attributes), elapsed);
-    }
-
-    fn schedule(&mut self, view: &SimulationView<'_>, now: f64) -> SchedulingDecision {
-        let cycle_start = Stopwatch::start();
-        let cfg = self.config.clone();
-        // Judge the previous cycle against the budget and settle this
-        // cycle's ladder level before doing any work.
-        let level = governor_step(&cfg, &mut self.governor, &mut self.totals);
-        self.totals.cycles += 1;
-
-        // Each ladder rung maps to a solver tier (tier = 2 − level): level 1
-        // shrinks the plan-ahead window and caps MILP work to fit the
-        // budget; level 2 runs a minimal window through the tier-0 greedy
-        // backend. Level 0 runs the configured full plan at tier 2.
-        let caps = match level {
-            0 => None,
-            1 => Some(level1_caps(&cfg)),
-            _ => Some(level2_caps(&cfg)),
-        };
-        let plan_slots = caps.as_ref().map_or(cfg.plan_slots, |c| c.plan_slots);
-        let max_jobs = caps.as_ref().map_or(cfg.max_jobs_per_cycle, |c| c.max_jobs);
-        let solver_nodes = caps.as_ref().map_or(cfg.solver_nodes, |c| c.solver_nodes);
-        let solver_time = caps.as_ref().map_or(cfg.solver_time, |c| c.solver_time);
-        let max_options = caps.as_ref().map(|c| c.max_options);
-        let tier = cfg.solver_tier.unwrap_or(2 - level.min(2)).min(2);
-
-        // ---- Idle cycle: nothing pending. The MILP's only columns are
-        // preemption indicators of negative cost and every capacity row
-        // admits the all-zero plan, so the status quo is its unique optimum
-        // (DESIGN.md "Idle cycles"). Only the running side advances. ----
-        let idle = view.pending.is_empty() && cfg.preemption_cost > 0.0;
-        #[cfg(test)]
-        let idle = idle && !self.full_idle_cycles;
-        if idle {
-            let compile_start = Stopwatch::start();
-            let estimate = |spec: &JobSpec| unshared_estimate(&self.source, &self.predictor, spec);
-            self.running.advance(&cfg, view, now, estimate, None);
-            let compile = compile_start.elapsed();
-            self.totals.count_tier(tier);
-            if cfg.record_plans {
-                self.plans.push(PlanRecord {
-                    now,
-                    ..PlanRecord::default()
-                });
-            }
-            self.finish_cycle(CycleTiming {
-                pending: 0,
-                considered: 0,
-                milp_vars: 0,
-                milp_rows: 0,
-                total: cycle_start.elapsed(),
-                generate: Duration::ZERO,
-                compile,
-                solver: Duration::ZERO,
-                extract: Duration::ZERO,
-                nodes: 0,
-                level,
-                solver_tier: tier,
-                cost_units: 0,
-            });
-            return SchedulingDecision::noop();
-        }
-
-        let slots = slot_times(now, cfg.slot_width, plan_slots);
-        let mut decision = SchedulingDecision::noop();
+        view: &SimulationView<'v>,
+        now: f64,
+        caps: &LevelCaps,
+    ) -> Generated<'v> {
         let Self {
-            cache,
-            discretised,
+            config: cfg,
             source,
             predictor,
-            running,
-            plans,
-            models,
+            cache,
+            discretised,
             totals,
             ..
         } = self;
-
-        // ---- Stage 1: generate. Select the most urgent pending jobs,
-        // refresh cached estimates, and value every (space, slot) option. ----
         let mut order: Vec<usize> = (0..view.pending.len()).collect();
         let urgency = |spec: &JobSpec| match spec.kind.deadline() {
             Some(d) => d,
-            None => spec.submit_time + 0.25 * cfg.be_horizon,
+            None => spec.submit_time + 0.25 * BE_HORIZON,
         };
         // `total_cmp` keeps the sort well-defined even for a NaN deadline
-        // (NaN orders last); the previous `partial_cmp().expect(...)` killed
-        // the whole engine on one malformed job.
+        // (NaN orders last), so one malformed job cannot stop the engine.
         order.sort_by(|&a, &b| urgency(view.pending[a]).total_cmp(&urgency(view.pending[b])));
-        order.truncate(max_jobs);
+        order.truncate(caps.max_jobs);
         let considered: Vec<&JobSpec> = order.iter().map(|&i| view.pending[i]).collect();
 
         // Partition → mask-group layout. Clusters that fit one RackMask get
@@ -1286,10 +807,8 @@ impl Scheduler for ThreeSigmaScheduler {
         for spec in &considered {
             let g = groups.home_group(spec, view.cluster);
             let gmask = groups.group_mask(g);
-            let base = cache.base(spec.id, || {
-                estimate_dist(source, predictor, discretised, spec)
-            });
-            let curve = utility_curve(&cfg, spec, &base);
+            let base = cache.base(spec.id, || estimate(source, predictor, discretised, spec).0);
+            let curve = utility_curve(cfg, spec, &base);
             // Equivalence sets for this job: preferred racks (unscaled
             // runtime) and the job's whole home group (slowed runtime), or
             // just the home group for indifferent jobs. On a single-group
@@ -1339,74 +858,49 @@ impl Scheduler for ThreeSigmaScheduler {
             gen_inputs.push(GenInput { spaces, curve });
             job_groups.push(g);
         }
-        let job_options = options::generate(&gen_inputs, &slots, max_options);
+        let slots = slot_times(now, cfg.slot_width, caps.plan_slots);
+        let job_options = options::generate(&gen_inputs, &slots, caps.max_options);
         for jo in &job_options {
             totals.options_enumerated += jo.enumerated as u64;
             totals.options_pruned += jo.pruned as u64;
         }
-        let generate_elapsed = cycle_start.elapsed();
-
-        // ---- Stage 2: compile the MILP. ----
-        let compile_start = Stopwatch::start();
-        let generated = Generated {
-            considered: &considered,
-            job_groups: &job_groups,
-            job_options: &job_options,
-            space_masks: &space_masks,
-            groups: &groups,
-            slots: &slots,
-        };
-        let CompiledModel {
-            model,
-            compiled,
-            hopeless,
-            pruned,
-            running: running_jobs,
-        } = running.compile(&cfg, view, now, &generated, |spec| {
-            unshared_estimate(source, predictor, spec)
-        });
-        totals.options_pruned += pruned;
-        decision.cancellations.clone_from(hopeless);
-        let compile_elapsed = compile_start.elapsed();
-        if cfg.record_models {
-            models.push(model.to_text());
+        Generated {
+            considered,
+            job_groups,
+            job_options,
+            space_masks,
+            groups,
+            slots,
         }
+    }
 
-        // ---- Stage 3: solve (status-quo warm start is always feasible).
-        // The backend is picked by tier (tier = 2 − level unless pinned by
-        // `solver_tier`). ----
-        let milp_config = SolverConfig {
-            node_limit: solver_nodes,
-            time_limit: Some(solver_time),
-            gap_tolerance: 1e-4,
-            ..SolverConfig::default()
+    /// Stage 4: reads the chosen plan back into the cycle's decision.
+    /// Preemptions go first (their nodes are free now), then slot-zero
+    /// choices are packed fullest-first, best utility first; a gang that
+    /// does not pack stays pending. Cancelled jobs leave the estimate
+    /// cache, and a placed job's estimate moves to the attempt it starts.
+    fn extract(
+        &mut self,
+        view: &SimulationView<'_>,
+        now: f64,
+        generated: &Generated<'_>,
+        solution: &MipSolution,
+    ) -> SchedulingDecision {
+        let Generated {
+            considered,
+            groups,
+            slots,
+            ..
+        } = generated;
+        let cm = self.running.compiled();
+        let mut decision = SchedulingDecision {
+            cancellations: cm.hopeless.clone(),
+            ..SchedulingDecision::noop()
         };
-        let warm = vec![0.0; model.num_vars()];
-        let solve_start = Stopwatch::start();
-        let solution = solver_for_tier(tier, milp_config).solve_with_warm_start(model, Some(&warm));
-        let solver_elapsed = solve_start.elapsed();
-
-        let milp_vars = model.num_vars();
-        let milp_rows = model.num_constraints();
-        let nodes = solution.nodes;
-        totals.count_tier(tier);
-        totals.presolve_reductions += solution.presolve.total() as u64;
-        totals.milp_nodes += solution.nodes as u64;
-        totals.milp_pivots += solution.lp_iterations as u64;
-        totals.milp_incumbent_updates += solution.incumbent_updates as u64;
-        totals.solver_timeouts += u64::from(solution.timed_out);
-        // Exactly one incumbent event means the warm-start seed was never
-        // improved on: the accepted plan is the status quo.
-        totals.warm_start_reuses +=
-            u64::from(solution.has_solution() && solution.incumbent_updates == 1);
-
-        // ---- Stage 4: extract placements and update cache state. ----
-        let extract_start = Stopwatch::start();
         if solution.has_solution() {
             let x = &solution.values;
-            // Preemptions first (their capacity becomes available now).
             let mut freed: Vec<u32> = vec![0; view.cluster.num_partitions()];
-            for (ri, r) in running_jobs.iter().zip(&view.running) {
+            for (ri, r) in cm.running.iter().zip(&view.running) {
                 if let Some(pv) = ri.preempt_var {
                     if x[pv.index()] > 0.5 {
                         decision.preemptions.push(ri.id);
@@ -1418,15 +912,15 @@ impl Scheduler for ThreeSigmaScheduler {
                     }
                 }
             }
-            // Immediate (slot 0) placements, best utility first.
             let mut free: Vec<u32> = view.free.iter().zip(&freed).map(|(f, e)| f + e).collect();
-            let mut chosen: Vec<&CompiledOption> = compiled
+            let mut chosen: Vec<&CompiledOption> = cm
+                .compiled
                 .iter()
                 .filter(|o| o.slot == 0 && x[o.var.index()] > 0.5)
                 .collect();
             chosen.sort_by(|a, b| {
-                let ua = model.objective_coeff(a.var);
-                let ub = model.objective_coeff(b.var);
+                let ua = cm.model.objective_coeff(a.var);
+                let ub = cm.model.objective_coeff(b.var);
                 ub.total_cmp(&ua)
             });
             for opt in chosen {
@@ -1445,7 +939,7 @@ impl Scheduler for ThreeSigmaScheduler {
                 } // else: Hall corner — job stays pending this cycle.
             }
 
-            if cfg.record_plans {
+            if self.config.record_plans {
                 let mut record = PlanRecord {
                     now,
                     preempted: decision.preemptions.clone(),
@@ -1455,7 +949,7 @@ impl Scheduler for ThreeSigmaScheduler {
                 };
                 let placed: std::collections::HashSet<JobId> =
                     decision.placements.iter().map(|p| p.job).collect();
-                for opt in compiled {
+                for opt in &cm.compiled {
                     if x[opt.var.index()] <= 0.5 {
                         continue;
                     }
@@ -1464,7 +958,7 @@ impl Scheduler for ThreeSigmaScheduler {
                         job: spec.id,
                         slot: opt.slot,
                         start: slots[opt.slot],
-                        expected_utility: model.objective_coeff(opt.var),
+                        expected_utility: cm.model.objective_coeff(opt.var),
                         preferred_space: opt.mask != groups.group_mask(opt.group),
                     };
                     if opt.slot > 0 {
@@ -1475,46 +969,249 @@ impl Scheduler for ThreeSigmaScheduler {
                         record.unpackable.push(planned);
                     }
                 }
-                plans.push(record);
+                self.plans.push(record);
             }
         }
-        // Cache bookkeeping: cancelled jobs are terminal, and a placed job's
-        // estimate moves to the attempt it starts. (A preempted job's left
-        // with its placement; back in pending, it is re-estimated from
-        // fresh history.)
+        // A preempted job's estimate left with its placement; back in
+        // pending, it is re-estimated from fresh history.
         for id in &decision.cancellations {
-            cache.invalidate(*id);
+            self.cache.invalidate(*id);
         }
         for p in &decision.placements {
-            if let Some(base) = cache.take(p.job) {
-                running.place(p.job, base);
+            if let Some(base) = self.cache.take(p.job) {
+                self.running.place(p.job, base);
             }
         }
-        let extract_elapsed = extract_start.elapsed();
-        totals.options_placed += decision.placements.len() as u64;
+        self.totals.options_placed += decision.placements.len() as u64;
+        decision
+    }
 
-        // Deterministic cycle cost: every (space, slot) pair valued by
-        // Eq. 1 plus every branch-and-bound node expanded.
-        let cost_units = job_options
-            .iter()
-            .map(|jo| jo.enumerated as u64)
-            .sum::<u64>()
-            + nodes as u64;
-        let timing = CycleTiming {
+    /// Closes a cycle: records its cost for the governor, flushes the
+    /// counters to the attached recorder and keeps its timing record.
+    fn finish_cycle(&mut self, timing: CycleTiming) {
+        self.discretised.prune();
+        self.governor.last_cost = Some((timing.cost_units, timing.total));
+        if let Some(obs) = &self.obs {
+            obs.flush(&self.stats(), &self.predictor, &self.cache, &timing);
+        }
+        self.timings.push(timing);
+        if let Some(cap) = self.config.max_timings {
+            if self.timings.len() > cap {
+                let excess = self.timings.len() - cap;
+                self.timings.drain(..excess);
+            }
+        }
+    }
+
+    /// The estimate distribution for a job, per the configured source
+    /// (uncached; the scheduling cycle goes through the [`EstimateCache`]).
+    #[cfg(test)]
+    fn estimate(&self, spec: &JobSpec) -> DiscreteDist {
+        unshared_estimate(&self.source, &self.predictor, spec)
+    }
+}
+
+/// Stage 3: solves the cycle's MILP from the status quo (every indicator
+/// zero, always feasible) with the `tier` backend under the level's node
+/// and time budgets, and counts its work.
+fn solve(model: &Model, caps: &LevelCaps, tier: u8, totals: &mut SchedStats) -> MipSolution {
+    let config = SolverConfig {
+        node_limit: caps.solver_nodes,
+        time_limit: Some(caps.solver_time),
+        gap_tolerance: 1e-4,
+        ..SolverConfig::default()
+    };
+    let warm = vec![0.0; model.num_vars()];
+    let solution = solver_for_tier(tier, config).solve_with_warm_start(model, Some(&warm));
+    totals.presolve_reductions += solution.presolve.total() as u64;
+    totals.milp_nodes += solution.nodes as u64;
+    totals.milp_pivots += solution.lp_iterations as u64;
+    totals.milp_incumbent_updates += solution.incumbent_updates as u64;
+    totals.solver_timeouts += u64::from(solution.timed_out);
+    // Exactly one incumbent event means the warm-start seed was never
+    // improved on: the accepted plan is the status quo.
+    totals.warm_start_reuses +=
+        u64::from(solution.has_solution() && solution.incumbent_updates == 1);
+    solution
+}
+
+/// The utility curve for a job, applying over-estimate handling.
+fn utility_curve(cfg: &SchedConfig, spec: &JobSpec, dist: &DiscreteDist) -> UtilityCurve {
+    match spec.kind.deadline() {
+        None => UtilityCurve::BeLinear {
+            weight: spec.utility_weight,
+            submit: spec.submit_time,
+            horizon: BE_HORIZON,
+            floor: BE_FLOOR,
+        },
+        Some(deadline) => {
+            let decay = match cfg.oe_mode {
+                OverestimateMode::Off => false,
+                OverestimateMode::Always => true,
+                OverestimateMode::Adaptive => {
+                    // §4.2.3: time-to-deadline is a proxy upper bound on
+                    // the true runtime; if the distribution says the job
+                    // almost surely cannot fit that bound, the
+                    // distribution is likely skewed high.
+                    let bound = deadline - spec.submit_time;
+                    dist.cdf(bound) < OE_THRESHOLD
+                }
+            };
+            if decay {
+                // §4.2.2: utility decays to zero one time-to-deadline past
+                // the deadline. The decay must span the distribution's
+                // support, or a fully over-estimated job would still see
+                // zero utility everywhere (§4.2.2 wants non-zero utility
+                // even when all completion times exceed the deadline).
+                let span = (deadline - spec.submit_time)
+                    .max(dist.upper())
+                    .max(cfg.slot_width);
+                UtilityCurve::SloDecay {
+                    weight: spec.utility_weight,
+                    deadline,
+                    zero_at: deadline + span,
+                }
+            } else {
+                UtilityCurve::SloStep {
+                    weight: spec.utility_weight,
+                    deadline,
+                }
+            }
+        }
+    }
+}
+
+/// Start-slot times: slot 0 is "now"; later slots snap to absolute
+/// `slot_width` boundaries so a deferred plan (e.g. "start when the running
+/// job's distribution is exhausted") stays stable across scheduling cycles
+/// instead of drifting with the cycle clock.
+fn slot_times(now: f64, width: f64, slots: usize) -> Vec<f64> {
+    let mut ts = Vec::with_capacity(slots);
+    ts.push(now);
+    let base = (now / width).floor();
+    for k in 1..slots {
+        ts.push((base + k as f64) * width);
+    }
+    ts
+}
+
+impl Scheduler for ThreeSigmaScheduler {
+    fn on_job_submitted(&mut self, spec: &JobSpec, _now: f64) {
+        let (d, expert) = estimate(&self.source, &self.predictor, &mut self.discretised, spec);
+        // Seed the cache; the entry is lazily refreshed every time the
+        // history epoch moves while the job is still pending.
+        let _ = self.cache.base(spec.id, || d);
+        // Track which (feature, estimator) expert the predictor currently
+        // trusts; a change between consecutive predictions is an expert
+        // switch (estimator-competition churn, §4.1).
+        if let Some(expert) = expert {
+            if self.last_expert.is_some_and(|prev| prev != expert) {
+                self.totals.expert_switches += 1;
+            }
+            self.last_expert = Some(expert);
+        }
+    }
+
+    fn on_job_completed(
+        &mut self,
+        spec: &JobSpec,
+        outcome: &threesigma_cluster::JobOutcome,
+        _now: f64,
+    ) {
+        if let Some(rt) = outcome.measured_runtime {
+            self.predictor.observe(&Attrs(&spec.attributes), rt);
+            // The predictor learned: pending jobs' estimates are stale.
+            self.cache.bump_epoch();
+        }
+    }
+
+    fn on_job_killed(&mut self, spec: &JobSpec, elapsed: f64, _will_retry: bool, _now: f64) {
+        // A killed run's elapsed time is a *censored* lower bound on the
+        // true runtime — it must never enter the per-feature histograms as
+        // a completion (that would bias every history short, since long
+        // jobs are exactly the ones most likely to be killed). No epoch
+        // bump either: the histories did not change.
+        self.predictor
+            .observe_censored(&Attrs(&spec.attributes), elapsed);
+    }
+
+    fn schedule(&mut self, view: &SimulationView<'_>, now: f64) -> SchedulingDecision {
+        let cycle_start = Stopwatch::start();
+        // Judge the previous cycle against the budget and settle this
+        // cycle's ladder level before doing any work. Each rung maps to a
+        // solver tier (tier = 2 − level unless pinned by `solver_tier`).
+        let level = self
+            .governor
+            .step(self.config.cycle_budget, &mut self.totals);
+        self.totals.cycles += 1;
+        let caps = LevelCaps::new(level, &self.config);
+        let tier = self.config.solver_tier.unwrap_or(2 - level.min(2)).min(2);
+        let mut timing = CycleTiming {
             pending: view.pending.len(),
-            considered: considered.len(),
-            milp_vars,
-            milp_rows,
-            total: cycle_start.elapsed(),
-            generate: generate_elapsed,
-            compile: compile_elapsed,
-            solver: solver_elapsed,
-            extract: extract_elapsed,
-            nodes,
             level,
             solver_tier: tier,
-            cost_units,
+            ..CycleTiming::default()
         };
+
+        // Idle cycle: nothing pending. The MILP's only columns are
+        // preemption indicators of negative cost and every capacity row
+        // admits the all-zero plan, so the status quo is its unique optimum
+        // (DESIGN.md "Idle cycles"). Only the running side advances.
+        let idle = view.pending.is_empty() && self.config.preemption_cost > 0.0;
+        #[cfg(test)]
+        let idle = idle && !self.full_idle_cycles;
+        let decision = if idle {
+            let compile_start = Stopwatch::start();
+            let estimate = |spec: &JobSpec| unshared_estimate(&self.source, &self.predictor, spec);
+            self.running
+                .advance(&self.config, view, now, estimate, None);
+            timing.compile = compile_start.elapsed();
+            if self.config.record_plans {
+                self.plans.push(PlanRecord {
+                    now,
+                    ..PlanRecord::default()
+                });
+            }
+            SchedulingDecision::noop()
+        } else {
+            let generated = self.generate(view, now, &caps);
+            timing.generate = cycle_start.elapsed();
+
+            let compile_start = Stopwatch::start();
+            let estimate = |spec: &JobSpec| unshared_estimate(&self.source, &self.predictor, spec);
+            let cm = self
+                .running
+                .compile(&self.config, view, now, &generated, estimate);
+            self.totals.options_pruned += cm.pruned;
+            timing.compile = compile_start.elapsed();
+            if self.config.record_models {
+                self.models.push(cm.model.to_text());
+            }
+
+            let solve_start = Stopwatch::start();
+            let solution = solve(&cm.model, &caps, tier, &mut self.totals);
+            timing.solver = solve_start.elapsed();
+            timing.milp_vars = cm.model.num_vars();
+            timing.milp_rows = cm.model.num_constraints();
+
+            let extract_start = Stopwatch::start();
+            let decision = self.extract(view, now, &generated, &solution);
+            timing.extract = extract_start.elapsed();
+
+            // Deterministic cycle cost: every (space, slot) pair valued by
+            // Eq. 1 plus every branch-and-bound node expanded.
+            let enumerated: u64 = generated
+                .job_options
+                .iter()
+                .map(|jo| jo.enumerated as u64)
+                .sum();
+            timing.considered = generated.considered.len();
+            timing.nodes = solution.nodes;
+            timing.cost_units = enumerated + solution.nodes as u64;
+            decision
+        };
+        self.totals.count_tier(tier);
+        timing.total = cycle_start.elapsed();
         self.finish_cycle(timing);
         decision
     }
@@ -1554,6 +1251,8 @@ fn pack_gang(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
     use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobKind, Metrics};
 
     fn scheduler(source: EstimateSource) -> ThreeSigmaScheduler {
@@ -1984,11 +1683,11 @@ mod tests {
         s.pretrain(&bimodal_history());
         let probe = pat_probe();
         let mut shared = Discretised::default();
-        let first = estimate_dist(&s.source, &s.predictor, &mut shared, &probe);
+        let first = estimate(&s.source, &s.predictor, &mut shared, &probe).0;
         assert_eq!(*first, s.estimate(&probe), "shared ≡ a fresh build");
         let mut again = None;
         let spent = crate::sched::compile::tests::allocations_of(|| {
-            again = Some(estimate_dist(&s.source, &s.predictor, &mut shared, &probe));
+            again = Some(estimate(&s.source, &s.predictor, &mut shared, &probe).0);
         });
         let again = again.unwrap();
         assert!(
@@ -2003,17 +1702,17 @@ mod tests {
         assert_eq!(spent, choosing, "a repeated version builds nothing");
 
         s.predictor.observe(&Attrs(&probe.attributes), 400.0);
-        let newer = estimate_dist(&s.source, &s.predictor, &mut shared, &probe);
+        let newer = estimate(&s.source, &s.predictor, &mut shared, &probe).0;
         assert!(
             !Arc::ptr_eq(&first, &newer),
             "a new observation is a new version"
         );
         assert_eq!(*newer, s.estimate(&probe));
         shared.prune();
-        assert_eq!(shared.0.len(), 2, "both versions are still held");
+        assert_eq!(shared.len(), 2, "both versions are still held");
         drop((first, again));
         shared.prune();
-        assert_eq!(shared.0.len(), 1, "the released version is pruned");
+        assert_eq!(shared.len(), 1, "the released version is pruned");
 
         // Through the scheduler: two pending jobs with one history share
         // the cached distribution.
@@ -2241,12 +1940,26 @@ mod tests {
         assert_eq!(m.slo_miss_pct(), 0.0);
     }
 
-    /// The degraded-level caps, as the governor applies them.
-    fn caps(level: u8, cfg: &SchedConfig) -> LevelCaps {
-        match level {
-            1 => level1_caps(cfg),
-            _ => level2_caps(cfg),
-        }
+    #[test]
+    fn pretraining_reads_history_only_for_sources_that_read_the_predictor() {
+        let cluster = ClusterSpec::uniform(1, 4);
+        let view = SimulationView {
+            cluster: &cluster,
+            pending: Vec::new(),
+            running: Vec::new(),
+            free: &[4],
+            now: 0.0,
+        };
+        let observed = |source| {
+            let recorder = Recorder::enabled();
+            let mut s = scheduler(source).with_recorder(&recorder);
+            s.pretrain(&bimodal_history());
+            // One idle cycle flushes the counters.
+            s.schedule(&view, 0.0);
+            recorder.snapshot().counter("predict_observations_total")
+        };
+        assert_eq!(observed(EstimateSource::OraclePoint), Some(0));
+        assert_ne!(observed(EstimateSource::Predicted), Some(0));
     }
 
     /// The level-1/2 caps across budgets and windows, the rest of the
@@ -2317,13 +2030,13 @@ mod tests {
                 cycle_budget: budget,
                 ..SchedConfig::default()
             };
-            let c = caps(level, &cfg);
+            let c = LevelCaps::new(level, &cfg);
             let at = format!("level {level}, {budget:?}, plan_slots {plan_slots}");
             assert_eq!(c.plan_slots, window, "{at}");
             assert_eq!(c.max_jobs, max_jobs, "{at}");
             assert_eq!(c.solver_nodes, nodes, "{at}");
             assert_eq!(c.solver_time, Duration::from_millis(ms), "{at}");
-            assert_eq!(c.max_options, window, "{at}");
+            assert_eq!(c.max_options, Some(window), "{at}");
             if let B(b) = budget {
                 let cost = (max_jobs * 2 * window + nodes) as u64;
                 let within = cost <= (b >> level) + b / 8;

@@ -141,7 +141,7 @@ proptest! {
         n_jobs in 2usize..8,
     ) {
         use threesigma_cluster::{ClusterSpec, Engine, EngineConfig, JobKind, JobSpec, JobState};
-        use threesigma::sched::threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
+        use threesigma::{EstimateSource, SchedConfig, ThreeSigmaScheduler};
         use threesigma_predict::PredictorConfig;
 
         let seed = seeds[0];

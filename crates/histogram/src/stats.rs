@@ -46,7 +46,7 @@ impl StreamingMoments {
     }
 
     /// Population standard deviation, or `None` if empty.
-    pub fn std_dev(&self) -> Option<f64> {
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
 

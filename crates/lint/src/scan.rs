@@ -240,7 +240,7 @@ fn walk_items(items: &[Item], in_test: bool, impl_ctx: Option<&str>, out: &mut P
 /// top-level comma-separated segment contributes the ident directly before
 /// its first top-level `:`. Tuple-struct segments (no top-level `:`) yield
 /// nothing.
-pub fn named_fields(toks: &[Tok]) -> Vec<(String, usize)> {
+pub(crate) fn named_fields(toks: &[Tok]) -> Vec<(String, usize)> {
     let mut fields = Vec::new();
     let mut group_depth = 0i32;
     let mut angle_depth = 0i32;

@@ -17,6 +17,11 @@ use crate::model::{Model, VarKind};
 use crate::presolve::{Presolve, PresolveStats};
 use crate::simplex::{LpOutcome, LpWorkspace, SharedBasis};
 
+/// Distance from an integer at which a binary is considered integral. The
+/// paper hands 3σSched's MILP (§4.3.4) to an off-the-shelf solver; this is
+/// that solver's integer-feasibility tolerance, fixed rather than tuned.
+const INTEGRALITY_TOL: f64 = 1e-6;
+
 /// Terminal status of a MIP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MipStatus {
@@ -73,8 +78,6 @@ pub struct SolverConfig {
     pub node_limit: usize,
     /// Relative optimality gap at which the incumbent is declared optimal.
     pub gap_tolerance: f64,
-    /// Distance from an integer at which a binary is considered integral.
-    pub integrality_tol: f64,
     /// Run the round-and-repair heuristic every this many nodes (at nodes
     /// 1, 1 + n, 1 + 2n, …); `0` never runs it periodically.
     pub heuristic_every: usize,
@@ -86,7 +89,6 @@ impl Default for SolverConfig {
             time_limit: None,
             node_limit: 50_000,
             gap_tolerance: 1e-6,
-            integrality_tol: 1e-6,
             heuristic_every: 64,
         }
     }
@@ -212,7 +214,6 @@ impl BranchAndBound {
             .map(|(i, _)| i)
             .collect();
         let groups = GroupIndex::new(model);
-        let tol = self.config.integrality_tol;
         // Every LP of the search — warm-start repair, root, nodes, the
         // periodic heuristic — runs on this one workspace.
         let mut ws = LpWorkspace::new(model);
@@ -345,7 +346,7 @@ impl BranchAndBound {
                 }
             }
 
-            let frac = most_fractional(&binaries, &lp.values, tol);
+            let frac = most_fractional(&binaries, &lp.values);
             match frac {
                 None => {
                     // Integral: candidate incumbent.
@@ -379,7 +380,7 @@ impl BranchAndBound {
                     // several fractional members; variable dichotomy
                     // otherwise.
                     let children =
-                        self.branch_children(model, &groups, &lp.values, branch_var, tol, &node);
+                        self.branch_children(model, &groups, &lp.values, branch_var, &node);
                     for changes in children {
                         let child = Node {
                             bound: lp.objective,
@@ -515,7 +516,6 @@ impl BranchAndBound {
         groups: &GroupIndex,
         lp_values: &[f64],
         branch_var: usize,
-        tol: f64,
         parent: &Node,
     ) -> Vec<NodeChanges> {
         // Prefer SOS1 branching: split the group containing the branch
@@ -527,7 +527,7 @@ impl BranchAndBound {
                 .copied()
                 .filter(|&j| {
                     let v = lp_values[j];
-                    v > tol && v < 1.0 - tol
+                    v > INTEGRALITY_TOL && v < 1.0 - INTEGRALITY_TOL
                 })
                 .collect();
             if fractional.len() >= 2 {
@@ -564,7 +564,7 @@ fn snap(values: &[f64]) -> Vec<f64> {
     values
         .iter()
         .map(|v| {
-            if (*v - v.round()).abs() <= 1e-6 {
+            if (*v - v.round()).abs() <= INTEGRALITY_TOL {
                 v.round()
             } else {
                 *v
@@ -598,11 +598,11 @@ fn distance_to_nearest_integer(v: f64) -> f64 {
     }
 }
 
-fn most_fractional(binaries: &[usize], values: &[f64], tol: f64) -> Option<usize> {
+fn most_fractional(binaries: &[usize], values: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for &j in binaries {
         let dist = distance_to_nearest_integer(values[j]);
-        if dist > tol && best.is_none_or(|(_, d)| dist > d) {
+        if dist > INTEGRALITY_TOL && best.is_none_or(|(_, d)| dist > d) {
             best = Some((j, dist));
         }
     }

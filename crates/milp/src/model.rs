@@ -148,11 +148,6 @@ impl Model {
         VarId(self.vars.len() - 1)
     }
 
-    /// Attaches a debug name to a variable (shows up in [`Model`] display).
-    pub fn set_name(&mut self, var: VarId, name: impl Into<String>) {
-        self.vars[var.0].name = Some(name.into());
-    }
-
     /// Adds the linear row `Σ coeff·var  cmp  rhs`. Duplicate variable
     /// entries are summed. Zero coefficients are dropped. Returns the row
     /// index.
@@ -460,7 +455,7 @@ mod tests {
     fn display_is_readable() {
         let mut m = Model::new();
         let a = m.add_binary(1.0);
-        m.set_name(a, "I_slo_0");
+        m.vars[a.0].name = Some("I_slo_0".into());
         m.add_constraint(&[(a, 1.0)], Cmp::Le, 1.0);
         let s = format!("{m}");
         assert!(s.contains("I_slo_0"));

@@ -44,9 +44,9 @@ use std::cell::RefCell;
 use crate::model::{Cmp, Model};
 
 /// Feasibility tolerance on bounds and rows.
-pub const FEAS_TOL: f64 = 1e-7;
+pub(crate) const FEAS_TOL: f64 = 1e-7;
 /// Reduced-cost optimality tolerance.
-pub const OPT_TOL: f64 = 1e-7;
+pub(crate) const OPT_TOL: f64 = 1e-7;
 /// Smallest acceptable pivot magnitude.
 const PIVOT_TOL: f64 = 1e-9;
 /// Pivots between basis-inverse refactorisations.

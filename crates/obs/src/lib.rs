@@ -30,7 +30,7 @@ use std::time::Duration;
 /// Bucket upper bounds (seconds) used by [`Recorder::timer`]: 1µs to 10s,
 /// decade-spaced — wide enough for a full MILP solve, fine enough for the
 /// per-stage breakdown.
-pub const LATENCY_BUCKETS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
+pub(crate) const LATENCY_BUCKETS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
 
 /// Metric kind, mirroring the Prometheus `# TYPE` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +301,7 @@ impl Recorder {
         )
     }
 
-    /// Registers a wall-clock latency histogram ([`LATENCY_BUCKETS`],
+    /// Registers a wall-clock latency histogram (`LATENCY_BUCKETS`,
     /// seconds). Timers are excluded from the byte-stable JSON dump
     /// because their values depend on the machine, not the seed.
     pub fn timer(&self, name: &str, help: &'static str) -> Histogram {

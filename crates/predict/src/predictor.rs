@@ -325,12 +325,6 @@ impl Predictor {
         self.censored += 1;
     }
 
-    /// Censored (killed/failed) runs recorded so far. These are *not*
-    /// included in [`quick_stats`](Self::quick_stats)' `observations`.
-    pub fn censored_observations(&self) -> u64 {
-        self.censored
-    }
-
     /// Predicts the runtime distribution for a job with the given
     /// attributes. `None` when no matching feature value has any history.
     pub fn predict(&self, attrs: &impl AttributeSource) -> Option<Prediction> {
@@ -915,7 +909,6 @@ mod tests {
         p.observe_censored(&attrs("ana", "etl"), f64::NAN); // ignored
         p.observe_censored(&attrs("ana", "etl"), -3.0); // ignored
 
-        assert_eq!(p.censored_observations(), 1);
         assert_eq!(p.quick_stats().censored, 1);
         // Histories, predictions, and expert scores are bit-identical:
         // the truncated runtime was not folded in as a completion.
@@ -1032,7 +1025,7 @@ mod tests {
         p.observe_censored(&attrs("a", "b"), 3.0);
         let mut fresh = Predictor::new(PredictorConfig::default());
         fresh.restore(p.snapshot()).unwrap();
-        assert_eq!(fresh.censored_observations(), 1);
+        assert_eq!(fresh.quick_stats().censored, 1);
     }
 
     /// Feature, estimator, history, version, point bits, mass-point bits.

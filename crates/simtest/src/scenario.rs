@@ -43,7 +43,7 @@ pub enum Profile {
 }
 
 /// All profiles, in the order seeds cycle through them.
-pub const PROFILES: [Profile; 7] = [
+pub(crate) const PROFILES: [Profile; 7] = [
     Profile::Bursty,
     Profile::HeavyTail,
     Profile::Adversarial,

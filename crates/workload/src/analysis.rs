@@ -67,7 +67,8 @@ pub struct ErrorHistogram {
 }
 
 /// Bucket centres used by [`error_histogram`].
-pub const ERROR_BUCKET_CENTERS: [f64; 8] = [-100.0, -75.0, -50.0, -25.0, 0.0, 25.0, 50.0, 75.0];
+pub(crate) const ERROR_BUCKET_CENTERS: [f64; 8] =
+    [-100.0, -75.0, -50.0, -25.0, 0.0, 25.0, 50.0, 75.0];
 
 /// Builds the Fig. 2(d) histogram from percent errors.
 pub fn error_histogram(errors: &[f64]) -> ErrorHistogram {

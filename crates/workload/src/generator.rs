@@ -124,7 +124,7 @@ impl Trace {
     }
 
     /// Parses a trace from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+    pub(crate) fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
 

@@ -7,7 +7,7 @@
 #   tools/check.sh solver-fixture     # solver oracles in release, 512-case properties
 #   tools/check.sh release-tests      # the release-only oracles (~6 min on 2 cores)
 #   tools/check.sh simtest [SEED]     # seed corpus, fresh seeds, metrics replay
-#   tools/check.sh serve-smoke        # snapshot/restore and restart ≡ the straight run
+#   tools/check.sh serve-smoke        # a clean restart on a data dir ≡ the straight run
 #   tools/check.sh crash-smoke [SEED] # kill -9 at a seeded line, recovery ≡ the straight run
 #   tools/check.sh bench-smoke        # benchmark/run.sh --quick and its unit tests
 #
@@ -131,13 +131,6 @@ serve-smoke)
     --metrics-json metrics_full.json --summary-json summary_full.json
   pin "$pins/serve_summary_full.json" summary_full.json
   pin "$pins/serve_metrics_full.json" metrics_full.json
-  # Part 1, snapshot at quiescence, exit; restore in a fresh process and
-  # stream part 2. Metrics and summary (with the outcome digest) match.
-  "$bin" serve --retention 60 --input "$fix/serve_part1.jsonl" --snapshot-out serve_snap.json
-  "$bin" serve --retention 60 --restore serve_snap.json --input "$fix/serve_part2.jsonl" \
-    --metrics-json metrics_resumed.json --summary-json summary_resumed.json
-  cmp metrics_full.json metrics_resumed.json
-  cmp summary_full.json summary_resumed.json
   # A supervisor's restart: part 1 on a data directory, clean exit at EOF,
   # part 2 in a fresh process on it. The summary matches; the metrics do
   # once the wal_* lines (a data directory adds them) and their commas go.
