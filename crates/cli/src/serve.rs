@@ -59,13 +59,13 @@
 //!
 //! With `--data-dir`, EOF ends in a closing `FullSnapshot` (engine
 //! session + scheduler/predictor state + wire counters) after the drain,
-//! in the data directory's [`SnapshotFile`](threesigma_cluster::SnapshotFile)
-//! envelope, and the next start
-//! recovers it. A restarted process that streams the remainder of an input
-//! reproduces the uninterrupted run's summary digest and, but for the
-//! `wal_*` lines a data directory adds, its stable metrics JSON byte for
-//! byte — that equivalence is this mode's correctness contract (and the
-//! CI `serve-smoke` check).
+//! in the data directory's
+//! [`SnapshotFile`](threesigma_cluster::SnapshotFile) envelope, and the
+//! next start recovers it. A restarted process that streams the remainder
+//! of an input reproduces the uninterrupted run's summary digest and, but
+//! for the `wal_*` lines a data directory adds, its stable metrics JSON
+//! byte for byte — that equivalence is this mode's correctness contract
+//! (and the CI `serve-smoke` check).
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -126,10 +126,10 @@ impl WireStats {
 }
 
 /// The serve payload of a data directory's
-/// [`SnapshotFile`](threesigma_cluster::SnapshotFile): the
-/// engine-side session snapshot, the scheduler/predictor snapshot and the
-/// wire counters, composed at the CLI layer so every part restarts from
-/// the same quiescent instant. Its layout is versioned by the envelope's
+/// [`SnapshotFile`](threesigma_cluster::SnapshotFile): the engine-side
+/// session snapshot, the scheduler/predictor snapshot and the wire
+/// counters, composed at the CLI layer so every part restarts from the
+/// same quiescent instant. Its layout is versioned by the envelope's
 /// [`SNAPSHOT_FORMAT_VERSION`](threesigma_cluster::SNAPSHOT_FORMAT_VERSION).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct FullSnapshot {
