@@ -1231,6 +1231,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir_crashed);
     }
 
+    /// Part 1's closing snapshot is pinned byte for byte
+    /// (`tests/pins/serve_part1_snapshot.json`, which serve-smoke holds
+    /// too), and a data directory holding only the pinned file, fed part
+    /// 2, ends with the straight run's pinned summary: neither the payload
+    /// written nor the payload read may move.
+    #[test]
+    fn part1_snapshot_matches_its_pin_and_restores_to_the_straight_run() {
+        let pins = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/pins");
+        let pinned = std::fs::read(pins.join("serve_part1_snapshot.json")).unwrap();
+        let name = "snapshot-00000000000000000007.json";
+        let (p1, p2, summary) = (tmp("pin_p1"), tmp("pin_p2"), tmp("pin_summary"));
+        std::fs::write(&p1, part1()).unwrap();
+        std::fs::write(&p2, part2()).unwrap();
+        let run = |input: &Path, dir: &Path| {
+            let argv = [
+                "serve",
+                "--retention",
+                "60",
+                "--no-fsync",
+                "--input",
+                input.to_str().unwrap(),
+                "--data-dir",
+                dir.to_str().unwrap(),
+                "--summary-json",
+                summary.to_str().unwrap(),
+            ];
+            dispatch(&Args::parse(argv.map(String::from).to_vec()).unwrap()).unwrap();
+        };
+        let written = tmpdir("pin_written");
+        run(&p1, &written);
+        assert!(
+            std::fs::read(written.join(name)).unwrap() == pinned,
+            "part 1's closing snapshot moved off tests/pins/serve_part1_snapshot.json"
+        );
+        let read = tmpdir("pin_read");
+        std::fs::write(read.join(name), &pinned).unwrap();
+        run(&p2, &read);
+        assert_eq!(
+            std::fs::read_to_string(&summary).unwrap(),
+            std::fs::read_to_string(pins.join("serve_summary_full.json")).unwrap()
+        );
+        for p in [p1, p2, summary] {
+            let _ = std::fs::remove_file(p);
+        }
+        let _ = std::fs::remove_dir_all(written);
+        let _ = std::fs::remove_dir_all(read);
+    }
+
     /// The closing snapshot this build writes to a data directory after
     /// part 1.
     fn part1_envelope(tag: &str) -> SnapshotFile {

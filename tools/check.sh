@@ -135,12 +135,21 @@ serve-smoke)
   # part 2 in a fresh process on it. The summary matches; the metrics do
   # once the wal_* lines (a data directory adds them) and their commas go.
   "$bin" serve --retention 60 --data-dir clean_data --no-fsync --input "$fix/serve_part1.jsonl"
+  # The closing snapshot part 1 writes, byte for byte across builds.
+  pin "$pins/serve_part1_snapshot.json" clean_data/snapshot-00000000000000000007.json
   "$bin" serve --retention 60 --data-dir clean_data --no-fsync --input "$fix/serve_part2.jsonl" \
     --metrics-json metrics_clean.json --summary-json summary_clean.json
   cmp summary_full.json summary_clean.json
   grep -v '"wal_' metrics_full.json | sed 's/,$//' > m_full.txt
   grep -v '"wal_' metrics_clean.json | sed 's/,$//' > m_clean.txt
   cmp m_full.txt m_clean.txt
+  # The read side: a data directory holding only the pinned snapshot,
+  # fed part 2, finishes the straight run.
+  mkdir pinned_data
+  cp "$pins/serve_part1_snapshot.json" pinned_data/snapshot-00000000000000000007.json
+  "$bin" serve --retention 60 --data-dir pinned_data --no-fsync --input "$fix/serve_part2.jsonl" \
+    --summary-json summary_pinned.json
+  cmp summary_full.json summary_pinned.json
   ;;
 crash-smoke)
   cargo build --release -p threesigma-cli
