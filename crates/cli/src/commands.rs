@@ -50,11 +50,8 @@ USAGE:
   threesigma serve    [--input FILE|- | --listen ADDR]
                       [--racks N] [--nodes-per-rack N] [--cycle SECS]
                       [--retention SECS] [--max-retries N]
-                      [--predictor-cap N] [--predictor-ttl N] [--cache-cap N]
-                      [--max-timings N] [--data-dir DIR] [--snapshot-every-jobs N]
-                      [--snapshot-every-secs S] [--no-fsync]
-                      [--max-queue N] [--tenant-quota N]
-                      [--quarantine FILE] [--quarantine-sample N]
+                      [--data-dir DIR] [--snapshot-every-jobs N] [--no-fsync]
+                      [--max-queue N] [--tenant-quota N] [--quarantine FILE]
                       [--metrics-json FILE] [--summary-json FILE]
   threesigma help
 
@@ -93,10 +90,8 @@ SERVE: long-running bounded-memory scheduling over a JSONL job stream.
   --input FILE|-      read the stream from FILE or stdin (default: stdin)
   --listen ADDR       accept ONE TCP connection and stream from it instead
   --retention SECS    retire terminal job records after SECS (default 3600)
-  --predictor-cap N   max tracked (feature,value) states, 0 = unbounded
-  --predictor-ttl N   evict states untouched for N observations, 0 = never
-  --cache-cap N       estimate-cache capacity, 0 = unbounded (default 4096)
-  --max-timings N     per-cycle timing records kept, 0 = unbounded
+  Memory is bounded by fixed caps: 4096 tracked (feature,value) predictor
+  states, 4096 estimate-cache entries, 256 per-cycle timing records.
 
 CRASH SAFETY (serve --data-dir): journaled, crash-only operation.
   Accepted jobs are appended to a CRC32-framed write-ahead journal (fsynced
@@ -109,20 +104,19 @@ CRASH SAFETY (serve --data-dir): journaled, crash-only operation.
   --data-dir DIR            journal + snapshots + quarantine live here
   --snapshot-every-jobs N   snapshot after N journaled records (default 256,
                             0 = only at EOF); quiescent moments only
-  --snapshot-every-secs S   also snapshot after S simulated seconds (0 = off)
   --no-fsync                skip fsync on journal appends (faster, weaker)
 
 ADMISSION CONTROL (serve): typed rejections, never a process exit.
   Rejected lines get {\"status\":\"rejected\",\"line\":N,\"reason\":R,...} on the
   wire (reasons: malformed, queue_full, tenant_quota, duplicate,
   out_of_order) and per-reason serve_rejected_* counters. Malformed lines
-  are sampled into a quarantine file. Partial tails and abrupt disconnects
-  on --listen are absorbed with typed warnings.
+  are sampled into a quarantine file (the first 100 over the stream's
+  life). Partial tails and abrupt disconnects on --listen are absorbed with
+  typed warnings.
   --max-queue N             bound on non-terminal jobs (0 = unbounded)
   --tenant-quota N          per-tenant in-flight bound (0 = unbounded)
   --quarantine FILE         poison-line sink (default: DIR/quarantine.jsonl
                             under --data-dir, else disabled)
-  --quarantine-sample N     max quarantined lines written (default 100)
   --metrics-json FILE write the byte-stable metrics dump at EOF
   --summary-json FILE write the session summary (incl. outcome digest)
 ";
@@ -562,18 +556,12 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "cycle",
             "retention",
             "max-retries",
-            "predictor-cap",
-            "predictor-ttl",
-            "cache-cap",
-            "max-timings",
             "data-dir",
             "snapshot-every-jobs",
-            "snapshot-every-secs",
             "no-fsync",
             "max-queue",
             "tenant-quota",
             "quarantine",
-            "quarantine-sample",
             "metrics-json",
             "summary-json",
         ]],

@@ -9,38 +9,34 @@
 //!
 //! # Crash safety (`--data-dir`)
 //!
-//! With `--data-dir DIR` the session is crash-only. Every accepted job is
-//! appended to a CRC32-framed write-ahead journal, and every
-//! acknowledgment is sent only after the write and fsync (unless
-//! `--no-fsync`) that cover its record; quiescent moments
-//! trigger automatic snapshots (`--snapshot-every-jobs` /
-//! `--snapshot-every-secs`) that truncate the journal past their
-//! watermark. On startup the newest valid snapshot is loaded (torn tails
-//! and corrupt candidates are tolerated, never panicked on) and the
-//! journal suffix is replayed through the same deterministic ingest
-//! pipeline, so a `kill -9`'d process recovers to a state digest-identical
-//! to a never-crashed run — the CI `crash-smoke` check. The journal,
-//! snapshot and recovery protocol is [`Durable`], shared with the crash
-//! campaign; this module supplies the payload (`FullSnapshot`) and the
-//! wire.
+//! The session, its scheduler and the journal are one [`ServeNode`], the
+//! node the crash campaign (`simtest --crash`) certifies; this module is
+//! the wire around it. With `--data-dir DIR` every accepted job is
+//! journaled, and every acknowledgment is sent only after the write and
+//! fsync (unless `--no-fsync`) that cover its record. Quiescent moments
+//! trigger a snapshot after `--snapshot-every-jobs` records, and EOF
+//! drains and writes a closing one; each truncates the journal. A
+//! restarted or `kill -9`'d process recovers the newest valid snapshot and
+//! replays the journal suffix, and then reproduces the uninterrupted run's
+//! summary digest and, but for the `wal_*` lines, its stable metrics JSON
+//! byte for byte: this mode's contract (CI `serve-smoke` and
+//! `crash-smoke`).
 //!
 //! # The input loop: one commit per `read()`
 //!
 //! `Stream::run` owns the read buffer. Every complete line one `read()`
-//! returned goes through the per-line order parse → admit → `pump_until`
-//! → [snapshot if due] → journal append → `submit` → *queue* the response,
-//! and then `Stream::commit` writes the batch: one `write_all` of the
-//! queued journal frames, one `sync_data`, then one `write_all` of the
-//! queued responses on a `TCP_NODELAY` socket. The batch is whatever the
-//! `read()` returned, so a client that waits for each ack still gets one
-//! fsync per line and a pipelined client amortises it; responses stay in
-//! line order. A due auto-snapshot, EOF and a disconnect commit first; a
-//! fatal error returns without writing the queued responses. A crash can
-//! therefore leave records that are durable but unacknowledged, never an
-//! acknowledgment whose record is not durable. Batching cannot change a
-//! scheduling decision: simulated time comes from each job's
-//! `submit_time`, never from the wall clock or from where a `read()`
-//! happened to end.
+//! returned is parsed, admitted and handed to the node (pump → journal →
+//! apply), and its response is *queued*; then one commit writes the batch:
+//! one `write_all` of the queued journal frames, one `sync_data`, then one
+//! `write_all` of the queued responses on a `TCP_NODELAY` socket. A client
+//! that waits for each ack gets one fsync per line and a pipelined client
+//! amortises it; responses stay in line order. A snapshot falling due
+//! mid-batch, EOF and a disconnect commit first; a fatal error returns
+//! without writing the queued responses. A crash can therefore leave
+//! records that are durable but unacknowledged, never an acknowledgment
+//! whose record is not durable. Batching cannot change a scheduling
+//! decision: simulated time comes from each job's `submit_time`, never
+//! from the wall clock or from where a `read()` happened to end.
 //!
 //! # Admission control and poison lines
 //!
@@ -48,33 +44,23 @@
 //! bounds each tenant's in-flight jobs; violations produce typed
 //! `rejected` responses on the wire (reasons `queue_full`,
 //! `tenant_quota`, `duplicate`, `out_of_order`) and counters, never a
-//! process exit. Malformed lines are counted, sampled into a quarantine
-//! file, and rejected with reason `malformed` — they do not kill the
+//! process exit. Malformed lines are counted, the first 100 of a stream's
+//! life (`QUARANTINE_SAMPLE`) are written to a quarantine file, and they
+//! are rejected with reason `malformed` — they do not kill the
 //! connection. Abrupt client disconnects and mid-line EOF on `--listen`
 //! are handled gracefully: complete lines are processed (and journaled),
 //! the partial tail is discarded with a typed warning. A line longer than
 //! `MAX_LINE_BYTES` is rejected as `malformed` (`line too long`) as soon
 //! as the excess is seen, so no more than that is ever buffered; the
 //! stream resynchronises at the next newline.
-//!
-//! With `--data-dir`, EOF ends in a closing `FullSnapshot` (engine
-//! session + scheduler/predictor state + wire counters) after the drain,
-//! in the data directory's
-//! [`SnapshotFile`](threesigma_cluster::SnapshotFile) envelope, and the
-//! next start recovers it. A restarted process that streams the remainder
-//! of an input reproduces the uninterrupted run's summary digest and, but
-//! for the `wal_*` lines a data directory adds, its stable metrics JSON
-//! byte for byte — that equivalence is this mode's correctness contract
-//! (and the CI `serve-smoke` check).
 
 use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Map, Serialize, Value};
-use threesigma::{EstimateSource, SchedConfig, SchedSnapshot, ThreeSigmaScheduler};
+use threesigma::{EstimateSource, SchedConfig, ServeError, ServeNode, ThreeSigmaScheduler};
 use threesigma_cluster::{
-    Attributes, ClusterSpec, DataDir, Durable, JobKind, JobSpec, ServeConfig, ServeSession,
-    ServeSnapshot, SimError, WalError, WalRecord,
+    Attributes, ClusterSpec, DataDir, JobKind, JobSpec, ServeConfig, SimError, WalError,
 };
 use threesigma_obs::{Counter, Recorder};
 use threesigma_predict::PredictorConfig;
@@ -93,8 +79,20 @@ const LONG_LINE_SAMPLE_BYTES: usize = 256;
 /// Size of one `read()`, and so the most input one commit covers.
 const READ_CHUNK_BYTES: usize = 64 * 1024;
 
-/// Wire-layer stream statistics. Persisted inside `FullSnapshot` so the
-/// byte-stable rejection counters survive restarts and crashes.
+/// Estimate-cache capacity.
+const CACHE_CAP: usize = 4096;
+
+/// Predictor per-(feature, value) states kept.
+const PREDICTOR_CAP: usize = 4096;
+
+/// Per-cycle timing records kept.
+const MAX_TIMINGS: usize = 256;
+
+/// Malformed lines written to the quarantine file over a stream's life.
+const QUARANTINE_SAMPLE: u64 = 100;
+
+/// Wire-layer stream statistics, carried in the serve node's snapshots so
+/// the byte-stable rejection counters survive restarts and crashes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct WireStats {
     /// Lines rejected as malformed (bad JSON, bad fields, bad UTF-8).
@@ -122,38 +120,6 @@ impl WireStats {
             + self.rejected_tenant_quota
             + self.rejected_duplicate
             + self.rejected_out_of_order
-    }
-}
-
-/// The serve payload of a data directory's
-/// [`SnapshotFile`](threesigma_cluster::SnapshotFile): the engine-side
-/// session snapshot, the scheduler/predictor snapshot and the wire
-/// counters, composed at the CLI layer so every part restarts from the
-/// same quiescent instant. Its layout is versioned by the envelope's
-/// [`SNAPSHOT_FORMAT_VERSION`](threesigma_cluster::SNAPSHOT_FORMAT_VERSION).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct FullSnapshot {
-    /// Cluster/session state (`threesigma_cluster::serve`).
-    pub engine: ServeSnapshot,
-    /// Predictor sketches, expert scores, cache bookkeeping, totals.
-    pub sched: SchedSnapshot,
-    /// Wire-layer counters.
-    pub wire: WireStats,
-}
-
-impl FullSnapshot {
-    /// Captures a quiescent session, its scheduler and the wire counters.
-    fn capture(
-        session: &ServeSession,
-        sched: &ThreeSigmaScheduler,
-        wire: WireStats,
-    ) -> Result<Value, CliError> {
-        let full = FullSnapshot {
-            engine: session.snapshot().map_err(sim_err)?,
-            sched: sched.serve_snapshot(),
-            wire,
-        };
-        serde_json::to_value(&full).map_err(io_err)
     }
 }
 
@@ -267,6 +233,15 @@ fn io_err(e: impl std::fmt::Display) -> CliError {
 
 fn sim_err(e: SimError) -> CliError {
     CliError::Failed(e.to_string())
+}
+
+impl From<ServeError> for CliError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            ServeError::Wal(e) => e.into(),
+            ServeError::Sim(e) => sim_err(e),
+        }
+    }
 }
 
 impl From<WalError> for CliError {
@@ -405,7 +380,7 @@ impl Responder {
     }
 
     /// Writes every queued response with one `write_all`. Only
-    /// [`Stream::commit`] calls this, after the journal barrier.
+    /// [`commit`] calls this, after the journal barrier.
     fn flush(&mut self) {
         if self.queued.is_empty() {
             return;
@@ -417,40 +392,24 @@ impl Responder {
     }
 }
 
-/// Sampled sink for poison input lines: up to `cap` raw lines (with their
-/// line number and parse error) are appended as JSONL. Counting happens
-/// regardless of the cap; write failures are swallowed — quarantine is an
-/// aid, never a reason to stop serving.
-struct Quarantine {
-    path: Option<PathBuf>,
-    cap: u64,
-    written: u64,
-}
-
-impl Quarantine {
-    fn record(&mut self, line_no: u64, raw: &str, error: &str) -> bool {
-        let Some(path) = &self.path else { return false };
-        if self.written >= self.cap {
-            return false;
-        }
-        let mut m = Map::new();
-        m.insert("line", Value::UInt(line_no));
-        m.insert("error", Value::String(error.to_owned()));
-        m.insert("raw", Value::String(raw.to_owned()));
-        let Ok(text) = serde_json::to_string(&Value::Object(m)) else {
-            return false;
-        };
-        let ok = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| writeln!(f, "{text}"))
-            .is_ok();
-        if ok {
-            self.written += 1;
-        }
-        ok
-    }
+/// Appends one poison input line (with its line number and parse error)
+/// to the quarantine file as JSONL. Returns whether it was written: write
+/// failures are swallowed — quarantine is an aid, never a reason to stop
+/// serving.
+fn quarantine(path: &Path, line_no: u64, raw: &str, error: &str) -> bool {
+    let mut m = Map::new();
+    m.insert("line", Value::UInt(line_no));
+    m.insert("error", Value::String(error.to_owned()));
+    m.insert("raw", Value::String(raw.to_owned()));
+    let Ok(text) = serde_json::to_string(&Value::Object(m)) else {
+        return false;
+    };
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| writeln!(f, "{text}"))
+        .is_ok()
 }
 
 /// Wire-layer counters, published with `set_total` from [`WireStats`] so a
@@ -523,21 +482,36 @@ impl WireMetrics {
     }
 }
 
-/// One serve stream: the session, its scheduler, the durability half and
-/// the wire-layer state, driven line by line and committed batch by batch.
+/// The one commit point. Makes every record journaled since the last
+/// commit durable (the node's barrier: one write, one fsync), publishes the
+/// counters, and only then writes the queued responses (one write). An
+/// error leaves the responses unwritten: nothing is acked that is not
+/// durable.
+fn commit(
+    node: &mut ServeNode<WireStats>,
+    metrics: &WireMetrics,
+    responder: &mut Responder,
+) -> Result<(), WalError> {
+    node.sync()?;
+    metrics.publish(&node.wire);
+    responder.flush();
+    Ok(())
+}
+
+/// One serve stream: the serve node and the wire layer around it, driven
+/// line by line and committed batch by batch.
 struct Stream {
-    session: ServeSession,
-    sched: ThreeSigmaScheduler,
-    durable: Option<Durable>,
-    wire: WireStats,
+    node: ServeNode<WireStats>,
     wire_metrics: WireMetrics,
     responder: Responder,
-    quarantine: Quarantine,
+    /// Where malformed lines are sampled, if anywhere.
+    quarantine: Option<PathBuf>,
 }
 
 impl Stream {
     /// Counts a rejection, samples it into quarantine (malformed lines
-    /// only), and queues the typed wire response.
+    /// only, `QUARANTINE_SAMPLE` over the stream's life), and queues the
+    /// typed wire response.
     fn reject(
         &mut self,
         line_no: u64,
@@ -546,16 +520,17 @@ impl Stream {
         detail: &str,
         quarantine_raw: Option<&str>,
     ) {
+        let wire = &mut self.node.wire;
         match reason {
-            RejectReason::Malformed => self.wire.rejected_malformed += 1,
-            RejectReason::QueueFull => self.wire.rejected_queue_full += 1,
-            RejectReason::TenantQuota => self.wire.rejected_tenant_quota += 1,
-            RejectReason::Duplicate => self.wire.rejected_duplicate += 1,
-            RejectReason::OutOfOrder => self.wire.rejected_out_of_order += 1,
+            RejectReason::Malformed => wire.rejected_malformed += 1,
+            RejectReason::QueueFull => wire.rejected_queue_full += 1,
+            RejectReason::TenantQuota => wire.rejected_tenant_quota += 1,
+            RejectReason::Duplicate => wire.rejected_duplicate += 1,
+            RejectReason::OutOfOrder => wire.rejected_out_of_order += 1,
         }
-        if let Some(raw) = quarantine_raw {
-            if self.quarantine.record(line_no, raw, detail) {
-                self.wire.quarantined += 1;
+        if let (Some(raw), Some(path)) = (quarantine_raw, &self.quarantine) {
+            if wire.quarantined < QUARANTINE_SAMPLE && quarantine(path, line_no, raw, detail) {
+                wire.quarantined += 1;
             }
         }
         // Typed rejections admit nothing, so there is no record to replay;
@@ -565,10 +540,10 @@ impl Stream {
     }
 
     /// Processes one input line (with or without its newline): parse,
-    /// admit, journal, submit, queue the ack. Malformed lines and admission
-    /// rejections are absorbed (counted, quarantined, echoed); only
-    /// internal failures are fatal. Nothing here reaches the disk or the
-    /// socket — that is [`Stream::commit`].
+    /// admit, hand the job to the node, queue the ack. Malformed lines and
+    /// admission rejections are absorbed (counted, quarantined, echoed);
+    /// only internal failures are fatal. Nothing here reaches the disk or
+    /// the socket but a snapshot falling due, which commits first.
     fn line(&mut self, raw: &[u8], line_no: u64) -> Result<(), CliError> {
         if raw.strip_suffix(b"\n").unwrap_or(raw).len() > MAX_LINE_BYTES {
             let sample = raw.get(..LONG_LINE_SAMPLE_BYTES).unwrap_or(raw);
@@ -608,7 +583,7 @@ impl Stream {
         // Admission runs against the *current* state, before any pump, so a
         // rejected line leaves the session untouched: replaying the journal
         // (accepted records only) reconstructs the identical state machine.
-        if let Err(e) = self.session.admit(&spec) {
+        if let Err(e) = self.node.session().admit(&spec) {
             let Some(reason) = reject_reason(&e) else {
                 return Err(sim_err(e));
             };
@@ -617,57 +592,23 @@ impl Stream {
             return Ok(());
         }
         let id = spec.id.0;
-        self.session
-            .pump_until(spec.submit_time, &mut self.sched)
-            .map_err(sim_err)?;
-        // Quiescent idle gaps are the only legal snapshot points; take one
-        // here if the policy says it is due, *before* journaling the new
-        // job (so the snapshot watermark excludes it). The batch so far is
-        // committed first: the snapshot truncates the journal on disk.
-        if self
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.snapshot_due(&self.session))
-        {
-            self.commit()?;
-            self.snapshot()?;
-        }
-        // Journal before submitting; the ack queued below is only written
-        // by the commit that makes this record durable.
-        let seq = match &mut self.durable {
-            Some(d) => Some(d.append(WalRecord::Job(spec.clone()))?),
-            None => None,
-        };
         // Admission passed pre-pump and pumping only completes or cancels
-        // work, so this submit cannot be rejected; any error here is internal.
-        self.session.submit(spec).map_err(sim_err)?;
-        self.responder.accepted(line_no, id, seq);
+        // work, so the node cannot reject the job; any error is internal.
+        // The ack queued below is only written by the commit that makes
+        // its record durable.
+        let Stream {
+            node,
+            wire_metrics,
+            responder,
+            ..
+        } = self;
+        let seq = node.append(spec, |node| commit(node, wire_metrics, responder))?;
+        responder.accepted(line_no, id, seq);
         Ok(())
-    }
-
-    /// The one commit point. Makes every record journaled since the last
-    /// commit durable (one write, one fsync), publishes the counters, and
-    /// only then writes the queued responses (one write). An error leaves
-    /// the responses unwritten: nothing is acked that is not durable.
-    fn commit(&mut self) -> Result<(), CliError> {
-        if let Some(d) = &mut self.durable {
-            d.sync()?;
-        }
-        self.wire_metrics.publish(&self.wire);
-        self.responder.flush();
-        Ok(())
-    }
-
-    fn snapshot(&mut self) -> Result<(), CliError> {
-        let Some(d) = &mut self.durable else {
-            return Ok(());
-        };
-        let payload = FullSnapshot::capture(&self.session, &self.sched, self.wire)?;
-        Ok(d.take_snapshot(payload, self.session.now())?)
     }
 
     /// Reads `reader` to its end: every complete line of one `read()` goes
-    /// through [`Stream::line`], then one [`Stream::commit`]. Returns the
+    /// through [`Stream::line`], then one [`commit`]. Returns the
     /// warning a torn tail or an abrupt disconnect ended the stream with;
     /// everything processed before it is committed either way.
     fn run(&mut self, reader: &mut dyn Read) -> Result<Option<String>, CliError> {
@@ -687,7 +628,7 @@ impl Stream {
                     // Mid-line EOF: the client died mid-send. Every
                     // complete line is already processed (and journaled);
                     // discard the torn tail with a typed warning.
-                    self.wire.partial_tails += 1;
+                    self.node.wire.partial_tails += 1;
                     break Some(format!(
                         "partial input tail discarded ({} bytes, mid-line EOF)",
                         buf.len()
@@ -701,7 +642,7 @@ impl Stream {
                 Ok(n) => chunk.get(..n).unwrap_or_default(),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) if is_tcp => {
-                    self.wire.disconnects += 1;
+                    self.node.wire.disconnects += 1;
                     break Some(format!("client disconnected abruptly: {e}"));
                 }
                 Err(e) => return Err(io_err(e)),
@@ -734,9 +675,9 @@ impl Stream {
                 buf.clear();
                 skipping = true;
             }
-            self.commit()?;
+            commit(&mut self.node, &self.wire_metrics, &mut self.responder)?;
         };
-        self.commit()?;
+        commit(&mut self.node, &self.wire_metrics, &mut self.responder)?;
         Ok(warning)
     }
 }
@@ -748,7 +689,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
 /// [`cmd_serve`] with the input opened by `open` — called only after
 /// recovery, so a `--listen` socket is bound once the session is ready.
-#[allow(clippy::too_many_lines)]
 fn serve_on(
     args: &Args,
     open: impl FnOnce(&Args) -> Result<Input, CliError>,
@@ -768,111 +708,66 @@ fn serve_on(
 
     let sched_cfg = SchedConfig {
         cycle_hint: serve_cfg.cycle_interval,
-        cache_capacity: cap(args, "cache-cap", 4096)?,
-        max_timings: cap(args, "max-timings", 256)?,
+        cache_capacity: Some(CACHE_CAP),
+        max_timings: Some(MAX_TIMINGS),
         ..SchedConfig::default()
     };
     let pred_cfg = PredictorConfig {
-        max_tracked_values: cap(args, "predictor-cap", 4096)?,
-        value_ttl: cap(args, "predictor-ttl", 0)?.map(|n| n as u64),
+        max_tracked_values: Some(PREDICTOR_CAP),
         ..PredictorConfig::default()
     };
 
     let recorder = Recorder::enabled();
-    let mut sched = ThreeSigmaScheduler::new(sched_cfg, EstimateSource::Predicted, pred_cfg)
+    let sched = ThreeSigmaScheduler::new(sched_cfg, EstimateSource::Predicted, pred_cfg)
         .with_recorder(&recorder);
     let wire_metrics = WireMetrics::register(&recorder);
 
-    // Durable mode: recover the data directory (newest valid snapshot +
-    // journal suffix), restore from the snapshot, and replay the suffix
-    // through the same deterministic ingest pipeline the live loop uses.
-    let (recovery, origin) = match args.get("data-dir") {
-        Some(dir) => {
-            let recovery = Durable::recover(DataDir::open(dir)?, !args.switch("no-fsync"))?;
-            (Some(recovery), format!("data dir {dir}"))
-        }
-        None => (None, String::new()),
+    // Durable mode: the node recovers the data directory (newest valid
+    // snapshot + journal suffix) and replays the suffix through the step
+    // the live loop applies.
+    let data = args.get("data-dir").map(DataDir::open).transpose()?;
+    let quarantine = match args.get("quarantine") {
+        Some(p) => Some(PathBuf::from(p)),
+        None => data.as_ref().map(DataDir::quarantine_path),
     };
-    let snapshot = recovery
-        .as_ref()
-        .and_then(|r| r.recovered.snapshot.as_ref());
-    let (mut session, wire) = match snapshot {
-        Some(snapshot) => {
-            let failed = |e: &dyn std::fmt::Display| CliError::Failed(format!("{origin}: {e}"));
-            let full: FullSnapshot =
-                serde_json::from_value(&snapshot.payload).map_err(|e| failed(&e))?;
-            sched.serve_restore(full.sched).map_err(|e| failed(&e))?;
-            let session = ServeSession::restore(cluster, serve_cfg, &recorder, &full.engine)
-                .map_err(|e| failed(&e))?;
-            (session, full.wire)
-        }
-        None => (
-            ServeSession::new(cluster, serve_cfg, &recorder).map_err(sim_err)?,
-            WireStats::default(),
-        ),
-    };
-    let durable = match recovery {
-        Some(recovery) => {
-            let snap_jobs = args.parse_or("snapshot-every-jobs", 256u64)?;
-            let snap_secs = args.parse_or("snapshot-every-secs", 0.0f64)?;
-            let resumed =
-                recovery.resume(&mut session, &mut sched, &recorder, snap_jobs, snap_secs);
-            Some(resumed.map_err(sim_err)?)
-        }
-        None => None,
-    };
-    wire_metrics.publish(&wire);
+    let (node, _torn) = ServeNode::open(
+        cluster,
+        serve_cfg,
+        sched,
+        &recorder,
+        data,
+        !args.switch("no-fsync"),
+        args.parse_or("snapshot-every-jobs", 256u64)?,
+    )?;
+    wire_metrics.publish(&node.wire);
 
     let Input {
         mut reader,
         responses,
     } = open(args)?;
-    let quarantine_path = match args.get("quarantine") {
-        Some(p) => Some(PathBuf::from(p)),
-        None => durable.as_ref().map(|d| d.data().quarantine_path()),
-    };
     let mut stream = Stream {
-        session,
-        sched,
-        durable,
-        wire,
+        node,
         wire_metrics,
         responder: Responder {
             out: responses,
             queued: Vec::new(),
         },
-        quarantine: Quarantine {
-            path: quarantine_path,
-            cap: args.parse_or("quarantine-sample", 100u64)?,
-            written: 0,
-        },
+        quarantine,
     };
     if let Some(w) = stream.run(reader.as_mut())? {
         eprintln!("serve: warning: {w}");
     }
 
-    // EOF: run the backlog to quiescence. `drain(∞)` returns — and leaves
-    // the queue empty, so the snapshot below passes the quiescence check —
-    // provided every job the session holds is eventually placed or
-    // cancelled: the cycle chain re-arms for as long as anything is
-    // pending. `admit` refuses the gangs no cycle could place (more tasks
-    // than the cluster has nodes), and the wire injects no faults that
-    // could take capacity away for good. In durable mode the drain is
-    // journaled as a clock advance first (so a crash before the closing
-    // snapshot still recovers it), then the closing snapshot truncates the
-    // journal.
-    stream
-        .session
-        .drain(f64::INFINITY, &mut stream.sched)
-        .map_err(sim_err)?;
-    if let Some(d) = &mut stream.durable {
-        d.append(WalRecord::Clock {
-            now: stream.session.now(),
-        })?;
-        stream.commit()?;
-        stream.snapshot()?;
-    }
-    let Stream { session, wire, .. } = stream;
+    // EOF: the node drains the backlog and, in durable mode, journals the
+    // clock edge, commits and writes the closing snapshot.
+    let Stream {
+        mut node,
+        wire_metrics,
+        mut responder,
+        ..
+    } = stream;
+    node.finish(|node| commit(node, &wire_metrics, &mut responder))?;
+    let (session, wire) = (node.session(), node.wire);
 
     let summary = session.summary();
     if let Some(path) = args.get("summary-json") {
@@ -904,7 +799,7 @@ mod tests {
     use super::*;
     use crate::commands::dispatch;
     use std::path::Path;
-    use threesigma_cluster::{SnapshotFile, Wal, SNAPSHOT_FORMAT_VERSION};
+    use threesigma_cluster::{SnapshotFile, Wal, WalRecord, SNAPSHOT_FORMAT_VERSION};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -946,6 +841,43 @@ mod tests {
         dispatch(&Args::parse(argv).unwrap())
     }
 
+    /// What one serve run printed and wrote.
+    #[derive(Debug, PartialEq)]
+    struct Ran {
+        line: String,
+        summary: String,
+        metrics: String,
+    }
+
+    /// Streams `input` through [`serve`] with `extra`, and reads back the
+    /// summary and metrics JSON it wrote to scratch files.
+    fn run(tag: &str, input: &str, extra: &[&str]) -> Ran {
+        let [inp, summary, metrics] =
+            ["in", "summary", "metrics"].map(|n| tmp(&format!("{tag}_{n}")));
+        std::fs::write(&inp, input).unwrap();
+        let path = |p: &Path| p.to_str().unwrap().to_owned();
+        let mut argv = vec![
+            "--input".to_owned(),
+            path(&inp),
+            "--summary-json".into(),
+            path(&summary),
+            "--metrics-json".into(),
+            path(&metrics),
+        ];
+        argv.extend(extra.iter().map(|a| (*a).to_owned()));
+        let line = serve(&argv.iter().map(String::as_str).collect::<Vec<_>>()).unwrap();
+        let read = |p: &Path| std::fs::read_to_string(p).unwrap();
+        let ran = Ran {
+            line,
+            summary: read(&summary),
+            metrics: read(&metrics),
+        };
+        for p in [inp, summary, metrics] {
+            let _ = std::fs::remove_file(p);
+        }
+        ran
+    }
+
     /// Drops the one genuinely process-local metric before comparing two
     /// runs' stable dumps (a straight-through run recovers nothing).
     fn filter_recovered(metrics: &str) -> String {
@@ -958,14 +890,11 @@ mod tests {
 
     #[test]
     fn serve_streams_jobs_and_reports_summary() {
-        let input = tmp("stream_in");
-        std::fs::write(&input, format!("{}{}", part1(), part2())).unwrap();
-        let out = serve(&["--input", input.to_str().unwrap()]).unwrap();
+        let out = run("stream", &(part1() + &part2()), &[]).line;
         assert!(out.contains("submitted=10"), "{out}");
         assert!(out.contains("completed=10"), "{out}");
         assert!(out.contains("rejected=0"), "{out}");
         assert!(out.contains("digest="), "{out}");
-        let _ = std::fs::remove_file(input);
     }
 
     /// Drops the `wal_*` lines a data directory adds to the stable metrics
@@ -981,82 +910,28 @@ mod tests {
 
     #[test]
     fn serve_snapshot_restore_reproduces_the_uninterrupted_run() {
-        let files: Vec<_> = [
-            "full_in",
-            "p1_in",
-            "p2_in",
-            "m_full",
-            "m_resumed",
-            "s_full",
-            "s_resumed",
-        ]
-        .iter()
-        .map(|n| tmp(&format!("equiv_{n}")))
-        .collect();
-        let [full_in, p1_in, p2_in, m_full, m_resumed, s_full, s_resumed] =
-            <[_; 7]>::try_from(files.clone()).unwrap();
         let dir = tmpdir("equiv_data");
-        std::fs::write(&full_in, format!("{}{}", part1(), part2())).unwrap();
-        std::fs::write(&p1_in, part1()).unwrap();
-        std::fs::write(&p2_in, part2()).unwrap();
-        let path = |p: &std::path::PathBuf| p.to_str().unwrap().to_owned();
-
-        // Uninterrupted run.
-        serve(&[
-            "--input",
-            &path(&full_in),
-            "--metrics-json",
-            &path(&m_full),
-            "--summary-json",
-            &path(&s_full),
-        ])
-        .unwrap();
+        let on_dir = ["--data-dir", dir.to_str().unwrap(), "--no-fsync"];
+        let full = run("equiv_full", &(part1() + &part2()), &[]);
         // Stream part 1 on a data directory; EOF drains and closes with a
         // snapshot. A fresh process on the same directory streams part 2.
-        serve(&[
-            "--input",
-            &path(&p1_in),
-            "--data-dir",
-            &path(&dir),
-            "--no-fsync",
-        ])
-        .unwrap();
-        serve(&[
-            "--input",
-            &path(&p2_in),
-            "--data-dir",
-            &path(&dir),
-            "--no-fsync",
-            "--metrics-json",
-            &path(&m_resumed),
-            "--summary-json",
-            &path(&s_resumed),
-        ])
-        .unwrap();
-
-        let metrics_full = std::fs::read_to_string(&m_full).unwrap();
-        let metrics_resumed = std::fs::read_to_string(&m_resumed).unwrap();
-        assert!(metrics_resumed.contains("\"wal_"), "{metrics_resumed}");
+        run("equiv_p1", &part1(), &on_dir);
+        let resumed = run("equiv_p2", &part2(), &on_dir);
+        assert!(resumed.metrics.contains("\"wal_"), "{}", resumed.metrics);
         assert_eq!(
-            without_wal_lines(&metrics_full),
-            without_wal_lines(&metrics_resumed),
+            without_wal_lines(&full.metrics),
+            without_wal_lines(&resumed.metrics),
             "restarted run must reproduce the uninterrupted metrics dump but for wal_* lines"
         );
-        let summary_full = std::fs::read(&s_full).unwrap();
-        let summary_resumed = std::fs::read(&s_resumed).unwrap();
         assert_eq!(
-            summary_full, summary_resumed,
+            full.summary, resumed.summary,
             "restarted run must reproduce the uninterrupted summary (incl. digest)"
         );
-        for p in &files {
-            let _ = std::fs::remove_file(p);
-        }
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn malformed_lines_are_quarantined_with_line_numbers_not_fatal() {
-        let input = tmp("poison_in");
         let qfile = tmp("poison_quarantine");
         let _ = std::fs::remove_file(&qfile);
         let lines = [
@@ -1067,14 +942,8 @@ mod tests {
              \"deadline\":-1}",
             "{\"id\":9,\"tenant\":\"t\",\"submit_time\":0,\"tasks\":1,\"duration\":5}",
         ];
-        std::fs::write(&input, lines.join("\n") + "\n").unwrap();
-        let out = serve(&[
-            "--input",
-            input.to_str().unwrap(),
-            "--quarantine",
-            qfile.to_str().unwrap(),
-        ])
-        .unwrap();
+        let input = lines.join("\n") + "\n";
+        let out = run("poison", &input, &["--quarantine", qfile.to_str().unwrap()]).line;
         // Poison lines never kill the stream: the one good job still runs.
         assert!(out.contains("submitted=1"), "{out}");
         assert!(out.contains("rejected=4"), "{out}");
@@ -1084,14 +953,61 @@ mod tests {
         for needle in ["\"line\":1", "tenant", "tasks", "deadline"] {
             assert!(quarantined.contains(needle), "{needle}: {quarantined}");
         }
-        let _ = std::fs::remove_file(input);
         let _ = std::fs::remove_file(qfile);
+    }
+
+    /// The quarantine sample cap (100 lines) holds over a stream's
+    /// lifetime: split across a restart on one data directory, 106
+    /// malformed lines quarantine the same 100 as the straight run, and
+    /// every output but the `wal_*` metrics matches it.
+    #[test]
+    fn the_quarantine_cap_survives_a_restart() {
+        let job = |id: u64, at: u64| {
+            format!(
+                "{{\"id\":{id},\"tenant\":\"t\",\"submit_time\":{at},\"tasks\":1,\
+                 \"duration\":5}}\n"
+            )
+        };
+        let bad = |n: usize| "not json\n".repeat(n);
+        let (part1, part2) = (job(1, 0) + &bad(101), bad(5) + &job(2, 1000));
+        let run_parts = |tag: &str, parts: &[&str]| {
+            let dir = tmpdir(&format!("qcap_{tag}"));
+            let on_dir = ["--data-dir", dir.to_str().unwrap(), "--no-fsync"];
+            let mut runs: Vec<Ran> = parts.iter().map(|p| run(tag, p, &on_dir)).collect();
+            let ran = runs.pop().unwrap();
+            let quarantine = std::fs::read_to_string(dir.join("quarantine.jsonl")).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            (ran.line, without_wal_lines(&ran.metrics), quarantine)
+        };
+        let straight = run_parts("straight", &[&(part1.clone() + &part2)]);
+        let restarted = run_parts("restarted", &[&part1, &part2]);
+        assert!(straight.0.contains("quarantined=100"), "{}", straight.0);
+        let total = "\"serve_quarantined_lines_total\": 100";
+        assert!(straight.1.contains(total), "{}", straight.1);
+        assert_eq!(straight.2.lines().count(), 100);
+        assert_eq!(straight, restarted);
+    }
+
+    /// The caps and the seconds snapshot trigger are fixed, not flags.
+    #[test]
+    fn removed_flags_are_refused_as_unknown_options() {
+        for flag in [
+            "cache-cap",
+            "predictor-cap",
+            "predictor-ttl",
+            "max-timings",
+            "quarantine-sample",
+            "snapshot-every-secs",
+        ] {
+            match serve(&[&format!("--{flag}"), "1"]) {
+                Err(CliError::UnknownOption { option, .. }) => assert_eq!(option, flag),
+                other => panic!("--{flag}: expected an unknown option, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn overload_burst_is_rejected_typed_and_the_session_stays_up() {
-        let input = tmp("burst_in");
-        let metrics = tmp("burst_metrics");
         // A 2x burst against --max-queue 4: twelve long jobs land while
         // nothing can finish, so eight are rejected as queue_full.
         let mut lines = String::new();
@@ -1102,34 +1018,25 @@ mod tests {
                 i
             ));
         }
-        std::fs::write(&input, lines).unwrap();
-        let out = serve(&[
-            "--input",
-            input.to_str().unwrap(),
-            "--max-queue",
-            "4",
-            "--metrics-json",
-            metrics.to_str().unwrap(),
-        ])
-        .unwrap();
+        let Ran {
+            line: out,
+            metrics: dump,
+            ..
+        } = run("burst", &lines, &["--max-queue", "4"]);
         // The process stayed up, every accepted job reached a terminal
         // outcome, and the rejections are typed and counted.
         assert!(out.contains("submitted=4"), "{out}");
         assert!(out.contains("completed=4"), "{out}");
         assert!(out.contains("rejected=8"), "{out}");
-        let dump = std::fs::read_to_string(&metrics).unwrap();
         assert!(
             dump.contains("\"serve_rejected_queue_full_total\": 8"),
             "{dump}"
         );
         assert!(dump.contains("\"serve_rejected_total\": 8"), "{dump}");
-        let _ = std::fs::remove_file(input);
-        let _ = std::fs::remove_file(metrics);
     }
 
     #[test]
     fn tenant_quota_rejections_are_per_tenant() {
-        let input = tmp("quota_in");
         // Tenants alternate; each may hold two jobs in flight.
         let mut lines = String::new();
         for i in 0..8u64 {
@@ -1139,45 +1046,33 @@ mod tests {
                  \"duration\":500.0}}\n"
             ));
         }
-        std::fs::write(&input, lines).unwrap();
-        let out = serve(&["--input", input.to_str().unwrap(), "--tenant-quota", "2"]).unwrap();
+        let out = run("quota", &lines, &["--tenant-quota", "2"]).line;
         assert!(out.contains("submitted=4"), "{out}");
         assert!(out.contains("rejected=4"), "{out}");
-        let _ = std::fs::remove_file(input);
     }
 
     #[test]
     fn data_dir_crash_recovery_matches_the_straight_through_run() {
-        let dir_straight = tmpdir("dd_straight");
-        let dir_crashed = tmpdir("dd_crashed");
-        let files: Vec<_> = ["full_in", "rest_in", "m_a", "m_b", "s_a", "s_b"]
-            .iter()
-            .map(|n| tmp(&format!("dd_{n}")))
-            .collect();
-        let [full_in, rest_in, m_a, m_b, s_a, s_b] = <[_; 6]>::try_from(files.clone()).unwrap();
-
-        let stream = format!("{}{}", part1(), part2());
+        let (dir_straight, dir_crashed) = (tmpdir("dd_straight"), tmpdir("dd_crashed"));
+        let durable = |dir: &Path| {
+            let dir = dir.to_str().unwrap().to_owned();
+            move |tag: &str, input: &str| {
+                run(
+                    tag,
+                    input,
+                    &["--data-dir", &dir, "--snapshot-every-jobs", "3"],
+                )
+            }
+        };
+        let stream = part1() + &part2();
         let job_lines: Vec<&str> = stream
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .collect();
-        std::fs::write(&full_in, job_lines.join("\n") + "\n").unwrap();
 
         // Straight-through durable run.
-        serve(&[
-            "--data-dir",
-            dir_straight.to_str().unwrap(),
-            "--snapshot-every-jobs",
-            "3",
-            "--input",
-            full_in.to_str().unwrap(),
-            "--metrics-json",
-            m_a.to_str().unwrap(),
-            "--summary-json",
-            s_a.to_str().unwrap(),
-        ])
-        .unwrap();
+        let straight = durable(&dir_straight)("dd_a", &(job_lines.join("\n") + "\n"));
 
         // Simulate a crash after the fourth acknowledged job: the journal
         // holds exactly those records, no snapshot was ever written, and
@@ -1190,31 +1085,16 @@ mod tests {
             wal.append(WalRecord::Job(spec)).unwrap();
         }
         drop(wal);
-        std::fs::write(&rest_in, job_lines[KILL_AT..].join("\n") + "\n").unwrap();
 
         // Recover and finish the stream.
-        serve(&[
-            "--data-dir",
-            dir_crashed.to_str().unwrap(),
-            "--snapshot-every-jobs",
-            "3",
-            "--input",
-            rest_in.to_str().unwrap(),
-            "--metrics-json",
-            m_b.to_str().unwrap(),
-            "--summary-json",
-            s_b.to_str().unwrap(),
-        ])
-        .unwrap();
-
-        let summary_a = std::fs::read(&s_a).unwrap();
-        let summary_b = std::fs::read(&s_b).unwrap();
+        let rest = job_lines[KILL_AT..].join("\n") + "\n";
+        let recovered = durable(&dir_crashed)("dd_b", &rest);
         assert_eq!(
-            summary_a, summary_b,
+            straight.summary, recovered.summary,
             "recovered run must reproduce the straight-through summary (incl. digest)"
         );
-        let metrics_a = filter_recovered(&std::fs::read_to_string(&m_a).unwrap());
-        let metrics_b = filter_recovered(&std::fs::read_to_string(&m_b).unwrap());
+        let metrics_a = filter_recovered(&straight.metrics);
+        let metrics_b = filter_recovered(&recovered.metrics);
         assert_eq!(
             metrics_a, metrics_b,
             "recovered run must reproduce the straight-through metrics (modulo \
@@ -1224,9 +1104,6 @@ mod tests {
             metrics_b.contains("wal_appended_records_total"),
             "{metrics_b}"
         );
-        for p in &files {
-            let _ = std::fs::remove_file(p);
-        }
         let _ = std::fs::remove_dir_all(dir_straight);
         let _ = std::fs::remove_dir_all(dir_crashed);
     }
@@ -1241,40 +1118,26 @@ mod tests {
         let pins = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/pins");
         let pinned = std::fs::read(pins.join("serve_part1_snapshot.json")).unwrap();
         let name = "snapshot-00000000000000000007.json";
-        let (p1, p2, summary) = (tmp("pin_p1"), tmp("pin_p2"), tmp("pin_summary"));
-        std::fs::write(&p1, part1()).unwrap();
-        std::fs::write(&p2, part2()).unwrap();
-        let run = |input: &Path, dir: &Path| {
-            let argv = [
-                "serve",
-                "--retention",
-                "60",
-                "--no-fsync",
-                "--input",
-                input.to_str().unwrap(),
-                "--data-dir",
-                dir.to_str().unwrap(),
-                "--summary-json",
-                summary.to_str().unwrap(),
-            ];
-            dispatch(&Args::parse(argv.map(String::from).to_vec()).unwrap()).unwrap();
+        let (written, read) = (tmpdir("pin_written"), tmpdir("pin_read"));
+        let on = |dir: &Path| {
+            let dir = dir.to_str().unwrap().to_owned();
+            move |tag: &str, input: &str| {
+                run(
+                    tag,
+                    input,
+                    &["--retention", "60", "--data-dir", &dir, "--no-fsync"],
+                )
+            }
         };
-        let written = tmpdir("pin_written");
-        run(&p1, &written);
+        on(&written)("pin_p1", &part1());
         assert!(
             std::fs::read(written.join(name)).unwrap() == pinned,
             "part 1's closing snapshot moved off tests/pins/serve_part1_snapshot.json"
         );
-        let read = tmpdir("pin_read");
         std::fs::write(read.join(name), &pinned).unwrap();
-        run(&p2, &read);
-        assert_eq!(
-            std::fs::read_to_string(&summary).unwrap(),
-            std::fs::read_to_string(pins.join("serve_summary_full.json")).unwrap()
-        );
-        for p in [p1, p2, summary] {
-            let _ = std::fs::remove_file(p);
-        }
+        let resumed = on(&read)("pin_p2", &part2());
+        let want = std::fs::read_to_string(pins.join("serve_summary_full.json")).unwrap();
+        assert_eq!(resumed.summary, want);
         let _ = std::fs::remove_dir_all(written);
         let _ = std::fs::remove_dir_all(read);
     }
@@ -1282,16 +1145,17 @@ mod tests {
     /// The closing snapshot this build writes to a data directory after
     /// part 1.
     fn part1_envelope(tag: &str) -> SnapshotFile {
-        let (input, dir) = (tmp(&format!("{tag}_in")), tmpdir(&format!("{tag}_data")));
-        std::fs::write(&input, part1()).unwrap();
-        let (input_arg, dir_arg) = (input.to_str().unwrap(), dir.to_str().unwrap());
-        serve(&["--input", input_arg, "--data-dir", dir_arg, "--no-fsync"]).unwrap();
+        let dir = tmpdir(&format!("{tag}_data"));
+        run(
+            tag,
+            &part1(),
+            &["--data-dir", dir.to_str().unwrap(), "--no-fsync"],
+        );
         let envelope = DataDir::open(&dir)
             .unwrap()
             .load_latest_snapshot()
             .unwrap()
             .unwrap();
-        let _ = std::fs::remove_file(input);
         let _ = std::fs::remove_dir_all(dir);
         envelope
     }
@@ -1327,8 +1191,8 @@ mod tests {
     #[test]
     fn snapshot_layouts_of_older_builds_are_refused_with_a_typed_error() {
         // The two layouts older builds wrote, rebuilt around this build's
-        // payload: a bare version-2 `FullSnapshot` (its engine part
-        // versioned 2 as well), and that inside a version-1 envelope.
+        // payload: a bare version-2 payload (its engine part versioned 2
+        // as well), and that inside a version-1 envelope.
         let payload = serde_json::to_string(&part1_envelope("old").payload).unwrap();
         let bare_v2 = payload.replacen(
             "{\"engine\":{",
@@ -1412,30 +1276,33 @@ mod tests {
         assert_eq!(spec.attributes.get("user"), Some("alice"));
     }
 
-    #[test]
-    fn serve_accepts_one_tcp_connection_and_echoes_typed_responses() {
-        use std::io::Read;
+    /// Starts serve on `--listen` (plus `extra`) in a thread and connects
+    /// to it.
+    fn listen(extra: &[&str]) -> (std::thread::JoinHandle<String>, std::net::TcpStream) {
         // Pick a free port, then hand it to --listen. The probe listener is
         // dropped first; nothing else in this process binds ports.
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap().to_string();
         drop(probe);
-        let server = {
-            let addr = addr.clone();
-            std::thread::spawn(move || serve(&["--listen", &addr]).unwrap())
-        };
+        let mut argv = vec!["--listen".to_owned(), addr.clone()];
+        argv.extend(extra.iter().map(|a| (*a).to_owned()));
+        let server = std::thread::spawn(move || {
+            serve(&argv.iter().map(String::as_str).collect::<Vec<_>>()).unwrap()
+        });
         // Retry until the server thread is accepting.
-        let mut conn = None;
         for _ in 0..200 {
             match std::net::TcpStream::connect(&addr) {
-                Ok(c) => {
-                    conn = Some(c);
-                    break;
-                }
+                Ok(conn) => return (server, conn),
                 Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
             }
         }
-        let mut conn = conn.expect("server did not start listening");
+        panic!("server did not start listening");
+    }
+
+    #[test]
+    fn serve_accepts_one_tcp_connection_and_echoes_typed_responses() {
+        use std::io::Read;
+        let (server, mut conn) = listen(&[]);
         conn.write_all(part1().as_bytes()).unwrap();
         // Kill the client mid-line: the torn tail must be discarded, the
         // six complete jobs processed, and the session must still produce
@@ -1460,24 +1327,7 @@ mod tests {
     #[test]
     fn tcp_rejections_carry_typed_reasons_on_the_wire() {
         use std::io::Read;
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = probe.local_addr().unwrap().to_string();
-        drop(probe);
-        let server = {
-            let addr = addr.clone();
-            std::thread::spawn(move || serve(&["--listen", &addr, "--max-queue", "1"]).unwrap())
-        };
-        let mut conn = None;
-        for _ in 0..200 {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(c) => {
-                    conn = Some(c);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-            }
-        }
-        let mut conn = conn.expect("server did not start listening");
+        let (server, mut conn) = listen(&["--max-queue", "1"]);
         let lines = "not json\n\
             {\"id\":1,\"tenant\":\"t\",\"submit_time\":0.0,\"tasks\":1,\"duration\":400.0}\n\
             {\"id\":2,\"tenant\":\"t\",\"submit_time\":1.0,\"tasks\":1,\"duration\":400.0}\n";

@@ -37,6 +37,6 @@ pub use metrics::{JobOutcome, JobState, Metrics};
 pub use serve::{RetiredAggregate, ServeConfig, ServeSession, ServeSnapshot, ServeSummary};
 pub use spec::{ClusterSpec, PartitionId, RcFidelity};
 pub use wal::{
-    DataDir, Durable, FrameDefect, JournalDecode, Recovered, Recovery, SnapshotFile, Wal, WalEntry,
-    WalError, WalRecord, WalRecovery, SNAPSHOT_FORMAT_VERSION, WAL_MAGIC,
+    DataDir, Durable, FrameDefect, JournalDecode, Recovered, SnapshotFile, Wal, WalEntry, WalError,
+    WalRecord, WalRecovery, SNAPSHOT_FORMAT_VERSION, WAL_MAGIC,
 };

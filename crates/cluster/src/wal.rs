@@ -53,11 +53,13 @@
 //!
 //! # One implementation
 //!
-//! [`Durable`] runs the whole protocol — group commit, the auto-snapshot
-//! policy, snapshot-then-truncate, and recovery ([`Durable::recover`],
-//! then [`Recovery::resume`]) — for every caller: `threesigma serve
-//! --data-dir` and the in-process crash campaign. A caller supplies only
-//! its snapshot payload and restores its own session from it.
+//! [`Durable`] runs the journal half of the protocol — group commit, the
+//! auto-snapshot policy, snapshot-then-truncate, and the hand-over after
+//! recovery ([`Durable::resume`]). [`apply`] is the one ingest step: live
+//! serving and [`replay`] both run it. The serve node in the core crate
+//! (`threesigma::serve::ServeNode`) composes the two with its session,
+//! scheduler and payload for every caller: `threesigma serve --data-dir`
+//! and the in-process crash campaign.
 
 use std::fs;
 use std::io::Write;
@@ -790,11 +792,32 @@ pub fn recover_data_dir(data: &DataDir, sync: bool) -> Result<Recovered, WalErro
     })
 }
 
-/// Replays recovered journal records through a session, mirroring the
-/// serve ingest loop exactly (pump to each job's submit time, then
-/// submit; drain to each journaled clock advance; re-inject faults), so
-/// the replayed session is digest-identical to the original. Returns the
-/// number of records applied.
+/// Applies one journal record to a session: a job is pumped to its submit
+/// time and submitted, a clock edge drains to its time, a fault is
+/// injected. Live ingest and [`replay`] both run this step, so a replayed
+/// session equals the live one by construction.
+///
+/// # Errors
+///
+/// The [`SimError`] the session returns.
+pub fn apply(
+    session: &mut ServeSession,
+    scheduler: &mut dyn Scheduler,
+    record: WalRecord,
+) -> Result<(), SimError> {
+    match record {
+        WalRecord::Job(spec) => {
+            session.pump_until(spec.submit_time, scheduler)?;
+            session.submit(spec)
+        }
+        WalRecord::Clock { now } => session.drain(now, scheduler).map(drop),
+        WalRecord::Fault(fault) => session.inject_fault(fault),
+    }
+}
+
+/// Replays recovered journal records through a session, each with
+/// [`apply`], the step live ingest runs. Returns the number of records
+/// applied.
 ///
 /// # Errors
 ///
@@ -806,29 +829,15 @@ pub fn replay(
     scheduler: &mut dyn Scheduler,
     entries: &[WalEntry],
 ) -> Result<u64, SimError> {
-    let mut applied = 0u64;
     for entry in entries {
-        match &entry.record {
-            WalRecord::Job(spec) => {
-                session.pump_until(spec.submit_time, scheduler)?;
-                session.submit(spec.clone())?;
-            }
-            WalRecord::Clock { now } => {
-                session.drain(*now, scheduler)?;
-            }
-            WalRecord::Fault(fault) => {
-                session.inject_fault(*fault)?;
-            }
-        }
-        applied += 1;
+        apply(session, scheduler, entry.record.clone())?;
     }
-    Ok(applied)
+    Ok(entries.len() as u64)
 }
 
-/// The durable half of a serve session, shared by `threesigma serve
-/// --data-dir` and the crash campaign: the journal, the durability
-/// metrics, the lifetime truncation total (carried through snapshots) and
-/// the auto-snapshot policy. The caller's payload is opaque to it.
+/// The durable half of a serve node: the journal, the durability metrics,
+/// the lifetime truncation total (carried through snapshots) and the
+/// auto-snapshot policy. The caller's payload is opaque to it.
 #[derive(Debug)]
 pub struct Durable {
     data: DataDir,
@@ -836,43 +845,48 @@ pub struct Durable {
     metrics: WalMetrics,
     truncated_total: u64,
     snap_jobs: u64,
-    snap_secs: f64,
     records_since_snap: u64,
-    last_snap_now: f64,
-}
-
-/// A data directory opened by [`Durable::recover`], its journal suffix not
-/// yet replayed. The caller restores its session and scheduler from the
-/// snapshot's payload (or starts them fresh), then calls
-/// [`Recovery::resume`].
-#[derive(Debug)]
-pub struct Recovery {
-    /// What recovery found: the snapshot, the suffix to replay, torn bytes.
-    pub recovered: Recovered,
-    data: DataDir,
 }
 
 impl Durable {
-    /// Opens `data` with [`recover_data_dir`] and completes a truncation a
-    /// crash interrupted.
+    /// Takes over the journal [`recover_data_dir`] reopened, once the
+    /// caller has restored its state from `recovered.snapshot` and
+    /// [`replay`]ed `recovered.suffix`: completes a truncation a crash
+    /// interrupted, registers and publishes the durability metrics on
+    /// `recorder` (`wal_recovered_records` counts the suffix), and starts
+    /// the snapshot policy, a snapshot after `snap_jobs` journaled records
+    /// (0 = never), counted so that the next one lands where a
+    /// never-crashed run takes it.
     ///
     /// # Errors
     ///
-    /// [`WalError`] from recovery or the truncation.
-    pub fn recover(data: DataDir, sync: bool) -> Result<Recovery, WalError> {
-        let mut recovered = recover_data_dir(&data, sync)?;
+    /// [`WalError`] from the truncation.
+    pub fn resume(
+        data: DataDir,
+        recovered: Recovered,
+        snap_jobs: u64,
+        recorder: &Recorder,
+    ) -> Result<Self, WalError> {
+        let mut wal = recovered.wal;
+        let watermark = recovered.snapshot.as_ref().map_or(0, |s| s.wal_seq);
         // The snapshot counted these bytes into its lifetime truncation
         // total when it was written, so this pass does not re-count them.
         if recovered.covered > 0 || recovered.duplicates > 0 {
-            let watermark = recovered.snapshot.as_ref().map_or(0, |s| s.wal_seq);
-            recovered.wal.truncate_through(watermark)?;
+            wal.truncate_through(watermark)?;
         }
-        Ok(Recovery { recovered, data })
-    }
-
-    /// The data directory.
-    pub fn data(&self) -> &DataDir {
-        &self.data
+        let truncated_total = recovered.snapshot.map_or(0, |s| s.wal_truncated_bytes);
+        let replayed = recovered.suffix.len() as u64;
+        let metrics = WalMetrics::register(recorder);
+        metrics.recovered_records.set(replayed as f64);
+        metrics.publish(&wal, truncated_total);
+        Ok(Self {
+            data,
+            wal,
+            metrics,
+            truncated_total,
+            snap_jobs,
+            records_since_snap: replayed,
+        })
     }
 
     /// Queues `record` for the journal (`Wal::append_unsynced`). It may
@@ -890,24 +904,20 @@ impl Durable {
         Ok(())
     }
 
-    /// Whether the policy wants a snapshot of `session` now, which it
-    /// can take only at quiescence. Both triggers are functions of the
-    /// accepted stream, so a recovered run snapshots at the same stream
-    /// positions as a never-crashed one.
+    /// Whether the policy wants a snapshot of `session` now, which it can
+    /// take only at quiescence. The trigger counts accepted records, so a
+    /// recovered run snapshots at the same stream positions as a
+    /// never-crashed one.
     pub fn snapshot_due(&self, session: &ServeSession) -> bool {
-        let (records, now) = (self.records_since_snap, session.now());
-        records > 0
-            && ((self.snap_jobs > 0 && records >= self.snap_jobs)
-                || (self.snap_secs > 0.0 && now - self.last_snap_now >= self.snap_secs))
-            && session.is_quiescent()
+        self.snap_jobs > 0 && self.records_since_snap >= self.snap_jobs && session.is_quiescent()
     }
 
-    /// Writes `payload`, the caller's state at simulated time `now`, as a
-    /// snapshot watermarked at the last appended record, *then* truncates
-    /// the journal through the watermark. A crash between the two steps
-    /// only leaves covered records behind, which recovery filters by
-    /// sequence number. The caller syncs first.
-    pub fn take_snapshot(&mut self, payload: serde::Value, now: f64) -> Result<(), WalError> {
+    /// Writes `payload`, the caller's quiescent state, as a snapshot
+    /// watermarked at the last appended record, *then* truncates the
+    /// journal through the watermark. A crash between the two steps only
+    /// leaves covered records behind, which recovery filters by sequence
+    /// number. The caller syncs first.
+    pub fn take_snapshot(&mut self, payload: serde::Value) -> Result<(), WalError> {
         let watermark = self.wal.next_seq().saturating_sub(1);
         // Count the truncation at snapshot-write time: the snapshot carries
         // the post-truncation lifetime total, so the counter is identical
@@ -923,44 +933,8 @@ impl Durable {
         self.truncated_total = total;
         self.wal.truncate_through(watermark)?;
         self.records_since_snap = 0;
-        self.last_snap_now = now;
         self.metrics.publish(&self.wal, self.truncated_total);
         Ok(())
-    }
-}
-
-impl Recovery {
-    /// Replays the journal suffix through the caller's restored `session`
-    /// and `scheduler`, registers and publishes the durability metrics on
-    /// `recorder`, and starts the snapshot policy: a snapshot after
-    /// `snap_jobs` journaled records or `snap_secs` simulated seconds (0
-    /// turns a trigger off), counted so that the next one lands where a
-    /// never-crashed run takes it. Fails as [`replay`] does.
-    pub fn resume(
-        self,
-        session: &mut ServeSession,
-        scheduler: &mut dyn Scheduler,
-        recorder: &Recorder,
-        snap_jobs: u64,
-        snap_secs: f64,
-    ) -> Result<Durable, SimError> {
-        let recovered = self.recovered;
-        let truncated_total = recovered.snapshot.map_or(0, |s| s.wal_truncated_bytes);
-        let last_snap_now = session.now();
-        let replayed = replay(session, scheduler, &recovered.suffix)?;
-        let metrics = WalMetrics::register(recorder);
-        metrics.recovered_records.set(replayed as f64);
-        metrics.publish(&recovered.wal, truncated_total);
-        Ok(Durable {
-            data: self.data,
-            metrics,
-            truncated_total,
-            snap_jobs,
-            snap_secs,
-            records_since_snap: recovered.suffix.len() as u64,
-            last_snap_now,
-            wal: recovered.wal,
-        })
     }
 }
 

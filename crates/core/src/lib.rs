@@ -42,6 +42,7 @@
 pub mod driver;
 pub mod paper;
 pub mod sched;
+pub mod serve;
 pub mod utility;
 
 pub use driver::{
@@ -59,5 +60,6 @@ pub use sched::threesigma::{
     CycleTiming, OverestimateMode, PlanRecord, PlannedJob, SchedConfig, SchedSnapshot, SchedStats,
     ThreeSigmaScheduler,
 };
+pub use serve::{ServeError, ServeNode};
 pub use threesigma_histogram::DiscreteDist;
 pub use utility::UtilityCurve;

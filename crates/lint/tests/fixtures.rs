@@ -420,7 +420,7 @@ fn reordering_journal_append_after_ack_turns_the_real_tree_red() {
     assert!(facts::wal_ack_ordering(&[parse(rel, &src)]).is_empty());
     // Renaming the append is ordering-equivalent to moving it after the
     // ack: the ack is no longer dominated by a journal write.
-    let mutated = src.replace(".append(WalRecord::Job", ".append_later(WalRecord::Job");
+    let mutated = src.replace(".append(spec", ".append_later(spec");
     assert_ne!(src, mutated, "mutation target must exist");
     let found = facts::wal_ack_ordering(&[parse(rel, &mutated)]);
     assert!(found.iter().any(|v| v.pattern == "accepted("), "{found:?}");
@@ -433,7 +433,7 @@ fn moving_the_flush_ahead_of_the_sync_turns_the_real_tree_red() {
     assert!(facts::wal_ack_ordering(&[parse(rel, &src)]).is_empty());
     // The group-commit regression shape: the queued acks go out on the
     // socket before the journal barrier that makes their records durable.
-    let (sync, flush) = ("d.sync()?;", "self.responder.flush();");
+    let (sync, flush) = ("node.sync()?;", "responder.flush();");
     assert_eq!(src.matches(flush).count(), 1, "one socket write, one site");
     let mutated = src
         .replacen(flush, "", 1)

@@ -21,25 +21,24 @@
 //! straight-through run). Every other durability counter is lifetime-
 //! valued by construction and must survive the crash exactly.
 //!
-//! Every process runs [`Durable`], the journal/snapshot/recovery code
-//! `threesigma serve --data-dir` runs, in the serve loop's order: admit →
-//! pump → (commit, then snapshot, if one is due and the session is
-//! quiescent — *before* journaling the new record) → journal → apply. Like
-//! the serve loop, which commits once per `read()`, a process commits
-//! (one journal sync) once per seeded batch of 1–`MAX_BATCH` steps.
-//! Faults and the final clock edge are journaled the same way, so replay
-//! reconstructs the exact event history.
+//! Every process is a [`ServeNode`], the node `threesigma serve
+//! --data-dir` runs, so the campaign certifies the shipped ingest,
+//! recovery and stop code: the process admits each job and hands it to
+//! the node, which pumps, commits and snapshots if one is due, journals
+//! and applies it. Like the serve loop, which commits once per `read()`, a
+//! process commits (one journal sync) once per seeded batch of
+//! 1–`MAX_BATCH` steps. Faults and the final clock edge are journaled
+//! too, so replay reconstructs the exact event history.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use threesigma::{EstimateSource, SchedConfig, SchedSnapshot, ThreeSigmaScheduler};
+use threesigma::{EstimateSource, SchedConfig, ServeNode, ThreeSigmaScheduler};
 use threesigma_cluster::wal::encode_frame;
 use threesigma_cluster::{
-    Attributes, ClusterSpec, DataDir, Durable, FaultEvent, JobKind, JobSpec, PartitionId,
-    ServeConfig, ServeSession, ServeSnapshot, ServeSummary, WalEntry, WalRecord,
+    Attributes, ClusterSpec, DataDir, FaultEvent, JobKind, JobSpec, PartitionId, ServeConfig,
+    ServeSummary, WalEntry, WalRecord,
 };
 use threesigma_obs::Recorder;
 
@@ -112,15 +111,6 @@ impl TailDamage {
     }
 }
 
-/// The engine + policy state a campaign snapshot checkpoints. Mirrors the
-/// CLI's full snapshot minus the wire counters (the campaign sits below
-/// the wire layer).
-#[derive(Debug, Serialize, Deserialize)]
-struct CampaignSnapshot {
-    engine: ServeSnapshot,
-    sched: SchedSnapshot,
-}
-
 fn serve_config() -> ServeConfig {
     ServeConfig {
         cycle_interval: 2.0,
@@ -129,7 +119,7 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-fn build(recorder: &Recorder) -> (ServeSession, ThreeSigmaScheduler) {
+fn scheduler(recorder: &Recorder) -> ThreeSigmaScheduler {
     let sched_cfg = SchedConfig {
         cycle_hint: 2.0,
         cache_capacity: Some(CACHE_CAP),
@@ -140,11 +130,7 @@ fn build(recorder: &Recorder) -> (ServeSession, ThreeSigmaScheduler) {
         max_tracked_values: Some(PREDICTOR_CAP),
         ..threesigma_predict::PredictorConfig::default()
     };
-    let sched = ThreeSigmaScheduler::new(sched_cfg, EstimateSource::Predicted, pred_cfg)
-        .with_recorder(recorder);
-    let session = ServeSession::new(ClusterSpec::uniform(4, 16), serve_config(), recorder)
-        .expect("valid serve config");
-    (session, sched)
+    ThreeSigmaScheduler::new(sched_cfg, EstimateSource::Predicted, pred_cfg).with_recorder(recorder)
 }
 
 fn wire_job(rng: &mut StdRng, id: u64, submit: f64) -> JobSpec {
@@ -226,136 +212,76 @@ fn fail<E: std::fmt::Display>(what: &'static str) -> impl FnOnce(E) -> String {
     move |e| format!("{what}: {e}")
 }
 
-/// One serve process of the campaign: a session and its scheduler over
-/// the shipped [`Durable`].
-struct Process {
-    recorder: Recorder,
-    session: ServeSession,
-    sched: ThreeSigmaScheduler,
-    durable: Durable,
+/// One serve process of the campaign: a serve node (below the wire
+/// layer, so with no wire counters) and the recorder its metrics live on.
+type Process = (ServeNode<()>, Recorder);
+
+/// Starts a process on the data directory `dir` through the shipped
+/// recovery (an empty directory yields an empty session). Also returns the
+/// torn journal bytes recovery discarded.
+fn start(dir: &Path) -> Result<(Process, u64), String> {
+    let recorder = Recorder::enabled();
+    let data = DataDir::open(dir).map_err(fail("open data dir"))?;
+    let cluster = ClusterSpec::uniform(4, 16);
+    let sched = scheduler(&recorder);
+    let (node, torn_bytes) = ServeNode::open(
+        cluster,
+        serve_config(),
+        sched,
+        &recorder,
+        Some(data),
+        false,
+        SNAP_EVERY,
+    )
+    .map_err(fail("open"))?;
+    Ok(((node, recorder), torn_bytes))
 }
 
-impl Process {
-    /// Starts a process on the data directory `dir` through the shipped
-    /// recovery (an empty directory yields an empty session). Also returns
-    /// the torn journal bytes recovery discarded.
-    fn start(dir: &Path) -> Result<(Self, u64), String> {
-        let recorder = Recorder::enabled();
-        let (mut session, mut sched) = build(&recorder);
-        let data = DataDir::open(dir).map_err(fail("open data dir"))?;
-        let recovery = Durable::recover(data, false).map_err(fail("recover"))?;
-        if let Some(file) = &recovery.recovered.snapshot {
-            let snap: CampaignSnapshot =
-                serde_json::from_value(&file.payload).map_err(fail("decode snapshot"))?;
-            sched
-                .serve_restore(snap.sched)
-                .map_err(fail("scheduler restore"))?;
-            let cluster = ClusterSpec::uniform(4, 16);
-            session = ServeSession::restore(cluster, serve_config(), &recorder, &snap.engine)
-                .map_err(fail("session restore"))?;
-        }
-        let torn_bytes = recovery.recovered.torn_bytes;
-        let durable = recovery
-            .resume(&mut session, &mut sched, &recorder, SNAP_EVERY, 0.0)
-            .map_err(fail("resume"))?;
-        let process = Self {
-            recorder,
-            session,
-            sched,
-            durable,
-        };
-        Ok((process, torn_bytes))
-    }
-
-    /// Commits the open batch, then snapshots.
-    fn snapshot(&mut self) -> Result<(), String> {
-        self.durable.sync().map_err(fail("journal sync"))?;
-        let payload = CampaignSnapshot {
-            engine: self.session.snapshot().map_err(fail("snapshot"))?,
-            sched: self.sched.serve_snapshot(),
-        };
-        let payload = serde_json::to_value(&payload).map_err(fail("encode snapshot"))?;
-        self.durable
-            .take_snapshot(payload, self.session.now())
-            .map_err(fail("take snapshot"))
-    }
-
-    /// Feeds one stream step through the serve loop's order. Returns
-    /// whether a due snapshot committed the open batch first.
-    fn step(&mut self, step: &Step) -> Result<bool, String> {
-        match step {
+/// Feeds `steps[range]` to the node — each job admitted, then appended;
+/// each fault injected — committing after every step `commit_after` marks.
+/// Returns how many steps of the stream were durable at the last commit,
+/// which a due snapshot also makes (it commits the open batch first).
+fn feed(
+    node: &mut ServeNode<()>,
+    steps: &[Step],
+    range: Range<usize>,
+    commit_after: &[bool],
+) -> Result<usize, String> {
+    let mut synced = range.start;
+    for i in range {
+        match &steps[i] {
             Step::Job(spec) => {
-                self.session.admit(spec).map_err(fail("admit"))?;
-                self.session
-                    .pump_until(spec.submit_time, &mut self.sched)
-                    .map_err(fail("pump"))?;
-                let due = self.durable.snapshot_due(&self.session);
-                if due {
-                    self.snapshot()?;
-                }
-                self.durable
-                    .append(WalRecord::Job(spec.clone()))
-                    .map_err(fail("journal append"))?;
-                self.session.submit(spec.clone()).map_err(fail("submit"))?;
-                Ok(due)
+                node.session().admit(spec).map_err(fail("admit"))?;
+                node.append(spec.clone(), |node| {
+                    synced = i;
+                    node.sync()
+                })
+                .map_err(fail("append"))?;
             }
-            Step::Fault(fault) => {
-                self.durable
-                    .append(WalRecord::Fault(*fault))
-                    .map_err(fail("journal append"))?;
-                self.session
-                    .inject_fault(*fault)
-                    .map_err(fail("inject fault"))?;
-                Ok(false)
-            }
+            Step::Fault(fault) => node.inject_fault(*fault).map_err(fail("inject fault"))?,
+        }
+        if commit_after[i] {
+            node.sync().map_err(fail("journal sync"))?;
+            synced = i + 1;
         }
     }
+    Ok(synced)
+}
 
-    /// Feeds `steps[range]`, committing after every step `commit_after`
-    /// marks. Returns how many steps of the stream were durable at the
-    /// last commit.
-    fn feed(
-        &mut self,
-        steps: &[Step],
-        range: Range<usize>,
-        commit_after: &[bool],
-    ) -> Result<usize, String> {
-        let mut synced = range.start;
-        for i in range {
-            if self.step(&steps[i])? {
-                synced = i;
-            }
-            if commit_after[i] {
-                self.durable.sync().map_err(fail("journal sync"))?;
-                synced = i + 1;
-            }
-        }
-        Ok(synced)
-    }
-
-    /// The clean stop — drain to quiescence, journal the final clock edge,
-    /// commit, take the shutdown snapshot — then the comparison key: the
-    /// summary (with its outcome digest) and the stable metrics dump
-    /// minus the process-local `wal_recovered_records` gauge.
-    fn finish(mut self) -> Result<(ServeSummary, String), String> {
-        self.session
-            .drain(f64::INFINITY, &mut self.sched)
-            .map_err(fail("drain"))?;
-        let clock = WalRecord::Clock {
-            now: self.session.now(),
-        };
-        self.durable.append(clock).map_err(fail("journal append"))?;
-        self.snapshot()?;
-        let metrics: String = self
-            .recorder
-            .snapshot()
-            .to_stable_json()
-            .lines()
-            .filter(|l| !l.contains("wal_recovered_records"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        Ok((self.session.summary(), metrics))
-    }
+/// The clean stop — drain to quiescence, journal the final clock edge,
+/// commit, take the shutdown snapshot — then the comparison key: the
+/// summary (with its outcome digest) and the stable metrics dump minus the
+/// process-local `wal_recovered_records` gauge.
+fn finish((mut node, recorder): Process) -> Result<(ServeSummary, String), String> {
+    node.finish(ServeNode::sync).map_err(fail("finish"))?;
+    let metrics: String = recorder
+        .snapshot()
+        .to_stable_json()
+        .lines()
+        .filter(|l| !l.contains("wal_recovered_records"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    Ok((node.session().summary(), metrics))
 }
 
 /// Applies the post-kill tail damage to the journal file.
@@ -392,13 +318,14 @@ fn recovered_run(
 ) -> Result<((ServeSummary, String), usize), String> {
     // Victim process: feeds `kill_at` steps, then vanishes — no final
     // commit, no drain, no snapshot, no truncation.
-    let synced = Process::start(dir)?
-        .0
-        .feed(steps, 0..kill_at, commit_after)?;
+    let synced = {
+        let ((mut victim, _), _) = start(dir)?;
+        feed(&mut victim, steps, 0..kill_at, commit_after)?
+    };
     let data = DataDir::open(dir).map_err(fail("open data dir"))?;
     damage_tail(&data.journal_path(), damage)?;
 
-    let (mut process, torn_bytes) = Process::start(dir)?;
+    let ((mut node, recorder), torn_bytes) = start(dir)?;
     if damage != TailDamage::None && torn_bytes == 0 {
         return Err("tail damage was not detected as torn bytes".into());
     }
@@ -409,14 +336,14 @@ fn recovered_run(
         .iter()
         .filter(|s| matches!(s, Step::Job(_)))
         .count() as u64;
-    let submitted = process.session.summary().submitted;
+    let submitted = node.session().summary().submitted;
     if submitted != acked_jobs {
         return Err(format!(
             "recovered {submitted} submitted jobs, but {acked_jobs} were committed before the kill"
         ));
     }
-    process.feed(steps, synced..steps.len(), commit_after)?;
-    Ok((process.finish()?, kill_at - synced))
+    feed(&mut node, steps, synced..steps.len(), commit_after)?;
+    Ok((finish((node, recorder))?, kill_at - synced))
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -443,9 +370,9 @@ pub fn run_crash_campaign(cfg: &CrashConfig) -> Result<(String, usize), String> 
     let commit_after = plan_commits(cfg.seed, steps.len());
     // The reference: the whole stream straight through one process.
     let ref_dir = scratch_dir(&format!("{:x}_ref", cfg.seed));
-    let reference = Process::start(&ref_dir).and_then(|(mut process, _)| {
-        process.feed(&steps, 0..steps.len(), &commit_after)?;
-        process.finish()
+    let reference = start(&ref_dir).and_then(|((mut node, recorder), _)| {
+        feed(&mut node, &steps, 0..steps.len(), &commit_after)?;
+        finish((node, recorder))
     });
     let _ = std::fs::remove_dir_all(&ref_dir);
     let (ref_summary, ref_metrics) = reference?;
